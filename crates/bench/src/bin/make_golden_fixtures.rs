@@ -125,8 +125,59 @@ fn write_frozen(path: &str, bytes: &[u8]) -> bool {
     true
 }
 
+/// The v2 / v2.2 fixture field: a smooth half and a mildly noisy half
+/// (frozen, duplicated in the compat tests — the committed bytes encode
+/// it verbatim; never change it). Both fixtures hold the same field under
+/// the same fixed-SZ config, so they differ only in the index generation.
+fn v2_field() -> NdArray<f32> {
+    NdArray::from_fn(Shape::d3(16, 10, 10), |ix| {
+        let smooth =
+            (ix[0] as f64 * 0.45).sin() * 1.8 + ix[1] as f64 * 0.07 + ix[2] as f64 * 0.011;
+        if ix[0] < 8 {
+            smooth as f32
+        } else {
+            let mut h = (ix[0] * 7013 + ix[1] * 127 + ix[2]) as u64;
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xff51afd7ed558ccd);
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xc4ceb9fe1a85ec53);
+            h ^= h >> 33;
+            (smooth + ((h >> 40) as f64 / (1u64 << 24) as f64 - 0.5) * 0.2) as f32
+        }
+    })
+}
+
 fn main() {
     let dir = std::env::args().nth(1).unwrap_or_else(|| "tests/data".into());
+
+    // v2 (inline untagged index, version byte 2) and v2.2 (trailer index
+    // without the bound column, version byte 4): the same field through
+    // the one-shot chunked pipeline and the fixed-bound streaming writer.
+    let v2_cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3))
+        .chunked(4)
+        .with_threads(1);
+    let path = format!("{dir}/golden_v2.rqc");
+    if !std::path::Path::new(&path).exists() {
+        let (out, _) = compress_with_report(&v2_field(), &v2_cfg).expect("compress fixture");
+        assert_eq!(rq_compress::peek_header(&out.bytes).unwrap().version, 2);
+        write_frozen(&path, &out.bytes);
+        println!("wrote {path}: {} bytes", out.bytes.len());
+    } else {
+        println!("{path}: exists, left frozen");
+    }
+    let path = format!("{dir}/golden_v22.rqc");
+    if !std::path::Path::new(&path).exists() {
+        let field = v2_field();
+        let mut w = ArchiveWriter::<f32, Vec<u8>>::create(Vec::new(), field.shape(), &v2_cfg)
+            .expect("streaming session");
+        w.write_slab(&field).expect("write fixture field");
+        let bytes = w.finalize().expect("finalize fixture").sink;
+        assert_eq!(rq_compress::peek_header(&bytes).unwrap().version, 4);
+        write_frozen(&path, &bytes);
+        println!("wrote {path}: {} bytes", bytes.len());
+    } else {
+        println!("{path}: exists, left frozen");
+    }
 
     // v2.1 — HISTORICAL: the adaptive policy this section used now emits
     // v2.4 containers, so the committed bytes can no longer be

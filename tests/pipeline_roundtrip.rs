@@ -181,6 +181,85 @@ fn v1_container_backward_compat_read() {
     assert_eq!(slab.as_slice(), back.as_slice());
 }
 
+/// The checks shared by the v2 and v2.2 fixtures: the same frozen field
+/// under the same fixed-SZ config (Lorenzo, abs 1e-3, `chunked(4)`), so
+/// the two files differ only in where and how the chunk index is stored.
+fn check_fixed_sz_fixture(bytes: &[u8], version: u8) {
+    let header = rqm::compress_crate::peek_header(bytes).unwrap();
+    assert_eq!(header.version, version);
+    assert_eq!(header.shape.dims(), &[16, 10, 10]);
+    assert_eq!(header.abs_eb, 1e-3);
+    assert_eq!(chunk_count(bytes).unwrap(), 4);
+
+    // Four 4-row SZ chunks, each inheriting the header bound.
+    let table = chunk_table(bytes).unwrap();
+    assert_eq!(table.chunk_rows, 4);
+    for (i, e) in table.entries.iter().enumerate() {
+        assert_eq!((e.start_row, e.rows), (4 * i, 4));
+        assert_eq!(e.codec, ChunkCodecKind::Sz);
+        assert_eq!(e.eb, header.abs_eb);
+    }
+
+    // Same frozen formula the fixture generator used.
+    let field = NdArray::<f32>::from_fn(Shape::d3(16, 10, 10), |ix| {
+        let smooth =
+            (ix[0] as f64 * 0.45).sin() * 1.8 + ix[1] as f64 * 0.07 + ix[2] as f64 * 0.011;
+        if ix[0] < 8 {
+            smooth as f32
+        } else {
+            let mut h = (ix[0] * 7013 + ix[1] * 127 + ix[2]) as u64;
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xff51afd7ed558ccd);
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xc4ceb9fe1a85ec53);
+            h ^= h >> 33;
+            (smooth + ((h >> 40) as f64 / (1u64 << 24) as f64 - 0.5) * 0.2) as f32
+        }
+    });
+    let back = decompress::<f32>(bytes).unwrap();
+    check_bound(&field, &back, 1e-3);
+
+    // Random access and the streaming reader agree with the full decode.
+    let row_elems = 10 * 10;
+    for (i, entry) in table.entries.iter().enumerate() {
+        let (start_row, slab) = decompress_chunk::<f32>(bytes, i).unwrap();
+        assert_eq!(start_row, entry.start_row);
+        let lo = start_row * row_elems;
+        assert_eq!(slab.as_slice(), &back.as_slice()[lo..lo + slab.len()]);
+    }
+    let mut reader = ArchiveReader::open(std::io::Cursor::new(bytes)).unwrap();
+    assert_eq!(reader.entries(), &table.entries[..]);
+    assert_eq!(reader.read_all::<f32>().unwrap().as_slice(), back.as_slice());
+}
+
+#[test]
+fn golden_v2_fixture_backward_compat() {
+    // An index-first, untagged v2 container from the one-shot chunked
+    // pipeline, frozen before that writer was removed (no current writer
+    // can regenerate it): current readers must keep decoding it.
+    let bytes = include_bytes!("data/golden_v2.rqc");
+    check_fixed_sz_fixture(bytes, 2);
+    // The index is inline, ahead of the blobs: there is no trailer.
+    assert_ne!(&bytes[bytes.len() - 4..], b"RQIX");
+}
+
+#[test]
+fn golden_v22_fixture_backward_compat() {
+    // A trailer-indexed v2.2 container (no per-chunk bound column) from
+    // the fixed-bound streaming writer, frozen before that writer moved to
+    // v2.4 (no current writer can regenerate it).
+    let bytes = include_bytes!("data/golden_v22.rqc");
+    check_fixed_sz_fixture(bytes, 4);
+    assert_eq!(&bytes[bytes.len() - 4..], b"RQIX");
+    // Same field, same chunking, same codec: the blobs are the v2
+    // fixture's blobs byte for byte — only the index moved.
+    let v2 = include_bytes!("data/golden_v2.rqc");
+    let (t2, t22) = (chunk_table(v2).unwrap(), chunk_table(bytes).unwrap());
+    for (a, b) in t2.entries.iter().zip(&t22.entries) {
+        assert_eq!(&v2[a.offset..a.offset + a.len], &bytes[b.offset..b.offset + b.len]);
+    }
+}
+
 #[test]
 fn golden_v21_fixture_backward_compat() {
     // A mixed-codec v2.1 container produced by the adaptive pipeline,
