@@ -4,16 +4,16 @@
 //! A synthetic wavefield archive is staged to disk through the streaming
 //! writer, then decoded four ways through
 //! `ArchiveReader::open_path(..).with_threads(n).decompress_rows(...)` —
-//! the streaming engine that serves chunk extents zero-copy off a
-//! memory-mapped source (pooled seek+read elsewhere), overlaps fetch
-//! with decode, and fans decode work out behind a bounded read-ahead
-//! window. For contrast the in-memory path (`decompress_with_threads`,
-//! whole archive + whole field resident) runs at the same thread counts.
+//! the engine that serves chunk extents zero-copy off a memory-mapped
+//! source (pooled seek+read elsewhere), overlaps fetch with decode, and
+//! fans decode work out behind a bounded read-ahead window. (The
+//! in-memory `decompress*` functions are this same engine over a byte
+//! slice, so there is no second engine to compare against.)
 //!
-//! Both modes are timed over the same work: open/read the source, decode
-//! every row, and checksum the output *inside* the timed region. Every
-//! decode must hash byte-identical to the single-threaded decode —
-//! thread count is an implementation detail, never a result change.
+//! Each run times the same work: open the source, decode every row, and
+//! checksum the output *inside* the timed region. Every decode must hash
+//! byte-identical to the single-threaded decode — thread count is an
+//! implementation detail, never a result change.
 //! Wall time, peak RSS (`VmHWM`) and the speedup versus one thread land
 //! in `BENCH_decode.json` in the current directory (committed at the
 //! repository root so the perf trajectory is tracked across PRs; CI
@@ -27,24 +27,20 @@
 //! roughly linearly until the sequential blob reads or the core count
 //! saturate (≥ 2× at 4 threads), while streaming peak RSS stays at the
 //! read-ahead window regardless of archive size. On a single-core
-//! machine the requested thread counts clamp to one worker (both
-//! `with_threads` and `decompress_with_threads` never oversubscribe
-//! `available_parallelism`), so the speedup sits at ~1× by construction
-//! — the JSON records both the requested and the effective count.
-//! Either way the bench **asserts** three contracts:
+//! machine the requested thread counts clamp to one worker
+//! (`with_threads` never oversubscribes `available_parallelism`), so the
+//! speedup sits at ~1× by construction — the JSON records both the
+//! requested and the effective count. Either way the bench **asserts**
+//! three contracts:
 //!
-//! - multi-threaded decode never drops below 0.97× the serial wall time,
-//!   in either mode (oversubscription used to cost ~7% on one CPU);
-//! - single-threaded *streaming* decode stays within 5% of the
-//!   single-threaded in-memory wall time (the zero-copy/overlapped read
-//!   path closed a measured 13% gap; this keeps it closed) — relaxed to
-//!   25% under `RQM_QUICK=1`, where the field is too small for the
-//!   overlap to amortise timer jitter;
+//! - multi-threaded decode never drops below 0.97× the serial wall time
+//!   (oversubscription used to cost ~7% on one CPU);
+//! - a full decode is chunk-aligned end to end: zero reorder copies;
 //! - streaming peak-RSS growth stays below the raw field size
 //!   (window-bounded memory; full-size resettable-HWM runs only).
 
 use rq_bench::{f, mib, peak_rss_bytes, reset_peak_rss, Table};
-use rq_compress::{decompress_with_threads, ArchiveReader, ArchiveWriter, CompressorConfig};
+use rq_compress::{ArchiveReader, ArchiveWriter, CompressorConfig};
 use rq_grid::{NdArray, Shape, MAX_DIMS};
 use rq_predict::PredictorKind;
 use rq_quant::ErrorBoundMode;
@@ -53,8 +49,7 @@ use std::time::Instant;
 
 /// FNV-1a folded over whole `f32` bit patterns (one xor+multiply per
 /// element, not per byte): compares decoded outputs without holding
-/// them in memory, and is cheap enough to sit inside the timed region
-/// of *both* modes so the wall-time comparison covers identical work.
+/// them in memory, and is cheap enough to sit inside the timed region.
 struct Fnv(u64);
 
 impl Fnv {
@@ -80,7 +75,6 @@ struct Run {
     /// lower than `threads` — the JSON records both so a reader can
     /// tell "no speedup" from "no parallelism requested".
     eff_threads: usize,
-    mode: &'static str,
     wall_ms: f64,
     peak_rss: u64,
     rss_delta: u64,
@@ -153,9 +147,6 @@ fn main() {
     }
     println!();
 
-    // All streaming runs happen before any in-memory run: a freed
-    // whole-field buffer can leave the heap ratcheted up, and the
-    // streaming footprint should be measured on a clean floor.
     // Each configuration is timed `iters` times and scored on its best
     // wall time: clock-speed drift over a minute-long bench (thermal
     // throttle, noisy-neighbour scheduling) is larger than the 3%
@@ -196,68 +187,32 @@ fn main() {
         runs.push(Run {
             threads,
             eff_threads,
-            mode: "streaming",
             wall_ms,
             peak_rss: peak,
             rss_delta: peak.saturating_sub(floor),
             hash: run_hash,
         });
     }
-    for threads in [1usize, 2, 4, 8] {
-        // --- in-memory decode: whole archive + whole field resident ---
-        reset_peak_rss();
-        let floor = peak_rss_bytes().unwrap_or(0);
-        let mut wall_ms = f64::INFINITY;
-        let mut run_hash = 0u64;
-        for _ in 0..iters {
-            let t0 = Instant::now();
-            let bytes = std::fs::read(&archive_path).unwrap();
-            let field: NdArray<f32> = decompress_with_threads(&bytes, threads).unwrap();
-            let mut hash = Fnv::new();
-            hash.update(field.as_slice());
-            wall_ms = wall_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            run_hash = hash.0;
-        }
-        let peak = peak_rss_bytes().unwrap_or(0);
-        runs.push(Run {
-            threads,
-            // `decompress_with_threads` clamps to available cores, same
-            // as the streaming reader's pool.
-            eff_threads: threads.min(cpus),
-            mode: "in-memory",
-            wall_ms,
-            peak_rss: peak,
-            rss_delta: peak.saturating_sub(floor),
-            hash: run_hash,
-        });
-    }
-
-    // Thread count must never change the decoded bytes, in either mode.
+    // Thread count must never change the decoded bytes.
     let reference = runs[0].hash;
     for r in &runs {
         assert_eq!(
             r.hash, reference,
-            "{} decode at {} threads diverged from the serial result",
-            r.mode, r.threads
+            "decode at {} threads diverged from the serial result",
+            r.threads
         );
     }
 
-    let serial_ms =
-        runs.iter().find(|r| r.mode == "streaming" && r.threads == 1).unwrap().wall_ms;
-    let mem_serial_ms =
-        runs.iter().find(|r| r.mode == "in-memory" && r.threads == 1).unwrap().wall_ms;
-    // Speedups are against the run's own mode at one thread.
-    let base = |r: &Run| if r.mode == "streaming" { serial_ms } else { mem_serial_ms };
+    let serial_ms = runs.iter().find(|r| r.threads == 1).unwrap().wall_ms;
     let mut t = Table::new(&[
-        "threads", "effective", "mode", "wall(ms)", "speedup", "peakRSS(MiB)", "ΔRSS(MiB)",
+        "threads", "effective", "wall(ms)", "speedup", "peakRSS(MiB)", "ΔRSS(MiB)",
     ]);
     for r in &runs {
         t.row(&[
             r.threads.to_string(),
             r.eff_threads.to_string(),
-            r.mode.into(),
             f(r.wall_ms, 1),
-            f(base(r) / r.wall_ms, 2),
+            f(serial_ms / r.wall_ms, 2),
             f(mib(r.peak_rss), 1),
             f(mib(r.rss_delta), 1),
         ]);
@@ -265,50 +220,29 @@ fn main() {
     t.print();
 
     // Regression gate: asking for more threads must never make the
-    // decode slower than serial, in either mode. With the worker pools
+    // decode slower than serial. With the worker pool
     // clamped to `available_parallelism`, a 1-CPU host runs the same
     // serial path at every requested count, and a multi-core host only
     // adds workers it can schedule — so anything below ~1× is a real
     // regression (lock contention, reorder pressure), not
     // oversubscription noise. 0.97 leaves 3% for timer jitter.
     for r in runs.iter().filter(|r| r.threads > 1) {
-        let speedup = base(r) / r.wall_ms;
+        let speedup = serial_ms / r.wall_ms;
         assert!(
             speedup >= 0.97,
-            "{} decode at {} requested threads ({} effective) ran at {speedup:.3}x \
+            "decode at {} requested threads ({} effective) ran at {speedup:.3}x \
              the serial wall time — multi-threaded decode regressed below serial",
-            r.mode,
             r.threads,
             r.eff_threads,
         );
     }
-
-    // The headline gate for the zero-copy/overlapped read path: serial
-    // streaming decode must stay within 5% of serial in-memory decode.
-    // Before the pooled+mapped+prefetch rework it sat 13% behind
-    // (fresh allocation and a blocking seek+read per chunk, plus a
-    // decode-to-scratch copy per delivery). Quick mode decodes a field
-    // small enough that constant costs (archive open, page-fault warmup)
-    // dominate, so the bar loosens to 25% there.
-    let stream_vs_mem = serial_ms / mem_serial_ms;
-    let gap_limit = if quick { 1.25 } else { 1.05 };
-    assert!(
-        stream_vs_mem <= gap_limit,
-        "serial streaming decode took {stream_vs_mem:.3}x the serial in-memory wall time \
-         (limit {gap_limit}x): the zero-copy overlapped read path has regressed"
-    );
 
     // Bounded-RSS check: each streaming run's own footprint (peak growth
     // over its post-reset floor) must track the read-ahead window, not
     // the archive/field size — the whole field never becomes resident.
     // Only meaningful when the HWM counter resets and the field dwarfs
     // the process baseline (full-size run).
-    let stream_delta = runs
-        .iter()
-        .filter(|r| r.mode == "streaming")
-        .map(|r| r.rss_delta)
-        .max()
-        .unwrap_or(0);
+    let stream_delta = runs.iter().map(|r| r.rss_delta).max().unwrap_or(0);
     // Tri-state for the JSON: true/false only when the check actually
     // ran; null means "not measured" (quick mode or non-resettable HWM),
     // so an unmeasured CI run can't read as a failed contract.
@@ -340,19 +274,16 @@ fn main() {
     j.push_str(&format!("  \"iters\": {iters},\n"));
     j.push_str(&format!("  \"rss_resettable\": {resettable},\n"));
     j.push_str(&format!("  \"mapped_source\": {mapped},\n"));
-    j.push_str(&format!("  \"streaming_over_inmemory_1t\": {},\n", rq_bench::jf(stream_vs_mem, 3)));
     j.push_str(&format!("  \"streaming_rss_bounded\": {rss_bounded},\n"));
     j.push_str("  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {
         j.push_str(&format!(
-            "    {{\"threads\": {}, \"effective_threads\": {}, \"mode\": \"{}\", \
-             \"wall_ms\": {}, \
+            "    {{\"threads\": {}, \"effective_threads\": {}, \"wall_ms\": {}, \
              \"speedup_vs_serial\": {}, \"peak_rss_bytes\": {}, \"rss_delta_bytes\": {}}}{}\n",
             r.threads,
             r.eff_threads,
-            r.mode,
             rq_bench::jf(r.wall_ms, 3),
-            rq_bench::jf(base(r) / r.wall_ms, 3),
+            rq_bench::jf(serial_ms / r.wall_ms, 3),
             r.peak_rss,
             r.rss_delta,
             if i + 1 < runs.len() { "," } else { "" }
@@ -363,7 +294,7 @@ fn main() {
     out.write_all(j.as_bytes()).unwrap();
     println!("\nwrote BENCH_decode.json ({} runs)", runs.len());
 
-    let four = runs.iter().find(|r| r.mode == "streaming" && r.threads == 4).unwrap();
+    let four = runs.iter().find(|r| r.threads == 4).unwrap();
     let speedup4 = serial_ms / four.wall_ms;
     if cpus >= 4 && speedup4 < 2.0 {
         println!(

@@ -175,7 +175,7 @@ fn main() {
     println!("uniform bits at the tuned quality ({tuned_psnr2:.2} dB): {uni_at_q:.3}");
     println!(
         "equal-quality ratio gain: {:+.1}%\n\n\
-         See EXPERIMENTS.md for the honest deviation discussion: with synthetic\n\
+         The honest deviation: with synthetic\n\
          wavefields and sparsity-aware modelling, the per-timestep gain over a\n\
          uniform bound is smaller than the paper's +13% (the uniform baseline is\n\
          already sparsity-adaptive); the mechanism — one-shot per-partition bounds\n\

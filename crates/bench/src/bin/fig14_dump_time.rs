@@ -148,7 +148,6 @@ fn main() {
          (higher achieved ratios), and the model eliminates nearly all of TAE's\n\
          optimization time — the paper's two mechanisms. At this laptop scale the\n\
          dump is compute-bound, so the *total*-time gain vs the zero-op-cost\n\
-         traditional baseline is smaller than on the paper's I/O-bound testbed;\n\
-         see EXPERIMENTS.md for the discussion."
+         traditional baseline is smaller than on the paper's I/O-bound testbed."
     );
 }

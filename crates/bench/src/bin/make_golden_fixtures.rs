@@ -1,70 +1,26 @@
-//! Regenerate the golden container fixtures under `tests/data/`.
+//! Generate the golden container fixtures under `tests/data/` that the
+//! current writers can still produce: `golden_v24.rqc` (the one written
+//! archive generation) and `golden_cat1.rqc` (the `RQCAT` catalog).
 //!
-//! Fixtures are *committed* archives that backward-compat tests re-read;
-//! run this only when introducing a **new** container generation, never to
-//! "refresh" an existing fixture (that would defeat the test). The field
-//! formulas here must match the expectations in
-//! `tests/pipeline_roundtrip.rs` exactly.
+//! Fixtures are *committed* archives that backward-compat tests re-read,
+//! so an existing file is never overwritten — that would defeat the test.
+//! The fixtures of the read-only generations — `golden_v1.rqc`,
+//! `golden_v2.rqc`, `golden_v21.rqc`, `golden_v22.rqc`, `golden_v23.rqc`
+//! — are **frozen**: they were produced by writers that no longer exist
+//! (every writer now emits v2.4) and cannot be regenerated; their field
+//! formulas live on in `tests/pipeline_roundtrip.rs`. Run this only when
+//! introducing a **new** generation. The field formulas here must match
+//! the expectations in `tests/pipeline_roundtrip.rs` exactly.
 //!
 //! ```sh
 //! cargo run -p rq-bench --bin make_golden_fixtures -- <out-dir>
 //! ```
 
 use rq_catalog::CatalogWriter;
-use rq_compress::{
-    chunk_table, compress_with_report, ArchiveWriter, ChunkCodecKind, CodecChoice,
-    CompressorConfig,
-};
+use rq_compress::{chunk_table, ArchiveWriter, ChunkCodecKind, CodecChoice, CompressorConfig};
 use rq_grid::{NdArray, Shape};
 use rq_predict::PredictorKind;
 use rq_quant::ErrorBoundMode;
-
-/// The v2.1 fixture field: smooth rows then hash-noise rows, so the auto
-/// scheduler bakes *both* codec tags into the archive.
-///
-/// Deliberately NOT `rq_datagen::fields::mixed_smooth_turbulent`: the
-/// committed fixture's bytes encode *this* formula, so it is frozen here
-/// (and duplicated in the compat test) where shared generators may evolve.
-fn v21_field() -> NdArray<f32> {
-    NdArray::from_fn(Shape::d3(12, 12, 12), |ix| {
-        if ix[0] < 4 {
-            ((ix[0] as f64 * 0.5).sin() * 2.0 + ix[1] as f64 * 0.1 + ix[2] as f64 * 0.01) as f32
-        } else {
-            let mut h = (ix[0] * 4099 + ix[1] * 89 + ix[2]) as u64;
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xff51afd7ed558ccd);
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xc4ceb9fe1a85ec53);
-            h ^= h >> 33;
-            ((h >> 40) as f64 / (1u64 << 24) as f64 - 0.5) as f32 * 30.0
-        }
-    })
-}
-
-/// The v2.3 fixture field: smooth rows then hash-noise rows (a distinct
-/// frozen formula — the committed fixture's bytes encode it verbatim, so
-/// it is duplicated in the compat test and must never change).
-fn v23_field() -> NdArray<f32> {
-    NdArray::from_fn(Shape::d3(16, 10, 10), |ix| {
-        if ix[0] < 8 {
-            ((ix[0] as f64 * 0.4).sin() * 1.5 + ix[1] as f64 * 0.08 + ix[2] as f64 * 0.02) as f32
-        } else {
-            let mut h = (ix[0] * 5501 + ix[1] * 101 + ix[2]) as u64;
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xff51afd7ed558ccd);
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xc4ceb9fe1a85ec53);
-            h ^= h >> 33;
-            ((h >> 40) as f64 / (1u64 << 24) as f64 - 0.5) as f32 * 25.0
-        }
-    })
-}
-
-/// Per-chunk bounds of the v2.3 fixture (4-row chunks of the 16-row
-/// field): heterogeneous on purpose, loose on the smooth half, tight on
-/// the noisy half, so the fixture pins both the per-chunk quantization
-/// and the mixed codec tags.
-const V23_PLAN: [f64; 4] = [2e-3, 1e-4, 5e-4, 5e-5];
 
 /// The catalog-v1 fixture's f32 dataset: a smooth field drifting slowly
 /// with the step index, so delta segments are genuinely smaller than
@@ -112,10 +68,8 @@ fn v24_field() -> NdArray<f32> {
 /// archive.
 const V24_PLAN: [f64; 4] = [1e-3, 5e-5, 2e-4, 1e-4];
 
-/// Write a fixture unless it already exists. Committed fixtures are
-/// frozen: the writer paths behind the old generations have moved on
-/// (the adaptive policies now emit v2.4), so regenerating an existing
-/// file would produce different bytes and defeat the compat test.
+/// Write a fixture unless it already exists (committed fixtures are
+/// frozen; see the module docs).
 fn write_frozen(path: &str, bytes: &[u8]) -> bool {
     if std::path::Path::new(path).exists() {
         println!("{path}: exists, left frozen");
@@ -125,111 +79,8 @@ fn write_frozen(path: &str, bytes: &[u8]) -> bool {
     true
 }
 
-/// The v2 / v2.2 fixture field: a smooth half and a mildly noisy half
-/// (frozen, duplicated in the compat tests — the committed bytes encode
-/// it verbatim; never change it). Both fixtures hold the same field under
-/// the same fixed-SZ config, so they differ only in the index generation.
-fn v2_field() -> NdArray<f32> {
-    NdArray::from_fn(Shape::d3(16, 10, 10), |ix| {
-        let smooth =
-            (ix[0] as f64 * 0.45).sin() * 1.8 + ix[1] as f64 * 0.07 + ix[2] as f64 * 0.011;
-        if ix[0] < 8 {
-            smooth as f32
-        } else {
-            let mut h = (ix[0] * 7013 + ix[1] * 127 + ix[2]) as u64;
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xff51afd7ed558ccd);
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xc4ceb9fe1a85ec53);
-            h ^= h >> 33;
-            (smooth + ((h >> 40) as f64 / (1u64 << 24) as f64 - 0.5) * 0.2) as f32
-        }
-    })
-}
-
 fn main() {
     let dir = std::env::args().nth(1).unwrap_or_else(|| "tests/data".into());
-
-    // v2 (inline untagged index, version byte 2) and v2.2 (trailer index
-    // without the bound column, version byte 4): the same field through
-    // the one-shot chunked pipeline and the fixed-bound streaming writer.
-    let v2_cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3))
-        .chunked(4)
-        .with_threads(1);
-    let path = format!("{dir}/golden_v2.rqc");
-    if !std::path::Path::new(&path).exists() {
-        let (out, _) = compress_with_report(&v2_field(), &v2_cfg).expect("compress fixture");
-        assert_eq!(rq_compress::peek_header(&out.bytes).unwrap().version, 2);
-        write_frozen(&path, &out.bytes);
-        println!("wrote {path}: {} bytes", out.bytes.len());
-    } else {
-        println!("{path}: exists, left frozen");
-    }
-    let path = format!("{dir}/golden_v22.rqc");
-    if !std::path::Path::new(&path).exists() {
-        let field = v2_field();
-        let mut w = ArchiveWriter::<f32, Vec<u8>>::create(Vec::new(), field.shape(), &v2_cfg)
-            .expect("streaming session");
-        w.write_slab(&field).expect("write fixture field");
-        let bytes = w.finalize().expect("finalize fixture").sink;
-        assert_eq!(rq_compress::peek_header(&bytes).unwrap().version, 4);
-        write_frozen(&path, &bytes);
-        println!("wrote {path}: {} bytes", bytes.len());
-    } else {
-        println!("{path}: exists, left frozen");
-    }
-
-    // v2.1 — HISTORICAL: the adaptive policy this section used now emits
-    // v2.4 containers, so the committed bytes can no longer be
-    // reproduced; the section runs only if the fixture is missing and the
-    // asserts then fail loudly rather than writing a wrong-generation
-    // file.
-    let path = format!("{dir}/golden_v21.rqc");
-    if !std::path::Path::new(&path).exists() {
-        let field = v21_field();
-        let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-4))
-            .chunked(4)
-            .with_codec(CodecChoice::Auto)
-            .with_threads(1);
-        let (out, rep) = compress_with_report(&field, &cfg).expect("compress fixture");
-        assert_eq!(
-            rq_compress::peek_header(&out.bytes).unwrap().version,
-            3,
-            "the v2.1 fixture cannot be regenerated: the adaptive policy moved to v2.4"
-        );
-        write_frozen(&path, &out.bytes);
-        println!("wrote {path}: {} bytes, chunks {:?}", out.bytes.len(), rep.chunk_codecs);
-    } else {
-        println!("{path}: exists, left frozen");
-    }
-
-    // v2.3 — HISTORICAL (same caveat as v2.1): heterogeneous per-chunk
-    // bounds through the planned streaming writer.
-    let path = format!("{dir}/golden_v23.rqc");
-    if !std::path::Path::new(&path).exists() {
-        let field = v23_field();
-        let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1.0))
-            .chunked(4)
-            .with_codec(CodecChoice::Auto)
-            .with_threads(1);
-        let mut w = ArchiveWriter::<f32, Vec<u8>>::create_planned(
-            Vec::new(),
-            field.shape(),
-            &cfg,
-            V23_PLAN.to_vec(),
-        )
-        .expect("planned session");
-        w.write_slab(&field).expect("write fixture field");
-        let bytes = w.finalize().expect("finalize fixture").sink;
-        assert_eq!(
-            rq_compress::peek_header(&bytes).unwrap().version,
-            5,
-            "the v2.3 fixture cannot be regenerated: the adaptive policy moved to v2.4"
-        );
-        write_frozen(&path, &bytes);
-    } else {
-        println!("{path}: exists, left frozen");
-    }
 
     // v2.4: the three-way adaptive generation — per-chunk bounds in the
     // trailer plus the rolz codec tag; the plan forces a real sz/rolz

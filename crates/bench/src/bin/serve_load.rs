@@ -146,7 +146,7 @@ fn drive(
 
 fn main() {
     let quick = rq_bench::quick() || std::env::args().any(|a| a == "--quick");
-    // The served field: chunk-parallel v2.2 archive of a smooth-ish
+    // The served field: chunk-parallel archive of a smooth-ish
     // wavefield. Sized so a full level finishes in seconds.
     let shape = if quick { Shape::d3(64, 32, 32) } else { Shape::d3(192, 64, 64) };
     let chunk_rows = 4;

@@ -1,5 +1,5 @@
 //! Quality-targeted compression ablation: planned per-chunk bounds
-//! (container v2.3, the `rqm compress --target-psnr` pipeline) versus
+//! (the `rqm compress --target-psnr` pipeline) versus
 //! single-global-bound baselines at the same measured PSNR floor, on a
 //! mixed RTM field (early quiet snapshots, late dense ones, stacked along
 //! axis 0).
@@ -178,7 +178,7 @@ fn main() {
     }
     t.print();
     println!(
-        "\nplanned (v2.3): {} B, measured {psnr2:.2} dB, {passes} compression pass(es)",
+        "\nplanned: {} B, measured {psnr2:.2} dB, {passes} compression pass(es)",
         bytes2.len()
     );
 

@@ -1,9 +1,8 @@
 //! Shared helpers for the figure/table regeneration binaries.
 //!
 //! Every table and figure of the paper's evaluation (§V) has a binary in
-//! `src/bin/`; see EXPERIMENTS.md at the repository root for the index and
-//! recorded outputs. Set `RQM_QUICK=1` to shrink workloads (useful in CI
-//! or debug builds).
+//! `src/bin/`. Set `RQM_QUICK=1` to shrink workloads (useful in CI or
+//! debug builds).
 
 use rq_grid::{NdArray, Scalar};
 

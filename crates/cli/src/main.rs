@@ -30,20 +30,21 @@
 //! axis-0 chunk (deterministic strided sampling, no RNG), fits one
 //! `RqModel` per chunk, and runs the §IV-C water-filling planner (PSNR
 //! floor) or the §IV-B budget optimizer (size ceiling). The planned
-//! bounds go through the same streaming session and are recorded in
-//! container **v2.3** (per-chunk `eb` next to the codec tag in the
-//! trailer index — shown by `rqm info`). Quiet chunks get loose bounds,
+//! bounds go through the same streaming session and are recorded per
+//! chunk (`eb` next to the codec tag in the trailer index — shown by
+//! `rqm info`). Quiet chunks get loose bounds,
 //! turbulent chunks tight ones, so the archive is smaller than any single
 //! global bound meeting the same target.
 //!
-//! `--threads`/`--chunk-size` switch to the **streaming** chunk-parallel
-//! pipeline (container format v2.2): the input file is read in axis-0
-//! slabs of `--chunk-size` rows (default: auto-sized to the thread
-//! count), each slab is compressed concurrently through the
-//! `rq_compress::ArchiveWriter` session, and blobs go straight to the
-//! output file with the chunk index in a trailer — peak memory stays at a
-//! few slabs no matter how large the field is. Plain `compress` without
-//! either flag keeps the serial in-memory v1 format.
+//! `--threads`/`--chunk-size` switch to **streaming** chunk-parallel
+//! compression: the input file is read in axis-0 slabs of `--chunk-size`
+//! rows (default: auto-sized to the thread count), each slab is
+//! compressed concurrently through the `rq_compress::ArchiveWriter`
+//! session, and blobs go straight to the output file with the chunk
+//! index in a trailer — peak memory stays at a few slabs no matter how
+//! large the field is. Plain `compress` without either flag loads the
+//! field and writes it as one whole-field chunk. Every archive is
+//! container v2.4; `decompress` and `info` read all six generations.
 //!
 //! `decompress` streams for every thread count: rows flow from the
 //! archive to the output through `rq_compress::ArchiveReader`'s bounded
@@ -54,8 +55,8 @@
 //!
 //! `--codec` selects the per-chunk backend: `sz` (default, the prediction
 //! path), `zfp` (the transform path), `rolz` (the prediction front end
-//! with a reduced-offset-LZ back end over the quantization codes,
-//! container v2.4) or `auto`, which estimates all three per chunk and
+//! with a reduced-offset-LZ back end over the quantization codes) or
+//! `auto`, which estimates all three per chunk and
 //! picks the cheapest. The chunk index tags every chunk with the codec
 //! that produced it (shown by `rqm info`); non-`sz` codecs imply chunking
 //! even without `--chunk-size`.
@@ -453,8 +454,7 @@ fn plan_for(
 
 /// Streaming compression: read the input in slabs, feed the archive
 /// writer, never hold more than a few slabs in memory. With `plan`, the
-/// session runs in quality-targeted mode (one bound per chunk, container
-/// v2.3).
+/// session runs in quality-targeted mode (one bound per chunk).
 fn stream_compress(
     input: &str,
     output: &str,
@@ -571,7 +571,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
 
     let mut plan_note = String::new();
     let rep = if targeted {
-        // Pre-pass: per-chunk models → per-chunk bounds (container v2.3).
+        // Pre-pass: per-chunk models → per-chunk bounds.
         let (models, sizes, range) = chunk_models(&input, shape, &cfg)?;
         let mut plan = plan_for(&models, &sizes, range, &goal, cfg.predictor)?;
         let mut rep = stream_compress(&input, &output, shape, cfg, Some(plan.ebs.clone()))?;
@@ -672,11 +672,11 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
         plan_note = format!("{goal_note}, per-chunk eb {eb_lo:.2e}..{eb_hi:.2e}, ");
         rep
     } else if chunked {
-        // Chunked: stream slabs through the writer session (container
-        // v2.2) — peak RSS is a few slabs, not the field.
+        // Chunked: stream slabs through the writer session — peak RSS is
+        // a few slabs, not the field.
         stream_compress(&input, &output, shape, cfg, None)?
     } else {
-        // Serial v1: the single causal traversal needs the whole field.
+        // One whole-field chunk: its causal traversal needs the whole field.
         let field = io::read_raw_f32(&input, shape)?;
         let (out, rep) =
             compress_with_report(&field, &cfg).map_err(|e| format!("compression failed: {e}"))?;
@@ -1532,10 +1532,9 @@ mod tests {
             "6",
         ])
         .unwrap();
-        // Chunked CLI compression streams through the writer session:
-        // container v2.2 (version byte 4, trailer index).
+        // Every writer emits container v2.4 (version byte 6).
         let h = peek_header(&io::read_bytes(rqc.to_str().unwrap()).unwrap()).unwrap();
-        assert_eq!(h.version, 4);
+        assert_eq!(h.version, 6);
         run_args(&["info", rqc.to_str().unwrap()]).unwrap();
         run_args(&["info", rqc.to_str().unwrap(), "--json"]).unwrap();
         run_args(&[
@@ -1751,7 +1750,7 @@ mod tests {
         ])
         .unwrap();
         let bytes = io::read_bytes(rqc.to_str().unwrap()).unwrap();
-        assert_eq!(peek_header(&bytes).unwrap().version, 5, "targeted CLI writes v2.3");
+        assert_eq!(peek_header(&bytes).unwrap().version, 6);
         // The plan must actually vary across the quiet/loud chunks.
         let table = rq_compress::chunk_table(&bytes).unwrap();
         let ebs: Vec<f64> = table.entries.iter().map(|e| e.eb).collect();
@@ -1784,7 +1783,7 @@ mod tests {
         ])
         .unwrap();
         let bytes = io::read_bytes(rqc.to_str().unwrap()).unwrap();
-        assert_eq!(peek_header(&bytes).unwrap().version, 5);
+        assert_eq!(peek_header(&bytes).unwrap().version, 6);
         assert!(
             bytes.len() <= budget,
             "archive {} B over the {budget} B ceiling",

@@ -1,39 +1,30 @@
-//! Chunk-parallel compression and decompression (container format v2).
+//! The chunk layer between the kernel and the archive engine.
 //!
-//! The field is split into axis-0 slabs ([`rq_grid::slab_chunks`]); each
-//! slab runs the same causal kernel as the serial pipeline
-//! (`encode_stream` in [`crate::pipeline`]) but as an independent stream:
-//! predictor stencils reset at slab boundaries, every slab gets its own
-//! Huffman codebook, payload, verbatim section and side channel. Because
-//! slabs of a row-major array are contiguous, chunking costs no copies on
+//! A field is split into axis-0 slabs ([`rq_grid::slab_chunks`]); each
+//! slab runs the chunk kernel ([`crate::pipeline`]) as an independent
+//! stream: predictor stencils reset at slab boundaries, every slab gets
+//! its own codebook, payload, verbatim section and side channel. Slabs
+//! of a row-major array are contiguous, so chunking costs no copies on
 //! either side — workers read disjoint input slices and decode into
-//! disjoint output slices.
+//! disjoint output slices. The error-bound guarantee is unaffected: the
+//! bound is resolved once against the *whole* field and every point is
+//! quantized against its chunk's bound inside exactly one chunk.
 //!
-//! The error-bound guarantee is unaffected: the absolute bound is resolved
-//! once against the *whole* field (so value-range-relative bounds match
-//! the serial pipeline bit for bit) and every point is quantized against
-//! that bound inside exactly one chunk.
-//!
-//! Work is distributed round-robin over `threads` scoped workers
-//! (`std::thread::scope` — no dependency, no pool reuse; chunk workloads
-//! are large enough that spawn cost is noise). Round-robin keeps the
-//! assignment deterministic, and chunk sizes are uniform except for the
-//! tail slab, so balance is good without a shared queue.
-//!
-//! Random access: [`decompress_chunk`] decodes a single slab via the v2
-//! chunk index without touching the rest of the container.
+//! This module holds what the one archive engine ([`crate::stream`])
+//! needs around the kernel — the chunking policy, the scoped worker
+//! pool, report aggregation and the per-chunk blob decoder — plus the
+//! in-memory decode functions, which are that engine's reader over a
+//! byte slice.
 
 use crate::codec::{ChunkCodec, ChunkStats, ZfpChunkCodec};
-use crate::config::{Chunking, CodecChoice, CompressorConfig};
+use crate::config::{Chunking, CompressorConfig};
 use crate::container::{
-    container_version, read_chunk_blob, read_container_v2_index, write_container_v2,
-    write_container_v2_1, write_container_v2_4, ChunkCodecKind, ChunkEntry, CompressError,
-    DecompressError, Header, VERSION_V1, VERSION_V2, VERSION_V2_1, VERSION_V2_4,
+    read_chunk_blob, read_sections_body, ChunkCodecKind, ChunkEntry, DecompressError, Header,
 };
-use crate::pipeline::{decode_stream, resolve_bound, transform_from_header};
-use crate::report::{CompressedOutput, CompressionReport};
-use crate::stream::SlabEncoder;
-use rq_grid::{auto_chunk_rows, slab_chunks, NdArray, Scalar, Shape};
+use crate::pipeline::{decode_stream, KernelPath, Transform};
+use crate::report::CompressionReport;
+use crate::stream::ArchiveReader;
+use rq_grid::{auto_chunk_rows, NdArray, Scalar, Shape};
 use rq_quant::LinearQuantizer;
 
 /// Minimum elements per auto-sized chunk, so per-chunk codebook/section
@@ -45,15 +36,11 @@ const AUTO_MIN_CHUNK_ELEMS: usize = 1 << 15;
 const AUTO_CHUNKS_PER_THREAD: usize = 4;
 
 /// The axis-0 rows per chunk that `cfg`'s chunking resolves to for
-/// `shape` — i.e. the chunk partition every pipeline (one-shot, streaming,
-/// planned) will use. Public so quality-targeted callers can run their
-/// per-chunk pre-pass over exactly the partition the writer will encode.
+/// `shape` — i.e. the chunk partition every writer (one-shot, streaming,
+/// planned) will use; [`Chunking::Serial`] is one whole-field chunk.
+/// Public so quality-targeted callers can run their per-chunk pre-pass
+/// over exactly the partition the writer will encode.
 pub fn resolved_chunk_rows(cfg: &CompressorConfig, shape: Shape) -> usize {
-    resolve_chunk_rows(cfg, shape)
-}
-
-/// Resolve the configured chunking to a concrete row count per slab.
-pub(crate) fn resolve_chunk_rows(cfg: &CompressorConfig, shape: Shape) -> usize {
     match cfg.chunking {
         Chunking::Serial => shape.dim(0),
         Chunking::Rows(rows) => rows.clamp(1, shape.dim(0)),
@@ -65,9 +52,11 @@ pub(crate) fn resolve_chunk_rows(cfg: &CompressorConfig, shape: Shape) -> usize 
     }
 }
 
-/// Run `f` over `items` on up to `threads` scoped workers, round-robin.
-/// Results come back in input order. Errors are propagated (first one in
-/// input order wins).
+/// Run `f` over `items` on up to `threads` scoped workers, round-robin
+/// (`std::thread::scope` — chunk workloads are large enough that spawn
+/// cost is noise, and the static assignment is deterministic). Results
+/// come back in input order. Errors are propagated (first one in input
+/// order wins).
 pub(crate) fn run_on_workers<I, R, E, F>(items: Vec<I>, threads: usize, f: F) -> Result<Vec<R>, E>
 where
     I: Send,
@@ -98,7 +87,7 @@ where
             }));
         }
         for h in handles {
-            for (i, r) in h.join().expect("compression worker panicked") {
+            for (i, r) in h.join().expect("chunk worker panicked") {
                 slots[i] = Some(r);
             }
         }
@@ -106,90 +95,7 @@ where
     slots.into_iter().map(|s| s.expect("worker covered every item")).collect()
 }
 
-/// Compress `field` into a v2 chunk-indexed container.
-///
-/// Invoked by [`crate::compress`] for any non-serial [`Chunking`]; callable
-/// directly when the caller wants chunked output regardless of `cfg`'s
-/// chunking mode (a `Serial` config is treated as one big chunk).
-pub fn compress_chunked<T: Scalar>(
-    field: &NdArray<T>,
-    cfg: &CompressorConfig,
-) -> Result<CompressedOutput, CompressError> {
-    compress_chunked_with_report(field, cfg).map(|(out, _)| out)
-}
-
-/// [`compress_chunked`], also returning aggregated per-stage measurements.
-///
-/// A thin wrapper over the streaming session's encode core
-/// ([`crate::stream`]): the field is cut into chunks, encoded on the
-/// worker pool by the shared `SlabEncoder`, and assembled into an
-/// index-first v2 (fixed-SZ configs, byte-identical to earlier releases)
-/// or v2.1 (adaptive codecs) container.
-pub fn compress_chunked_with_report<T: Scalar>(
-    field: &NdArray<T>,
-    cfg: &CompressorConfig,
-) -> Result<(CompressedOutput, CompressionReport), CompressError> {
-    cfg.validate().map_err(CompressError::InvalidConfig)?;
-    let shape = field.shape();
-    let n = shape.len();
-    let (abs_eb, transform) = resolve_bound(cfg, field.value_range())?;
-    let enc = SlabEncoder::from_cfg(cfg, abs_eb, transform)?;
-
-    let chunk_rows = resolve_chunk_rows(cfg, shape);
-    let chunks = slab_chunks(shape, chunk_rows);
-    let encoded = enc.encode_chunks(field.as_slice(), chunks)?;
-
-    // Fixed-SZ and fixed-ZFP configs keep their historical generations
-    // byte for byte; only rolz-capable policies move to v2.4.
-    let version = match cfg.codec {
-        CodecChoice::Sz => VERSION_V2,
-        CodecChoice::Zfp => VERSION_V2_1,
-        CodecChoice::Rolz | CodecChoice::Auto => VERSION_V2_4,
-    };
-    let header = Header {
-        version,
-        scalar_tag: T::TAG,
-        predictor: cfg.predictor,
-        lossless: cfg.lossless,
-        log_transform: enc.transform != crate::pipeline::Transform::Identity,
-        shape,
-        abs_eb,
-        radius: cfg.radius,
-    };
-
-    let mut per_chunk = Vec::with_capacity(encoded.len());
-    let bytes = match version {
-        VERSION_V2 => {
-            let mut blobs = Vec::with_capacity(encoded.len());
-            for ec in encoded {
-                blobs.push((ec.rows, ec.blob));
-                per_chunk.push((ChunkCodecKind::Sz, ec.stats));
-            }
-            write_container_v2::<T>(&header, chunk_rows, &blobs)
-        }
-        VERSION_V2_1 => {
-            let mut blobs = Vec::with_capacity(encoded.len());
-            for ec in encoded {
-                blobs.push((ec.rows, ec.codec, ec.blob));
-                per_chunk.push((ec.codec, ec.stats));
-            }
-            write_container_v2_1::<T>(&header, chunk_rows, &blobs)
-        }
-        _ => {
-            let mut blobs = Vec::with_capacity(encoded.len());
-            for ec in encoded {
-                blobs.push((ec.rows, ec.codec, ec.eb, ec.blob));
-                per_chunk.push((ec.codec, ec.stats));
-            }
-            write_container_v2_4::<T>(&header, chunk_rows, &blobs)
-        }
-    };
-    let report = aggregate_report(&enc.quantizer, per_chunk, n, T::BITS, bytes.len());
-    Ok((CompressedOutput { bytes, n_elements: n, original_bits: T::BITS }, report))
-}
-
-/// Fold per-chunk encoding statistics into one [`CompressionReport`]
-/// (shared by the one-shot chunked pipeline and the streaming writer).
+/// Fold per-chunk encoding statistics into one [`CompressionReport`].
 pub(crate) fn aggregate_report(
     quantizer: &LinearQuantizer,
     per_chunk: Vec<(ChunkCodecKind, ChunkStats)>,
@@ -242,52 +148,10 @@ pub(crate) fn aggregate_report(
     }
 }
 
-/// Decode one chunk blob into its output slab, dispatching on the chunk's
-/// codec tag. `eb` is the chunk's authoritative absolute bound (the
-/// header's bound for pre-v2.3 archives, the per-chunk index entry for
-/// v2.3). Shared by the in-memory decompressors and the streaming
-/// [`crate::ArchiveReader`].
-pub(crate) fn decode_chunk_blob<T: Scalar>(
-    blob: &[u8],
-    header: &Header,
-    codec: ChunkCodecKind,
-    eb: f64,
-    chunk_shape: Shape,
-    out: &mut [T],
-) -> Result<(), DecompressError> {
-    match codec {
-        ChunkCodecKind::Sz => {
-            let (lossless, body) = read_chunk_blob::<T>(blob)?;
-            decode_stream(
-                &body,
-                lossless,
-                chunk_shape,
-                header.predictor,
-                LinearQuantizer::new(eb, header.radius),
-                transform_from_header(header),
-                crate::pipeline::KernelPath::Fast,
-                out,
-            )
-        }
-        ChunkCodecKind::Zfp => {
-            ChunkCodec::<T>::decode(&ZfpChunkCodec::new(eb), blob, chunk_shape, out)
-        }
-        ChunkCodecKind::Rolz => {
-            let codec = crate::rolz::RolzChunkCodec::new(
-                header.predictor,
-                LinearQuantizer::new(eb, header.radius),
-            )
-            .with_transform(transform_from_header(header));
-            ChunkCodec::<T>::decode(&codec, blob, chunk_shape, out)
-        }
-    }
-}
-
-/// Decode one chunk blob into its output slab, handling the v1 special
-/// case (the v1 "chunk" is the whole container body: four sections with no
-/// per-chunk flag byte, the header's lossless flag authoritative). This is
-/// the blob decoder every random-access reader — streaming, concurrent,
-/// parallel — dispatches through.
+/// Decode one chunk blob into its output slab, dispatching on the entry's
+/// codec tag — the blob decoder every read path goes through. The
+/// entry's `eb` is the chunk's authoritative bound (the index entry's from
+/// v2.3 on, the header's before).
 pub(crate) fn decode_entry_blob<T: Scalar>(
     blob: &[u8],
     header: &Header,
@@ -295,41 +159,39 @@ pub(crate) fn decode_entry_blob<T: Scalar>(
     chunk_shape: Shape,
     out: &mut [T],
 ) -> Result<(), DecompressError> {
-    if header.version == VERSION_V1 {
-        let mut pos = 0usize;
-        let body = crate::container::read_sections_body::<T>(blob, &mut pos)?;
-        decode_stream(
-            &body,
-            header.lossless,
-            chunk_shape,
-            header.predictor,
-            LinearQuantizer::new(header.abs_eb, header.radius),
-            transform_from_header(header),
-            crate::pipeline::KernelPath::Fast,
-            out,
-        )
-    } else {
-        decode_chunk_blob(blob, header, entry.codec, entry.eb, chunk_shape, out)
+    let quantizer = LinearQuantizer::new(entry.eb, header.radius);
+    // The ratio is only needed when encoding.
+    let transform =
+        if header.log_transform { Transform::Log { ratio: f64::NAN } } else { Transform::Identity };
+    match entry.codec {
+        ChunkCodecKind::Sz => {
+            // The v1 "chunk" is the whole container body: four sections
+            // with no per-chunk flag byte, the header's flag authoritative.
+            let (lossless, body) = if header.single_stream() {
+                (header.lossless, read_sections_body::<T>(blob, &mut 0)?)
+            } else {
+                read_chunk_blob::<T>(blob)?
+            };
+            decode_stream(
+                &body,
+                lossless,
+                chunk_shape,
+                header.predictor,
+                quantizer,
+                transform,
+                KernelPath::Fast,
+                out,
+            )
+        }
+        ChunkCodecKind::Zfp => {
+            ChunkCodec::<T>::decode(&ZfpChunkCodec::new(entry.eb), blob, chunk_shape, out)
+        }
+        ChunkCodecKind::Rolz => {
+            let codec = crate::rolz::RolzChunkCodec::new(header.predictor, quantizer)
+                .with_transform(transform);
+            ChunkCodec::<T>::decode(&codec, blob, chunk_shape, out)
+        }
     }
-}
-
-/// Decode one located chunk of an in-memory container into its output
-/// slab.
-fn decode_entry<T: Scalar>(
-    bytes: &[u8],
-    header: &Header,
-    entry: ChunkEntry,
-    chunk_shape: Shape,
-    out: &mut [T],
-) -> Result<(), DecompressError> {
-    decode_chunk_blob(
-        &bytes[entry.offset..entry.offset + entry.len],
-        header,
-        entry.codec,
-        entry.eb,
-        chunk_shape,
-        out,
-    )
 }
 
 /// Shape of the slab covered by `entry` within a field of shape `shape`.
@@ -340,62 +202,18 @@ pub(crate) fn entry_shape(shape: Shape, entry: ChunkEntry) -> Shape {
     Shape::new(&dims[..shape.ndim()])
 }
 
-/// Decompress any container version with an explicit worker-thread count
-/// (`0` = one per available CPU). v1 containers ignore the thread count
-/// (their single stream is inherently sequential).
-///
-/// The count is clamped to `available_parallelism` — the same policy as
-/// [`crate::ArchiveReader::with_threads`]: extra workers beyond the core
-/// count only add dispatch and context-switch overhead (measurably
-/// *slower* than serial decode on a 1-CPU host) without any more decode
-/// bandwidth to use. Use [`decompress_with_threads_exact`] to
-/// oversubscribe deliberately.
+/// Decompress any container generation held in memory with an explicit
+/// worker-thread count (`0` = one per available CPU), clamped to
+/// `available_parallelism` exactly as [`ArchiveReader::with_threads`]
+/// clamps it. Decoded values are identical at every thread count.
 pub fn decompress_with_threads<T: Scalar>(
     bytes: &[u8],
     threads: usize,
 ) -> Result<NdArray<T>, DecompressError> {
-    let cpus = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
-    decompress_with_threads_exact(bytes, if threads == 0 { cpus } else { threads.min(cpus) })
+    ArchiveReader::open_bytes(bytes)?.with_threads(threads).read_all()
 }
 
-/// [`decompress_with_threads`] without the `available_parallelism`
-/// clamp: exactly `threads` workers (`0` is treated as `1`), even beyond
-/// the core count. Decoded bytes are identical either way; this exists
-/// so tests can exercise the worker pool's dispatch machinery on
-/// machines with few cores.
-pub fn decompress_with_threads_exact<T: Scalar>(
-    bytes: &[u8],
-    threads: usize,
-) -> Result<NdArray<T>, DecompressError> {
-    if container_version(bytes)? == VERSION_V1 {
-        return crate::pipeline::decompress(bytes);
-    }
-    let idx = read_container_v2_index::<T>(bytes)?;
-    let header = idx.header;
-    let shape = header.shape;
-    let threads = threads.max(1);
-
-    let mut out = vec![T::zero(); shape.len()];
-    // Slabs are contiguous and ordered: split the output buffer into one
-    // disjoint mutable slice per chunk.
-    let mut slabs: Vec<(ChunkEntry, Shape, &mut [T])> = Vec::with_capacity(idx.entries.len());
-    let mut rest: &mut [T] = &mut out;
-    for &entry in &idx.entries {
-        let cshape = entry_shape(shape, entry);
-        let (slab, tail) = rest.split_at_mut(cshape.len());
-        slabs.push((entry, cshape, slab));
-        rest = tail;
-    }
-    debug_assert!(rest.is_empty());
-
-    run_on_workers(slabs, threads, |(entry, cshape, slab)| {
-        decode_entry::<T>(bytes, &header, entry, cshape, slab)
-    })?;
-
-    Ok(NdArray::from_vec(shape, out))
-}
-
-/// Decode a single chunk of a v2 container (random access).
+/// Decode a single chunk of a container held in memory (random access).
 ///
 /// Returns the slab's first axis-0 row and the decoded slab as a
 /// standalone array. For a v1 container only chunk 0 exists (the whole
@@ -404,30 +222,15 @@ pub fn decompress_chunk<T: Scalar>(
     bytes: &[u8],
     chunk: usize,
 ) -> Result<(usize, NdArray<T>), DecompressError> {
-    if container_version(bytes)? == VERSION_V1 {
-        if chunk != 0 {
-            return Err(DecompressError::ChunkOutOfRange { requested: chunk, available: 1 });
-        }
-        return crate::pipeline::decompress(bytes).map(|a| (0, a));
-    }
-    let idx = read_container_v2_index::<T>(bytes)?;
-    let Some(&entry) = idx.entries.get(chunk) else {
-        return Err(DecompressError::ChunkOutOfRange {
-            requested: chunk,
-            available: idx.entries.len(),
-        });
-    };
-    let cshape = entry_shape(idx.header.shape, entry);
-    let mut out = vec![T::zero(); cshape.len()];
-    decode_entry::<T>(bytes, &idx.header, entry, cshape, &mut out)?;
-    Ok((entry.start_row, NdArray::from_vec(cshape, out)))
+    ArchiveReader::open_bytes(bytes)?.read_chunk(chunk)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CodecChoice;
+    use crate::container::{chunk_count, CompressError};
     use crate::pipeline::{compress, compress_with_report, decompress};
-    use crate::container::chunk_count;
     use rq_predict::PredictorKind;
     use rq_quant::ErrorBoundMode;
 
@@ -513,8 +316,8 @@ mod tests {
         // Parallel decode agrees with single-threaded decode (`_exact`
         // so the pool really runs 8-wide even on a small host).
         let a = decompress_with_threads::<f32>(&reference, 1).unwrap();
-        let b = decompress_with_threads_exact::<f32>(&reference, 8).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
+        let mut wide = ArchiveReader::open_bytes(&reference).unwrap().with_threads_exact(8);
+        assert_eq!(a.as_slice(), wide.read_all::<f32>().unwrap().as_slice());
     }
 
     #[test]
@@ -556,14 +359,24 @@ mod tests {
     }
 
     #[test]
-    fn random_access_on_v1_container() {
+    fn random_access_on_single_stream_containers() {
+        // A v1 archive (fixture: no writer emits them any more) and a
+        // `Serial` config's archive are both one whole-field chunk.
+        let v1: &[u8] = include_bytes!("../../../tests/data/golden_v1.rqc");
         let field = wavy(Shape::d2(12, 12));
         let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3));
-        let out = compress(&field, &cfg).unwrap();
-        let (start, slab) = decompress_chunk::<f32>(&out.bytes, 0).unwrap();
-        assert_eq!(start, 0);
-        assert_eq!(slab.shape().dims(), field.shape().dims());
-        assert!(decompress_chunk::<f32>(&out.bytes, 1).is_err());
+        let serial = compress(&field, &cfg).unwrap().bytes;
+        for (bytes, dims) in [(v1, [8, 6]), (&serial[..], [12, 12])] {
+            assert_eq!(chunk_count(bytes).unwrap(), 1);
+            let (start, slab) = decompress_chunk::<f32>(bytes, 0).unwrap();
+            assert_eq!(start, 0);
+            assert_eq!(slab.shape().dims(), &dims);
+            assert_eq!(slab.as_slice(), decompress::<f32>(bytes).unwrap().as_slice());
+            assert!(matches!(
+                decompress_chunk::<f32>(bytes, 1),
+                Err(DecompressError::ChunkOutOfRange { requested: 1, available: 1 })
+            ));
+        }
     }
 
     #[test]
@@ -710,7 +523,7 @@ mod tests {
         // Smooth slabs to sz, turbulent slabs to zfp, specifically.
         assert_eq!(rep.chunk_codecs[0], ChunkCodecKind::Sz);
         assert_eq!(rep.chunk_codecs[3], ChunkCodecKind::Zfp);
-        // The v2.1 chunk table agrees with the report.
+        // The chunk table agrees with the report.
         let table = crate::container::chunk_table(&out.bytes).unwrap();
         let tags: Vec<ChunkCodecKind> = table.entries.iter().map(|e| e.codec).collect();
         assert_eq!(tags, rep.chunk_codecs);
@@ -737,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn fixed_zfp_codec_roundtrips_v2_1() {
+    fn fixed_zfp_codec_roundtrips() {
         let field = wavy(Shape::d3(20, 10, 8));
         let eb = 1e-3;
         let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(eb))
@@ -746,7 +559,7 @@ mod tests {
             .with_threads(3);
         let (out, rep) = compress_with_report(&field, &cfg).unwrap();
         assert!(rep.chunk_codecs.iter().all(|&c| c == ChunkCodecKind::Zfp));
-        assert_eq!(crate::container::peek_header(&out.bytes).unwrap().version, 3);
+        assert_eq!(crate::container::peek_header(&out.bytes).unwrap().version, 6);
         let back = decompress::<f32>(&out.bytes).unwrap();
         assert_bounded(&field, &back, eb);
         // Random access decodes zfp chunks too.

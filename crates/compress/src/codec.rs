@@ -1,11 +1,12 @@
 //! The per-chunk codec abstraction.
 //!
-//! Container v2.1 lets every axis-0 slab be compressed by a different
-//! backend. This module unifies the two backends behind one trait:
+//! The container lets every axis-0 slab be compressed by a different
+//! backend. This module unifies the backends behind one trait (the third,
+//! [`crate::RolzChunkCodec`], lives in [`crate::rolz`]):
 //!
 //! * [`SzChunkCodec`] — the SZ prediction path assembled from
 //!   `rq-predict` + `rq-quant` + `rq-encoding` (the chunk kernel of
-//!   [`crate::pipeline`], serialized as a v2 chunk blob);
+//!   [`crate::pipeline`], serialized as a chunk blob);
 //! * [`ZfpChunkCodec`] — the `rq-zfp` transform path (block transform +
 //!   embedded bitplane coder, serialized as a self-describing `RQZF`
 //!   stream).

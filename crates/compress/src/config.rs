@@ -22,16 +22,16 @@ pub enum LosslessStage {
 /// Chunked modes split the field into axis-0 slabs, each compressed as an
 /// independent stream (predictor stencils reset at slab boundaries), which
 /// enables multi-threaded compression/decompression and random access to
-/// individual slabs. Chunked output uses container format v2; `Serial`
-/// keeps the original single-stream v1 format.
+/// individual slabs. `Serial` is the degenerate partition: one chunk
+/// holding the whole field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Chunking {
-    /// One causal traversal over the whole field (container v1).
+    /// One causal traversal over the whole field (a single chunk).
     Serial,
-    /// Fixed number of axis-0 rows per chunk (container v2).
+    /// Fixed number of axis-0 rows per chunk.
     Rows(usize),
     /// Pick a row count that feeds the worker threads well while keeping
-    /// per-chunk overhead amortized (container v2).
+    /// per-chunk overhead amortized.
     Auto,
 }
 
@@ -44,20 +44,20 @@ pub enum Chunking {
 /// winner is recorded in the chunk's codec tag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodecChoice {
-    /// Always the SZ prediction path (containers v1/v2, as before).
+    /// Always the SZ prediction path.
     Sz,
-    /// Always the ZFP transform path (container v2.1).
+    /// Always the ZFP transform path.
     ///
     /// Incompatible with point-wise relative bounds: the transform path
     /// has no escape mechanism for the log-domain trick, so such configs
     /// fail with an error.
     Zfp,
-    /// Always the ROLZ residual path (container v2.4): the SZ quantization
+    /// Always the ROLZ residual path: the SZ quantization
     /// front end with a reduced-offset-LZ + symbol-ranking + Huffman back
     /// end ([`crate::RolzChunkCodec`]). Supports the log transform, like
     /// SZ.
     Rolz,
-    /// Per-chunk ratio-driven selection among the three (container v2.4).
+    /// Per-chunk ratio-driven selection among the three.
     ///
     /// Under a point-wise relative bound every chunk falls back to SZ
     /// (the probe-driven estimates are calibrated for the identity
@@ -117,7 +117,7 @@ impl CompressorConfig {
         self
     }
 
-    /// Compress in axis-0 slabs of `rows` rows each (container v2).
+    /// Compress in axis-0 slabs of `rows` rows each.
     ///
     /// # Panics
     /// Panics if `rows == 0`.
@@ -127,8 +127,7 @@ impl CompressorConfig {
         self
     }
 
-    /// Let the pipeline pick a chunk size suited to the thread count
-    /// (container v2).
+    /// Let the pipeline pick a chunk size suited to the thread count.
     pub fn auto_chunked(mut self) -> Self {
         self.chunking = Chunking::Auto;
         self
@@ -136,9 +135,8 @@ impl CompressorConfig {
 
     /// Select the per-chunk codec policy (default [`CodecChoice::Sz`]).
     ///
-    /// Non-SZ policies produce a tagged-chunk container (v2.1 for ZFP,
-    /// v2.4 for rolz-capable policies); with [`Chunking::Serial`] the
-    /// whole field is one tagged chunk.
+    /// The chunk index tags every chunk with the codec that produced it;
+    /// with [`Chunking::Serial`] the whole field is one tagged chunk.
     pub fn with_codec(mut self, codec: CodecChoice) -> Self {
         self.codec = codec;
         self

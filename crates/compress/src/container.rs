@@ -1,109 +1,56 @@
-//! On-disk container formats for compressed fields.
+//! The on-disk container: one written generation, six read.
 //!
-//! Three versions share one header prefix (all integers little-endian or
-//! LEB128 varints):
+//! | version byte | name | index | per-chunk codec tag | per-chunk bound | status |
+//! |---|---|---|---|---|---|
+//! | 1 | v1   | none (one stream)  | no  | no  | read only — `tests/data/golden_v1.rqc` |
+//! | 2 | v2   | inline, pre-blobs  | no  | no  | read only — `golden_v2.rqc` |
+//! | 3 | v2.1 | inline, pre-blobs  | yes | no  | read only — `golden_v21.rqc` |
+//! | 4 | v2.2 | trailer            | yes | no  | read only — `golden_v22.rqc` |
+//! | 5 | v2.3 | trailer            | yes | yes | read only — `golden_v23.rqc` |
+//! | 6 | v2.4 | trailer            | yes | yes | **written** by every writer — `golden_v24.rqc` |
+//!
+//! Every generation starts with the same header prefix (integers are
+//! little-endian or LEB128 varints):
 //!
 //! ```text
 //! magic    "RQMC" (4 bytes)
-//! version  u8   (1 = single-stream, 2 = chunked, 3 = chunked + codec
-//!               tags, 4 = streaming trailer index)
+//! version  u8   (1..=6, the table above)
 //! scalar   u8   (Scalar::TAG)
 //! pred     u8   (PredictorKind::tag)
-//! flags    u8   bit0 = lossless stage applied*, bit1 = log transform
+//! flags    u8   bit0 = lossless stage configured, bit1 = log transform
 //! ndim     u8
 //! dims     varint × ndim
-//! eb       f64  absolute error bound actually used (post-resolution)
+//! eb       f64  absolute error bound (v2.3+: the max of the chunk bounds)
 //! radius   varint
 //! ```
 //!
-//! **Version 1** (serial pipeline) continues with four varint-length-
-//! prefixed sections: `codebook | payload | verbatim values | side
-//! channel`. "Verbatim values" holds unpredictable escapes and
-//! interpolation anchors in traversal order, stored as raw scalars so they
-//! round-trip exactly.
-//!
-//! **Version 2** (chunk-parallel pipeline) continues with a chunk index
-//! and then the per-chunk streams back to back:
+//! A **v2.4 archive** continues with the chunk blobs back to back and
+//! ends with the chunk index, so a writer never buffers the archive:
 //!
 //! ```text
-//! chunk_rows  varint            nominal axis-0 rows per chunk
-//! n_chunks    varint
-//! index       (rows varint, byte_len varint) × n_chunks
-//! blobs       n_chunks × chunk blob
-//! ```
-//!
-//! Each chunk blob is a self-contained v1-style body with its own flag
-//! byte (bit0 = lossless stage applied to *this* chunk's payload):
-//! `chunk_flags u8 | codebook | payload | verbatim | side`. Chunks are
-//! axis-0 slabs in row order; byte offsets follow from the index, so any
-//! chunk can be decoded without touching the others (random access) and
-//! all chunks can be decoded concurrently.
-//!
-//! **Version 2.1** (version byte 3, adaptive-codec pipeline) is v2 with a
-//! one-byte codec tag appended to every index entry:
-//!
-//! ```text
-//! index       (rows varint, byte_len varint, codec u8) × n_chunks
-//! ```
-//!
-//! The tag records which codec produced the chunk's blob
-//! ([`ChunkCodecKind`]): `0` = the SZ prediction path (blob is the v2
-//! chunk-blob layout above) and `1` = the ZFP transform path (blob is a
-//! complete self-describing `RQZF` stream for the slab's shape). Untagged
-//! v2 containers and v1 containers remain readable — their chunks are all
-//! implicitly SZ.
-//!
-//! **Version 2.2** (version byte 4, streaming sessions) moves the chunk
-//! index *behind* the blobs so a writer never has to buffer the archive:
-//!
-//! ```text
-//! blobs        n_chunks × chunk blob (immediately after the header)
+//! blobs        n_chunks × chunk blob
 //! trailer      chunk_rows varint
 //!              n_chunks   varint
-//!              (rows varint, byte_len varint, codec u8) × n_chunks
+//!              (rows varint, byte_len varint, codec u8, eb f64 LE) × n_chunks
 //! trailer_len  u64 LE — byte length of the trailer above
 //! magic        "RQIX" (4 bytes)
 //! ```
 //!
-//! A reader seeks to the last 12 bytes, validates the `RQIX` magic, jumps
-//! back `trailer_len` bytes to parse the index, and then has exactly the
-//! same random-access chunk table as v2.1 — blob offsets accumulate
-//! forward from the end of the header. Chunk blobs themselves are
-//! byte-identical to their v2/v2.1 counterparts.
+//! Chunks are axis-0 slabs in row order; blob offsets accumulate forward
+//! from the end of the header, so any chunk decodes without touching the
+//! others. The per-chunk `eb` is authoritative for decoding that chunk;
+//! the codec tag ([`ChunkCodecKind`]) says which backend produced the
+//! blob. An SZ or ROLZ blob is `chunk_flags u8 | codebook | payload |
+//! verbatim | side` (bit0 of the flags = lossless stage kept for this
+//! chunk); a ZFP blob is a self-describing `RQZF` stream.
 //!
-//! **Version 2.3** (version byte 5, quality-targeted compression) is v2.2
-//! with a per-chunk **absolute error bound** recorded next to the codec
-//! tag in every trailer index entry:
-//!
-//! ```text
-//! trailer      chunk_rows varint
-//!              n_chunks   varint
-//!              (rows varint, byte_len varint, codec u8, eb f64 LE) × n_chunks
-//! ```
-//!
-//! The per-chunk `eb` is authoritative for decoding that chunk (both the
-//! SZ quantizer and the ZFP tolerance); the header's `abs_eb` records the
-//! **maximum** planned bound, i.e. the archive-wide worst-case pointwise
-//! guarantee. Planned archives are produced by the quality/size-targeted
-//! streaming writer (`ArchiveWriter::create_planned`); fixed-bound
-//! configurations keep writing v2.2 byte-identically. Readers must reject
-//! non-finite or non-positive per-chunk bounds as corruption.
-//!
-//! **Version 2.4** (version byte 6, three-way adaptive codec) has exactly
-//! the v2.3 byte layout — trailer index with a per-chunk codec tag *and*
-//! per-chunk error bound — and additionally allows codec tag `2`, the
-//! ROLZ residual path (reduced-offset LZ + symbol ranking + static
-//! Huffman over the quantization-code byte stream). Any configuration
-//! that can emit a ROLZ chunk (`--codec rolz` or `--codec auto`) writes
-//! v2.4; fixed sz/zfp configurations keep their earlier generations
-//! byte-identically. Tag `2` inside any pre-v2.4 container is corruption.
-//! See `docs/FORMAT.md` for the full byte-layout specification of all six
-//! generations.
-//!
-//! (*) In v2/v2.1/v2.2 the header's lossless flag records the
-//! *configuration*; the authoritative per-chunk decision is each SZ blob's
-//! flag byte, since the stage is only kept where it actually shrank that
-//! chunk's payload.
+//! The read-only generations differ only in where the index sits and
+//! which columns it has (a missing tag means SZ, a missing bound means
+//! the header's; tag `2` outside v2.4 is corruption); a v1 archive is one
+//! whole-field chunk whose blob has no flag byte. `read_archive_layout`
+//! is the one parser of all six: every reader sees the same
+//! header + located chunk entries. `docs/FORMAT.md` is the byte-level
+//! specification.
 
 use crate::config::LosslessStage;
 use rq_encoding::varint::{get_uvarint, put_uvarint};
@@ -111,23 +58,22 @@ use rq_grid::{Scalar, Shape, MAX_DIMS};
 use rq_predict::PredictorKind;
 
 pub(crate) const MAGIC: &[u8; 4] = b"RQMC";
-/// Single-stream container (the original format).
-pub(crate) const VERSION_V1: u8 = 1;
-/// Chunk-indexed container (parallel pipeline).
-pub(crate) const VERSION_V2: u8 = 2;
-/// Chunk-indexed container with per-chunk codec tags ("v2.1").
-pub(crate) const VERSION_V2_1: u8 = 3;
-/// Streaming container with a trailer chunk index ("v2.2").
-pub(crate) const VERSION_V2_2: u8 = 4;
-/// Streaming container with per-chunk error bounds in the trailer index
-/// ("v2.3", quality-targeted compression).
-pub(crate) const VERSION_V2_3: u8 = 5;
-/// v2.3 layout with the ROLZ codec tag allowed ("v2.4", three-way
-/// adaptive codec).
+/// Single-stream container (read only).
+const VERSION_V1: u8 = 1;
+/// Inline chunk index, untagged (read only).
+const VERSION_V2: u8 = 2;
+/// Inline chunk index with per-chunk codec tags, "v2.1" (read only).
+const VERSION_V2_1: u8 = 3;
+/// Trailer chunk index without the bound column, "v2.2" (read only).
+const VERSION_V2_2: u8 = 4;
+/// Trailer chunk index with per-chunk bounds, "v2.3" (read only).
+const VERSION_V2_3: u8 = 5;
+/// v2.3 layout with the ROLZ codec tag allowed, "v2.4": the generation
+/// every writer emits.
 pub(crate) const VERSION_V2_4: u8 = 6;
-/// Magic closing a v2.2 trailer (the last four bytes of the archive).
+/// Magic closing a trailer (the last four bytes of the archive).
 pub(crate) const TRAILER_MAGIC: &[u8; 4] = b"RQIX";
-/// Fixed bytes after a v2.2 trailer body: u64 LE trailer length + magic.
+/// Fixed bytes after a trailer body: u64 LE trailer length + magic.
 pub(crate) const TRAILER_SUFFIX_LEN: usize = 8 + 4;
 pub(crate) const FLAG_LOSSLESS: u8 = 0b01;
 pub(crate) const FLAG_LOG: u8 = 0b10;
@@ -231,18 +177,17 @@ impl From<rq_encoding::HuffmanError> for DecompressError {
     }
 }
 
-/// Parsed container header (common to both versions).
+/// Parsed container header (common to every generation).
 #[derive(Debug, Clone)]
 pub struct Header {
-    /// Container format version (1 = serial, 2 = chunked, 3 = chunked
-    /// with per-chunk codec tags, aka "v2.1").
+    /// Container version byte (1..=6; see [`generation_name`]).
     pub version: u8,
     /// Scalar tag of the stored field.
     pub scalar_tag: u8,
     /// Predictor the stream was produced with.
     pub predictor: PredictorKind,
-    /// Whether the payload went through the optional lossless stage (in
-    /// v2: whether the stage was enabled; per-chunk flags decide).
+    /// Whether the lossless stage was enabled (v1: applied); from v2 on
+    /// each SZ blob's own flag byte decides for its chunk.
     pub lossless: LosslessStage,
     /// Whether data was log-transformed (point-wise relative mode).
     pub log_transform: bool,
@@ -254,20 +199,16 @@ pub struct Header {
     pub radius: u32,
 }
 
-/// The format version of a container, or an error if it is not one.
-pub(crate) fn container_version(bytes: &[u8]) -> Result<u8, DecompressError> {
-    if bytes.len() < 9 || &bytes[..4] != MAGIC {
-        return Err(DecompressError::NotAContainer);
-    }
-    match bytes[4] {
-        v @ (VERSION_V1 | VERSION_V2 | VERSION_V2_1 | VERSION_V2_2 | VERSION_V2_3
-        | VERSION_V2_4) => Ok(v),
-        _ => Err(DecompressError::NotAContainer),
+impl Header {
+    /// Whether the archive body is one flagless whole-field stream (v1)
+    /// rather than chunk blobs.
+    pub(crate) fn single_stream(&self) -> bool {
+        self.version == VERSION_V1
     }
 }
 
-/// Which codec produced one chunk's blob (the per-chunk tag of container
-/// v2.1; every chunk of a v1/v2 container is implicitly [`Self::Sz`]).
+/// Which codec produced one chunk's blob (the per-chunk tag of the chunk
+/// index; every chunk of a v1/v2 container is implicitly [`Self::Sz`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ChunkCodecKind {
     /// The SZ prediction path: predictor + linear-scaling quantizer +
@@ -283,7 +224,7 @@ pub enum ChunkCodecKind {
 }
 
 impl ChunkCodecKind {
-    /// Stable one-byte tag stored in v2.1 chunk-index entries.
+    /// Stable one-byte tag stored in chunk-index entries.
     pub fn tag(self) -> u8 {
         match self {
             ChunkCodecKind::Sz => 0,
@@ -337,7 +278,11 @@ pub(crate) fn write_header_prefix(out: &mut Vec<u8>, header: &Header, scalar_tag
 /// Parse the shared header prefix; returns the header and the position of
 /// the first byte after it. Does not check the scalar tag.
 pub(crate) fn read_header_prefix(bytes: &[u8]) -> Result<(Header, usize), DecompressError> {
-    let version = container_version(bytes)?;
+    if bytes.len() < 9 || &bytes[..4] != MAGIC || !(VERSION_V1..=VERSION_V2_4).contains(&bytes[4])
+    {
+        return Err(DecompressError::NotAContainer);
+    }
+    let version = bytes[4];
     let scalar_tag = bytes[5];
     let predictor = PredictorKind::from_tag(bytes[6])
         .ok_or(DecompressError::Corrupt("unknown predictor tag"))?;
@@ -370,10 +315,16 @@ pub(crate) fn read_header_prefix(bytes: &[u8]) -> Result<(Header, usize), Decomp
     if !(abs_eb.is_finite() && abs_eb > 0.0) {
         return Err(DecompressError::Corrupt("non-positive eb"));
     }
-    let radius = get_uvarint(bytes, &mut pos).ok_or(DecompressError::Corrupt("radius"))? as u32;
+    let radius = get_uvarint(bytes, &mut pos).ok_or(DecompressError::Corrupt("radius"))?;
     if radius == 0 {
         return Err(DecompressError::Corrupt("zero radius"));
     }
+    // Quantization codes are `i32`: no writer can have used a larger
+    // radius, and the quantizer refuses (panics on) one.
+    if radius > i32::MAX as u64 {
+        return Err(DecompressError::Corrupt("radius out of range"));
+    }
+    let radius = radius as u32;
     let lossless =
         if flags & FLAG_LOSSLESS != 0 { LosslessStage::RleLzss } else { LosslessStage::None };
     Ok((
@@ -463,54 +414,14 @@ pub(crate) fn read_sections_body<T: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// Version 1 (single stream)
-// ---------------------------------------------------------------------------
-
-/// Serialize a v1 header followed by the four sections.
-pub(crate) fn write_container<T: Scalar>(
-    header: &Header,
-    codebook: &[u8],
-    payload: &[u8],
-    verbatim: &[T],
-    side: &[u8],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        payload.len() + codebook.len() + verbatim.len() * T::BYTES + side.len() + 64,
-    );
-    write_header_prefix(&mut out, header, T::TAG);
-    write_sections_body(&mut out, codebook, payload, verbatim, side);
-    out
-}
-
-/// Parsed sections of a v1 container.
-pub(crate) struct Sections<T> {
-    pub header: Header,
-    pub body: SectionsBody<T>,
-}
-
-/// Parse a v1 container produced by [`write_container`].
-pub(crate) fn read_container<T: Scalar>(bytes: &[u8]) -> Result<Sections<T>, DecompressError> {
-    let (header, mut pos) = read_header_prefix(bytes)?;
-    if header.version != VERSION_V1 {
-        return Err(DecompressError::Corrupt("not a v1 container"));
-    }
-    if header.scalar_tag != T::TAG {
-        return Err(DecompressError::ScalarMismatch { expected: T::TAG, found: header.scalar_tag });
-    }
-    let body = read_sections_body::<T>(bytes, &mut pos)?;
-    Ok(Sections { header, body })
-}
-
-// ---------------------------------------------------------------------------
-// Version 2 (chunk index + per-chunk streams)
+// Chunk blobs and the chunk index
 // ---------------------------------------------------------------------------
 
 /// Per-chunk flag: the optional lossless stage was applied to this chunk's
 /// payload.
 pub(crate) const CHUNK_FLAG_LOSSLESS: u8 = 0b01;
 
-/// One entry of a v2/v2.1/v2.2/v2.3 chunk index, with its blob located in
-/// the container.
+/// One entry of a chunk index, with its blob located in the container.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChunkEntry {
     /// First axis-0 row of the slab.
@@ -524,9 +435,9 @@ pub struct ChunkEntry {
     /// Codec that produced the blob (always [`ChunkCodecKind::Sz`] for
     /// v1/v2 containers).
     pub codec: ChunkCodecKind,
-    /// Absolute error bound this chunk was quantized with. Equal to the
-    /// header's `abs_eb` for every generation before v2.3; read from the
-    /// per-chunk index entry (and authoritative for decoding) in v2.3.
+    /// Absolute error bound this chunk was quantized with (authoritative
+    /// for decoding it). Read from the index entry from v2.3 on; equal to
+    /// the header's `abs_eb` in every generation before.
     pub eb: f64,
 }
 
@@ -566,156 +477,18 @@ pub(crate) fn read_chunk_blob<T: Scalar>(
     Ok((lossless, body))
 }
 
-/// Serialize a v2 container: header, chunk index, then the blobs.
-pub(crate) fn write_container_v2<T: Scalar>(
-    header: &Header,
-    chunk_rows: usize,
-    chunks: &[(usize, Vec<u8>)], // (rows, blob) in slab order
-) -> Vec<u8> {
-    let body: usize = chunks.iter().map(|(_, b)| b.len()).sum();
-    let mut out = Vec::with_capacity(body + 16 * chunks.len() + 64);
-    write_header_prefix(&mut out, header, T::TAG);
-    put_uvarint(&mut out, chunk_rows as u64);
-    put_uvarint(&mut out, chunks.len() as u64);
-    for &(rows, ref blob) in chunks {
-        put_uvarint(&mut out, rows as u64);
-        put_uvarint(&mut out, blob.len() as u64);
-    }
-    for (_, blob) in chunks {
-        out.extend_from_slice(blob);
-    }
-    out
-}
-
-/// Serialize a v2.1 container: like v2 but every index entry carries the
-/// codec tag of its blob. `header.version` must be [`VERSION_V2_1`].
-pub(crate) fn write_container_v2_1<T: Scalar>(
-    header: &Header,
-    chunk_rows: usize,
-    chunks: &[(usize, ChunkCodecKind, Vec<u8>)], // (rows, codec, blob) in slab order
-) -> Vec<u8> {
-    let body: usize = chunks.iter().map(|(_, _, b)| b.len()).sum();
-    let mut out = Vec::with_capacity(body + 16 * chunks.len() + 64);
-    write_header_prefix(&mut out, header, T::TAG);
-    put_uvarint(&mut out, chunk_rows as u64);
-    put_uvarint(&mut out, chunks.len() as u64);
-    for &(rows, codec, ref blob) in chunks {
-        put_uvarint(&mut out, rows as u64);
-        put_uvarint(&mut out, blob.len() as u64);
-        out.push(codec.tag());
-    }
-    for (_, _, blob) in chunks {
-        out.extend_from_slice(blob);
-    }
-    out
-}
-
-/// Serialize a whole v2.2 container in memory: header, blobs, trailer.
-/// The streaming writer produces the identical byte sequence
-/// incrementally; this convenience exists for container-level tests.
-/// `header.version` must be [`VERSION_V2_2`].
-#[cfg(test)]
-pub(crate) fn write_container_v2_2<T: Scalar>(
-    header: &Header,
-    chunk_rows: usize,
-    chunks: &[(usize, ChunkCodecKind, Vec<u8>)], // (rows, codec, blob) in slab order
-) -> Vec<u8> {
-    let body: usize = chunks.iter().map(|(_, _, b)| b.len()).sum();
-    let mut out = Vec::with_capacity(body + 16 * chunks.len() + 64);
-    write_header_prefix(&mut out, header, T::TAG);
-    for (_, _, blob) in chunks {
-        out.extend_from_slice(blob);
-    }
-    let entries: Vec<(usize, ChunkCodecKind, usize, f64)> = chunks
-        .iter()
-        .map(|&(rows, codec, ref blob)| (rows, codec, blob.len(), header.abs_eb))
-        .collect();
-    write_trailer(&mut out, chunk_rows, &entries, false);
-    out
-}
-
-/// Serialize a whole v2.3 container in memory: like
-/// [`write_container_v2_2`] but with a per-chunk error bound in every
-/// trailer entry. `header.version` must be [`VERSION_V2_3`].
-#[cfg(test)]
-pub(crate) fn write_container_v2_3<T: Scalar>(
-    header: &Header,
-    chunk_rows: usize,
-    chunks: &[(usize, ChunkCodecKind, f64, Vec<u8>)], // (rows, codec, eb, blob)
-) -> Vec<u8> {
-    let body: usize = chunks.iter().map(|(_, _, _, b)| b.len()).sum();
-    let mut out = Vec::with_capacity(body + 24 * chunks.len() + 64);
-    write_header_prefix(&mut out, header, T::TAG);
-    for (_, _, _, blob) in chunks {
-        out.extend_from_slice(blob);
-    }
-    let entries: Vec<(usize, ChunkCodecKind, usize, f64)> = chunks
-        .iter()
-        .map(|&(rows, codec, eb, ref blob)| (rows, codec, blob.len(), eb))
-        .collect();
-    write_trailer(&mut out, chunk_rows, &entries, true);
-    out
-}
-
-/// Serialize a whole v2.4 container in memory: identical byte layout to
-/// [`write_container_v2_3`] (trailer index, per-chunk codec tag and
-/// bound) but chunks may carry the [`ChunkCodecKind::Rolz`] tag. The
-/// in-memory chunked pipeline writes rolz-capable configurations through
-/// this. `header.version` must be [`VERSION_V2_4`].
-pub(crate) fn write_container_v2_4<T: Scalar>(
-    header: &Header,
-    chunk_rows: usize,
-    chunks: &[(usize, ChunkCodecKind, f64, Vec<u8>)], // (rows, codec, eb, blob)
-) -> Vec<u8> {
-    let body: usize = chunks.iter().map(|(_, _, _, b)| b.len()).sum();
-    let mut out = Vec::with_capacity(body + 24 * chunks.len() + 64);
-    write_header_prefix(&mut out, header, T::TAG);
-    for (_, _, _, blob) in chunks {
-        out.extend_from_slice(blob);
-    }
-    let entries: Vec<(usize, ChunkCodecKind, usize, f64)> = chunks
-        .iter()
-        .map(|&(rows, codec, eb, ref blob)| (rows, codec, blob.len(), eb))
-        .collect();
-    write_trailer(&mut out, chunk_rows, &entries, true);
-    out
-}
-
-/// Parsed header + chunk index of a v2/v2.1/v2.2 container (blobs stay in
-/// place — random access slices them out by entry offsets).
-pub(crate) struct V2Index {
-    pub header: Header,
-    /// Nominal axis-0 rows per chunk (last chunk may hold fewer).
-    pub chunk_rows: usize,
-    pub entries: Vec<ChunkEntry>,
-}
-
-/// Parse the header and chunk index of a v2/v2.1 container.
-pub(crate) fn read_container_v2_index<T: Scalar>(
-    bytes: &[u8],
-) -> Result<V2Index, DecompressError> {
-    let idx = read_v2_index_untyped(bytes)?;
-    if idx.header.scalar_tag != T::TAG {
-        return Err(DecompressError::ScalarMismatch {
-            expected: T::TAG,
-            found: idx.header.scalar_tag,
-        });
-    }
-    Ok(idx)
-}
-
 /// Raw `(rows, byte_len, codec, per-chunk eb)` entries of a chunk index,
 /// before validation against the header. The bound is `None` for every
 /// generation before v2.3 (those chunks inherit the header bound).
-pub(crate) type RawIndexEntries = Vec<(usize, usize, ChunkCodecKind, Option<f64>)>;
+type RawIndexEntries = Vec<(usize, usize, ChunkCodecKind, Option<f64>)>;
 
 /// Parse `chunk_rows`, `n_chunks` and the raw `(rows, len, codec, eb)`
-/// entries of a chunk index out of `bytes` starting at `*pos`. Shared by
-/// the inline v2/v2.1 index, the v2.2–v2.4 trailer and the streaming
-/// reader. `with_eb` selects the v2.3+ entry layout (an f64 bound after
-/// the codec tag); non-finite or non-positive bounds are corruption.
-/// `rolz_allowed` gates codec tag 2 (legal from v2.4 on only).
-pub(crate) fn parse_index_body(
+/// entries of a chunk index out of `bytes` starting at `*pos` — the
+/// inline v2/v2.1 index and the v2.2–v2.4 trailer alike. `with_eb`
+/// selects the v2.3+ entry layout (an f64 bound after the codec tag);
+/// non-finite or non-positive bounds are corruption. `rolz_allowed` gates
+/// codec tag 2 (legal from v2.4 on only).
+fn parse_index_body(
     bytes: &[u8],
     pos: &mut usize,
     tagged: bool,
@@ -774,9 +547,9 @@ pub(crate) fn parse_index_body(
     Ok((chunk_rows, raw))
 }
 
-/// Validate raw index triples against the header and the byte region the
+/// Validate raw index entries against the header and the byte region the
 /// blobs live in (`offset..region_end`), producing located entries.
-pub(crate) fn entries_from_raw(
+fn entries_from_raw(
     header: &Header,
     mut offset: usize,
     raw: RawIndexEntries,
@@ -812,69 +585,12 @@ pub(crate) fn entries_from_raw(
     Ok(entries)
 }
 
-/// Locate a v2.2 trailer from the archive's last 12 bytes. `suffix` is
-/// those bytes; returns `(trailer_start, trailer_len)` measured in the
-/// whole archive. Shared by the slice parser and the streaming reader.
-pub(crate) fn trailer_bounds(
-    total_len: u64,
-    header_end: u64,
-    suffix: &[u8],
-) -> Result<(u64, u64), DecompressError> {
-    if suffix.len() != TRAILER_SUFFIX_LEN || total_len < header_end + TRAILER_SUFFIX_LEN as u64 {
-        return Err(DecompressError::Corrupt("truncated v2.2 trailer"));
-    }
-    if &suffix[8..] != TRAILER_MAGIC {
-        return Err(DecompressError::Corrupt("missing v2.2 trailer magic"));
-    }
-    let trailer_len = u64::from_le_bytes(suffix[..8].try_into().unwrap());
-    let suffix_start = total_len - TRAILER_SUFFIX_LEN as u64;
-    let trailer_start = suffix_start
-        .checked_sub(trailer_len)
-        .filter(|&s| s >= header_end)
-        .ok_or(DecompressError::Corrupt("v2.2 trailer length overruns archive"))?;
-    Ok((trailer_start, trailer_len))
-}
-
-/// Parse and validate a located v2.2/v2.3 trailer body (`trailer` is the
-/// region `trailer_start..trailer_start+len`, suffix excluded): the
-/// index body must fill it exactly, and the resulting blob extents must
-/// tile `header_end..trailer_start` exactly. The entry layout (with or
-/// without the per-chunk bound) follows `header.version`. Returns
-/// `(chunk_rows, entries)`. The single implementation behind both the
-/// slice parser and the streaming [`crate::ArchiveReader`], so the two
-/// can never drift apart on what counts as a valid trailer.
-pub(crate) fn parse_v2_2_trailer(
-    header: &Header,
-    header_end: usize,
-    trailer: &[u8],
-    trailer_start: usize,
-) -> Result<(usize, Vec<ChunkEntry>), DecompressError> {
-    let mut tpos = 0usize;
-    let with_eb = matches!(header.version, VERSION_V2_3 | VERSION_V2_4);
-    let rolz_allowed = header.version == VERSION_V2_4;
-    let (chunk_rows, raw) =
-        parse_index_body(trailer, &mut tpos, true, with_eb, rolz_allowed, header.shape.dim(0))?;
-    if tpos != trailer.len() {
-        return Err(DecompressError::Corrupt("trailing bytes in v2.2 trailer"));
-    }
-    let entries = entries_from_raw(header, header_end, raw, trailer_start)?;
-    // v2.2 blobs must tile the header→trailer region exactly; a gap
-    // means the index lengths disagree with what was written.
-    let blob_end = entries.last().map(|e| e.offset + e.len).unwrap_or(header_end);
-    if blob_end != trailer_start {
-        return Err(DecompressError::Corrupt("v2.2 blobs do not reach the trailer"));
-    }
-    Ok((chunk_rows, entries))
-}
-
-/// Serialize a v2.2/v2.3 trailer (index body + length suffix + magic) for
-/// the given `(rows, codec, blob_len, eb)` entries in slab order. The
-/// per-chunk bound is written only when `with_eb` is set (v2.3).
+/// Serialize a trailer (index body + length suffix + magic) for the
+/// given `(rows, codec, blob_len, eb)` entries in slab order.
 pub(crate) fn write_trailer(
     out: &mut Vec<u8>,
     chunk_rows: usize,
     chunks: &[(usize, ChunkCodecKind, usize, f64)],
-    with_eb: bool,
 ) {
     let body_start = out.len();
     put_uvarint(out, chunk_rows as u64);
@@ -883,45 +599,14 @@ pub(crate) fn write_trailer(
         put_uvarint(out, rows as u64);
         put_uvarint(out, len as u64);
         out.push(codec.tag());
-        if with_eb {
-            out.extend_from_slice(&eb.to_le_bytes());
-        }
+        out.extend_from_slice(&eb.to_le_bytes());
     }
     let body_len = (out.len() - body_start) as u64;
     out.extend_from_slice(&body_len.to_le_bytes());
     out.extend_from_slice(TRAILER_MAGIC);
 }
 
-/// Parse the header and chunk index of a v2/v2.1/v2.2 container without
-/// checking the scalar type (inspection use).
-fn read_v2_index_untyped(bytes: &[u8]) -> Result<V2Index, DecompressError> {
-    let (header, mut pos) = read_header_prefix(bytes)?;
-    match header.version {
-        VERSION_V2 | VERSION_V2_1 => {
-            let tagged = header.version == VERSION_V2_1;
-            let (chunk_rows, raw) =
-                parse_index_body(bytes, &mut pos, tagged, false, false, header.shape.dim(0))?;
-            let entries = entries_from_raw(&header, pos, raw, bytes.len())?;
-            Ok(V2Index { header, chunk_rows, entries })
-        }
-        VERSION_V2_2 | VERSION_V2_3 | VERSION_V2_4 => {
-            let suffix_at = bytes
-                .len()
-                .checked_sub(TRAILER_SUFFIX_LEN)
-                .filter(|&s| s >= pos)
-                .ok_or(DecompressError::Corrupt("truncated v2.2 trailer"))?;
-            let (tstart, tlen) =
-                trailer_bounds(bytes.len() as u64, pos as u64, &bytes[suffix_at..])?;
-            let (tstart, tlen) = (tstart as usize, tlen as usize);
-            let (chunk_rows, entries) =
-                parse_v2_2_trailer(&header, pos, &bytes[tstart..tstart + tlen], tstart)?;
-            Ok(V2Index { header, chunk_rows, entries })
-        }
-        _ => Err(DecompressError::Corrupt("not a chunked container")),
-    }
-}
-
-/// Parse only the header of a container (cheap inspection; v1 and v2).
+/// Parse only the header of a container (cheap inspection).
 pub fn peek_header(bytes: &[u8]) -> Result<Header, DecompressError> {
     read_header_prefix(bytes).map(|(h, _)| h)
 }
@@ -941,31 +626,6 @@ pub fn generation_name(version: u8) -> &'static str {
     }
 }
 
-/// Number of independently-decodable chunks in a container (1 for v1).
-///
-/// Works for both container versions without decoding any payload.
-pub fn chunk_count(bytes: &[u8]) -> Result<usize, DecompressError> {
-    let (header, mut pos) = read_header_prefix(bytes)?;
-    match header.version {
-        VERSION_V1 => Ok(1),
-        // The v2.2+ index lives in the trailer; the full parse is
-        // still cheap (no payload is decoded).
-        VERSION_V2_2 | VERSION_V2_3 | VERSION_V2_4 => {
-            read_v2_index_untyped(bytes).map(|i| i.entries.len())
-        }
-        _ => {
-            let _chunk_rows =
-                get_uvarint(bytes, &mut pos).ok_or(DecompressError::Corrupt("chunk rows"))?;
-            let n = get_uvarint(bytes, &mut pos)
-                .ok_or(DecompressError::Corrupt("chunk count"))? as usize;
-            if n == 0 {
-                return Err(DecompressError::Corrupt("bad chunk count"));
-            }
-            Ok(n)
-        }
-    }
-}
-
 /// A container's chunk partition, for inspection tools.
 #[derive(Clone, Debug)]
 pub struct ChunkTable {
@@ -977,15 +637,27 @@ pub struct ChunkTable {
     pub entries: Vec<ChunkEntry>,
 }
 
+/// Number of independently-decodable chunks in a container (1 for v1),
+/// validated exactly as [`crate::ArchiveReader::open`] validates it.
+pub fn chunk_count(bytes: &[u8]) -> Result<usize, DecompressError> {
+    chunk_table(bytes).map(|t| t.entries.len())
+}
+
+/// Read a container's chunk partition (any generation, any scalar type)
+/// without decoding any payload.
+pub fn chunk_table(bytes: &[u8]) -> Result<ChunkTable, DecompressError> {
+    let layout = read_archive_layout(&mut std::io::Cursor::new(bytes))?;
+    Ok(ChunkTable { chunk_rows: layout.chunk_rows, entries: layout.entries })
+}
+
 /// Seek to `at` and read exactly `len` bytes.
 pub(crate) fn read_span<R: std::io::Read + std::io::Seek>(
     src: &mut R,
     at: u64,
     len: usize,
 ) -> Result<Vec<u8>, DecompressError> {
-    src.seek(std::io::SeekFrom::Start(at))?;
     let mut buf = vec![0u8; len];
-    src.read_exact(&mut buf)?;
+    read_span_into(src, at, &mut buf)?;
     Ok(buf)
 }
 
@@ -1005,8 +677,8 @@ pub(crate) fn read_span_into<R: std::io::Read + std::io::Seek>(
 /// ≤ 10 varint bytes + the f64 bound + the radius varint, with slack.
 const HEADER_READ_BYTES: usize = 96;
 
-/// The parsed structural layout of an archive on a seekable source: the
-/// header plus every chunk's location, with no payload read.
+/// The parsed structural layout of an archive: the header plus every
+/// chunk's location, with no payload read.
 pub(crate) struct ArchiveLayout {
     pub header: Header,
     pub chunk_rows: usize,
@@ -1015,8 +687,9 @@ pub(crate) struct ArchiveLayout {
 
 /// Parse the header and chunk index of any container generation from a
 /// seekable source, reading only the header bytes and the index (inline
-/// for v2/v2.1, trailer for v2.2/v2.3). Shared by the streaming
-/// [`crate::ArchiveReader`] and the shareable [`crate::ConcurrentReader`].
+/// for v2/v2.1, trailer from v2.2 on). The **only** index parser: every
+/// reader — streaming, concurrent, in-memory — and every inspection
+/// function goes through it, so they cannot disagree on what is valid.
 pub(crate) fn read_archive_layout<R: std::io::Read + std::io::Seek>(
     src: &mut R,
 ) -> Result<ArchiveLayout, DecompressError> {
@@ -1038,15 +711,39 @@ pub(crate) fn read_archive_layout<R: std::io::Read + std::io::Seek>(
                 eb: header.abs_eb,
             }],
         ),
+        // Trailer index: the last 12 bytes locate it, the index body must
+        // fill it exactly, and the blob extents must tile the region
+        // between header and trailer exactly.
         VERSION_V2_2 | VERSION_V2_3 | VERSION_V2_4 => {
-            if total_len < (header_end + TRAILER_SUFFIX_LEN) as u64 {
-                return Err(DecompressError::Corrupt("truncated v2.2 trailer"));
+            let suffix_at = total_len
+                .checked_sub(TRAILER_SUFFIX_LEN as u64)
+                .filter(|&s| s >= header_end as u64)
+                .ok_or(DecompressError::Corrupt("truncated v2.2 trailer"))?;
+            let suffix = read_span(src, suffix_at, TRAILER_SUFFIX_LEN)?;
+            if &suffix[8..] != TRAILER_MAGIC {
+                return Err(DecompressError::Corrupt("missing v2.2 trailer magic"));
             }
-            let suffix =
-                read_span(src, total_len - TRAILER_SUFFIX_LEN as u64, TRAILER_SUFFIX_LEN)?;
-            let (tstart, tlen) = trailer_bounds(total_len, header_end as u64, &suffix)?;
-            let trailer = read_span(src, tstart, tlen as usize)?;
-            parse_v2_2_trailer(&header, header_end, &trailer, tstart as usize)?
+            let trailer_len = u64::from_le_bytes(suffix[..8].try_into().unwrap());
+            let trailer_start = suffix_at
+                .checked_sub(trailer_len)
+                .filter(|&s| s >= header_end as u64)
+                .ok_or(DecompressError::Corrupt("v2.2 trailer length overruns archive"))?
+                as usize;
+            let trailer = read_span(src, trailer_start as u64, trailer_len as usize)?;
+            let mut tpos = 0usize;
+            let with_eb = header.version != VERSION_V2_2;
+            let rolz_allowed = header.version == VERSION_V2_4;
+            let (chunk_rows, raw) =
+                parse_index_body(&trailer, &mut tpos, true, with_eb, rolz_allowed, d0)?;
+            if tpos != trailer.len() {
+                return Err(DecompressError::Corrupt("trailing bytes in v2.2 trailer"));
+            }
+            let entries = entries_from_raw(&header, header_end, raw, trailer_start)?;
+            // A gap means the index lengths disagree with what was written.
+            if entries.last().map(|e| e.offset + e.len) != Some(trailer_start) {
+                return Err(DecompressError::Corrupt("v2.2 blobs do not reach the trailer"));
+            }
+            (chunk_rows, entries)
         }
         // v2 / v2.1: the index sits between header and blobs. Its byte
         // length is only known after parsing, so size the read from the
@@ -1075,29 +772,21 @@ pub(crate) fn read_archive_layout<R: std::io::Read + std::io::Seek>(
     Ok(ArchiveLayout { header, chunk_rows, entries })
 }
 
-/// Read a container's chunk partition (either version, any scalar type).
-pub fn chunk_table(bytes: &[u8]) -> Result<ChunkTable, DecompressError> {
-    let (header, pos) = read_header_prefix(bytes)?;
-    if header.version == VERSION_V1 {
-        return Ok(ChunkTable {
-            chunk_rows: header.shape.dim(0),
-            entries: vec![ChunkEntry {
-                start_row: 0,
-                rows: header.shape.dim(0),
-                offset: pos,
-                len: bytes.len() - pos,
-                codec: ChunkCodecKind::Sz,
-                eb: header.abs_eb,
-            }],
-        });
-    }
-    let idx = read_v2_index_untyped(bytes)?;
-    Ok(ChunkTable { chunk_rows: idx.chunk_rows, entries: idx.entries })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{CodecChoice, CompressorConfig};
+    use rq_grid::NdArray;
+    use rq_quant::ErrorBoundMode;
+
+    // One committed archive per read-only generation (and the written
+    // one): no current writer can produce bytes 1–5.
+    const GOLDEN_V1: &[u8] = include_bytes!("../../../tests/data/golden_v1.rqc");
+    const GOLDEN_V2: &[u8] = include_bytes!("../../../tests/data/golden_v2.rqc");
+    const GOLDEN_V21: &[u8] = include_bytes!("../../../tests/data/golden_v21.rqc");
+    const GOLDEN_V22: &[u8] = include_bytes!("../../../tests/data/golden_v22.rqc");
+    const GOLDEN_V23: &[u8] = include_bytes!("../../../tests/data/golden_v23.rqc");
+    const GOLDEN_V24: &[u8] = include_bytes!("../../../tests/data/golden_v24.rqc");
 
     fn sample_header(version: u8) -> Header {
         Header {
@@ -1112,154 +801,124 @@ mod tests {
         }
     }
 
-    #[test]
-    fn container_roundtrip() {
-        let h = sample_header(VERSION_V1);
-        let bytes =
-            write_container::<f32>(&h, &[1, 2, 3], &[9, 8, 7, 6], &[1.5f32, -2.5], &[0xAB]);
-        let s = read_container::<f32>(&bytes).unwrap();
-        assert_eq!(s.body.codebook, vec![1, 2, 3]);
-        assert_eq!(s.body.payload, vec![9, 8, 7, 6]);
-        assert_eq!(s.body.verbatim, vec![1.5f32, -2.5]);
-        assert_eq!(s.body.side, vec![0xAB]);
-        assert_eq!(s.header.shape.dims(), &[10, 20, 30]);
-        assert_eq!(s.header.abs_eb, 1e-4);
-        assert_eq!(s.header.predictor, PredictorKind::Lorenzo);
-        assert_eq!(s.header.lossless, LosslessStage::RleLzss);
-        assert_eq!(chunk_count(&bytes).unwrap(), 1);
+    /// A 10-row, 3-chunk archive from the live writer (generation v2.4).
+    fn live_archive(codec: CodecChoice) -> Vec<u8> {
+        let field = NdArray::<f32>::from_fn(Shape::d2(10, 8), |ix| {
+            (ix[0] as f32 * 0.4).sin() + ix[1] as f32 * 0.05
+        });
+        let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3))
+            .chunked(4)
+            .with_codec(codec);
+        crate::pipeline::compress(&field, &cfg).unwrap().bytes
+    }
+
+    /// Hand-assemble a container with an **inline** index (v2 untagged,
+    /// v2.1 tagged) from raw varint values — the only way to get index
+    /// contents no writer ever produced.
+    fn inline_index_container(
+        header: &Header,
+        chunk_rows: u64,
+        n_chunks: u64,
+        entries: &[(u64, u64, Option<u8>)], // (rows, blob len, codec tag)
+        blobs: &[u8],
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_header_prefix(&mut out, header, header.scalar_tag);
+        put_uvarint(&mut out, chunk_rows);
+        put_uvarint(&mut out, n_chunks);
+        for &(rows, len, tag) in entries {
+            put_uvarint(&mut out, rows);
+            put_uvarint(&mut out, len);
+            out.extend(tag);
+        }
+        out.extend_from_slice(blobs);
+        out
+    }
+
+    fn corrupt(bytes: &[u8]) -> &'static str {
+        match chunk_table(bytes) {
+            Err(DecompressError::Corrupt(what)) => what,
+            other => panic!("expected corruption, got {:?}", other.map(|t| t.entries)),
+        }
     }
 
     #[test]
-    fn scalar_mismatch_detected() {
-        let h = sample_header(VERSION_V1);
-        let bytes = write_container::<f32>(&h, &[], &[], &[], &[]);
-        assert!(matches!(
-            read_container::<f64>(&bytes),
-            Err(DecompressError::ScalarMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        assert!(matches!(read_container::<f32>(b"NOPE....."), Err(DecompressError::NotAContainer)));
-        assert!(matches!(read_container::<f32>(&[]), Err(DecompressError::NotAContainer)));
-        assert!(matches!(peek_header(b"RQMC\x07xxxxxx"), Err(DecompressError::NotAContainer)));
-    }
-
-    #[test]
-    fn truncated_section_rejected() {
-        let h = sample_header(VERSION_V1);
-        let bytes = write_container::<f32>(&h, &[1, 2, 3], &[9; 100], &[], &[]);
-        let r = read_container::<f32>(&bytes[..bytes.len() - 50]);
-        assert!(matches!(r, Err(DecompressError::Corrupt(_))));
-    }
-
-    #[test]
-    fn overflowing_section_length_rejected() {
-        // A section-length varint decoding to ~u64::MAX must not overflow
-        // the bounds arithmetic (it used to panic on `pos + len`).
-        let h = sample_header(VERSION_V1);
-        let good = write_container::<f32>(&h, &[1, 2, 3], &[], &[], &[]);
-        // The codebook section starts right after the fixed header; find
-        // its length varint (value 3, single byte) and replace it with the
-        // 10-byte LEB128 encoding of u64::MAX.
-        let codebook_pos = good.len() - (1 + 3 + 1 + 1 + 1); // len+data, payload len, verbatim count, side len
-        assert_eq!(good[codebook_pos], 3);
-        let mut evil = good[..codebook_pos].to_vec();
-        evil.extend([0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
-        evil.extend(&good[codebook_pos + 1..]);
-        assert!(matches!(
-            read_container::<f32>(&evil),
-            Err(DecompressError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn peek_header_matches() {
-        let h = sample_header(VERSION_V1);
-        let bytes = write_container::<f32>(&h, &[], &[], &[], &[]);
-        let p = peek_header(&bytes).unwrap();
-        assert_eq!(p.version, VERSION_V1);
+    fn header_prefix_roundtrip() {
+        let h = sample_header(VERSION_V2_4);
+        let mut bytes = Vec::new();
+        write_header_prefix(&mut bytes, &h, h.scalar_tag);
+        let (p, end) = read_header_prefix(&bytes).unwrap();
+        assert_eq!(end, bytes.len());
+        assert_eq!(p.version, VERSION_V2_4);
         assert_eq!(p.shape.dims(), h.shape.dims());
         assert_eq!(p.predictor, h.predictor);
+        assert_eq!(p.lossless, h.lossless);
         assert_eq!(p.abs_eb, h.abs_eb);
+        assert_eq!(p.radius, h.radius);
+        assert_eq!(peek_header(&bytes).unwrap().shape.dims(), h.shape.dims());
+        // A radius the quantizer cannot represent is corruption at parse
+        // time (it used to reach `LinearQuantizer::new` and panic there).
+        for evil in [1u64 << 31, (1 << 32) + 5, u64::MAX] {
+            let mut m = bytes[..bytes.len() - 3].to_vec(); // 1 << 15 is a 3-byte varint
+            put_uvarint(&mut m, evil);
+            assert!(matches!(
+                peek_header(&m),
+                Err(DecompressError::Corrupt("radius out of range"))
+            ));
+        }
     }
 
     #[test]
-    fn v2_roundtrip_index_and_blobs() {
-        let mut h = sample_header(VERSION_V2);
-        h.shape = Shape::d2(10, 4);
-        let blob_a =
-            write_chunk_blob::<f32>(LosslessStage::RleLzss, &[1], &[2, 2], &[0.5f32], &[]);
-        let blob_b = write_chunk_blob::<f32>(LosslessStage::None, &[3], &[4], &[], &[9]);
-        let bytes =
-            write_container_v2::<f32>(&h, 6, &[(6, blob_a.clone()), (4, blob_b.clone())]);
+    fn bad_magic_and_unknown_versions_rejected() {
+        assert!(matches!(chunk_table(b"NOPE....."), Err(DecompressError::NotAContainer)));
+        assert!(matches!(chunk_table(&[]), Err(DecompressError::NotAContainer)));
+        assert!(matches!(peek_header(b"RQMC\x07xxxxxx"), Err(DecompressError::NotAContainer)));
+        assert!(matches!(peek_header(b"RQMC\x00xxxxxx"), Err(DecompressError::NotAContainer)));
+        for (byte, name) in [(1, "1"), (2, "2"), (3, "2.1"), (4, "2.2"), (5, "2.3"), (6, "2.4")] {
+            assert_eq!(generation_name(byte), name);
+        }
+        assert_eq!(generation_name(7), "unknown");
+    }
 
-        assert_eq!(peek_header(&bytes).unwrap().version, VERSION_V2);
-        assert_eq!(chunk_count(&bytes).unwrap(), 2);
-
-        let idx = read_container_v2_index::<f32>(&bytes).unwrap();
-        assert_eq!(idx.chunk_rows, 6);
-        assert_eq!(idx.entries.len(), 2);
-        assert_eq!(idx.entries[0].start_row, 0);
-        assert_eq!(idx.entries[0].rows, 6);
-        assert_eq!(idx.entries[1].start_row, 6);
-        assert_eq!(idx.entries[1].rows, 4);
-
-        let e = idx.entries[0];
-        let (ll, body) = read_chunk_blob::<f32>(&bytes[e.offset..e.offset + e.len]).unwrap();
+    #[test]
+    fn chunk_blob_roundtrip() {
+        let blob =
+            write_chunk_blob::<f32>(LosslessStage::RleLzss, &[1, 2, 3], &[9, 8, 7, 6], &[1.5, -2.5], &[0xAB]);
+        let (ll, body) = read_chunk_blob::<f32>(&blob).unwrap();
         assert_eq!(ll, LosslessStage::RleLzss);
-        assert_eq!(body.codebook, vec![1]);
-        assert_eq!(body.payload, vec![2, 2]);
-        assert_eq!(body.verbatim, vec![0.5f32]);
-        let e = idx.entries[1];
-        let (ll, body) = read_chunk_blob::<f32>(&bytes[e.offset..e.offset + e.len]).unwrap();
-        assert_eq!(ll, LosslessStage::None);
-        assert_eq!(body.side, vec![9]);
-    }
-
-    #[test]
-    fn v2_1_roundtrip_with_codec_tags() {
-        let mut h = sample_header(VERSION_V2_1);
-        h.shape = Shape::d2(10, 4);
-        let sz_blob =
-            write_chunk_blob::<f32>(LosslessStage::None, &[1], &[2, 2], &[0.5f32], &[]);
-        let zfp_blob = vec![9u8, 9, 9]; // opaque to the index layer
-        let bytes = write_container_v2_1::<f32>(
-            &h,
-            6,
-            &[
-                (6, ChunkCodecKind::Sz, sz_blob.clone()),
-                (4, ChunkCodecKind::Zfp, zfp_blob.clone()),
-            ],
-        );
-        assert_eq!(container_version(&bytes).unwrap(), VERSION_V2_1);
-        assert_eq!(chunk_count(&bytes).unwrap(), 2);
-        let idx = read_container_v2_index::<f32>(&bytes).unwrap();
-        assert_eq!(idx.entries[0].codec, ChunkCodecKind::Sz);
-        assert_eq!(idx.entries[1].codec, ChunkCodecKind::Zfp);
-        let e = idx.entries[1];
-        assert_eq!(&bytes[e.offset..e.offset + e.len], &zfp_blob[..]);
-        // The untyped inspection path reports the tags too.
-        let table = chunk_table(&bytes).unwrap();
-        assert_eq!(table.entries[0].codec, ChunkCodecKind::Sz);
-        assert_eq!(table.entries[1].codec, ChunkCodecKind::Zfp);
-    }
-
-    #[test]
-    fn v2_1_unknown_codec_tag_rejected() {
-        let mut h = sample_header(VERSION_V2_1);
-        h.shape = Shape::d1(4);
-        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
-        let mut bytes = write_container_v2_1::<f32>(&h, 4, &[(4, ChunkCodecKind::Sz, blob)]);
-        // The codec tag is the last index byte before the blob; find it by
-        // re-parsing and poisoning the byte just before the blob offset.
-        let idx = read_container_v2_index::<f32>(&bytes).unwrap();
-        bytes[idx.entries[0].offset - 1] = 0x7F;
+        assert_eq!(body.codebook, vec![1, 2, 3]);
+        assert_eq!(body.payload, vec![9, 8, 7, 6]);
+        assert_eq!(body.verbatim, vec![1.5f32, -2.5]);
+        assert_eq!(body.side, vec![0xAB]);
+        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[3], &[4], &[], &[9]);
+        assert_eq!(read_chunk_blob::<f32>(&blob).unwrap().0, LosslessStage::None);
+        // Structure is checked: empty, truncated, and over-long blobs.
+        assert!(read_chunk_blob::<f32>(&[]).is_err());
+        assert!(read_chunk_blob::<f32>(&blob[..blob.len() - 1]).is_err());
+        let mut long = blob.clone();
+        long.push(0);
         assert!(matches!(
-            read_container_v2_index::<f32>(&bytes),
-            Err(DecompressError::Corrupt("unknown chunk codec tag"))
+            read_chunk_blob::<f32>(&long),
+            Err(DecompressError::Corrupt("trailing bytes in chunk blob"))
         ));
+    }
+
+    #[test]
+    fn truncated_and_overflowing_sections_rejected() {
+        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[1, 2, 3], &[9; 100], &[], &[]);
+        assert!(matches!(
+            read_chunk_blob::<f32>(&blob[..blob.len() - 50]),
+            Err(DecompressError::Corrupt(_))
+        ));
+        // A section-length varint decoding to ~u64::MAX must not overflow
+        // the bounds arithmetic (it used to panic on `pos + len`): replace
+        // the codebook length (value 3, right after the flag byte) with the
+        // 10-byte LEB128 encoding of u64::MAX.
+        assert_eq!(blob[1], 3);
+        let mut evil = vec![blob[0]];
+        evil.extend([0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
+        evil.extend(&blob[2..]);
+        assert!(matches!(read_chunk_blob::<f32>(&evil), Err(DecompressError::Corrupt(_))));
     }
 
     #[test]
@@ -1271,195 +930,233 @@ mod tests {
     }
 
     #[test]
-    fn v2_4_roundtrip_rolz_tag() {
-        let mut h = sample_header(VERSION_V2_4);
-        h.shape = Shape::d2(10, 4);
-        let sz_blob =
-            write_chunk_blob::<f32>(LosslessStage::None, &[1], &[2, 2], &[0.5f32], &[]);
-        let rolz_blob = vec![5u8, 5, 5, 5, 5]; // opaque to the index layer
-        let bytes = write_container_v2_4::<f32>(
-            &h,
-            6,
-            &[
-                (6, ChunkCodecKind::Sz, 1e-4, sz_blob.clone()),
-                (4, ChunkCodecKind::Rolz, 3e-5, rolz_blob.clone()),
-            ],
-        );
-        assert_eq!(container_version(&bytes).unwrap(), VERSION_V2_4);
-        assert_eq!(generation_name(bytes[4]), "2.4");
-        assert_eq!(&bytes[bytes.len() - 4..], TRAILER_MAGIC);
-        assert_eq!(chunk_count(&bytes).unwrap(), 2);
-        let idx = read_container_v2_index::<f32>(&bytes).unwrap();
-        assert_eq!(idx.entries[0].codec, ChunkCodecKind::Sz);
-        assert_eq!(idx.entries[1].codec, ChunkCodecKind::Rolz);
-        assert_eq!(idx.entries[0].eb, 1e-4);
-        assert_eq!(idx.entries[1].eb, 3e-5);
-        let e = idx.entries[1];
-        assert_eq!(&bytes[e.offset..e.offset + e.len], &rolz_blob[..]);
-        let table = chunk_table(&bytes).unwrap();
-        assert_eq!(table.entries[1].codec, ChunkCodecKind::Rolz);
-    }
-
-    #[test]
-    fn rolz_tag_rejected_in_pre_v2_4_containers() {
-        // A v2.3 trailer entry tagged rolz is corruption even though the
-        // tag itself is known — the generation predates the codec.
-        let mut h = sample_header(VERSION_V2_3);
-        h.shape = Shape::d1(4);
-        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
-        let v23 =
-            write_container_v2_3::<f32>(&h, 4, &[(4, ChunkCodecKind::Rolz, 1e-4, blob)]);
-        assert!(matches!(
-            read_container_v2_index::<f32>(&v23),
-            Err(DecompressError::Corrupt("rolz codec tag in pre-v2.4 container"))
-        ));
-        // Same for an inline v2.1 index.
-        let mut h21 = sample_header(VERSION_V2_1);
-        h21.shape = Shape::d1(4);
-        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
-        let v21 =
-            write_container_v2_1::<f32>(&h21, 4, &[(4, ChunkCodecKind::Rolz, blob)]);
-        assert!(matches!(
-            read_container_v2_index::<f32>(&v21),
-            Err(DecompressError::Corrupt("rolz codec tag in pre-v2.4 container"))
-        ));
-    }
-
-    #[test]
-    fn v2_bad_tiling_rejected() {
-        let mut h = sample_header(VERSION_V2);
-        h.shape = Shape::d2(10, 4);
-        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
-        // Rows sum to 8 ≠ 10.
-        let bytes = write_container_v2::<f32>(&h, 6, &[(6, blob.clone()), (2, blob)]);
-        assert!(matches!(
-            read_container_v2_index::<f32>(&bytes),
-            Err(DecompressError::Corrupt("chunk rows do not tile axis 0"))
-        ));
-    }
-
-    #[test]
-    fn v2_overflowing_row_counts_rejected() {
-        // Two rows varints of 2^63 and 2^63+8: an unchecked running sum
-        // would overflow in debug and wrap to exactly dim(0) in release,
-        // smuggling a 2^63-row slab past the tiling check.
-        let mut h = sample_header(VERSION_V2);
-        h.shape = Shape::d2(8, 4);
-        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
-        let bytes = write_container_v2::<f32>(
-            &h,
-            8,
-            &[(1usize << 63, blob.clone()), ((1usize << 63) + 8, blob)],
-        );
-        assert!(matches!(
-            read_container_v2_index::<f32>(&bytes),
-            Err(DecompressError::Corrupt("chunk rows do not tile axis 0"))
-        ));
-    }
-
-    #[test]
-    fn v2_truncated_blob_rejected() {
-        let mut h = sample_header(VERSION_V2);
-        h.shape = Shape::d2(10, 4);
-        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[1, 2], &[3], &[], &[]);
-        let bytes = write_container_v2::<f32>(&h, 10, &[(10, blob)]);
-        assert!(matches!(
-            read_container_v2_index::<f32>(&bytes[..bytes.len() - 2]),
-            Err(DecompressError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn v2_2_roundtrip_trailer_index() {
-        let mut h = sample_header(VERSION_V2_2);
-        h.shape = Shape::d2(10, 4);
-        let sz_blob =
-            write_chunk_blob::<f32>(LosslessStage::None, &[1], &[2, 2], &[0.5f32], &[]);
-        let zfp_blob = vec![7u8, 7, 7, 7];
-        let bytes = write_container_v2_2::<f32>(
-            &h,
-            6,
-            &[
-                (6, ChunkCodecKind::Sz, sz_blob.clone()),
-                (4, ChunkCodecKind::Zfp, zfp_blob.clone()),
-            ],
-        );
-        assert_eq!(container_version(&bytes).unwrap(), VERSION_V2_2);
-        assert_eq!(&bytes[bytes.len() - 4..], TRAILER_MAGIC);
-        assert_eq!(chunk_count(&bytes).unwrap(), 2);
-        let idx = read_container_v2_index::<f32>(&bytes).unwrap();
-        assert_eq!(idx.chunk_rows, 6);
-        assert_eq!(idx.entries.len(), 2);
-        assert_eq!(idx.entries[0].codec, ChunkCodecKind::Sz);
-        assert_eq!(idx.entries[1].codec, ChunkCodecKind::Zfp);
-        assert_eq!(idx.entries[1].start_row, 6);
-        let e = idx.entries[1];
-        assert_eq!(&bytes[e.offset..e.offset + e.len], &zfp_blob[..]);
-        // Blobs start immediately after the header (no inline index).
-        let (_, header_end) = read_header_prefix(&bytes).unwrap();
-        assert_eq!(idx.entries[0].offset, header_end);
-        // The untyped inspection path sees the same table.
-        let table = chunk_table(&bytes).unwrap();
-        assert_eq!(table.entries.len(), 2);
-        assert_eq!(table.entries[1].codec, ChunkCodecKind::Zfp);
-    }
-
-    #[test]
-    fn v2_2_truncated_trailer_rejected() {
-        let mut h = sample_header(VERSION_V2_2);
-        h.shape = Shape::d1(4);
-        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
-        let bytes = write_container_v2_2::<f32>(&h, 4, &[(4, ChunkCodecKind::Sz, blob)]);
-        for cut in 1..TRAILER_SUFFIX_LEN + 3 {
-            assert!(
-                read_container_v2_index::<f32>(&bytes[..bytes.len() - cut]).is_err(),
-                "cut {cut} bytes off the trailer must fail"
-            );
+    fn every_generation_parses_to_one_layout() {
+        use ChunkCodecKind::{Rolz, Sz, Zfp};
+        // (fixture, version byte, chunk_rows, codec tags, per-chunk bounds
+        // if the index carries them).
+        type Case = (&'static [u8], u8, usize, &'static [ChunkCodecKind], Option<&'static [f64]>);
+        let cases: [Case; 6] = [
+            (GOLDEN_V1, 1, 8, &[Sz], None),
+            (GOLDEN_V2, 2, 4, &[Sz, Sz, Sz, Sz], None),
+            (GOLDEN_V21, 3, 4, &[Sz, Zfp, Zfp], None),
+            (GOLDEN_V22, 4, 4, &[Sz, Sz, Sz, Sz], None),
+            (GOLDEN_V23, 5, 4, &[Sz, Sz, Sz, Zfp], Some(&[2e-3, 1e-4, 5e-4, 5e-5])),
+            (GOLDEN_V24, 6, 4, &[Sz, Sz, Rolz, Rolz], Some(&[1e-3, 5e-5, 2e-4, 1e-4])),
+        ];
+        for (bytes, version, chunk_rows, codecs, ebs) in cases {
+            let (header, header_end) = read_header_prefix(bytes).unwrap();
+            assert_eq!(header.version, version);
+            let table = chunk_table(bytes).unwrap();
+            assert_eq!(table.chunk_rows, chunk_rows, "v{version}");
+            assert_eq!(chunk_count(bytes).unwrap(), codecs.len(), "v{version}");
+            let tags: Vec<ChunkCodecKind> = table.entries.iter().map(|e| e.codec).collect();
+            assert_eq!(tags, codecs, "v{version}");
+            // Entries tile axis 0 and the blob region back to back.
+            let mut row = 0;
+            for (i, e) in table.entries.iter().enumerate() {
+                assert_eq!(e.start_row, row, "v{version}");
+                row += e.rows;
+                let want = ebs.map_or(header.abs_eb, |p| p[i]);
+                assert_eq!(e.eb, want, "v{version} chunk {i}");
+                if i > 0 {
+                    let prev = table.entries[i - 1];
+                    assert_eq!(e.offset, prev.offset + prev.len, "v{version}");
+                }
+            }
+            assert_eq!(row, header.shape.dim(0), "v{version}");
+            // An inline index sits between header and blobs; a trailer
+            // index (and v1's none) leaves the blobs right after the header.
+            let first = table.entries[0].offset;
+            if matches!(version, 2 | 3) {
+                assert!(first > header_end, "v{version}");
+            } else {
+                assert_eq!(first, header_end, "v{version}");
+            }
+            let trailered = version >= 4;
+            assert_eq!(&bytes[bytes.len() - 4..] == TRAILER_MAGIC, trailered, "v{version}");
         }
     }
 
     #[test]
-    fn v2_2_bad_trailer_length_rejected() {
-        let mut h = sample_header(VERSION_V2_2);
-        h.shape = Shape::d1(4);
-        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
-        let good = write_container_v2_2::<f32>(&h, 4, &[(4, ChunkCodecKind::Sz, blob)]);
-        // Trailer length pointing past the start of the archive.
-        let mut evil = good.clone();
-        let at = evil.len() - TRAILER_SUFFIX_LEN;
-        evil[at..at + 8].copy_from_slice(&(u64::MAX).to_le_bytes());
-        assert!(matches!(
-            read_container_v2_index::<f32>(&evil),
-            Err(DecompressError::Corrupt("v2.2 trailer length overruns archive"))
-        ));
-        // Wrong closing magic.
-        let mut evil = good.clone();
-        let n = evil.len();
-        evil[n - 1] ^= 0xff;
-        assert!(matches!(
-            read_container_v2_index::<f32>(&evil),
-            Err(DecompressError::Corrupt("missing v2.2 trailer magic"))
-        ));
-        // Trailer length one byte short: the index body no longer parses
-        // cleanly or the blobs no longer reach the trailer.
-        let mut evil = good;
-        let at = evil.len() - TRAILER_SUFFIX_LEN;
-        let tlen = u64::from_le_bytes(evil[at..at + 8].try_into().unwrap());
-        evil[at..at + 8].copy_from_slice(&(tlen - 1).to_le_bytes());
-        assert!(read_container_v2_index::<f32>(&evil).is_err());
+    fn every_live_codec_writes_generation_v2_4() {
+        for codec in [CodecChoice::Sz, CodecChoice::Zfp, CodecChoice::Rolz, CodecChoice::Auto] {
+            let bytes = live_archive(codec);
+            let (header, header_end) = read_header_prefix(&bytes).unwrap();
+            assert_eq!(header.version, VERSION_V2_4, "{codec:?}");
+            assert_eq!(&bytes[bytes.len() - 4..], TRAILER_MAGIC);
+            let table = chunk_table(&bytes).unwrap();
+            assert_eq!(table.chunk_rows, 4);
+            assert_eq!(table.entries.len(), 3);
+            assert_eq!(table.entries[0].offset, header_end);
+            // Fixed-bound archives carry the header bound in every entry.
+            assert!(table.entries.iter().all(|e| e.eb == header.abs_eb));
+        }
     }
 
     #[test]
-    fn v2_2_overrunning_blob_length_rejected() {
+    fn trailer_roundtrip_with_tags_and_bounds() {
+        let mut h = sample_header(VERSION_V2_4);
+        h.shape = Shape::d2(10, 4);
+        let sz_blob = write_chunk_blob::<f32>(LosslessStage::None, &[1], &[2, 2], &[0.5], &[]);
+        let rolz_blob = vec![5u8, 5, 5, 5, 5]; // opaque to the index layer
+        let mut bytes = Vec::new();
+        write_header_prefix(&mut bytes, &h, h.scalar_tag);
+        let header_end = bytes.len();
+        bytes.extend_from_slice(&sz_blob);
+        bytes.extend_from_slice(&rolz_blob);
+        write_trailer(
+            &mut bytes,
+            6,
+            &[
+                (6, ChunkCodecKind::Sz, sz_blob.len(), 1e-4),
+                (4, ChunkCodecKind::Rolz, rolz_blob.len(), 3e-5),
+            ],
+        );
+        let table = chunk_table(&bytes).unwrap();
+        assert_eq!(table.chunk_rows, 6);
+        assert_eq!(table.entries.len(), 2);
+        assert_eq!(table.entries[0].offset, header_end);
+        assert_eq!((table.entries[0].codec, table.entries[0].eb), (ChunkCodecKind::Sz, 1e-4));
+        assert_eq!((table.entries[1].codec, table.entries[1].eb), (ChunkCodecKind::Rolz, 3e-5));
+        assert_eq!(table.entries[1].start_row, 6);
+        let e = table.entries[1];
+        assert_eq!(&bytes[e.offset..e.offset + e.len], &rolz_blob[..]);
+    }
+
+    #[test]
+    fn unknown_and_premature_codec_tags_rejected() {
+        // Inline v2.1 index: the byte just before the first blob is the
+        // last entry's codec tag.
+        let tag_at = chunk_table(GOLDEN_V21).unwrap().entries[0].offset - 1;
+        let mut evil = GOLDEN_V21.to_vec();
+        evil[tag_at] = 0x7F;
+        assert_eq!(corrupt(&evil), "unknown chunk codec tag");
+        // The rolz tag is known, but the generation predates the codec.
+        evil[tag_at] = ChunkCodecKind::Rolz.tag();
+        assert_eq!(corrupt(&evil), "rolz codec tag in pre-v2.4 container");
+        // Same for a v2.3 trailer entry (tag, then the 8-byte bound, then
+        // the 12-byte suffix) — and a v2.4 archive that really holds rolz
+        // chunks turns corrupt when relabelled v2.3.
+        let mut evil = GOLDEN_V23.to_vec();
+        let tag_at = evil.len() - TRAILER_SUFFIX_LEN - 8 - 1;
+        evil[tag_at] = ChunkCodecKind::Rolz.tag();
+        assert_eq!(corrupt(&evil), "rolz codec tag in pre-v2.4 container");
+        let mut relabelled = live_archive(CodecChoice::Rolz);
+        assert!(chunk_table(&relabelled).is_ok());
+        relabelled[4] = VERSION_V2_3;
+        assert_eq!(corrupt(&relabelled), "rolz codec tag in pre-v2.4 container");
+    }
+
+    #[test]
+    fn inline_index_bad_tiling_rejected() {
+        let mut h = sample_header(VERSION_V2);
+        h.shape = Shape::d2(10, 4);
+        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
+        let len = blob.len() as u64;
+        let two = [blob.clone(), blob].concat();
+        // Rows sum to 8 ≠ 10.
+        let bytes = inline_index_container(&h, 6, 2, &[(6, len, None), (2, len, None)], &two);
+        assert_eq!(corrupt(&bytes), "chunk rows do not tile axis 0");
+        // Two rows varints of 2^63 and 2^63+8: an unchecked running sum
+        // would overflow in debug and wrap to exactly dim(0) in release,
+        // smuggling a 2^63-row slab past the tiling check.
+        h.shape = Shape::d2(8, 4);
+        let bytes = inline_index_container(
+            &h,
+            8,
+            2,
+            &[(1 << 63, len, None), ((1 << 63) + 8, len, None)],
+            &two,
+        );
+        assert_eq!(corrupt(&bytes), "chunk rows do not tile axis 0");
+        // The same checks guard a real archive: shrink the v2 fixture's
+        // first chunk from 4 rows to 3.
+        let (_, header_end) = read_header_prefix(GOLDEN_V2).unwrap();
+        let mut evil = GOLDEN_V2.to_vec();
+        assert_eq!(&evil[header_end..header_end + 3], &[4, 4, 4]); // chunk_rows, n_chunks, rows[0]
+        evil[header_end + 2] = 3;
+        assert_eq!(corrupt(&evil), "chunk rows do not tile axis 0");
+    }
+
+    #[test]
+    fn chunk_count_beyond_axis_0_rejected_by_every_entry_point() {
+        // An index claiming more chunks than axis-0 rows can never tile
+        // (every chunk holds ≥ 1 row). `chunk_count` used to skip this.
+        let mut h = sample_header(VERSION_V2);
+        h.shape = Shape::d2(3, 4);
+        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
+        let len = blob.len() as u64;
+        let blobs = [blob.clone(), blob.clone(), blob.clone(), blob].concat();
+        let bytes = inline_index_container(&h, 1, 4, &[(1, len, None); 4], &blobs);
+        assert_eq!(corrupt(&bytes), "bad chunk count");
+        assert!(matches!(chunk_count(&bytes), Err(DecompressError::Corrupt("bad chunk count"))));
+        assert!(matches!(
+            crate::ArchiveReader::open(std::io::Cursor::new(&bytes[..])).map(|r| r.n_chunks()),
+            Err(DecompressError::Corrupt("bad chunk count"))
+        ));
+        assert!(matches!(
+            crate::decompress::<f32>(&bytes),
+            Err(DecompressError::Corrupt("bad chunk count"))
+        ));
+    }
+
+    #[test]
+    fn truncated_blob_region_rejected() {
+        for bytes in [GOLDEN_V2, GOLDEN_V21] {
+            assert!(matches!(
+                chunk_table(&bytes[..bytes.len() - 2]),
+                Err(DecompressError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn truncated_trailer_rejected() {
+        let live = live_archive(CodecChoice::Sz);
+        for bytes in [GOLDEN_V22, GOLDEN_V23, GOLDEN_V24, &live[..]] {
+            for cut in 1..TRAILER_SUFFIX_LEN + 3 {
+                assert!(
+                    chunk_table(&bytes[..bytes.len() - cut]).is_err(),
+                    "cut {cut} bytes off the trailer must fail"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bad_trailer_length_rejected() {
+        let live = live_archive(CodecChoice::Sz);
+        for good in [GOLDEN_V22, &live[..]] {
+            // Trailer length pointing past the start of the archive.
+            let mut evil = good.to_vec();
+            let at = evil.len() - TRAILER_SUFFIX_LEN;
+            evil[at..at + 8].copy_from_slice(&(u64::MAX).to_le_bytes());
+            assert_eq!(corrupt(&evil), "v2.2 trailer length overruns archive");
+            // Wrong closing magic.
+            let mut evil = good.to_vec();
+            let n = evil.len();
+            evil[n - 1] ^= 0xff;
+            assert_eq!(corrupt(&evil), "missing v2.2 trailer magic");
+            // Trailer length one byte short: the index body no longer
+            // parses cleanly or the blobs no longer reach the trailer.
+            let mut evil = good.to_vec();
+            let tlen = u64::from_le_bytes(evil[at..at + 8].try_into().unwrap());
+            evil[at..at + 8].copy_from_slice(&(tlen - 1).to_le_bytes());
+            assert!(chunk_table(&evil).is_err());
+        }
+    }
+
+    #[test]
+    fn overrunning_blob_length_rejected() {
         // An index length that would put a blob on top of the trailer.
-        let mut h = sample_header(VERSION_V2_2);
+        let mut h = sample_header(VERSION_V2_4);
         h.shape = Shape::d2(10, 4);
         let blob = write_chunk_blob::<f32>(LosslessStage::None, &[1], &[2], &[], &[]);
         let short = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
         // Claim the first blob is longer than it is: entries overlap the
         // second blob and the total no longer reaches the trailer cleanly.
         let mut out = Vec::new();
-        write_header_prefix(&mut out, &h, <f32 as Scalar>::TAG);
+        write_header_prefix(&mut out, &h, h.scalar_tag);
         out.extend_from_slice(&blob);
         out.extend_from_slice(&short);
         write_trailer(
@@ -1469,94 +1166,27 @@ mod tests {
                 (6, ChunkCodecKind::Sz, blob.len() + short.len() + 50, h.abs_eb),
                 (4, ChunkCodecKind::Sz, short.len(), h.abs_eb),
             ],
-            false,
         );
-        assert!(read_container_v2_index::<f32>(&out).is_err());
+        assert!(chunk_table(&out).is_err());
     }
 
     #[test]
-    fn v2_3_roundtrip_per_chunk_bounds() {
-        let mut h = sample_header(VERSION_V2_3);
-        h.shape = Shape::d2(10, 4);
-        h.abs_eb = 1e-2; // the max of the planned bounds
-        let sz_blob =
-            write_chunk_blob::<f32>(LosslessStage::None, &[1], &[2, 2], &[0.5f32], &[]);
-        let zfp_blob = vec![7u8, 7, 7, 7];
-        let bytes = write_container_v2_3::<f32>(
-            &h,
-            6,
-            &[
-                (6, ChunkCodecKind::Sz, 1e-2, sz_blob.clone()),
-                (4, ChunkCodecKind::Zfp, 3e-4, zfp_blob.clone()),
-            ],
-        );
-        assert_eq!(container_version(&bytes).unwrap(), VERSION_V2_3);
-        assert_eq!(&bytes[bytes.len() - 4..], TRAILER_MAGIC);
-        assert_eq!(chunk_count(&bytes).unwrap(), 2);
-        let idx = read_container_v2_index::<f32>(&bytes).unwrap();
-        assert_eq!(idx.entries.len(), 2);
-        assert_eq!(idx.entries[0].eb, 1e-2);
-        assert_eq!(idx.entries[1].eb, 3e-4);
-        assert_eq!(idx.entries[1].codec, ChunkCodecKind::Zfp);
-        let e = idx.entries[1];
-        assert_eq!(&bytes[e.offset..e.offset + e.len], &zfp_blob[..]);
-        // The untyped inspection path reports per-chunk bounds too.
-        let table = chunk_table(&bytes).unwrap();
-        assert_eq!(table.entries[0].eb, 1e-2);
-        assert_eq!(table.entries[1].eb, 3e-4);
-        // Pre-v2.3 generations report the header bound for every chunk.
-        let mut h22 = sample_header(VERSION_V2_2);
-        h22.shape = Shape::d1(4);
-        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
-        let v22 = write_container_v2_2::<f32>(&h22, 4, &[(4, ChunkCodecKind::Sz, blob)]);
-        let t22 = chunk_table(&v22).unwrap();
-        assert_eq!(t22.entries[0].eb, h22.abs_eb);
-    }
-
-    #[test]
-    fn v2_3_bad_per_chunk_bounds_rejected() {
-        let mut h = sample_header(VERSION_V2_3);
-        h.shape = Shape::d1(4);
-        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
-        let good =
-            write_container_v2_3::<f32>(&h, 4, &[(4, ChunkCodecKind::Sz, 1e-4, blob)]);
-        let idx = read_container_v2_index::<f32>(&good).unwrap();
-        assert_eq!(idx.entries[0].eb, 1e-4);
-        // The eb lives in the trailer: last entry field before the
-        // 12-byte suffix.
-        let eb_at = good.len() - TRAILER_SUFFIX_LEN - 8;
-        for evil in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1e-4] {
-            let mut m = good.clone();
-            m[eb_at..eb_at + 8].copy_from_slice(&evil.to_le_bytes());
-            assert!(
-                matches!(
-                    read_container_v2_index::<f32>(&m),
-                    Err(DecompressError::Corrupt(_))
-                ),
-                "eb {evil} must be rejected"
-            );
+    fn bad_per_chunk_bounds_rejected() {
+        let live = live_archive(CodecChoice::Sz);
+        for good in [GOLDEN_V23, GOLDEN_V24, &live[..]] {
+            // The last entry's bound is the last trailer field before the
+            // 12-byte suffix.
+            let eb_at = good.len() - TRAILER_SUFFIX_LEN - 8;
+            for evil in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1e-4] {
+                let mut m = good.to_vec();
+                m[eb_at..eb_at + 8].copy_from_slice(&evil.to_le_bytes());
+                assert_eq!(corrupt(&m), "bad per-chunk error bound", "eb {evil}");
+            }
         }
-        // A v2.3 trailer truncated mid-bound (v2.2-sized entries under a
-        // v2.3 version byte) must be corruption, not a silent fallback.
-        let mut short = Vec::new();
-        write_header_prefix(&mut short, &h, <f32 as Scalar>::TAG);
-        let blob2 = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
-        short.extend_from_slice(&blob2);
-        write_trailer(&mut short, 4, &[(4, ChunkCodecKind::Sz, blob2.len(), 1e-4)], false);
-        assert!(read_container_v2_index::<f32>(&short).is_err());
-    }
-
-    #[test]
-    fn version_dispatch() {
-        let v1 = write_container::<f32>(&sample_header(VERSION_V1), &[], &[], &[], &[]);
-        assert_eq!(container_version(&v1).unwrap(), VERSION_V1);
-        let mut h2 = sample_header(VERSION_V2);
-        h2.shape = Shape::d1(4);
-        let blob = write_chunk_blob::<f32>(LosslessStage::None, &[], &[], &[], &[]);
-        let v2 = write_container_v2::<f32>(&h2, 4, &[(4, blob)]);
-        assert_eq!(container_version(&v2).unwrap(), VERSION_V2);
-        // v1 reader refuses v2 bytes (and vice versa) without panicking.
-        assert!(read_container::<f32>(&v2).is_err());
-        assert!(read_container_v2_index::<f32>(&v1).is_err());
+        // A trailer of v2.2-sized entries (no bound column) under a v2.3
+        // version byte must be corruption, not a silent fallback.
+        let mut relabelled = GOLDEN_V22.to_vec();
+        relabelled[4] = VERSION_V2_3;
+        assert!(chunk_table(&relabelled).is_err());
     }
 }

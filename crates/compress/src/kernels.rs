@@ -14,7 +14,7 @@ use rq_grid::{Scalar, Shape};
 use rq_predict::PredictorKind;
 use rq_quant::LinearQuantizer;
 
-/// Encode one slab to a v2 chunk blob on the chosen kernel path.
+/// Encode one slab to an SZ chunk blob on the chosen kernel path.
 ///
 /// Identical inputs must produce byte-identical blobs on both paths.
 pub fn encode_chunk<T: Scalar>(
@@ -31,7 +31,7 @@ pub fn encode_chunk<T: Scalar>(
     Ok(codec.encode(data, shape)?.0)
 }
 
-/// Decode a v2 chunk blob produced by [`encode_chunk`] on the chosen
+/// Decode an SZ chunk blob produced by [`encode_chunk`] on the chosen
 /// kernel path. Both paths must reconstruct bit-identical values and
 /// accept/reject exactly the same blobs.
 pub fn decode_chunk<T: Scalar>(

@@ -37,10 +37,7 @@ pub mod rolz;
 pub mod scheduler;
 pub mod stream;
 
-pub use chunked::{
-    compress_chunked, compress_chunked_with_report, decompress_chunk, decompress_with_threads,
-    decompress_with_threads_exact, resolved_chunk_rows,
-};
+pub use chunked::{decompress_chunk, decompress_with_threads, resolved_chunk_rows};
 pub use codec::{ChunkCodec, ChunkStats, SzChunkCodec, ZfpChunkCodec};
 pub use config::{Chunking, CodecChoice, CompressorConfig, LosslessStage};
 pub use container::{

@@ -7,25 +7,22 @@
 //! buffer so compressor and decompressor predictions never diverge.
 //!
 //! The causal walk over one stream is factored into `encode_stream` /
-//! `decode_stream`: the **chunk kernel**. The serial pipeline runs the
-//! kernel once over the whole field and writes a v1 container; the
-//! chunk-parallel pipeline (see [`crate::chunked`]) runs it once per
-//! axis-0 slab on worker threads and writes a v2 container with a chunk
-//! index. Because the kernel starts every stream with an empty history,
+//! `decode_stream`: the **chunk kernel**. The archive engine
+//! ([`crate::stream`]) runs it once per axis-0 slab on worker threads;
+//! because the kernel starts every stream with an empty history,
 //! predictor stencils reset at slab boundaries and each chunk round-trips
-//! independently.
+//! independently. The one-shot [`compress`] / [`decompress`] at the bottom
+//! of this module are that engine over an in-memory sink and source.
 //!
 //! Point-wise relative bounds are realized by a log transform
 //! (Liang et al. \[35\]): values are compressed as `ln(v)` under an absolute
 //! bound of `ln(1 + ratio)`; non-positive values take the verbatim escape
 //! path since the transform is undefined there.
 
-use crate::config::{Chunking, CodecChoice, CompressorConfig, LosslessStage};
-use crate::container::{
-    container_version, read_container, write_container, CompressError, DecompressError, Header,
-    SectionsBody, VERSION_V1,
-};
+use crate::config::{CompressorConfig, LosslessStage};
+use crate::container::{CompressError, DecompressError, SectionsBody};
 use crate::report::{CompressedOutput, CompressionReport};
+use crate::stream::ArchiveWriter;
 use rq_encoding::reference::{lossless_compress_ref, lossless_decompress_bounded_ref};
 use rq_encoding::{lossless_compress, lossless_decompress_bounded, HuffmanCodec};
 use rq_grid::{BlockIter, NdArray, Scalar, Shape, MAX_DIMS};
@@ -873,20 +870,14 @@ pub(crate) fn dequantize_stream<T: Scalar>(
     decode_traversal(dec, shape, predictor, side, path)
 }
 
-/// Build the decode-side transform from header flags.
-pub(crate) fn transform_from_header(header: &Header) -> Transform {
-    if header.log_transform {
-        Transform::Log { ratio: f64::NAN } // ratio only needed when encoding
-    } else {
-        Transform::Identity
-    }
-}
-
-/// Compress `field` under `cfg`.
+/// Compress `field` under `cfg` into one in-memory archive.
 ///
-/// With the default [`Chunking::Serial`] this produces a v1 container via
-/// one causal traversal. Chunked configurations delegate to the parallel
-/// pipeline and produce a v2 container (see [`crate::chunked`]).
+/// The bound is resolved against the whole field (so value-range-relative
+/// bounds work here, unlike in a streaming session), then the field goes
+/// through an [`ArchiveWriter`] over a `Vec` as a single slab — encoded
+/// straight from `field`'s storage, chunk-parallel, never copied. A
+/// [`Chunking::Serial`](crate::Chunking::Serial) config is one
+/// whole-field chunk.
 pub fn compress<T: Scalar>(
     field: &NdArray<T>,
     cfg: &CompressorConfig,
@@ -899,97 +890,23 @@ pub fn compress_with_report<T: Scalar>(
     field: &NdArray<T>,
     cfg: &CompressorConfig,
 ) -> Result<(CompressedOutput, CompressionReport), CompressError> {
-    // Non-SZ codec policies need the chunk-indexed container (the codec
-    // tag lives in the v2.1 chunk index), so they always take the chunked
-    // pipeline — a `Serial` chunking then means one whole-field chunk.
-    if cfg.chunking != Chunking::Serial || cfg.codec != CodecChoice::Sz {
-        return crate::chunked::compress_chunked_with_report(field, cfg);
-    }
-    let shape = field.shape();
-    let n = shape.len();
+    cfg.validate().map_err(CompressError::InvalidConfig)?;
     let (abs_eb, transform) = resolve_bound(cfg, field.value_range())?;
-    let quantizer = LinearQuantizer::new(abs_eb, cfg.radius);
-
-    let stream = encode_stream(
-        field.as_slice(),
-        shape,
-        cfg.predictor,
-        quantizer,
-        transform,
-        cfg.lossless,
-        KernelPath::Fast,
-    )?;
-
-    let header = Header {
-        version: VERSION_V1,
-        scalar_tag: T::TAG,
-        predictor: cfg.predictor,
-        lossless: stream.lossless_applied,
-        log_transform: transform != Transform::Identity,
-        shape,
-        abs_eb,
-        radius: cfg.radius,
-    };
-    let bytes = write_container::<T>(
-        &header,
-        &stream.codebook,
-        &stream.payload,
-        &stream.verbatim,
-        &stream.side,
-    );
-    let container_bytes = bytes.len();
-
-    let report = CompressionReport {
-        n_quantized: stream.n_symbols - stream.n_escapes,
-        symbol_histogram: {
-            let mut h = stream.histogram;
-            h.truncate(quantizer.alphabet_size()); // drop the escape bin
-            h
-        },
-        n_unpredictable: stream.n_escapes,
-        n_anchors: stream.n_anchors,
-        huffman_bytes: stream.huffman_bytes,
-        encoded_bytes: stream.payload.len(),
-        codebook_bytes: stream.codebook.len(),
-        side_bytes: stream.side.len(),
-        container_bytes,
-        n_elements: n,
-        original_bits: T::BITS,
-        n_chunks: 1,
-        chunk_codecs: vec![crate::container::ChunkCodecKind::Sz],
-    };
-    Ok((CompressedOutput { bytes, n_elements: n, original_bits: T::BITS }, report))
+    let mut writer =
+        ArchiveWriter::create_resolved(Vec::new(), field.shape(), cfg, abs_eb, transform, None)?;
+    writer.write_slab(field)?;
+    let done = writer.finalize()?;
+    let out =
+        CompressedOutput { bytes: done.sink, n_elements: field.len(), original_bits: T::BITS };
+    Ok((out, done.report))
 }
 
-/// Decompress a container produced by [`compress`] (either version).
-///
-/// v2 containers are decoded chunk-parallel with one worker per available
-/// CPU; use [`crate::chunked::decompress_with_threads`] to control the
-/// worker count, or [`crate::chunked::decompress_chunk`] for random access
-/// to a single slab.
+/// Decompress a container of any generation held in memory, chunk-parallel
+/// with one worker per available CPU; use
+/// [`crate::decompress_with_threads`] to control the worker count, or
+/// [`crate::decompress_chunk`] for random access to a single slab.
 pub fn decompress<T: Scalar>(bytes: &[u8]) -> Result<NdArray<T>, DecompressError> {
-    if container_version(bytes)? != VERSION_V1 {
-        return crate::chunked::decompress_with_threads(bytes, 0);
-    }
-    let sections = read_container::<T>(bytes)?;
-    let header = sections.header;
-    let shape = header.shape;
-
-    let transform = transform_from_header(&header);
-    let quantizer = LinearQuantizer::new(header.abs_eb, header.radius);
-
-    let mut out = vec![T::zero(); shape.len()];
-    decode_stream(
-        &sections.body,
-        header.lossless,
-        shape,
-        header.predictor,
-        quantizer,
-        transform,
-        KernelPath::Fast,
-        &mut out,
-    )?;
-    Ok(NdArray::from_vec(shape, out))
+    crate::chunked::decompress_with_threads(bytes, 0)
 }
 
 #[cfg(test)]

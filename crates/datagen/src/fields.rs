@@ -1,7 +1,7 @@
 //! Per-dataset field generators (synthetic stand-ins, DESIGN.md §4).
 //!
 //! Every generator is deterministic given its built-in seed, so measured
-//! numbers in EXPERIMENTS.md are exactly reproducible. Extents are scaled
+//! numbers are exactly reproducible. Extents are scaled
 //! down from Table I to laptop-friendly sizes while keeping the
 //! dimensionality and statistical character.
 

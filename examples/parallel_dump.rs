@@ -1,7 +1,7 @@
 //! Data-management pipeline (paper §V-F / Fig. 14): dump RTM snapshots
 //! with the model choosing each snapshot's error bound in situ for a
 //! 56 dB quality floor, compressing through the **real chunk-parallel
-//! pipeline** (container v2) rather than a simulated rank split.
+//! pipeline** rather than a simulated rank split.
 //!
 //! Each snapshot is partitioned into axis-0 slabs — the same layout
 //! parallel HDF5 ranks use — and the slabs are compressed concurrently by

@@ -3,7 +3,7 @@
 //! Demonstrates (and asserts, so CI can run it as a check) the
 //! `ArchiveWriter`/`ArchiveReader` API: a multi-slab field is compressed
 //! incrementally through the writer — slabs fed by `rq_h5lite::slab_iter`,
-//! chunk index landing in the v2.2 trailer — then read back three ways:
+//! chunk index landing in the trailer — then read back three ways:
 //!
 //! * whole-field `read_all`, compared element-wise against the original
 //!   under the error bound,

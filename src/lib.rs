@@ -62,8 +62,8 @@ pub mod prelude {
     pub use rq_analysis::{global_ssim, psnr};
     pub use rq_compress::{
         chunk_count, chunk_table, compress, compress_with_report, decompress, decompress_chunk,
-        decompress_with_threads, decompress_with_threads_exact, ArchiveReader, ArchiveWriter,
-        ChunkCodecKind, Chunking, CodecChoice, CompressorConfig, ConcurrentReader,
+        decompress_with_threads, ArchiveReader, ArchiveWriter, ChunkCodecKind, Chunking,
+        CodecChoice, CompressorConfig, ConcurrentReader,
     };
     pub use rq_core::usecases::{
         compress_with_budget, optimize_partitions, plan_budget, PlanError, PredictorSelector,

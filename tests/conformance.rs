@@ -228,22 +228,15 @@ fn textured<T: rqm::grid::Scalar>(shape: Shape) -> NdArray<T> {
     })
 }
 
-/// Build one archive of each container generation for `field`.
-fn archives_of_all_generations<T: rqm::grid::Scalar>(
-    field: &NdArray<T>,
-    eb: f64,
-) -> Vec<(&'static str, Vec<u8>)> {
-    // Fixed-codec configs keep the historical generations on their
-    // historical version bytes; the adaptive policies moved to v2.4.
+/// Archives of `field` from every live writer path (all generation
+/// v2.4): one-shot serial and chunked, each fixed codec, the streaming
+/// session with slabs misaligned with chunks, a planned session, and the
+/// adaptive policy.
+fn live_archives<T: rqm::grid::Scalar>(field: &NdArray<T>, eb: f64) -> Vec<(&'static str, Vec<u8>)> {
     let serial = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(eb));
     let chunked = serial.chunked(5).with_threads(2);
     let zfp = chunked.with_codec(CodecChoice::Zfp);
-    let auto = chunked.with_codec(CodecChoice::Auto);
-    let v1 = rqm::compress_crate::compress(field, &serial).unwrap().bytes;
-    let v2 = rqm::compress_crate::compress(field, &chunked).unwrap().bytes;
-    let v21 = rqm::compress_crate::compress(field, &zfp).unwrap().bytes;
-    assert_eq!(rqm::compress_crate::peek_header(&v21).unwrap().version, 3);
-    // v2.2 through the streaming writer, slabs misaligned with chunks.
+    let one_shot = |cfg: &CompressorConfig| rqm::compress_crate::compress(field, cfg).unwrap().bytes;
     let mut w = ArchiveWriter::<T, Vec<u8>>::create(Vec::new(), field.shape(), &zfp).unwrap();
     let row_elems: usize = field.shape().dims()[1..].iter().product::<usize>().max(1);
     let d0 = field.shape().dim(0);
@@ -260,80 +253,88 @@ fn archives_of_all_generations<T: rqm::grid::Scalar>(
         w.write_slab(&slab).unwrap();
         row += rows;
     }
-    let v22 = w.finalize().unwrap().sink;
-    assert_eq!(rqm::compress_crate::peek_header(&v22).unwrap().version, 4);
-    // v2.3: planned per-chunk bounds (alternating tight/loose around eb).
-    let n_chunks = d0.div_ceil(5);
+    let streamed = w.finalize().unwrap().sink;
+    // Planned per-chunk bounds (alternating tight/loose around eb).
     let plan: Vec<f64> =
-        (0..n_chunks).map(|i| if i % 2 == 0 { eb } else { eb / 2.0 }).collect();
+        (0..d0.div_ceil(5)).map(|i| if i % 2 == 0 { eb } else { eb / 2.0 }).collect();
     let mut w =
         ArchiveWriter::<T, Vec<u8>>::create_planned(Vec::new(), field.shape(), &zfp, plan)
             .unwrap();
     w.write_slab(field).unwrap();
-    let v23 = w.finalize().unwrap().sink;
-    assert_eq!(rqm::compress_crate::peek_header(&v23).unwrap().version, 5);
-    // v2.4: the three-way adaptive policy (may tag chunks sz/zfp/rolz) and
-    // the fixed rolz codec, both on the new version byte.
-    let v24 = rqm::compress_crate::compress(field, &auto).unwrap().bytes;
-    assert_eq!(rqm::compress_crate::peek_header(&v24).unwrap().version, 6);
-    let rolz = chunked.with_codec(CodecChoice::Rolz);
-    let v24r = rqm::compress_crate::compress(field, &rolz).unwrap().bytes;
-    assert_eq!(rqm::compress_crate::peek_header(&v24r).unwrap().version, 6);
-    vec![
-        ("v1", v1),
-        ("v2", v2),
-        ("v2.1", v21),
-        ("v2.2", v22),
-        ("v2.3", v23),
-        ("v2.4-auto", v24),
-        ("v2.4-rolz", v24r),
-    ]
+    let planned = w.finalize().unwrap().sink;
+    let archives = vec![
+        ("serial-sz", one_shot(&serial)),
+        ("sz", one_shot(&chunked)),
+        ("zfp", one_shot(&zfp)),
+        ("zfp-streamed", streamed),
+        ("zfp-planned", planned),
+        ("auto", one_shot(&chunked.with_codec(CodecChoice::Auto))),
+        ("rolz", one_shot(&chunked.with_codec(CodecChoice::Rolz))),
+    ];
+    for (name, bytes) in &archives {
+        assert_eq!(rqm::compress_crate::peek_header(bytes).unwrap().version, 6, "{name}");
+    }
+    archives
 }
 
-/// The property itself, generic over the scalar type.
-fn assert_read_rows_matches_decompress<T: rqm::grid::Scalar + PartialEq>(seed: u64) {
-    let shape = Shape::d3(16, 6, 5);
-    let field = textured::<T>(shape);
-    let eb = 1e-3;
-    let mut rng = Rng(seed);
-    for (name, bytes) in archives_of_all_generations(&field, eb) {
-        let full = rqm::compress_crate::decompress::<T>(&bytes).unwrap();
-        let mut reader =
-            rqm::compress_crate::ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
-        let table = reader.chunk_table();
-        let row_elems: usize = shape.dims()[1..].iter().product();
-        for case in 0..25 {
-            let start = rng.below(shape.dim(0));
-            let end = start + 1 + rng.below(shape.dim(0) - start);
-            let before = reader.stats().chunks_decoded;
-            let part = reader.read_rows::<T>(start..end).unwrap();
-            assert_eq!(part.shape().dims()[0], end - start, "{name} case {case}");
-            assert!(
-                part.as_slice() == &full.as_slice()[start * row_elems..end * row_elems],
-                "{name} case {case}: rows {start}..{end} diverged from full decompress"
-            );
-            // Only intersecting chunks may have been decoded.
-            let intersecting = table
-                .entries
-                .iter()
-                .filter(|e| e.start_row < end && e.start_row + e.rows > start)
-                .count();
-            assert_eq!(
-                (reader.stats().chunks_decoded - before) as usize,
-                intersecting,
-                "{name} case {case}: rows {start}..{end} decoded the wrong chunk set"
-            );
-        }
-        // Degenerate requests error cleanly.
-        assert!(matches!(
-            reader.read_rows::<T>(0..shape.dim(0) + 1),
-            Err(DecompressError::RowsOutOfRange { .. })
-        ));
-        assert!(matches!(
-            reader.read_rows::<T>(2..2),
-            Err(DecompressError::RowsOutOfRange { .. })
-        ));
+/// The property itself for one archive, generic over the scalar type.
+fn assert_read_rows_matches_decompress<T: rqm::grid::Scalar + PartialEq>(
+    name: &str,
+    bytes: &[u8],
+    rng: &mut Rng,
+) {
+    let full = rqm::compress_crate::decompress::<T>(bytes).unwrap();
+    let mut reader = rqm::compress_crate::ArchiveReader::open(Cursor::new(bytes)).unwrap();
+    let table = reader.chunk_table();
+    let shape = reader.header().shape;
+    let row_elems: usize = shape.dims()[1..].iter().product::<usize>().max(1);
+    for case in 0..25 {
+        let start = rng.below(shape.dim(0));
+        let end = start + 1 + rng.below(shape.dim(0) - start);
+        let before = reader.stats().chunks_decoded;
+        let part = reader.read_rows::<T>(start..end).unwrap();
+        assert_eq!(part.shape().dims()[0], end - start, "{name} case {case}");
+        assert!(
+            part.as_slice() == &full.as_slice()[start * row_elems..end * row_elems],
+            "{name} case {case}: rows {start}..{end} diverged from full decompress"
+        );
+        // Only intersecting chunks may have been decoded.
+        let intersecting = table
+            .entries
+            .iter()
+            .filter(|e| e.start_row < end && e.start_row + e.rows > start)
+            .count();
+        assert_eq!(
+            (reader.stats().chunks_decoded - before) as usize,
+            intersecting,
+            "{name} case {case}: rows {start}..{end} decoded the wrong chunk set"
+        );
     }
+    // Degenerate requests error cleanly.
+    assert!(matches!(
+        reader.read_rows::<T>(0..shape.dim(0) + 1),
+        Err(DecompressError::RowsOutOfRange { .. })
+    ));
+    assert!(matches!(
+        reader.read_rows::<T>(2..2),
+        Err(DecompressError::RowsOutOfRange { .. })
+    ));
+}
+
+/// Generation 6 from every live writer path, for scalar type `T`.
+fn assert_read_rows_matches_decompress_live<T: rqm::grid::Scalar + PartialEq>(rng: &mut Rng) {
+    let field = textured::<T>(Shape::d3(16, 6, 5));
+    for (name, bytes) in live_archives(&field, 1e-3) {
+        assert_read_rows_matches_decompress::<T>(name, &bytes, rng);
+    }
+}
+
+/// The segments of one dataset of the catalog fixture: ordinary v2.2
+/// archives (the only committed f64 archives of an old generation).
+fn cat1_segments(dataset: &str, steps: usize) -> Vec<Vec<u8>> {
+    let bytes = include_bytes!("data/golden_cat1.rqc");
+    let mut cat = CatalogReader::open(Cursor::new(&bytes[..])).unwrap();
+    (0..steps).map(|t| cat.read_segment(dataset, t).unwrap()).collect()
 }
 
 #[test]
@@ -390,12 +391,34 @@ fn planned_per_chunk_bounds_conform_chunkwise() {
 
 #[test]
 fn read_rows_matches_decompress_f32_all_generations() {
-    assert_read_rows_matches_decompress::<f32>(0x5EED_1001);
+    // Generations 1–5 from the committed fixtures (no writer emits them
+    // any more), generation 6 from the fixture and every live writer path.
+    let mut rng = Rng(0x5EED_1001);
+    let fixtures: [(&str, &[u8]); 6] = [
+        ("golden v1", include_bytes!("data/golden_v1.rqc")),
+        ("golden v2", include_bytes!("data/golden_v2.rqc")),
+        ("golden v2.1", include_bytes!("data/golden_v21.rqc")),
+        ("golden v2.2", include_bytes!("data/golden_v22.rqc")),
+        ("golden v2.3", include_bytes!("data/golden_v23.rqc")),
+        ("golden v2.4", include_bytes!("data/golden_v24.rqc")),
+    ];
+    for (name, bytes) in fixtures {
+        assert_read_rows_matches_decompress::<f32>(name, bytes, &mut rng);
+    }
+    for seg in cat1_segments("wave", 5) {
+        assert_read_rows_matches_decompress::<f32>("golden cat1 wave", &seg, &mut rng);
+    }
+    assert_read_rows_matches_decompress_live::<f32>(&mut rng);
 }
 
 #[test]
 fn read_rows_matches_decompress_f64_all_generations() {
-    assert_read_rows_matches_decompress::<f64>(0x5EED_1002);
+    let mut rng = Rng(0x5EED_1002);
+    for seg in cat1_segments("energy", 3) {
+        assert_eq!(rqm::compress_crate::peek_header(&seg).unwrap().version, 4);
+        assert_read_rows_matches_decompress::<f64>("golden cat1 energy", &seg, &mut rng);
+    }
+    assert_read_rows_matches_decompress_live::<f64>(&mut rng);
 }
 
 #[test]

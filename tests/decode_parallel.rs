@@ -1,15 +1,15 @@
-//! Differential and concurrency tests for the parallel streaming decode
-//! engine.
+//! Differential and concurrency tests for the parallel decode engine.
 //!
-//! The engine's contract is that thread count, read-ahead window and
-//! delivery mode are implementation details: every decode path —
-//! `read_all`, `read_rows`, `decompress_to_writer` on `ArchiveReader`,
-//! and every request on a shared `ConcurrentReader` — must produce
-//! results byte-identical to the single-threaded serial decode, for
-//! every container generation {v1, v2, v2.1, v2.2, v2.3, v2.4} × codec
-//! {sz, zfp, rolz, auto} × thread count {1, 2, 3, 8} × random row
-//! ranges. (The historical tagged generations use fixed codecs: the
-//! adaptive scheduler now emits v2.4.)
+//! The engine's contract is that thread count, read-ahead window,
+//! delivery mode and the kind of source (stream, mapped file, bytes in
+//! memory) are implementation details: every decode path — `read_all`,
+//! `read_rows`, `decompress_to_writer` on `ArchiveReader`, the one-shot
+//! `decompress`/`decompress_chunk`, and every request on a shared
+//! `ConcurrentReader` — must produce results byte-identical to the
+//! single-threaded serial decode, for every container generation
+//! {v1, v2, v2.1, v2.2, v2.3} from the committed fixtures and v2.4 from
+//! the live writer × {sz, zfp, rolz, auto, planned} × thread count
+//! {1, 2, 3, 8} × random row ranges.
 //!
 //! The stress test hammers one `ConcurrentReader` from 8 threads with
 //! randomized overlapping `read_rows`/`read_chunk` requests, checks
@@ -42,7 +42,7 @@ fn mixed_field(shape: Shape) -> NdArray<f32> {
     rqm::datagen::fields::mixed_smooth_turbulent(shape, shape.dim(0) / 2, 30.0)
 }
 
-/// Stream `field` through the v2.2/v2.3 writer (planned ⇒ v2.3).
+/// Stream `field` through a writer session, optionally planned.
 fn streamed(field: &NdArray<f32>, cfg: &CompressorConfig, plan: Option<Vec<f64>>) -> Vec<u8> {
     let mut w = match plan {
         Some(p) => {
@@ -55,90 +55,58 @@ fn streamed(field: &NdArray<f32>, cfg: &CompressorConfig, plan: Option<Vec<f64>>
     w.finalize().unwrap().sink
 }
 
-/// Every (generation × codec) archive the decode engine must handle,
-/// with its expected header version byte.
+/// Every archive the decode engine must handle, with its expected header
+/// version byte: generations 1–5 from the committed fixtures (no writer
+/// emits them any more; the catalog fixture's segments are v2.2 archives
+/// too), generation 6 from the fixture and from the live writer under
+/// every codec policy, one-shot and streamed, with and without a plan.
 fn archive_matrix(field: &NdArray<f32>) -> Vec<(String, u8, Vec<u8>)> {
+    let fixtures: [(&str, u8, &[u8]); 6] = [
+        ("golden v1", 1, include_bytes!("data/golden_v1.rqc")),
+        ("golden v2", 2, include_bytes!("data/golden_v2.rqc")),
+        ("golden v2.1", 3, include_bytes!("data/golden_v21.rqc")),
+        ("golden v2.2", 4, include_bytes!("data/golden_v22.rqc")),
+        ("golden v2.3", 5, include_bytes!("data/golden_v23.rqc")),
+        ("golden v2.4", 6, include_bytes!("data/golden_v24.rqc")),
+    ];
+    let mut out: Vec<(String, u8, Vec<u8>)> =
+        fixtures.iter().map(|&(name, v, bytes)| (name.into(), v, bytes.to_vec())).collect();
+    let cat = include_bytes!("data/golden_cat1.rqc");
+    let mut cat = CatalogReader::open(Cursor::new(&cat[..])).unwrap();
+    for t in 0..5 {
+        out.push((format!("golden cat1 wave[{t}]"), 4, cat.read_segment("wave", t).unwrap()));
+    }
+
     let base = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3));
     let chunked = base.chunked(5);
-    let plan = |n: usize| -> Vec<f64> {
-        (0..n).map(|i| 1e-3 * (1.0 + i as f64)).collect()
-    };
-    let n_chunks = field.shape().dim(0).div_ceil(5);
-    let mut out: Vec<(String, u8, Vec<u8>)> = Vec::new();
-    // v1: the serial single-stream container (sz only by construction).
-    out.push(("v1/sz".into(), 1, compress(field, &base).unwrap().bytes));
-    // v2: inline untagged index (fixed-sz chunked configs).
-    out.push(("v2/sz".into(), 2, compress(field, &chunked).unwrap().bytes));
-    // v2.1: inline tagged index (fixed-zfp; adaptive configs now emit
-    // v2.4).
-    out.push((
-        "v2.1/zfp".into(),
-        3,
-        compress(field, &chunked.with_codec(CodecChoice::Zfp)).unwrap().bytes,
-    ));
-    // v2.2: streaming trailer index, both historical fixed codecs.
-    for codec in [CodecChoice::Sz, CodecChoice::Zfp] {
+    let plan: Vec<f64> =
+        (0..field.shape().dim(0).div_ceil(5)).map(|i| 1e-3 * (1.0 + i as f64)).collect();
+    out.push(("live serial/sz".into(), 6, compress(field, &base).unwrap().bytes));
+    for codec in [CodecChoice::Sz, CodecChoice::Zfp, CodecChoice::Rolz, CodecChoice::Auto] {
         let cfg = chunked.with_codec(codec);
-        out.push((
-            format!("v2.2/{codec:?}").to_lowercase(),
-            4,
-            streamed(field, &cfg, None),
-        ));
+        let name = format!("{codec:?}").to_lowercase();
+        out.push((format!("live {name}"), 6, compress(field, &cfg).unwrap().bytes));
+        out.push((format!("live {name}-planned"), 6, streamed(field, &cfg, Some(plan.clone()))));
     }
-    // v2.3: per-chunk bounds in the trailer, both historical fixed
-    // codecs.
-    for codec in [CodecChoice::Sz, CodecChoice::Zfp] {
-        let cfg = chunked.with_codec(codec);
-        out.push((
-            format!("v2.3/{codec:?}").to_lowercase(),
-            5,
-            streamed(field, &cfg, Some(plan(n_chunks))),
-        ));
-    }
-    // v2.4: the rolz-capable generation — fixed rolz (in-memory and
-    // streamed) plus the three-way adaptive scheduler, with and without
-    // a per-chunk plan.
-    out.push((
-        "v2.4/rolz".into(),
-        6,
-        compress(field, &chunked.with_codec(CodecChoice::Rolz)).unwrap().bytes,
-    ));
-    out.push((
-        "v2.4/auto".into(),
-        6,
-        compress(field, &chunked.with_codec(CodecChoice::Auto)).unwrap().bytes,
-    ));
-    out.push((
-        "v2.4/rolz-streamed".into(),
-        6,
-        streamed(field, &chunked.with_codec(CodecChoice::Rolz), None),
-    ));
-    out.push((
-        "v2.4/auto-planned".into(),
-        6,
-        streamed(field, &chunked.with_codec(CodecChoice::Auto), Some(plan(n_chunks))),
-    ));
     out
 }
 
 #[test]
 fn parallel_decode_matches_serial_across_generations() {
     let field = mixed_field(Shape::d3(23, 8, 6));
-    let row_elems = 8 * 6;
     let mut rng = Rng(0xDEC0_DE01);
     for (name, version, bytes) in archive_matrix(&field) {
-        assert_eq!(
-            rqm::compress_crate::peek_header(&bytes).unwrap().version,
-            version,
-            "{name}: fixture has the wrong container generation"
-        );
+        let header = rqm::compress_crate::peek_header(&bytes).unwrap();
+        assert_eq!(header.version, version, "{name}: wrong container generation");
+        let d0 = header.shape.dim(0);
+        let row_elems = header.shape.len() / d0;
         // The serial reference: single-threaded streaming read_all.
         let mut serial = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         let reference = serial.read_all::<f32>().unwrap();
         assert_eq!(
             reference.as_slice(),
             decompress::<f32>(&bytes).unwrap().as_slice(),
-            "{name}: serial streaming decode diverges from the slice decoder"
+            "{name}: serial streaming decode diverges from the in-memory decoder"
         );
         for threads in [1usize, 2, 3, 8] {
             let mut r = ArchiveReader::open(Cursor::new(&bytes[..]))
@@ -153,7 +121,6 @@ fn parallel_decode_matches_serial_across_generations() {
             );
             // Random row ranges, including chunk-interior and boundary
             // straddling ones.
-            let d0 = field.shape().dim(0);
             for _ in 0..12 {
                 let start = rng.below(d0);
                 let end = start + 1 + rng.below(d0 - start);
@@ -170,11 +137,59 @@ fn parallel_decode_matches_serial_across_generations() {
                 .with_threads_exact(threads);
             let mut sink = Vec::new();
             let values = r.decompress_to_writer::<f32, _>(&mut sink).unwrap();
-            assert_eq!(values as usize, field.len(), "{name} threads={threads}");
+            assert_eq!(values as usize, reference.len(), "{name} threads={threads}");
             let expect: Vec<u8> =
                 reference.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
             assert_eq!(sink, expect, "{name} threads={threads}: decompress_to_writer");
         }
+    }
+}
+
+#[test]
+fn every_source_kind_decodes_identically_with_equal_stats() {
+    // One engine, three kinds of source: the same bytes held in memory
+    // (`decompress`, `decompress_chunk`), behind a seekable stream
+    // (`open(Cursor)`) and in a mapped file (`open_path`) must give
+    // bit-identical values and count the same number of decoded chunks,
+    // at 1, 2 and 8 (oversubscribed) worker threads.
+    let field = mixed_field(Shape::d3(23, 8, 6));
+    let dir = std::env::temp_dir().join("rqm_decode_parallel_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (name, _version, bytes)) in archive_matrix(&field).into_iter().enumerate() {
+        let reference = decompress::<f32>(&bytes).unwrap();
+        let n_chunks = chunk_count(&bytes).unwrap();
+        let row_elems = reference.len() / reference.shape().dim(0);
+        for chunk in 0..n_chunks {
+            let (start_row, slab) = decompress_chunk::<f32>(&bytes, chunk).unwrap();
+            let lo = start_row * row_elems;
+            assert_eq!(
+                slab.as_slice(),
+                &reference.as_slice()[lo..lo + slab.len()],
+                "{name}: decompress_chunk {chunk}"
+            );
+        }
+        let path = dir.join(format!("src_{}_{i}.rqc", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        for threads in [1usize, 2, 8] {
+            assert_eq!(
+                decompress_with_threads::<f32>(&bytes, threads).unwrap().as_slice(),
+                reference.as_slice(),
+                "{name} threads={threads}: decompress_with_threads"
+            );
+            let mut stream =
+                ArchiveReader::open(Cursor::new(&bytes[..])).unwrap().with_threads_exact(threads);
+            let mut mapped = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
+            for (kind, all, stats) in [
+                ("stream", stream.read_all::<f32>().unwrap(), stream.stats()),
+                ("mapped", mapped.read_all::<f32>().unwrap(), mapped.stats()),
+            ] {
+                assert_eq!(all.as_slice(), reference.as_slice(), "{name} {kind} threads={threads}");
+                assert_eq!(stats.chunks_decoded, n_chunks as u64, "{name} {kind} threads={threads}");
+                assert_eq!(stats.reorder_copies, 0, "{name} {kind} threads={threads}");
+            }
+            assert_eq!(stream.stats().blob_bytes_read, mapped.stats().blob_bytes_read, "{name}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -302,11 +317,17 @@ fn concurrent_reader_handles_all_generations_and_errors() {
         let r = ConcurrentReader::open(Cursor::new(bytes)).unwrap();
         let all = r.read_all::<f32>().unwrap();
         assert_eq!(all.as_slice(), reference.as_slice(), "{name}: read_all");
-        let part = r.read_rows::<f32>(3..17).unwrap();
-        assert_eq!(part.as_slice(), &reference.as_slice()[3 * 12..17 * 12], "{name}");
+        let d0 = r.header().shape.dim(0);
+        let row_elems = reference.len() / d0;
+        let part = r.read_rows::<f32>(3..d0 - 1).unwrap();
+        assert_eq!(
+            part.as_slice(),
+            &reference.as_slice()[3 * row_elems..(d0 - 1) * row_elems],
+            "{name}"
+        );
         // Typed errors, matching the session reader.
         assert!(matches!(
-            r.read_rows::<f32>(0..21),
+            r.read_rows::<f32>(0..d0 + 1),
             Err(DecompressError::RowsOutOfRange { .. })
         ));
         assert!(matches!(

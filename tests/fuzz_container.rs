@@ -1,11 +1,13 @@
 //! Seeded-fuzz corruption tests for the container parser.
 //!
-//! Valid v1, v2, v2.1 and v2.2 archives are mutated — random single/multi
-//! byte flips and truncations at random offsets — and fed to the decoder.
-//! The v2.2 trailer (index behind the blobs, length-suffixed) also gets
-//! targeted corruptions: truncated trailers, trailer lengths pointing
-//! outside the archive, and index extents overrunning the blob region.
-//! The invariants:
+//! Valid archives of every generation — v1 through v2.3 from the
+//! committed fixtures (no writer emits them any more), v2.4 from the
+//! fixture and the live writer under every codec — are mutated: random
+//! single/multi byte flips and truncations at random offsets, and fed to
+//! the decoder. The trailer (index behind the blobs, length-suffixed)
+//! also gets targeted corruptions: truncated trailers, trailer lengths
+//! pointing outside the archive, and index extents overrunning the blob
+//! region. The invariants:
 //!
 //! * the decoder must **never panic** (these tests run the mutated input
 //!   in-process, so any panic fails the test);
@@ -14,15 +16,19 @@
 //! * a byte **flip** must either return `Err` or decode to a field of the
 //!   header's shape (without checksums a flip inside an entropy payload
 //!   can decode "successfully" to wrong data, so `Ok` is not itself a
-//!   failure — but an `Ok` with inconsistent structure would be).
+//!   failure — but an `Ok` with inconsistent structure would be);
+//! * the inspection functions and the readers share one index parser, so
+//!   on every input they **agree** on whether it is an archive and on its
+//!   chunk table.
 //!
 //! Mutations use a fixed xorshift stream, so failures reproduce exactly.
 //! A small shape cap guards the one legitimate hazard: a flipped header
 //! can describe an enormous (but structurally valid) field, and a fuzz
 //! loop should not be at the mercy of such an allocation.
 
-use rqm::compress_crate::ArchiveWriter;
+use rqm::compress_crate::DecompressError;
 use rqm::prelude::*;
+use std::io::Cursor;
 
 /// Deterministic xorshift64* stream.
 struct Rng(u64);
@@ -46,70 +52,52 @@ fn mixed_field() -> NdArray<f32> {
     rqm::datagen::fields::mixed_smooth_turbulent(Shape::d3(16, 10, 10), 8, 30.0)
 }
 
-/// The archive generations under test. Historical generations are built
-/// with fixed-codec configs (the adaptive policies moved to v2.4); the
-/// v2.4 fixture is the three-way adaptive archive with a real codec
-/// split.
+const GOLDEN_V1: &[u8] = include_bytes!("data/golden_v1.rqc");
+const GOLDEN_V2: &[u8] = include_bytes!("data/golden_v2.rqc");
+const GOLDEN_V21: &[u8] = include_bytes!("data/golden_v21.rqc");
+const GOLDEN_V22: &[u8] = include_bytes!("data/golden_v22.rqc");
+const GOLDEN_V23: &[u8] = include_bytes!("data/golden_v23.rqc");
+const GOLDEN_V24: &[u8] = include_bytes!("data/golden_v24.rqc");
+
+/// The per-chunk plan baked into `golden_v23.rqc`.
+const GOLDEN_V23_PLAN: [f64; 4] = [2e-3, 1e-4, 5e-4, 5e-5];
+
+/// The archives under test: generations 1–5 from the committed fixtures,
+/// generation 6 from its fixture and from the live writer — fixed sz
+/// (interpolation), zfp and rolz, and the three-way adaptive archive with
+/// a real codec split.
 fn valid_archives() -> Vec<(&'static str, Vec<u8>)> {
     let field = mixed_field();
-    let v1 = compress(
-        &field,
-        &CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3)),
-    )
-    .unwrap()
-    .bytes;
-    let v2 = compress(
-        &field,
-        &CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(1e-3))
-            .chunked(5),
-    )
-    .unwrap()
-    .bytes;
-    let v21 = compress(
-        &field,
-        &CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-4))
-            .chunked(4)
-            .with_codec(CodecChoice::Zfp),
-    )
-    .unwrap()
-    .bytes;
-    assert_eq!(rqm::compress_crate::peek_header(&v21).unwrap().version, 3);
-    let v22 = streamed_v22(&field);
-    let v23 = planned_v23(&field);
-    let v24 = planned_v24(&field);
+    let live = |cfg: CompressorConfig| {
+        let bytes = compress(&field, &cfg).unwrap().bytes;
+        assert_eq!(rqm::compress_crate::peek_header(&bytes).unwrap().version, 6);
+        bytes
+    };
+    let lorenzo = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-4));
     vec![
-        ("v1", v1),
-        ("v2", v2),
-        ("v2.1", v21),
-        ("v2.2", v22),
-        ("v2.3", v23),
-        ("v2.4", v24),
+        ("v1", GOLDEN_V1.to_vec()),
+        ("v2", GOLDEN_V2.to_vec()),
+        ("v2.1", GOLDEN_V21.to_vec()),
+        ("v2.2", GOLDEN_V22.to_vec()),
+        ("v2.3", GOLDEN_V23.to_vec()),
+        ("v2.4", GOLDEN_V24.to_vec()),
+        ("live serial", live(lorenzo)),
+        (
+            "live sz",
+            live(
+                CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(1e-3))
+                    .chunked(5),
+            ),
+        ),
+        ("live zfp", live(lorenzo.chunked(4).with_codec(CodecChoice::Zfp))),
+        ("live rolz", live(lorenzo.chunked(4).with_codec(CodecChoice::Rolz))),
+        ("live auto", planned_v24(&field)),
     ]
 }
 
-/// The heterogeneous per-chunk plan behind the v2.3/v2.4 fuzz archives
+/// The heterogeneous per-chunk plan behind the live planned fuzz archive
 /// (16-row field in 4-row chunks).
-const V23_FUZZ_PLAN: [f64; 4] = [1e-3, 1e-4, 2e-4, 5e-5];
-
-/// A v2.3 archive of `field` built through the planned streaming writer
-/// (per-chunk bounds in the trailer index).
-fn planned_v23(field: &NdArray<f32>) -> Vec<u8> {
-    let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1.0))
-        .chunked(4)
-        .with_codec(CodecChoice::Zfp)
-        .with_threads(2);
-    let mut w = rqm::compress_crate::ArchiveWriter::<f32, Vec<u8>>::create_planned(
-        Vec::new(),
-        field.shape(),
-        &cfg,
-        V23_FUZZ_PLAN.to_vec(),
-    )
-    .unwrap();
-    w.write_slab(field).unwrap();
-    let bytes = w.finalize().unwrap().sink;
-    assert_eq!(rqm::compress_crate::peek_header(&bytes).unwrap().version, 5);
-    bytes
-}
+const LIVE_FUZZ_PLAN: [f64; 4] = [1e-3, 1e-4, 2e-4, 5e-5];
 
 /// A v2.4 archive of `field` through the planned streaming writer with
 /// the three-way adaptive codec: the fixture must genuinely mix sz and
@@ -123,7 +111,7 @@ fn planned_v24(field: &NdArray<f32>) -> Vec<u8> {
         Vec::new(),
         field.shape(),
         &cfg,
-        V23_FUZZ_PLAN.to_vec(),
+        LIVE_FUZZ_PLAN.to_vec(),
     )
     .unwrap();
     w.write_slab(field).unwrap();
@@ -135,19 +123,6 @@ fn planned_v24(field: &NdArray<f32>) -> Vec<u8> {
         codecs.contains(&ChunkCodecKind::Sz) && codecs.contains(&ChunkCodecKind::Rolz),
         "v2.4 fuzz fixture must mix sz and rolz chunks, got {codecs:?}"
     );
-    bytes
-}
-
-/// A v2.2 archive of `field` built through the streaming writer.
-fn streamed_v22(field: &NdArray<f32>) -> Vec<u8> {
-    let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-4))
-        .chunked(4)
-        .with_codec(CodecChoice::Zfp)
-        .with_threads(2);
-    let mut w = ArchiveWriter::<f32, Vec<u8>>::create(Vec::new(), field.shape(), &cfg).unwrap();
-    w.write_slab(field).unwrap();
-    let bytes = w.finalize().unwrap().sink;
-    assert_eq!(rqm::compress_crate::peek_header(&bytes).unwrap().version, 4);
     bytes
 }
 
@@ -168,7 +143,7 @@ fn try_decode(bytes: &[u8]) -> Option<Result<NdArray<f32>, String>> {
 fn random_byte_flips_never_panic() {
     let mut rng = Rng(0x5EED_0001);
     for (name, bytes) in &valid_archives() {
-        for case in 0..400 {
+        for case in 0..250 {
             let mut mutated = bytes.clone();
             // 1–4 byte flips per case, anywhere in the archive.
             for _ in 0..(1 + rng.below(4)) {
@@ -197,7 +172,7 @@ fn random_overwrites_never_panic() {
     // continuation bits and tag bytes harder.
     let mut rng = Rng(0x5EED_0002);
     for (_name, bytes) in &valid_archives() {
-        for _case in 0..300 {
+        for _case in 0..180 {
             let mut mutated = bytes.clone();
             let start = rng.below(mutated.len());
             let span = 1 + rng.below(8).min(mutated.len() - start - 1);
@@ -236,7 +211,7 @@ fn flips_in_header_and_index_error_or_stay_consistent() {
     let mut rng = Rng(0x5EED_0004);
     for (name, bytes) in &valid_archives() {
         let zone = bytes.len().min(64);
-        for case in 0..500 {
+        for case in 0..300 {
             let mut mutated = bytes.clone();
             let pos = rng.below(zone);
             mutated[pos] ^= 1 << rng.below(8);
@@ -255,7 +230,21 @@ fn flips_in_header_and_index_error_or_stay_consistent() {
 
 #[test]
 fn v2_2_trailer_targeted_corruptions() {
-    let bytes = streamed_v22(&mixed_field());
+    // The v2.2 fixture and a live (v2.4) archive: the trailer locating
+    // rules are the same in every trailer generation.
+    let live = compress(
+        &mixed_field(),
+        &CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-4))
+            .chunked(4)
+            .with_codec(CodecChoice::Zfp),
+    )
+    .unwrap()
+    .bytes;
+    trailer_targeted_corruptions(GOLDEN_V22.to_vec());
+    trailer_targeted_corruptions(live);
+}
+
+fn trailer_targeted_corruptions(bytes: Vec<u8>) {
     let n = bytes.len();
 
     // Any truncation eating into the trailer/suffix must error: the
@@ -312,8 +301,13 @@ fn v2_3_per_chunk_eb_targeted_corruptions() {
     // The per-chunk bounds live as raw f64s in the trailer index; every
     // way of poisoning them — NaN/inf bit patterns, sign flips, zeroing,
     // truncating an index row — must produce a DecompressError, never a
-    // panic and never a "successful" decode under a garbage bound.
-    let bytes = planned_v23(&mixed_field());
+    // panic and never a "successful" decode under a garbage bound. Same
+    // entry layout in the v2.3 fixture and in live (v2.4) archives.
+    per_chunk_eb_targeted_corruptions(GOLDEN_V23.to_vec(), &GOLDEN_V23_PLAN);
+    per_chunk_eb_targeted_corruptions(planned_v24(&mixed_field()), &LIVE_FUZZ_PLAN);
+}
+
+fn per_chunk_eb_targeted_corruptions(bytes: Vec<u8>, plan: &[f64; 4]) {
     let n = bytes.len();
     let tlen = u64::from_le_bytes(bytes[n - 12..n - 4].try_into().unwrap()) as usize;
     let tstart = n - 12 - tlen;
@@ -321,7 +315,7 @@ fn v2_3_per_chunk_eb_targeted_corruptions() {
 
     // Locate each planned bound inside the trailer by its exact f64 LE
     // byte pattern (the plan values are fixture constants).
-    let eb_offsets: Vec<usize> = V23_FUZZ_PLAN
+    let eb_offsets: Vec<usize> = plan
         .iter()
         .map(|eb| {
             let pat = eb.to_le_bytes();
@@ -333,7 +327,7 @@ fn v2_3_per_chunk_eb_targeted_corruptions() {
         })
         .collect();
 
-    for (&off, &eb) in eb_offsets.iter().zip(&V23_FUZZ_PLAN) {
+    for (&off, &eb) in eb_offsets.iter().zip(plan) {
         for evil in [
             f64::NAN,
             f64::INFINITY,
@@ -373,16 +367,16 @@ fn v2_3_per_chunk_eb_targeted_corruptions() {
         "index row truncated by one bound decoded Ok"
     );
 
-    // A v2.3 header over a v2.2-sized (bound-less) trailer: every entry's
-    // parse must fail or mis-tile, never silently default the bounds.
+    // A bound-carrying header over a v2.2-sized (bound-less) trailer:
+    // every entry's parse must fail or mis-tile, never silently default
+    // the bounds.
     let mut m = bytes.clone();
     // Shrink trailer_len by the 4 bounds (32 bytes) without rewriting the
     // body: the remaining body cannot parse into 4 complete entries.
     m[n - 12..n - 4].copy_from_slice(&((tlen - 32) as u64).to_le_bytes());
     assert!(try_decode(&m).unwrap().is_err());
 
-    // The streaming reader agrees with the slice parser on all of it.
-    use std::io::Cursor;
+    // The streaming reader agrees with the in-memory one on all of it.
     let mut good = rqm::compress_crate::ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
     assert!(good.read_all::<f32>().is_ok());
     let mut m = bytes.clone();
@@ -393,13 +387,12 @@ fn v2_3_per_chunk_eb_targeted_corruptions() {
 #[test]
 fn archive_reader_never_panics_on_mutations() {
     // The streaming reader (seek/read paths, lazy index) gets the same
-    // hostile inputs as the slice parser — at 1 and 4 decode threads,
+    // hostile inputs as the in-memory one — at 1 and 4 decode threads,
     // so corruption surfacing inside a decode worker propagates as a
     // typed error through the pool, never as a panic, abort, or hang.
-    use std::io::Cursor;
     let mut rng = Rng(0x5EED_0023);
     for (_name, bytes) in &valid_archives() {
-        for case in 0..200 {
+        for case in 0..120 {
             let mut m = bytes.clone();
             let pos = rng.below(m.len());
             m[pos] ^= 1 << rng.below(8);
@@ -420,7 +413,7 @@ fn archive_reader_never_panics_on_mutations() {
                 let _ = r.decompress_to_writer::<f32, _>(&mut std::io::sink());
             }
         }
-        for case in 0..100 {
+        for case in 0..60 {
             let cut = rng.below(bytes.len());
             let threads = if case % 2 == 0 { 1 } else { 4 };
             if let Ok(r) = rqm::compress_crate::ArchiveReader::open(Cursor::new(&bytes[..cut]))
@@ -437,13 +430,12 @@ fn archive_reader_never_panics_on_mutations() {
 
 #[test]
 fn parallel_decode_corruptions_error_at_every_thread_count() {
-    // The targeted v2.2/v2.3 corruptions — truncated trailer, index
+    // The targeted trailer corruptions — truncated trailer, index
     // extents overrunning the blob region, poisoned per-chunk bounds —
     // through the multi-threaded streaming decode paths. Every case must
     // produce a typed `DecompressError` at 1 and 4 threads: no panic, no
     // abort, no hang, and identical accept/reject decisions across
     // thread counts.
-    use std::io::Cursor;
     let try_streaming = |bytes: &[u8], threads: usize, read_ahead: usize| -> Result<(), String> {
         let r = rqm::compress_crate::ArchiveReader::open(Cursor::new(bytes))
             .map_err(|e| e.to_string())?;
@@ -455,8 +447,8 @@ fn parallel_decode_corruptions_error_at_every_thread_count() {
     };
 
     for (name, bytes) in [
-        ("v2.2", streamed_v22(&mixed_field())),
-        ("v2.3", planned_v23(&mixed_field())),
+        ("v2.2", GOLDEN_V22.to_vec()),
+        ("v2.3", GOLDEN_V23.to_vec()),
         ("v2.4", planned_v24(&mixed_field())),
     ] {
         let n = bytes.len();
@@ -480,8 +472,9 @@ fn parallel_decode_corruptions_error_at_every_thread_count() {
         cases.push((format!("{name} blob region shrunk"), m));
         if name != "v2.2" {
             // Poisoned per-chunk bound (NaN bit pattern in the index;
-            // v2.3 and v2.4 both carry per-chunk bounds).
-            let pat = V23_FUZZ_PLAN[1].to_le_bytes();
+            // v2.3 and v2.4 both carry per-chunk bounds, and both plans
+            // give chunk 1 the bound 1e-4).
+            let pat = 1e-4f64.to_le_bytes();
             let at = bytes[tstart..n - 12]
                 .windows(8)
                 .position(|w| w == pat)
@@ -529,8 +522,7 @@ fn rolz_blob_mutations_error_identically_at_thread_counts() {
     // blobs of a v2.4 archive: every hostile input must come back as a
     // typed `DecompressError` or a consistent decode — never a panic —
     // and the accept/reject decision must be identical at 1 and 4 decode
-    // threads and on the in-memory slice parser.
-    use std::io::Cursor;
+    // threads and on the in-memory reader.
     let bytes = planned_v24(&mixed_field());
     let table = chunk_table(&bytes).unwrap();
     let rolz_entries: Vec<_> = table
@@ -572,7 +564,7 @@ fn rolz_blob_mutations_error_identically_at_thread_counts() {
                 entry.offset
             );
             if let Some(r) = try_decode(&m) {
-                assert_eq!(r.is_ok(), serial, "slice vs streaming disagree at byte {pos}");
+                assert_eq!(r.is_ok(), serial, "in-memory vs streaming disagree at byte {pos}");
             }
         }
         // Every truncation of the archive that cuts inside this blob must
@@ -588,6 +580,82 @@ fn rolz_blob_mutations_error_identically_at_thread_counts() {
             );
         }
     }
+}
+
+/// `chunk_count`, `chunk_table` and `ArchiveReader::open` on one input:
+/// all reject it, or all accept it with the same chunk table.
+fn assert_parsers_agree(what: &str, bytes: &[u8]) {
+    let opened = rqm::compress_crate::ArchiveReader::open(Cursor::new(bytes));
+    match (chunk_count(bytes), opened) {
+        (Ok(n), Ok(reader)) => {
+            assert_eq!(reader.n_chunks(), n, "{what}: chunk counts differ");
+            let table = chunk_table(bytes).expect("chunk_count accepted it");
+            assert_eq!(&table.entries[..], reader.entries(), "{what}: chunk tables differ");
+            assert_eq!(table.chunk_rows, reader.chunk_rows(), "{what}");
+        }
+        (Err(_), Err(_)) => assert!(chunk_table(bytes).is_err(), "{what}: chunk_table alone Ok"),
+        (count, opened) => panic!(
+            "{what}: chunk_count {:?} but ArchiveReader::open {:?}",
+            count,
+            opened.map(|r| r.n_chunks())
+        ),
+    }
+}
+
+#[test]
+fn inspection_and_readers_agree_on_every_mutation() {
+    // For every mutated or truncated archive of every generation:
+    // `chunk_count(bytes)` is `Ok(n)` ⇔ `ArchiveReader::open` is `Ok` with
+    // `n_chunks() == n`, and then the chunk tables are equal.
+    let mut rng = Rng(0x5EED_0025);
+    for (name, bytes) in &valid_archives() {
+        assert_parsers_agree(name, bytes);
+        // Flips concentrated where the header and an inline index live,
+        // and where a trailer lives; then anywhere.
+        let n = bytes.len();
+        for case in 0..300 {
+            let mut m = bytes.clone();
+            let pos = match case % 3 {
+                0 => rng.below(n.min(64)),
+                1 => n - 1 - rng.below(n.min(64)),
+                _ => rng.below(n),
+            };
+            if case % 2 == 0 {
+                m[pos] ^= 1 << rng.below(8);
+            } else {
+                m[pos] = rng.next() as u8;
+            }
+            assert_parsers_agree(&format!("{name} case {case} byte {pos}"), &m);
+        }
+        for _ in 0..100 {
+            let cut = rng.below(n);
+            assert_parsers_agree(&format!("{name} cut {cut}"), &bytes[..cut]);
+        }
+    }
+}
+
+#[test]
+fn chunk_count_beyond_axis_0_is_the_same_corruption_everywhere() {
+    // The v2 fixture (16 rows in 4 chunks) with its inline index claiming
+    // 17 chunks — one more than axis 0 has rows. `chunk_count` used to
+    // read just the two leading varints and answer `Ok(17)` while every
+    // decoder rejected the archive.
+    // The index follows the 23-byte header (9 fixed bytes, three 1-byte
+    // dims, the f64 bound, a 3-byte radius varint): chunk_rows, n_chunks,
+    // then the first entry's rows.
+    let index_at = 23;
+    assert_eq!(&GOLDEN_V2[index_at..index_at + 3], &[4, 4, 4]);
+    let mut evil = GOLDEN_V2.to_vec();
+    evil[index_at + 1] = 17;
+    let bad_count = |e: DecompressError| {
+        assert!(matches!(e, DecompressError::Corrupt("bad chunk count")), "got {e:?}")
+    };
+    bad_count(chunk_count(&evil).unwrap_err());
+    bad_count(chunk_table(&evil).unwrap_err());
+    bad_count(decompress::<f32>(&evil).unwrap_err());
+    bad_count(decompress_chunk::<f32>(&evil, 0).unwrap_err());
+    bad_count(rqm::compress_crate::ArchiveReader::open(Cursor::new(&evil[..])).err().unwrap());
+    bad_count(ConcurrentReader::open(Cursor::new(&evil[..])).err().unwrap());
 }
 
 // ---------------------------------------------------------------------------
@@ -936,7 +1004,6 @@ fn entropy_region_corruptions_agree_across_thread_counts() {
     // the codebook length varint, and the codebook body, i.e. exactly the
     // input of the flat-table construction — must produce identical
     // accept/reject decisions at 1 and 4 decode threads, and never panic.
-    use std::io::Cursor;
     let field = mixed_field();
     let bytes = compress(
         &field,
@@ -970,9 +1037,9 @@ fn entropy_region_corruptions_agree_across_thread_counts() {
                 "blob at {} byte {pos}: accept/reject differs across thread counts",
                 entry.offset
             );
-            // The in-memory parser agrees with the streaming one.
+            // The in-memory reader agrees with the streaming one.
             if let Some(r) = try_decode(&m) {
-                assert_eq!(r.is_ok(), serial, "slice vs streaming disagree at byte {pos}");
+                assert_eq!(r.is_ok(), serial, "in-memory vs streaming disagree at byte {pos}");
             }
         }
     }

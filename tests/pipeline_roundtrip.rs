@@ -81,7 +81,7 @@ fn exafel_4d_roundtrips() {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk-parallel pipeline (container v2)
+// Chunk-parallel pipeline
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -162,7 +162,8 @@ fn chunked_random_access_matches_full_decode() {
 #[test]
 fn v1_container_backward_compat_read() {
     // A container produced by the original serial (v1) writer, committed
-    // as a fixture: current readers must keep decoding it bit-for-bit.
+    // as a frozen fixture (no current writer can regenerate it): current
+    // readers must keep decoding it bit-for-bit.
     let bytes = include_bytes!("data/golden_v1.rqc");
     let header = rqm::compress_crate::peek_header(bytes).unwrap();
     assert_eq!(header.version, 1);
@@ -262,11 +263,9 @@ fn golden_v22_fixture_backward_compat() {
 
 #[test]
 fn golden_v21_fixture_backward_compat() {
-    // A mixed-codec v2.1 container produced by the adaptive pipeline,
-    // committed as a fixture (regenerated only by
-    // `cargo run -p rq-bench --bin make_golden_fixtures` when a *new*
-    // container generation is introduced): current readers must keep
-    // decoding it, tags and all.
+    // A mixed-codec v2.1 container produced by the then-adaptive one-shot
+    // pipeline, committed as a frozen fixture (no current writer can
+    // regenerate it): current readers must keep decoding it, tags and all.
     let bytes = include_bytes!("data/golden_v21.rqc");
     let header = rqm::compress_crate::peek_header(bytes).unwrap();
     assert_eq!(header.version, 3, "v2.1 uses version byte 3");
@@ -325,10 +324,9 @@ fn golden_v21_fixture_backward_compat() {
 #[test]
 fn golden_v23_fixture_backward_compat() {
     // A quality-targeted v2.3 container with heterogeneous per-chunk
-    // bounds and mixed codec tags, produced by the planned streaming
-    // writer and committed as a fixture (regenerated only by
-    // `cargo run -p rq-bench --bin make_golden_fixtures` when a *new*
-    // container generation is introduced).
+    // bounds and mixed codec tags, produced by the then-planned streaming
+    // writer and committed as a frozen fixture (no current writer can
+    // regenerate it).
     let bytes = include_bytes!("data/golden_v23.rqc");
     let header = rqm::compress_crate::peek_header(bytes).unwrap();
     assert_eq!(header.version, 5, "v2.3 uses version byte 5");

@@ -5,9 +5,10 @@
 //! observable in the decoded bytes: a long-lived reader whose pools are
 //! saturated with dirty buffers from earlier requests must keep
 //! producing output byte-identical to a fresh reader, across container
-//! generations {v1, v2.2, v2.3} × threads {1, 2, 8} × random row
-//! ranges, and a file-backed (memory-mapped) reader must agree with the
-//! in-memory cursor reader everywhere.
+//! generations {v1, v2.2, v2.3} (committed fixtures) and v2.4 (live
+//! writer, adaptive codecs, planned and not) × threads {1, 2, 8} ×
+//! random row ranges, and a file-backed (memory-mapped) reader must
+//! agree with the in-memory cursor reader everywhere.
 
 use rqm::prelude::*;
 use std::io::Cursor;
@@ -32,7 +33,7 @@ fn mixed_field(shape: Shape) -> NdArray<f32> {
     rqm::datagen::fields::mixed_smooth_turbulent(shape, shape.dim(0) / 2, 30.0)
 }
 
-/// Stream `field` through the v2.2/v2.3 writer (planned ⇒ v2.3).
+/// Stream `field` through a writer session, optionally planned.
 fn streamed(field: &NdArray<f32>, cfg: &CompressorConfig, plan: Option<Vec<f64>>) -> Vec<u8> {
     let mut w = match plan {
         Some(p) => {
@@ -46,16 +47,19 @@ fn streamed(field: &NdArray<f32>, cfg: &CompressorConfig, plan: Option<Vec<f64>>
 }
 
 /// The generations the pooled paths must cover: v1 (single stream),
-/// v2.2 (trailer index, adaptive codecs), v2.3 (per-chunk bounds).
+/// v2.2 (trailer index) and v2.3 (per-chunk bounds) from the committed
+/// fixtures, v2.4 from the live writer with adaptive codecs.
 fn generations(field: &NdArray<f32>) -> Vec<(String, Vec<u8>)> {
     let base = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3));
     let chunked = base.chunked(5).with_codec(CodecChoice::Auto);
     let n_chunks = field.shape().dim(0).div_ceil(5);
     let plan: Vec<f64> = (0..n_chunks).map(|i| 1e-3 * (1.0 + i as f64)).collect();
     vec![
-        ("v1".into(), compress(field, &base).unwrap().bytes),
-        ("v2.2".into(), streamed(field, &chunked, None)),
-        ("v2.3".into(), streamed(field, &chunked, Some(plan))),
+        ("v1".into(), include_bytes!("data/golden_v1.rqc").to_vec()),
+        ("v2.2".into(), include_bytes!("data/golden_v22.rqc").to_vec()),
+        ("v2.3".into(), include_bytes!("data/golden_v23.rqc").to_vec()),
+        ("v2.4".into(), streamed(field, &chunked, None)),
+        ("v2.4 planned".into(), streamed(field, &chunked, Some(plan))),
     ]
 }
 
@@ -65,11 +69,11 @@ fn saturated_pools_stay_byte_identical() {
     // blob pool (and the engines' scratch slabs) hand back dirty
     // recycled buffers. Every answer must match a fresh serial decode.
     let field = mixed_field(Shape::d3(23, 8, 6));
-    let row_elems = 8 * 6;
-    let d0 = field.shape().dim(0);
     let mut rng = Rng(0x900D_BEEF);
     for (name, bytes) in generations(&field) {
         let reference = decompress::<f32>(&bytes).unwrap();
+        let d0 = reference.shape().dim(0);
+        let row_elems = reference.len() / d0;
         for threads in [1usize, 2, 8] {
             let mut r = ArchiveReader::open(Cursor::new(&bytes[..]))
                 .unwrap()
@@ -102,15 +106,16 @@ fn mapped_file_reader_matches_in_memory() {
     // provides them, pooled seek+read otherwise) must agree with the
     // in-memory cursor reader on every path and thread count.
     let field = mixed_field(Shape::d3(23, 8, 6));
-    let row_elems = 8 * 6;
-    let d0 = field.shape().dim(0);
     let dir = std::env::temp_dir().join("rqm_pooled_decode");
     std::fs::create_dir_all(&dir).unwrap();
     let mut rng = Rng(0x3A77_ED01);
     for (name, bytes) in generations(&field) {
-        let path = dir.join(format!("{}_{}.rqm", name.replace('.', "_"), std::process::id()));
+        let path =
+            dir.join(format!("{}_{}.rqm", name.replace(['.', ' '], "_"), std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
         let reference = decompress::<f32>(&bytes).unwrap();
+        let d0 = reference.shape().dim(0);
+        let row_elems = reference.len() / d0;
         for threads in [1usize, 2, 8] {
             let mut r = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
             assert_eq!(

@@ -1,8 +1,9 @@
 //! Concurrency differential for `rqm serve`: 64 client threads fire
 //! randomized, overlapping `READ_ROWS`/`READ_CHUNK` requests at one
 //! server and every reply must be byte-identical to a precomputed
-//! serial `ArchiveReader` decode — across container generations
-//! {v1, v2.2, v2.3} × cache budgets {0, tiny, unbounded}.
+//! serial `ArchiveReader` decode — across every container generation
+//! (v1–v2.3 from the committed fixtures, v2.4 from the live writer) ×
+//! cache budgets {0, tiny, unbounded}.
 //!
 //! The cache budget is an implementation detail the wire must not leak:
 //! pass-through (0), constant-thrash (tiny) and all-resident
@@ -28,42 +29,34 @@ impl Rng {
     }
 }
 
-/// Stream `field` through the archive writer (plan ⇒ v2.3, else v2.2).
-fn streamed(field: &NdArray<f32>, cfg: &CompressorConfig, plan: Option<Vec<f64>>) -> Vec<u8> {
-    let mut w = match plan {
-        Some(p) => {
-            ArchiveWriter::<f32, Vec<u8>>::create_planned(Vec::new(), field.shape(), cfg, p)
-                .unwrap()
-        }
-        None => ArchiveWriter::<f32, Vec<u8>>::create(Vec::new(), field.shape(), cfg).unwrap(),
-    };
-    w.write_slab(field).unwrap();
-    w.finalize().unwrap().sink
-}
-
-/// The served generations: v1 (serial container), v2.2 (streaming
-/// trailer index), v2.3 (per-chunk bounds) and v2.4 (three-way adaptive
-/// codecs, including rolz chunks). The historical generations use a
-/// fixed codec: the adaptive policy now emits v2.4 containers.
+/// The served generations: v1 through v2.3 from the committed fixtures
+/// (no writer emits them any more) and a live v2.4 archive — planned,
+/// three-way adaptive codecs, including rolz chunks.
 fn archive_matrix(field: &NdArray<f32>) -> Vec<(String, u8, Vec<u8>)> {
-    let base = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3));
-    let chunked = base.chunked(5).with_codec(CodecChoice::Zfp);
-    let adaptive = base.chunked(5).with_codec(CodecChoice::Auto);
+    let adaptive = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3))
+        .chunked(5)
+        .with_codec(CodecChoice::Auto);
     let n_chunks = field.shape().dim(0).div_ceil(5);
     let plan: Vec<f64> = (0..n_chunks).map(|i| 1e-3 * (1.0 + i as f64)).collect();
+    let mut w =
+        ArchiveWriter::<f32, Vec<u8>>::create_planned(Vec::new(), field.shape(), &adaptive, plan)
+            .unwrap();
+    w.write_slab(field).unwrap();
     vec![
-        ("v1".into(), 1, compress(field, &base).unwrap().bytes),
-        ("v2.2".into(), 4, streamed(field, &chunked, None)),
-        ("v2.3".into(), 5, streamed(field, &chunked, Some(plan.clone()))),
-        ("v2.4".into(), 6, streamed(field, &adaptive, Some(plan))),
+        ("v1".into(), 1, include_bytes!("data/golden_v1.rqc").to_vec()),
+        ("v2".into(), 2, include_bytes!("data/golden_v2.rqc").to_vec()),
+        ("v2.1".into(), 3, include_bytes!("data/golden_v21.rqc").to_vec()),
+        ("v2.2".into(), 4, include_bytes!("data/golden_v22.rqc").to_vec()),
+        ("v2.3".into(), 5, include_bytes!("data/golden_v23.rqc").to_vec()),
+        ("v2.4".into(), 6, w.finalize().unwrap().sink),
     ]
 }
 
 #[test]
 fn sixty_four_clients_match_the_serial_decode_across_generations_and_budgets() {
     let field = rqm::datagen::fields::mixed_smooth_turbulent(Shape::d3(23, 8, 6), 11, 30.0);
-    let row_elems = 8 * 6;
-    // Decoded chunk ≈ 5 × 48 × 4 = 960 bytes: "tiny" holds two of them.
+    // Decoded chunks are 960 B (live) to 1.6–2.3 KB (fixtures): "tiny"
+    // holds one or two of them, or none.
     let budgets: [(&str, u64); 3] = [("0", 0), ("tiny", 2_000), ("unbounded", u64::MAX)];
     const CLIENTS: usize = 64;
     const OPS: usize = 6;
@@ -77,6 +70,7 @@ fn sixty_four_clients_match_the_serial_decode_across_generations_and_budgets() {
         // The serial reference decode, once per generation.
         let mut serial = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         let reference = Arc::new(serial.read_all::<f32>().unwrap());
+        let row_elems = reference.len() / reference.shape().dim(0);
         let chunk_starts: Vec<(usize, usize)> = rqm::compress_crate::chunk_table(&bytes)
             .unwrap()
             .entries
