@@ -6,11 +6,13 @@
 //! so an existing file is never overwritten — that would defeat the test.
 //! The fixtures of the read-only generations — `golden_v1.rqc`,
 //! `golden_v2.rqc`, `golden_v21.rqc`, `golden_v22.rqc`, `golden_v23.rqc`
-//! — are **frozen**: they were produced by writers that no longer exist
-//! (every writer now emits v2.4) and cannot be regenerated; their field
-//! formulas live on in `tests/pipeline_roundtrip.rs`. Run this only when
-//! introducing a **new** generation. The field formulas here must match
-//! the expectations in `tests/pipeline_roundtrip.rs` exactly.
+//! and their f64 counterparts `golden_f64_v*.rqc` — are **frozen**: they
+//! were produced by writers that no longer exist (every writer now emits
+//! v2.4) and cannot be regenerated; their field formulas live on in
+//! `tests/pipeline_roundtrip.rs` (f32) and `tests/conformance.rs` (f64).
+//! Run this only when introducing a **new** generation. The field
+//! formulas here must match the expectations in
+//! `tests/pipeline_roundtrip.rs` exactly.
 //!
 //! ```sh
 //! cargo run -p rq-bench --bin make_golden_fixtures -- <out-dir>

@@ -209,6 +209,8 @@ impl Rng {
 
 /// A deterministic mixed-texture field of any scalar type: smooth waves
 /// plus hash noise, so sz and zfp both appear under `CodecChoice::Auto`.
+/// Frozen: the `golden_f64_*.rqc` fixtures encode `textured::<f64>` of
+/// shape 16×6×5 verbatim.
 fn textured<T: rqm::grid::Scalar>(shape: Shape) -> NdArray<T> {
     let mut lin = 0u64;
     NdArray::from_fn(shape, |ix| {
@@ -411,9 +413,94 @@ fn read_rows_matches_decompress_f32_all_generations() {
     assert_read_rows_matches_decompress_live::<f32>(&mut rng);
 }
 
+/// The f64 archives of the read-only generations: `textured::<f64>` of
+/// shape 16×6×5 under Lorenzo, absolute bound 1e-3 and 5-row chunks,
+/// written by the last commit that still had their writers (v1 one-shot
+/// serial, also under a point-wise relative bound of 1e-3; v2 one-shot
+/// chunked sz; v2.1 one-shot chunked zfp; v2.2 zfp streamed in 7-row
+/// slabs; v2.3 sz under [`F64_V23_PLAN`]). Frozen — no current writer can
+/// regenerate them.
+fn f64_fixtures() -> [(&'static str, u8, &'static [u8]); 6] {
+    [
+        ("golden f64 v1", 1, include_bytes!("data/golden_f64_v1.rqc")),
+        ("golden f64 v1 pwrel", 1, include_bytes!("data/golden_f64_v1_pwrel.rqc")),
+        ("golden f64 v2", 2, include_bytes!("data/golden_f64_v2.rqc")),
+        ("golden f64 v2.1", 3, include_bytes!("data/golden_f64_v21.rqc")),
+        ("golden f64 v2.2", 4, include_bytes!("data/golden_f64_v22.rqc")),
+        ("golden f64 v2.3", 5, include_bytes!("data/golden_f64_v23.rqc")),
+    ]
+}
+
+/// The per-chunk plan baked into `golden_f64_v23.rqc`.
+const F64_V23_PLAN: [f64; 4] = [1e-3, 5e-4, 1e-3, 5e-4];
+
+#[test]
+fn golden_f64_fixtures_backward_compat() {
+    use rqm::compress_crate::{chunk_table, decompress, decompress_chunk, peek_header};
+    let field = textured::<f64>(Shape::d3(16, 6, 5));
+    let row_elems = 6 * 5;
+    for (name, version, bytes) in f64_fixtures() {
+        let header = peek_header(bytes).unwrap();
+        assert_eq!(header.version, version, "{name}");
+        assert_eq!(header.shape.dims(), &[16, 6, 5], "{name}");
+        let table = chunk_table(bytes).unwrap();
+        let rows: Vec<usize> = table.entries.iter().map(|e| e.rows).collect();
+        assert_eq!(rows, if version == 1 { vec![16] } else { vec![5, 5, 5, 1] }, "{name}");
+        let zfp = matches!(version, 3 | 4);
+        for (i, e) in table.entries.iter().enumerate() {
+            let tag = if zfp { ChunkCodecKind::Zfp } else { ChunkCodecKind::Sz };
+            assert_eq!(e.codec, tag, "{name} chunk {i}");
+            if !header.log_transform {
+                let eb = if version == 5 { F64_V23_PLAN[i] } else { 1e-3 };
+                assert_eq!(e.eb, eb, "{name} chunk {i}");
+            }
+        }
+        assert_eq!(header.log_transform, name.ends_with("pwrel"), "{name}");
+
+        // Every element within its chunk's bound of the original field.
+        let back = decompress::<f64>(bytes).unwrap();
+        for e in &table.entries {
+            let span = e.start_row * row_elems..(e.start_row + e.rows) * row_elems;
+            for (&a, &b) in field.as_slice()[span.clone()].iter().zip(&back.as_slice()[span]) {
+                if !header.log_transform {
+                    assert!((a - b).abs() <= e.eb * (1.0 + 1e-9), "{name}: |{a} - {b}| > {}", e.eb);
+                } else if a <= 0.0 {
+                    assert_eq!(a, b, "{name}: non-positive values are stored exactly");
+                } else {
+                    assert!((a - b).abs() <= 1e-3 * a * (1.0 + 1e-9), "{name}: {a} vs {b}");
+                }
+            }
+        }
+
+        // Random access and the session reader, serial and pooled, agree
+        // with the full decode bit for bit.
+        for i in 0..table.entries.len() {
+            let (start_row, slab) = decompress_chunk::<f64>(bytes, i).unwrap();
+            let lo = start_row * row_elems;
+            assert!(slab.as_slice() == &back.as_slice()[lo..lo + slab.len()], "{name} chunk {i}");
+        }
+        for threads in [1usize, 2, 8] {
+            let mut reader = rqm::compress_crate::ArchiveReader::open(Cursor::new(bytes))
+                .unwrap()
+                .with_threads_exact(threads);
+            assert_eq!(reader.entries(), &table.entries[..], "{name}");
+            assert!(
+                reader.read_all::<f64>().unwrap().as_slice() == back.as_slice(),
+                "{name} threads={threads}"
+            );
+        }
+    }
+}
+
 #[test]
 fn read_rows_matches_decompress_f64_all_generations() {
+    // Generations 1–5 from the committed f64 fixtures (and the catalog
+    // fixture's `energy` segments, v2.2 archives too), generation 6 from
+    // every live writer path.
     let mut rng = Rng(0x5EED_1002);
+    for (name, _version, bytes) in f64_fixtures() {
+        assert_read_rows_matches_decompress::<f64>(name, bytes, &mut rng);
+    }
     for seg in cat1_segments("energy", 3) {
         assert_eq!(rqm::compress_crate::peek_header(&seg).unwrap().version, 4);
         assert_read_rows_matches_decompress::<f64>("golden cat1 energy", &seg, &mut rng);

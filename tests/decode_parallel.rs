@@ -7,9 +7,9 @@
 //! `decompress`/`decompress_chunk`, and every request on a shared
 //! `ConcurrentReader` — must produce results byte-identical to the
 //! single-threaded serial decode, for every container generation
-//! {v1, v2, v2.1, v2.2, v2.3} from the committed fixtures and v2.4 from
-//! the live writer × {sz, zfp, rolz, auto, planned} × thread count
-//! {1, 2, 3, 8} × random row ranges.
+//! {v1, v2, v2.1, v2.2, v2.3} from the committed fixtures (f32 and f64)
+//! and v2.4 from the live writer × {sz, zfp, rolz, auto, planned} ×
+//! thread count {1, 2, 3, 8} × random row ranges.
 //!
 //! The stress test hammers one `ConcurrentReader` from 8 threads with
 //! randomized overlapping `read_rows`/`read_chunk` requests, checks
@@ -17,6 +17,7 @@
 //! the aggregate `ReadStats` equal the sum of the per-request stats.
 
 use rqm::compress_crate::DecompressError;
+use rqm::grid::Scalar;
 use rqm::prelude::*;
 use std::io::Cursor;
 
@@ -91,57 +92,77 @@ fn archive_matrix(field: &NdArray<f32>) -> Vec<(String, u8, Vec<u8>)> {
     out
 }
 
+/// The committed f64 archives of the read-only generations (recipe and
+/// bound checks in `tests/conformance.rs`), with their version bytes.
+fn f64_fixtures() -> [(&'static str, u8, &'static [u8]); 6] {
+    [
+        ("golden f64 v1", 1, include_bytes!("data/golden_f64_v1.rqc")),
+        ("golden f64 v1 pwrel", 1, include_bytes!("data/golden_f64_v1_pwrel.rqc")),
+        ("golden f64 v2", 2, include_bytes!("data/golden_f64_v2.rqc")),
+        ("golden f64 v2.1", 3, include_bytes!("data/golden_f64_v21.rqc")),
+        ("golden f64 v2.2", 4, include_bytes!("data/golden_f64_v22.rqc")),
+        ("golden f64 v2.3", 5, include_bytes!("data/golden_f64_v23.rqc")),
+    ]
+}
+
+/// Little-endian bytes of decoded values, as `decompress_to_writer` emits.
+fn le_bytes<T: Scalar>(values: &[T]) -> Vec<u8> {
+    let mut out = Vec::new();
+    values.iter().for_each(|v| v.write_le(&mut out));
+    out
+}
+
+/// Every pooled decode path of one archive equals its serial decode.
+fn assert_parallel_matches_serial<T: Scalar>(name: &str, version: u8, bytes: &[u8], rng: &mut Rng) {
+    let header = rqm::compress_crate::peek_header(bytes).unwrap();
+    assert_eq!(header.version, version, "{name}: wrong container generation");
+    let d0 = header.shape.dim(0);
+    let row_elems = header.shape.len() / d0;
+    // The serial reference: single-threaded streaming read_all.
+    let mut serial = ArchiveReader::open(Cursor::new(bytes)).unwrap();
+    let reference = serial.read_all::<T>().unwrap();
+    assert!(
+        reference.as_slice() == decompress::<T>(bytes).unwrap().as_slice(),
+        "{name}: serial streaming decode diverges from the in-memory decoder"
+    );
+    for threads in [1usize, 2, 3, 8] {
+        let mut r = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
+        // Whole-field decode.
+        let all = r.read_all::<T>().unwrap();
+        assert!(all.as_slice() == reference.as_slice(), "{name} threads={threads}: read_all");
+        // Random row ranges, including chunk-interior and boundary
+        // straddling ones.
+        for _ in 0..12 {
+            let start = rng.below(d0);
+            let end = start + 1 + rng.below(d0 - start);
+            let part = r.read_rows::<T>(start..end).unwrap();
+            assert!(
+                part.as_slice() == &reference.as_slice()[start * row_elems..end * row_elems],
+                "{name} threads={threads}: read_rows {start}..{end}"
+            );
+        }
+        // Ordered streaming delivery into a writer.
+        let mut r = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
+        let mut sink = Vec::new();
+        let values = r.decompress_to_writer::<T, _>(&mut sink).unwrap();
+        assert_eq!(values as usize, reference.len(), "{name} threads={threads}");
+        assert_eq!(
+            sink,
+            le_bytes(reference.as_slice()),
+            "{name} threads={threads}: decompress_to_writer"
+        );
+    }
+}
+
 #[test]
 fn parallel_decode_matches_serial_across_generations() {
     let field = mixed_field(Shape::d3(23, 8, 6));
     let mut rng = Rng(0xDEC0_DE01);
     for (name, version, bytes) in archive_matrix(&field) {
-        let header = rqm::compress_crate::peek_header(&bytes).unwrap();
-        assert_eq!(header.version, version, "{name}: wrong container generation");
-        let d0 = header.shape.dim(0);
-        let row_elems = header.shape.len() / d0;
-        // The serial reference: single-threaded streaming read_all.
-        let mut serial = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
-        let reference = serial.read_all::<f32>().unwrap();
-        assert_eq!(
-            reference.as_slice(),
-            decompress::<f32>(&bytes).unwrap().as_slice(),
-            "{name}: serial streaming decode diverges from the in-memory decoder"
-        );
-        for threads in [1usize, 2, 3, 8] {
-            let mut r = ArchiveReader::open(Cursor::new(&bytes[..]))
-                .unwrap()
-                .with_threads_exact(threads);
-            // Whole-field decode.
-            let all = r.read_all::<f32>().unwrap();
-            assert_eq!(
-                all.as_slice(),
-                reference.as_slice(),
-                "{name} threads={threads}: read_all"
-            );
-            // Random row ranges, including chunk-interior and boundary
-            // straddling ones.
-            for _ in 0..12 {
-                let start = rng.below(d0);
-                let end = start + 1 + rng.below(d0 - start);
-                let part = r.read_rows::<f32>(start..end).unwrap();
-                assert_eq!(
-                    part.as_slice(),
-                    &reference.as_slice()[start * row_elems..end * row_elems],
-                    "{name} threads={threads}: read_rows {start}..{end}"
-                );
-            }
-            // Ordered streaming delivery into a writer.
-            let mut r = ArchiveReader::open(Cursor::new(&bytes[..]))
-                .unwrap()
-                .with_threads_exact(threads);
-            let mut sink = Vec::new();
-            let values = r.decompress_to_writer::<f32, _>(&mut sink).unwrap();
-            assert_eq!(values as usize, reference.len(), "{name} threads={threads}");
-            let expect: Vec<u8> =
-                reference.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
-            assert_eq!(sink, expect, "{name} threads={threads}: decompress_to_writer");
-        }
+        assert_parallel_matches_serial::<f32>(&name, version, &bytes, &mut rng);
+    }
+    for (name, version, bytes) in f64_fixtures() {
+        assert_parallel_matches_serial::<f64>(name, version, bytes, &mut rng);
     }
 }
 
@@ -155,41 +176,49 @@ fn every_source_kind_decodes_identically_with_equal_stats() {
     let field = mixed_field(Shape::d3(23, 8, 6));
     let dir = std::env::temp_dir().join("rqm_decode_parallel_test");
     std::fs::create_dir_all(&dir).unwrap();
-    for (i, (name, _version, bytes)) in archive_matrix(&field).into_iter().enumerate() {
-        let reference = decompress::<f32>(&bytes).unwrap();
-        let n_chunks = chunk_count(&bytes).unwrap();
-        let row_elems = reference.len() / reference.shape().dim(0);
-        for chunk in 0..n_chunks {
-            let (start_row, slab) = decompress_chunk::<f32>(&bytes, chunk).unwrap();
-            let lo = start_row * row_elems;
-            assert_eq!(
-                slab.as_slice(),
-                &reference.as_slice()[lo..lo + slab.len()],
-                "{name}: decompress_chunk {chunk}"
-            );
+    let path = dir.join(format!("src_{}.rqc", std::process::id()));
+    for (name, _version, bytes) in archive_matrix(&field) {
+        assert_source_kinds_agree::<f32>(&name, &bytes, &path);
+    }
+    for (name, _version, bytes) in f64_fixtures() {
+        assert_source_kinds_agree::<f64>(name, bytes, &path);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// One archive through every kind of source (see the test above); `path`
+/// is scratch space for the mapped copy.
+fn assert_source_kinds_agree<T: Scalar>(name: &str, bytes: &[u8], path: &std::path::Path) {
+    let reference = decompress::<T>(bytes).unwrap();
+    let n_chunks = chunk_count(bytes).unwrap();
+    let row_elems = reference.len() / reference.shape().dim(0);
+    for chunk in 0..n_chunks {
+        let (start_row, slab) = decompress_chunk::<T>(bytes, chunk).unwrap();
+        let lo = start_row * row_elems;
+        assert!(
+            slab.as_slice() == &reference.as_slice()[lo..lo + slab.len()],
+            "{name}: decompress_chunk {chunk}"
+        );
+    }
+    std::fs::write(path, bytes).unwrap();
+    for threads in [1usize, 2, 8] {
+        assert!(
+            decompress_with_threads::<T>(bytes, threads).unwrap().as_slice()
+                == reference.as_slice(),
+            "{name} threads={threads}: decompress_with_threads"
+        );
+        let mut stream =
+            ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
+        let mut mapped = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
+        for (kind, all, stats) in [
+            ("stream", stream.read_all::<T>().unwrap(), stream.stats()),
+            ("mapped", mapped.read_all::<T>().unwrap(), mapped.stats()),
+        ] {
+            assert!(all.as_slice() == reference.as_slice(), "{name} {kind} threads={threads}");
+            assert_eq!(stats.chunks_decoded, n_chunks as u64, "{name} {kind} threads={threads}");
+            assert_eq!(stats.reorder_copies, 0, "{name} {kind} threads={threads}");
         }
-        let path = dir.join(format!("src_{}_{i}.rqc", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        for threads in [1usize, 2, 8] {
-            assert_eq!(
-                decompress_with_threads::<f32>(&bytes, threads).unwrap().as_slice(),
-                reference.as_slice(),
-                "{name} threads={threads}: decompress_with_threads"
-            );
-            let mut stream =
-                ArchiveReader::open(Cursor::new(&bytes[..])).unwrap().with_threads_exact(threads);
-            let mut mapped = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
-            for (kind, all, stats) in [
-                ("stream", stream.read_all::<f32>().unwrap(), stream.stats()),
-                ("mapped", mapped.read_all::<f32>().unwrap(), mapped.stats()),
-            ] {
-                assert_eq!(all.as_slice(), reference.as_slice(), "{name} {kind} threads={threads}");
-                assert_eq!(stats.chunks_decoded, n_chunks as u64, "{name} {kind} threads={threads}");
-                assert_eq!(stats.reorder_copies, 0, "{name} {kind} threads={threads}");
-            }
-            assert_eq!(stream.stats().blob_bytes_read, mapped.stats().blob_bytes_read, "{name}");
-        }
-        std::fs::remove_file(&path).ok();
+        assert_eq!(stream.stats().blob_bytes_read, mapped.stats().blob_bytes_read, "{name}");
     }
 }
 

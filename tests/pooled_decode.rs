@@ -5,11 +5,13 @@
 //! observable in the decoded bytes: a long-lived reader whose pools are
 //! saturated with dirty buffers from earlier requests must keep
 //! producing output byte-identical to a fresh reader, across container
-//! generations {v1, v2.2, v2.3} (committed fixtures) and v2.4 (live
-//! writer, adaptive codecs, planned and not) × threads {1, 2, 8} ×
+//! generations {v1, v2.2, v2.3} (committed fixtures; f64 ones for
+//! v1–v2.3) and v2.4 (live writer, adaptive codecs, planned and not) ×
+//! threads {1, 2, 8} ×
 //! random row ranges, and a file-backed (memory-mapped) reader must
 //! agree with the in-memory cursor reader everywhere.
 
+use rqm::grid::Scalar;
 use rqm::prelude::*;
 use std::io::Cursor;
 
@@ -63,6 +65,19 @@ fn generations(field: &NdArray<f32>) -> Vec<(String, Vec<u8>)> {
     ]
 }
 
+/// The committed f64 archives of the read-only generations (recipe and
+/// bound checks in `tests/conformance.rs`).
+fn f64_fixtures() -> [(&'static str, &'static [u8]); 6] {
+    [
+        ("f64 v1", include_bytes!("data/golden_f64_v1.rqc")),
+        ("f64 v1 pwrel", include_bytes!("data/golden_f64_v1_pwrel.rqc")),
+        ("f64 v2", include_bytes!("data/golden_f64_v2.rqc")),
+        ("f64 v2.1", include_bytes!("data/golden_f64_v21.rqc")),
+        ("f64 v2.2", include_bytes!("data/golden_f64_v22.rqc")),
+        ("f64 v2.3", include_bytes!("data/golden_f64_v23.rqc")),
+    ]
+}
+
 #[test]
 fn saturated_pools_stay_byte_identical() {
     // One reader serves many requests; from the second request on, its
@@ -71,31 +86,34 @@ fn saturated_pools_stay_byte_identical() {
     let field = mixed_field(Shape::d3(23, 8, 6));
     let mut rng = Rng(0x900D_BEEF);
     for (name, bytes) in generations(&field) {
-        let reference = decompress::<f32>(&bytes).unwrap();
-        let d0 = reference.shape().dim(0);
-        let row_elems = reference.len() / d0;
-        for threads in [1usize, 2, 8] {
-            let mut r = ArchiveReader::open(Cursor::new(&bytes[..]))
-                .unwrap()
-                .with_threads_exact(threads);
-            for round in 0..15 {
-                let start = rng.below(d0);
-                let end = start + 1 + rng.below(d0 - start);
-                let part = r.read_rows::<f32>(start..end).unwrap();
-                assert_eq!(
-                    part.as_slice(),
-                    &reference.as_slice()[start * row_elems..end * row_elems],
-                    "{name} threads={threads} round={round}: rows {start}..{end}"
-                );
-            }
-            for round in 0..3 {
-                let all = r.read_all::<f32>().unwrap();
-                assert_eq!(
-                    all.as_slice(),
-                    reference.as_slice(),
-                    "{name} threads={threads} round={round}: read_all"
-                );
-            }
+        assert_saturated_pools_identical::<f32>(&name, &bytes, &mut rng);
+    }
+    for (name, bytes) in f64_fixtures() {
+        assert_saturated_pools_identical::<f64>(name, bytes, &mut rng);
+    }
+}
+
+fn assert_saturated_pools_identical<T: Scalar>(name: &str, bytes: &[u8], rng: &mut Rng) {
+    let reference = decompress::<T>(bytes).unwrap();
+    let d0 = reference.shape().dim(0);
+    let row_elems = reference.len() / d0;
+    for threads in [1usize, 2, 8] {
+        let mut r = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
+        for round in 0..15 {
+            let start = rng.below(d0);
+            let end = start + 1 + rng.below(d0 - start);
+            let part = r.read_rows::<T>(start..end).unwrap();
+            assert!(
+                part.as_slice() == &reference.as_slice()[start * row_elems..end * row_elems],
+                "{name} threads={threads} round={round}: rows {start}..{end}"
+            );
+        }
+        for round in 0..3 {
+            let all = r.read_all::<T>().unwrap();
+            assert!(
+                all.as_slice() == reference.as_slice(),
+                "{name} threads={threads} round={round}: read_all"
+            );
         }
     }
 }
@@ -108,51 +126,59 @@ fn mapped_file_reader_matches_in_memory() {
     let field = mixed_field(Shape::d3(23, 8, 6));
     let dir = std::env::temp_dir().join("rqm_pooled_decode");
     std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("mapped_{}.rqm", std::process::id()));
     let mut rng = Rng(0x3A77_ED01);
     for (name, bytes) in generations(&field) {
-        let path =
-            dir.join(format!("{}_{}.rqm", name.replace(['.', ' '], "_"), std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let reference = decompress::<f32>(&bytes).unwrap();
-        let d0 = reference.shape().dim(0);
-        let row_elems = reference.len() / d0;
-        for threads in [1usize, 2, 8] {
-            let mut r = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
-            assert_eq!(
-                r.read_all::<f32>().unwrap().as_slice(),
-                reference.as_slice(),
-                "{name} threads={threads}: mapped read_all"
-            );
-            for _ in 0..8 {
-                let start = rng.below(d0);
-                let end = start + 1 + rng.below(d0 - start);
-                let part = r.read_rows::<f32>(start..end).unwrap();
-                assert_eq!(
-                    part.as_slice(),
-                    &reference.as_slice()[start * row_elems..end * row_elems],
-                    "{name} threads={threads}: mapped rows {start}..{end}"
-                );
-            }
-            let mut sink = Vec::new();
-            let mut r = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
-            r.decompress_to_writer::<f32, _>(&mut sink).unwrap();
-            let expect: Vec<u8> =
-                reference.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
-            assert_eq!(sink, expect, "{name} threads={threads}: mapped writer");
-        }
-        // Shared mapped reader: lock-free fetches, same bytes.
-        let cr = ConcurrentReader::open_path(&path).unwrap();
-        for _ in 0..6 {
+        assert_mapped_matches_in_memory::<f32>(&name, &bytes, &path, &mut rng);
+    }
+    for (name, bytes) in f64_fixtures() {
+        assert_mapped_matches_in_memory::<f64>(name, bytes, &path, &mut rng);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+fn assert_mapped_matches_in_memory<T: Scalar>(
+    name: &str,
+    bytes: &[u8],
+    path: &std::path::Path,
+    rng: &mut Rng,
+) {
+    std::fs::write(path, bytes).unwrap();
+    let reference = decompress::<T>(bytes).unwrap();
+    let d0 = reference.shape().dim(0);
+    let row_elems = reference.len() / d0;
+    for threads in [1usize, 2, 8] {
+        let mut r = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
+        assert!(
+            r.read_all::<T>().unwrap().as_slice() == reference.as_slice(),
+            "{name} threads={threads}: mapped read_all"
+        );
+        for _ in 0..8 {
             let start = rng.below(d0);
             let end = start + 1 + rng.below(d0 - start);
-            let part = cr.read_rows::<f32>(start..end).unwrap();
-            assert_eq!(
-                part.as_slice(),
-                &reference.as_slice()[start * row_elems..end * row_elems],
-                "{name}: concurrent mapped rows {start}..{end}"
+            let part = r.read_rows::<T>(start..end).unwrap();
+            assert!(
+                part.as_slice() == &reference.as_slice()[start * row_elems..end * row_elems],
+                "{name} threads={threads}: mapped rows {start}..{end}"
             );
         }
-        std::fs::remove_file(&path).ok();
+        let mut sink = Vec::new();
+        let mut r = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
+        r.decompress_to_writer::<T, _>(&mut sink).unwrap();
+        let mut expect = Vec::new();
+        reference.as_slice().iter().for_each(|v| v.write_le(&mut expect));
+        assert_eq!(sink, expect, "{name} threads={threads}: mapped writer");
+    }
+    // Shared mapped reader: lock-free fetches, same bytes.
+    let cr = ConcurrentReader::open_path(path).unwrap();
+    for _ in 0..6 {
+        let start = rng.below(d0);
+        let end = start + 1 + rng.below(d0 - start);
+        let part = cr.read_rows::<T>(start..end).unwrap();
+        assert!(
+            part.as_slice() == &reference.as_slice()[start * row_elems..end * row_elems],
+            "{name}: concurrent mapped rows {start}..{end}"
+        );
     }
 }
 
