@@ -397,6 +397,10 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
     /// not align with chunk boundaries, the writer carries partial chunks
     /// over. Feeding slabs of several `chunk_rows` at once keeps the
     /// worker pool busy.
+    ///
+    /// A call that fails accepts none of its slab: the session's row
+    /// count is where it was before the call. After an I/O error the sink
+    /// may hold part of a chunk, so the archive cannot be completed.
     pub fn write_slab(&mut self, slab: &NdArray<T>) -> Result<(), CompressError> {
         let s = slab.shape();
         if s.ndim() != self.shape.ndim() || s.dims()[1..] != self.shape.dims()[1..] {
@@ -416,8 +420,9 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
         // With nothing carried over, whole chunks are encoded straight
         // from the caller's slab — the one-shot path never copies the
         // field. Only rows short of a chunk are carried to the next call.
+        let held = self.buf.len();
         let mut carried = std::mem::take(&mut self.buf);
-        let fresh = carried.is_empty();
+        let fresh = held == 0;
         if !fresh {
             carried.extend_from_slice(slab.as_slice());
         }
@@ -427,16 +432,22 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
         // possibly short, chunk.
         let ready = if total == self.shape.dim(0) { rows } else { rows - rows % self.chunk_rows };
         let ready_elems = ready * self.row_elems;
-        if ready > 0 {
-            self.encode_rows(&data[..ready_elems], ready)?;
+        let encoded =
+            if ready > 0 { self.encode_rows(&data[..ready_elems], ready) } else { Ok(()) };
+        match (&encoded, fresh) {
+            (Ok(()), true) => self.buf.extend_from_slice(&data[ready_elems..]),
+            (Ok(()), false) => {
+                carried.drain(..ready_elems);
+                self.buf = carried;
+            }
+            // A failed call accepts none of its slab: the rows carried
+            // over from earlier calls stay buffered.
+            (Err(_), _) => {
+                carried.truncate(held);
+                self.buf = carried;
+            }
         }
-        if fresh {
-            self.buf.extend_from_slice(&data[ready_elems..]);
-        } else {
-            carried.drain(..ready_elems);
-            self.buf = carried;
-        }
-        Ok(())
+        encoded
     }
 
     /// Encode `rows` rows of `data` as the next chunks and write them.
@@ -449,8 +460,13 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
         // `chunks.len()` entries of the whole-field plan.
         let base = self.index.len();
         let plan = self.plan.as_ref().map(|p| &p[base..base + chunks.len()]);
-        for ec in self.enc.encode_chunks(data, chunks, plan)? {
+        let encoded = self.enc.encode_chunks(data, chunks, plan)?;
+        // Count a batch only once all of it is written, so a failed call
+        // leaves the session's row accounting where it was.
+        for ec in &encoded {
             self.sink.write_all(&ec.blob)?;
+        }
+        for ec in encoded {
             self.bytes_written += ec.blob.len() as u64;
             self.rows_done += ec.rows;
             self.index.push((ec.rows, ec.codec, ec.blob.len(), ec.eb));
@@ -528,13 +544,14 @@ pub struct ReadStats {
 /// scoped workers behind a bounded read-ahead window
 /// ([`Self::with_read_ahead`]): at most `threads + read_ahead` chunks are
 /// in flight at once, so peak memory stays `O(window × chunk)` no matter
-/// how large the archive is. A mapped file runs the same pipeline with
-/// zero-copy fetches; over an archive held in memory there is no fetch
-/// stage at all: region reads hand the workers statically assigned
-/// chunks to decode straight out of the bytes. All decode paths — [`Self::read_all`],
-/// [`Self::read_rows`], [`Self::decompress_rows`] and
-/// [`Self::decompress_to_writer`] — use the pool; results are delivered
-/// in row order and are byte-identical to the single-threaded decode.
+/// how large the archive is. An addressable source — a mapped file, an
+/// archive held in memory — has no fetch stage: region reads hand the
+/// workers statically assigned chunks to decode straight out of the
+/// bytes, and ordered streaming runs the same pipeline with zero-copy
+/// fetches. All decode paths — [`Self::read_all`], [`Self::read_rows`],
+/// [`Self::decompress_rows`] and [`Self::decompress_to_writer`] — use
+/// the pool; results are delivered in row order and are byte-identical
+/// to the single-threaded decode.
 ///
 /// See the [module docs](self) for a complete write/read example.
 pub struct ArchiveReader<R: Read + Seek> {
@@ -695,8 +712,8 @@ impl<R: Read + Seek> ArchiveReader<R> {
     /// its buffer pool), the header, and the counters to update.
     fn decode_parts(&mut self) -> (Fetcher<'_, R>, &Header, &mut ReadStats) {
         let fetcher = match (&self.map, self.inline) {
-            (Some(map), _) => Fetcher::Mapped(map.as_slice()),
-            (None, Some(view)) => Fetcher::Memory(view(&self.src)),
+            (Some(map), _) => Fetcher::Bytes(map.as_slice()),
+            (None, Some(view)) => Fetcher::Bytes(view(&self.src)),
             (None, None) => Fetcher::Stream { src: &mut self.src, pool: &self.blob_pool },
         };
         (fetcher, &self.header, &mut self.stats)
@@ -924,10 +941,9 @@ fn blob_window(bytes: &[u8], entry: ChunkEntry) -> Result<&[u8], DecompressError
 
 /// The fetch stage of one decode run.
 enum Fetcher<'e, R> {
-    /// An archive held in memory: a fetch is a window of these bytes.
-    Memory(&'e [u8]),
-    /// A memory-mapped file: a window too, faulted in by the kernel.
-    Mapped(&'e [u8]),
+    /// An addressable source — a mapped file or an archive held in
+    /// memory: a fetch is a window of these bytes.
+    Bytes(&'e [u8]),
     /// A plain stream: a fetch is a seek+read into a recycled buffer.
     Stream { src: &'e mut R, pool: &'e BytePool },
 }
@@ -935,9 +951,7 @@ enum Fetcher<'e, R> {
 impl<'e, R: Read + Seek> Fetcher<'e, R> {
     fn fetch(&mut self, entry: ChunkEntry) -> Result<Blob<'e>, DecompressError> {
         match self {
-            Fetcher::Memory(bytes) | Fetcher::Mapped(bytes) => {
-                blob_window(bytes, entry).map(Blob::Mapped)
-            }
+            Fetcher::Bytes(bytes) => blob_window(bytes, entry).map(Blob::Mapped),
             Fetcher::Stream { src, pool } => {
                 let mut buf = pool.get(entry.len);
                 match read_span_into(*src, entry.offset as u64, &mut buf) {
@@ -981,18 +995,17 @@ fn decode_slice_job<T: Scalar>(
 /// Run slice jobs through the decode pool; workers write into their
 /// jobs' disjoint output slices, so no reorder buffer is needed.
 ///
-/// An archive held in memory has no fetch stage: the jobs are
-/// statically assigned to `threads` scoped workers, each slicing its own
-/// blobs out of the bytes — for the small archives the one-shot API
-/// typically sees, a channel hop and a wake-up per chunk cost more than
-/// decoding the chunk. Otherwise the calling thread fetches blobs
-/// sequentially (in offset order) — zero-copy off the map when there is
-/// one, else into recycled pool buffers — and hands them to the workers
-/// over a bounded channel, so at most `window` fetched blobs queue ahead
-/// of the decoders (plus one in each worker's hands); with one thread
-/// and no map, a dedicated prefetch thread reads ahead instead,
-/// overlapping I/O with the caller's decoding. The first error aborts
-/// the run; remaining queued jobs are drained, never left hanging.
+/// An addressable source (a mapped file, an archive held in memory) has
+/// no fetch stage: the jobs are statically assigned to `threads` scoped
+/// workers, each slicing its own blobs out of the bytes — for small
+/// chunks a channel hop and a wake-up per chunk cost more than decoding
+/// the chunk. Over a plain stream the calling thread fetches blobs
+/// sequentially (in offset order) into recycled pool buffers and hands
+/// them to the workers over a bounded channel, so at most `window`
+/// fetched blobs queue ahead of the decoders (plus one in each worker's
+/// hands); with one thread, a dedicated prefetch thread reads ahead
+/// instead, overlapping I/O with the caller's decoding. The first error
+/// aborts the run; remaining queued jobs are drained, never left hanging.
 fn run_slice_jobs<T: Scalar, R: Read + Seek + Send>(
     mut fetcher: Fetcher<'_, R>,
     header: &Header,
@@ -1002,7 +1015,7 @@ fn run_slice_jobs<T: Scalar, R: Read + Seek + Send>(
     stats: &mut ReadStats,
 ) -> Result<(), DecompressError> {
     let scratch = SlabPool::<T>::new();
-    if let Fetcher::Memory(bytes) = fetcher {
+    if let Fetcher::Bytes(bytes) = fetcher {
         let chunks = jobs.len() as u64;
         let blob_bytes: u64 = jobs.iter().map(|j| j.entry.len as u64).sum();
         let copied = run_on_workers(jobs, threads, |job| {
@@ -1013,10 +1026,8 @@ fn run_slice_jobs<T: Scalar, R: Read + Seek + Send>(
         stats.reorder_copies += copied.iter().filter(|&&c| c).count() as u64;
         return Ok(());
     }
-    // Serial inline decode: a single job never benefits from staging, and
-    // a mapped source needs no prefetch thread at 1 thread — the kernel's
-    // readahead already faults upcoming extents while this one decodes.
-    if jobs.len() <= 1 || (threads <= 1 && matches!(fetcher, Fetcher::Mapped(_))) {
+    // Serial inline decode: a single job never benefits from staging.
+    if jobs.len() <= 1 {
         for job in jobs {
             let entry = job.entry;
             let blob = fetcher.fetch(entry)?;
@@ -1029,7 +1040,7 @@ fn run_slice_jobs<T: Scalar, R: Read + Seek + Send>(
     }
     let window = window.max(2);
     if threads <= 1 {
-        // Unmapped single-threaded decode of several chunks: a dedicated
+        // Single-threaded decode of several chunks off a stream: a dedicated
         // fetch thread reads extents ahead (bounded by the window) while
         // the calling thread decodes, overlapping I/O with decode.
         return std::thread::scope(|scope| {
@@ -1161,7 +1172,7 @@ fn run_ordered_jobs<T: Scalar, R: Read + Seek + Send>(
     // an addressable source needs no prefetch thread at 1 thread — there
     // is no I/O to overlap (over a map, the kernel's readahead already
     // faults upcoming extents while this one decodes).
-    if jobs.len() <= 1 || (threads <= 1 && !matches!(fetcher, Fetcher::Stream { .. })) {
+    if jobs.len() <= 1 || (threads <= 1 && matches!(fetcher, Fetcher::Bytes(_))) {
         for (entry, cshape) in jobs {
             let blob = fetcher.fetch(entry)?;
             stats.blob_bytes_read += entry.len as u64;
@@ -1919,6 +1930,39 @@ mod tests {
         // Short coverage fails at finalize.
         w.write_slab(&NdArray::<f32>::zeros(Shape::d2(4, 4))).unwrap();
         assert!(matches!(w.finalize(), Err(CompressError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn failed_write_slab_accepts_nothing() {
+        // A sink that refuses one write: the failed call must leave the
+        // rows carried over from earlier slabs in place, so repeating it
+        // completes the very archive an undisturbed session writes.
+        struct RefuseOnce(std::rc::Rc<std::cell::Cell<bool>>, Vec<u8>);
+        impl Write for RefuseOnce {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.0.replace(false) {
+                    return Err(std::io::Error::other("sink refused"));
+                }
+                self.1.write(buf)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let field = wavy(Shape::d2(8, 4));
+        let rows = |r: Range<usize>| {
+            let part = &field.as_slice()[r.start * 4..r.end * 4];
+            NdArray::from_vec(Shape::d2(r.len(), 4), part.to_vec())
+        };
+        let refuse = std::rc::Rc::new(std::cell::Cell::new(false));
+        let sink = RefuseOnce(refuse.clone(), Vec::new());
+        let mut w = ArchiveWriter::<f32, _>::create(sink, field.shape(), &cfg()).unwrap();
+        w.write_slab(&rows(0..3)).unwrap(); // short of the 6-row chunk: carried over
+        refuse.set(true);
+        assert!(matches!(w.write_slab(&rows(3..8)), Err(CompressError::Io(_))));
+        assert_eq!(w.rows_accepted(), 3);
+        w.write_slab(&rows(3..8)).unwrap();
+        assert_eq!(w.finalize().unwrap().sink.1, stream_archive(&field, &cfg(), 8));
     }
 
     #[test]

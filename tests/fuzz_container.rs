@@ -95,6 +95,18 @@ fn valid_archives() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
+/// Mutation cases for one archive of [`valid_archives`]. The read-only
+/// generations exist only as fixtures, so each fixture gets the full
+/// count; the five live archives are variants of the one written
+/// generation and get two fifths of it each.
+fn cases(name: &str, full: usize) -> usize {
+    if name.starts_with("live") {
+        full * 2 / 5
+    } else {
+        full
+    }
+}
+
 /// The heterogeneous per-chunk plan behind the live planned fuzz archive
 /// (16-row field in 4-row chunks).
 const LIVE_FUZZ_PLAN: [f64; 4] = [1e-3, 1e-4, 2e-4, 5e-5];
@@ -143,7 +155,7 @@ fn try_decode(bytes: &[u8]) -> Option<Result<NdArray<f32>, String>> {
 fn random_byte_flips_never_panic() {
     let mut rng = Rng(0x5EED_0001);
     for (name, bytes) in &valid_archives() {
-        for case in 0..250 {
+        for case in 0..cases(name, 400) {
             let mut mutated = bytes.clone();
             // 1–4 byte flips per case, anywhere in the archive.
             for _ in 0..(1 + rng.below(4)) {
@@ -171,8 +183,8 @@ fn random_overwrites_never_panic() {
     // Whole-byte garbage (not just single-bit flips) hits varint
     // continuation bits and tag bytes harder.
     let mut rng = Rng(0x5EED_0002);
-    for (_name, bytes) in &valid_archives() {
-        for _case in 0..180 {
+    for (name, bytes) in &valid_archives() {
+        for _case in 0..cases(name, 300) {
             let mut mutated = bytes.clone();
             let start = rng.below(mutated.len());
             let span = 1 + rng.below(8).min(mutated.len() - start - 1);
@@ -190,7 +202,7 @@ fn truncations_always_error() {
     for (name, bytes) in &valid_archives() {
         // Every short prefix length is an error; sample densely plus the
         // boundary cases.
-        for case in 0..300 {
+        for case in 0..cases(name, 300) {
             let cut = match case {
                 0 => 0,
                 1 => 1,
@@ -211,7 +223,7 @@ fn flips_in_header_and_index_error_or_stay_consistent() {
     let mut rng = Rng(0x5EED_0004);
     for (name, bytes) in &valid_archives() {
         let zone = bytes.len().min(64);
-        for case in 0..300 {
+        for case in 0..cases(name, 500) {
             let mut mutated = bytes.clone();
             let pos = rng.below(zone);
             mutated[pos] ^= 1 << rng.below(8);
@@ -391,8 +403,8 @@ fn archive_reader_never_panics_on_mutations() {
     // so corruption surfacing inside a decode worker propagates as a
     // typed error through the pool, never as a panic, abort, or hang.
     let mut rng = Rng(0x5EED_0023);
-    for (_name, bytes) in &valid_archives() {
-        for case in 0..120 {
+    for (name, bytes) in &valid_archives() {
+        for case in 0..cases(name, 200) {
             let mut m = bytes.clone();
             let pos = rng.below(m.len());
             m[pos] ^= 1 << rng.below(8);
@@ -413,7 +425,7 @@ fn archive_reader_never_panics_on_mutations() {
                 let _ = r.decompress_to_writer::<f32, _>(&mut std::io::sink());
             }
         }
-        for case in 0..60 {
+        for case in 0..cases(name, 100) {
             let cut = rng.below(bytes.len());
             let threads = if case % 2 == 0 { 1 } else { 4 };
             if let Ok(r) = rqm::compress_crate::ArchiveReader::open(Cursor::new(&bytes[..cut]))
