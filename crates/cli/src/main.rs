@@ -836,11 +836,26 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// Name and byte width of the scalar a container's tag byte declares.
+fn scalar(tag: u8) -> Result<(&'static str, usize), String> {
+    match tag {
+        t if t == <f32 as rq_grid::Scalar>::TAG => Ok(("f32", <f32 as rq_grid::Scalar>::BYTES)),
+        t if t == <f64 as rq_grid::Scalar>::TAG => Ok(("f64", <f64 as rq_grid::Scalar>::BYTES)),
+        t => Err(format!("unsupported scalar tag {t:#04x}")),
+    }
+}
+
 /// Emit the header + chunk table as machine-readable JSON (hand-rolled,
 /// no dependencies — the structure is flat enough that a serializer
 /// would be overkill).
-fn print_info_json(input: &str, total_bytes: u64, h: &Header, table: &rq_compress::ChunkTable) {
-    println!("{}", info_json_string(input, total_bytes, h, table));
+fn print_info_json(
+    input: &str,
+    total_bytes: u64,
+    h: &Header,
+    table: &rq_compress::ChunkTable,
+) -> Result<(), String> {
+    println!("{}", info_json_string(input, total_bytes, h, table)?);
+    Ok(())
 }
 
 /// Build the `rqm info --json` document. Split from the printing so the
@@ -852,8 +867,8 @@ fn info_json_string(
     total_bytes: u64,
     h: &Header,
     table: &rq_compress::ChunkTable,
-) -> String {
-    let scalar_bytes = if h.scalar_tag == 0x04 { 4 } else { 8 };
+) -> Result<String, String> {
+    let (scalar_name, scalar_bytes) = scalar(h.scalar_tag)?;
     let row_elems: usize = h.shape.dims()[1..].iter().product::<usize>().max(1);
     let mut out = String::new();
     out.push_str("{\n");
@@ -864,10 +879,7 @@ fn info_json_string(
     out.push_str(&format!("  \"bytes\": {total_bytes},\n"));
     let dims: Vec<String> = h.shape.dims().iter().map(|d| d.to_string()).collect();
     out.push_str(&format!("  \"shape\": [{}],\n", dims.join(", ")));
-    out.push_str(&format!(
-        "  \"scalar\": \"{}\",\n",
-        if h.scalar_tag == 0x04 { "f32" } else { "f64" }
-    ));
+    out.push_str(&format!("  \"scalar\": \"{scalar_name}\",\n"));
     out.push_str(&format!("  \"predictor\": \"{}\",\n", h.predictor.name()));
     out.push_str(&format!("  \"abs_bound\": {},\n", json_f64(h.abs_eb)));
     out.push_str(&format!("  \"radius\": {},\n", h.radius));
@@ -896,7 +908,7 @@ fn info_json_string(
         ));
     }
     out.push_str("  ]\n}");
-    out
+    Ok(out)
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
@@ -910,8 +922,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
         drop(src);
         let reader = CatalogReader::open_path(&input)
             .map_err(|e| format!("not a readable catalog: {e}"))?;
-        print_catalog(&input, total_bytes, reader.index(), json);
-        return Ok(());
+        return print_catalog(&input, total_bytes, reader.index(), json);
     }
     if sniffed >= 4 && &magic[..4] == b"RQZF" {
         if json {
@@ -932,19 +943,18 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     let h = reader.header().clone();
     let table = reader.chunk_table();
     if json {
-        print_info_json(&input, total_bytes, &h, &table);
-        return Ok(());
+        return print_info_json(&input, total_bytes, &h, &table);
     }
+    let (scalar_name, scalar_bytes) = scalar(h.scalar_tag)?;
     println!("{input}: RQMC container v{} ({}), {total_bytes} bytes",
         generation_name(h.version), h.version);
     println!("  shape:      {:?}", h.shape);
-    println!("  scalar:     {}", if h.scalar_tag == 0x04 { "f32" } else { "f64" });
+    println!("  scalar:     {scalar_name}");
     println!("  predictor:  {}", h.predictor.name());
     println!("  abs bound:  {:.6e}", h.abs_eb);
     println!("  radius:     {}", h.radius);
     println!("  lossless:   {:?}", h.lossless);
     println!("  log xform:  {}", h.log_transform);
-    let scalar_bytes = if h.scalar_tag == 0x04 { 4 } else { 8 };
     if h.version >= 2 {
         println!("  chunks:     {} × {} rows", table.entries.len(), table.chunk_rows);
         let row_elems: usize = h.shape.dims()[1..].iter().product::<usize>().max(1);
@@ -976,9 +986,12 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 /// Summarize a catalog index: one block per dataset, with the per-step
 /// segment table and the dataset's overall ratio (raw bytes over segment
 /// bytes — the trailer itself is excluded, it is shared bookkeeping).
-fn print_catalog(input: &str, total_bytes: u64, index: &CatalogIndex, json: bool) {
-    let scalar_name = |tag: u8| if tag == 0x04 { "f32" } else { "f64" };
-    let scalar_bytes = |tag: u8| if tag == 0x04 { 4usize } else { 8 };
+fn print_catalog(
+    input: &str,
+    total_bytes: u64,
+    index: &CatalogIndex,
+    json: bool,
+) -> Result<(), String> {
     if json {
         let mut out = String::new();
         out.push_str("{\n");
@@ -988,7 +1001,8 @@ fn print_catalog(input: &str, total_bytes: u64, index: &CatalogIndex, json: bool
         out.push_str(&format!("  \"bytes\": {total_bytes},\n"));
         out.push_str("  \"datasets\": [\n");
         for (i, d) in index.datasets.iter().enumerate() {
-            let raw = d.steps.len() * d.shape.len() * scalar_bytes(d.scalar_tag);
+            let (scalar_name, scalar_bytes) = scalar(d.scalar_tag)?;
+            let raw = d.steps.len() * d.shape.len() * scalar_bytes;
             let seg: u64 = d.steps.iter().map(|s| s.len).sum();
             let dims: Vec<String> = d.shape.dims().iter().map(|x| x.to_string()).collect();
             out.push_str(&format!(
@@ -996,7 +1010,7 @@ fn print_catalog(input: &str, total_bytes: u64, index: &CatalogIndex, json: bool
                  \"steps\": {}, \"keyframe_every\": {}, \"abs_bound\": {}, \
                  \"segment_bytes\": {seg}, \"ratio\": {}, \"steps_detail\": [\n",
                 json_escape(&d.name),
-                scalar_name(d.scalar_tag),
+                scalar_name,
                 dims.join(", "),
                 d.steps.len(),
                 d.keyframe_every,
@@ -1022,7 +1036,7 @@ fn print_catalog(input: &str, total_bytes: u64, index: &CatalogIndex, json: bool
         }
         out.push_str("  ]\n}");
         println!("{out}");
-        return;
+        return Ok(());
     }
     println!(
         "{input}: RQCAT catalog v{}, {total_bytes} bytes, {} dataset(s), {} steps",
@@ -1031,12 +1045,13 @@ fn print_catalog(input: &str, total_bytes: u64, index: &CatalogIndex, json: bool
         index.total_steps()
     );
     for d in &index.datasets {
-        let raw = d.steps.len() * d.shape.len() * scalar_bytes(d.scalar_tag);
+        let (scalar_name, scalar_bytes) = scalar(d.scalar_tag)?;
+        let raw = d.steps.len() * d.shape.len() * scalar_bytes;
         let seg: u64 = d.steps.iter().map(|s| s.len).sum();
         println!(
             "  {}: {} {:?}, {} steps (keyframe every {}), abs bound {:.3e}",
             d.name,
-            scalar_name(d.scalar_tag),
+            scalar_name,
             d.shape,
             d.steps.len(),
             d.keyframe_every,
@@ -1056,6 +1071,7 @@ fn print_catalog(input: &str, total_bytes: u64, index: &CatalogIndex, json: bool
             raw as f64 / seg.max(1) as f64
         );
     }
+    Ok(())
 }
 
 /// Large odd stride between per-dataset seeds, so `pack --datasets a,b,c`
@@ -1201,16 +1217,15 @@ fn cmd_unpack(args: &Args) -> Result<(), String> {
             Some(t) => vec![t],
             None => (0..n_steps).collect(),
         };
-        let ext = if tag == 0x04 { "f32" } else { "f64" };
+        let (ext, scalar_bytes) = scalar(tag)?;
         let file = match step_sel {
             Some(t) => format!("{outdir}/{name}_t{t}.{ext}"),
             None => format!("{outdir}/{name}.{ext}"),
         };
-        let scalar_bytes = if tag == 0x04 { 4 } else { 8 };
         let mut raw = Vec::with_capacity(steps.len() * shape.len() * scalar_bytes);
         for &t in &steps {
-            match tag {
-                0x04 => {
+            match ext {
+                "f32" => {
                     let f = reader
                         .read_step::<f32>(&name, t)
                         .map_err(|e| format!("{name} step {t}: {e}"))?;
@@ -1244,14 +1259,13 @@ fn cmd_catalog(args: &Args) -> Result<(), String> {
     let total_bytes = std::fs::metadata(&input).map_err(|e| format!("{input}: {e}"))?.len();
     let reader =
         CatalogReader::open_path(&input).map_err(|e| format!("not a readable catalog: {e}"))?;
-    print_catalog(&input, total_bytes, reader.index(), args.flag("json"));
-    Ok(())
+    print_catalog(&input, total_bytes, reader.index(), args.flag("json"))
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let [_, input] = positional::<2>(args)?;
     let addr = args.get("addr").ok_or("serve requires --addr HOST:PORT")?.to_string();
-    let cache_bytes = args.unsigned("cache-bytes")?.unwrap_or(256 << 20) as u64;
+    let cache_bytes = args.unsigned("cache-bytes")?.map_or(ServeConfig::default().cache_bytes, |b| b as u64);
     let max_connections = args.unsigned("threads")?.unwrap_or(0);
     let metrics_every = args
         .float("metrics-every")?
@@ -1296,7 +1310,7 @@ fn cmd_read(args: &Args) -> Result<(), String> {
                  abs bound {:.3e}",
                 d.index,
                 d.name,
-                if d.scalar_tag == 0x04 { "f32" } else { "f64" },
+                scalar(d.scalar_tag)?.0,
                 d.step_dims,
                 d.n_steps,
                 d.keyframe_every,
@@ -1322,10 +1336,9 @@ fn cmd_read(args: &Args) -> Result<(), String> {
             .find(|d| d.name == name)
             .ok_or_else(|| format!("{addr}: no dataset named '{name}'"))?;
         let (start, end) = rows.unwrap_or((0, ds.step_rows()));
-        let raw = match ds.scalar_tag {
-            0x04 => step_scalars::<f32>(&mut client, &ds, step, start..end)?,
-            0x08 => step_scalars::<f64>(&mut client, &ds, step, start..end)?,
-            t => return Err(format!("dataset holds unsupported scalar tag {t:#04x}")),
+        let raw = match scalar(ds.scalar_tag)?.0 {
+            "f32" => step_scalars::<f32>(&mut client, &ds, step, start..end)?,
+            _ => step_scalars::<f64>(&mut client, &ds, step, start..end)?,
         };
         if let Some(out) = args.get("out") {
             io::write_bytes(out, &raw)?;
@@ -1351,12 +1364,10 @@ fn cmd_read(args: &Args) -> Result<(), String> {
     let info = client.info().clone();
     // The server holds either f32 or f64; fetch with the matching type
     // and write raw little-endian scalars either way.
-    let fetched: Result<(usize, usize, Vec<u8>), String> = match info.scalar_tag {
-        0x04 => fetch_scalars::<f32>(&mut client, &info, &rows, chunk),
-        0x08 => fetch_scalars::<f64>(&mut client, &info, &rows, chunk),
-        t => Err(format!("archive holds unsupported scalar tag {t:#04x}")),
+    let (start, nrows, raw) = match scalar(info.scalar_tag)?.0 {
+        "f32" => fetch_scalars::<f32>(&mut client, &info, &rows, chunk)?,
+        _ => fetch_scalars::<f64>(&mut client, &info, &rows, chunk)?,
     };
-    let (start, nrows, raw) = fetched?;
     if let Some(out) = args.get("out") {
         io::write_bytes(out, &raw)?;
         println!(
@@ -1384,24 +1395,7 @@ fn cmd_read(args: &Args) -> Result<(), String> {
 
 /// Print the server's counters (the `--stats` flag of `rqm read`).
 fn print_server_stats(client: &mut Client) -> Result<(), String> {
-    let s = client.stats().map_err(|e| e.to_string())?;
-    let lookups = s.cache.hits + s.cache.misses;
-    let hit_pct = if lookups == 0 { 0.0 } else { 100.0 * s.cache.hits as f64 / lookups as f64 };
-    println!(
-        "server: {} requests, {} errors, {} connections, {} bytes out",
-        s.requests, s.errors, s.connections, s.bytes_out
-    );
-    println!(
-        "cache:  {:.1}% hit ({} hits / {} misses), {} coalesced, {} evicted, {} bytes resident (peak {}), {} chunks decoded",
-        hit_pct,
-        s.cache.hits,
-        s.cache.misses,
-        s.cache.coalesced_waits,
-        s.cache.evictions,
-        s.cache.bytes_cached,
-        s.cache.bytes_peak,
-        s.chunks_decoded
-    );
+    println!("server: {}", client.stats().map_err(|e| e.to_string())?);
     Ok(())
 }
 
@@ -2258,13 +2252,31 @@ mod tests {
             .unwrap();
             let reader = ArchiveReader::open_path(rqc.to_str().unwrap()).unwrap();
             let total = std::fs::metadata(&rqc).unwrap().len();
-            let doc =
-                info_json_string(rqc.to_str().unwrap(), total, reader.header(), &reader.chunk_table());
+            let table = reader.chunk_table();
+            let doc = info_json_string(rqc.to_str().unwrap(), total, reader.header(), &table).unwrap();
             assert_valid_json(&doc);
             if codec == "rolz" {
                 assert!(doc.contains("\"codec\": \"rolz\""), "rolz tag missing:\n{doc}");
                 assert!(doc.contains("\"generation\": \"2.4\""), "v2.4 generation missing:\n{doc}");
             }
+        }
+    }
+
+    /// The header parser leaves the scalar tag unchecked; `info` must
+    /// name the scalar it finds, not guess one.
+    #[test]
+    fn info_refuses_an_unknown_scalar_tag() {
+        let raw = tmp("ut.f32");
+        let rqc = tmp("ut.rqc");
+        write_field(&raw);
+        let (raw, rqc) = (raw.to_str().unwrap(), rqc.to_str().unwrap());
+        run_args(&["compress", raw, rqc, "--shape", "20x30", "--abs", "1e-3"]).unwrap();
+        run_args(&["info", rqc]).unwrap();
+        let mut bytes = std::fs::read(rqc).unwrap();
+        bytes[5] = 0x07;
+        std::fs::write(rqc, &bytes).unwrap();
+        for args in [&["info", rqc][..], &["info", rqc, "--json"]] {
+            assert_eq!(run_args(args).unwrap_err(), "unsupported scalar tag 0x07", "{args:?}");
         }
     }
 
@@ -2293,7 +2305,7 @@ mod tests {
                 eb: f64::INFINITY,
             }],
         };
-        let doc = info_json_string("x\"y.rqc", 42, &h, &table);
+        let doc = info_json_string("x\"y.rqc", 42, &h, &table).unwrap();
         assert_valid_json(&doc);
         assert!(doc.contains("\"abs_bound\": null"), "NaN bound not null:\n{doc}");
         assert!(doc.contains("\"eb\": null"), "infinite eb not null:\n{doc}");

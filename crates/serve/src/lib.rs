@@ -11,6 +11,10 @@
 //!   [`ChunkSource`](rq_compress::ChunkSource) trait it wraps.
 //! - [`server`] / [`client`] — the thread-per-connection daemon behind
 //!   `rqm serve` and the blocking [`Client`] behind `rqm read --addr`.
+//!   The server knows one representation: a list of datasets, each a
+//!   [`ChunkCache`] over a flattened, time-major chunk source — a plain
+//!   archive is the one-dataset, one-step case — and writes every reply
+//!   once, in its frame.
 //!
 //! ```no_run
 //! use rq_serve::{Client, ServeConfig, Server};

@@ -259,63 +259,63 @@ pub enum WireError {
     Trailing,
 }
 
-/// Encode one request frame.
-pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
-    put_u64(&mut body, id);
-    match *req {
-        Request::Ping => body.push(Op::Ping as u8),
-        Request::Info => body.push(Op::Info as u8),
-        Request::ReadRows { start, count } => {
-            body.push(Op::ReadRows as u8);
-            put_u64(&mut body, start);
-            put_u64(&mut body, count);
-        }
-        Request::ReadChunk { idx } => {
-            body.push(Op::ReadChunk as u8);
-            put_u64(&mut body, idx);
-        }
-        Request::Stats => body.push(Op::Stats as u8),
-        Request::ListDatasets => body.push(Op::ListDatasets as u8),
-        Request::ReadStepRows { dataset, step, start, count } => {
-            body.push(Op::ReadStepRows as u8);
-            put_u32(&mut body, dataset);
-            put_u64(&mut body, step);
-            put_u64(&mut body, start);
-            put_u64(&mut body, count);
-        }
-    }
-    frame(body)
+/// Start a frame in place: the prefix with the body length left open,
+/// then the id every body begins with. The caller appends the tag byte
+/// (a request's opcode, a reply's status) and the rest of the body, and
+/// seals it with [`end_frame`] — so a frame is written once, in the
+/// buffer it is sent from.
+pub(crate) fn begin_frame(id: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(&MAGIC);
+    out.push(PROTOCOL_VERSION);
+    put_u32(&mut out, 0);
+    put_u64(&mut out, id);
+    out
 }
 
-/// Encode a success response frame: echoed id, status `0`, payload.
-pub fn encode_ok(id: u64, payload: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(9 + payload.len());
-    put_u64(&mut body, id);
-    body.push(0);
-    body.extend_from_slice(payload);
-    frame(body)
+/// Seal a frame started by [`begin_frame`]: patch the body length in.
+pub(crate) fn end_frame(mut frame: Vec<u8>) -> Vec<u8> {
+    let body_len = (frame.len() - FRAME_PREFIX) as u32;
+    frame[4..FRAME_PREFIX].copy_from_slice(&body_len.to_le_bytes());
+    frame
+}
+
+/// Encode one request frame.
+pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
+    let mut out = begin_frame(id);
+    match *req {
+        Request::Ping => out.push(Op::Ping as u8),
+        Request::Info => out.push(Op::Info as u8),
+        Request::ReadRows { start, count } => {
+            out.push(Op::ReadRows as u8);
+            put_u64(&mut out, start);
+            put_u64(&mut out, count);
+        }
+        Request::ReadChunk { idx } => {
+            out.push(Op::ReadChunk as u8);
+            put_u64(&mut out, idx);
+        }
+        Request::Stats => out.push(Op::Stats as u8),
+        Request::ListDatasets => out.push(Op::ListDatasets as u8),
+        Request::ReadStepRows { dataset, step, start, count } => {
+            out.push(Op::ReadStepRows as u8);
+            put_u32(&mut out, dataset);
+            put_u64(&mut out, step);
+            put_u64(&mut out, start);
+            put_u64(&mut out, count);
+        }
+    }
+    end_frame(out)
 }
 
 /// Encode a typed error response frame: echoed id (0 when the request
 /// was too broken to carry one), the error code as the status byte, and
 /// the message as the payload.
 pub fn encode_err(id: u64, code: ErrorCode, message: &str) -> Vec<u8> {
-    let mut body = Vec::with_capacity(9 + message.len());
-    put_u64(&mut body, id);
-    body.push(code as u8);
-    body.extend_from_slice(message.as_bytes());
-    frame(body)
-}
-
-/// Wrap a body in the 8-byte frame prefix.
-fn frame(body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_PREFIX + body.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(PROTOCOL_VERSION);
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(&body);
-    out
+    let mut out = begin_frame(id);
+    out.push(code as u8);
+    out.extend_from_slice(message.as_bytes());
+    end_frame(out)
 }
 
 /// Parse a request body (everything after the frame prefix) into its id

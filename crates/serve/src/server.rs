@@ -1,30 +1,42 @@
 //! The archive read daemon: a thread-per-connection TCP server that
-//! answers the `docs/PROTOCOL.md` request set over one shared
-//! [`ChunkCache`]-wrapped [`ConcurrentReader`].
+//! answers the `docs/PROTOCOL.md` request set.
+//!
+//! Whatever file is served, the handlers know one thing: a list of
+//! `Served` datasets, each a [`ChunkCache`] over a flattened,
+//! time-major [`ChunkSource`] plus its step geometry. A catalog dataset
+//! is that over its [`DatasetReader`]; a plain archive is the same thing
+//! with one step, keyframe cadence 1 and the name
+//! [`SINGLE_ARCHIVE_DATASET`] over its [`ConcurrentReader`]. The v1
+//! opcodes address dataset 0's flat view, the v2 opcodes a
+//! `(dataset, step)` mapped onto it.
 //!
 //! Layering per request: **fetch** (compressed blob, under the source
 //! lock) → **decode** (outside the lock, deduplicated by the cache's
-//! single flight) → **delivery** (`assemble_rows` copies the decoded
-//! chunks into the response payload). Connections only ever share the
-//! decoded `Arc<[T]>` chunks, so a hot chunk is decoded once no matter
-//! how many clients stream rows out of it.
+//! single flight) → **delivery** (`assemble_rows` gathers the decoded
+//! chunks, and `answer` writes the reply once, in its frame).
+//! Connections only ever share the decoded `Arc<[T]>` chunks, so a hot
+//! chunk is decoded once no matter how many clients stream rows out of
+//! it.
 
 use std::io::{self, BufReader, Cursor, Read, Seek};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rq_catalog::{is_catalog_magic, CatalogReader, DatasetReader};
-use rq_compress::{assemble_rows, ChunkSource, ConcurrentReader, DecompressError};
+use rq_catalog::{is_catalog_magic, CatalogError, CatalogReader, DatasetReader};
+use rq_compress::{
+    assemble_rows, ChunkEntry, ChunkSource, ConcurrentReader, DecompressError, ReadStats,
+};
 use rq_grid::Scalar;
 
 use crate::cache::{CacheStats, ChunkCache};
 use crate::protocol::{
-    encode_err, encode_ok, parse_request, put_f64, put_u32, put_u64, read_frame, write_frame,
-    ErrorCode, Frame, Request, Take, WireError, MAX_REQUEST_BODY,
+    begin_frame, encode_err, end_frame, parse_request, put_f64, put_u32, put_u64, read_frame,
+    write_frame, ErrorCode, Frame, Request, Take, WireError, MAX_REQUEST_BODY,
 };
 
 /// Server tuning knobs.
@@ -61,7 +73,10 @@ pub struct ServeStats {
     pub bytes_out: u64,
     /// Connections accepted since startup.
     pub connections: u64,
-    /// Decoded-chunk cache counters.
+    /// Decoded-chunk cache counters, summed over the served datasets
+    /// (each has its own cache). `cache.bytes_peak` is therefore the
+    /// *sum of per-dataset peaks* over a catalog — an upper bound on the
+    /// peak of the sum, which no counter records.
     pub cache: CacheStats,
     /// Chunks decoded by the underlying reader (cache misses that went
     /// through to a real decode).
@@ -118,504 +133,204 @@ impl ServeStats {
     }
 }
 
-/// The scalar-erased view of one open archive or catalog the connection
-/// handlers talk to. Two implementations: [`Typed`] for a single-field
-/// archive (which exposes itself as one pseudo-dataset so v2 clients see
-/// a uniform surface) and [`CatalogSource`] for an `RQCAT` container;
-/// the indirection keeps `f32` vs `f64` out of the per-connection code.
-trait WireSource: Send + Sync {
-    /// `INFO` payload, pre-encoded.
-    fn info_payload(&self) -> Vec<u8>;
-    /// Axis-0 extent of the field.
-    fn rows(&self) -> usize;
-    /// Number of chunks in the archive.
-    fn n_chunks(&self) -> usize;
-    /// `READ_ROWS` payload: `start`, `count`, then the decoded scalars.
-    fn read_rows_payload(&self, start: usize, count: usize) -> Result<Vec<u8>, DecompressError>;
-    /// `READ_CHUNK` payload: `start_row`, `rows`, then the chunk slab.
-    fn read_chunk_payload(&self, idx: usize) -> Result<Vec<u8>, DecompressError>;
-    /// Datasets served (1 for a single archive).
-    fn n_datasets(&self) -> usize;
-    /// `(n_steps, step_rows)` of one dataset, `None` out of range.
-    fn dataset_extent(&self, dataset: usize) -> Option<(u64, u64)>;
-    /// `LIST_DATASETS` payload, pre-encoded.
-    fn list_datasets_payload(&self) -> Vec<u8>;
-    /// `READ_STEP_ROWS` payload: echoed operands, then the decoded
-    /// scalars. Operand ranges are pre-checked by [`answer`].
-    fn read_step_rows_payload(
-        &self,
-        dataset: u32,
-        step: u64,
-        start: usize,
-        count: usize,
-    ) -> Result<Vec<u8>, DecompressError>;
-    /// Cache counters.
-    fn cache_stats(&self) -> CacheStats;
-    /// Underlying reader counters: `(chunks_decoded, blob_bytes_read)`.
-    fn read_stats(&self) -> (u64, u64);
-}
-
-/// Append one dataset description to a `LIST_DATASETS` payload.
-#[allow(clippy::too_many_arguments)]
-fn push_dataset_desc(
-    out: &mut Vec<u8>,
-    name: &str,
-    scalar_tag: u8,
-    dims: &[usize],
-    keyframe_every: u64,
-    n_steps: u64,
-    chunks_per_step: u64,
-    eb: f64,
-) {
-    put_u32(out, name.len() as u32);
-    out.extend_from_slice(name.as_bytes());
-    out.push(scalar_tag);
-    out.push(dims.len() as u8);
-    for &d in dims {
-        put_u64(out, d as u64);
-    }
-    put_u64(out, keyframe_every);
-    put_u64(out, n_steps);
-    put_u64(out, chunks_per_step);
-    put_f64(out, eb);
-}
-
-/// The typed implementation: a cache over a concurrent reader.
-struct Typed<T: Scalar, R: Read + Seek + Send> {
-    cache: ChunkCache<T, ConcurrentReader<R>>,
-}
-
-impl<T: Scalar, R: Read + Seek + Send> WireSource for Typed<T, R> {
-    fn info_payload(&self) -> Vec<u8> {
-        let h = self.cache.header();
-        let mut out = Vec::with_capacity(64);
-        out.push(h.version);
-        out.push(h.scalar_tag);
-        out.push(h.shape.ndim() as u8);
-        for &d in h.shape.dims() {
-            put_u64(&mut out, d as u64);
-        }
-        put_u64(&mut out, self.cache.chunk_rows() as u64);
-        put_u64(&mut out, self.cache.entries().len() as u64);
-        put_f64(&mut out, h.abs_eb);
-        out
-    }
-
-    fn rows(&self) -> usize {
-        self.cache.header().shape.dim(0)
-    }
-
-    fn n_chunks(&self) -> usize {
-        self.cache.entries().len()
-    }
-
-    fn read_rows_payload(&self, start: usize, count: usize) -> Result<Vec<u8>, DecompressError> {
-        let end = start
-            .checked_add(count)
-            .ok_or(DecompressError::RowsOutOfRange { requested_end: usize::MAX, rows: self.rows() })?;
-        let slab = assemble_rows(&self.cache, start..end)?;
-        let vals = slab.as_slice();
-        let mut out = Vec::with_capacity(16 + vals.len() * T::BYTES);
-        put_u64(&mut out, start as u64);
-        put_u64(&mut out, count as u64);
-        for &v in vals {
-            v.write_le(&mut out);
-        }
-        Ok(out)
-    }
-
-    fn read_chunk_payload(&self, idx: usize) -> Result<Vec<u8>, DecompressError> {
-        let Some(&entry) = self.cache.entries().get(idx) else {
-            return Err(DecompressError::ChunkOutOfRange {
-                requested: idx,
-                available: self.n_chunks(),
-            });
-        };
-        let chunk = self.cache.fetch_chunk(idx)?;
-        let mut out = Vec::with_capacity(16 + chunk.len() * T::BYTES);
-        put_u64(&mut out, entry.start_row as u64);
-        put_u64(&mut out, entry.rows as u64);
-        for &v in chunk.iter() {
-            v.write_le(&mut out);
-        }
-        Ok(out)
-    }
-
-    fn n_datasets(&self) -> usize {
-        1
-    }
-
-    fn dataset_extent(&self, dataset: usize) -> Option<(u64, u64)> {
-        (dataset == 0).then(|| (1, self.rows() as u64))
-    }
-
-    fn list_datasets_payload(&self) -> Vec<u8> {
-        let h = self.cache.header();
-        let mut out = Vec::with_capacity(64);
-        put_u32(&mut out, 1);
-        push_dataset_desc(
-            &mut out,
-            SINGLE_ARCHIVE_DATASET,
-            h.scalar_tag,
-            h.shape.dims(),
-            1,
-            1,
-            self.n_chunks() as u64,
-            h.abs_eb,
-        );
-        out
-    }
-
-    fn read_step_rows_payload(
-        &self,
-        dataset: u32,
-        step: u64,
-        start: usize,
-        count: usize,
-    ) -> Result<Vec<u8>, DecompressError> {
-        // answer() already pinned dataset and step to 0; the whole field
-        // is the single step.
-        let end = start.checked_add(count).ok_or(DecompressError::RowsOutOfRange {
-            requested_end: usize::MAX,
-            rows: self.rows(),
-        })?;
-        let slab = assemble_rows(&self.cache, start..end)?;
-        Ok(step_rows_payload::<T>(dataset, step, start, count, slab.as_slice()))
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    fn read_stats(&self) -> (u64, u64) {
-        let s = self.cache.inner().stats();
-        (s.chunks_decoded, s.blob_bytes_read)
+/// The one-line `key=value` rendering behind `rqm serve
+/// --metrics-every` and `rqm read --stats`.
+impl std::fmt::Display for ServeStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ServeStats { requests, errors, bytes_out, connections, cache: c, .. } = *self;
+        let lookups = c.hits + c.misses;
+        let hit_pct = if lookups == 0 { 0.0 } else { 100.0 * c.hits as f64 / lookups as f64 };
+        write!(
+            f,
+            "requests={requests} errors={errors} conns={connections} out={bytes_out}B \
+             hit={hit_pct:.1}% hits={} misses={} coalesced={} evicted={} resident={}B peak={}B \
+             decoded={} blob_read={}B",
+            c.hits,
+            c.misses,
+            c.coalesced_waits,
+            c.evictions,
+            c.bytes_cached,
+            c.bytes_peak,
+            self.chunks_decoded,
+            self.blob_bytes_read,
+        )
     }
 }
 
 /// Dataset name a single-field archive reports to v2 clients.
 pub const SINGLE_ARCHIVE_DATASET: &str = "field";
 
-/// The shared `READ_STEP_ROWS` success payload: echoed operands, then
-/// the decoded scalars.
-fn step_rows_payload<T: Scalar>(
-    dataset: u32,
-    step: u64,
-    start: usize,
-    count: usize,
-    vals: &[T],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(28 + vals.len() * T::BYTES);
-    put_u32(&mut out, dataset);
-    put_u64(&mut out, step);
-    put_u64(&mut out, start as u64);
-    put_u64(&mut out, count as u64);
-    for &v in vals {
-        v.write_le(&mut out);
-    }
-    out
-}
-
-/// One catalog dataset behind its own decoded-chunk cache. The cache is
-/// keyed by the [`DatasetReader`]'s flattened chunk index, which encodes
-/// `(step, chunk)` — so a hot `(dataset, step, chunk)` is decoded once
-/// across every connection.
-struct TypedDataset<T: Scalar> {
+/// One served dataset: a decoded-chunk cache over a flattened,
+/// time-major chunk source, plus the step geometry that maps a
+/// `(step, row)` onto it. The cache is keyed by the source's flat chunk
+/// index, which encodes `(step, chunk)`.
+struct Served<T: Scalar, S: ChunkSource<T>> {
     name: String,
     step_dims: Vec<usize>,
     keyframe_every: u64,
+    n_steps: u64,
     eb: f64,
-    cache: ChunkCache<T, DatasetReader<T>>,
+    cache: ChunkCache<T, S>,
+    /// The source's own decode counters (`ConcurrentReader::stats` or
+    /// `DatasetReader::stats`, which [`ChunkSource`] does not carry).
+    read_stats: fn(&S) -> ReadStats,
 }
 
-/// Scalar-erased view of one catalog dataset (f32 and f64 datasets mix
-/// freely in one catalog, so the erasure is per dataset).
-trait StepSource: Send + Sync {
+/// The scalar-erased view of a [`Served`] the connection handlers talk
+/// to (f32 and f64 datasets mix freely in one catalog, so the erasure is
+/// per dataset). Methods that fill a reply append to the frame
+/// [`answer`] has started.
+trait Dataset: Send + Sync {
+    /// Axis-0 extent of the flat view (`n_steps × step_rows`).
+    fn rows(&self) -> u64;
+    /// Chunk table of the flat view, in time-major slab order.
+    fn entries(&self) -> &[ChunkEntry];
+    /// `(time steps, axis-0 extent of one step)`.
+    fn steps(&self) -> (u64, u64);
+    /// Append the `INFO` payload: the flat view's metadata.
+    fn info(&self, out: &mut Vec<u8>);
+    /// Append this dataset's `LIST_DATASETS` description.
     fn describe(&self, out: &mut Vec<u8>);
-    fn extent(&self) -> (u64, u64);
-    fn flat_info_payload(&self) -> Vec<u8>;
-    fn flat_rows(&self) -> usize;
-    fn flat_n_chunks(&self) -> usize;
-    fn read_rows_payload(&self, start: usize, count: usize) -> Result<Vec<u8>, DecompressError>;
-    fn read_chunk_payload(&self, idx: usize) -> Result<Vec<u8>, DecompressError>;
-    fn read_step_rows_payload(
-        &self,
-        dataset: u32,
-        step: u64,
-        start: usize,
-        count: usize,
-    ) -> Result<Vec<u8>, DecompressError>;
-    fn cache_stats(&self) -> CacheStats;
-    fn read_stats(&self) -> (u64, u64);
+    /// Append the decoded scalars of the flat rows `rows`.
+    fn rows_into(&self, rows: Range<usize>, out: &mut Vec<u8>) -> Result<(), DecompressError>;
+    /// Append the decoded scalars of flat chunk `idx`.
+    fn chunk_into(&self, idx: usize, out: &mut Vec<u8>) -> Result<(), DecompressError>;
+    /// Cache counters and the source's decode counters.
+    fn stats(&self) -> (CacheStats, ReadStats);
 }
 
-impl<T: Scalar> StepSource for TypedDataset<T> {
-    fn describe(&self, out: &mut Vec<u8>) {
-        push_dataset_desc(
-            out,
-            &self.name,
-            T::TAG,
-            &self.step_dims,
-            self.keyframe_every,
-            self.cache.inner().n_steps() as u64,
-            self.cache.inner().chunks_per_step() as u64,
-            self.eb,
-        );
+impl<T: Scalar, S: ChunkSource<T>> Dataset for Served<T, S> {
+    fn rows(&self) -> u64 {
+        self.cache.header().shape.dim(0) as u64
     }
 
-    fn extent(&self) -> (u64, u64) {
-        let ds = self.cache.inner();
-        (ds.n_steps() as u64, ds.step_rows() as u64)
+    fn entries(&self) -> &[ChunkEntry] {
+        self.cache.entries()
     }
 
-    fn flat_info_payload(&self) -> Vec<u8> {
+    fn steps(&self) -> (u64, u64) {
+        (self.n_steps, self.step_dims[0] as u64)
+    }
+
+    fn info(&self, out: &mut Vec<u8>) {
         let h = self.cache.header();
-        let mut out = Vec::with_capacity(64);
         out.push(h.version);
         out.push(h.scalar_tag);
         out.push(h.shape.ndim() as u8);
         for &d in h.shape.dims() {
-            put_u64(&mut out, d as u64);
+            put_u64(out, d as u64);
         }
-        put_u64(&mut out, self.cache.chunk_rows() as u64);
-        put_u64(&mut out, self.cache.entries().len() as u64);
-        put_f64(&mut out, h.abs_eb);
-        out
+        put_u64(out, self.cache.chunk_rows() as u64);
+        put_u64(out, self.cache.entries().len() as u64);
+        put_f64(out, h.abs_eb);
     }
 
-    fn flat_rows(&self) -> usize {
-        self.cache.header().shape.dim(0)
-    }
-
-    fn flat_n_chunks(&self) -> usize {
-        self.cache.entries().len()
-    }
-
-    fn read_rows_payload(&self, start: usize, count: usize) -> Result<Vec<u8>, DecompressError> {
-        let end = start.checked_add(count).ok_or(DecompressError::RowsOutOfRange {
-            requested_end: usize::MAX,
-            rows: self.flat_rows(),
-        })?;
-        let slab = assemble_rows(&self.cache, start..end)?;
-        let vals = slab.as_slice();
-        let mut out = Vec::with_capacity(16 + vals.len() * T::BYTES);
-        put_u64(&mut out, start as u64);
-        put_u64(&mut out, count as u64);
-        for &v in vals {
-            v.write_le(&mut out);
+    fn describe(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.name.len() as u32);
+        out.extend_from_slice(self.name.as_bytes());
+        out.push(T::TAG);
+        out.push(self.step_dims.len() as u8);
+        for &d in &self.step_dims {
+            put_u64(out, d as u64);
         }
-        Ok(out)
+        put_u64(out, self.keyframe_every);
+        put_u64(out, self.n_steps);
+        put_u64(out, self.cache.entries().len() as u64 / self.n_steps);
+        put_f64(out, self.eb);
     }
 
-    fn read_chunk_payload(&self, idx: usize) -> Result<Vec<u8>, DecompressError> {
-        let Some(&entry) = self.cache.entries().get(idx) else {
-            return Err(DecompressError::ChunkOutOfRange {
-                requested: idx,
-                available: self.flat_n_chunks(),
-            });
-        };
-        let chunk = self.cache.fetch_chunk(idx)?;
-        let mut out = Vec::with_capacity(16 + chunk.len() * T::BYTES);
-        put_u64(&mut out, entry.start_row as u64);
-        put_u64(&mut out, entry.rows as u64);
-        for &v in chunk.iter() {
-            v.write_le(&mut out);
-        }
-        Ok(out)
+    fn rows_into(&self, rows: Range<usize>, out: &mut Vec<u8>) -> Result<(), DecompressError> {
+        put_scalars(assemble_rows(&self.cache, rows)?.as_slice(), out);
+        Ok(())
     }
 
-    fn read_step_rows_payload(
-        &self,
-        dataset: u32,
-        step: u64,
-        start: usize,
-        count: usize,
-    ) -> Result<Vec<u8>, DecompressError> {
-        let step_rows = self.cache.inner().step_rows();
-        // Map the step-local range onto the flattened time-major view;
-        // answer() pre-checked it against the step extent.
-        let flat_start = (step as usize)
-            .checked_mul(step_rows)
-            .and_then(|b| b.checked_add(start))
-            .ok_or(DecompressError::RowsOutOfRange {
-                requested_end: usize::MAX,
-                rows: self.flat_rows(),
-            })?;
-        let end = flat_start.checked_add(count).ok_or(DecompressError::RowsOutOfRange {
-            requested_end: usize::MAX,
-            rows: self.flat_rows(),
-        })?;
-        let slab = assemble_rows(&self.cache, flat_start..end)?;
-        Ok(step_rows_payload::<T>(dataset, step, start, count, slab.as_slice()))
+    fn chunk_into(&self, idx: usize, out: &mut Vec<u8>) -> Result<(), DecompressError> {
+        put_scalars(&self.cache.fetch_chunk(idx)?, out);
+        Ok(())
     }
 
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    fn read_stats(&self) -> (u64, u64) {
-        let s = self.cache.inner().stats();
-        (s.chunks_decoded, s.blob_bytes_read)
+    fn stats(&self) -> (CacheStats, ReadStats) {
+        (self.cache.stats(), (self.read_stats)(self.cache.inner()))
     }
 }
 
-/// A served catalog: one [`StepSource`] per dataset. The v1 request set
-/// (`INFO` / `READ_ROWS` / `READ_CHUNK`) addresses dataset 0's flattened
-/// time-major view, so catalogs stay reachable for step-agnostic tools.
-struct CatalogSource {
-    datasets: Vec<Box<dyn StepSource>>,
-}
-
-impl WireSource for CatalogSource {
-    fn info_payload(&self) -> Vec<u8> {
-        self.datasets[0].flat_info_payload()
-    }
-
-    fn rows(&self) -> usize {
-        self.datasets[0].flat_rows()
-    }
-
-    fn n_chunks(&self) -> usize {
-        self.datasets[0].flat_n_chunks()
-    }
-
-    fn read_rows_payload(&self, start: usize, count: usize) -> Result<Vec<u8>, DecompressError> {
-        self.datasets[0].read_rows_payload(start, count)
-    }
-
-    fn read_chunk_payload(&self, idx: usize) -> Result<Vec<u8>, DecompressError> {
-        self.datasets[0].read_chunk_payload(idx)
-    }
-
-    fn n_datasets(&self) -> usize {
-        self.datasets.len()
-    }
-
-    fn dataset_extent(&self, dataset: usize) -> Option<(u64, u64)> {
-        Some(self.datasets.get(dataset)?.extent())
-    }
-
-    fn list_datasets_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 * self.datasets.len());
-        put_u32(&mut out, self.datasets.len() as u32);
-        for d in &self.datasets {
-            d.describe(&mut out);
-        }
-        out
-    }
-
-    fn read_step_rows_payload(
-        &self,
-        dataset: u32,
-        step: u64,
-        start: usize,
-        count: usize,
-    ) -> Result<Vec<u8>, DecompressError> {
-        self.datasets[dataset as usize].read_step_rows_payload(dataset, step, start, count)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        let mut agg = CacheStats::default();
-        for d in &self.datasets {
-            let s = d.cache_stats();
-            agg.hits += s.hits;
-            agg.misses += s.misses;
-            agg.coalesced_waits += s.coalesced_waits;
-            agg.evictions += s.evictions;
-            agg.bytes_cached += s.bytes_cached;
-            agg.bytes_peak += s.bytes_peak;
-        }
-        agg
-    }
-
-    fn read_stats(&self) -> (u64, u64) {
-        let mut chunks = 0;
-        let mut bytes = 0;
-        for d in &self.datasets {
-            let (c, b) = d.read_stats();
-            chunks += c;
-            bytes += b;
-        }
-        (chunks, bytes)
+/// Append `vals` as little-endian scalars.
+fn put_scalars<T: Scalar>(vals: &[T], out: &mut Vec<u8>) {
+    out.reserve(vals.len() * T::BYTES);
+    for &v in vals {
+        v.write_le(out);
     }
 }
 
-/// Open every dataset of the catalog at `path`, splitting the cache
-/// budget evenly across datasets.
-fn open_catalog_source(path: &Path, cache_bytes: u64) -> io::Result<Arc<dyn WireSource>> {
-    let invalid = |e: rq_catalog::CatalogError| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("open catalog: {e}"))
-    };
-    let cat = CatalogReader::open_path(path).map_err(invalid)?;
-    let names: Vec<(String, u8, Vec<usize>, u64, f64)> = cat
-        .datasets()
-        .iter()
-        .map(|d| {
-            (
-                d.name.clone(),
-                d.scalar_tag,
-                d.shape.dims().to_vec(),
-                d.keyframe_every as u64,
-                d.steps[0].eb,
-            )
-        })
-        .collect();
-    drop(cat);
-    if names.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "catalog has no datasets"));
-    }
-    let per_dataset = (cache_bytes / names.len() as u64).max(1);
-    let mut datasets: Vec<Box<dyn StepSource>> = Vec::with_capacity(names.len());
-    for (name, tag, step_dims, keyframe_every, eb) in names {
-        match tag {
+/// The one place a scalar tag picks a type: evaluates `$body` with `$T`
+/// bound to the tagged scalar, or is a typed `InvalidData` error.
+macro_rules! with_scalar {
+    ($tag:expr, $T:ident => $body:expr) => {
+        match $tag {
             t if t == <f32 as Scalar>::TAG => {
-                let ds = DatasetReader::<f32>::open_path(path, &name).map_err(invalid)?;
-                datasets.push(Box::new(TypedDataset {
-                    name,
-                    step_dims,
-                    keyframe_every,
-                    eb,
-                    cache: ChunkCache::new(ds, per_dataset),
-                }));
+                type $T = f32;
+                $body
             }
             t if t == <f64 as Scalar>::TAG => {
-                let ds = DatasetReader::<f64>::open_path(path, &name).map_err(invalid)?;
-                datasets.push(Box::new(TypedDataset {
-                    name,
-                    step_dims,
-                    keyframe_every,
-                    eb,
-                    cache: ChunkCache::new(ds, per_dataset),
-                }));
+                type $T = f64;
+                $body
             }
-            t => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unsupported scalar tag {t:#04x} in dataset {name:?}"),
-                ))
-            }
+            t => Err(invalid(format!("unsupported scalar tag {t:#04x}"))),
         }
-    }
-    Ok(Arc::new(CatalogSource { datasets }))
+    };
 }
 
-/// Pick the typed source matching the archive's scalar tag.
-fn open_source<R: Read + Seek + Send + 'static>(
-    reader: ConcurrentReader<R>,
+/// A file that cannot be served, as the `InvalidData` the binders return.
+fn invalid(why: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, why.into())
+}
+
+/// A plain archive as the one dataset it is on the wire: a single step,
+/// every step a keyframe.
+fn open_archive<R: Read + Seek + Send + 'static>(
+    reader: Result<ConcurrentReader<R>, DecompressError>,
     cache_bytes: u64,
-) -> io::Result<Arc<dyn WireSource>> {
-    match reader.header().scalar_tag {
-        t if t == <f32 as Scalar>::TAG => {
-            Ok(Arc::new(Typed::<f32, R> { cache: ChunkCache::new(reader, cache_bytes) }))
-        }
-        t if t == <f64 as Scalar>::TAG => {
-            Ok(Arc::new(Typed::<f64, R> { cache: ChunkCache::new(reader, cache_bytes) }))
-        }
-        t => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported scalar tag {t:#04x}"),
-        )),
+) -> io::Result<Vec<Box<dyn Dataset>>> {
+    let reader = reader.map_err(|e| invalid(format!("open archive: {e}")))?;
+    let h = reader.header();
+    let (tag, step_dims, eb) = (h.scalar_tag, h.shape.dims().to_vec(), h.abs_eb);
+    with_scalar!(tag, T => Ok(vec![Box::new(Served::<T, _> {
+        name: SINGLE_ARCHIVE_DATASET.to_string(),
+        step_dims,
+        keyframe_every: 1,
+        n_steps: 1,
+        eb,
+        cache: ChunkCache::new(reader, cache_bytes),
+        read_stats: ConcurrentReader::stats,
+    }) as Box<dyn Dataset>]))
+}
+
+/// Every dataset of the catalog at `path`, the cache budget split evenly
+/// across them.
+fn open_catalog(path: &Path, cache_bytes: u64) -> io::Result<Vec<Box<dyn Dataset>>> {
+    let unreadable = |e: CatalogError| invalid(format!("open catalog: {e}"));
+    let entries = CatalogReader::open_path(path).map_err(unreadable)?.datasets().to_vec();
+    if entries.is_empty() {
+        return Err(invalid("catalog has no datasets"));
     }
+    let per_dataset = (cache_bytes / entries.len() as u64).max(1);
+    entries
+        .iter()
+        .map(|d| {
+            with_scalar!(d.scalar_tag, T => {
+                let ds = DatasetReader::<T>::open_path(path, &d.name).map_err(unreadable)?;
+                Ok(Box::new(Served {
+                    name: d.name.clone(),
+                    step_dims: d.shape.dims().to_vec(),
+                    keyframe_every: d.keyframe_every as u64,
+                    n_steps: ds.n_steps() as u64,
+                    eb: d.steps[0].eb,
+                    cache: ChunkCache::new(ds, per_dataset),
+                    read_stats: DatasetReader::stats,
+                }) as Box<dyn Dataset>)
+            })
+        })
+        .collect()
 }
 
 #[derive(Default)]
@@ -627,7 +342,8 @@ struct Counters {
 }
 
 struct Inner {
-    source: Arc<dyn WireSource>,
+    /// What is served; the v1 opcodes address element 0's flat view.
+    datasets: Vec<Box<dyn Dataset>>,
     counters: Counters,
     stop: AtomicBool,
     /// Write halves of live connections, keyed by connection id, so
@@ -638,16 +354,25 @@ struct Inner {
 
 impl Inner {
     fn stats(&self) -> ServeStats {
-        let (chunks_decoded, blob_bytes_read) = self.source.read_stats();
-        ServeStats {
+        let mut s = ServeStats {
             requests: self.counters.requests.load(Ordering::Relaxed),
             errors: self.counters.errors.load(Ordering::Relaxed),
             bytes_out: self.counters.bytes_out.load(Ordering::Relaxed),
             connections: self.counters.connections.load(Ordering::Relaxed),
-            cache: self.source.cache_stats(),
-            chunks_decoded,
-            blob_bytes_read,
+            ..ServeStats::default()
+        };
+        for d in &self.datasets {
+            let (cache, read) = d.stats();
+            s.cache.hits += cache.hits;
+            s.cache.misses += cache.misses;
+            s.cache.coalesced_waits += cache.coalesced_waits;
+            s.cache.evictions += cache.evictions;
+            s.cache.bytes_cached += cache.bytes_cached;
+            s.cache.bytes_peak += cache.bytes_peak;
+            s.chunks_decoded += read.chunks_decoded;
+            s.blob_bytes_read += read.blob_bytes_read;
         }
+        s
     }
 }
 
@@ -669,12 +394,12 @@ impl Server {
     pub fn bind_path<A: ToSocketAddrs>(addr: A, path: &Path, cfg: ServeConfig) -> io::Result<Server> {
         let mut head = Vec::with_capacity(6);
         Read::take(std::fs::File::open(path)?, 6).read_to_end(&mut head)?;
-        if is_catalog_magic(&head) {
-            return Server::bind_source(addr, open_catalog_source(path, cfg.cache_bytes)?, cfg);
-        }
-        let reader = ConcurrentReader::open_path(path)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("open archive: {e}")))?;
-        Server::bind_source(addr, open_source(reader, cfg.cache_bytes)?, cfg)
+        let datasets = if is_catalog_magic(&head) {
+            open_catalog(path, cfg.cache_bytes)?
+        } else {
+            open_archive(ConcurrentReader::open_path(path), cfg.cache_bytes)?
+        };
+        Server::bind_datasets(addr, datasets, cfg)
     }
 
     /// Serve an in-memory archive image (tests, benches).
@@ -683,20 +408,19 @@ impl Server {
         bytes: Vec<u8>,
         cfg: ServeConfig,
     ) -> io::Result<Server> {
-        let reader = ConcurrentReader::open(Cursor::new(bytes))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("open archive: {e}")))?;
-        Server::bind_source(addr, open_source(reader, cfg.cache_bytes)?, cfg)
+        let datasets = open_archive(ConcurrentReader::open(Cursor::new(bytes)), cfg.cache_bytes)?;
+        Server::bind_datasets(addr, datasets, cfg)
     }
 
-    fn bind_source<A: ToSocketAddrs>(
+    fn bind_datasets<A: ToSocketAddrs>(
         addr: A,
-        source: Arc<dyn WireSource>,
+        datasets: Vec<Box<dyn Dataset>>,
         cfg: ServeConfig,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
-            source,
+            datasets,
             counters: Counters::default(),
             stop: AtomicBool::new(false),
             conns: Mutex::new(std::collections::HashMap::new()),
@@ -805,23 +529,7 @@ fn metrics_loop(inner: Arc<Inner>, every: Duration) {
         elapsed += tick;
         if elapsed >= every {
             elapsed = Duration::ZERO;
-            let s = inner.stats();
-            let lookups = s.cache.hits + s.cache.misses;
-            let hit_pct = if lookups == 0 { 0.0 } else { 100.0 * s.cache.hits as f64 / lookups as f64 };
-            eprintln!(
-                "[rqm serve] requests={} errors={} conns={} out={}B cache: hit={:.1}% ({}h/{}m) coalesced={} evicted={} resident={}B decoded={}",
-                s.requests,
-                s.errors,
-                s.connections,
-                s.bytes_out,
-                hit_pct,
-                s.cache.hits,
-                s.cache.misses,
-                s.cache.coalesced_waits,
-                s.cache.evictions,
-                s.cache.bytes_cached,
-                s.chunks_decoded,
-            );
+            eprintln!("[rqm serve] {}", inner.stats());
         }
     }
 }
@@ -874,84 +582,113 @@ fn is_error_frame(frame: &[u8]) -> bool {
     frame.get(16).copied().unwrap_or(0) != 0
 }
 
+/// Build the reply to one well-formed request, once and in its frame:
+/// start the frame, let [`fill`] append the payload straight into it,
+/// seal it. A refusal, or a decode error found while the frame is being
+/// filled, drops the half-built frame for exactly one typed error frame.
 fn answer(inner: &Inner, id: u64, req: &Request) -> Vec<u8> {
-    let src = &*inner.source;
+    let mut out = begin_frame(id);
+    out.push(0);
+    match fill(inner, req, &mut out) {
+        Ok(()) => end_frame(out),
+        Err((code, message)) => encode_err(id, code, &message),
+    }
+}
+
+/// Why a request is answered with an error frame instead of a payload.
+type Refusal = (ErrorCode, String);
+
+/// Append the success payload of `req` to `out`: the echoed operands,
+/// then the decoded scalars. The v1 opcodes address dataset 0's flat
+/// view; `READ_STEP_ROWS` maps its step-local range onto the flat view
+/// of the dataset it names.
+fn fill(inner: &Inner, req: &Request, out: &mut Vec<u8>) -> Result<(), Refusal> {
+    let flat = &*inner.datasets[0];
     match *req {
-        Request::Ping => encode_ok(id, &[]),
-        Request::Info => encode_ok(id, &src.info_payload()),
-        Request::Stats => encode_ok(id, &inner.stats().encode()),
+        Request::Ping => {}
+        Request::Info => flat.info(out),
+        Request::Stats => out.extend_from_slice(&inner.stats().encode()),
         Request::ReadRows { start, count } => {
-            let rows = src.rows() as u64;
-            if count == 0 || start >= rows || count > rows - start {
-                return encode_err(
-                    id,
-                    ErrorCode::RowsOutOfRange,
-                    &format!("rows {start}..{} out of range (field has {rows})", start.saturating_add(count)),
-                );
-            }
-            match src.read_rows_payload(start as usize, count as usize) {
-                Ok(payload) => encode_ok(id, &payload),
-                Err(e) => encode_decode_err(id, &e),
-            }
+            check_rows(start, count, "field", flat.rows())?;
+            put_u64(out, start);
+            put_u64(out, count);
+            deliver_rows(flat, Some(start), count, out)?;
         }
         Request::ReadChunk { idx } => {
-            if idx >= src.n_chunks() as u64 {
-                return encode_err(
-                    id,
-                    ErrorCode::ChunkOutOfRange,
-                    &format!("chunk {idx} out of range (archive has {})", src.n_chunks()),
-                );
-            }
-            match src.read_chunk_payload(idx as usize) {
-                Ok(payload) => encode_ok(id, &payload),
-                Err(e) => encode_decode_err(id, &e),
+            let entries = flat.entries();
+            let Some(entry) = usize::try_from(idx).ok().and_then(|i| entries.get(i)) else {
+                let message = format!("chunk {idx} out of range (archive has {})", entries.len());
+                return Err((ErrorCode::ChunkOutOfRange, message));
+            };
+            put_u64(out, entry.start_row as u64);
+            put_u64(out, entry.rows as u64);
+            flat.chunk_into(idx as usize, out).map_err(refusal)?;
+        }
+        Request::ListDatasets => {
+            put_u32(out, inner.datasets.len() as u32);
+            for d in &inner.datasets {
+                d.describe(out);
             }
         }
-        Request::ListDatasets => encode_ok(id, &src.list_datasets_payload()),
         Request::ReadStepRows { dataset, step, start, count } => {
-            let Some((n_steps, step_rows)) = src.dataset_extent(dataset as usize) else {
-                return encode_err(
-                    id,
-                    ErrorCode::DatasetOutOfRange,
-                    &format!(
-                        "dataset {dataset} out of range (catalog has {})",
-                        src.n_datasets()
-                    ),
-                );
+            let Some(ds) = inner.datasets.get(dataset as usize) else {
+                let n = inner.datasets.len();
+                let message = format!("dataset {dataset} out of range (catalog has {n})");
+                return Err((ErrorCode::DatasetOutOfRange, message));
             };
+            let (n_steps, step_rows) = ds.steps();
             if step >= n_steps {
-                return encode_err(
-                    id,
-                    ErrorCode::StepOutOfRange,
-                    &format!("step {step} out of range (dataset has {n_steps} steps)"),
-                );
+                let message = format!("step {step} out of range (dataset has {n_steps} steps)");
+                return Err((ErrorCode::StepOutOfRange, message));
             }
-            if count == 0 || start >= step_rows || count > step_rows - start {
-                return encode_err(
-                    id,
-                    ErrorCode::RowsOutOfRange,
-                    &format!(
-                        "rows {start}..{} out of range (step has {step_rows})",
-                        start.saturating_add(count)
-                    ),
-                );
-            }
-            match src.read_step_rows_payload(dataset, step, start as usize, count as usize) {
-                Ok(payload) => encode_ok(id, &payload),
-                Err(e) => encode_decode_err(id, &e),
-            }
+            check_rows(start, count, "step", step_rows)?;
+            put_u32(out, dataset);
+            put_u64(out, step);
+            put_u64(out, start);
+            put_u64(out, count);
+            let first = step.checked_mul(step_rows).and_then(|base| base.checked_add(start));
+            deliver_rows(&**ds, first, count, out)?;
         }
     }
+    Ok(())
+}
+
+/// A row request must be non-empty and lie inside the `rows` of the
+/// field or step it addresses.
+fn check_rows(start: u64, count: u64, of: &str, rows: u64) -> Result<(), Refusal> {
+    if count == 0 || start >= rows || count > rows - start {
+        let end = start.saturating_add(count);
+        let message = format!("rows {start}..{end} out of range ({of} has {rows})");
+        return Err((ErrorCode::RowsOutOfRange, message));
+    }
+    Ok(())
+}
+
+/// Append the flat rows `first..first + count` of `ds`; arithmetic that
+/// leaves `usize` is the range error the reader itself would raise.
+fn deliver_rows(
+    ds: &dyn Dataset,
+    first: Option<u64>,
+    count: u64,
+    out: &mut Vec<u8>,
+) -> Result<(), Refusal> {
+    let range = || {
+        let first = usize::try_from(first?).ok()?;
+        Some(first..first.checked_add(usize::try_from(count).ok()?)?)
+    };
+    let overflow =
+        DecompressError::RowsOutOfRange { requested_end: usize::MAX, rows: ds.rows() as usize };
+    range().ok_or(overflow).and_then(|rows| ds.rows_into(rows, out)).map_err(refusal)
 }
 
 /// Map a decode-side failure onto the wire. Range errors keep their
 /// typed codes (they can surface from a race-free re-check inside the
 /// reader); everything else is a `Decode` error.
-fn encode_decode_err(id: u64, e: &DecompressError) -> Vec<u8> {
+fn refusal(e: DecompressError) -> Refusal {
     let code = match e {
         DecompressError::RowsOutOfRange { .. } => ErrorCode::RowsOutOfRange,
         DecompressError::ChunkOutOfRange { .. } => ErrorCode::ChunkOutOfRange,
         _ => ErrorCode::Decode,
     };
-    encode_err(id, code, &e.to_string())
+    (code, e.to_string())
 }

@@ -3,13 +3,18 @@
 //! default dataset) at one server over an `RQCAT` file, and every reply
 //! must be byte-identical to a local `CatalogReader::read_step` decode —
 //! across cache budgets {0, tiny, unbounded}. Also pins the v2 contract
-//! for plain archives (one pseudo-dataset) and the typed out-of-range
-//! error codes.
+//! for plain archives (one pseudo-dataset), the typed out-of-range error
+//! codes, and that a plain archive and a one-step catalog of the same
+//! field are one thing on the wire.
 
 use rqm::catalog::{CatalogReader, CatalogWriter};
 use rqm::prelude::*;
+use rqm::serve::protocol::{
+    encode_request, read_frame, write_frame, Frame, Request, MAX_RESPONSE_BODY,
+};
 use rqm::serve::{ClientError, ErrorCode, SINGLE_ARCHIVE_DATASET};
-use std::io::Cursor;
+use std::io::{BufReader, Cursor};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 
 /// Deterministic xorshift64* stream.
@@ -52,8 +57,10 @@ fn catalog_bytes() -> Vec<u8> {
     w.finalize().unwrap().sink
 }
 
+/// Each file gets a directory of its own: the tests run on parallel
+/// threads and every one removes the directory it wrote.
 fn write_temp(name: &str, bytes: &[u8]) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("rqm_serve_cat_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("rqm_serve_cat_{}_{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     std::fs::write(&path, bytes).unwrap();
@@ -126,13 +133,55 @@ fn sixty_four_clients_match_the_local_catalog_decode_across_budgets() {
                         }
                     }
                     // The v1 ops keep working against a catalog: they see
-                    // dataset 0 flattened time-major.
-                    let flat = c.read_rows::<f32>(0..DIMS[0]).unwrap();
+                    // dataset 0 flattened time-major, so a row range may
+                    // cross a step boundary and chunk indices run on past
+                    // the first step's.
+                    let chunks_per_step = ds[0].chunks_per_step as usize;
+                    let flat_rows = N_STEPS * DIMS[0];
+                    let a = rng.below(flat_rows - 1);
+                    let b = (a + 1 + rng.below(2 * DIMS[0])).min(flat_rows);
+                    let rows32 = |r: std::ops::Range<usize>| -> Vec<f32> {
+                        r.flat_map(|row| {
+                            let at = row % DIMS[0] * row_elems;
+                            ref32[row / DIMS[0]][at..at + row_elems].iter().copied()
+                        })
+                        .collect()
+                    };
+                    for r in [0..DIMS[0], DIMS[0] - 2..DIMS[0] + 3, a..b] {
+                        let flat = c.read_rows::<f32>(r.clone()).unwrap();
+                        assert_eq!(
+                            flat.as_slice(),
+                            rows32(r.clone()),
+                            "{what}: READ_ROWS {r:?} must serve dataset 0 flattened"
+                        );
+                    }
+                    let idx = chunks_per_step + rng.below((N_STEPS - 1) * chunks_per_step);
+                    let (start, chunk) = c.read_chunk::<f32>(idx).unwrap();
+                    let want_start = idx / chunks_per_step * DIMS[0] + idx % chunks_per_step * 4;
+                    assert_eq!(start, want_start, "{what}: READ_CHUNK {idx} start row");
                     assert_eq!(
-                        flat.as_slice(),
-                        &ref32[0][..],
-                        "{what}: READ_ROWS must serve dataset 0, step 0"
+                        chunk.as_slice(),
+                        rows32(start..start + chunk.shape().dim(0)),
+                        "{what}: READ_CHUNK {idx} must serve a later step's chunk"
                     );
+                    // One past either flattened extent is a typed refusal
+                    // that keeps the connection.
+                    for (err, want) in [
+                        (
+                            c.read_rows::<f32>(flat_rows - 1..flat_rows + 1).unwrap_err(),
+                            ErrorCode::RowsOutOfRange,
+                        ),
+                        (
+                            c.read_chunk::<f32>(N_STEPS * chunks_per_step).unwrap_err(),
+                            ErrorCode::ChunkOutOfRange,
+                        ),
+                    ] {
+                        match err {
+                            ClientError::Server { code, .. } => assert_eq!(code, want, "{what}"),
+                            other => panic!("{what}: expected a typed error, got {other}"),
+                        }
+                    }
+                    c.ping().unwrap();
                 })
             })
             .collect();
@@ -140,7 +189,7 @@ fn sixty_four_clients_match_the_local_catalog_decode_across_budgets() {
             h.join().unwrap();
         }
         let s = server.stats();
-        assert_eq!(s.errors, 0, "{what}: no request may fail");
+        assert_eq!(s.errors, 2 * CLIENTS as u64, "{what}: only the two refusals may fail");
         assert_eq!(s.connections, CLIENTS as u64, "{what}");
     }
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
@@ -165,6 +214,82 @@ fn plain_archives_answer_v2_with_one_pseudo_dataset() {
     let local = decompress::<f32>(&bytes).unwrap();
     let slab = c.read_step_rows::<f32>(&ds[0], 0, 3..11).unwrap();
     assert_eq!(slab.as_slice(), &local.as_slice()[3 * 48..11 * 48]);
+}
+
+/// Send `script` down one raw connection; the reply bodies (id, status,
+/// payload) in order.
+fn raw_replies(addr: SocketAddr, script: &[Request]) -> Vec<Vec<u8>> {
+    let mut writer = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    script
+        .iter()
+        .zip(1..)
+        .map(|(req, id)| {
+            write_frame(&mut writer, &encode_request(id, req)).unwrap();
+            match read_frame(&mut reader, MAX_RESPONSE_BODY).unwrap() {
+                Frame::Body(body) => body,
+                _ => panic!("no reply to {req:?}"),
+            }
+        })
+        .collect()
+}
+
+/// The same field under the same config, served as a plain archive and
+/// as a catalog of one dataset named like the pseudo-dataset with one
+/// keyframe step, is one thing on the wire: every reply — payloads and
+/// refusals — is byte-identical, and the counters agree.
+fn plain_archive_and_one_step_catalog_agree<T: rqm::grid::Scalar>(what: &str, field: &NdArray<T>) {
+    let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(EB)).chunked(5);
+    let mut w = CatalogWriter::create(Vec::new()).unwrap();
+    w.write_dataset(SINGLE_ARCHIVE_DATASET, &cfg, 1, std::slice::from_ref(field)).unwrap();
+    let path = write_temp(&format!("one_{what}.rqc"), &w.finalize().unwrap().sink);
+    let archive = compress(field, &cfg).unwrap().bytes;
+    let plain = Server::bind_bytes("127.0.0.1:0", archive, ServeConfig::default()).unwrap();
+    let catalog = Server::bind_path("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
+
+    let served = [
+        Request::Ping,
+        Request::Info,
+        Request::ListDatasets,
+        Request::rows(3..11),
+        Request::ReadChunk { idx: 0 },
+        Request::ReadChunk { idx: 3 },
+        Request::step_rows(0, 0, 7..20),
+        Request::rows(0..20),
+    ];
+    let refused = [
+        Request::rows(15..21),
+        Request::ReadChunk { idx: 4 },
+        Request::step_rows(0, 1, 0..1),
+        Request::step_rows(1, 0, 0..1),
+    ];
+    let script: Vec<Request> =
+        served.iter().chain(&refused).cloned().chain([Request::Stats]).collect();
+    let from_plain = raw_replies(plain.local_addr(), &script);
+    let from_catalog = raw_replies(catalog.local_addr(), &script);
+    let (stats_plain, replies_plain) = from_plain.split_last().unwrap();
+    let (stats_catalog, replies_catalog) = from_catalog.split_last().unwrap();
+    for (i, (a, b)) in replies_plain.iter().zip(replies_catalog).enumerate() {
+        assert_eq!(a, b, "{what}: replies to {:?} differ", script[i]);
+        assert_eq!(a[8] != 0, i >= served.len(), "{what}: status of the reply to {:?}", script[i]);
+    }
+    let a = ServeStats::parse(&stats_plain[9..]).unwrap();
+    let b = ServeStats::parse(&stats_catalog[9..]).unwrap();
+    assert_eq!(a.cache, b.cache, "{what}: cache counters");
+    assert_eq!(a.chunks_decoded, b.chunks_decoded, "{what}: chunks decoded");
+    assert_eq!((a.cache.misses, a.chunks_decoded, a.errors), (4, 4, 4), "{what}");
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+#[test]
+fn a_plain_archive_is_a_one_step_catalog_on_the_wire() {
+    let f32s = rqm::datagen::fields::mixed_smooth_turbulent(Shape::d3(20, 8, 6), 10, 30.0);
+    let f64s = NdArray::from_vec(
+        f32s.shape(),
+        f32s.as_slice().iter().map(|&v| v as f64 * 2.0 - 0.5).collect::<Vec<f64>>(),
+    );
+    plain_archive_and_one_step_catalog_agree("f32", &f32s);
+    plain_archive_and_one_step_catalog_agree("f64", &f64s);
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! listener must still answer a fresh, well-formed client.
 
 use rqm::prelude::*;
-use rqm::serve::protocol::{FRAME_PREFIX, MAGIC, PROTOCOL_VERSION};
-use rqm::serve::{ClientError, ErrorCode};
+use rqm::serve::protocol::{encode_request, FRAME_PREFIX, MAGIC, PROTOCOL_VERSION};
+use rqm::serve::{ClientError, ErrorCode, Request};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -221,6 +221,37 @@ fn out_of_range_requests_get_typed_errors_and_keep_the_connection() {
     let (id, status, _) = read_reply(&mut s).unwrap();
     assert_eq!((id, status), (77, ErrorCode::RowsOutOfRange as u8));
     assert_alive(&server);
+}
+
+/// A chunk that fails to decode is found only after the reply's frame
+/// has been started and the operands echoed into it: the client must
+/// still see exactly one frame — a typed `Decode` error — and the
+/// connection must stay in step for the next request.
+#[test]
+fn a_decode_error_mid_reply_is_one_typed_error_frame() {
+    let mut bytes = archive();
+    let doomed = chunk_table(&bytes).unwrap().entries[2];
+    bytes[doomed.offset..doomed.offset + doomed.len].fill(0xFF);
+    assert!(decompress::<f32>(&bytes).is_err(), "the wrecked chunk must not decode locally");
+    let server = Server::bind_bytes("127.0.0.1:0", bytes, ServeConfig::default()).unwrap();
+
+    let mut s = connect(&server);
+    // Rows 8..12 span chunk 1, which decodes, and chunk 2, which fails.
+    let doomed_requests =
+        [Request::rows(8..12), Request::ReadChunk { idx: 2 }, Request::step_rows(0, 0, 10..11)];
+    for (req, id) in doomed_requests.iter().zip(1..) {
+        s.write_all(&encode_request(id, req)).unwrap();
+        let (echo, status, message) = read_reply(&mut s).unwrap();
+        assert_eq!((echo, status), (id, ErrorCode::Decode as u8), "{req:?}");
+        assert!(std::str::from_utf8(&message).is_ok(), "{req:?}: a message, not scalars");
+        s.write_all(&encode_request(90 + id, &Request::Ping)).unwrap();
+        let (echo, status, payload) = read_reply(&mut s).unwrap();
+        assert_eq!((echo, status, payload.len()), (90 + id, 0, 0), "PING after {req:?}");
+    }
+    // The chunks around the wrecked one are still served.
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(c.read_rows::<f32>(5..10).unwrap().shape().dim(0), 5);
+    assert_eq!(server.stats().errors, 3);
 }
 
 #[test]
