@@ -80,8 +80,8 @@ pub struct SzChunkCodec {
     /// Optional lossless stage configuration.
     pub lossless: LosslessStage,
     /// Which kernel implementations to run (production is always
-    /// [`KernelPath::Fast`]; the reference path exists for the
-    /// differential harness and the `codec_kernels` bench).
+    /// [`KernelPath::Fast`]; the reference path is the oracle of the
+    /// differential tests).
     pub(crate) path: KernelPath,
 }
 
@@ -105,7 +105,7 @@ impl SzChunkCodec {
     }
 
     /// Same, forcing a kernel path (crate-internal: used by the
-    /// `kernels` test/bench surface; the container bytes are identical
+    /// `kernels` test surface; the container bytes are identical
     /// either way, which is exactly what the differential tests assert).
     pub(crate) fn with_kernel_path(mut self, path: KernelPath) -> Self {
         self.path = path;

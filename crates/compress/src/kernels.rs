@@ -1,10 +1,10 @@
-//! Test/bench access to the chunk kernels.
+//! Test access to the chunk kernels.
 //!
 //! Hidden from the public docs on purpose: this surface exists so
-//! `tests/kernel_differential.rs` and the `codec_kernels` bench can drive
-//! the fast and reference kernel paths against each other at the
-//! chunk-blob level, without widening the real API. The container format
-//! is identical on both paths — that identity is the whole point.
+//! `tests/kernel_differential.rs` can drive the fast and reference
+//! kernel paths against each other at the chunk-blob level, without
+//! widening the real API. The container format is identical on both
+//! paths — that identity is the whole point.
 
 use crate::codec::{ChunkCodec, SzChunkCodec};
 use crate::config::LosslessStage;
@@ -89,7 +89,7 @@ pub fn decode_chunk_rolz<T: Scalar>(
 
 /// Run one Lorenzo traversal with the caller's visit closure — exposes
 /// the predictor hot loop alone (the fast row-specialized walk vs the
-/// generic stencil walk) to the differential tests and the bench.
+/// generic stencil walk) to the differential tests.
 pub fn traverse_lorenzo(
     shape: Shape,
     order: usize,

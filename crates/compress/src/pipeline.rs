@@ -270,7 +270,7 @@ impl<'a, T: Scalar> QuantDecoder<'a, T> {
 /// stages. Production code always runs [`KernelPath::Fast`];
 /// [`KernelPath::Reference`] keeps the pre-rework scalar kernels
 /// reachable so `tests/kernel_differential.rs` can hold the two
-/// byte-identical and the `codec_kernels` bench can measure the speedup.
+/// byte-identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
     /// Table-driven / word-at-a-time / row-specialized kernels.

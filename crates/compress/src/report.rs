@@ -5,9 +5,8 @@
 /// JSON has no NaN/Infinity literals — Rust's `{}` formatting of
 /// non-finite floats (`NaN`, `inf`) silently produces invalid JSON that
 /// strict parsers reject. Every float written by the CLI's `--json`
-/// modes and the bench JSON reports must go through here: non-finite
-/// values become `null`, finite values keep their shortest roundtrip
-/// form.
+/// modes must go through here: non-finite values become `null`, finite
+/// values keep their shortest roundtrip form.
 pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")

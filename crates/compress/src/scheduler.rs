@@ -56,7 +56,7 @@ const ZFP_SAMPLE_ELEMS: usize = 4096;
 /// corner.
 const PROBE_BLOCKS: usize = 3;
 
-/// One chunk's scheduling outcome (also surfaced by the ablation bench).
+/// One chunk's scheduling outcome.
 #[derive(Clone, Copy, Debug)]
 pub struct CodecDecision {
     /// The chosen codec.

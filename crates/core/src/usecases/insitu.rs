@@ -136,7 +136,7 @@ impl PlanCorrection {
     /// round's bounds `ebs`. Ratios are clamped to a sane band so a
     /// degenerate measurement (e.g. an exactly-zero chunk) cannot blow up
     /// the next round's optimization. The single definition shared by the
-    /// CLI, the `target_psnr` bench and the model-accuracy suite.
+    /// CLI and the model-accuracy suite.
     ///
     /// # Panics
     /// Panics if the slice lengths disagree.

@@ -311,7 +311,7 @@ impl HuffmanCodec {
 
     /// Encode with the pre-rework byte-at-a-time bit writer: the reference
     /// kernel `tests/kernel_differential.rs` holds [`Self::encode`] equal
-    /// to, and the baseline the `codec_kernels` bench measures against.
+    /// to.
     pub fn encode_reference(&self, symbols: &[u32]) -> Result<Vec<u8>, HuffmanError> {
         let mut w = crate::reference::RefBitWriter::new();
         for &s in symbols {

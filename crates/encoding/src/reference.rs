@@ -1,13 +1,12 @@
-//! Pre-rework scalar reference kernels, kept alive for differential
-//! testing and the `codec_kernels` before/after benchmark.
+//! Pre-rework scalar reference kernels, kept alive as the oracle of the
+//! differential tests.
 //!
 //! Every function and type here is a verbatim copy of the byte-at-a-time
 //! implementation that shipped before the table-driven kernel rework
 //! (PR 9). The fast paths in [`crate::bitio`], [`crate::huffman`],
 //! [`crate::rle`] and [`crate::lzss`] must produce **byte-identical**
 //! streams and decodes; `tests/kernel_differential.rs` asserts that
-//! equivalence across distributions and buffer lengths, and the
-//! `codec_kernels` bench measures the speedup against these baselines.
+//! equivalence across distributions and buffer lengths.
 //!
 //! Do not "improve" this module — its value is that it does not change.
 

@@ -154,8 +154,8 @@ impl LinearQuantizer {
     /// [`Self::quantize`] but rounding through the libm `f64::round` call
     /// and re-deriving the bin width per call. Bit-identical in result
     /// (`2.0 * eb` is exact, and `round_ties_away` is proven equal to
-    /// `round`); kept so the reference kernel path and the
-    /// `codec_kernels` bench measure the true pre-rework cost.
+    /// `round`); kept so the reference kernel path, the oracle of
+    /// `tests/kernel_differential.rs`, is the pre-rework code unchanged.
     #[inline]
     pub fn quantize_ref(&self, prediction_error: f64) -> Option<i32> {
         if !prediction_error.is_finite() {

@@ -12,12 +12,12 @@
 //! stream shape is being introduced:
 //!
 //! ```sh
-//! cargo run -p rq-bench --bin make_golden_entropy -- <out-dir>
+//! cargo run --example make_golden_entropy -- <out-dir>
 //! ```
 
-use rq_encoding::huffman::HuffmanCodec;
-use rq_encoding::lossless::lossless_compress;
-use rq_encoding::varint::put_uvarint;
+use rqm::encoding::huffman::HuffmanCodec;
+use rqm::encoding::lossless::lossless_compress;
+use rqm::encoding::varint::put_uvarint;
 
 /// Splitmix-free xorshift64: the only RNG the fixtures use, frozen.
 fn xorshift(state: &mut u64) -> u64 {

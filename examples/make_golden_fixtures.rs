@@ -15,14 +15,14 @@
 //! `tests/pipeline_roundtrip.rs` exactly.
 //!
 //! ```sh
-//! cargo run -p rq-bench --bin make_golden_fixtures -- <out-dir>
+//! cargo run --example make_golden_fixtures -- <out-dir>
 //! ```
 
-use rq_catalog::CatalogWriter;
-use rq_compress::{chunk_table, ArchiveWriter, ChunkCodecKind, CodecChoice, CompressorConfig};
-use rq_grid::{NdArray, Shape};
-use rq_predict::PredictorKind;
-use rq_quant::ErrorBoundMode;
+use rqm::catalog::CatalogWriter;
+use rqm::compress_crate::{chunk_table, ArchiveWriter, ChunkCodecKind, CodecChoice, CompressorConfig};
+use rqm::grid::{NdArray, Shape};
+use rqm::predict::PredictorKind;
+use rqm::quant::ErrorBoundMode;
 
 /// The catalog-v1 fixture's f32 dataset: a smooth field drifting slowly
 /// with the step index, so delta segments are genuinely smaller than
@@ -103,7 +103,7 @@ fn main() {
         .expect("planned session");
         w.write_slab(&field).expect("write fixture field");
         let bytes = w.finalize().expect("finalize fixture").sink;
-        assert_eq!(rq_compress::peek_header(&bytes).unwrap().version, 6);
+        assert_eq!(rqm::compress_crate::peek_header(&bytes).unwrap().version, 6);
         let codecs: Vec<ChunkCodecKind> =
             chunk_table(&bytes).unwrap().entries.iter().map(|e| e.codec).collect();
         assert!(

@@ -2,7 +2,7 @@
 //!
 //! Demonstrates (and asserts, so CI can run it as a check) the
 //! `ArchiveWriter`/`ArchiveReader` API: a multi-slab field is compressed
-//! incrementally through the writer — slabs fed by `rq_h5lite::slab_iter`,
+//! incrementally through the writer — axis-0 slabs cut from the snapshot,
 //! chunk index landing in the trailer — then read back three ways:
 //!
 //! * whole-field `read_all`, compared element-wise against the original
@@ -18,7 +18,6 @@
 
 use rqm::compress_crate::{ArchiveReader, ArchiveWriter};
 use rqm::datagen::RtmSimulator;
-use rqm::h5lite::slab_iter;
 use rqm::prelude::*;
 use std::io::Cursor;
 
@@ -31,7 +30,7 @@ fn main() {
     let shape = snap.shape();
     let row_elems: usize = shape.dims()[1..].iter().product();
 
-    // --- write: feed slabs from the h5lite iterator into the session ---
+    // --- write: feed axis-0 slabs of the snapshot into the session ---
     let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(eb))
         .chunked(chunk_rows)
         .with_codec(CodecChoice::Auto)
@@ -39,7 +38,9 @@ fn main() {
     let mut writer =
         ArchiveWriter::<f32, Vec<u8>>::create(Vec::new(), shape, &cfg).expect("writer open");
     let mut n_slabs = 0;
-    for slab in slab_iter(&snap, slab_rows) {
+    for rows in snap.as_slice().chunks(slab_rows * row_elems) {
+        let dims = Shape::d3(rows.len() / row_elems, shape.dim(1), shape.dim(2));
+        let slab = NdArray::from_vec(dims, rows.to_vec());
         writer.write_slab(&slab).expect("write_slab");
         n_slabs += 1;
     }

@@ -48,9 +48,6 @@ pub use rq_datagen as datagen;
 /// The analytical ratio-quality model (the paper's contribution).
 pub use rq_core as core_model;
 
-/// HDF5-like chunked container with a parallel writer.
-pub use rq_h5lite as h5lite;
-
 /// Archive read service: TCP daemon, decoded-chunk cache, wire client.
 pub use rq_serve as serve;
 

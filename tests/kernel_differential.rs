@@ -22,7 +22,7 @@
 //!   frozen streams reproduces the committed bytes.
 //!
 //! The symbol/byte-stream formulas here are frozen copies of
-//! `crates/bench/src/bin/make_golden_entropy.rs`; never change either
+//! `examples/make_golden_entropy.rs`; never change either
 //! side.
 
 use rqm::compress_crate::kernels::{decode_chunk, encode_chunk, traverse_lorenzo, KernelPath};

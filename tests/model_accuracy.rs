@@ -3,7 +3,8 @@
 //! sample. These tests enforce that property on synthetic fields with
 //! loose-but-meaningful tolerances (the paper reports ~93 % average
 //! accuracy; we gate at roughly 75–80 % so statistical wobble on small
-//! debug-size fields cannot flake).
+//! debug-size fields cannot flake), and on the whole Table I registry as
+//! Table II itself.
 
 use rqm::prelude::*;
 
@@ -15,6 +16,100 @@ fn eq20_error(pairs: &[(f64, f64)]) -> f64 {
     let var =
         ratios.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / ratios.len() as f64;
     1.0 - 1.0 / (1.0 + var.sqrt())
+}
+
+#[test]
+fn eq20_error_measures_scatter_not_bias() {
+    assert!(eq20_error(&[(1.0, 1.0), (2.0, 2.0), (5.0, 5.0)]) < 1e-12);
+    // A constant bias is not an error: Eq. 20 is the spread of the ratio.
+    assert!(eq20_error(&[(1.1, 1.0), (2.2, 2.0), (5.5, 5.0)]) < 1e-12);
+    let tight = eq20_error(&[(1.0, 1.02), (1.0, 0.98)]);
+    let loose = eq20_error(&[(1.0, 1.5), (1.0, 0.6)]);
+    assert!(loose > tight);
+}
+
+/// Table II: the 17 fields of the Table I registry (1-D → Lorenzo, else
+/// interpolation), a 1 % model, and the Eq. 20 error of each estimate
+/// over four bounds log-spaced 1e-5 … 1e-2 × range. The six column
+/// averages are held under ceilings ~25 % above what this code measures
+/// (with six bounds it measures 0.14 / 5.42 / 9.63 / 9.68 / 1.06 / 0.04 %;
+/// four keep a debug build under a minute). `-- --nocapture` prints the
+/// table.
+#[test]
+fn table2_column_averages_stay_under_their_ceilings() {
+    use rqm::core_model::sample_errors;
+    const POINTS: usize = 4;
+    // (column, ceiling, measured here, paper's Table II average)
+    let columns = [
+        ("sample", 0.0017, 0.00135, 0.0012),
+        ("Huffman", 0.072, 0.0574, 0.0516),
+        ("lossless", 0.120, 0.0961, 0.0621),
+        ("Huffman+LL", 0.123, 0.0983, 0.0653),
+        ("PSNR", 0.0125, 0.0099, 0.0272),
+        ("SSIM", 0.00062, 0.00049, 0.0559),
+    ];
+    let mut sums = [0.0f64; 6];
+    let mut counts = [0usize; 6];
+    for spec in rqm::datagen::all_datasets().iter().flat_map(|ds| &ds.fields) {
+        let field = spec.generate();
+        let ndim = field.shape().ndim();
+        let kind = if ndim == 1 { PredictorKind::Lorenzo } else { PredictorKind::Interpolation };
+        let range = field.value_range();
+        // Sampling error: |sampled std − full std| / range (§V-B1).
+        let full = sample_errors(&field, kind, 1.0, 0).weighted_std();
+        let sampled = sample_errors(&field, kind, 0.01, 1).weighted_std();
+        let model = RqModel::build(&field, kind, 0.01, 2);
+        let (mut huff, mut lossless, mut overall, mut quality, mut ssim) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for i in 0..POINTS {
+            let eb = range * 10f64.powf(-5.0 + 3.0 * i as f64 / (POINTS - 1) as f64);
+            let est = model.estimate(eb);
+            let cfg = CompressorConfig::new(kind, ErrorBoundMode::Abs(eb));
+            let (out, rep) = compress_with_report(&field, &cfg).unwrap();
+            huff.push((rep.huffman_bit_rate(), est.bit_rate_huffman));
+            // The extra ratio delivered by the optional lossless stage.
+            lossless.push((
+                rep.huffman_bytes as f64 / rep.encoded_bytes.max(1) as f64,
+                (est.bit_rate_huffman / est.bit_rate).max(1.0),
+            ));
+            overall.push((out.bit_rate(), est.bit_rate));
+            let back = decompress::<f32>(&out.bytes).unwrap();
+            quality.push((psnr(&field, &back), est.psnr));
+            if ndim >= 2 {
+                ssim.push((global_ssim(&field, &back), est.ssim));
+            }
+        }
+        let row = [
+            Some((sampled - full).abs() / range.max(f64::MIN_POSITIVE)),
+            Some(eq20_error(&huff)),
+            Some(eq20_error(&lossless)),
+            Some(eq20_error(&overall)),
+            Some(eq20_error(&quality)),
+            (!ssim.is_empty()).then(|| eq20_error(&ssim)),
+        ];
+        let cells = row.map(|e| e.map_or("-".into(), |e| format!("{:.2}", e * 100.0)));
+        println!("{:<22} {} (% per column)", spec.label(), cells.join(" "));
+        for (i, err) in row.into_iter().enumerate() {
+            if let Some(err) = err {
+                sums[i] += err;
+                counts[i] += 1;
+            }
+        }
+    }
+    for (i, (column, ceiling, measured, paper)) in columns.into_iter().enumerate() {
+        let avg = sums[i] / counts[i] as f64;
+        println!("average {column} error: {:.3} %", avg * 100.0);
+        assert!(
+            avg <= ceiling,
+            "Table II {column} error averages {:.3} % over {} fields: ceiling {:.3} %, \
+             measured {:.3} % when the ceiling was set, paper {:.2} %",
+            avg * 100.0,
+            counts[i],
+            ceiling * 100.0,
+            measured * 100.0,
+            paper * 100.0
+        );
+    }
 }
 
 fn test_field() -> NdArray<f32> {
@@ -208,43 +303,53 @@ fn measured_psnr_tracks_model_across_codecs() {
     }
 }
 
-/// The §IV-A/C acceptance loop end to end on a mixed RTM field, exactly
-/// the `rqm compress --target-psnr` algorithm: per-chunk deterministic
-/// models → water-filling plan with the CLI's safety margin → planned
-/// adaptive archive (v2.4 since the three-way scheduler) → measured
-/// verification → at most one corrected round → measured PSNR ≥
-/// T − 0.5 dB, within two compression passes.
+/// The §IV-A/C acceptance loop end to end on eight RTM snapshots stacked
+/// along axis 0 (early quiet, late dense), targeting 60 dB: per-chunk
+/// strided models → water-filling plan → planned adaptive archive →
+/// measured verification → at most one measured-feedback round.
+///
+/// It mirrors `rqm compress --target-psnr` in its planning constants (the
+/// Lorenzo margin of 1.5 dB, 4096 samples per chunk, a 32-point grid) and
+/// in keeping round 1 when a loosening round undershoots. Its feedback
+/// policy is its own: the accepted floor is T − 0.5 dB, and round 2
+/// re-aims at floor + 0.3 dB whenever round 1 lands outside
+/// [floor, floor + 0.6] — the CLI holds the floor at T, tightens by the
+/// observed deficit and only loosens past T + 0.75 dB, aiming at T + 0.35.
+///
+/// Asserted: the floor is met within two compression passes (where an
+/// exhaustive search for the best single bound needs 18 trials); a
+/// loosening round never grows the archive; the result stays within
+/// 1.25× of that 18-trial oracle, the headroom paying for the guard band
+/// the oracle does not keep. Measured: round 1 58.73 dB (misses the
+/// floor), round 2 60.01 dB in 26 845 B = 1.182× the oracle's 22 714 B.
 #[test]
 fn target_psnr_planned_archive_meets_measured_floor() {
     use rqm::compress_crate::{chunk_table, resolved_chunk_rows, ArchiveWriter};
     use rqm::core_model::usecases::{optimize_partitions_corrected, PlanCorrection};
 
-    // Four evolving RTM snapshots stacked along axis 0: early quiet,
-    // late dense — the §IV-C in-situ setting as one field.
-    let mut sim = rqm::datagen::RtmSimulator::new([32, 32, 32]);
+    let side = 32;
+    let mut sim = rqm::datagen::RtmSimulator::new([side, side, side]);
     let mut data = Vec::new();
-    for i in 1..=4 {
-        data.extend_from_slice(sim.snapshot_at(i * 70).as_slice());
+    for step in [12, 30, 60, 90, 120, 150, 200, 240] {
+        data.extend_from_slice(sim.snapshot_at(step).as_slice());
     }
-    let field = NdArray::from_vec(Shape::d3(4 * 32, 32, 32), data);
+    let field = NdArray::from_vec(Shape::d3(8 * side, side, side), data);
 
     let target = 60.0;
     let floor = target - 0.5;
-    let margin = 1.5; // the CLI's Lorenzo-family planning margin
+    let margin = 1.5;
+    let guard = 0.3;
     let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1.0))
-        .chunked(32)
+        .chunked(side)
         .with_codec(CodecChoice::Auto);
-    let chunk_rows = resolved_chunk_rows(&cfg, field.shape());
-    assert_eq!(chunk_rows, 32);
-    let row_elems = 32 * 32;
+    assert_eq!(resolved_chunk_rows(&cfg, field.shape()), side);
+    let row_elems = side * side;
     let mut models = Vec::new();
     let mut sizes = Vec::new();
-    for c in 0..4 {
-        let lo = c * 32 * row_elems;
-        let slab = &field.as_slice()[lo..lo + 32 * row_elems];
+    for slab in field.as_slice().chunks(side * row_elems) {
         models.push(RqModel::build_strided(
             slab,
-            Shape::d3(32, 32, 32),
+            Shape::d3(side, side, side),
             PredictorKind::Lorenzo,
             4096,
         ));
@@ -253,7 +358,9 @@ fn target_psnr_planned_archive_meets_measured_floor() {
     let range = field.value_range();
 
     // One planned pass: archive + measured PSNR + per-chunk corrections.
+    let passes = std::cell::Cell::new(0);
     let planned_pass = |ebs: &[f64]| -> (Vec<u8>, f64, PlanCorrection) {
+        passes.set(passes.get() + 1);
         let mut w = ArchiveWriter::<f32, Vec<u8>>::create_planned(
             Vec::new(),
             field.shape(),
@@ -284,26 +391,32 @@ fn target_psnr_planned_archive_meets_measured_floor() {
     };
 
     let plan1 = optimize_partitions(&models, &sizes, range, target + margin, 32).unwrap();
-    let (_, psnr1, corr) = planned_pass(&plan1.ebs);
-    let measured = if psnr1 >= floor {
-        psnr1
+    let (bytes1, psnr1, corr) = planned_pass(&plan1.ebs);
+    // Outside the band one corrected round re-aims just above the floor:
+    // tightening rescues a missed floor, loosening hands back overshot
+    // quality and is kept only if it still meets the floor in fewer bytes.
+    let (planned_bytes, measured) = if psnr1 < floor || psnr1 > floor + 2.0 * guard {
+        let plan2 =
+            optimize_partitions_corrected(&models, &sizes, range, floor + guard, 32, Some(&corr))
+                .unwrap();
+        let (bytes2, psnr2, _) = planned_pass(&plan2.ebs);
+        if psnr2 >= floor && (psnr1 < floor || bytes2.len() <= bytes1.len()) {
+            (bytes2.len(), psnr2)
+        } else {
+            (bytes1.len(), psnr1)
+        }
     } else {
-        // The CLI's corrected second round: re-aim just above the floor
-        // with the per-chunk measured/modeled anchors.
-        let plan2 = optimize_partitions_corrected(
-            &models,
-            &sizes,
-            range,
-            floor + 0.3,
-            32,
-            Some(&corr),
-        )
-        .unwrap();
-        planned_pass(&plan2.ebs).1
+        (bytes1.len(), psnr1)
     };
     assert!(
         measured >= floor,
-        "planned archive delivers {measured:.2} dB < floor {floor:.1} dB (round1 {psnr1:.2})"
+        "planned archive delivers {measured:.2} dB < floor {floor:.1} dB (round 1 {psnr1:.2})"
+    );
+    assert!(passes.get() <= 2, "took {} compression passes", passes.get());
+    assert!(
+        psnr1 < floor || planned_bytes <= bytes1.len(),
+        "the loosening round grew the archive: {planned_bytes} B > {} B",
+        bytes1.len()
     );
     // The plan must exploit the heterogeneity: quiet early snapshots get
     // different bounds from the dense late ones.
@@ -311,6 +424,30 @@ fn target_psnr_planned_archive_meets_measured_floor() {
         plan1.ebs.iter().any(|&e| e != plan1.ebs[0]),
         "per-chunk plan degenerated to uniform: {:?}",
         plan1.ebs
+    );
+
+    // The oracle: the smallest single-bound archive meeting the floor,
+    // found by measured bisection — the trial-and-error loop the model
+    // replaces.
+    let single_bound = |eb: f64| -> (usize, f64) {
+        let out = compress(&field, &cfg.with_bound(ErrorBoundMode::Abs(eb))).unwrap();
+        (out.bytes.len(), psnr(&field, &decompress::<f32>(&out.bytes).unwrap()))
+    };
+    let (mut lo_eb, mut hi_eb) = (range * 1e-8, range * 0.3);
+    for _ in 0..18 {
+        let mid = (lo_eb * hi_eb).sqrt();
+        if single_bound(mid).1 >= floor {
+            lo_eb = mid;
+        } else {
+            hi_eb = mid;
+        }
+    }
+    let (oracle_bytes, oracle_psnr) = single_bound(lo_eb);
+    assert!(oracle_psnr >= floor, "oracle bisection ended at {oracle_psnr:.2} dB");
+    assert!(
+        planned_bytes as f64 <= oracle_bytes as f64 * 1.25,
+        "planned archive ({planned_bytes} B, {measured:.2} dB) exceeds 1.25x the oracle single \
+         bound ({oracle_bytes} B, {oracle_psnr:.2} dB)"
     );
 }
 

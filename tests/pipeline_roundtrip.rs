@@ -1,7 +1,6 @@
 //! Cross-crate round-trip tests: generator → compressor → container →
 //! reader → analysis, for every predictor and several catalog stand-ins.
 
-use rqm::h5lite::{Filter, H5LiteReader, H5LiteWriter};
 use rqm::prelude::*;
 
 fn check_bound(orig: &NdArray<f32>, recon: &NdArray<f32>, eb: f64) {
@@ -43,15 +42,13 @@ fn rtm_snapshot_compresses_well() {
 fn container_pipeline_preserves_analysis_quality() {
     let field = rqm::datagen::fields::rtm_snapshot(150);
     let eb = field.value_range() * 1e-4;
-    let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(eb));
+    let cfg =
+        CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(eb)).chunked(16);
 
-    let mut w = H5LiteWriter::new();
-    w.add_dataset("snap", &field, 16, Filter::Lossy(cfg)).unwrap();
-    let bytes = w.to_bytes();
+    let bytes = compress(&field, &cfg).unwrap().bytes;
     assert!(bytes.len() < field.len() * 4);
 
-    let r = H5LiteReader::from_bytes(&bytes).unwrap();
-    let back = r.read_dataset::<f32>("snap").unwrap();
+    let back = decompress::<f32>(&bytes).unwrap();
     check_bound(&field, &back, eb);
     assert!(global_ssim(&field, &back) > 0.999);
 }
@@ -413,8 +410,8 @@ fn golden_v24_fixture_backward_compat() {
     // A three-way adaptive v2.4 container — per-chunk bounds in the
     // trailer index plus ROLZ-coded chunks — produced by the planned
     // streaming writer and committed as a fixture (regenerated only by
-    // `cargo run -p rq-bench --bin make_golden_fixtures` when a *new*
-    // container generation is introduced).
+    // `cargo run --example make_golden_fixtures` when a *new* container
+    // generation is introduced).
     let bytes = include_bytes!("data/golden_v24.rqc");
     let header = rqm::compress_crate::peek_header(bytes).unwrap();
     assert_eq!(header.version, 6, "v2.4 uses version byte 6");
@@ -501,9 +498,9 @@ fn golden_v24_fixture_backward_compat() {
 fn golden_cat1_fixture_backward_compat() {
     // An RQCAT v1 catalog — two datasets (f32 + f64), delta chains at
     // two keyframe cadences, chunked segments — committed as a fixture
-    // (regenerated only by `cargo run -p rq-bench --bin
-    // make_golden_fixtures` when a *new* catalog generation is
-    // introduced): current readers must keep decoding it.
+    // (regenerated only by `cargo run --example make_golden_fixtures`
+    // when a *new* catalog generation is introduced): current readers
+    // must keep decoding it.
     let bytes = include_bytes!("data/golden_cat1.rqc");
     assert!(rqm::catalog::is_catalog_magic(bytes));
     let mut r = CatalogReader::open(std::io::Cursor::new(&bytes[..])).unwrap();
@@ -560,12 +557,10 @@ fn model_guided_container_write_hits_quality_target() {
     let model = RqModel::build(&field, PredictorKind::Interpolation, 0.01, 9);
     let target = 56.0;
     let eb = model.error_bound_for_psnr(target);
-    let cfg = CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(eb));
+    let cfg = CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(eb))
+        .chunked(16);
 
-    let mut w = H5LiteWriter::new();
-    w.add_dataset("s", &field, 16, Filter::Lossy(cfg)).unwrap();
-    let r = H5LiteReader::from_bytes(&w.to_bytes()).unwrap();
-    let back = r.read_dataset::<f32>("s").unwrap();
+    let back = decompress::<f32>(&compress(&field, &cfg).unwrap().bytes).unwrap();
     let measured = psnr(&field, &back);
     assert!(
         measured >= target - 1.5,
