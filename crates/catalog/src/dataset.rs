@@ -86,13 +86,11 @@ impl<T: Scalar> DatasetReader<T> {
             }
         }
 
-        let mut dims = [1usize; rq_grid::MAX_DIMS];
-        dims[..entry.shape.ndim()].copy_from_slice(entry.shape.dims());
-        dims[0] = step_rows
+        let flat_rows = step_rows
             .checked_mul(entry.steps.len())
             .ok_or(CatalogError::Corrupt("flattened extent overflows"))?;
         let mut header = first.header().clone();
-        header.shape = Shape::new(&dims[..entry.shape.ndim()]);
+        header.shape = entry.shape.with_rows(flat_rows);
 
         let mut entries = Vec::with_capacity(chunks_per_step * entry.steps.len());
         for (t, (r, s)) in steps.iter().zip(&entry.steps).enumerate() {

@@ -5,20 +5,8 @@ use std::io::Read;
 
 /// Read a raw little-endian `f32` file into a field of the given shape.
 pub fn read_raw_f32(path: &str, shape: Shape) -> Result<NdArray<f32>, String> {
-    let bytes = read_bytes(path)?;
-    let expect = shape.len() * 4;
-    if bytes.len() != expect {
-        return Err(format!(
-            "{path}: {} bytes but shape {:?} needs {expect}",
-            bytes.len(),
-            shape.dims()
-        ));
-    }
-    let values: Vec<f32> = bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    Ok(NdArray::from_vec(shape, values))
+    let whole = raw_slabs(path, shape, shape.dim(0))?.next().expect("a shape has a first slab");
+    whole.map_err(|e| format!("{path}: {e}"))
 }
 
 /// Write a field as raw little-endian `f32`.
@@ -35,31 +23,35 @@ pub fn read_bytes(path: &str) -> Result<Vec<u8>, String> {
     std::fs::read(path).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Open a raw `f32` input for streaming and check its size against the
-/// declared shape. Returns the open file.
-pub fn open_raw_f32(path: &str, shape: Shape) -> Result<std::fs::File, String> {
-    let f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let len = f.metadata().map_err(|e| format!("{path}: {e}"))?.len();
+/// Stream a raw little-endian `f32` file of `shape` as axis-0 slabs of
+/// `rows` rows each (the last may be short), after checking the file's
+/// size against the shape — the one read loop behind every
+/// bounded-memory pass over an input. At most one slab is resident.
+pub fn raw_slabs(
+    path: &str,
+    shape: Shape,
+    rows: usize,
+) -> Result<impl Iterator<Item = std::io::Result<NdArray<f32>>>, String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let len = file.metadata().map_err(|e| format!("{path}: {e}"))?.len();
     let expect = shape.len() as u64 * 4;
     if len != expect {
-        return Err(format!(
-            "{path}: {len} bytes but shape {:?} needs {expect}",
-            shape.dims()
-        ));
+        return Err(format!("{path}: {len} bytes but shape {:?} needs {expect}", shape.dims()));
     }
-    Ok(f)
-}
-
-/// Read the next `shape.len()` little-endian `f32` values from a stream
-/// as one axis-0 slab.
-pub fn read_f32_slab(r: &mut impl Read, shape: Shape) -> Result<NdArray<f32>, String> {
-    let mut bytes = vec![0u8; shape.len() * 4];
-    r.read_exact(&mut bytes).map_err(|e| format!("short read: {e}"))?;
-    let values: Vec<f32> = bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    Ok(NdArray::from_vec(shape, values))
+    let mut src = std::io::BufReader::new(file);
+    let mut left = shape.dim(0);
+    Ok(std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let slab = shape.with_rows(rows.min(left));
+        left -= slab.dim(0);
+        let mut bytes = vec![0u8; slab.len() * 4];
+        Some(src.read_exact(&mut bytes).map(|()| {
+            let value = |c: &[u8]| f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            NdArray::from_vec(slab, bytes.chunks_exact(4).map(value).collect())
+        }))
+    }))
 }
 
 /// Write a whole file.
@@ -89,6 +81,22 @@ mod tests {
         let p = dir.join("s.f32");
         write_bytes(p.to_str().unwrap(), &[0u8; 12]).unwrap();
         assert!(read_raw_f32(p.to_str().unwrap(), Shape::d1(10)).is_err());
+    }
+
+    #[test]
+    fn raw_slabs_tile_the_file_and_check_its_size() {
+        let dir = std::env::temp_dir().join("rqm_io_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("slabs.f32");
+        let f = NdArray::<f32>::from_fn(Shape::d2(7, 3), |ix| (ix[0] * 3 + ix[1]) as f32);
+        write_raw_f32(p.to_str().unwrap(), &f).unwrap();
+        let slabs: Vec<NdArray<f32>> =
+            raw_slabs(p.to_str().unwrap(), f.shape(), 3).unwrap().map(Result::unwrap).collect();
+        let rows: Vec<usize> = slabs.iter().map(|s| s.shape().dim(0)).collect();
+        assert_eq!(rows, [3, 3, 1]);
+        let joined: Vec<f32> = slabs.iter().flat_map(|s| s.as_slice().iter().copied()).collect();
+        assert_eq!(joined, f.as_slice());
+        assert!(raw_slabs(p.to_str().unwrap(), Shape::d2(8, 3), 3).is_err());
     }
 
     #[test]

@@ -194,14 +194,6 @@ pub(crate) fn decode_entry_blob<T: Scalar>(
     }
 }
 
-/// Shape of the slab covered by `entry` within a field of shape `shape`.
-pub(crate) fn entry_shape(shape: Shape, entry: ChunkEntry) -> Shape {
-    let mut dims = [0usize; rq_grid::MAX_DIMS];
-    dims[..shape.ndim()].copy_from_slice(shape.dims());
-    dims[0] = entry.rows;
-    Shape::new(&dims[..shape.ndim()])
-}
-
 /// Decompress any container generation held in memory with an explicit
 /// worker-thread count (`0` = one per available CPU), clamped to
 /// `available_parallelism` exactly as [`ArchiveReader::with_threads`]

@@ -57,9 +57,7 @@
 //! assert_eq!(reader.stats().chunks_decoded, 2); // rows 10..22 span chunks 1 and 2
 //! ```
 
-use crate::chunked::{
-    aggregate_report, decode_entry_blob, entry_shape, resolved_chunk_rows, run_on_workers,
-};
+use crate::chunked::{aggregate_report, decode_entry_blob, resolved_chunk_rows, run_on_workers};
 use crate::codec::{ChunkCodec, ChunkStats, SzChunkCodec, ZfpChunkCodec};
 use crate::config::{CodecChoice, CompressorConfig, LosslessStage};
 use crate::container::{
@@ -70,7 +68,7 @@ use crate::mmap::SourceMap;
 use crate::pipeline::{resolve_bound, Transform};
 use crate::pool::{BytePool, SlabPool};
 use crate::report::CompressionReport;
-use rq_grid::{slab_chunks, ChunkSpec, NdArray, Scalar, Shape, MAX_DIMS};
+use rq_grid::{slab_chunks, ChunkSpec, NdArray, Scalar, Shape};
 use rq_predict::PredictorKind;
 use rq_quant::{ErrorBoundMode, LinearQuantizer};
 use std::collections::BTreeMap;
@@ -452,10 +450,7 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
 
     /// Encode `rows` rows of `data` as the next chunks and write them.
     fn encode_rows(&mut self, data: &[T], rows: usize) -> Result<(), CompressError> {
-        let mut dims = [0usize; MAX_DIMS];
-        dims[..self.shape.ndim()].copy_from_slice(self.shape.dims());
-        dims[0] = rows;
-        let chunks = slab_chunks(Shape::new(&dims[..self.shape.ndim()]), self.chunk_rows);
+        let chunks = slab_chunks(self.shape.with_rows(rows), self.chunk_rows);
         // Slabs arrive in row order, so the batch's chunks are the next
         // `chunks.len()` entries of the whole-field plan.
         let base = self.index.len();
@@ -732,7 +727,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
                 available: self.entries.len(),
             });
         };
-        let cshape = entry_shape(self.header.shape, entry);
+        let cshape = self.header.shape.with_rows(entry.rows);
         let mut out = vec![T::zero(); cshape.len()];
         let (mut fetcher, header, stats) = self.decode_parts();
         let blob = fetcher.fetch(entry)?;
@@ -780,17 +775,14 @@ impl<R: Read + Seek> ArchiveReader<R> {
             rest = tail;
             jobs.push(SliceJob {
                 entry,
-                cshape: entry_shape(shape, entry),
+                cshape: shape.with_rows(entry.rows),
                 take: (lo - e_start) * row_elems..(hi - e_start) * row_elems,
                 dst,
             });
         }
         let (fetcher, header, stats) = self.decode_parts();
         run_slice_jobs(fetcher, header, jobs, threads, window, stats)?;
-        let mut dims = [0usize; MAX_DIMS];
-        dims[..shape.ndim()].copy_from_slice(shape.dims());
-        dims[0] = out_rows;
-        Ok(NdArray::from_vec(Shape::new(&dims[..shape.ndim()]), out))
+        Ok(NdArray::from_vec(shape.with_rows(out_rows), out))
     }
 
     /// Decode the whole field on the decode pool (memory: the output plus
@@ -825,7 +817,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
         let shape = self.header.shape;
         let (threads, window) = (self.threads, self.window());
         let jobs: Vec<(ChunkEntry, Shape)> =
-            self.entries.iter().map(|&e| (e, entry_shape(shape, e))).collect();
+            self.entries.iter().map(|&e| (e, shape.with_rows(e.rows))).collect();
         let (fetcher, header, stats) = self.decode_parts();
         run_ordered_jobs::<T, R>(fetcher, header, jobs, threads, window, stats, &mut |slab| {
             emit(slab).map_err(DecompressError::Io)
@@ -1563,7 +1555,7 @@ impl<R: Read + Seek> ConcurrentReader<R> {
                 available: self.shared.entries.len(),
             });
         };
-        let cshape = entry_shape(self.shared.header.shape, entry);
+        let cshape = self.shared.header.shape.with_rows(entry.rows);
         let mut out = vec![T::zero(); cshape.len()];
         let mut req = ReadStats { chunks_total: self.shared.entries.len(), ..Default::default() };
         let take = 0..cshape.len();
@@ -1609,16 +1601,13 @@ impl<R: Read + Seek> ConcurrentReader<R> {
             let hi = rows.end.min(e_end);
             let job = SliceJob {
                 entry,
-                cshape: entry_shape(shape, entry),
+                cshape: shape.with_rows(entry.rows),
                 take: (lo - e_start) * row_elems..(hi - e_start) * row_elems,
                 dst: &mut out[(lo - rows.start) * row_elems..(hi - rows.start) * row_elems],
             };
             self.fetch_and_decode(job, &scratch, &mut req)?;
         }
-        let mut dims = [0usize; MAX_DIMS];
-        dims[..shape.ndim()].copy_from_slice(shape.dims());
-        dims[0] = out_rows;
-        Ok((NdArray::from_vec(Shape::new(&dims[..shape.ndim()]), out), req))
+        Ok((NdArray::from_vec(shape.with_rows(out_rows), out), req))
     }
 
     /// Decode the whole field (one request).
@@ -1686,7 +1675,7 @@ impl<T: Scalar, R: Read + Seek + Send> ChunkSource<T> for ConcurrentReader<R> {
                 available: self.shared.entries.len(),
             });
         };
-        let cshape = entry_shape(self.shared.header.shape, entry);
+        let cshape = self.shared.header.shape.with_rows(entry.rows);
         let blob = self.fetch_blob(entry)?;
         // The decoded slab's ownership leaves through the `Arc`, so it
         // cannot come from a pool — only the blob buffer recycles here.
@@ -1732,10 +1721,7 @@ pub fn assemble_rows<T: Scalar, S: ChunkSource<T> + ?Sized>(
         out[(lo - rows.start) * row_elems..(hi - rows.start) * row_elems]
             .copy_from_slice(&chunk[(lo - e_start) * row_elems..(hi - e_start) * row_elems]);
     }
-    let mut dims = [0usize; MAX_DIMS];
-    dims[..shape.ndim()].copy_from_slice(shape.dims());
-    dims[0] = out_rows;
-    Ok(NdArray::from_vec(Shape::new(&dims[..shape.ndim()]), out))
+    Ok(NdArray::from_vec(shape.with_rows(out_rows), out))
 }
 
 #[cfg(test)]
@@ -1776,11 +1762,8 @@ mod tests {
         let mut row = 0;
         while row < shape.dim(0) {
             let rows = slab_rows.min(shape.dim(0) - row);
-            let mut dims = [0usize; MAX_DIMS];
-            dims[..shape.ndim()].copy_from_slice(shape.dims());
-            dims[0] = rows;
             let slab = NdArray::from_vec(
-                Shape::new(&dims[..shape.ndim()]),
+                shape.with_rows(rows),
                 field.as_slice()[row * row_elems..(row + rows) * row_elems].to_vec(),
             );
             w.write_slab(&slab).unwrap();
@@ -2207,7 +2190,7 @@ mod tests {
         let mut r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         let header = r.header().clone();
         let entry = r.entries()[1];
-        let cshape = entry_shape(header.shape, entry);
+        let cshape = header.shape.with_rows(entry.rows);
         let row_elems: usize = header.shape.dims()[1..].iter().product();
         // Reference: rows 1.. of chunk 1 via the normal read path.
         let want =
@@ -2239,7 +2222,7 @@ mod tests {
         let r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         let header = r.header().clone();
         let entry = r.entries()[0];
-        let cshape = entry_shape(header.shape, entry);
+        let cshape = header.shape.with_rows(entry.rows);
         let row_elems: usize = header.shape.dims()[1..].iter().product();
         let scratch = SlabPool::<f32>::new();
         scratch.seed(vec![vec![123.0f32; cshape.len()]]);

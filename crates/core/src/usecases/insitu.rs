@@ -8,11 +8,12 @@
 //! With one model per partition the allocation becomes a classic
 //! rate-distortion problem: minimize total bits subject to an aggregate
 //! error-variance budget (equivalently, a PSNR floor on the combined
-//! analysis). We solve it greedily on per-partition error-bound grids —
-//! each step takes the move with the best Δbits/Δvariance trade — which is
-//! the discrete water-filling the paper's "fine-grained tuning" performs.
-//! Trial-and-error cannot do this at all: the configuration space is
-//! exponential in the number of partitions (§IV-C).
+//! analysis). We solve it on per-partition error-bound grids with one
+//! Lagrangian allocator (`allocate`, which also serves the byte-ceiling
+//! dual, [`super::plan_budget`]) — the discrete water-filling the paper's
+//! "fine-grained tuning" performs. Trial-and-error cannot do this at all:
+//! the configuration space is exponential in the number of partitions
+//! (§IV-C).
 
 use crate::model::RqModel;
 
@@ -135,8 +136,8 @@ impl PlanCorrection {
     /// squared error and compressed bits/value, both observed at the
     /// round's bounds `ebs`. Ratios are clamped to a sane band so a
     /// degenerate measurement (e.g. an exactly-zero chunk) cannot blow up
-    /// the next round's optimization. The single definition shared by the
-    /// CLI and the model-accuracy suite.
+    /// the next round's optimization. [`super::TargetSession::run`] builds
+    /// one from every attempt it has to follow up.
     ///
     /// # Panics
     /// Panics if the slice lengths disagree.
@@ -183,12 +184,9 @@ pub fn optimize_partitions_corrected(
     grid_points: usize,
     correction: Option<&PlanCorrection>,
 ) -> Result<PartitionPlan, PlanError> {
-    validate_inputs(models, sizes, grid_points)?;
+    validate_inputs(models, sizes, value_range, grid_points)?;
     if !target_psnr.is_finite() {
         return Err(PlanError::InvalidTarget(format!("target PSNR {target_psnr}")));
-    }
-    if !(value_range.is_finite() && value_range > 0.0) {
-        return Err(PlanError::InvalidTarget(format!("value range {value_range}")));
     }
     if let Some(c) = correction {
         for scale in [&c.sigma_scale, &c.bits_scale] {
@@ -203,154 +201,174 @@ pub fn optimize_partitions_corrected(
             }
         }
     }
-    let scale_of = |i: usize| correction.map_or(1.0, |c| c.sigma_scale[i]);
-    let bits_of_part = |i: usize| correction.map_or(1.0, |c| c.bits_scale[i]);
     let target_sigma2 = crate::quality::sigma2_for_psnr(value_range, target_psnr);
-    let total: f64 = sizes.iter().map(|&s| s as f64).sum();
+    // Loosest rung: where the *model's* variance (which accounts for code
+    // concentration and sparsity) reaches 3x the whole budget — not the
+    // uniform-distribution bound, which can be far too conservative.
+    let psnr_floor = crate::quality::psnr_model(value_range, target_sigma2 * 3.0);
+    let ends = |m: &RqModel| {
+        // Tightest rung: well below the quality budget even if this
+        // partition behaved uniformly (eb²/3 ≈ target/30).
+        let lo = (m.error_quantile(0.05))
+            .min((target_sigma2 * 0.1).sqrt())
+            .max(value_range * 1e-12)
+            .max(f64::MIN_POSITIVE);
+        (lo, m.error_bound_for_psnr(psnr_floor).max(lo * 4.0))
+    };
+    let limit = Limit::Sigma2(target_sigma2);
+    allocate(models, sizes, value_range, grid_points, correction, limit, ends).map_err(|least| {
+        let achievable_psnr = crate::quality::psnr_model(value_range, least);
+        PlanError::UnreachableTarget { target_psnr, achievable_psnr }
+    })
+}
 
-    // Candidate ladders per partition: log-spaced bounds from "tiny" to
-    // "half the quality budget spent on this partition alone".
-    #[derive(Clone, Copy)]
+/// The aggregate an allocation keeps under a ceiling (the value); the
+/// other one is what it minimises.
+#[derive(Clone, Copy)]
+pub(super) enum Limit {
+    /// Σ wᵢ·σ²ᵢ, minimising bits: a PSNR floor.
+    Sigma2(f64),
+    /// Σ wᵢ·bitsᵢ, minimising σ²: a byte ceiling.
+    Bits(f64),
+}
+
+/// The one rate-distortion allocator behind both planners: minimise the
+/// size-weighted *cost* subject to Σ wᵢ·*load*ᵢ ≤ `limit`, (cost, load)
+/// being (bits, σ²) under a variance limit and (σ², bits) under a bit
+/// limit. `ends` gives a partition's ladder ends (tightest, loosest
+/// bound); the inputs are validated already. `Err` is the least aggregate
+/// load the ladders reach, when even that exceeds the limit.
+pub(super) fn allocate(
+    models: &[RqModel],
+    sizes: &[usize],
+    value_range: f64,
+    grid_points: usize,
+    correction: Option<&PlanCorrection>,
+    limit: Limit,
+    ends: impl Fn(&RqModel) -> (f64, f64),
+) -> Result<PartitionPlan, f64> {
+    let (target, by_sigma2) = match limit {
+        Limit::Sigma2(t) => (t, true),
+        Limit::Bits(t) => (t, false),
+    };
+    // (cost, load) of partition `i` at bound `eb`, corrections applied.
+    let cost_load = |i: usize, eb: f64| -> (f64, f64) {
+        let est = models[i].estimate(eb);
+        let bits = est.bit_rate * correction.map_or(1.0, |c| c.bits_scale[i]);
+        let sigma2 = est.sigma2 * correction.map_or(1.0, |c| c.sigma_scale[i]);
+        if by_sigma2 { (bits, sigma2) } else { (sigma2, bits) }
+    };
+    let total: f64 = sizes.iter().map(|&s| s as f64).sum();
+    let weight: Vec<f64> = sizes.iter().map(|&s| s as f64 / total).collect();
+
+    // Candidate ladders per partition: log-spaced bounds between the ends.
     struct Point {
         eb: f64,
-        bits: f64,
-        sigma2: f64,
+        cost: f64,
+        load: f64,
     }
-    let ladders: Vec<Vec<Point>> = models
-        .iter()
-        .enumerate()
-        .map(|(pi, m)| {
-            // Tightest rung: well below the quality budget even if this
-            // partition behaved uniformly (eb²/3 ≈ target/30).
-            let lo = (m.error_quantile(0.05))
-                .min((target_sigma2 * 0.1).sqrt())
-                .max(value_range * 1e-12)
-                .max(f64::MIN_POSITIVE);
-            // Loosest rung: where the *model's* variance (which accounts
-            // for code concentration and sparsity) reaches 3x the whole
-            // budget — not the uniform-distribution bound, which can be
-            // far too conservative.
-            let psnr_floor = crate::quality::psnr_model(value_range, target_sigma2 * 3.0);
-            let hi = m.error_bound_for_psnr(psnr_floor).max(lo * 4.0);
-            (0..grid_points)
-                .map(|i| {
-                    let t = i as f64 / (grid_points - 1) as f64;
-                    let eb = (lo.ln() + t * (hi.ln() - lo.ln())).exp();
-                    let est = m.estimate(eb);
-                    Point {
-                        eb,
-                        bits: est.bit_rate * bits_of_part(pi),
-                        sigma2: est.sigma2 * scale_of(pi),
-                    }
-                })
-                .collect()
-        })
-        .collect();
+    let ladder = |(i, m): (usize, &RqModel)| -> Vec<Point> {
+        let (lo, hi) = ends(m);
+        let rung = |j: usize| {
+            let t = j as f64 / (grid_points - 1) as f64;
+            let eb = (lo.ln() + t * (hi.ln() - lo.ln())).exp();
+            let (cost, load) = cost_load(i, eb);
+            Point { eb, cost, load }
+        };
+        (0..grid_points).map(rung).collect()
+    };
+    let ladders: Vec<Vec<Point>> = models.iter().enumerate().map(ladder).collect();
 
     // Lagrangian rung selection: for a multiplier λ each partition
-    // independently minimizes `bits + λ·σ²` over its ladder; bisecting λ
-    // finds the cheapest allocation within the variance budget. This is
-    // robust to the non-convex bits(σ²) curves the RLE and feedback models
-    // produce (a pure greedy walk gets trapped on them).
-    let weight: Vec<f64> = sizes.iter().map(|&s| s as f64 / total).collect();
-    let pick = |lambda: f64| -> Vec<usize> {
-        ladders
-            .iter()
-            .map(|ladder| {
-                let mut best = 0usize;
-                let mut best_cost = f64::INFINITY;
-                for (j, p) in ladder.iter().enumerate() {
-                    let cost = p.bits + lambda * p.sigma2;
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best = j;
-                    }
-                }
-                best
-            })
-            .collect()
+    // independently minimizes `cost + λ·load` over its ladder; bisecting λ
+    // finds the cheapest allocation within the limit. This is robust to
+    // the non-convex bits(σ²) curves the RLE and feedback models produce
+    // (a pure greedy walk gets trapped on them).
+    let argmin = |ladder: &Vec<Point>, lambda: f64| -> usize {
+        let (mut best, mut best_cost) = (0usize, f64::INFINITY);
+        for (j, p) in ladder.iter().enumerate() {
+            let cost = p.cost + lambda * p.load;
+            if cost < best_cost {
+                (best, best_cost) = (j, cost);
+            }
+        }
+        best
     };
+    let pick = |lambda: f64| -> Vec<usize> { ladders.iter().map(|l| argmin(l, lambda)).collect() };
     let agg_of = |level: &[usize]| -> f64 {
-        level.iter().zip(&ladders).zip(&weight).map(|((&l, lad), w)| lad[l].sigma2 * w).sum()
+        level.iter().zip(&ladders).zip(&weight).map(|((&l, lad), w)| lad[l].load * w).sum()
     };
-    // λ → ∞ forces the tightest rungs; λ = 0 the loosest.
+    // λ → ∞ forces the least-load rungs; λ = 0 the cheapest.
     let (mut lam_lo, mut lam_hi) = (1e-18f64, 1e18f64);
     for _ in 0..80 {
-        let mid = (lam_lo.ln() + lam_hi.ln()).mul_add(0.5, 0.0).exp();
-        if agg_of(&pick(mid)) > target_sigma2 {
-            lam_lo = mid; // too lossy: raise the penalty
+        let mid = ((lam_lo.ln() + lam_hi.ln()) * 0.5).exp();
+        if agg_of(&pick(mid)) > target {
+            lam_lo = mid; // over the limit: raise the penalty
         } else {
             lam_hi = mid;
         }
     }
     let mut level = pick(lam_hi);
-    if agg_of(&level) > target_sigma2 {
-        // Fall back to the tightest rungs if even λ_hi is insufficient —
-        // and if those still miss the floor, the target is unreachable on
-        // this grid: a typed error, not a silently lossier plan (the old
-        // behavior) or a panic downstream.
-        level = vec![0; models.len()];
-        let best = agg_of(&level);
-        if best > target_sigma2 {
-            return Err(PlanError::UnreachableTarget {
-                target_psnr,
-                achievable_psnr: crate::quality::psnr_model(value_range, best),
-            });
+    if agg_of(&level) > target {
+        // Even λ_hi is insufficient: fall back to the least-load rungs
+        // (tightest under a variance limit, loosest under a bit limit). If
+        // those still exceed it the target is unreachable on this grid —
+        // the caller's typed error, not a silently worse plan.
+        level = vec![if by_sigma2 { 0 } else { grid_points - 1 }; models.len()];
+        let least = agg_of(&level);
+        if least > target {
+            return Err(least);
         }
     }
-    let mut agg_sigma2 = agg_of(&level);
 
-    // Polish: the discrete rungs leave budget slack; spend it by bisecting
-    // each partition's bound continuously toward its next rung.
+    // Polish: the discrete rungs leave slack under the limit; spend it by
+    // bisecting each partition's bound continuously toward its next rung
+    // on the load-heavier side (looser for σ², tighter for bits).
+    let mut agg = agg_of(&level);
     let mut ebs: Vec<f64> = level.iter().zip(&ladders).map(|(&l, lad)| lad[l].eb).collect();
-    let mut sigmas: Vec<f64> =
-        level.iter().zip(&ladders).map(|(&l, lad)| lad[l].sigma2).collect();
+    let mut loads: Vec<f64> = level.iter().zip(&ladders).map(|(&l, lad)| lad[l].load).collect();
     for _round in 0..2 {
-        for (i, m) in models.iter().enumerate() {
-            let next = ladders[i].get(level[i] + 1);
-            let hi_eb = next.map_or(ebs[i] * 2.0, |p| p.eb);
-            let budget_left = target_sigma2 - agg_sigma2;
-            if budget_left <= 0.0 {
+        for i in 0..models.len() {
+            let left = target - agg;
+            if left <= 0.0 {
                 break;
             }
-            // Largest eb in [cur, hi] whose variance increase fits.
-            let (mut lo_e, mut hi_e) = (ebs[i], hi_eb);
+            let (next, beyond) = if by_sigma2 {
+                (ladders[i].get(level[i] + 1), 2.0)
+            } else {
+                (level[i].checked_sub(1).map(|l| &ladders[i][l]), 0.5)
+            };
+            // The bound farthest from the current one whose load increase
+            // still fits what is left.
+            let (mut near, mut far) = (ebs[i], next.map_or(ebs[i] * beyond, |p| p.eb));
             for _ in 0..24 {
-                let mid = ((lo_e.ln() + hi_e.ln()) * 0.5).exp();
-                let s2 = m.estimate(mid).sigma2 * scale_of(i);
-                if (s2 - sigmas[i]).max(0.0) * weight[i] <= budget_left {
-                    lo_e = mid;
+                let mid = ((near.ln() + far.ln()) * 0.5).exp();
+                if (cost_load(i, mid).1 - loads[i]).max(0.0) * weight[i] <= left {
+                    near = mid;
                 } else {
-                    hi_e = mid;
+                    far = mid;
                 }
             }
-            let s2 = m.estimate(lo_e).sigma2 * scale_of(i);
-            agg_sigma2 += (s2 - sigmas[i]).max(0.0) * weight[i];
-            ebs[i] = lo_e;
-            sigmas[i] = s2;
+            let load = cost_load(i, near).1;
+            agg += (load - loads[i]).max(0.0) * weight[i];
+            (ebs[i], loads[i]) = (near, load);
         }
     }
 
-    let est_bit_rate: f64 = models
-        .iter()
-        .enumerate()
-        .zip(&ebs)
-        .zip(&weight)
-        .map(|(((i, m), &eb), w)| m.estimate(eb).bit_rate * bits_of_part(i) * w)
-        .sum();
-    let est_sigma2: f64 = sigmas.iter().zip(&weight).map(|(s, w)| s * w).sum();
-    Ok(PartitionPlan {
-        ebs,
-        est_bit_rate,
-        est_sigma2,
-        est_psnr: crate::quality::psnr_model(value_range, est_sigma2),
-    })
+    let est_cost: f64 =
+        ebs.iter().zip(&weight).enumerate().map(|(i, (&eb, w))| cost_load(i, eb).0 * w).sum();
+    let est_load: f64 = loads.iter().zip(&weight).map(|(l, w)| l * w).sum();
+    let (est_bit_rate, est_sigma2) =
+        if by_sigma2 { (est_cost, est_load) } else { (est_load, est_cost) };
+    let est_psnr = crate::quality::psnr_model(value_range, est_sigma2);
+    Ok(PartitionPlan { ebs, est_bit_rate, est_sigma2, est_psnr })
 }
 
 /// Shared input validation for the partition planners.
 pub(crate) fn validate_inputs(
     models: &[RqModel],
     sizes: &[usize],
+    value_range: f64,
     grid_points: usize,
 ) -> Result<(), PlanError> {
     if models.is_empty() {
@@ -361,6 +379,9 @@ pub(crate) fn validate_inputs(
     }
     if grid_points < 2 {
         return Err(PlanError::GridTooSmall(grid_points));
+    }
+    if !(value_range.is_finite() && value_range > 0.0) {
+        return Err(PlanError::InvalidTarget(format!("value range {value_range}")));
     }
     Ok(())
 }

@@ -1,22 +1,22 @@
 //! Use-case 2 (§IV-B): memory compression with a target footprint.
 //!
-//! The model picks the error bound whose *estimated* size is a safety
-//! margin below the assigned space (the paper targets 80 % of the budget),
-//! compresses once, and only in the rare overflow case re-optimizes with a
-//! proportionally lowered target and recompresses — the second-round
-//! strategy of §IV-B.
+//! The model picks the error bounds whose *estimated* size is a safety
+//! margin below the assigned space (the paper targets 80 % of the budget);
+//! [`super::TargetSession`] compresses once under them and only in the
+//! rare overflow case re-plans with a proportionally lowered target and
+//! recompresses — the second-round strategy of §IV-B.
 
 use crate::model::RqModel;
-use crate::usecases::insitu::{validate_inputs, PartitionPlan, PlanError};
-use rq_compress::{compress, CompressError, CompressedOutput, CompressorConfig};
-use rq_grid::{NdArray, Scalar};
-use rq_quant::ErrorBoundMode;
+use crate::usecases::insitu::{allocate, validate_inputs, Limit, PartitionPlan, PlanError};
+
+/// Share of a byte budget the plan leaves unspent, so estimate error
+/// cannot overflow the ceiling (the paper's §IV-B rule: aim at 80 %).
+const BUDGET_MARGIN: f64 = 0.2;
 
 /// Optimize per-partition error bounds so the *estimated* total size fits
-/// `budget_bytes` with a safety `margin` (0.2 ⇒ aim at 80 % of the
-/// budget) while minimizing the aggregate (size-weighted) error variance
-/// — the §IV-B fixed-footprint use-case generalized to one bound per
-/// partition, the dual of [`super::insitu::optimize_partitions`].
+/// 80 % of `budget_bytes` while minimizing the aggregate (size-weighted)
+/// error variance — the §IV-B fixed-footprint use-case generalized to one
+/// bound per partition, the dual of [`super::insitu::optimize_partitions`].
 ///
 /// * `models` — one [`RqModel`] per partition (chunk);
 /// * `sizes` — element count per partition;
@@ -30,260 +30,36 @@ pub fn plan_budget(
     sizes: &[usize],
     value_range: f64,
     budget_bytes: usize,
-    margin: f64,
     grid_points: usize,
 ) -> Result<PartitionPlan, PlanError> {
-    validate_inputs(models, sizes, grid_points)?;
+    validate_inputs(models, sizes, value_range, grid_points)?;
     if budget_bytes == 0 {
         return Err(PlanError::InvalidTarget("zero byte budget".into()));
     }
-    if !(0.0..1.0).contains(&margin) {
-        return Err(PlanError::InvalidTarget(format!("margin {margin} outside [0, 1)")));
-    }
-    if !(value_range.is_finite() && value_range > 0.0) {
-        return Err(PlanError::InvalidTarget(format!("value range {value_range}")));
-    }
     let total: f64 = sizes.iter().map(|&s| s as f64).sum();
     // The budget as an aggregate bits/value target.
-    let target_bits = budget_bytes as f64 * 8.0 * (1.0 - margin) / total;
-
-    #[derive(Clone, Copy)]
-    struct Point {
-        eb: f64,
-        bits: f64,
-        sigma2: f64,
-    }
-    let ladders: Vec<Vec<Point>> = models
-        .iter()
-        .map(|m| {
-            // Tightest rung: the 5 % error quantile (any tighter and the
-            // rate model saturates toward verbatim cost anyway); loosest:
-            // where the model's rate becomes negligible.
-            let lo = m
-                .error_quantile(0.05)
-                .max(value_range * 1e-12)
-                .max(f64::MIN_POSITIVE);
-            let hi = m.error_bound_for_bit_rate(0.05).max(lo * 4.0);
-            (0..grid_points)
-                .map(|i| {
-                    let t = i as f64 / (grid_points - 1) as f64;
-                    let eb = (lo.ln() + t * (hi.ln() - lo.ln())).exp();
-                    let est = m.estimate(eb);
-                    Point { eb, bits: est.bit_rate, sigma2: est.sigma2 }
-                })
-                .collect()
-        })
-        .collect();
-
-    let weight: Vec<f64> = sizes.iter().map(|&s| s as f64 / total).collect();
-    // Lagrangian rung selection, dual to the in-situ planner: each
-    // partition minimizes `σ² + λ·bits`; bisecting λ finds the highest
-    // quality within the bit budget.
-    let pick = |lambda: f64| -> Vec<usize> {
-        ladders
-            .iter()
-            .map(|ladder| {
-                let mut best = 0usize;
-                let mut best_cost = f64::INFINITY;
-                for (j, p) in ladder.iter().enumerate() {
-                    let cost = p.sigma2 + lambda * p.bits;
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best = j;
-                    }
-                }
-                best
-            })
-            .collect()
+    let target_bits = budget_bytes as f64 * 8.0 * (1.0 - BUDGET_MARGIN) / total;
+    let ends = |m: &RqModel| {
+        // Tightest rung: the 5 % error quantile (any tighter and the rate
+        // model saturates toward verbatim cost anyway); loosest: where the
+        // model's rate becomes negligible.
+        let lo = m.error_quantile(0.05).max(value_range * 1e-12).max(f64::MIN_POSITIVE);
+        (lo, m.error_bound_for_bit_rate(0.05).max(lo * 4.0))
     };
-    let bits_of = |level: &[usize]| -> f64 {
-        level.iter().zip(&ladders).zip(&weight).map(|((&l, lad), w)| lad[l].bits * w).sum()
-    };
-    let (mut lam_lo, mut lam_hi) = (1e-18f64, 1e18f64);
-    for _ in 0..80 {
-        let mid = ((lam_lo.ln() + lam_hi.ln()) * 0.5).exp();
-        if bits_of(&pick(mid)) > target_bits {
-            lam_lo = mid; // too expensive: raise the bit penalty
-        } else {
-            lam_hi = mid;
+    let limit = Limit::Bits(target_bits);
+    allocate(models, sizes, value_range, grid_points, None, limit, ends).map_err(|min_bits| {
+        PlanError::BudgetTooSmall {
+            budget_bytes,
+            min_bytes: (min_bits * total / 8.0 / (1.0 - BUDGET_MARGIN)).ceil() as usize,
         }
-    }
-    let mut level = pick(lam_hi);
-    if bits_of(&level) > target_bits {
-        // Even λ_hi overspends: the loosest rungs are the floor.
-        level = vec![grid_points - 1; models.len()];
-        let min_bits = bits_of(&level);
-        if min_bits > target_bits {
-            return Err(PlanError::BudgetTooSmall {
-                budget_bytes,
-                min_bytes: (min_bits * total / 8.0 / (1.0 - margin)).ceil() as usize,
-            });
-        }
-    }
-
-    // Polish: spend leftover bit budget by tightening each partition's
-    // bound continuously toward its previous (tighter) rung.
-    let mut agg_bits = bits_of(&level);
-    let mut ebs: Vec<f64> = level.iter().zip(&ladders).map(|(&l, lad)| lad[l].eb).collect();
-    let mut bits: Vec<f64> = level.iter().zip(&ladders).map(|(&l, lad)| lad[l].bits).collect();
-    for _round in 0..2 {
-        for (i, m) in models.iter().enumerate() {
-            let budget_left = target_bits - agg_bits;
-            if budget_left <= 0.0 {
-                break;
-            }
-            let lo_eb = if level[i] > 0 { ladders[i][level[i] - 1].eb } else { ebs[i] * 0.5 };
-            // Smallest eb in [lo, cur] whose bit increase fits.
-            let (mut lo_e, mut hi_e) = (lo_eb, ebs[i]);
-            for _ in 0..24 {
-                let mid = ((lo_e.ln() + hi_e.ln()) * 0.5).exp();
-                let b = m.estimate(mid).bit_rate;
-                if (b - bits[i]).max(0.0) * weight[i] <= budget_left {
-                    hi_e = mid;
-                } else {
-                    lo_e = mid;
-                }
-            }
-            let b = m.estimate(hi_e).bit_rate;
-            agg_bits += (b - bits[i]).max(0.0) * weight[i];
-            ebs[i] = hi_e;
-            bits[i] = b;
-        }
-    }
-
-    let est_sigma2: f64 = models
-        .iter()
-        .zip(&ebs)
-        .zip(&weight)
-        .map(|((m, &eb), w)| m.estimate(eb).sigma2 * w)
-        .sum();
-    let est_bit_rate: f64 =
-        models.iter().zip(&ebs).zip(&weight).map(|((m, &eb), w)| m.estimate(eb).bit_rate * w).sum();
-    Ok(PartitionPlan {
-        ebs,
-        est_bit_rate,
-        est_sigma2,
-        est_psnr: crate::quality::psnr_model(value_range, est_sigma2),
     })
-}
-
-/// What happened during budgeted compression.
-#[derive(Clone, Debug)]
-pub struct BudgetOutcome {
-    /// The byte budget that had to be respected.
-    pub budget_bytes: usize,
-    /// Error bound chosen in each round (1 or 2 entries).
-    pub rounds: Vec<f64>,
-    /// Final compressed size.
-    pub final_bytes: usize,
-    /// Whether the final size fits the budget.
-    pub fits: bool,
-    /// Final size as a fraction of the budget (the y-axis of Fig. 11).
-    pub utilization: f64,
-}
-
-/// Compress `field` so the output fits in `budget_bytes`, using the model
-/// with the given safety `margin` (0.2 ⇒ aim at 80 % of the budget).
-///
-/// `strict` enables the second-round recompression guarantee: if the first
-/// attempt overflows, the target is scaled down by the observed ratio and
-/// compression retried once.
-pub fn compress_with_budget<T: Scalar>(
-    field: &NdArray<T>,
-    model: &RqModel,
-    base_cfg: CompressorConfig,
-    budget_bytes: usize,
-    margin: f64,
-    strict: bool,
-) -> Result<(CompressedOutput, BudgetOutcome), CompressError> {
-    assert!(budget_bytes > 0, "budget must be positive");
-    assert!((0.0..1.0).contains(&margin), "margin must be in [0, 1)");
-    let n = field.len();
-    let target_bits = budget_bytes as f64 * 8.0 / n as f64 * (1.0 - margin);
-
-    let mut rounds = Vec::new();
-    let eb = model.error_bound_for_bit_rate(target_bits);
-    rounds.push(eb);
-    let mut out = compress(field, &base_cfg.with_bound(ErrorBoundMode::Abs(eb)))?;
-
-    if strict && out.bytes.len() > budget_bytes {
-        // Second round: shrink the target by the observed overshoot plus
-        // the same margin.
-        let overshoot = out.bytes.len() as f64 / budget_bytes as f64;
-        let eb2 = model.error_bound_for_bit_rate(target_bits / overshoot);
-        // Never *raise* the bound in a corrective round.
-        let eb2 = eb2.max(eb);
-        rounds.push(eb2);
-        out = compress(field, &base_cfg.with_bound(ErrorBoundMode::Abs(eb2)))?;
-    }
-
-    let final_bytes = out.bytes.len();
-    let outcome = BudgetOutcome {
-        budget_bytes,
-        rounds,
-        final_bytes,
-        fits: final_bytes <= budget_bytes,
-        utilization: final_bytes as f64 / budget_bytes as f64,
-    };
-    Ok((out, outcome))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rq_grid::Shape;
+    use rq_grid::{NdArray, Shape};
     use rq_predict::PredictorKind;
-
-    fn field() -> NdArray<f32> {
-        let mut state = 0x5EEDu64;
-        NdArray::from_fn(Shape::d2(128, 128), |ix| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let noise = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-            ((ix[0] as f64 * 0.15).sin() * 4.0 + noise * 0.5) as f32
-        })
-    }
-
-    #[test]
-    fn fits_generous_budget() {
-        let f = field();
-        let model = RqModel::build(&f, PredictorKind::Lorenzo, 0.1, 1);
-        let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1.0));
-        // Budget = 4 bits/value, easily reachable.
-        let budget = f.len() / 2;
-        let (_, outcome) =
-            compress_with_budget(&f, &model, cfg, budget, 0.2, true).unwrap();
-        assert!(outcome.fits, "utilization {}", outcome.utilization);
-        assert!(outcome.rounds.len() <= 2);
-    }
-
-    #[test]
-    fn utilization_near_but_below_one_for_tight_budget() {
-        let f = field();
-        let model = RqModel::build(&f, PredictorKind::Lorenzo, 0.1, 2);
-        let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1.0));
-        // 2.2 bits/value.
-        let budget = (f.len() as f64 * 2.2 / 8.0) as usize;
-        let (_, outcome) =
-            compress_with_budget(&f, &model, cfg, budget, 0.2, true).unwrap();
-        assert!(outcome.fits);
-        assert!(outcome.utilization > 0.3, "wastes the budget: {}", outcome.utilization);
-    }
-
-    #[test]
-    fn strict_mode_never_overflows_across_budgets() {
-        let f = field();
-        let model = RqModel::build(&f, PredictorKind::Interpolation, 0.1, 3);
-        let cfg =
-            CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(1.0));
-        for bits in [1.5, 2.0, 3.0, 6.0] {
-            let budget = (f.len() as f64 * bits / 8.0) as usize;
-            let (_, outcome) =
-                compress_with_budget(&f, &model, cfg, budget, 0.2, true).unwrap();
-            assert!(outcome.fits, "{bits} bits/value: utilization {}", outcome.utilization);
-        }
-    }
 
     #[test]
     fn budget_plan_fits_and_prefers_quiet_partitions() {
@@ -312,7 +88,7 @@ mod tests {
         let n_total: usize = sizes.iter().sum();
         // 3 bits/value aggregate.
         let budget = n_total * 3 / 8;
-        let plan = plan_budget(&models, &sizes, range, budget, 0.2, 32).unwrap();
+        let plan = plan_budget(&models, &sizes, range, budget, 32).unwrap();
         let est_bytes = plan.est_bit_rate * n_total as f64 / 8.0;
         assert!(
             est_bytes <= budget as f64 * 0.85,
@@ -328,21 +104,12 @@ mod tests {
         // And the dual direction: an absurdly small budget is a typed
         // error, not a silent overflow.
         assert!(matches!(
-            plan_budget(&models, &sizes, range, 16, 0.2, 32),
+            plan_budget(&models, &sizes, range, 16, 32),
             Err(PlanError::BudgetTooSmall { .. })
         ));
         assert!(matches!(
-            plan_budget(&models, &sizes, range, 0, 0.2, 32),
+            plan_budget(&models, &sizes, range, 0, 32),
             Err(PlanError::InvalidTarget(_))
         ));
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_budget_rejected() {
-        let f = field();
-        let model = RqModel::build(&f, PredictorKind::Lorenzo, 0.1, 4);
-        let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1.0));
-        let _ = compress_with_budget(&f, &model, cfg, 0, 0.2, true);
     }
 }

@@ -45,15 +45,11 @@ pub fn slab_chunks(shape: Shape, chunk_rows: usize) -> Vec<ChunkSpec> {
     let mut start_row = 0;
     while start_row < d0 {
         let rows = chunk_rows.min(d0 - start_row);
-        let mut dims = [0usize; crate::shape::MAX_DIMS];
-        dims[..shape.ndim()].copy_from_slice(shape.dims());
-        dims[0] = rows;
-        let cshape = Shape::new(&dims[..shape.ndim()]);
         out.push(ChunkSpec {
             index: out.len(),
             start_row,
             rows,
-            shape: cshape,
+            shape: shape.with_rows(rows),
             offset: start_row * row_elems,
             len: rows * row_elems,
         });

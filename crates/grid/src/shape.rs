@@ -60,6 +60,17 @@ impl Shape {
         Shape::new(&[n0, n1, n2, n3])
     }
 
+    /// The same shape with its axis-0 extent replaced by `rows`: the
+    /// shape of an axis-0 slab of `rows` rows.
+    ///
+    /// # Panics
+    /// Panics if `rows` is zero.
+    pub fn with_rows(mut self, rows: usize) -> Self {
+        assert!(rows > 0, "zero-row slab of {self:?}");
+        self.dims[0] = rows;
+        self
+    }
+
     /// Number of dimensions.
     pub fn ndim(&self) -> usize {
         self.ndim
@@ -164,6 +175,12 @@ mod tests {
         let s = Shape::d3(4, 5, 6);
         assert_eq!(&s.strides()[..3], &[30, 6, 1]);
         assert_eq!(s.len(), 120);
+    }
+
+    #[test]
+    fn with_rows_replaces_axis_0_only() {
+        assert_eq!(Shape::d3(4, 5, 6).with_rows(2), Shape::d3(2, 5, 6));
+        assert_eq!(Shape::d1(9).with_rows(3), Shape::d1(3));
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! ```sh
 //! cargo run --release --example insitu_rtm
 //! ```
+//!
+//! Exits non-zero if the delivered aggregate PSNR is under the target the
+//! example prints.
 
-use rqm::core_model::usecases::{optimize_partitions, uniform_eb_for_target};
+use rqm::core_model::usecases::uniform_eb_for_target;
 use rqm::datagen::RtmSimulator;
 use rqm::prelude::*;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     // Eight snapshots of the evolving wavefield: early ones are quiet,
     // late ones are dense with reflections.
     let mut sim = RtmSimulator::new([48, 48, 48]);
@@ -17,22 +21,18 @@ fn main() {
     let snapshots: Vec<NdArray<f32>> =
         steps.iter().map(|&s| sim.snapshot_at(s)).collect();
 
-    let value_range =
-        snapshots.iter().map(|s| s.value_range()).fold(0.0f64, f64::max);
+    // One model per partition (timestep).
+    let cfg = CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(1.0));
+    let session = TargetSession::fit(snapshots.iter().map(Ok), cfg.predictor)
+        .expect("the snapshots are in memory");
+    let (models, sizes, value_range) = (session.models(), session.sizes(), session.value_range());
     println!("{} snapshots of {:?}, combined range {value_range:.3e}\n", steps.len(), [48, 48, 48]);
 
-    // One model per partition (timestep).
-    let models: Vec<RqModel> = snapshots
-        .iter()
-        .enumerate()
-        .map(|(i, s)| RqModel::build(s, PredictorKind::Interpolation, 0.01, 50 + i as u64))
-        .collect();
-    let sizes: Vec<usize> = snapshots.iter().map(|s| s.len()).collect();
-
+    // What the model alone says: tuned against uniform at the same target.
     let target_psnr = 70.0;
-    let plan = optimize_partitions(&models, &sizes, value_range, target_psnr, 40)
+    let plan = optimize_partitions(models, sizes, value_range, target_psnr, 40)
         .expect("the PSNR floor is reachable on this series");
-    let (uni_eb, uniform) = uniform_eb_for_target(&models, &sizes, value_range, target_psnr);
+    let (uni_eb, uniform) = uniform_eb_for_target(models, sizes, value_range, target_psnr);
 
     println!("target aggregate PSNR: {target_psnr} dB");
     println!("{:>6} {:>12} {:>12}", "step", "tuned eb", "uniform eb");
@@ -50,25 +50,37 @@ fn main() {
         plan.est_psnr, uniform.est_psnr
     );
 
-    // Verify with real compression: aggregate measured PSNR + bits.
-    let mut tuned_bytes = 0usize;
-    let mut sq_err = 0.0f64;
-    let mut n_total = 0usize;
-    for (snap, &eb) in snapshots.iter().zip(&plan.ebs) {
-        let cfg = CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(eb));
-        let out = compress(snap, &cfg).unwrap();
-        let back = decompress::<f32>(&out.bytes).unwrap();
-        tuned_bytes += out.bytes.len();
-        for (&a, &b) in snap.as_slice().iter().zip(back.as_slice()) {
-            sq_err += ((a - b) as f64).powi(2);
+    // Deliver it with real compression: the session plans with a margin,
+    // measures every attempt and re-plans until the floor is met.
+    let result = session.run(Target::PsnrFloor(target_psnr), |_, ebs| {
+        let mut measured = Measured::default();
+        for (snap, &eb) in snapshots.iter().zip(ebs) {
+            let out = compress(snap, &cfg.with_bound(ErrorBoundMode::Abs(eb)))
+                .map_err(|e| e.to_string())?;
+            let back = decompress::<f32>(&out.bytes).map_err(|e| e.to_string())?;
+            measured.push_chunk(snap, &back, out.bytes.len());
         }
-        n_total += snap.len();
-    }
-    let measured_psnr =
-        20.0 * value_range.log10() - 10.0 * (sq_err / n_total as f64).log10();
+        Ok::<_, String>(measured)
+    });
+    let outcome = match result {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("the {target_psnr} dB target was not delivered: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let n_total: usize = sizes.iter().sum();
+    let measured_psnr = outcome.psnr.expect("every attempt was measured");
     println!(
-        "\nmeasured (tuned): {:.3} bits/value, aggregate PSNR {:.1} dB",
-        tuned_bytes as f64 * 8.0 / n_total as f64,
+        "\nmeasured (attempt {} of {} kept): {:.3} bits/value, aggregate PSNR {:.1} dB",
+        outcome.kept + 1,
+        outcome.attempts,
+        outcome.bytes as f64 * 8.0 / n_total as f64,
         measured_psnr
     );
+    if measured_psnr < target_psnr {
+        eprintln!("delivered {measured_psnr:.2} dB under the {target_psnr} dB target");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

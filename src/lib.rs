@@ -63,7 +63,8 @@ pub mod prelude {
         CodecChoice, CompressorConfig, ConcurrentReader,
     };
     pub use rq_core::usecases::{
-        compress_with_budget, optimize_partitions, plan_budget, PlanError, PredictorSelector,
+        measure_archive, optimize_partitions, plan_budget, Measured, PlanError, PredictorSelector,
+        Target, TargetSession,
     };
     pub use rq_core::{Estimate, RqModel};
     pub use rq_catalog::{CatalogReader, CatalogWriter, DatasetReader};

@@ -245,11 +245,8 @@ fn live_archives<T: rqm::grid::Scalar>(field: &NdArray<T>, eb: f64) -> Vec<(&'st
     let mut row = 0usize;
     while row < d0 {
         let rows = 7.min(d0 - row);
-        let mut dims = [0usize; rqm::grid::MAX_DIMS];
-        dims[..field.shape().ndim()].copy_from_slice(field.shape().dims());
-        dims[0] = rows;
         let slab = NdArray::from_vec(
-            Shape::new(&dims[..field.shape().ndim()]),
+            field.shape().with_rows(rows),
             field.as_slice()[row * row_elems..(row + rows) * row_elems].to_vec(),
         );
         w.write_slab(&slab).unwrap();
