@@ -1,0 +1,620 @@
+//! What the model says, pinned: the sample it draws (bit for bit, as
+//! hashes taken before the sampler was rewritten) and every number it
+//! derives from a sample (against frozen copies of the bodies it had when
+//! every `estimate` re-quantized the sample into a `BTreeMap` and every
+//! inversion ran a fixed hundred of them).
+//!
+//! The frozen bodies are the oracle, not a second implementation: nothing
+//! outside this file calls them, and they are written for clarity and for
+//! staying put, not for speed.
+
+use rq_core::{quality, ratio::rle_ratio, sample_errors, ErrorSample, RqModel};
+use rq_grid::stats::Moments;
+use rq_grid::{NdArray, Scalar, Shape};
+use rq_predict::PredictorKind;
+use rq_quant::DEFAULT_RADIUS;
+
+// ---------------------------------------------------------------- fields --
+
+fn xorshift(state: &mut u64) -> f64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    (*state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+}
+
+fn waves(ix: &[usize]) -> f64 {
+    ix.iter().enumerate().map(|(a, &c)| (c as f64 * 0.23 * (a + 1) as f64).sin() * 2.0).sum()
+}
+
+/// Smooth waves plus `noise`-wide uniform noise; with `quiescent`, the
+/// first quarter of axis 0 is exactly zero (the sparse path of §III-C).
+fn field<T: Scalar>(shape: Shape, noise: f64, quiescent: bool) -> NdArray<T> {
+    let mut state = 0x5EED_1234_ABCDu64;
+    let quiet_rows = if quiescent { shape.dim(0) / 4 } else { 0 };
+    NdArray::from_fn(shape, |ix| {
+        let n = xorshift(&mut state) * noise;
+        T::from_f64(if ix[0] < quiet_rows { 0.0 } else { waves(ix) + n })
+    })
+}
+
+// ------------------------------------------------------- sample hashes --
+
+fn fnv1a(hash: &mut u64, bits: u64) {
+    for byte in bits.to_le_bytes() {
+        *hash ^= byte as u64;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+/// FNV-1a over the bit patterns of everything the sampler decides, for
+/// three rates and two seeds on one (predictor, shape, scalar type).
+fn sample_hash<T: Scalar>(kind: PredictorKind, shape: Shape) -> u64 {
+    let f = field::<T>(shape, 0.05, true);
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for rate in [0.01, 0.1, 1.0] {
+        for seed in [7u64, 20220509] {
+            let s = sample_errors(&f, kind, rate, seed);
+            fnv1a(&mut hash, s.errors.len() as u64);
+            for v in s.errors.iter().chain(&s.weights) {
+                fnv1a(&mut hash, v.to_bits());
+            }
+            fnv1a(&mut hash, s.sparse_fraction.to_bits());
+            fnv1a(&mut hash, s.verbatim_fraction.to_bits());
+        }
+    }
+    hash
+}
+
+fn pin_shapes() -> [Shape; 4] {
+    [Shape::d1(500), Shape::d2(100, 77), Shape::d3(13, 8, 21), Shape::d3(32, 32, 32)]
+}
+
+/// `[f32, f64]` hashes per shape of [`pin_shapes`], taken from the sampler
+/// as it stood before the pass table (commit afd36c1). A change to these
+/// constants is a change to every number the model produces.
+const SAMPLE_PINS: [(PredictorKind, [[u64; 2]; 4]); 4] = [
+    (
+        PredictorKind::Lorenzo,
+        [
+            [0xA80E_6EB6_E969_8ADD, 0x7C4D_EFB1_A608_D21C],
+            [0x1E69_8F9E_E228_D2AF, 0x4963_D8B9_E858_1B9D],
+            [0x2B56_A9A7_D42C_C1CB, 0x7FB7_BDB5_D3D7_A8BC],
+            [0x1EB2_91A5_2453_D0ED, 0x88BA_FDD0_C66D_9135],
+        ],
+    ),
+    (
+        PredictorKind::Lorenzo2,
+        [
+            [0x7182_2A92_288A_595A, 0x4621_1EB6_020E_86DC],
+            [0x7A4C_99BE_610C_2F34, 0xD853_1739_9CA1_AE89],
+            [0x5BEB_A930_A3D5_F1CB, 0x7649_AABF_A3E4_FACC],
+            [0xA038_C22E_67AA_6E13, 0x745F_6208_017C_618F],
+        ],
+    ),
+    (
+        PredictorKind::Interpolation,
+        [
+            [0x9EB0_EAA7_7DC5_2C84, 0x5C17_39D9_BDD4_0DE9],
+            [0x9190_4E8D_73EB_402E, 0x3EC7_A699_FF02_82FD],
+            [0x505F_CB8A_F8E5_C07C, 0x6CEE_78F6_0579_7900],
+            [0xC0A3_EE66_817B_0532, 0x3369_BDD5_1F6C_2BA6],
+        ],
+    ),
+    (
+        PredictorKind::Regression,
+        [
+            [0xE6BA_FA7D_BE8A_2833, 0x3A4F_C807_892A_027A],
+            [0xC9AA_38E1_D20D_A3CA, 0x2B05_1334_999F_FA0B],
+            [0xEE34_79CB_433E_6DD4, 0xCD0B_E88B_7108_567F],
+            [0x5CA2_90E0_9025_8C9C, 0x3835_6152_F5C4_A928],
+        ],
+    ),
+];
+
+#[test]
+fn samples_are_bit_identical_to_the_pinned_sampler() {
+    let mut got = Vec::new();
+    for (kind, _) in SAMPLE_PINS {
+        let row: Vec<[u64; 2]> = pin_shapes()
+            .iter()
+            .map(|&shape| [sample_hash::<f32>(kind, shape), sample_hash::<f64>(kind, shape)])
+            .collect();
+        got.push((kind, row));
+    }
+    for ((kind, want), (_, have)) in SAMPLE_PINS.iter().zip(&got) {
+        for ((shape, w), h) in pin_shapes().iter().zip(want).zip(have) {
+            assert_eq!(
+                w,
+                h,
+                "{kind:?} on {:?} ([f32, f64]): the sample moved. All hashes now: {got:#018x?}",
+                shape.dims()
+            );
+        }
+    }
+}
+
+// ------------------------------------------------- the frozen model --
+
+mod frozen {
+    //! The model's derivations as of commit afd36c1, verbatim but for
+    //! names: the per-call `BTreeMap` histogram, the delta-`Vec` bin
+    //! transfer, the two entropy walks, the per-call sort in
+    //! `error_quantile`, the fixed 100 bisection steps.
+    use super::*;
+    use std::collections::BTreeMap;
+
+    const BIN_TRANSFER_THRESHOLD: f64 = 0.8;
+    const SPARSE_RESIDUAL_BITS: f64 = 0.05;
+
+    fn weighted_std(s: &ErrorSample) -> f64 {
+        let wsum: f64 = s.weights.iter().sum();
+        if wsum == 0.0 {
+            return 0.0;
+        }
+        let mean: f64 = s.errors.iter().zip(&s.weights).map(|(e, w)| e * w).sum::<f64>() / wsum;
+        let var: f64 =
+            s.errors.iter().zip(&s.weights).map(|(e, w)| w * (e - mean).powi(2)).sum::<f64>()
+                / wsum;
+        var.sqrt()
+    }
+
+    pub struct Hist {
+        bins: BTreeMap<i32, f64>,
+        total: f64,
+        escape_mass: f64,
+        central_bin_variance: f64,
+    }
+
+    impl Hist {
+        pub fn build(sample: &ErrorSample, eb: f64, radius: u32) -> Self {
+            assert!(eb > 0.0 && eb.is_finite(), "invalid error bound {eb}");
+            let mut bins: BTreeMap<i32, f64> = BTreeMap::new();
+            let mut escape_mass = 0.0;
+            let mut total = 0.0;
+            let mut central_sum = 0.0;
+            let mut central_sq = 0.0;
+            let mut central_w = 0.0;
+            let bin_width = 2.0 * eb;
+            let kappa = sample.feedback_kappa;
+            let fb_scale = if kappa > 0.0 {
+                (kappa * eb).min(8.0 * weighted_std(sample).max(f64::MIN_POSITIVE))
+            } else {
+                0.0
+            };
+            let mut fb_state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut fb_noise = move || -> f64 {
+                let mut acc = 0.0;
+                for _ in 0..4 {
+                    fb_state ^= fb_state << 13;
+                    fb_state ^= fb_state >> 7;
+                    fb_state ^= fb_state << 17;
+                    acc += (fb_state >> 11) as f64 / (1u64 << 53) as f64;
+                }
+                (acc - 2.0) / (1.0f64 / 3.0).sqrt()
+            };
+            for (&err, &w) in sample.errors.iter().zip(&sample.weights) {
+                if !err.is_finite() {
+                    escape_mass += w;
+                    continue;
+                }
+                let err = if fb_scale > 0.0 {
+                    err + fb_scale.min(8.0 * err.abs()) * fb_noise()
+                } else {
+                    err
+                };
+                let code = (err / bin_width).round();
+                if code.abs() > radius as f64 {
+                    escape_mass += w;
+                    continue;
+                }
+                let code = code as i32;
+                *bins.entry(code).or_insert(0.0) += w;
+                total += w;
+                if code == 0 {
+                    central_sum += w * err;
+                    central_sq += w * err * err;
+                    central_w += w;
+                }
+            }
+            let central_bin_variance = if central_w > 0.0 {
+                let mean = central_sum / central_w;
+                (central_sq / central_w - mean * mean).max(0.0)
+            } else {
+                0.0
+            };
+            let mut h = Hist { bins, total, escape_mass, central_bin_variance };
+            h.apply_bin_transfer(sample.predictor.bin_transfer_c2());
+            h
+        }
+
+        fn apply_bin_transfer(&mut self, c2: f64) {
+            if c2 == 0.0 || self.total == 0.0 || self.p0() < BIN_TRANSFER_THRESHOLD {
+                return;
+            }
+            let p0 = self.p0();
+            let frac = c2 * (1.0 - p0);
+            if frac <= 0.0 {
+                return;
+            }
+            let mut deltas: Vec<(i32, f64)> = Vec::with_capacity(self.bins.len() * 3);
+            for (&code, &mass) in &self.bins {
+                let moved = mass * frac;
+                deltas.push((code, -moved));
+                deltas.push((code - 1, moved / 2.0));
+                deltas.push((code + 1, moved / 2.0));
+            }
+            for (code, d) in deltas {
+                *self.bins.entry(code).or_insert(0.0) += d;
+            }
+            self.bins.retain(|_, m| *m > 1e-12);
+        }
+
+        pub fn p0(&self) -> f64 {
+            if self.total == 0.0 {
+                return 0.0;
+            }
+            self.bins.get(&0).copied().unwrap_or(0.0) / self.total
+        }
+
+        pub fn escape_fraction(&self) -> f64 {
+            let all = self.total + self.escape_mass;
+            if all == 0.0 {
+                0.0
+            } else {
+                self.escape_mass / all
+            }
+        }
+
+        pub fn probabilities(&self) -> impl Iterator<Item = (i32, f64)> + '_ {
+            let t = self.total.max(f64::MIN_POSITIVE);
+            self.bins.iter().map(move |(&c, &m)| (c, m / t))
+        }
+
+        pub fn occupied_bins(&self) -> usize {
+            self.bins.len()
+        }
+
+        pub fn entropy(&self) -> f64 {
+            self.probabilities().filter(|&(_, p)| p > 0.0).map(|(_, p)| -p * p.log2()).sum()
+        }
+    }
+
+    pub fn huffman_bit_rate(hist: &Hist) -> f64 {
+        let mut best_p = 0.0f64;
+        let mut entropy_rest = 0.0f64;
+        for (_, p) in hist.probabilities() {
+            if p <= 0.0 {
+                continue;
+            }
+            if p > best_p {
+                if best_p > 0.0 {
+                    entropy_rest += -best_p * best_p.log2();
+                }
+                best_p = p;
+            } else {
+                entropy_rest += -p * p.log2();
+            }
+        }
+        if best_p == 0.0 {
+            return 0.0;
+        }
+        entropy_rest + best_p * (-best_p.log2()).max(1.0)
+    }
+
+    pub fn huffman_bit_rate_sparse(hist: &Hist, sparse_fraction: f64) -> f64 {
+        let sf = sparse_fraction.clamp(0.0, 1.0);
+        if sf == 0.0 {
+            return huffman_bit_rate(hist);
+        }
+        let mut probs: Vec<f64> = Vec::with_capacity(hist.occupied_bins() + 1);
+        let mut zero_p = sf;
+        for (code, p) in hist.probabilities() {
+            if code == 0 {
+                zero_p += p * (1.0 - sf);
+            } else if p > 0.0 {
+                probs.push(p * (1.0 - sf));
+            }
+        }
+        probs.push(zero_p);
+        let best_p = probs.iter().cloned().fold(0.0f64, f64::max);
+        let mut bits = 0.0;
+        let mut clamped = false;
+        for &p in &probs {
+            if p <= 0.0 {
+                continue;
+            }
+            let len = if p == best_p && !clamped {
+                clamped = true;
+                (-p.log2()).max(1.0)
+            } else {
+                -p.log2()
+            };
+            bits += p * len;
+        }
+        bits
+    }
+
+    /// `rq_core::Estimate`, field for field.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Estimate {
+        pub p0: f64,
+        pub escape_fraction: f64,
+        pub bit_rate_huffman: f64,
+        pub bit_rate: f64,
+        pub ratio: f64,
+        pub sigma2_uniform: f64,
+        pub sigma2: f64,
+        pub psnr: f64,
+        pub psnr_uniform: f64,
+        pub ssim: f64,
+    }
+
+    pub struct Model {
+        pub sample: ErrorSample,
+        pub scalar_bits: u32,
+        pub value_range: f64,
+        pub data_variance: f64,
+    }
+
+    impl Model {
+        /// What `RqModel::build` kept beside the sample: `value_range()`
+        /// and a Welford pass over the whole field.
+        pub fn of<T: Scalar>(field: &NdArray<T>, sample: &ErrorSample) -> Self {
+            Model {
+                sample: sample.clone(),
+                scalar_bits: T::BITS,
+                value_range: field.value_range(),
+                data_variance: Moments::from_slice(field.as_slice()).variance(),
+            }
+        }
+
+        pub fn estimate(&self, eb: f64) -> Estimate {
+            let hist = Hist::build(&self.sample, eb, DEFAULT_RADIUS);
+            let sf = self.sample.sparse_fraction;
+            let p0_dense = hist.p0();
+            let p0 = sf + (1.0 - sf) * p0_dense;
+            let b_dense = huffman_bit_rate(&hist);
+            let b_comb = huffman_bit_rate_sparse(&hist, sf);
+            let bits = self.scalar_bits as f64;
+
+            let symbol_frac = 1.0 - self.sample.verbatim_fraction;
+            let escape_frac = symbol_frac * (1.0 - sf) * hist.escape_fraction();
+            let verbatim_bits = (self.sample.verbatim_fraction + escape_frac) * bits;
+            let codebook_bits = hist.occupied_bins() as f64 * 8.0 / self.sample.n_elements as f64;
+            let overhead_bits = verbatim_bits + self.sample.side_bits_per_element + codebook_bits;
+
+            let bit_rate_huffman = symbol_frac * b_comb + overhead_bits;
+            let rle = rle_ratio(p0_dense, b_dense.max(1e-9));
+            let dense_overall = b_dense / rle;
+            let payload_overall =
+                symbol_frac * ((1.0 - sf) * dense_overall + sf * SPARSE_RESIDUAL_BITS);
+            let bit_rate = payload_overall + overhead_bits;
+            let ratio = bits / bit_rate.max(1e-12);
+
+            let sigma2_uniform = quality::sigma2_uniform(eb);
+            let g = self.sample.quality_kappa;
+            let central = if g > 0.0 {
+                let gain = 1.0 / (1.0 - g * p0_dense).max(0.05);
+                (hist.central_bin_variance * gain).min(eb * eb / 3.0)
+            } else {
+                hist.central_bin_variance
+            };
+            let sigma2 = (1.0 - sf) * quality::sigma2_refined(eb, p0_dense, central);
+            let c3 = (0.03 * self.value_range).powi(2);
+            Estimate {
+                p0,
+                escape_fraction: escape_frac,
+                bit_rate_huffman,
+                bit_rate,
+                ratio,
+                sigma2_uniform,
+                sigma2,
+                psnr: quality::psnr_model(self.value_range, sigma2),
+                psnr_uniform: quality::psnr_model(self.value_range, sigma2_uniform),
+                ssim: quality::ssim_model(self.data_variance, c3, sigma2),
+            }
+        }
+
+        pub fn error_quantile(&self, p: f64) -> f64 {
+            let mut pairs: Vec<(f64, f64)> = self
+                .sample
+                .errors
+                .iter()
+                .zip(&self.sample.weights)
+                .map(|(&e, &w)| (e.abs(), w))
+                .filter(|(e, _)| e.is_finite())
+                .collect();
+            if pairs.is_empty() {
+                return 0.0;
+            }
+            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let total: f64 = pairs.iter().map(|(_, w)| w).sum();
+            let target = p * total;
+            let mut acc = 0.0;
+            for &(e, w) in &pairs {
+                acc += w;
+                if acc >= target {
+                    return e.max(f64::MIN_POSITIVE);
+                }
+            }
+            pairs.last().unwrap().0.max(f64::MIN_POSITIVE)
+        }
+
+        fn eb_search_range(&self) -> (f64, f64) {
+            let scale =
+                self.error_quantile(0.9).max(self.value_range * 1e-12).max(f64::MIN_POSITIVE);
+            (scale * 1e-9, (self.value_range.max(scale)) * 10.0)
+        }
+
+        pub fn error_bound_for_bit_rate(&self, target_bit_rate: f64) -> f64 {
+            let (mut lo, mut hi) = self.eb_search_range();
+            for _ in 0..100 {
+                let mid = (lo.ln() + hi.ln()).mul_add(0.5, 0.0).exp();
+                if self.estimate(mid).bit_rate > target_bit_rate {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            (lo.ln() * 0.5 + hi.ln() * 0.5).exp()
+        }
+
+        pub fn error_bound_for_bit_rate_eq2(&self, target_bit_rate: f64) -> f64 {
+            let e_profile = self.error_quantile(0.3).max(f64::MIN_POSITIVE);
+            let b_profile = self.estimate(e_profile).bit_rate_huffman;
+            let e_star = 2f64.powf(b_profile - target_bit_rate) * e_profile;
+            if self.estimate(e_star).p0 < 0.5 {
+                return e_star;
+            }
+            let anchors: Vec<(f64, f64)> = [0.5, 0.8, 0.95]
+                .iter()
+                .map(|&p| {
+                    let e = self.error_quantile(p);
+                    (self.estimate(e).bit_rate_huffman, e.ln())
+                })
+                .collect();
+            if target_bit_rate >= anchors[0].0 {
+                return (2f64.powf(anchors[0].0 - target_bit_rate) * anchors[0].1.exp())
+                    .min(self.eb_search_range().1);
+            }
+            for w in anchors.windows(2) {
+                let (b_hi, ln_lo) = w[0];
+                let (b_lo, ln_hi) = w[1];
+                if target_bit_rate <= b_hi && target_bit_rate >= b_lo {
+                    let t = if (b_hi - b_lo).abs() < 1e-12 {
+                        0.5
+                    } else {
+                        (b_hi - target_bit_rate) / (b_hi - b_lo)
+                    };
+                    return (ln_lo + t * (ln_hi - ln_lo)).exp();
+                }
+            }
+            let (b_hi, ln_lo) = anchors[1];
+            let (b_lo, ln_hi) = anchors[2];
+            let slope = (ln_hi - ln_lo) / (b_lo - b_hi).min(-1e-9);
+            (ln_hi + slope * (target_bit_rate - b_lo)).exp()
+        }
+
+        pub fn error_bound_for_psnr(&self, target_db: f64) -> f64 {
+            let (mut lo, mut hi) = self.eb_search_range();
+            for _ in 0..100 {
+                let mid = ((lo.ln() + hi.ln()) * 0.5).exp();
+                if self.estimate(mid).psnr > target_db {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            ((lo.ln() + hi.ln()) * 0.5).exp()
+        }
+    }
+}
+
+// ------------------------------------------------------ differential --
+
+/// `|a − b| ≤ tol·max(|a|, |b|)`, with equal infinities and equal zeros
+/// agreeing.
+fn close(a: f64, b: f64, tol: f64) -> bool {
+    a == b || (a - b).abs() <= tol * a.abs().max(b.abs())
+}
+
+/// Hold every derived number of `model` to the frozen bodies' on the same
+/// sample: five bounds, five targets per inversion, five quantiles.
+fn assert_matches_frozen<T: Scalar>(what: &str, field: &NdArray<T>, model: &RqModel) {
+    const TOL: f64 = 1e-12;
+    let old = frozen::Model::of(field, model.sample());
+    assert_eq!(model.value_range(), old.value_range, "{what}: value range is exact");
+
+    let range = old.value_range.max(1e-30);
+    for rel in [1e-7, 1e-5, 1e-3, 1e-2, 0.3] {
+        let eb = rel * range;
+        let (new, want) = (model.estimate(eb), old.estimate(eb));
+        for (name, a, b, tol) in [
+            ("p0", new.p0, want.p0, TOL),
+            ("escape_fraction", new.escape_fraction, want.escape_fraction, TOL),
+            ("bit_rate_huffman", new.bit_rate_huffman, want.bit_rate_huffman, TOL),
+            ("bit_rate", new.bit_rate, want.bit_rate, TOL),
+            ("ratio", new.ratio, want.ratio, TOL),
+            ("sigma2_uniform", new.sigma2_uniform, want.sigma2_uniform, TOL),
+            ("sigma2", new.sigma2, want.sigma2, TOL),
+            ("psnr", new.psnr, want.psnr, TOL),
+            ("psnr_uniform", new.psnr_uniform, want.psnr_uniform, TOL),
+            // The field's variance comes from a different (fused) pass.
+            ("ssim", new.ssim, want.ssim, 1e-9),
+        ] {
+            assert!(close(a, b, tol), "{what}: estimate({eb:e}).{name} = {a:e}, frozen {b:e}");
+        }
+        assert_eq!(new.eb, eb);
+    }
+    for p in [0.0, 0.05, 0.3, 0.9, 1.0] {
+        let (a, b) = (model.error_quantile(p), old.error_quantile(p));
+        assert!(close(a, b, TOL), "{what}: error_quantile({p}) = {a:e}, frozen {b:e}");
+    }
+    for db in [30.0, 60.0, 80.0, 100.0, 140.0] {
+        let (a, b) = (model.error_bound_for_psnr(db), old.error_bound_for_psnr(db));
+        assert!(close(a, b, TOL), "{what}: error_bound_for_psnr({db}) = {a:e}, frozen {b:e}");
+    }
+    for bits in [0.25, 1.0, 2.0, 4.0, 12.0] {
+        let (a, b) = (model.error_bound_for_bit_rate(bits), old.error_bound_for_bit_rate(bits));
+        assert!(close(a, b, TOL), "{what}: error_bound_for_bit_rate({bits}) = {a:e}, frozen {b:e}");
+        let (a, b) =
+            (model.error_bound_for_bit_rate_eq2(bits), old.error_bound_for_bit_rate_eq2(bits));
+        assert!(close(a, b, TOL), "{what}: bit_rate_eq2({bits}) = {a:e}, frozen {b:e}");
+    }
+}
+
+#[test]
+fn every_derived_number_matches_the_frozen_model() {
+    let shape = Shape::d3(24, 20, 28);
+    let fields: [(&str, NdArray<f32>); 3] = [
+        ("smooth", field(shape, 0.0, false)),
+        ("noisy", field(shape, 0.3, false)),
+        ("sparse", field(shape, 0.05, true)),
+    ];
+    for kind in [PredictorKind::Lorenzo, PredictorKind::Interpolation, PredictorKind::Regression] {
+        for (name, f) in &fields {
+            let what = format!("{kind:?}/{name}");
+            assert_matches_frozen(&what, f, &RqModel::build(f, kind, 0.1, 11));
+            // The deterministic per-chunk constructor: uniform weights.
+            let strided = RqModel::build_strided(f.as_slice(), f.shape(), kind, 1500);
+            assert_matches_frozen(&format!("{what}/strided"), f, &strided);
+        }
+    }
+    // f64 scalars change `scalar_bits` and nothing else.
+    let f = field::<f64>(Shape::d2(90, 70), 0.2, true);
+    let m = RqModel::build(&f, PredictorKind::Interpolation, 0.2, 3);
+    assert_matches_frozen("Interpolation/f64", &f, &m);
+}
+
+#[test]
+fn frozen_histogram_agrees_with_the_public_one() {
+    // The histogram is public API of its own; hold its accessors too.
+    let f = field::<f32>(Shape::d3(24, 20, 28), 0.3, true);
+    for kind in [PredictorKind::Lorenzo, PredictorKind::Interpolation] {
+        let s = sample_errors(&f, kind, 0.1, 5);
+        for eb in [1e-6, 1e-3, 3e-2, 0.5, 40.0] {
+            let new = rq_core::EstimatedHistogram::build(&s, eb, DEFAULT_RADIUS);
+            let old = frozen::Hist::build(&s, eb, DEFAULT_RADIUS);
+            let what = format!("{kind:?} eb {eb:e}");
+            assert_eq!(new.occupied_bins(), old.occupied_bins(), "{what}: occupied bins");
+            assert!(close(new.p0(), old.p0(), 1e-12), "{what}: p0");
+            assert!(close(new.escape_fraction(), old.escape_fraction(), 1e-12), "{what}");
+            assert!(close(new.entropy(), old.entropy(), 1e-12), "{what}: entropy");
+            let (a, b) = (
+                rq_core::ratio::huffman_bit_rate(&new),
+                frozen::huffman_bit_rate(&old),
+            );
+            assert!(close(a, b, 1e-12), "{what}: Eq. 1 {a} vs {b}");
+            let (a, b) = (
+                rq_core::ratio::huffman_bit_rate_sparse(&new, 0.3),
+                frozen::huffman_bit_rate_sparse(&old, 0.3),
+            );
+            assert!(close(a, b, 1e-12), "{what}: sparse Eq. 1 {a} vs {b}");
+            for ((c, p), (oc, op)) in new.probabilities().zip(old.probabilities()) {
+                assert_eq!(c, oc, "{what}: bin order");
+                assert!(close(p, op, 1e-12), "{what}: bin {c}");
+            }
+        }
+    }
+}
