@@ -10,16 +10,39 @@
 //! dispersion caused by reconstruction feedback.
 
 use crate::sampling::ErrorSample;
-use std::collections::BTreeMap;
 
 /// Bin-transfer activation threshold θ₂ of Eq. 9.
 pub const BIN_TRANSFER_THRESHOLD: f64 = 0.8;
 
+/// The share `C₂·(1−p₀)` of every bin that Eq. 9 moves to its two
+/// neighbors, or `None` where the transfer does not apply (no `C₂`, an
+/// empty histogram, a zero bin under θ₂).
+pub(crate) fn transfer_fraction(c2: f64, total: f64, p0: f64) -> Option<f64> {
+    if c2 == 0.0 || total == 0.0 || p0 < BIN_TRANSFER_THRESHOLD {
+        return None;
+    }
+    let frac = c2 * (1.0 - p0);
+    (frac > 0.0).then_some(frac)
+}
+
+/// `σ²(B[0])` of Eq. 11 from the central bin's weighted sums `Σw`, `Σw·e`
+/// and `Σw·e²`. The model applies the cascade inflation
+/// ([`ErrorSample::quality_kappa`]) on top, since that needs the sparse
+/// fraction, which lives outside the histogram.
+pub(crate) fn central_variance(w: f64, we: f64, we2: f64) -> f64 {
+    if w > 0.0 {
+        let mean = we / w;
+        (we2 / w - mean * mean).max(0.0)
+    } else {
+        0.0
+    }
+}
+
 /// A (weighted, sparse) estimated quantization-code histogram.
 #[derive(Clone, Debug)]
 pub struct EstimatedHistogram {
-    /// Weighted mass per quantization code.
-    bins: BTreeMap<i32, f64>,
+    /// Weighted mass per quantization code with any, ascending by code.
+    bins: Vec<(i32, f64)>,
     /// Total in-range mass.
     total: f64,
     /// Mass quantized beyond the code radius (escape path).
@@ -36,80 +59,71 @@ impl EstimatedHistogram {
     /// [`ErrorSample::feedback_kappa`]) that emulates predicting from
     /// reconstructed instead of original values.
     pub fn build(sample: &ErrorSample, eb: f64, radius: u32) -> Self {
+        Self::build_with_std(sample, eb, radius, sample.feedback_std())
+    }
+
+    /// [`Self::build`] given [`ErrorSample::feedback_std`], which a model
+    /// takes once and not per error bound.
+    pub(crate) fn build_with_std(
+        sample: &ErrorSample,
+        eb: f64,
+        radius: u32,
+        feedback_std: f64,
+    ) -> Self {
         assert!(eb > 0.0 && eb.is_finite(), "invalid error bound {eb}");
-        let mut bins: BTreeMap<i32, f64> = BTreeMap::new();
-        let mut escape_mass = 0.0;
-        let mut total = 0.0;
-        let mut central_sum = 0.0;
-        let mut central_sq = 0.0;
-        let mut central_w = 0.0;
         let bin_width = 2.0 * eb;
-        // Deterministic ≈N(0,1) stream for the feedback perturbation
-        // (Irwin–Hall sum of four uniforms, standardized). The feedback
-        // scale grows with eb but saturates at a few signal scales: once
-        // the bin dwarfs the data's own variation, reconstruction drift is
-        // governed by the signal, not the bound.
-        let kappa = sample.feedback_kappa;
-        let fb_scale = if kappa > 0.0 {
-            (kappa * eb).min(8.0 * sample.weighted_std().max(f64::MIN_POSITIVE))
-        } else {
-            0.0
-        };
-        let mut fb_state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut fb_noise = move || -> f64 {
-            let mut acc = 0.0;
-            for _ in 0..4 {
-                fb_state ^= fb_state << 13;
-                fb_state ^= fb_state >> 7;
-                fb_state ^= fb_state << 17;
-                acc += (fb_state >> 11) as f64 / (1u64 << 53) as f64;
-            }
-            // Sum of 4 uniforms: mean 2, std √(1/3).
-            (acc - 2.0) / (1.0f64 / 3.0).sqrt()
-        };
-        for (&err, &w) in sample.errors.iter().zip(&sample.weights) {
-            if !err.is_finite() {
-                escape_mass += w;
-                continue;
-            }
-            // Feedback noise at a point originates from its neighbors'
-            // reconstruction errors. In code-0-dominated neighborhoods the
-            // residual a neighbor passes on is its own (small) prediction
-            // error, not ±eb, so the dispersion saturates *per point* at a
-            // few times the point's own error magnitude — the local error
-            // scale's cheapest proxy. Without this, quiet sub-threshold
-            // chunks are smeared across bins and the model overestimates
-            // both their rate and their variance by an order of magnitude
-            // (visible in per-chunk quality-targeted planning).
-            let err = if fb_scale > 0.0 {
-                err + fb_scale.min(8.0 * err.abs()) * fb_noise()
-            } else {
-                err
-            };
-            let code = (err / bin_width).round();
-            if code.abs() > radius as f64 {
-                escape_mass += w;
-                continue;
-            }
-            let code = code as i32;
-            *bins.entry(code).or_insert(0.0) += w;
-            total += w;
-            if code == 0 {
-                central_sum += w * err;
-                central_sq += w * err * err;
-                central_w += w;
-            }
+        // Three plain loops — perturb, quantize, sum — instead of one that
+        // does it all: without the fused loop's data-dependent branches
+        // each runs at twice the speed of its share of it.
+        let perturbed = feedback_perturbed(sample, eb, feedback_std);
+        let errors = perturbed.as_deref().unwrap_or(&sample.errors);
+
+        // Codes first: one per sample, in sample order, and the span of the
+        // ones inside the radius.
+        let mut codes: Vec<i32> = Vec::with_capacity(errors.len());
+        let (mut lo, mut hi) = (i32::MAX, ESCAPED);
+        for &err in errors {
+            let code = quantization_code(err / bin_width, radius);
+            codes.push(code);
+            (lo, hi) = (lo.min(if code == ESCAPED { i32::MAX } else { code }), hi.max(code));
         }
-        let central_bin_variance = if central_w > 0.0 {
-            let mean = central_sum / central_w;
-            // The sampled central variance; the model applies the cascade
-            // inflation (ErrorSample::quality_kappa) on top, since it
-            // needs the sparse fraction which lives outside the histogram.
-            (central_sq / central_w - mean * mean).max(0.0)
+
+        // Then every sum, each in sample order: the five that are one
+        // number, and the per-code masses — counted into a flat table when
+        // the codes are about as dense as the sample, which they are at
+        // every bound near a target (`sorted_masses` takes the rest: a
+        // bound so small that the few codes still inside the radius are
+        // scattered across it). A term that does not belong to a sum is
+        // added to it as 0.0, or to a spare slot of the table: that changes
+        // no sum, and unlike a branch on a coin-flip code it cannot be
+        // mispredicted.
+        let span = if lo <= hi { (hi as i64 - lo as i64) as usize + 1 } else { 0 };
+        let counted = span <= 2 * codes.len() + FLAT_SLACK;
+        let spare = if counted { span } else { 0 };
+        let mut flat = vec![0.0f64; spare + 1];
+        let (mut escape_mass, mut total) = (0.0, 0.0);
+        let (mut central_w, mut central_sum, mut central_sq) = (0.0, 0.0, 0.0);
+        for ((&err, &w), &code) in errors.iter().zip(&sample.weights).zip(&codes) {
+            escape_mass += keep_if(code == ESCAPED, w);
+            total += keep_if(code != ESCAPED, w);
+            let (w0, err0) = (keep_if(code == 0, w), keep_if(code == 0, err));
+            central_w += w0;
+            central_sum += w0 * err0;
+            central_sq += w0 * err0 * err0;
+            let slot = (code as i64 - lo as i64) as usize;
+            flat[if counted && code != ESCAPED { slot } else { spare }] += w;
+        }
+        let bins = if counted {
+            (lo..=hi).zip(flat).filter(|&(_, m)| m > 0.0).collect()
         } else {
-            0.0
+            sorted_masses(&codes, &sample.weights)
         };
-        let mut h = EstimatedHistogram { bins, total, escape_mass, central_bin_variance };
+        let mut h = EstimatedHistogram {
+            bins,
+            total,
+            escape_mass,
+            central_bin_variance: central_variance(central_w, central_sum, central_sq),
+        };
         h.apply_bin_transfer(sample.predictor.bin_transfer_c2());
         h
     }
@@ -117,25 +131,44 @@ impl EstimatedHistogram {
     /// Eq. 9: when `p0 ≥ θ₂`, transfer `C₂·(1−p₀)` of each bin's mass
     /// evenly to its two neighbors.
     fn apply_bin_transfer(&mut self, c2: f64) {
-        if c2 == 0.0 || self.total == 0.0 || self.p0() < BIN_TRANSFER_THRESHOLD {
+        let Some(frac) = transfer_fraction(c2, self.total, self.p0()) else {
             return;
+        };
+        let old = std::mem::take(&mut self.bins);
+        // Mass of `code`, which lies within two codes — so within two
+        // places — of `old[i]`.
+        let mass = |i: usize, code: i32| -> Option<f64> {
+            old[i.saturating_sub(2)..(i + 3).min(old.len())]
+                .iter()
+                .find(|bin| bin.0 == code)
+                .map(|bin| bin.1)
+        };
+        let mut next = i32::MIN;
+        for (i, &(code, _)) in old.iter().enumerate() {
+            for c in [code - 1, code, code + 1] {
+                if c < next {
+                    continue;
+                }
+                next = c + 1;
+                // What bin `c` holds, then what its lower neighbor sends
+                // up, what it gives away, what its upper neighbor sends
+                // down — in that order, as a per-source pass would add them.
+                let own = mass(i, c);
+                let mut m = own.unwrap_or(0.0);
+                if let Some(below) = mass(i, c - 1) {
+                    m += below * frac / 2.0;
+                }
+                if let Some(own) = own {
+                    m -= own * frac;
+                }
+                if let Some(above) = mass(i, c + 1) {
+                    m += above * frac / 2.0;
+                }
+                if m > 1e-12 {
+                    self.bins.push((c, m));
+                }
+            }
         }
-        let p0 = self.p0();
-        let frac = c2 * (1.0 - p0);
-        if frac <= 0.0 {
-            return;
-        }
-        let mut deltas: Vec<(i32, f64)> = Vec::with_capacity(self.bins.len() * 3);
-        for (&code, &mass) in &self.bins {
-            let moved = mass * frac;
-            deltas.push((code, -moved));
-            deltas.push((code - 1, moved / 2.0));
-            deltas.push((code + 1, moved / 2.0));
-        }
-        for (code, d) in deltas {
-            *self.bins.entry(code).or_insert(0.0) += d;
-        }
-        self.bins.retain(|_, m| *m > 1e-12);
     }
 
     /// Fraction of (in-range) mass in the zero bin — the model's `p0`.
@@ -143,7 +176,11 @@ impl EstimatedHistogram {
         if self.total == 0.0 {
             return 0.0;
         }
-        self.bins.get(&0).copied().unwrap_or(0.0) / self.total
+        self.mass(0) / self.total
+    }
+
+    fn mass(&self, code: i32) -> f64 {
+        self.bins.binary_search_by_key(&code, |bin| bin.0).map_or(0.0, |i| self.bins[i].1)
     }
 
     /// Fraction of all sampled mass that escapes the code range.
@@ -159,7 +196,7 @@ impl EstimatedHistogram {
     /// Normalized (probability) view of the code bins.
     pub fn probabilities(&self) -> impl Iterator<Item = (i32, f64)> + '_ {
         let t = self.total.max(f64::MIN_POSITIVE);
-        self.bins.iter().map(move |(&c, &m)| (c, m / t))
+        self.bins.iter().map(move |&(c, m)| (c, m / t))
     }
 
     /// Number of occupied bins.
@@ -174,6 +211,107 @@ impl EstimatedHistogram {
             .map(|(_, p)| -p * p.log2())
             .sum()
     }
+}
+
+/// The sample's errors as the compressor would see them at `eb`: each
+/// finite one plus reconstruction-feedback noise `κ·eb` (see
+/// [`ErrorSample::feedback_kappa`]); `None` for a predictor without it.
+fn feedback_perturbed(sample: &ErrorSample, eb: f64, feedback_std: f64) -> Option<Vec<f64>> {
+    let kappa = sample.feedback_kappa;
+    if kappa <= 0.0 {
+        return None;
+    }
+    // The feedback scale grows with eb but saturates at a few signal
+    // scales: once the bin dwarfs the data's own variation, reconstruction
+    // drift is governed by the signal, not the bound.
+    let fb_scale = (kappa * eb).min(8.0 * feedback_std.max(f64::MIN_POSITIVE));
+    // Deterministic ≈N(0,1) stream (Irwin–Hall sum of four uniforms,
+    // standardized).
+    let mut fb_state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut fb_noise = move || -> f64 {
+        let mut acc = 0.0;
+        for _ in 0..4 {
+            fb_state ^= fb_state << 13;
+            fb_state ^= fb_state >> 7;
+            fb_state ^= fb_state << 17;
+            acc += (fb_state >> 11) as f64 / (1u64 << 53) as f64;
+        }
+        // Sum of 4 uniforms: mean 2, std √(1/3).
+        (acc - 2.0) / (1.0f64 / 3.0).sqrt()
+    };
+    // Feedback noise at a point originates from its neighbors'
+    // reconstruction errors. In code-0-dominated neighborhoods the
+    // residual a neighbor passes on is its own (small) prediction
+    // error, not ±eb, so the dispersion saturates *per point* at a
+    // few times the point's own error magnitude — the local error
+    // scale's cheapest proxy. Without this, quiet sub-threshold
+    // chunks are smeared across bins and the model overestimates
+    // both their rate and their variance by an order of magnitude
+    // (visible in per-chunk quality-targeted planning).
+    let perturb = |&err: &f64| -> f64 {
+        if err.is_finite() {
+            err + fb_scale.min(8.0 * err.abs()) * fb_noise()
+        } else {
+            err // escapes as it is, and draws no noise
+        }
+    };
+    Some(sample.errors.iter().map(perturb).collect())
+}
+
+/// What [`quantization_code`] says of a sample beyond the radius. No code a
+/// quantizer can produce (its radius fits an `i32`).
+const ESCAPED: i32 = i32::MIN;
+
+/// `x.round()` as a code — `x` being an error in bin widths — or
+/// [`ESCAPED`] where `|x.round()| > radius` or `x` is not a number.
+///
+/// [`f64::round`] (halves away from zero) is a call into libm, and this is
+/// the model's innermost loop, so the same function is taken from a
+/// truncating cast: `|x.round()| ≤ r` exactly when `|x| < r + 0.5`, and
+/// `x.round()` is `x` plus the largest `f64` under one half, toward its own
+/// sign, truncated (the whole half would carry 0.49999999999999994 up to
+/// 1). A radius past `i32::MAX`, which no quantizer has, saturates its
+/// codes as the cast to `i32` always did, one code short of `ESCAPED`.
+#[inline]
+fn quantization_code(x: f64, radius: u32) -> i32 {
+    const UNDER_HALF: f64 = 0.499_999_999_999_999_94;
+    let inside = x.abs() < radius as f64 + 0.5; // false for NaN too
+    if !inside {
+        return ESCAPED;
+    }
+    // |x| < 2^32 + 1: the sum is far inside an i64.
+    let code = (x + UNDER_HALF.copysign(x)) as i64;
+    code.clamp(ESCAPED as i64 + 1, i32::MAX as i64) as i32
+}
+
+/// Code spans up to this much wider than the sample are still counted
+/// into a flat table (a few KiB of it).
+const FLAT_SLACK: usize = 1024;
+
+/// `x` if `keep`, else +0.0 — by masking its bits, so that no compiler
+/// turns it back into a branch.
+#[inline(always)]
+fn keep_if(keep: bool, x: f64) -> f64 {
+    f64::from_bits(x.to_bits() & (keep as u64).wrapping_neg())
+}
+
+/// Per-code masses of the samples that did not escape, ascending by code,
+/// each the sum of its weights in sample order (the sort is stable); codes
+/// without mass are left out. What the flat table of
+/// [`EstimatedHistogram::build`] counts, for codes too scattered to count.
+fn sorted_masses(codes: &[i32], weights: &[f64]) -> Vec<(i32, f64)> {
+    let mut coded: Vec<(i32, f64)> =
+        codes.iter().copied().zip(weights.iter().copied()).filter(|c| c.0 != ESCAPED).collect();
+    coded.sort_by_key(|&(code, _)| code);
+    let mut bins: Vec<(i32, f64)> = Vec::new();
+    for (code, w) in coded {
+        match bins.last_mut() {
+            Some((last, m)) if *last == code => *m += w,
+            _ => bins.push((code, w)),
+        }
+    }
+    bins.retain(|&(_, m)| m > 0.0);
+    bins
 }
 
 #[cfg(test)]
@@ -201,9 +339,9 @@ mod tests {
         let s = sample_of(vec![0.0, 0.4, 0.6, -0.6, 2.1, -50.0], PredictorKind::Regression);
         let h = EstimatedHistogram::build(&s, 0.5, 10);
         // bin width 1.0: codes 0, 0, 1, -1, 2, escape(-50).
-        let bins: BTreeMap<i32, f64> = h.probabilities().collect();
+        let codes: Vec<i32> = h.probabilities().map(|(code, _)| code).collect();
         assert!((h.p0() - 2.0 / 5.0).abs() < 1e-12);
-        assert!(bins.contains_key(&1) && bins.contains_key(&-1) && bins.contains_key(&2));
+        assert_eq!(codes, [-1, 0, 1, 2]);
         assert!((h.escape_fraction() - 1.0 / 6.0).abs() < 1e-12);
     }
 
@@ -268,6 +406,87 @@ mod tests {
         let s = sample_of(errors, PredictorKind::Regression);
         let h = EstimatedHistogram::build(&s, 0.5, 1 << 15);
         assert!((h.entropy() - 4.0).abs() < 0.01, "entropy {}", h.entropy());
+    }
+
+    #[test]
+    fn scattered_codes_are_binned_like_dense_ones() {
+        // A handful of codes spread over the whole radius is sorted into
+        // bins, a dense run counted into the flat table; either way a
+        // bin's mass is its weights summed in sample order.
+        let weights: Vec<f64> = (0..40).map(|i| 1.0 / (3.0 + i as f64)).collect();
+        let scattered = [-30_000.0, 7.0, 1e9, 0.0, 29_999.0, 7.0, -30_000.0];
+        let dense = [2.0, -1.0, 0.0, f64::NAN, 0.0, 2.0, 1.0];
+        for (codes, want) in [(scattered, [-30_000, 0, 7, 29_999]), (dense, [-1, 0, 1, 2])] {
+            // Bin width 1: an error is its own code.
+            let errors: Vec<f64> = (0..40).map(|i| codes[i % 7]).collect();
+            let mut s = sample_of(errors.clone(), PredictorKind::Regression);
+            s.weights = weights.clone();
+            let h = EstimatedHistogram::build(&s, 0.5, 1 << 15);
+            assert_eq!(h.bins.iter().map(|b| b.0).collect::<Vec<_>>(), want);
+            for &(code, mass) in &h.bins {
+                let mut in_order = 0.0;
+                for (&e, &w) in errors.iter().zip(&weights) {
+                    if e == code as f64 {
+                        in_order += w;
+                    }
+                }
+                assert_eq!(mass, in_order, "code {code}");
+            }
+            assert!((h.total - h.bins.iter().map(|b| b.1).sum::<f64>()).abs() < 1e-12);
+        }
+        let outside = sample_of(vec![1e9, f64::NAN], PredictorKind::Lorenzo);
+        let none = EstimatedHistogram::build(&outside, 0.5, 10);
+        assert!(none.bins.is_empty() && none.p0() == 0.0 && none.escape_fraction() == 1.0);
+    }
+
+    #[test]
+    fn quantization_code_is_round_half_away() {
+        let by_round = |x: f64, radius: u32| -> i32 {
+            let code = x.round();
+            if code.abs() <= radius as f64 {
+                (code as i32).max(ESCAPED + 1)
+            } else {
+                ESCAPED
+            }
+        };
+        let radii = [10, 1 << 15, i32::MAX as u32, u32::MAX];
+        let under_half = f64::from_bits(0.5f64.to_bits() - 1);
+        let mut xs = vec![0.0, -0.0, under_half, 1e-320, 1e300, f64::NAN, f64::INFINITY];
+        // Every half up to 2 000, every radius and its halves, each with
+        // its two neighbors among the doubles.
+        let halves = (0..2000).map(|i| i as f64 + 0.5);
+        let edges = radii.iter().flat_map(|&r| [-1.0, -0.5, 0.0, 0.5, 1.0].map(|d| r as f64 + d));
+        for x in halves.chain(edges) {
+            xs.extend([-1i64, 0, 1].map(|ulps| f64::from_bits((x.to_bits() as i64 + ulps) as u64)));
+        }
+        // And a pseudo-random spread: fractions, exact halves, raw bit patterns.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..300_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            xs.push(match i % 3 {
+                0 => ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e5,
+                1 => ((state % 200_001) as f64 - 100_000.0) * 0.5,
+                _ => f64::from_bits(state),
+            });
+        }
+        for x in xs {
+            for radius in radii {
+                for x in [x, -x] {
+                    let (got, want) = (quantization_code(x, radius), by_round(x, radius));
+                    assert_eq!(got, want, "x {x:e} ({:#x}), radius {radius}", x.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masking_keeps_or_zeroes_exactly() {
+        for x in [1.5, -2.25e-300, f64::NAN, f64::INFINITY, -0.0] {
+            assert_eq!(keep_if(true, x).to_bits(), x.to_bits());
+            assert_eq!(keep_if(false, x).to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The top-level ratio-quality model facade.
 
-use crate::histogram::EstimatedHistogram;
+use crate::histogram::{central_variance, transfer_fraction, EstimatedHistogram};
 use crate::quality;
-use crate::ratio::{huffman_bit_rate, rle_ratio};
+use crate::ratio::{huffman_bit_rates, rle_ratio};
 use crate::sampling::{sample_errors, ErrorSample};
-use rq_grid::stats::Moments;
+use rq_grid::stats::finite_range_and_moments;
 use rq_grid::{NdArray, Scalar};
 use rq_predict::PredictorKind;
 use rq_quant::DEFAULT_RADIUS;
@@ -14,6 +14,13 @@ use std::time::{Duration, Instant};
 /// lossless stage: contiguous zero runs collapse to sporadic run tokens.
 /// Calibrated against the RLE coder on wavefield snapshots.
 const SPARSE_RESIDUAL_BITS: f64 = 0.05;
+
+/// Step cap of the two bisections over `ln eb`. Both stop earlier, at their
+/// fixed point: a step that moves neither end of the bracket will be
+/// repeated unchanged by every step after it (the model is a pure
+/// function), so leaving there returns what the full count would. The
+/// ≈ 48-wide log bracket gets there in ≈ 55 halvings of an `f64`.
+const MAX_BISECTION_STEPS: usize = 100;
 
 /// Everything the model predicts for one error bound — the full
 /// ratio-quality picture of the paper, obtained without compressing.
@@ -50,17 +57,100 @@ pub struct Estimate {
 ///
 /// Construction performs the single sampling pass (§III-C); every
 /// subsequent [`RqModel::estimate`] call is a pure computation on the
-/// sampled histogram and costs microseconds — this asymmetry is the entire
+/// sample and costs tens of microseconds — this asymmetry is the entire
 /// point of the paper (Fig. 9).
+///
+/// What each step costs, measured in a loop on a noisy 96³ `f32` RTM
+/// snapshot (3.5 MB, 1 % sample ≈ 8 900 errors; 2-vCPU Xeon 2.1 GHz; between
+/// compressions, with cold caches, the repository benchmark reads 5–6 ms,
+/// 80 µs and 0.8 ms for the first three):
+///
+/// * [`Self::build`]: one statistics pass over the field, one RNG draw per
+///   interpolation target (per *sample* for the other predictors), a
+///   stencil per kept sample and one sort of the sample — ≈ 4 ms, a
+///   quarter of compressing the field on one thread;
+/// * [`Self::estimate`]: O(sample) to quantize it plus O(bins) — ≈ 45 µs
+///   (≈ 115 µs for Lorenzo, whose feedback noise is drawn per error);
+/// * [`Self::error_bound_for_psnr`]: ≈ 55 bisection steps — O(log sample)
+///   each for predictors without feedback noise (interpolation,
+///   regression), but for the dozen nearest the target, which take one
+///   `estimate` as every step does with it (Lorenzo) — ≈ 0.7 ms / ≈ 7 ms;
+/// * memory: the sample (2 `f64` per error) plus 4 `f64` per error of
+///   sorted magnitudes and prefix sums.
 #[derive(Clone, Debug)]
 pub struct RqModel {
     sample: ErrorSample,
+    sorted: SortedErrors,
+    feedback_std: f64,
     radius: u32,
     scalar_bits: u32,
     value_range: f64,
     data_variance: f64,
     build_time: Duration,
 }
+
+/// The finite errors of a sample by ascending magnitude, with running sums
+/// of `w`, `w·e` and `w·e²` in that order: `cum_*[i]` covers `abs[..=i]`.
+///
+/// A code `round(e / 2eb)` never decreases in magnitude as `|e|` grows, so
+/// "every error with `|code| ≤ k`" is a prefix of this order, found by
+/// binary search with the quantizer's own arithmetic as the predicate.
+#[derive(Clone, Debug)]
+struct SortedErrors {
+    abs: Vec<f64>,
+    cum_w: Vec<f64>,
+    cum_we: Vec<f64>,
+    cum_we2: Vec<f64>,
+}
+
+impl SortedErrors {
+    fn of(sample: &ErrorSample) -> Self {
+        let finite = sample.errors.iter().zip(&sample.weights).filter(|(e, _)| e.is_finite());
+        let mut order: Vec<(f64, f64, f64)> = finite.map(|(&e, &w)| (e.abs(), e, w)).collect();
+        // Stable, so equal magnitudes stay in sample order.
+        order.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let n = order.len();
+        let mut sorted = SortedErrors {
+            abs: Vec::with_capacity(n),
+            cum_w: Vec::with_capacity(n),
+            cum_we: Vec::with_capacity(n),
+            cum_we2: Vec::with_capacity(n),
+        };
+        let (mut w_sum, mut we_sum, mut we2_sum) = (0.0, 0.0, 0.0);
+        for (abs, e, w) in order {
+            w_sum += w;
+            we_sum += w * e;
+            we2_sum += w * e * e;
+            sorted.abs.push(abs);
+            sorted.cum_w.push(w_sum);
+            sorted.cum_we.push(we_sum);
+            sorted.cum_we2.push(we2_sum);
+        }
+        sorted
+    }
+
+    /// How many errors quantize to `|code| ≤ k` at bin width `2·eb`.
+    fn count_within(&self, bin_width: f64, k: f64) -> usize {
+        self.abs.partition_point(|&a| (a / bin_width).round() <= k)
+    }
+}
+
+/// A running sum over the first `count` sorted errors.
+fn prefix(cum: &[f64], count: usize) -> f64 {
+    count.checked_sub(1).map_or(0.0, |last| cum[last])
+}
+
+/// Margin (dB) around the target inside which [`RqModel::error_bound_for_psnr`]
+/// asks [`RqModel::estimate`] instead of trusting its prefix-sum probe.
+///
+/// The probe adds the same terms as the histogram in another order, so the
+/// two PSNRs differ in their last bits — by at most 6·10⁻¹⁴ dB on every
+/// field tried (`psnr_probe_tracks_estimate` holds them to 10⁻¹² dB). A
+/// bisection step whose probe is farther than this from the target
+/// therefore branches as the histogram would have; the few steps that are
+/// closer ask the histogram itself, and the bound comes out the same to
+/// the last bit as when every step did.
+const PSNR_PROBE_GUARD_DB: f64 = 1e-11;
 
 impl RqModel {
     /// Sample `field` for `predictor` at `rate` (paper default 0.01) and
@@ -71,21 +161,7 @@ impl RqModel {
         rate: f64,
         seed: u64,
     ) -> Self {
-        let start = Instant::now();
-        let sample = sample_errors(field, predictor, rate, seed);
-        // Range and variance from the same sampling budget (cheap single
-        // pass; the range must be global so we take the exact one — an
-        // O(n) scan, still trivially cheaper than compression).
-        let value_range = field.value_range();
-        let data_variance = Moments::from_slice(field.as_slice()).variance();
-        RqModel {
-            sample,
-            radius: DEFAULT_RADIUS,
-            scalar_bits: T::BITS,
-            value_range,
-            data_variance,
-            build_time: start.elapsed(),
-        }
+        Self::of_field(field.as_slice(), || sample_errors(field, predictor, rate, seed))
     }
 
     /// Deterministic per-chunk model build for quality-targeted
@@ -101,28 +177,25 @@ impl RqModel {
         predictor: PredictorKind,
         target_samples: usize,
     ) -> Self {
+        Self::of_field(data, || {
+            let ps = rq_predict::sample_prediction_errors(data, shape, predictor, target_samples);
+            crate::sampling::ErrorSample::from_prediction_sample(&ps)
+        })
+    }
+
+    /// What the model keeps of the field itself — range and variance of its
+    /// finite values, from one pass (the range must be global, so it is the
+    /// exact one: an O(n) scan, ≈ 0.4 ms/MB against 5–10 ms/MB for
+    /// compression) — then the sample. Taking both statistics over the
+    /// finite values keeps a stray ±∞ or NaN out of every bound the model
+    /// can return; taking them first leaves the field in cache for the
+    /// sampler's scattered stencil reads.
+    fn of_field<T: Scalar>(data: &[T], sample: impl FnOnce() -> ErrorSample) -> Self {
         let start = Instant::now();
-        let ps = rq_predict::sample_prediction_errors(data, shape, predictor, target_samples);
-        let sample = crate::sampling::ErrorSample::from_prediction_sample(&ps);
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for v in data {
-            let v = v.to_f64();
-            if v.is_nan() {
-                continue;
-            }
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let value_range = if lo <= hi { hi - lo } else { 0.0 };
-        let data_variance = Moments::from_slice(data).variance();
-        RqModel {
-            sample,
-            radius: DEFAULT_RADIUS,
-            scalar_bits: T::BITS,
-            value_range,
-            data_variance,
-            build_time: start.elapsed(),
-        }
+        let (value_range, moments) = finite_range_and_moments(data);
+        let mut model = Self::from_sample(sample(), T::BITS, value_range, moments.variance());
+        model.build_time = start.elapsed();
+        model
     }
 
     /// Build from an existing error sample (for custom sampling setups).
@@ -133,6 +206,8 @@ impl RqModel {
         data_variance: f64,
     ) -> Self {
         RqModel {
+            sorted: SortedErrors::of(&sample),
+            feedback_std: sample.feedback_std(),
             sample,
             radius: DEFAULT_RADIUS,
             scalar_bits,
@@ -173,12 +248,12 @@ impl RqModel {
         // The histogram covers the *dense* (non-sparse) symbols; quiescent
         // exact-zero regions were removed at sampling time (§III-C) and are
         // folded back in below.
-        let hist = EstimatedHistogram::build(&self.sample, eb, self.radius);
+        let hist =
+            EstimatedHistogram::build_with_std(&self.sample, eb, self.radius, self.feedback_std);
         let sf = self.sample.sparse_fraction;
         let p0_dense = hist.p0();
         let p0 = sf + (1.0 - sf) * p0_dense;
-        let b_dense = huffman_bit_rate(&hist);
-        let b_comb = crate::ratio::huffman_bit_rate_sparse(&hist, sf);
+        let (b_dense, b_comb) = huffman_bit_rates(&hist, sf);
         let bits = self.scalar_bits as f64;
 
         let symbol_frac = 1.0 - self.sample.verbatim_fraction;
@@ -201,18 +276,7 @@ impl RqModel {
         let ratio = bits / bit_rate.max(1e-12);
 
         let sigma2_uniform = quality::sigma2_uniform(eb);
-        // Cascade inflation of the central-bin variance (multi-level
-        // interpolation feedback; see ErrorSample::quality_kappa), capped
-        // at the uniform in-bin variance.
-        let g = self.sample.quality_kappa;
-        let central = if g > 0.0 {
-            let gain = 1.0 / (1.0 - g * p0_dense).max(0.05);
-            (hist.central_bin_variance * gain).min(eb * eb / 3.0)
-        } else {
-            hist.central_bin_variance
-        };
-        // Sparse points reconstruct exactly: scale the dense variance.
-        let sigma2 = (1.0 - sf) * quality::sigma2_refined(eb, p0_dense, central);
+        let sigma2 = self.sigma2(eb, p0_dense, hist.central_bin_variance);
         let c3 = (0.03 * self.value_range).powi(2);
         Estimate {
             eb,
@@ -229,33 +293,68 @@ impl RqModel {
         }
     }
 
+    /// Eq. 11 for the whole field from the dense histogram's zero-bin share
+    /// and central-bin variance.
+    fn sigma2(&self, eb: f64, p0_dense: f64, central_bin_variance: f64) -> f64 {
+        // Cascade inflation of the central-bin variance (multi-level
+        // interpolation feedback; see ErrorSample::quality_kappa), capped
+        // at the uniform in-bin variance.
+        let g = self.sample.quality_kappa;
+        let central = if g > 0.0 {
+            let gain = 1.0 / (1.0 - g * p0_dense).max(0.05);
+            (central_bin_variance * gain).min(eb * eb / 3.0)
+        } else {
+            central_bin_variance
+        };
+        // Sparse points reconstruct exactly: scale the dense variance.
+        (1.0 - self.sample.sparse_fraction) * quality::sigma2_refined(eb, p0_dense, central)
+    }
+
+    /// [`Self::estimate`]'s `psnr` in O(log sample), for predictors whose
+    /// histogram is the quantized sample itself (`None` with feedback
+    /// noise, which perturbs every error anew at every bound).
+    ///
+    /// Eq. 11–12 need four things of the histogram: the zero bin's mass and
+    /// moments, the in-radius mass, and — for the Eq. 9 transfer into and
+    /// out of the zero bin — the mass of codes ±1. Each is a difference of
+    /// prefix sums of the sorted errors.
+    fn psnr_probe(&self, eb: f64) -> Option<f64> {
+        if self.sample.feedback_kappa > 0.0 {
+            return None;
+        }
+        let s = &self.sorted;
+        let bin_width = 2.0 * eb;
+        let zero = s.count_within(bin_width, 0.0);
+        let one = s.count_within(bin_width, 1.0);
+        let total = prefix(&s.cum_w, s.count_within(bin_width, self.radius as f64));
+        let zero_mass = prefix(&s.cum_w, zero);
+        let mut p0 = if total == 0.0 { 0.0 } else { zero_mass / total };
+        if let Some(frac) = transfer_fraction(self.sample.predictor.bin_transfer_c2(), total, p0) {
+            let beside = prefix(&s.cum_w, one) - zero_mass;
+            p0 = (zero_mass + beside * frac / 2.0 - zero_mass * frac) / total;
+        }
+        let central = central_variance(
+            zero_mass,
+            prefix(&s.cum_we, zero),
+            prefix(&s.cum_we2, zero),
+        );
+        Some(quality::psnr_model(self.value_range, self.sigma2(eb, p0, central)))
+    }
+
     /// Weighted quantile of |prediction error|: the error bound at which
     /// the zero bin captures probability `p` (the anchor-point machinery of
-    /// §III-B1).
+    /// §III-B1). Always a valid bound: never below `f64::MIN_POSITIVE`.
     pub fn error_quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "quantile {p} outside [0,1]");
-        let mut pairs: Vec<(f64, f64)> = self
-            .sample
-            .errors
-            .iter()
-            .zip(&self.sample.weights)
-            .map(|(&e, &w)| (e.abs(), w))
-            .filter(|(e, _)| e.is_finite())
-            .collect();
-        if pairs.is_empty() {
-            return 0.0;
-        }
-        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let total: f64 = pairs.iter().map(|(_, w)| w).sum();
-        let target = p * total;
-        let mut acc = 0.0;
-        for &(e, w) in &pairs {
-            acc += w;
-            if acc >= target {
-                return e.max(f64::MIN_POSITIVE);
-            }
-        }
-        pairs.last().unwrap().0.max(f64::MIN_POSITIVE)
+        let s = &self.sorted;
+        let Some(&total) = s.cum_w.last() else {
+            // No finite error to rank: the smallest bound there is, so that
+            // what comes back is always a bound.
+            return f64::MIN_POSITIVE;
+        };
+        // The first error at which the running weight reaches p of it all.
+        let at = s.cum_w.partition_point(|&acc| acc < p * total);
+        s.abs[at.min(s.abs.len() - 1)].max(f64::MIN_POSITIVE)
     }
 
     fn eb_search_range(&self) -> (f64, f64) {
@@ -273,13 +372,13 @@ impl RqModel {
     pub fn error_bound_for_bit_rate(&self, target_bit_rate: f64) -> f64 {
         let (mut lo, mut hi) = self.eb_search_range();
         // bit_rate decreases as eb grows.
-        for _ in 0..100 {
+        for _ in 0..MAX_BISECTION_STEPS {
             let mid = (lo.ln() + hi.ln()).mul_add(0.5, 0.0).exp();
-            if self.estimate(mid).bit_rate > target_bit_rate {
-                lo = mid;
-            } else {
-                hi = mid;
+            let end = if self.estimate(mid).bit_rate > target_bit_rate { &mut lo } else { &mut hi };
+            if *end == mid {
+                break;
             }
+            *end = mid;
         }
         (lo.ln() * 0.5 + hi.ln() * 0.5).exp()
     }
@@ -339,13 +438,17 @@ impl RqModel {
     pub fn error_bound_for_psnr(&self, target_db: f64) -> f64 {
         let (mut lo, mut hi) = self.eb_search_range();
         // psnr decreases as eb grows.
-        for _ in 0..100 {
+        for _ in 0..MAX_BISECTION_STEPS {
             let mid = ((lo.ln() + hi.ln()) * 0.5).exp();
-            if self.estimate(mid).psnr > target_db {
-                lo = mid;
-            } else {
-                hi = mid;
+            let psnr = match self.psnr_probe(mid) {
+                Some(psnr) if (psnr - target_db).abs() > PSNR_PROBE_GUARD_DB => psnr,
+                _ => self.estimate(mid).psnr,
+            };
+            let end = if psnr > target_db { &mut lo } else { &mut hi };
+            if *end == mid {
+                break;
             }
+            *end = mid;
         }
         ((lo.ln() + hi.ln()) * 0.5).exp()
     }
@@ -495,19 +598,88 @@ mod tests {
     }
 
     #[test]
-    fn estimate_much_faster_than_build() {
-        // The asymmetry that makes the model useful: estimates are cheap.
-        let f = noisy_field();
-        let m = RqModel::build(&f, PredictorKind::Interpolation, 0.05, 9);
-        let t0 = Instant::now();
-        for eb in [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 2.0, 4.0] {
-            let _ = m.estimate(eb);
+    fn degenerate_and_non_finite_fields_give_finite_bounds() {
+        // One +∞ used to make the value range, the search bracket and then
+        // the probed bound infinite ("invalid error bound inf"); a NaN made
+        // the variance, hence every SSIM, NaN.
+        let mut plus_inf = noisy_field();
+        plus_inf.as_mut_slice()[5000] = f32::INFINITY;
+        let mut minus_inf = noisy_field();
+        minus_inf.as_mut_slice()[77] = f32::NEG_INFINITY;
+        let mut nan_row = noisy_field();
+        nan_row.as_mut_slice()[128 * 9..128 * 10].fill(f32::NAN);
+        let flat = |shape: Shape, v: f32| NdArray::from_fn(shape, |_| v);
+        let fields = [
+            ("+inf", plus_inf),
+            ("-inf", minus_inf),
+            ("NaN row", nan_row),
+            ("all zero", flat(Shape::d2(40, 40), 0.0)),
+            ("constant", flat(Shape::d2(40, 40), 2.5)),
+            ("one element", flat(Shape::d1(1), 1.0)),
+            ("two elements", NdArray::from_vec(Shape::d1(2), vec![1.0, -3.0])),
+        ];
+        let clean = RqModel::build(&noisy_field(), PredictorKind::Lorenzo, 0.1, 1);
+        for (name, f) in &fields {
+            for kind in
+                [PredictorKind::Lorenzo, PredictorKind::Interpolation, PredictorKind::Regression]
+            {
+                let what = format!("{name}/{kind:?}");
+                let m = RqModel::build(f, kind, 0.1, 1);
+                assert!(m.value_range().is_finite(), "{what}: range {}", m.value_range());
+                assert!(m.data_variance().is_finite(), "{what}: variance");
+                let bounds = [
+                    m.error_bound_for_psnr(60.0),
+                    m.error_bound_for_bit_rate(2.0),
+                    m.error_bound_for_bit_rate_eq2(2.0),
+                    m.error_quantile(0.5),
+                ];
+                for eb in bounds {
+                    assert!(eb.is_finite() && eb > 0.0, "{what}: bound {eb}");
+                    let e = m.estimate(eb);
+                    assert!(e.ssim.is_finite(), "{what}: ssim {} at {eb:e}", e.ssim);
+                    assert!(e.bit_rate.is_finite() && !e.psnr.is_nan(), "{what}: {e:?}");
+                }
+            }
+            // The strided constructor shares the statistics pass.
+            let m = RqModel::build_strided(f.as_slice(), f.shape(), PredictorKind::Lorenzo, 512);
+            assert!(m.error_bound_for_psnr(60.0).is_finite(), "{name}/strided");
         }
-        let est_time = t0.elapsed();
-        assert!(
-            est_time < m.build_time() * 50,
-            "7 estimates {est_time:?} vs build {:?}",
-            m.build_time()
-        );
+        // A stray infinity does not move what the model keeps of the rest.
+        let m = RqModel::build(&fields[0].1, PredictorKind::Lorenzo, 0.1, 1);
+        assert_eq!(m.value_range(), clean.value_range());
+        assert!((m.data_variance() - clean.data_variance()).abs() < 1e-3 * clean.data_variance());
+    }
+
+    #[test]
+    fn psnr_probe_tracks_estimate() {
+        // Twelve decades of bounds around the data's own scale, weighted
+        // (randomized) and uniform (strided) samples, with and without a
+        // quiescent region: the prefix-sum PSNR is the histogram's to far
+        // inside PSNR_PROBE_GUARD_DB.
+        let mut quiet = noisy_field();
+        for v in &mut quiet.as_mut_slice()[..128 * 40] {
+            *v = 0.0;
+        }
+        let mut worst = 0.0f64;
+        for f in [noisy_field(), quiet] {
+            let models = [
+                RqModel::build(&f, PredictorKind::Interpolation, 0.2, 12),
+                RqModel::build(&f, PredictorKind::Regression, 0.2, 13),
+                RqModel::build_strided(f.as_slice(), f.shape(), PredictorKind::Interpolation, 4096),
+            ];
+            for m in &models {
+                for step in 0..=120 {
+                    let eb = m.value_range() * 10f64.powf(-10.0 + step as f64 * 0.1);
+                    let (probe, full) = (m.psnr_probe(eb).unwrap(), m.estimate(eb).psnr);
+                    let gap = if probe == full { 0.0 } else { (probe - full).abs() };
+                    assert!(gap <= 1e-12, "eb {eb:e}: probe {probe} vs estimate {full}");
+                    worst = worst.max(gap);
+                }
+            }
+        }
+        assert!(worst < PSNR_PROBE_GUARD_DB / 10.0, "worst gap {worst:e} dB");
+        println!("worst probe gap {worst:e} dB");
+        let lorenzo = RqModel::build(&noisy_field(), PredictorKind::Lorenzo, 0.1, 14);
+        assert!(lorenzo.psnr_probe(1e-3).is_none(), "feedback noise has no prefix form");
     }
 }

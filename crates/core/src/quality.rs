@@ -40,8 +40,15 @@ pub fn sigma2_for_psnr(value_range: f64, psnr_db: f64) -> f64 {
 
 /// Eq. 15: predicted (global) SSIM from the data variance, the SSIM
 /// variance stabilizer `c3 = (0.03·range)²` and the error variance.
+///
+/// A constant field reconstructed without error (all three terms zero) is
+/// identical to itself: SSIM 1, not 0/0.
 pub fn ssim_model(data_variance: f64, c3: f64, sigma2: f64) -> f64 {
-    (2.0 * data_variance + c3) / (2.0 * data_variance + c3 + sigma2)
+    let structure = 2.0 * data_variance + c3;
+    if structure + sigma2 == 0.0 {
+        return 1.0;
+    }
+    structure / (structure + sigma2)
 }
 
 /// §III-D4: predicted power-spectrum ratio `P'(k)/P(k) = 1 + σ_E²/P(k)`
@@ -99,6 +106,9 @@ mod tests {
         assert!(ssim_model(1.0, 0.01, 1e9) < 1e-6);
         // Monotone decreasing in error variance.
         assert!(ssim_model(1.0, 0.01, 0.1) > ssim_model(1.0, 0.01, 0.2));
+        // A constant field: exact reconstruction is perfect, any error is not.
+        assert_eq!(ssim_model(0.0, 0.0, 0.0), 1.0);
+        assert_eq!(ssim_model(0.0, 0.0, 1e-9), 0.0);
     }
 
     #[test]

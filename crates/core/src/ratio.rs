@@ -20,9 +20,56 @@ pub const RLE_TOKEN_BITS: f64 = 16.0;
 ///
 /// Returns 0 for an empty histogram.
 pub fn huffman_bit_rate(hist: &EstimatedHistogram) -> f64 {
+    huffman_bit_rates(hist, 0.0).0
+}
+
+/// Eq. 1 extended for sparse data: the combined Huffman bit-rate when a
+/// `sparse_fraction` of symbols are additional zero codes (the quiescent
+/// regions removed from the histogram per §III-C).
+pub fn huffman_bit_rate_sparse(hist: &EstimatedHistogram, sparse_fraction: f64) -> f64 {
+    huffman_bit_rates(hist, sparse_fraction).1
+}
+
+/// [`huffman_bit_rate`] and [`huffman_bit_rate_sparse`] from one walk of
+/// the bins; without a sparse fraction the second is the first.
+///
+/// Either rate is the entropy of its distribution with the most probable
+/// symbol's length clamped to the 1 bit a prefix code must spend on it.
+pub(crate) fn huffman_bit_rates(hist: &EstimatedHistogram, sparse_fraction: f64) -> (f64, f64) {
+    let sf = sparse_fraction.clamp(0.0, 1.0);
+    let keep = 1.0 - sf;
+    // The combined distribution: every bin scaled by `keep`, bin 0 gaining
+    // the sparse mass. Its walk has to know the most probable symbol
+    // before it starts; that takes a scan, but no logarithm.
+    let (mut zero_q, mut best_q) = (sf, 0.0f64);
+    if sf > 0.0 {
+        for (code, p) in hist.probabilities() {
+            if code == 0 {
+                zero_q += p * keep;
+            } else if p > 0.0 {
+                best_q = best_q.max(p * keep);
+            }
+        }
+        best_q = best_q.max(zero_q);
+    }
+    let mut clamped = false;
+    let mut combined_term = |q: f64| -> f64 {
+        if q <= 0.0 {
+            return 0.0;
+        }
+        let len = if q == best_q && !clamped {
+            clamped = true;
+            (-q.log2()).max(1.0)
+        } else {
+            -q.log2()
+        };
+        q * len
+    };
+
     let mut best_p = 0.0f64;
     let mut entropy_rest = 0.0f64;
-    for (_, p) in hist.probabilities() {
+    let mut combined = 0.0f64;
+    for (code, p) in hist.probabilities() {
         if p <= 0.0 {
             continue;
         }
@@ -34,49 +81,18 @@ pub fn huffman_bit_rate(hist: &EstimatedHistogram) -> f64 {
         } else {
             entropy_rest += -p * p.log2();
         }
-    }
-    if best_p == 0.0 {
-        return 0.0;
+        if sf > 0.0 && code != 0 {
+            combined += combined_term(p * keep);
+        }
     }
     // The most frequent code cannot be shorter than 1 bit.
-    entropy_rest + best_p * (-best_p.log2()).max(1.0)
-}
-
-/// Eq. 1 extended for sparse data: the combined Huffman bit-rate when a
-/// `sparse_fraction` of symbols are additional zero codes (the quiescent
-/// regions removed from the histogram per §III-C).
-pub fn huffman_bit_rate_sparse(hist: &EstimatedHistogram, sparse_fraction: f64) -> f64 {
-    let sf = sparse_fraction.clamp(0.0, 1.0);
+    let dense =
+        if best_p == 0.0 { 0.0 } else { entropy_rest + best_p * (-best_p.log2()).max(1.0) };
     if sf == 0.0 {
-        return huffman_bit_rate(hist);
+        return (dense, dense);
     }
-    // Combined probabilities: bin 0 gains the sparse mass.
-    let mut probs: Vec<f64> = Vec::with_capacity(hist.occupied_bins() + 1);
-    let mut zero_p = sf;
-    for (code, p) in hist.probabilities() {
-        if code == 0 {
-            zero_p += p * (1.0 - sf);
-        } else if p > 0.0 {
-            probs.push(p * (1.0 - sf));
-        }
-    }
-    probs.push(zero_p);
-    let best_p = probs.iter().cloned().fold(0.0f64, f64::max);
-    let mut bits = 0.0;
-    let mut clamped = false;
-    for &p in &probs {
-        if p <= 0.0 {
-            continue;
-        }
-        let len = if p == best_p && !clamped {
-            clamped = true;
-            (-p.log2()).max(1.0)
-        } else {
-            -p.log2()
-        };
-        bits += p * len;
-    }
-    bits
+    // The zero symbol comes last in the combined sum.
+    (dense, combined + combined_term(zero_q))
 }
 
 /// Eq. 4: compression ratio of zero-RLE over the Huffman payload.

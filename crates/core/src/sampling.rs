@@ -21,9 +21,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rq_grid::{BlockIter, NdArray, Scalar, Shape};
-use rq_predict::interp::{for_each_stencil, StencilKind};
+use rq_predict::interp::{level_sizes, passes};
 use rq_predict::lorenzo::LorenzoStencil;
-use rq_predict::regression::{fit_block, BlockCoeffs, REGRESSION_BLOCK_SIDE};
+use rq_predict::regression::{fit_block_with, BlockCoeffs, REGRESSION_BLOCK_SIDE};
 use rq_predict::PredictorKind;
 
 /// A weighted sample of prediction errors.
@@ -152,6 +152,17 @@ impl ErrorSample {
             / wsum;
         var.sqrt()
     }
+
+    /// The signal scale the feedback noise of §III-C4 saturates at:
+    /// [`Self::weighted_std`] for a predictor with feedback, and 0 (never
+    /// read) without. Two passes over the sample, so a model takes it once.
+    pub(crate) fn feedback_std(&self) -> f64 {
+        if self.feedback_kappa > 0.0 {
+            self.weighted_std()
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Quality-side cascade gain of the interpolation predictor's multi-level
@@ -169,6 +180,10 @@ fn lorenzo_feedback_kappa(ndim: usize, order: usize) -> f64 {
 
 /// Draw a prediction-error sample at `rate` (e.g. 0.01 for the paper's 1 %).
 ///
+/// Values are promoted to `f64` only where a kept sample's stencil reads
+/// them, so the cost beyond the per-point draw of the interpolation
+/// sampler is proportional to the sample, not to the field.
+///
 /// # Panics
 /// Panics if `rate` is not in `(0, 1]`.
 pub fn sample_errors<T: Scalar>(
@@ -179,19 +194,19 @@ pub fn sample_errors<T: Scalar>(
 ) -> ErrorSample {
     assert!(rate > 0.0 && rate <= 1.0, "sampling rate {rate} outside (0, 1]");
     let mut rng = StdRng::seed_from_u64(seed);
-    let work: Vec<f64> = field.as_slice().iter().map(|v| v.to_f64()).collect();
+    let (data, shape) = (field.as_slice(), field.shape());
     match predictor {
         PredictorKind::Lorenzo | PredictorKind::TemporalDelta => {
-            sample_lorenzo(&work, field.shape(), 1, rate, &mut rng)
+            sample_lorenzo(data, shape, 1, rate, &mut rng)
         }
-        PredictorKind::Lorenzo2 => sample_lorenzo(&work, field.shape(), 2, rate, &mut rng),
-        PredictorKind::Interpolation => sample_interp(&work, field.shape(), rate, &mut rng),
-        PredictorKind::Regression => sample_regression(&work, field.shape(), rate, &mut rng),
+        PredictorKind::Lorenzo2 => sample_lorenzo(data, shape, 2, rate, &mut rng),
+        PredictorKind::Interpolation => sample_interp(data, shape, rate, &mut rng),
+        PredictorKind::Regression => sample_regression(data, shape, rate, &mut rng),
     }
 }
 
-fn sample_lorenzo(
-    work: &[f64],
+fn sample_lorenzo<T: Scalar>(
+    data: &[T],
     shape: Shape,
     order: usize,
     rate: f64,
@@ -200,14 +215,15 @@ fn sample_lorenzo(
     let stencil = LorenzoStencil::new(shape.ndim(), order);
     let n = shape.len();
     let target = ((n as f64 * rate).round() as usize).clamp(1, n);
+    let get = |lin: usize| data[lin].to_f64();
     let mut errors = Vec::with_capacity(target);
     let mut sparse = 0usize;
     for _ in 0..target {
         let lin = rng.gen_range(0..n);
         let idx = shape.unoffset(lin);
-        let pred = stencil.predict(work, shape, &idx[..shape.ndim()]);
-        let err = work[lin] - pred;
-        if err == 0.0 && work[lin] == 0.0 {
+        let value = get(lin);
+        let err = value - stencil.predict_with(shape, &idx[..shape.ndim()], get);
+        if err == 0.0 && value == 0.0 {
             sparse += 1;
         } else {
             errors.push(err);
@@ -229,63 +245,47 @@ fn sample_lorenzo(
     }
 }
 
-fn sample_interp(work: &[f64], shape: Shape, rate: f64, rng: &mut StdRng) -> ErrorSample {
+fn sample_interp<T: Scalar>(data: &[T], shape: Shape, rate: f64, rng: &mut StdRng) -> ErrorSample {
     let n = shape.len();
     let budget = ((n as f64 * rate).round() as usize).max(16);
-    // Pass 1: count points per level stride.
-    let mut level_counts: Vec<(usize, usize)> = Vec::new();
-    for_each_stencil(shape, |t| {
-        match level_counts.last_mut() {
-            Some((s, c)) if *s == t.stride => *c += 1,
-            _ => level_counts.push((t.stride, 1)),
-        }
-    });
+    let levels = level_sizes(shape);
+    let table = passes(shape);
+    let get = |lin: usize| data[lin].to_f64();
+
+    let mut errors = Vec::with_capacity(budget + levels.len() * 4);
+    let mut weights = Vec::with_capacity(budget + levels.len() * 4);
+    let mut sparse_w = 0.0f64;
+    let mut total_w = 0.0f64;
     // Allocate budget: coarse levels exhaustively (they are 2^-n smaller per
     // level), finest level gets whatever budget remains.
-    let mut alloc: Vec<(usize, f64)> = Vec::new(); // (stride, sample prob)
     let mut remaining = budget as f64;
-    let mut remaining_points: f64 = level_counts.iter().map(|&(_, c)| c as f64).sum();
-    for &(stride, count) in &level_counts {
+    let mut remaining_points: f64 = levels.iter().map(|&(_, c)| c as f64).sum();
+    for &(stride, count) in &levels {
         let count = count as f64;
         // Proportional share, but never below full coverage of tiny levels.
         let share = (remaining * count / remaining_points).max(1.0);
         let p = (share / count).min(1.0);
-        alloc.push((stride, p));
         remaining = (remaining - p * count).max(0.0);
         remaining_points -= count;
-    }
-    let prob_of = |stride: usize| -> f64 {
-        alloc
-            .iter()
-            .find(|&&(s, _)| s == stride)
-            .map(|&(_, p)| p)
-            .unwrap_or(1.0)
-    };
-
-    let mut errors = Vec::with_capacity(budget + alloc.len() * 4);
-    let mut weights = Vec::with_capacity(budget + alloc.len() * 4);
-    let mut sparse_w = 0.0f64;
-    let mut total_w = 0.0f64;
-    for_each_stencil(shape, |t| {
-        let p = prob_of(t.stride);
-        if p >= 1.0 || rng.gen::<f64>() < p {
-            let pred = match t.kind {
-                StencilKind::Cubic([a, b, c, d]) => {
-                    (-work[a] + 9.0 * work[b] + 9.0 * work[c] - work[d]) / 16.0
+        // One draw per target, in traversal order (the sample is a function
+        // of the seed through that order); a stencil only for the kept ones.
+        for pass in table.iter().filter(|pass| pass.stride == stride) {
+            for j in 0..pass.len() {
+                if p >= 1.0 || rng.gen::<f64>() < p {
+                    let t = pass.target(j);
+                    let value = get(t.target);
+                    let err = value - t.predict_with(get);
+                    total_w += 1.0 / p;
+                    if err == 0.0 && value == 0.0 {
+                        sparse_w += 1.0 / p;
+                    } else {
+                        errors.push(err);
+                        weights.push(1.0 / p);
+                    }
                 }
-                StencilKind::Linear([a, b]) => 0.5 * (work[a] + work[b]),
-                StencilKind::CopyLeft(a) => work[a],
-            };
-            let err = work[t.target] - pred;
-            total_w += 1.0 / p;
-            if err == 0.0 && work[t.target] == 0.0 {
-                sparse_w += 1.0 / p;
-            } else {
-                errors.push(err);
-                weights.push(1.0 / p);
             }
         }
-    });
+    }
     let sparse_fraction = if total_w > 0.0 { sparse_w / total_w } else { 0.0 };
     let n_anchors = rq_predict::interp::anchors(shape).len();
     ErrorSample {
@@ -301,10 +301,16 @@ fn sample_interp(work: &[f64], shape: Shape, rate: f64, rng: &mut StdRng) -> Err
     }
 }
 
-fn sample_regression(work: &[f64], shape: Shape, rate: f64, rng: &mut StdRng) -> ErrorSample {
+fn sample_regression<T: Scalar>(
+    data: &[T],
+    shape: Shape,
+    rate: f64,
+    rng: &mut StdRng,
+) -> ErrorSample {
     let blocks: Vec<_> = BlockIter::new(shape, REGRESSION_BLOCK_SIDE).collect();
     let n_blocks = blocks.len();
     let target_blocks = ((n_blocks as f64 * rate).round() as usize).clamp(1, n_blocks);
+    let get = |lin: usize| data[lin].to_f64();
     let mut errors = Vec::with_capacity(target_blocks * 216);
     let mut sparse = 0usize;
     let mut n_sampled = 0usize;
@@ -312,7 +318,7 @@ fn sample_regression(work: &[f64], shape: Shape, rate: f64, rng: &mut StdRng) ->
     let nd = shape.ndim();
     for _ in 0..target_blocks {
         let block = &blocks[rng.gen_range(0..n_blocks)];
-        let coeffs = fit_block(work, shape, block);
+        let coeffs = fit_block_with(shape, block, get);
         // Residuals over the block.
         let mut local = [0usize; rq_grid::MAX_DIMS];
         loop {
@@ -320,8 +326,9 @@ fn sample_regression(work: &[f64], shape: Shape, rate: f64, rng: &mut StdRng) ->
             for a in 0..nd {
                 lin += (block.origin[a] + local[a]) * strides[a];
             }
-            let err = work[lin] - coeffs.predict(&local[..nd]);
-            if err == 0.0 && work[lin] == 0.0 {
+            let value = get(lin);
+            let err = value - coeffs.predict(&local[..nd]);
+            if err == 0.0 && value == 0.0 {
                 sparse += 1;
             } else {
                 errors.push(err);

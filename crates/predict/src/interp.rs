@@ -9,9 +9,11 @@
 //!
 //! The traversal is exposed as a deterministic *stencil plan*
 //! ([`for_each_stencil`]): the compressor consumes it writing reconstructed
-//! values, the decompressor replays it, and the analytical model samples it
+//! values and the decompressor replays it. The analytical model samples it
 //! level-by-level (paper §III-C2: "the sampling data in the current level
-//! is 2⁻ⁿ of the previous level").
+//! is 2⁻ⁿ of the previous level") through the same plan as a table
+//! ([`passes`]), which hands out the `j`-th target of a pass directly, so
+//! keeping 1 % of the targets costs 1 % of the stencils.
 
 use rq_grid::{Shape, MAX_DIMS};
 
@@ -121,6 +123,33 @@ pub fn for_each_stencil(shape: Shape, mut f: impl FnMut(InterpTarget)) {
     }
 }
 
+/// The stencil of the target at linear index `lin` whose coordinate along
+/// `axis` (extent `extent`, `stride_lin` elements per step) is `t`, an odd
+/// multiple of the level stride `s`.
+#[inline(always)]
+fn stencil_at(
+    lin: usize,
+    t: usize,
+    extent: usize,
+    stride_lin: usize,
+    s: usize,
+    axis: usize,
+) -> InterpTarget {
+    // Neighbors along `axis` at ±s and ±3s (in elements of that axis).
+    let left1 = lin - s * stride_lin; // t >= s always holds
+    let kind = if t + s < extent {
+        let right1 = lin + s * stride_lin;
+        if t >= 3 * s && t + 3 * s < extent {
+            StencilKind::Cubic([lin - 3 * s * stride_lin, left1, right1, lin + 3 * s * stride_lin])
+        } else {
+            StencilKind::Linear([left1, right1])
+        }
+    } else {
+        StencilKind::CopyLeft(left1)
+    };
+    InterpTarget { target: lin, kind, stride: s, axis }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn walk_pass(
     shape: Shape,
@@ -133,28 +162,8 @@ fn walk_pass(
     f: &mut impl FnMut(InterpTarget),
 ) {
     if depth == nd {
-        let extent = shape.dim(axis);
-        let t = idx[axis];
         let lin: usize = (0..nd).map(|a| idx[a] * strides[a]).sum();
-        let stride_lin = strides[axis];
-        // Neighbors along `axis` at ±s and ±3s (in elements of that axis).
-        let left1 = lin - s * stride_lin; // t >= s always holds
-        let kind = if t + s < extent {
-            let right1 = lin + s * stride_lin;
-            if t >= 3 * s && t + 3 * s < extent {
-                StencilKind::Cubic([
-                    lin - 3 * s * stride_lin,
-                    left1,
-                    right1,
-                    lin + 3 * s * stride_lin,
-                ])
-            } else {
-                StencilKind::Linear([left1, right1])
-            }
-        } else {
-            StencilKind::CopyLeft(left1)
-        };
-        f(InterpTarget { target: lin, kind, stride: s, axis });
+        f(stencil_at(lin, idx[axis], shape.dim(axis), strides[axis], s, axis));
         return;
     }
     let extent = shape.dim(depth);
@@ -177,24 +186,111 @@ fn walk_pass(
     }
 }
 
-/// Number of targets per level stride, used by the model's level-aware
-/// sampling. Returns `(stride, count)` pairs from coarsest to finest.
-pub fn level_sizes(shape: Shape) -> Vec<(usize, usize)> {
-    let mut sizes = Vec::new();
-    let mut cur_stride = 0usize;
-    let mut count = 0usize;
-    for_each_stencil(shape, |t| {
-        if t.stride != cur_stride {
-            if cur_stride != 0 {
-                sizes.push((cur_stride, count));
-            }
-            cur_stride = t.stride;
-            count = 0;
+/// One (level, axis) pass of the traversal as a table: how many targets it
+/// has and which one is the `j`-th, without walking the ones before it.
+///
+/// [`for_each_stencil`] visits the passes of [`passes`] in order and,
+/// within a pass, the targets `0..len()` in order; a consumer that needs
+/// only some of the targets (the model keeps ~1 % of them) pays for those
+/// and for nothing else.
+#[derive(Clone, Copy, Debug)]
+pub struct Pass {
+    /// Level stride `s` (power of two, 1 = finest level).
+    pub stride: usize,
+    /// Axis along which this pass interpolates.
+    pub axis: usize,
+    /// Per dimension: first coordinate, coordinate step, coordinate count.
+    lattice: [(usize, usize, usize); MAX_DIMS],
+    strides: [usize; MAX_DIMS],
+    extent: usize,
+    ndim: usize,
+    len: usize,
+}
+
+impl Pass {
+    fn new(shape: Shape, s: usize, axis: usize) -> Self {
+        let nd = shape.ndim();
+        let mut lattice = [(0, 1, 1); MAX_DIMS];
+        let mut len = 1usize;
+        for (d, slot) in lattice.iter_mut().enumerate().take(nd) {
+            // The known lattice of `for_each_stencil`'s pass: odd multiples
+            // of s along `axis`, s before it, 2s after it.
+            let (first, step) = match d.cmp(&axis) {
+                std::cmp::Ordering::Less => (0, s),
+                std::cmp::Ordering::Equal => (s, 2 * s),
+                std::cmp::Ordering::Greater => (0, 2 * s),
+            };
+            let count = shape.dim(d).saturating_sub(first).div_ceil(step);
+            *slot = (first, step, count);
+            len *= count;
         }
-        count += 1;
-    });
-    if cur_stride != 0 {
-        sizes.push((cur_stride, count));
+        Pass {
+            stride: s,
+            axis,
+            lattice,
+            strides: shape.strides(),
+            extent: shape.dim(axis),
+            ndim: nd,
+            len,
+        }
+    }
+
+    /// Number of targets in this pass.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the pass has no target (extent ≤ stride along its axis).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `j`-th target of the pass, in [`for_each_stencil`]'s (row-major)
+    /// order: `j` is read as a mixed-radix number over the pass's lattice.
+    ///
+    /// # Panics
+    /// Panics if `j >= self.len()`.
+    #[inline]
+    pub fn target(&self, j: usize) -> InterpTarget {
+        assert!(j < self.len, "target {j} of a pass of {}", self.len);
+        let mut rest = j;
+        let mut lin = 0usize;
+        let mut t = 0usize;
+        for d in (0..self.ndim).rev() {
+            let (first, step, count) = self.lattice[d];
+            let coord = first + (rest % count) * step;
+            rest /= count;
+            lin += coord * self.strides[d];
+            if d == self.axis {
+                t = coord;
+            }
+        }
+        stencil_at(lin, t, self.extent, self.strides[self.axis], self.stride, self.axis)
+    }
+}
+
+/// The passes of [`for_each_stencil`], in its order: levels from coarsest
+/// to finest, one pass per axis within a level.
+pub fn passes(shape: Shape) -> Vec<Pass> {
+    let mut out = Vec::new();
+    let mut s = anchor_stride(shape) / 2;
+    while s >= 1 {
+        out.extend((0..shape.ndim()).map(|axis| Pass::new(shape, s, axis)));
+        s /= 2;
+    }
+    out
+}
+
+/// Number of targets per level stride, used by the model's level-aware
+/// sampling. Returns `(stride, count)` pairs from coarsest to finest;
+/// levels without a target (stride ≥ every extent) are left out.
+pub fn level_sizes(shape: Shape) -> Vec<(usize, usize)> {
+    let mut sizes: Vec<(usize, usize)> = Vec::new();
+    for pass in passes(shape).iter().filter(|p| !p.is_empty()) {
+        match sizes.last_mut() {
+            Some((s, c)) if *s == pass.stride => *c += pass.len(),
+            _ => sizes.push((pass.stride, pass.len())),
+        }
     }
     sizes
 }
@@ -294,6 +390,73 @@ mod tests {
         let shape = Shape::d3(20, 20, 20);
         let total: usize = level_sizes(shape).iter().map(|&(_, c)| c).sum();
         assert_eq!(total, shape.len() - anchors(shape).len());
+    }
+
+    /// Shapes with extents 1, 2, 3, 5, 17 and 96 in every position a
+    /// dimension can take, 1-D to 4-D.
+    fn table_shapes() -> Vec<Shape> {
+        let mut shapes: Vec<Shape> = [1, 2, 3, 5, 17, 96].iter().map(|&n| Shape::d1(n)).collect();
+        shapes.extend([
+            Shape::d2(1, 1),
+            Shape::d2(2, 17),
+            Shape::d2(17, 2),
+            Shape::d2(96, 5),
+            Shape::d2(3, 96),
+            Shape::d3(1, 5, 1),
+            Shape::d3(2, 3, 5),
+            Shape::d3(17, 1, 96),
+            Shape::d3(5, 17, 3),
+            Shape::d3(96, 2, 2),
+            Shape::d4(1, 2, 3, 5),
+            Shape::d4(5, 3, 2, 1),
+            Shape::d4(3, 17, 1, 5),
+            Shape::d4(2, 2, 17, 3),
+        ]);
+        shapes
+    }
+
+    #[test]
+    fn pass_table_is_the_traversal_target_for_target() {
+        for shape in table_shapes() {
+            let mut walked = Vec::new();
+            for_each_stencil(shape, |t| walked.push(t));
+            let mut next = 0usize;
+            for pass in passes(shape) {
+                for j in 0..pass.len() {
+                    let (t, w) = (pass.target(j), walked[next]);
+                    assert_eq!(
+                        (t.target, t.kind, t.stride, t.axis),
+                        (w.target, w.kind, w.stride, w.axis),
+                        "shape {:?}, pass (stride {}, axis {}), target {j}",
+                        shape.dims(),
+                        pass.stride,
+                        pass.axis
+                    );
+                    assert_eq!((t.stride, t.axis), (pass.stride, pass.axis));
+                    next += 1;
+                }
+            }
+            assert_eq!(next, walked.len(), "shape {:?}: the table is short", shape.dims());
+        }
+    }
+
+    #[test]
+    fn closed_form_level_sizes_equal_the_counted_ones() {
+        for shape in table_shapes() {
+            let mut counted: Vec<(usize, usize)> = Vec::new();
+            for_each_stencil(shape, |t| match counted.last_mut() {
+                Some((s, c)) if *s == t.stride => *c += 1,
+                _ => counted.push((t.stride, 1)),
+            });
+            assert_eq!(level_sizes(shape), counted, "shape {:?}", shape.dims());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "of a pass of")]
+    fn pass_target_out_of_range_panics() {
+        let pass = passes(Shape::d1(5))[0];
+        let _ = pass.target(pass.len());
     }
 
     #[test]

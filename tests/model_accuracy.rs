@@ -422,6 +422,50 @@ fn target_psnr_planned_archive_meets_measured_floor() {
     );
 }
 
+/// Fig. 9 as a standing test: planning a dump with the model — build it,
+/// invert it for a PSNR floor — costs a fraction of the compression it
+/// plans. On a noisy 64³ RTM snapshot, best of five each, against a
+/// one-thread interpolation `compress` at the planned bound: the ratio is
+/// ≈ 0.2 in both profiles here (it was ≈ 1.8 while every probe re-quantized
+/// the sample and every build walked the traversal twice); 0.5 is the gate.
+#[test]
+fn model_overhead_is_a_fraction_of_compression() {
+    use std::time::{Duration, Instant};
+    let mut field = rqm::datagen::rtm::rtm_steps(20220509, 7, [64, 64, 64]).pop().unwrap();
+    let half_width = 1e-3 * field.value_range();
+    let mut state = 0x0F19_0009u64;
+    for v in field.as_mut_slice() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let unit = (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+        *v += (unit * half_width) as f32;
+    }
+    let timed = |f: &mut dyn FnMut()| -> Duration {
+        let start = Instant::now();
+        f();
+        start.elapsed()
+    };
+    // Plan and compress take turns, so a busy spell of the machine (the
+    // other tests of this file run beside this one) slows both.
+    let (mut plan, mut write) = (Duration::MAX, Duration::MAX);
+    let mut eb = 0.0;
+    for _ in 0..5 {
+        plan = plan.min(timed(&mut || {
+            let model = RqModel::build(&field, PredictorKind::Interpolation, 0.01, 9);
+            eb = model.error_bound_for_psnr(80.0);
+        }));
+        let cfg = CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(eb))
+            .with_threads(1);
+        write = write.min(timed(&mut || {
+            std::hint::black_box(compress(&field, &cfg).unwrap());
+        }));
+    }
+    let ratio = plan.as_secs_f64() / write.as_secs_f64();
+    println!("plan {plan:?} / compress {write:?} = {ratio:.3} (eb {eb:e})");
+    assert!(ratio <= 0.5, "model {plan:?} against {write:?} of compression: {ratio:.2}");
+}
+
 #[test]
 fn model_works_on_real_catalog_field() {
     // One genuine Table I stand-in end to end (QMCPACK: small and cheap).
