@@ -8,10 +8,11 @@
 //! outside this file calls them, and they are written for clarity and for
 //! staying put, not for speed.
 
+use rq_compress::choose_codec;
 use rq_core::{quality, ratio::rle_ratio, sample_errors, ErrorSample, RqModel};
 use rq_grid::stats::Moments;
 use rq_grid::{NdArray, Scalar, Shape};
-use rq_predict::PredictorKind;
+use rq_predict::{sample_prediction_errors, PredictorKind};
 use rq_quant::DEFAULT_RADIUS;
 
 // ---------------------------------------------------------------- fields --
@@ -132,6 +133,130 @@ fn samples_are_bit_identical_to_the_pinned_sampler() {
             );
         }
     }
+}
+
+// ---------------------------------------------- strided sample hashes --
+
+/// FNV-1a over the bit patterns of everything the strided sampler decides,
+/// for three sample targets on one (predictor, shape, scalar type).
+fn strided_hash<T: Scalar>(kind: PredictorKind, shape: Shape) -> u64 {
+    let f = field::<T>(shape, 0.05, true);
+    let n = shape.len();
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for target in [(n / 100).max(1), 2048, n] {
+        let s = sample_prediction_errors(f.as_slice(), shape, kind, target);
+        fnv1a(&mut hash, s.errors.len() as u64);
+        for v in &s.errors {
+            fnv1a(&mut hash, v.to_bits());
+        }
+        fnv1a(&mut hash, s.sparse_count as u64);
+        fnv1a(&mut hash, s.verbatim_fraction.to_bits());
+        fnv1a(&mut hash, s.side_bits_per_element.to_bits());
+    }
+    hash
+}
+
+/// `[f32, f64]` hashes per shape of [`pin_shapes`], taken from
+/// `rq_predict::sample_prediction_errors` while its interpolation sampler
+/// still walked every target of the traversal (commit 6bc1512). The
+/// scheduler, every `--target-*` plan and `RqModel::build` read this
+/// sample: a change to these constants is a change to archive bytes.
+const STRIDED_PINS: [(PredictorKind, [[u64; 2]; 4]); 4] = [
+    (
+        PredictorKind::Lorenzo,
+        [
+            [0xC507_4607_71E7_53E4, 0x6203_FA43_D63A_6E78],
+            [0x9ABF_9EA1_CBEE_B78C, 0x1339_3501_46AD_B695],
+            [0xAF6E_EB24_8081_F639, 0xE593_1522_0546_3460],
+            [0xC644_4886_2087_6CB6, 0xAB9F_7C5A_69D6_E398],
+        ],
+    ),
+    (
+        PredictorKind::Lorenzo2,
+        [
+            [0x8784_14B3_169F_3E04, 0x64F8_EDA4_91D5_8EDE],
+            [0x4AB1_C5C8_4057_898A, 0x04A7_2EAD_2BD6_5FF5],
+            [0xC8D7_74EA_9FB1_B5DE, 0xBAF3_0646_5A28_A04B],
+            [0x7806_AFA1_2ADB_E903, 0x1FD3_3912_247B_3CA8],
+        ],
+    ),
+    (
+        PredictorKind::Interpolation,
+        [
+            [0x3D3B_BC20_62C8_CE19, 0x9E41_4A91_A0D6_D17D],
+            [0x7464_BAAF_8AE2_3C81, 0x547B_BE72_9BDB_2378],
+            [0xA4B0_7910_B460_C03F, 0x8B16_EDB3_00BC_849F],
+            [0xA008_2B46_D265_5E30, 0x746D_15CE_9277_E052],
+        ],
+    ),
+    (
+        PredictorKind::Regression,
+        [
+            [0xEF45_74AE_2F3D_06C6, 0x0A01_BFC4_6282_4D72],
+            [0xE877_EBE0_401E_DACC, 0xC1A6_5133_2B35_CB5C],
+            [0xB687_E896_E062_486E, 0x63C2_CC89_5CB5_4352],
+            [0xFFFE_43FB_F99E_F388, 0x377A_B5BF_9B58_002E],
+        ],
+    ),
+];
+
+#[test]
+fn strided_samples_are_bit_identical_to_the_pinned_sampler() {
+    let mut got = Vec::new();
+    for (kind, _) in STRIDED_PINS {
+        let row: Vec<[u64; 2]> = pin_shapes()
+            .iter()
+            .map(|&shape| [strided_hash::<f32>(kind, shape), strided_hash::<f64>(kind, shape)])
+            .collect();
+        got.push((kind, row));
+    }
+    for ((kind, want), (_, have)) in STRIDED_PINS.iter().zip(&got) {
+        for ((shape, w), h) in pin_shapes().iter().zip(want).zip(have) {
+            assert_eq!(
+                w,
+                h,
+                "{kind:?} on {:?} ([f32, f64]): the sample moved. All hashes now: {got:#018x?}",
+                shape.dims()
+            );
+        }
+    }
+}
+
+/// Smooth on the first half of axis 0, noisy on the second: the slab the
+/// scheduler's three estimates disagree on.
+fn mixed_slab<T: Scalar>(shape: Shape) -> NdArray<T> {
+    let mut state = 0x0D15_EA5E_0BADu64;
+    NdArray::from_fn(shape, |ix| {
+        let n = xorshift(&mut state) * 4.0;
+        T::from_f64(if ix[0] < shape.dim(0) / 2 { waves(ix) } else { waves(ix) + n })
+    })
+}
+
+/// `sz_bits` of [`choose_codec`] on [`mixed_slab`] configured for
+/// interpolation, `[f32, f64]` per bound of [`SZ_BITS_BOUNDS`], as bits —
+/// the number the strided interpolation sample becomes in an archive.
+const SZ_BITS_BOUNDS: [f64; 3] = [1e-4, 1e-2, 0.5];
+const SZ_BITS_PINS: [[u64; 2]; 3] = [
+    [0x4036_8F3D_B3FB_3950, 0x4036_8F98_B2AB_0400],
+    [0x401C_964F_948C_E6F8, 0x401C_97BB_AB4E_530F],
+    [0x4000_315C_AB43_9CA6, 0x4000_3434_D8C6_74D3],
+];
+
+#[test]
+fn scheduler_sz_bits_are_bit_identical_on_a_mixed_interpolation_slab() {
+    let shape = Shape::d3(16, 40, 36);
+    let (f32s, f64s) = (mixed_slab::<f32>(shape), mixed_slab::<f64>(shape));
+    let kind = PredictorKind::Interpolation;
+    let got: Vec<[u64; 2]> = SZ_BITS_BOUNDS
+        .iter()
+        .map(|&eb| {
+            [
+                choose_codec(f32s.as_slice(), shape, kind, eb, DEFAULT_RADIUS).sz_bits.to_bits(),
+                choose_codec(f64s.as_slice(), shape, kind, eb, DEFAULT_RADIUS).sz_bits.to_bits(),
+            ]
+        })
+        .collect();
+    assert_eq!(got, SZ_BITS_PINS, "sz_bits moved. All bits now: {got:#018x?}");
 }
 
 // ------------------------------------------------- the frozen model --
