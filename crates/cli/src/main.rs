@@ -504,9 +504,16 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
 fn cmd_estimate(args: &Args) -> Result<(), String> {
     let [_, input] = positional::<2>(args)?;
     let shape = args.shape()?;
-    let field = io::read_raw_f32(&input, shape)?;
     let rate = args.float("rate")?.unwrap_or(0.01);
+    if !(rate > 0.0 && rate <= 1.0) {
+        return Err(format!("--rate: {rate} is outside (0, 1]"));
+    }
+    let abs = args.float("abs")?;
+    if let Some(eb) = abs.filter(|eb| !(*eb > 0.0 && eb.is_finite())) {
+        return Err(format!("--abs: {eb} is not a positive finite error bound"));
+    }
     let predictor = args.predictor()?;
+    let field = io::read_raw_f32(&input, shape)?;
     let model = RqModel::build(&field, predictor, rate, 42);
     println!(
         "model: {} predictor, {} samples in {:?}",
@@ -515,9 +522,12 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
         model.build_time()
     );
     let range = field.value_range();
-    let ebs: Vec<f64> = match args.float("abs")? {
+    let ebs: Vec<f64> = match abs {
         Some(eb) => vec![eb],
-        None => (0..6).map(|i| range * 1e-6 * 10f64.powi(i)).collect(),
+        None if range > 0.0 && range.is_finite() => {
+            (0..6).map(|i| range * 1e-6 * 10f64.powi(i)).collect()
+        }
+        None => return Err(format!("no bounds to derive from a value range of {range}: give --abs")),
     };
     println!(
         "{:>12} {:>10} {:>8} {:>9} {:>9} {:>9}",
@@ -1570,6 +1580,32 @@ mod tests {
         ])
         .unwrap();
         run_args(&["info", rqc.to_str().unwrap()]).unwrap();
+    }
+
+    #[test]
+    fn estimate_refuses_bad_numbers_without_panicking() {
+        let raw = tmp("en.f32");
+        write_field(&raw);
+        let estimate = |flag: &str, value: &str| {
+            run_args(&["estimate", raw.to_str().unwrap(), "--shape", "20x30", flag, value])
+        };
+        for rate in ["0", "1.5", "nan"] {
+            let err = estimate("--rate", rate).unwrap_err();
+            assert!(err.contains("--rate") && err.contains("(0, 1]"), "--rate {rate}: {err}");
+        }
+        for abs in ["0", "-1", "inf"] {
+            let err = estimate("--abs", abs).unwrap_err();
+            assert!(err.contains("--abs") && err.contains("positive finite"), "--abs {abs}: {err}");
+        }
+        estimate("--rate", "1").unwrap();
+        estimate("--abs", "1e-3").unwrap();
+        // A constant field has no range to derive the default bounds from.
+        let flat = tmp("en_flat.f32");
+        io::write_raw_f32(flat.to_str().unwrap(), &NdArray::<f32>::from_fn(Shape::d1(64), |_| 2.5))
+            .unwrap();
+        let err = run_args(&["estimate", flat.to_str().unwrap(), "--shape", "64"]).unwrap_err();
+        assert!(err.contains("give --abs"), "got: {err}");
+        run_args(&["estimate", flat.to_str().unwrap(), "--shape", "64", "--abs", "1e-3"]).unwrap();
     }
 
     #[test]

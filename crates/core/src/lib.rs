@@ -6,11 +6,10 @@
 //!
 //! * the Huffman bit-rate (Eq. 1) and the optional-lossless ratio via the
 //!   RLE model (Eq. 4), hence the overall compression ratio,
-//! * the inverse mappings error-bound ← target bit-rate (Eq. 2, with
-//!   anchor-point interpolation once `p0 > 0.5`) and ← target ratio (Eq. 8),
+//! * the inverse mappings error-bound ← target bit-rate, ← target ratio
+//!   and ← target PSNR, each a bisection over the model itself,
 //! * the reconstruction-error distribution (Eq. 10 uniform, Eq. 11
-//!   refined), and from it PSNR (Eq. 12), SSIM (Eq. 15) and FFT
-//!   power-spectrum degradation (§III-D4).
+//!   refined), and from it PSNR (Eq. 12) and SSIM (Eq. 15).
 //!
 //! ```
 //! use rq_core::RqModel;
@@ -34,10 +33,10 @@
 //!
 //! | Module        | Paper section | Implements                               |
 //! |---------------|---------------|------------------------------------------|
-//! | [`sampling`]  | §III-C1       | 1 % prediction-error sampling pass       |
+//! | [`sampling`]  | §III-C1       | the model's view of the strided sample   |
 //! | [`histogram`] | §III-C2–C4    | quantization-bin histogram estimation    |
-//! | [`ratio`]     | §III-B, Eq. 1–8 | bit-rate / lossless-ratio model        |
-//! | [`quality`]   | §III-D, Eq. 10–15 | PSNR / SSIM / FFT quality model      |
+//! | [`ratio`]     | §III-B, Eq. 1–7 | bit-rate / lossless-ratio model        |
+//! | [`quality`]   | §III-D, Eq. 10–15 | PSNR / SSIM quality model            |
 //! | [`model`]     | §III          | the assembled [`RqModel`]                |
 //! | [`usecases`]  | §IV           | the three model-driven use-cases         |
 
@@ -52,4 +51,4 @@ pub mod usecases;
 
 pub use histogram::EstimatedHistogram;
 pub use model::{Estimate, RqModel};
-pub use sampling::{sample_errors, ErrorSample};
+pub use sampling::ErrorSample;

@@ -3,7 +3,7 @@
 use crate::histogram::{central_variance, transfer_fraction, EstimatedHistogram};
 use crate::quality;
 use crate::ratio::{huffman_bit_rates, rle_ratio};
-use crate::sampling::{sample_errors, ErrorSample};
+use crate::sampling::ErrorSample;
 use rq_grid::stats::finite_range_and_moments;
 use rq_grid::{NdArray, Scalar};
 use rq_predict::PredictorKind;
@@ -65,10 +65,10 @@ pub struct Estimate {
 /// compressions, with cold caches, the repository benchmark reads 5–6 ms,
 /// 80 µs and 0.8 ms for the first three):
 ///
-/// * [`Self::build`]: one statistics pass over the field, one RNG draw per
-///   interpolation target (per *sample* for the other predictors), a
-///   stencil per kept sample and one sort of the sample — ≈ 4 ms, a
-///   quarter of compressing the field on one thread;
+/// * [`Self::build`]: one statistics pass over the field, a stencil per
+///   kept sample (each reached by its index in the traversal) and one sort
+///   of the sample — ≈ 2 ms, an eighth of compressing the field on one
+///   thread;
 /// * [`Self::estimate`]: O(sample) to quantize it plus O(bins) — ≈ 45 µs
 ///   (≈ 115 µs for Lorenzo, whose feedback noise is drawn per error);
 /// * [`Self::error_bound_for_psnr`]: ≈ 55 bisection steps — O(log sample)
@@ -154,21 +154,29 @@ const PSNR_PROBE_GUARD_DB: f64 = 1e-11;
 
 impl RqModel {
     /// Sample `field` for `predictor` at `rate` (paper default 0.01) and
-    /// build the model.
+    /// build the model: [`Self::build_strided`] at `round(rate · n)`
+    /// samples. `seed` picks which points the stride lands on — it is the
+    /// stride's phase, `seed % stride` being the first visit kept — and
+    /// nothing else: a seed that is a multiple of the stride is
+    /// `build_strided` itself.
+    ///
+    /// # Panics
+    /// Panics if `rate` is not in `(0, 1]`.
     pub fn build<T: Scalar>(
         field: &NdArray<T>,
         predictor: PredictorKind,
         rate: f64,
         seed: u64,
     ) -> Self {
-        Self::of_field(field.as_slice(), || sample_errors(field, predictor, rate, seed))
+        assert!(rate > 0.0 && rate <= 1.0, "sampling rate {rate} outside (0, 1]");
+        let target = ((field.len() as f64 * rate).round() as usize).max(1);
+        Self::build_at(field.as_slice(), field.shape(), predictor, target, seed)
     }
 
-    /// Deterministic per-chunk model build for quality-targeted
-    /// compression: a strided, RNG-free prediction-error sample
+    /// Deterministic model build: the strided prediction-error sample
     /// ([`rq_predict::sample_prediction_errors`]) promoted to a full
     /// model, plus one exact pass over the slab for its value range and
-    /// variance. Unlike [`Self::build`] the result depends only on
+    /// variance. The result depends only on
     /// `(data, shape, predictor, target_samples)` — per-chunk plans (and
     /// therefore container bytes) must be reproducible.
     pub fn build_strided<T: Scalar>(
@@ -177,9 +185,24 @@ impl RqModel {
         predictor: PredictorKind,
         target_samples: usize,
     ) -> Self {
+        Self::build_at(data, shape, predictor, target_samples, 0)
+    }
+
+    fn build_at<T: Scalar>(
+        data: &[T],
+        shape: rq_grid::Shape,
+        predictor: PredictorKind,
+        target_samples: usize,
+        phase: u64,
+    ) -> Self {
         Self::of_field(data, || {
-            let ps = rq_predict::sample_prediction_errors(data, shape, predictor, target_samples);
-            crate::sampling::ErrorSample::from_prediction_sample(&ps)
+            ErrorSample::from_prediction_sample(&rq_predict::sample_prediction_errors_at(
+                data,
+                shape,
+                predictor,
+                target_samples,
+                phase,
+            ))
         })
     }
 
@@ -383,51 +406,6 @@ impl RqModel {
         (lo.ln() * 0.5 + hi.ln() * 0.5).exp()
     }
 
-    /// Paper-faithful Eq. 2 inversion: `e* = 2^(B−B*)·e`, switching to
-    /// anchor-point interpolation at `p0 ∈ {0.5, 0.8, 0.95}` once the
-    /// doubling argument breaks down (§III-B1).
-    pub fn error_bound_for_bit_rate_eq2(&self, target_bit_rate: f64) -> f64 {
-        // Profile in the valid region: pick e with p0 ≈ 0.3.
-        let e_profile = self.error_quantile(0.3).max(f64::MIN_POSITIVE);
-        let b_profile = self.estimate(e_profile).bit_rate_huffman;
-        let e_star = 2f64.powf(b_profile - target_bit_rate) * e_profile;
-        if self.estimate(e_star).p0 < 0.5 {
-            return e_star;
-        }
-        // Anchor interpolation: (B, ln e) at p0 anchors, linear in between.
-        let anchors: Vec<(f64, f64)> = [0.5, 0.8, 0.95]
-            .iter()
-            .map(|&p| {
-                let e = self.error_quantile(p);
-                (self.estimate(e).bit_rate_huffman, e.ln())
-            })
-            .collect();
-        // Bit rates decrease along the anchor list.
-        if target_bit_rate >= anchors[0].0 {
-            // Still in (or before) the first anchor: fall back to Eq. 2
-            // against the first anchor point.
-            return (2f64.powf(anchors[0].0 - target_bit_rate) * anchors[0].1.exp())
-                .min(self.eb_search_range().1);
-        }
-        for w in anchors.windows(2) {
-            let (b_hi, ln_lo) = w[0];
-            let (b_lo, ln_hi) = w[1];
-            if target_bit_rate <= b_hi && target_bit_rate >= b_lo {
-                let t = if (b_hi - b_lo).abs() < 1e-12 {
-                    0.5
-                } else {
-                    (b_hi - target_bit_rate) / (b_hi - b_lo)
-                };
-                return (ln_lo + t * (ln_hi - ln_lo)).exp();
-            }
-        }
-        // Beyond the last anchor: extrapolate along the last segment.
-        let (b_hi, ln_lo) = anchors[1];
-        let (b_lo, ln_hi) = anchors[2];
-        let slope = (ln_hi - ln_lo) / (b_lo - b_hi).min(-1e-9);
-        (ln_hi + slope * (target_bit_rate - b_lo)).exp()
-    }
-
     /// Error bound achieving a target overall compression ratio.
     pub fn error_bound_for_ratio(&self, target_ratio: f64) -> f64 {
         assert!(target_ratio > 0.0, "ratio must be positive");
@@ -512,18 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn eq2_inversion_close_in_valid_region() {
-        let f = noisy_field();
-        let m = RqModel::build(&f, PredictorKind::Lorenzo, 0.1, 3);
-        // Moderate bit-rates: p0 < 0.5 regime where Eq. 2 applies.
-        for target in [4.0, 6.0] {
-            let eb = m.error_bound_for_bit_rate_eq2(target);
-            let got = m.estimate(eb).bit_rate_huffman;
-            assert!((got - target).abs() < 1.0, "target {target} got {got}");
-        }
-    }
-
-    #[test]
     fn psnr_inversion_roundtrip() {
         let f = noisy_field();
         let m = RqModel::build(&f, PredictorKind::Interpolation, 0.1, 4);
@@ -573,21 +539,55 @@ mod tests {
     }
 
     #[test]
-    fn strided_build_is_deterministic_and_tracks_randomized_model() {
+    fn build_is_the_strided_build_at_a_phase() {
         let f = noisy_field();
         let a = RqModel::build_strided(f.as_slice(), f.shape(), PredictorKind::Lorenzo, 2048);
         let b = RqModel::build_strided(f.as_slice(), f.shape(), PredictorKind::Lorenzo, 2048);
         assert_eq!(a.sample().errors, b.sample().errors, "no RNG anywhere");
         assert_eq!(a.value_range(), f.value_range());
-        // Same field, same predictor: the strided model must agree with
-        // the randomized one to well within the paper's accuracy band.
-        let r = RqModel::build(&f, PredictorKind::Lorenzo, 0.1, 11);
-        for eb in [1e-3, 1e-2, 1e-1] {
-            let (sa, sr) = (a.estimate(eb), r.estimate(eb));
-            let rel = (sa.bit_rate - sr.bit_rate).abs() / sr.bit_rate.max(1e-9);
-            assert!(rel < 0.25, "eb {eb}: strided {} vs random {}", sa.bit_rate, sr.bit_rate);
-            assert!((sa.psnr - sr.psnr).abs() < 3.0, "eb {eb}: {} vs {}", sa.psnr, sr.psnr);
+        for kind in [PredictorKind::Lorenzo, PredictorKind::Interpolation, PredictorKind::Regression]
+        {
+            // 128² at 10 %: 1 638 samples, every 11th point, target or
+            // block. A seed that is a multiple of the stride is phase 0 —
+            // `build_strided`, to the last bit.
+            let strided = RqModel::build_strided(f.as_slice(), f.shape(), kind, 1638);
+            for seed in [0, 11 * 63] {
+                let built = RqModel::build(&f, kind, 0.1, seed);
+                assert_eq!(built.sample().errors, strided.sample().errors, "{kind:?}/{seed}");
+                for eb in [1e-4, 1e-3, 1e-2, 1e-1, 1.0] {
+                    let (x, y) = (built.estimate(eb), strided.estimate(eb));
+                    let bits = |e: &Estimate| {
+                        [
+                            e.eb, e.p0, e.escape_fraction, e.bit_rate_huffman, e.bit_rate, e.ratio,
+                            e.sigma2_uniform, e.sigma2, e.psnr, e.psnr_uniform, e.ssim,
+                        ]
+                        .map(f64::to_bits)
+                    };
+                    assert_eq!(bits(&x), bits(&y), "{kind:?}/{seed} at {eb:e}");
+                }
+            }
+            // Any other seed moves the stride along the traversal: other
+            // points, the same model to well within the accuracy band.
+            let shifted = RqModel::build(&f, kind, 0.1, 11 * 63 + 4);
+            assert_ne!(shifted.sample().errors, strided.sample().errors, "{kind:?}");
+            for eb in [1e-3, 1e-2, 1e-1] {
+                let (sa, sr) = (shifted.estimate(eb), strided.estimate(eb));
+                let rel = (sa.bit_rate - sr.bit_rate).abs() / sr.bit_rate.max(1e-9);
+                assert!(rel < 0.25, "{kind:?} eb {eb}: {} vs {}", sa.bit_rate, sr.bit_rate);
+                assert!((sa.psnr - sr.psnr).abs() < 3.0, "{kind:?} eb {eb}: {} vs {}", sa.psnr, sr.psnr);
+            }
         }
+    }
+
+    #[test]
+    fn build_rejects_a_rate_outside_the_unit_interval() {
+        let f = noisy_field();
+        for rate in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            let built = std::panic::catch_unwind(|| RqModel::build(&f, PredictorKind::Lorenzo, rate, 1));
+            assert!(built.is_err(), "rate {rate} must be refused");
+        }
+        // The smallest rate still keeps one sample.
+        assert_eq!(RqModel::build(&f, PredictorKind::Lorenzo, 1e-9, 1).sample().len(), 1);
     }
 
     #[test]
@@ -630,7 +630,6 @@ mod tests {
                 let bounds = [
                     m.error_bound_for_psnr(60.0),
                     m.error_bound_for_bit_rate(2.0),
-                    m.error_bound_for_bit_rate_eq2(2.0),
                     m.error_quantile(0.5),
                 ];
                 for eb in bounds {
@@ -652,9 +651,8 @@ mod tests {
 
     #[test]
     fn psnr_probe_tracks_estimate() {
-        // Twelve decades of bounds around the data's own scale, weighted
-        // (randomized) and uniform (strided) samples, with and without a
-        // quiescent region: the prefix-sum PSNR is the histogram's to far
+        // Twelve decades of bounds around the data's own scale, samples at a
+        // phase and at phase 0, with and without a quiescent region: the prefix-sum PSNR is the histogram's to far
         // inside PSNR_PROBE_GUARD_DB.
         let mut quiet = noisy_field();
         for v in &mut quiet.as_mut_slice()[..128 * 40] {

@@ -51,17 +51,6 @@ pub fn ssim_model(data_variance: f64, c3: f64, sigma2: f64) -> f64 {
     structure / (structure + sigma2)
 }
 
-/// §III-D4: predicted power-spectrum ratio `P'(k)/P(k) = 1 + σ_E²/P(k)`
-/// for each reference-spectrum bin. Compression error behaves as white
-/// noise, adding a flat floor of `σ_E²` per mode.
-pub fn spectrum_ratio_model(reference_power: &[(f64, f64)], sigma2: f64) -> Vec<(f64, f64)> {
-    reference_power
-        .iter()
-        .filter(|&&(_, p)| p > 1e-300)
-        .map(|&(k, p)| (k, 1.0 + sigma2 / p))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,21 +98,5 @@ mod tests {
         // A constant field: exact reconstruction is perfect, any error is not.
         assert_eq!(ssim_model(0.0, 0.0, 0.0), 1.0);
         assert_eq!(ssim_model(0.0, 0.0, 1e-9), 0.0);
-    }
-
-    #[test]
-    fn spectrum_ratio_unit_without_noise() {
-        let pk = vec![(1.0, 10.0), (2.0, 5.0), (3.0, 0.5)];
-        for (_, r) in spectrum_ratio_model(&pk, 0.0) {
-            assert!((r - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn spectrum_ratio_worst_at_weak_bins() {
-        let pk = vec![(1.0, 10.0), (10.0, 0.1)];
-        let m = spectrum_ratio_model(&pk, 0.05);
-        assert!(m[1].1 > m[0].1, "weak bins inflate more");
-        assert!((m[1].1 - 1.5).abs() < 1e-12);
     }
 }

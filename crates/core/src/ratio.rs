@@ -6,9 +6,6 @@
 //! * [`rle_ratio`] — Eq. 4: the optional lossless stage is modelled as
 //!   run-length coding of the dominant zero code; `C₁` is the (calibrated)
 //!   cost in bits of one run token.
-//! * [`p0_for_rle_ratio`] — Eq. 8: the zero-code share required to reach a
-//!   target lossless ratio, used when optimizing an error bound for a
-//!   target overall ratio.
 
 use crate::histogram::EstimatedHistogram;
 
@@ -118,40 +115,6 @@ pub fn rle_ratio(p0: f64, huffman_bits: f64) -> f64 {
     r.max(1.0)
 }
 
-/// Eq. 8: the zero-code probability needed for a target RLE ratio
-/// (`P0 ≈ p0` approximation, valid in the zero-dominated regime).
-///
-/// Returns `None` when the target exceeds what RLE can deliver
-/// (`target < 1` or the discriminant goes negative).
-pub fn p0_for_rle_ratio(target: f64) -> Option<f64> {
-    if target < 1.0 {
-        return None;
-    }
-    let c1 = RLE_TOKEN_BITS;
-    let half = (c1 - 1.0) / 2.0;
-    let disc = 1.0 - 1.0 / target - half * half;
-    // Paper Eq. 8: p0 = sqrt(1 - R⁻¹ - ((C1-1)/2)²) + (C1-1)/2 — with the
-    // large C1 the discriminant is negative and the usable root comes from
-    // the quadratic E0·p0² − (E0+1)p0 + 1 − 1/R = 0 solved directly:
-    let _ = disc;
-    // E0 p0² - (E0 + 1) p0 + (1 - 1/target) = 0 where E0 = C1(1-p0) makes
-    // it cubic; solve numerically by bisection on the monotone branch.
-    let f = |p0: f64| rle_ratio(p0, 1.0) - target;
-    let (mut lo, mut hi) = (0.0, 1.0 - 1e-9);
-    if f(hi) < 0.0 {
-        return None; // unreachable ratio
-    }
-    for _ in 0..80 {
-        let mid = 0.5 * (lo + hi);
-        if f(mid) < 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(0.5 * (lo + hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,26 +181,5 @@ mod tests {
                 assert!(rle_ratio(p0, b) >= 1.0);
             }
         }
-    }
-
-    #[test]
-    fn p0_inversion_roundtrip() {
-        for p0 in [0.95, 0.98] {
-            let r = rle_ratio(p0, 1.0);
-            if r > 1.001 {
-                let back = p0_for_rle_ratio(r).unwrap();
-                assert!((back - p0).abs() < 1e-6, "p0 {p0} -> ratio {r} -> {back}");
-            }
-        }
-        // Above the 99% feedback clamp the ratio saturates, so inversion
-        // returns the clamp point.
-        let r_sat = rle_ratio(0.999, 1.0);
-        assert!((r_sat - rle_ratio(0.99, 1.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unreachable_ratio_is_none() {
-        assert!(p0_for_rle_ratio(1e9).is_none());
-        assert!(p0_for_rle_ratio(0.5).is_none());
     }
 }

@@ -1,5 +1,5 @@
 //! What the model says, pinned: the sample it draws (bit for bit, as
-//! hashes taken before the sampler was rewritten) and every number it
+//! hashes taken before the strided sampler was rewritten) and every number it
 //! derives from a sample (against frozen copies of the bodies it had when
 //! every `estimate` re-quantized the sample into a `BTreeMap` and every
 //! inversion ran a fixed hundred of them).
@@ -9,7 +9,7 @@
 //! staying put, not for speed.
 
 use rq_compress::choose_codec;
-use rq_core::{quality, ratio::rle_ratio, sample_errors, ErrorSample, RqModel};
+use rq_core::{quality, ratio::rle_ratio, ErrorSample, RqModel};
 use rq_grid::stats::Moments;
 use rq_grid::{NdArray, Scalar, Shape};
 use rq_predict::{sample_prediction_errors, PredictorKind};
@@ -48,91 +48,8 @@ fn fnv1a(hash: &mut u64, bits: u64) {
     }
 }
 
-/// FNV-1a over the bit patterns of everything the sampler decides, for
-/// three rates and two seeds on one (predictor, shape, scalar type).
-fn sample_hash<T: Scalar>(kind: PredictorKind, shape: Shape) -> u64 {
-    let f = field::<T>(shape, 0.05, true);
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for rate in [0.01, 0.1, 1.0] {
-        for seed in [7u64, 20220509] {
-            let s = sample_errors(&f, kind, rate, seed);
-            fnv1a(&mut hash, s.errors.len() as u64);
-            for v in s.errors.iter().chain(&s.weights) {
-                fnv1a(&mut hash, v.to_bits());
-            }
-            fnv1a(&mut hash, s.sparse_fraction.to_bits());
-            fnv1a(&mut hash, s.verbatim_fraction.to_bits());
-        }
-    }
-    hash
-}
-
 fn pin_shapes() -> [Shape; 4] {
     [Shape::d1(500), Shape::d2(100, 77), Shape::d3(13, 8, 21), Shape::d3(32, 32, 32)]
-}
-
-/// `[f32, f64]` hashes per shape of [`pin_shapes`], taken from the sampler
-/// as it stood before the pass table (commit afd36c1). A change to these
-/// constants is a change to every number the model produces.
-const SAMPLE_PINS: [(PredictorKind, [[u64; 2]; 4]); 4] = [
-    (
-        PredictorKind::Lorenzo,
-        [
-            [0xA80E_6EB6_E969_8ADD, 0x7C4D_EFB1_A608_D21C],
-            [0x1E69_8F9E_E228_D2AF, 0x4963_D8B9_E858_1B9D],
-            [0x2B56_A9A7_D42C_C1CB, 0x7FB7_BDB5_D3D7_A8BC],
-            [0x1EB2_91A5_2453_D0ED, 0x88BA_FDD0_C66D_9135],
-        ],
-    ),
-    (
-        PredictorKind::Lorenzo2,
-        [
-            [0x7182_2A92_288A_595A, 0x4621_1EB6_020E_86DC],
-            [0x7A4C_99BE_610C_2F34, 0xD853_1739_9CA1_AE89],
-            [0x5BEB_A930_A3D5_F1CB, 0x7649_AABF_A3E4_FACC],
-            [0xA038_C22E_67AA_6E13, 0x745F_6208_017C_618F],
-        ],
-    ),
-    (
-        PredictorKind::Interpolation,
-        [
-            [0x9EB0_EAA7_7DC5_2C84, 0x5C17_39D9_BDD4_0DE9],
-            [0x9190_4E8D_73EB_402E, 0x3EC7_A699_FF02_82FD],
-            [0x505F_CB8A_F8E5_C07C, 0x6CEE_78F6_0579_7900],
-            [0xC0A3_EE66_817B_0532, 0x3369_BDD5_1F6C_2BA6],
-        ],
-    ),
-    (
-        PredictorKind::Regression,
-        [
-            [0xE6BA_FA7D_BE8A_2833, 0x3A4F_C807_892A_027A],
-            [0xC9AA_38E1_D20D_A3CA, 0x2B05_1334_999F_FA0B],
-            [0xEE34_79CB_433E_6DD4, 0xCD0B_E88B_7108_567F],
-            [0x5CA2_90E0_9025_8C9C, 0x3835_6152_F5C4_A928],
-        ],
-    ),
-];
-
-#[test]
-fn samples_are_bit_identical_to_the_pinned_sampler() {
-    let mut got = Vec::new();
-    for (kind, _) in SAMPLE_PINS {
-        let row: Vec<[u64; 2]> = pin_shapes()
-            .iter()
-            .map(|&shape| [sample_hash::<f32>(kind, shape), sample_hash::<f64>(kind, shape)])
-            .collect();
-        got.push((kind, row));
-    }
-    for ((kind, want), (_, have)) in SAMPLE_PINS.iter().zip(&got) {
-        for ((shape, w), h) in pin_shapes().iter().zip(want).zip(have) {
-            assert_eq!(
-                w,
-                h,
-                "{kind:?} on {:?} ([f32, f64]): the sample moved. All hashes now: {got:#018x?}",
-                shape.dims()
-            );
-        }
-    }
 }
 
 // ---------------------------------------------- strided sample hashes --
@@ -585,42 +502,6 @@ mod frozen {
             (lo.ln() * 0.5 + hi.ln() * 0.5).exp()
         }
 
-        pub fn error_bound_for_bit_rate_eq2(&self, target_bit_rate: f64) -> f64 {
-            let e_profile = self.error_quantile(0.3).max(f64::MIN_POSITIVE);
-            let b_profile = self.estimate(e_profile).bit_rate_huffman;
-            let e_star = 2f64.powf(b_profile - target_bit_rate) * e_profile;
-            if self.estimate(e_star).p0 < 0.5 {
-                return e_star;
-            }
-            let anchors: Vec<(f64, f64)> = [0.5, 0.8, 0.95]
-                .iter()
-                .map(|&p| {
-                    let e = self.error_quantile(p);
-                    (self.estimate(e).bit_rate_huffman, e.ln())
-                })
-                .collect();
-            if target_bit_rate >= anchors[0].0 {
-                return (2f64.powf(anchors[0].0 - target_bit_rate) * anchors[0].1.exp())
-                    .min(self.eb_search_range().1);
-            }
-            for w in anchors.windows(2) {
-                let (b_hi, ln_lo) = w[0];
-                let (b_lo, ln_hi) = w[1];
-                if target_bit_rate <= b_hi && target_bit_rate >= b_lo {
-                    let t = if (b_hi - b_lo).abs() < 1e-12 {
-                        0.5
-                    } else {
-                        (b_hi - target_bit_rate) / (b_hi - b_lo)
-                    };
-                    return (ln_lo + t * (ln_hi - ln_lo)).exp();
-                }
-            }
-            let (b_hi, ln_lo) = anchors[1];
-            let (b_lo, ln_hi) = anchors[2];
-            let slope = (ln_hi - ln_lo) / (b_lo - b_hi).min(-1e-9);
-            (ln_hi + slope * (target_bit_rate - b_lo)).exp()
-        }
-
         pub fn error_bound_for_psnr(&self, target_db: f64) -> f64 {
             let (mut lo, mut hi) = self.eb_search_range();
             for _ in 0..100 {
@@ -684,9 +565,6 @@ fn assert_matches_frozen<T: Scalar>(what: &str, field: &NdArray<T>, model: &RqMo
     for bits in [0.25, 1.0, 2.0, 4.0, 12.0] {
         let (a, b) = (model.error_bound_for_bit_rate(bits), old.error_bound_for_bit_rate(bits));
         assert_eq!(a.to_bits(), b.to_bits(), "{what}: bound for {bits} bits = {a:e}, frozen {b:e}");
-        let (a, b) =
-            (model.error_bound_for_bit_rate_eq2(bits), old.error_bound_for_bit_rate_eq2(bits));
-        assert_eq!(a.to_bits(), b.to_bits(), "{what}: Eq. 2 for {bits} bits = {a:e}, frozen {b:e}");
     }
 }
 
@@ -720,7 +598,8 @@ fn the_public_histogram_matches_the_frozen_one() {
     // inside the radius are scattered across it.
     let f = field::<f32>(Shape::d3(24, 20, 28), 0.3, true);
     for kind in [PredictorKind::Lorenzo, PredictorKind::Interpolation] {
-        let s = sample_errors(&f, kind, 0.1, 5);
+        let ps = sample_prediction_errors(f.as_slice(), f.shape(), kind, f.len() / 10);
+        let s = ErrorSample::from_prediction_sample(&ps);
         for eb in [1e-7, 1e-6, 1e-3, 3e-2, 0.5, 40.0] {
             let new = rq_core::EstimatedHistogram::build(&s, eb, DEFAULT_RADIUS);
             let old = frozen::Hist::build(&s, eb, DEFAULT_RADIUS);

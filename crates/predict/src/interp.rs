@@ -9,11 +9,12 @@
 //!
 //! The traversal is exposed as a deterministic *stencil plan*
 //! ([`for_each_stencil`]): the compressor consumes it writing reconstructed
-//! values and the decompressor replays it. The analytical model samples it
-//! level-by-level (paper §III-C2: "the sampling data in the current level
-//! is 2⁻ⁿ of the previous level") through the same plan as a table
-//! ([`passes`]), which hands out the `j`-th target of a pass directly, so
-//! keeping 1 % of the targets costs 1 % of the stencils.
+//! values and the decompressor replays it. The sampler
+//! ([`crate::sample_prediction_errors`]) strides over the same plan as a
+//! table ([`passes`]), which hands out the `j`-th target of a pass
+//! directly, so keeping 1 % of the targets costs 1 % of the stencils — and
+//! reaches every level in proportion to its size (paper §III-C2: "the
+//! sampling data in the current level is 2⁻ⁿ of the previous level").
 
 use rq_grid::{Shape, MAX_DIMS};
 
@@ -253,19 +254,73 @@ impl Pass {
     #[inline]
     pub fn target(&self, j: usize) -> InterpTarget {
         assert!(j < self.len, "target {j} of a pass of {}", self.len);
-        let mut rest = j;
-        let mut lin = 0usize;
-        let mut t = 0usize;
+        self.targets(j, 1).current()
+    }
+
+    /// Targets `first`, `first + step`, `first + 2·step`, … of the pass, in
+    /// order, while they are inside it. `first` is split into its
+    /// mixed-radix digits once; every later target is reached by adding
+    /// `step` to them with carry, which at `step` 1 is an increment.
+    pub fn targets(&self, first: usize, step: usize) -> PassTargets<'_> {
+        assert!(step > 0, "a step of 0 never leaves its target");
+        let mut digits = [0usize; MAX_DIMS];
+        let mut rest = first;
         for d in (0..self.ndim).rev() {
-            let (first, step, count) = self.lattice[d];
-            let coord = first + (rest % count) * step;
+            let count = self.lattice[d].2.max(1);
+            digits[d] = rest % count;
             rest /= count;
-            lin += coord * self.strides[d];
-            if d == self.axis {
-                t = coord;
-            }
         }
-        stencil_at(lin, t, self.extent, self.strides[self.axis], self.stride, self.axis)
+        PassTargets { pass: self, j: first, step, digits }
+    }
+}
+
+/// Iterator of [`Pass::targets`].
+#[derive(Clone, Debug)]
+pub struct PassTargets<'a> {
+    pass: &'a Pass,
+    /// Index in the pass of the target `digits` spell, `≥ len` once done.
+    j: usize,
+    step: usize,
+    digits: [usize; MAX_DIMS],
+}
+
+impl PassTargets<'_> {
+    /// The target `digits` spell.
+    #[inline]
+    fn current(&self) -> InterpTarget {
+        let pass = self.pass;
+        let mut lin = 0usize;
+        for d in 0..pass.ndim {
+            let (first, step, _) = pass.lattice[d];
+            lin += (first + self.digits[d] * step) * pass.strides[d];
+        }
+        let (first, step, _) = pass.lattice[pass.axis];
+        let t = first + self.digits[pass.axis] * step;
+        stencil_at(lin, t, pass.extent, pass.strides[pass.axis], pass.stride, pass.axis)
+    }
+}
+
+impl Iterator for PassTargets<'_> {
+    type Item = InterpTarget;
+
+    #[inline]
+    fn next(&mut self) -> Option<InterpTarget> {
+        if self.j >= self.pass.len {
+            return None;
+        }
+        let target = self.current();
+        self.j += self.step;
+        let mut carry = self.step;
+        for d in (0..self.pass.ndim).rev() {
+            let (sum, count) = (self.digits[d] + carry, self.pass.lattice[d].2);
+            if sum < count {
+                self.digits[d] = sum;
+                break;
+            }
+            self.digits[d] = sum % count;
+            carry = sum / count;
+        }
+        Some(target)
     }
 }
 
@@ -279,20 +334,6 @@ pub fn passes(shape: Shape) -> Vec<Pass> {
         s /= 2;
     }
     out
-}
-
-/// Number of targets per level stride, used by the model's level-aware
-/// sampling. Returns `(stride, count)` pairs from coarsest to finest;
-/// levels without a target (stride ≥ every extent) are left out.
-pub fn level_sizes(shape: Shape) -> Vec<(usize, usize)> {
-    let mut sizes: Vec<(usize, usize)> = Vec::new();
-    for pass in passes(shape).iter().filter(|p| !p.is_empty()) {
-        match sizes.last_mut() {
-            Some((s, c)) if *s == pass.stride => *c += pass.len(),
-            _ => sizes.push((pass.stride, pass.len())),
-        }
-    }
-    sizes
 }
 
 #[cfg(test)]
@@ -385,13 +426,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn level_sizes_sum_to_non_anchor_count() {
-        let shape = Shape::d3(20, 20, 20);
-        let total: usize = level_sizes(shape).iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, shape.len() - anchors(shape).len());
-    }
-
     /// Shapes with extents 1, 2, 3, 5, 17 and 96 in every position a
     /// dimension can take, 1-D to 4-D.
     fn table_shapes() -> Vec<Shape> {
@@ -441,14 +475,17 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_level_sizes_equal_the_counted_ones() {
+    fn stepping_through_a_pass_with_carry_lands_on_the_indexed_targets() {
+        let id = |t: InterpTarget| (t.target, t.kind, t.stride, t.axis);
         for shape in table_shapes() {
-            let mut counted: Vec<(usize, usize)> = Vec::new();
-            for_each_stencil(shape, |t| match counted.last_mut() {
-                Some((s, c)) if *s == t.stride => *c += 1,
-                _ => counted.push((t.stride, 1)),
-            });
-            assert_eq!(level_sizes(shape), counted, "shape {:?}", shape.dims());
+            for pass in passes(shape) {
+                for (first, step) in [(0, 1), (0, 2), (1, 3), (5, 7), (2, 99), (4, 10_000)] {
+                    let stepped: Vec<_> = pass.targets(first, step).map(id).collect();
+                    let indexed: Vec<_> =
+                        (first..pass.len()).step_by(step).map(|j| id(pass.target(j))).collect();
+                    assert_eq!(stepped, indexed, "shape {:?}, from {first} by {step}", shape.dims());
+                }
+            }
         }
     }
 
@@ -457,15 +494,6 @@ mod tests {
     fn pass_target_out_of_range_panics() {
         let pass = passes(Shape::d1(5))[0];
         let _ = pass.target(pass.len());
-    }
-
-    #[test]
-    fn finer_levels_have_more_points() {
-        let sizes = level_sizes(Shape::d2(64, 64));
-        for w in sizes.windows(2) {
-            assert!(w[0].0 > w[1].0, "strides must decrease");
-            assert!(w[0].1 < w[1].1, "counts must increase");
-        }
     }
 
     #[test]

@@ -32,7 +32,9 @@ pub mod lorenzo;
 pub mod regression;
 pub mod sample;
 
-pub use sample::{sample_prediction_errors, PredictionSample, SampledEstimate};
+pub use sample::{
+    sample_prediction_errors, sample_prediction_errors_at, PredictionSample, SampledEstimate,
+};
 
 /// Which predictor a pipeline uses. Serialized into container headers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -22,11 +22,11 @@
 //! one sample reusable across error bounds; the residual bias is small and
 //! identical for every candidate codec, so it cancels in the comparison.
 
-use crate::interp::{anchors, for_each_stencil};
+use crate::interp::{passes, Pass};
 use crate::lorenzo::LorenzoStencil;
 use crate::regression::{fit_block_with, BlockCoeffs, REGRESSION_BLOCK_SIDE};
 use crate::PredictorKind;
-use rq_grid::{BlockIter, Scalar, Shape, MAX_DIMS};
+use rq_grid::{BlockIter, Scalar, Shape};
 use rq_quant::LinearQuantizer;
 
 /// A deterministic sample of prediction errors for one field (or slab).
@@ -69,6 +69,15 @@ pub struct SampledEstimate {
 }
 
 impl PredictionSample {
+    /// Record one sampled point: its value and what the predictor says.
+    fn push(&mut self, value: f64, prediction: f64) {
+        let err = value - prediction;
+        if value == 0.0 && err == 0.0 {
+            self.sparse_count += 1;
+        }
+        self.errors.push(err);
+    }
+
     /// Estimate the prediction-path bit-rate at absolute bound `eb` with
     /// quantizer `radius`, for a scalar of `scalar_bits` bits.
     ///
@@ -197,8 +206,9 @@ impl PredictionSample {
 /// no RNG — so callers that must produce reproducible bytes can use it.
 ///
 /// Generic over [`Scalar`]: values are promoted to `f64` only at the
-/// sampled stencil accesses, so the cost is proportional to the sample,
-/// not the field.
+/// sampled stencil accesses, and every kept visit is reached by its index
+/// in the traversal, so the cost is proportional to the sample, not the
+/// field.
 ///
 /// # Panics
 /// Panics if `data.len() != shape.len()` or `target_samples == 0`.
@@ -208,146 +218,106 @@ pub fn sample_prediction_errors<T: Scalar>(
     predictor: PredictorKind,
     target_samples: usize,
 ) -> PredictionSample {
+    sample_prediction_errors_at(data, shape, predictor, target_samples, 0)
+}
+
+/// [`sample_prediction_errors`] starting at visit `phase % stride` of the
+/// traversal instead of visit 0: the same stride, so the same share of
+/// every region and level, over other points. Any `phase` is valid.
+pub fn sample_prediction_errors_at<T: Scalar>(
+    data: &[T],
+    shape: Shape,
+    predictor: PredictorKind,
+    target_samples: usize,
+    phase: u64,
+) -> PredictionSample {
     assert_eq!(data.len(), shape.len(), "data length must match shape");
     assert!(target_samples > 0, "target_samples must be positive");
+    let get = |lin: usize| data[lin].to_f64();
+    let (n, nd) = (shape.len(), shape.ndim());
+    let mut sample = PredictionSample {
+        errors: Vec::with_capacity(n.min(target_samples.saturating_mul(2))),
+        predictor,
+        ndim: nd,
+        n_elements: n,
+        verbatim_fraction: 0.0,
+        side_bits_per_element: 0.0,
+        sparse_count: 0,
+    };
     match predictor {
         // TemporalDelta traverses its (residual) field with the order-1
         // Lorenzo stencil, so the same sampler applies.
-        PredictorKind::Lorenzo | PredictorKind::TemporalDelta => {
-            sample_lorenzo(data, shape, 1, target_samples)
-        }
-        PredictorKind::Lorenzo2 => sample_lorenzo(data, shape, 2, target_samples),
-        PredictorKind::Interpolation => sample_interp(data, shape, target_samples),
-        PredictorKind::Regression => sample_regression(data, shape, target_samples),
-    }
-}
-
-fn sample_lorenzo<T: Scalar>(
-    data: &[T],
-    shape: Shape,
-    order: usize,
-    target: usize,
-) -> PredictionSample {
-    let n = shape.len();
-    // Odd stride: coprime with power-of-two extents, so the raster walk
-    // cannot alias onto a few columns of the grid (an even stride over a
-    // 2^k-wide row would sample the same column positions forever).
-    let stride = ((n / target).max(1)) | 1;
-    let stencil = LorenzoStencil::new(shape.ndim(), order);
-    let nd = shape.ndim();
-    let get = |lin: usize| data[lin].to_f64();
-    let mut errors = Vec::with_capacity(n.div_ceil(stride));
-    let mut sparse = 0usize;
-    let mut lin = 0usize;
-    while lin < n {
-        let idx = shape.unoffset(lin);
-        let pred = stencil.predict_with(shape, &idx[..nd], get);
-        let v = get(lin);
-        let err = v - pred;
-        if v == 0.0 && err == 0.0 {
-            sparse += 1;
-        }
-        errors.push(err);
-        lin += stride;
-    }
-    PredictionSample {
-        errors,
-        predictor: if order == 1 { PredictorKind::Lorenzo } else { PredictorKind::Lorenzo2 },
-        ndim: nd,
-        n_elements: n,
-        verbatim_fraction: 0.0,
-        side_bits_per_element: 0.0,
-        sparse_count: sparse,
-    }
-}
-
-fn sample_interp<T: Scalar>(data: &[T], shape: Shape, target: usize) -> PredictionSample {
-    let n = shape.len();
-    let n_anchors = anchors(shape).len();
-    let non_anchor = n.saturating_sub(n_anchors).max(1);
-    // Odd, for the same anti-aliasing reason as the Lorenzo sampler (the
-    // stencil enumeration rasters within each level).
-    let stride = ((non_anchor / target).max(1)) | 1;
-    let get = |lin: usize| data[lin].to_f64();
-    let mut errors = Vec::with_capacity(non_anchor.div_ceil(stride));
-    let mut sparse = 0usize;
-    let mut visit = 0usize;
-    for_each_stencil(shape, |t| {
-        if visit.is_multiple_of(stride) {
-            let v = get(t.target);
-            let err = v - t.predict_with(get);
-            if v == 0.0 && err == 0.0 {
-                sparse += 1;
+        PredictorKind::Lorenzo | PredictorKind::TemporalDelta | PredictorKind::Lorenzo2 => {
+            let order = if predictor == PredictorKind::Lorenzo2 { 2 } else { 1 };
+            sample.predictor =
+                if order == 1 { PredictorKind::Lorenzo } else { PredictorKind::Lorenzo2 };
+            let stencil = LorenzoStencil::new(nd, order);
+            for lin in kept_visits(n, target_samples, phase) {
+                let idx = shape.unoffset(lin);
+                sample.push(get(lin), stencil.predict_with(shape, &idx[..nd], get));
             }
-            errors.push(err);
         }
-        visit += 1;
-    });
-    PredictionSample {
-        errors,
-        predictor: PredictorKind::Interpolation,
-        ndim: shape.ndim(),
-        n_elements: n,
-        verbatim_fraction: n_anchors as f64 / n as f64,
-        side_bits_per_element: 0.0,
-        sparse_count: sparse,
-    }
-}
-
-fn sample_regression<T: Scalar>(data: &[T], shape: Shape, target: usize) -> PredictionSample {
-    let nd = shape.ndim();
-    let block_elems = REGRESSION_BLOCK_SIDE.pow(nd as u32);
-    let target_blocks = target.div_ceil(block_elems).max(1);
-    let blocks: Vec<_> = BlockIter::new(shape, REGRESSION_BLOCK_SIDE).collect();
-    // Odd, so block sampling cannot alias onto a single block column.
-    let stride = ((blocks.len() / target_blocks).max(1)) | 1;
-    let strides = shape.strides();
-    let get = |lin: usize| data[lin].to_f64();
-    let mut errors = Vec::new();
-    let mut sparse = 0usize;
-    for block in blocks.iter().step_by(stride) {
-        let coeffs = fit_block_with(shape, block, get);
-        let mut local = [0usize; MAX_DIMS];
-        loop {
-            let mut lin = 0usize;
-            for a in 0..nd {
-                lin += (block.origin[a] + local[a]) * strides[a];
-            }
-            let v = get(lin);
-            let err = v - coeffs.predict(&local[..nd]);
-            if v == 0.0 && err == 0.0 {
-                sparse += 1;
-            }
-            errors.push(err);
-            let mut axis = nd;
-            let mut done = false;
-            loop {
-                if axis == 0 {
-                    done = true;
-                    break;
+        PredictorKind::Interpolation => {
+            // The traversal as a table: each pass hands out the visits the
+            // stride keeps of it, and only those get a stencil.
+            let table = passes(shape);
+            let targets: usize = table.iter().map(Pass::len).sum();
+            sample.verbatim_fraction = (n - targets) as f64 / n as f64;
+            let stride = sample_stride(targets, target_samples);
+            // The first kept visit, counted from the start of the next pass.
+            let mut first = (phase % stride as u64) as usize;
+            for pass in &table {
+                for t in pass.targets(first, stride) {
+                    sample.push(get(t.target), t.predict_with(get));
                 }
-                axis -= 1;
-                local[axis] += 1;
-                if local[axis] < block.size[axis] {
-                    break;
-                }
-                local[axis] = 0;
+                let kept = pass.len().saturating_sub(first).div_ceil(stride);
+                first = first + kept * stride - pass.len();
             }
-            if done {
-                break;
+        }
+        PredictorKind::Regression => {
+            // Whole blocks (the fit needs them), residuals against each
+            // block's own stored plane.
+            let block_elems = REGRESSION_BLOCK_SIDE.pow(nd as u32);
+            sample.side_bits_per_element =
+                BlockCoeffs::byte_len(nd) as f64 * 8.0 / block_elems as f64;
+            let blocks = BlockIter::new(shape, REGRESSION_BLOCK_SIDE);
+            let mut kept = kept_visits(
+                blocks.block_count(),
+                target_samples.div_ceil(block_elems),
+                phase,
+            )
+            .peekable();
+            let strides = shape.strides();
+            for (b, block) in blocks.enumerate() {
+                if kept.next_if_eq(&b).is_none() {
+                    continue;
+                }
+                let coeffs = fit_block_with(shape, &block, get);
+                for local in Shape::new(block.size_slice()).indices() {
+                    let lin: usize =
+                        (0..nd).map(|a| (block.origin[a] + local[a]) * strides[a]).sum();
+                    sample.push(get(lin), coeffs.predict(&local[..nd]));
+                }
             }
         }
     }
-    let side_bits = BlockCoeffs::byte_len(nd) as f64 * 8.0;
-    PredictionSample {
-        errors,
-        predictor: PredictorKind::Regression,
-        ndim: nd,
-        n_elements: shape.len(),
-        verbatim_fraction: 0.0,
-        side_bits_per_element: side_bits / block_elems as f64,
-        sparse_count: sparse,
-    }
+    sample
+}
+
+/// The visits a strided sampler keeps of a traversal `population` long:
+/// every `stride`-th one from `phase % stride`, with the stride that keeps
+/// about `target` of them. The stride is odd — coprime with power-of-two
+/// extents — so a raster walk cannot alias onto a few columns of the grid
+/// (an even stride over a 2^k-wide row would sample the same column
+/// positions forever; the stencil enumeration rasters within each level,
+/// the block one over block columns).
+fn kept_visits(population: usize, target: usize, phase: u64) -> impl Iterator<Item = usize> {
+    let stride = sample_stride(population, target);
+    ((phase % stride as u64) as usize..population).step_by(stride)
+}
+
+fn sample_stride(population: usize, target: usize) -> usize {
+    (population / target).max(1) | 1
 }
 
 #[cfg(test)]
@@ -387,11 +357,87 @@ mod tests {
             let a = sample_prediction_errors(&data, shape, kind, 400);
             let b = sample_prediction_errors(&data, shape, kind, 400);
             assert_eq!(a.errors, b.errors, "{kind:?} must be deterministic");
-            assert!(!a.errors.is_empty());
-            // Strided sampling is approximate; allow a generous band
-            // (regression samples whole blocks).
-            assert!(a.errors.len() <= 4096 + 1300, "{kind:?}: {}", a.errors.len());
+            // The odd stride rounds the sample up or down by a stride's
+            // worth; regression rounds up to whole blocks on top.
+            assert!((300..=500).contains(&a.errors.len()), "{kind:?}: {}", a.errors.len());
         }
+        // The sample tracks its target, point predictors and block ones.
+        for target in [41, 205, 819] {
+            for kind in [PredictorKind::Lorenzo, PredictorKind::Interpolation] {
+                let got = sample_prediction_errors(&data, shape, kind, target).errors.len();
+                assert!(got.abs_diff(target) <= target / 4 + 8, "{kind:?} {target}: {got}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_phase_shifts_the_stride_along_the_traversal() {
+        // The sample at phase p is visits p, p + stride, … of the traversal
+        // the exhaustive sample lists — points, stencil targets, or blocks.
+        for shape in [Shape::d1(500), Shape::d2(100, 77), Shape::d3(13, 8, 21)] {
+            let mut data = smooth(shape);
+            data[..shape.len() / 5].fill(0.0); // a quiescent stretch
+            for kind in PredictorKind::all() {
+                let all = sample_prediction_errors(&data, shape, kind, usize::MAX);
+                let target = shape.len() / 20;
+                // How many elements one visit yields, and how many visits.
+                let (unit, population) = match kind {
+                    PredictorKind::Regression => {
+                        // Clipped blocks differ in size: compare block by block.
+                        let blocks = BlockIter::new(shape, REGRESSION_BLOCK_SIDE);
+                        (REGRESSION_BLOCK_SIDE.pow(shape.ndim() as u32), blocks.block_count())
+                    }
+                    _ => (1, all.errors.len()),
+                };
+                let stride = sample_stride(population, target.div_ceil(unit));
+                assert!(stride > 1, "{kind:?}: the test needs a real stride");
+                let sizes: Vec<usize> = match kind {
+                    PredictorKind::Regression => {
+                        BlockIter::new(shape, REGRESSION_BLOCK_SIDE).map(|b| b.len()).collect()
+                    }
+                    _ => vec![1; population],
+                };
+                let starts: Vec<usize> = sizes
+                    .iter()
+                    .scan(0, |at, &len| {
+                        *at += len;
+                        Some(*at - len)
+                    })
+                    .collect();
+                for phase in [0u64, 1, stride as u64 - 1, stride as u64, 20220509] {
+                    let got = sample_prediction_errors_at(&data, shape, kind, target, phase);
+                    let want: Vec<f64> = ((phase % stride as u64) as usize..population)
+                        .step_by(stride)
+                        .flat_map(|v| all.errors[starts[v]..starts[v] + sizes[v]].iter().copied())
+                        .collect();
+                    let what = format!("{kind:?} on {:?} at phase {phase}", shape.dims());
+                    assert_eq!(got.errors, want, "{what}");
+                    assert_eq!(got.verbatim_fraction, all.verbatim_fraction, "{what}");
+                    assert_eq!(got.side_bits_per_element, all.side_bits_per_element, "{what}");
+                    let zeros = want.iter().filter(|&&e| e == 0.0).count();
+                    assert!(got.sparse_count <= zeros, "{what}");
+                }
+                let phase0 = sample_prediction_errors(&data, shape, kind, target);
+                let same = sample_prediction_errors_at(&data, shape, kind, target, stride as u64);
+                assert_eq!(phase0.errors, same.errors, "{kind:?}: phase is taken modulo stride");
+            }
+        }
+    }
+
+    #[test]
+    fn quiescent_zeros_are_counted_inline() {
+        // Value 0 predicted as 0: counted in `sparse_count`, kept in `errors`.
+        let shape = Shape::d2(40, 50);
+        let mut data = smooth(shape);
+        data[..20 * 50].fill(0.0);
+        for kind in [PredictorKind::Lorenzo, PredictorKind::Interpolation] {
+            let s = sample_prediction_errors(&data, shape, kind, shape.len());
+            let zeros = s.errors.iter().filter(|&&e| e == 0.0).count();
+            assert!(s.sparse_count > 700 && s.sparse_count <= zeros, "{kind:?}: {}", s.sparse_count);
+        }
+        let lifted: Vec<f64> = smooth(shape).iter().map(|v| v + 5.0).collect();
+        let none = sample_prediction_errors(&lifted, shape, PredictorKind::Lorenzo, 500);
+        assert_eq!(none.sparse_count, 0);
     }
 
     #[test]
@@ -454,14 +500,32 @@ mod tests {
         let s = sample_prediction_errors(&data, shape, PredictorKind::Interpolation, 500);
         assert!(s.verbatim_fraction > 0.0);
         assert!(s.verbatim_fraction < 0.2);
+        // Anchors are stored verbatim, never predicted: the exhaustive
+        // sample is every other point, and the fraction is theirs exactly.
+        for shape in [shape, Shape::d3(32, 32, 32), Shape::d2(17, 9), Shape::d1(1)] {
+            let data = smooth(shape);
+            let all = sample_prediction_errors(&data, shape, PredictorKind::Interpolation, usize::MAX);
+            let n_anchors = crate::interp::anchors(shape).len();
+            assert_eq!(all.errors.len(), shape.len() - n_anchors, "{:?}", shape.dims());
+            assert_eq!(all.verbatim_fraction, n_anchors as f64 / shape.len() as f64);
+        }
     }
 
     #[test]
-    fn regression_reports_side_bits() {
-        let shape = Shape::d2(24, 24);
+    fn regression_samples_whole_blocks_and_reports_side_bits() {
+        let shape = Shape::d2(60, 60);
         let data = smooth(shape);
         let s = sample_prediction_errors(&data, shape, PredictorKind::Regression, 500);
         assert!(s.side_bits_per_element > 0.0);
+        // 60 = 10 × 6: no clipped block, so the sample is a whole number of
+        // 6 × 6 blocks, about as many as cover the target.
+        assert_eq!(s.errors.len() % 36, 0);
+        assert!((500..=500 + 2 * 36).contains(&s.errors.len()), "{}", s.errors.len());
+        // 4 f32 coefficients per 6³ block = 128 bits / 216 elements.
+        let cube = Shape::d3(18, 18, 18);
+        let s = sample_prediction_errors(&smooth(cube), cube, PredictorKind::Regression, 2000);
+        assert!((s.side_bits_per_element - 128.0 / 216.0).abs() < 1e-12);
+        assert_eq!(s.errors.len() % 216, 0);
     }
 
     #[test]
