@@ -25,8 +25,8 @@ pub(crate) fn transfer_fraction(c2: f64, total: f64, p0: f64) -> Option<f64> {
     (frac > 0.0).then_some(frac)
 }
 
-/// `σ²(B[0])` of Eq. 11 from the central bin's weighted sums `Σw`, `Σw·e`
-/// and `Σw·e²`. The model applies the cascade inflation
+/// `σ²(B[0])` of Eq. 11 from the central bin's count `w` and sums `Σe` and
+/// `Σe²`. The model applies the cascade inflation
 /// ([`ErrorSample::quality_kappa`]) on top, since that needs the sparse
 /// fraction, which lives outside the histogram.
 pub(crate) fn central_variance(w: f64, we: f64, we2: f64) -> f64 {
@@ -38,16 +38,16 @@ pub(crate) fn central_variance(w: f64, we: f64, we2: f64) -> f64 {
     }
 }
 
-/// A (weighted, sparse) estimated quantization-code histogram.
+/// A (sparse) estimated quantization-code histogram.
 #[derive(Clone, Debug)]
 pub struct EstimatedHistogram {
-    /// Weighted mass per quantization code with any, ascending by code.
+    /// Mass (sample count) per quantization code with any, ascending by code.
     bins: Vec<(i32, f64)>,
     /// Total in-range mass.
     total: f64,
     /// Mass quantized beyond the code radius (escape path).
     pub escape_mass: f64,
-    /// Weighted variance of the errors that landed in the central bin —
+    /// Variance of the errors that landed in the central bin —
     /// the `σ(B[0])` of Eq. 11.
     pub central_bin_variance: f64,
 }
@@ -103,20 +103,20 @@ impl EstimatedHistogram {
         let mut flat = vec![0.0f64; spare + 1];
         let (mut escape_mass, mut total) = (0.0, 0.0);
         let (mut central_w, mut central_sum, mut central_sq) = (0.0, 0.0, 0.0);
-        for ((&err, &w), &code) in errors.iter().zip(&sample.weights).zip(&codes) {
-            escape_mass += keep_if(code == ESCAPED, w);
-            total += keep_if(code != ESCAPED, w);
-            let (w0, err0) = (keep_if(code == 0, w), keep_if(code == 0, err));
-            central_w += w0;
-            central_sum += w0 * err0;
-            central_sq += w0 * err0 * err0;
+        for (&err, &code) in errors.iter().zip(&codes) {
+            escape_mass += keep_if(code == ESCAPED, 1.0);
+            total += keep_if(code != ESCAPED, 1.0);
+            let err0 = keep_if(code == 0, err);
+            central_w += keep_if(code == 0, 1.0);
+            central_sum += err0;
+            central_sq += err0 * err0;
             let slot = (code as i64 - lo as i64) as usize;
-            flat[if counted && code != ESCAPED { slot } else { spare }] += w;
+            flat[if counted && code != ESCAPED { slot } else { spare }] += 1.0;
         }
         let bins = if counted {
             (lo..=hi).zip(flat).filter(|&(_, m)| m > 0.0).collect()
         } else {
-            sorted_masses(&codes, &sample.weights)
+            sorted_masses(&codes)
         };
         let mut h = EstimatedHistogram {
             bins,
@@ -295,22 +295,19 @@ fn keep_if(keep: bool, x: f64) -> f64 {
     f64::from_bits(x.to_bits() & (keep as u64).wrapping_neg())
 }
 
-/// Per-code masses of the samples that did not escape, ascending by code,
-/// each the sum of its weights in sample order (the sort is stable); codes
-/// without mass are left out. What the flat table of
+/// Per-code masses of the samples that did not escape, ascending by code;
+/// codes without mass are left out. What the flat table of
 /// [`EstimatedHistogram::build`] counts, for codes too scattered to count.
-fn sorted_masses(codes: &[i32], weights: &[f64]) -> Vec<(i32, f64)> {
-    let mut coded: Vec<(i32, f64)> =
-        codes.iter().copied().zip(weights.iter().copied()).filter(|c| c.0 != ESCAPED).collect();
-    coded.sort_by_key(|&(code, _)| code);
+fn sorted_masses(codes: &[i32]) -> Vec<(i32, f64)> {
+    let mut coded: Vec<i32> = codes.iter().copied().filter(|&c| c != ESCAPED).collect();
+    coded.sort_unstable();
     let mut bins: Vec<(i32, f64)> = Vec::new();
-    for (code, w) in coded {
+    for code in coded {
         match bins.last_mut() {
-            Some((last, m)) if *last == code => *m += w,
-            _ => bins.push((code, w)),
+            Some((last, m)) if *last == code => *m += 1.0,
+            _ => bins.push((code, 1.0)),
         }
     }
-    bins.retain(|&(_, m)| m > 0.0);
     bins
 }
 
@@ -320,10 +317,8 @@ mod tests {
     use rq_predict::PredictorKind;
 
     fn sample_of(errors: Vec<f64>, predictor: PredictorKind) -> ErrorSample {
-        let weights = vec![1.0; errors.len()];
         ErrorSample {
             errors,
-            weights,
             predictor,
             n_elements: 1000,
             verbatim_fraction: 0.0,
@@ -412,27 +407,20 @@ mod tests {
     fn scattered_codes_are_binned_like_dense_ones() {
         // A handful of codes spread over the whole radius is sorted into
         // bins, a dense run counted into the flat table; either way a
-        // bin's mass is its weights summed in sample order.
-        let weights: Vec<f64> = (0..40).map(|i| 1.0 / (3.0 + i as f64)).collect();
+        // bin's mass is how many samples carry its code.
         let scattered = [-30_000.0, 7.0, 1e9, 0.0, 29_999.0, 7.0, -30_000.0];
         let dense = [2.0, -1.0, 0.0, f64::NAN, 0.0, 2.0, 1.0];
         for (codes, want) in [(scattered, [-30_000, 0, 7, 29_999]), (dense, [-1, 0, 1, 2])] {
             // Bin width 1: an error is its own code.
             let errors: Vec<f64> = (0..40).map(|i| codes[i % 7]).collect();
-            let mut s = sample_of(errors.clone(), PredictorKind::Regression);
-            s.weights = weights.clone();
+            let s = sample_of(errors.clone(), PredictorKind::Regression);
             let h = EstimatedHistogram::build(&s, 0.5, 1 << 15);
             assert_eq!(h.bins.iter().map(|b| b.0).collect::<Vec<_>>(), want);
             for &(code, mass) in &h.bins {
-                let mut in_order = 0.0;
-                for (&e, &w) in errors.iter().zip(&weights) {
-                    if e == code as f64 {
-                        in_order += w;
-                    }
-                }
-                assert_eq!(mass, in_order, "code {code}");
+                let count = errors.iter().filter(|&&e| e == code as f64).count();
+                assert_eq!(mass, count as f64, "code {code}");
             }
-            assert!((h.total - h.bins.iter().map(|b| b.1).sum::<f64>()).abs() < 1e-12);
+            assert_eq!(h.total, h.bins.iter().map(|b| b.1).sum::<f64>());
         }
         let outside = sample_of(vec![1e9, f64::NAN], PredictorKind::Lorenzo);
         let none = EstimatedHistogram::build(&outside, 0.5, 10);

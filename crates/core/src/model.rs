@@ -75,7 +75,7 @@ pub struct Estimate {
 ///   each for predictors without feedback noise (interpolation,
 ///   regression), but for the dozen nearest the target, which take one
 ///   `estimate` as every step does with it (Lorenzo) — ≈ 0.7 ms / ≈ 7 ms;
-/// * memory: the sample (2 `f64` per error) plus 4 `f64` per error of
+/// * memory: the sample (1 `f64` per error) plus 3 `f64` per error of
 ///   sorted magnitudes and prefix sums.
 #[derive(Clone, Debug)]
 pub struct RqModel {
@@ -90,7 +90,7 @@ pub struct RqModel {
 }
 
 /// The finite errors of a sample by ascending magnitude, with running sums
-/// of `w`, `w·e` and `w·e²` in that order: `cum_*[i]` covers `abs[..=i]`.
+/// of `e` and `e²` in that order: `cum_*[i]` covers `abs[..=i]`.
 ///
 /// A code `round(e / 2eb)` never decreases in magnitude as `|e|` grows, so
 /// "every error with `|code| ≤ k`" is a prefix of this order, found by
@@ -98,33 +98,29 @@ pub struct RqModel {
 #[derive(Clone, Debug)]
 struct SortedErrors {
     abs: Vec<f64>,
-    cum_w: Vec<f64>,
-    cum_we: Vec<f64>,
-    cum_we2: Vec<f64>,
+    cum_e: Vec<f64>,
+    cum_e2: Vec<f64>,
 }
 
 impl SortedErrors {
     fn of(sample: &ErrorSample) -> Self {
-        let finite = sample.errors.iter().zip(&sample.weights).filter(|(e, _)| e.is_finite());
-        let mut order: Vec<(f64, f64, f64)> = finite.map(|(&e, &w)| (e.abs(), e, w)).collect();
+        let finite = sample.errors.iter().filter(|e| e.is_finite());
+        let mut order: Vec<(f64, f64)> = finite.map(|&e| (e.abs(), e)).collect();
         // Stable, so equal magnitudes stay in sample order.
         order.sort_by(|a, b| a.0.total_cmp(&b.0));
         let n = order.len();
         let mut sorted = SortedErrors {
             abs: Vec::with_capacity(n),
-            cum_w: Vec::with_capacity(n),
-            cum_we: Vec::with_capacity(n),
-            cum_we2: Vec::with_capacity(n),
+            cum_e: Vec::with_capacity(n),
+            cum_e2: Vec::with_capacity(n),
         };
-        let (mut w_sum, mut we_sum, mut we2_sum) = (0.0, 0.0, 0.0);
-        for (abs, e, w) in order {
-            w_sum += w;
-            we_sum += w * e;
-            we2_sum += w * e * e;
+        let (mut e_sum, mut e2_sum) = (0.0, 0.0);
+        for (abs, e) in order {
+            e_sum += e;
+            e2_sum += e * e;
             sorted.abs.push(abs);
-            sorted.cum_w.push(w_sum);
-            sorted.cum_we.push(we_sum);
-            sorted.cum_we2.push(we2_sum);
+            sorted.cum_e.push(e_sum);
+            sorted.cum_e2.push(e2_sum);
         }
         sorted
     }
@@ -339,8 +335,8 @@ impl RqModel {
     ///
     /// Eq. 11–12 need four things of the histogram: the zero bin's mass and
     /// moments, the in-radius mass, and — for the Eq. 9 transfer into and
-    /// out of the zero bin — the mass of codes ±1. Each is a difference of
-    /// prefix sums of the sorted errors.
+    /// out of the zero bin — the mass of codes ±1. Each is a count or a
+    /// prefix sum of the sorted errors.
     fn psnr_probe(&self, eb: f64) -> Option<f64> {
         if self.sample.feedback_kappa > 0.0 {
             return None;
@@ -349,35 +345,32 @@ impl RqModel {
         let bin_width = 2.0 * eb;
         let zero = s.count_within(bin_width, 0.0);
         let one = s.count_within(bin_width, 1.0);
-        let total = prefix(&s.cum_w, s.count_within(bin_width, self.radius as f64));
-        let zero_mass = prefix(&s.cum_w, zero);
+        let total = s.count_within(bin_width, self.radius as f64) as f64;
+        let zero_mass = zero as f64;
         let mut p0 = if total == 0.0 { 0.0 } else { zero_mass / total };
         if let Some(frac) = transfer_fraction(self.sample.predictor.bin_transfer_c2(), total, p0) {
-            let beside = prefix(&s.cum_w, one) - zero_mass;
+            let beside = one as f64 - zero_mass;
             p0 = (zero_mass + beside * frac / 2.0 - zero_mass * frac) / total;
         }
-        let central = central_variance(
-            zero_mass,
-            prefix(&s.cum_we, zero),
-            prefix(&s.cum_we2, zero),
-        );
+        let central =
+            central_variance(zero_mass, prefix(&s.cum_e, zero), prefix(&s.cum_e2, zero));
         Some(quality::psnr_model(self.value_range, self.sigma2(eb, p0, central)))
     }
 
-    /// Weighted quantile of |prediction error|: the error bound at which
-    /// the zero bin captures probability `p` (the anchor-point machinery of
+    /// Quantile of |prediction error|: the error bound at which the zero
+    /// bin captures probability `p` (the anchor-point machinery of
     /// §III-B1). Always a valid bound: never below `f64::MIN_POSITIVE`.
     pub fn error_quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "quantile {p} outside [0,1]");
-        let s = &self.sorted;
-        let Some(&total) = s.cum_w.last() else {
+        let abs = &self.sorted.abs;
+        if abs.is_empty() {
             // No finite error to rank: the smallest bound there is, so that
             // what comes back is always a bound.
             return f64::MIN_POSITIVE;
-        };
-        // The first error at which the running weight reaches p of it all.
-        let at = s.cum_w.partition_point(|&acc| acc < p * total);
-        s.abs[at.min(s.abs.len() - 1)].max(f64::MIN_POSITIVE)
+        }
+        // The first error with at least p of them all at or under it.
+        let rank = ((p * abs.len() as f64).ceil() as usize).clamp(1, abs.len());
+        abs[rank - 1].max(f64::MIN_POSITIVE)
     }
 
     fn eb_search_range(&self) -> (f64, f64) {

@@ -122,10 +122,8 @@ mod tests {
     use rq_predict::PredictorKind;
 
     fn hist_from(errors: Vec<f64>, eb: f64) -> EstimatedHistogram {
-        let weights = vec![1.0; errors.len()];
         let s = ErrorSample {
             errors,
-            weights,
             predictor: PredictorKind::Regression,
             n_elements: 1000,
             verbatim_fraction: 0.0,

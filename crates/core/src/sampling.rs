@@ -18,7 +18,7 @@
 //! A stride over the interpolation traversal samples every level in
 //! proportion to its size (§III-C2: each level is 2⁻ⁿ of the next). The
 //! level-aware alternative this crate used to carry — coarse levels
-//! exhaustively, inverse-probability weights — was dropped for it: on the
+//! exhaustively, inverse-probability weighting — was dropped for it: on the
 //! repository benchmark the two differ by at most 0.0008 in ratio accuracy
 //! and 0.0004 in PSNR accuracy, in both directions, and plan the same
 //! bound to the last bit.
@@ -26,14 +26,12 @@
 use rq_predict::lorenzo::LorenzoStencil;
 use rq_predict::PredictorKind;
 
-/// A weighted sample of prediction errors.
+/// A sample of prediction errors, every one standing for as many points
+/// of the field as any other.
 #[derive(Clone, Debug)]
 pub struct ErrorSample {
     /// Sampled prediction errors (original-value predictions).
     pub errors: Vec<f64>,
-    /// Inverse-probability weight of each sample (1.0 when sampling was
-    /// uniform). The weighted histogram estimates the full-field histogram.
-    pub weights: Vec<f64>,
     /// Predictor the sample was drawn for.
     pub predictor: PredictorKind,
     /// Number of elements in the sampled field.
@@ -107,10 +105,8 @@ impl ErrorSample {
             PredictorKind::Interpolation => (0.0, INTERP_QUALITY_KAPPA),
             PredictorKind::Regression => (0.0, 0.0),
         };
-        let weights = vec![1.0; errors.len()];
         ErrorSample {
             errors,
-            weights,
             predictor: ps.predictor,
             n_elements: ps.n_elements,
             verbatim_fraction: ps.verbatim_fraction,
@@ -131,30 +127,23 @@ impl ErrorSample {
         self.errors.is_empty()
     }
 
-    /// Weighted standard deviation of the sampled errors.
-    pub fn weighted_std(&self) -> f64 {
-        let wsum: f64 = self.weights.iter().sum();
-        if wsum == 0.0 {
+    /// Standard deviation of the sampled errors.
+    pub fn std(&self) -> f64 {
+        let n = self.errors.len() as f64;
+        if n == 0.0 {
             return 0.0;
         }
-        let mean: f64 =
-            self.errors.iter().zip(&self.weights).map(|(e, w)| e * w).sum::<f64>() / wsum;
-        let var: f64 = self
-            .errors
-            .iter()
-            .zip(&self.weights)
-            .map(|(e, w)| w * (e - mean).powi(2))
-            .sum::<f64>()
-            / wsum;
+        let mean: f64 = self.errors.iter().sum::<f64>() / n;
+        let var: f64 = self.errors.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / n;
         var.sqrt()
     }
 
     /// The signal scale the feedback noise of §III-C4 saturates at:
-    /// [`Self::weighted_std`] for a predictor with feedback, and 0 (never
+    /// [`Self::std`] for a predictor with feedback, and 0 (never
     /// read) without. Two passes over the sample, so a model takes it once.
     pub(crate) fn feedback_std(&self) -> f64 {
         if self.feedback_kappa > 0.0 {
-            self.weighted_std()
+            self.std()
         } else {
             0.0
         }
@@ -194,7 +183,7 @@ mod tests {
         for kind in PredictorKind::all() {
             let s = sample_of(&f, kind, shape.len() / 20);
             assert!(!s.is_empty());
-            let sd = s.weighted_std();
+            let sd = s.std();
             // Field range ~4; smooth field predicts well for every family.
             assert!(sd < 0.5, "{kind:?} sd {sd}");
         }
@@ -214,7 +203,7 @@ mod tests {
         let full = sample_of(&f, PredictorKind::Lorenzo, f.len());
         let sampled = sample_of(&f, PredictorKind::Lorenzo, f.len() / 100);
         assert_eq!(full.len(), f.len());
-        let (a, b) = (full.weighted_std(), sampled.weighted_std());
+        let (a, b) = (full.std(), sampled.std());
         assert!((a - b).abs() / a < 0.15, "full {a} sampled {b}");
     }
 

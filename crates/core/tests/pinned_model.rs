@@ -189,6 +189,39 @@ mod frozen {
     const BIN_TRANSFER_THRESHOLD: f64 = 0.8;
     const SPARSE_RESIDUAL_BITS: f64 = 0.05;
 
+    /// `rq_core::ErrorSample` as it was at afd36c1: with a weight per
+    /// error. The model's samples are uniform now and carry none; the
+    /// frozen bodies below are handed 1.0 for each, which multiplies and
+    /// sums exactly.
+    #[derive(Clone)]
+    pub struct ErrorSample {
+        pub errors: Vec<f64>,
+        pub weights: Vec<f64>,
+        pub predictor: PredictorKind,
+        pub n_elements: usize,
+        pub verbatim_fraction: f64,
+        pub side_bits_per_element: f64,
+        pub feedback_kappa: f64,
+        pub quality_kappa: f64,
+        pub sparse_fraction: f64,
+    }
+
+    impl ErrorSample {
+        pub fn with_unit_weights(s: &rq_core::ErrorSample) -> Self {
+            ErrorSample {
+                errors: s.errors.clone(),
+                weights: vec![1.0; s.errors.len()],
+                predictor: s.predictor,
+                n_elements: s.n_elements,
+                verbatim_fraction: s.verbatim_fraction,
+                side_bits_per_element: s.side_bits_per_element,
+                feedback_kappa: s.feedback_kappa,
+                quality_kappa: s.quality_kappa,
+                sparse_fraction: s.sparse_fraction,
+            }
+        }
+    }
+
     fn weighted_std(s: &ErrorSample) -> f64 {
         let wsum: f64 = s.weights.iter().sum();
         if wsum == 0.0 {
@@ -402,9 +435,9 @@ mod frozen {
     impl Model {
         /// What `RqModel::build` kept beside the sample: `value_range()`
         /// and a Welford pass over the whole field.
-        pub fn of<T: Scalar>(field: &NdArray<T>, sample: &ErrorSample) -> Self {
+        pub fn of<T: Scalar>(field: &NdArray<T>, sample: &rq_core::ErrorSample) -> Self {
             Model {
-                sample: sample.clone(),
+                sample: ErrorSample::with_unit_weights(sample),
                 scalar_bits: T::BITS,
                 value_range: field.value_range(),
                 data_variance: Moments::from_slice(field.as_slice()).variance(),
@@ -580,7 +613,7 @@ fn every_derived_number_matches_the_frozen_model() {
         for (name, f) in &fields {
             let what = format!("{kind:?}/{name}");
             assert_matches_frozen(&what, f, &RqModel::build(f, kind, 0.1, 11));
-            // The deterministic per-chunk constructor: uniform weights.
+            // The deterministic per-chunk constructor: phase 0.
             let strided = RqModel::build_strided(f.as_slice(), f.shape(), kind, 1500);
             assert_matches_frozen(&format!("{what}/strided"), f, &strided);
         }
@@ -602,7 +635,11 @@ fn the_public_histogram_matches_the_frozen_one() {
         let s = ErrorSample::from_prediction_sample(&ps);
         for eb in [1e-7, 1e-6, 1e-3, 3e-2, 0.5, 40.0] {
             let new = rq_core::EstimatedHistogram::build(&s, eb, DEFAULT_RADIUS);
-            let old = frozen::Hist::build(&s, eb, DEFAULT_RADIUS);
+            let old = frozen::Hist::build(
+                &frozen::ErrorSample::with_unit_weights(&s),
+                eb,
+                DEFAULT_RADIUS,
+            );
             let what = format!("{kind:?} eb {eb:e}");
             assert_eq!(new.occupied_bins(), old.occupied_bins(), "{what}: occupied bins");
             assert_eq!(new.p0(), old.p0(), "{what}: p0");

@@ -67,8 +67,8 @@ fn table2_column_averages_stay_under_their_ceilings() {
         let model = RqModel::build(&field, kind, 0.01, 20220509);
         let exhaustive =
             sample_prediction_errors(field.as_slice(), field.shape(), kind, field.len());
-        let full = ErrorSample::from_prediction_sample(&exhaustive).weighted_std();
-        let sampled = model.sample().weighted_std();
+        let full = ErrorSample::from_prediction_sample(&exhaustive).std();
+        let sampled = model.sample().std();
         let (mut huff, mut lossless, mut overall, mut quality, mut ssim) =
             (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for i in 0..POINTS {
