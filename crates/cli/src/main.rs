@@ -527,7 +527,9 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
         None if range > 0.0 && range.is_finite() => {
             (0..6).map(|i| range * 1e-6 * 10f64.powi(i)).collect()
         }
-        None => return Err(format!("no bounds to derive from a value range of {range}: give --abs")),
+        None => {
+            return Err(format!("no bounds to derive from a value range of {range}: give --abs"))
+        }
     };
     println!(
         "{:>12} {:>10} {:>8} {:>9} {:>9} {:>9}",

@@ -88,26 +88,25 @@ impl EstimatedHistogram {
             (lo, hi) = (lo.min(if code == ESCAPED { i32::MAX } else { code }), hi.max(code));
         }
 
-        // Then every sum, each in sample order: the five that are one
-        // number, and the per-code masses — counted into a flat table when
-        // the codes are about as dense as the sample, which they are at
-        // every bound near a target (`sorted_masses` takes the rest: a
-        // bound so small that the few codes still inside the radius are
-        // scattered across it). A term that does not belong to a sum is
-        // added to it as 0.0, or to a spare slot of the table: that changes
+        // Then the counts and sums, each in sample order: escapes, the zero
+        // bin's count and moments, and the per-code masses — counted into a
+        // flat table when the codes are about as dense as the sample, which
+        // they are at every bound near a target (`sorted_masses` takes the
+        // rest: a bound so small that the few codes still inside the radius
+        // are scattered across it). A term that does not belong to a sum is
+        // added to it as 0, or to a spare slot of the table: that changes
         // no sum, and unlike a branch on a coin-flip code it cannot be
         // mispredicted.
         let span = if lo <= hi { (hi as i64 - lo as i64) as usize + 1 } else { 0 };
         let counted = span <= 2 * codes.len() + FLAT_SLACK;
         let spare = if counted { span } else { 0 };
         let mut flat = vec![0.0f64; spare + 1];
-        let (mut escape_mass, mut total) = (0.0, 0.0);
-        let (mut central_w, mut central_sum, mut central_sq) = (0.0, 0.0, 0.0);
+        let (mut escaped, mut zeros) = (0usize, 0usize);
+        let (mut central_sum, mut central_sq) = (0.0, 0.0);
         for (&err, &code) in errors.iter().zip(&codes) {
-            escape_mass += keep_if(code == ESCAPED, 1.0);
-            total += keep_if(code != ESCAPED, 1.0);
+            escaped += (code == ESCAPED) as usize;
+            zeros += (code == 0) as usize;
             let err0 = keep_if(code == 0, err);
-            central_w += keep_if(code == 0, 1.0);
             central_sum += err0;
             central_sq += err0 * err0;
             let slot = (code as i64 - lo as i64) as usize;
@@ -120,9 +119,9 @@ impl EstimatedHistogram {
         };
         let mut h = EstimatedHistogram {
             bins,
-            total,
-            escape_mass,
-            central_bin_variance: central_variance(central_w, central_sum, central_sq),
+            total: (codes.len() - escaped) as f64,
+            escape_mass: escaped as f64,
+            central_bin_variance: central_variance(zeros as f64, central_sum, central_sq),
         };
         h.apply_bin_transfer(sample.predictor.bin_transfer_c2());
         h

@@ -168,8 +168,9 @@ mod tests {
         // 99% feedback clamp, ~6x with C1 = 16).
         let high = rle_ratio(0.999, 1.0);
         assert!(high > 4.0, "ratio {high}");
-        // Monotone in p0 below the clamp.
+        // Monotone in p0 below the clamp, flat above it.
         assert!(rle_ratio(0.98, 1.0) > rle_ratio(0.9, 1.0));
+        assert!((high - rle_ratio(0.99, 1.0)).abs() < 1e-9);
     }
 
     #[test]

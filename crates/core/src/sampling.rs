@@ -18,10 +18,13 @@
 //! A stride over the interpolation traversal samples every level in
 //! proportion to its size (§III-C2: each level is 2⁻ⁿ of the next). The
 //! level-aware alternative this crate used to carry — coarse levels
-//! exhaustively, inverse-probability weighting — was dropped for it: on the
-//! repository benchmark the two differ by at most 0.0008 in ratio accuracy
-//! and 0.0004 in PSNR accuracy, in both directions, and plan the same
-//! bound to the last bit.
+//! exhaustively, inverse-probability weighting — was dropped for it. What
+//! that costs: the few coarse-level targets, whose errors are the largest,
+//! are reached by luck, so the sample's own std is farther from the
+//! field's (Table II's sampling column reads 0.183 %, 0.135 % before). What
+//! it does not cost: on the repository benchmark the two samplers differ by
+//! at most 0.0020 in ratio accuracy and 0.0004 in PSNR accuracy, in both
+//! directions, and plan the same bounds to the last bit (CHANGES.md, PR 21).
 
 use rq_predict::lorenzo::LorenzoStencil;
 use rq_predict::PredictorKind;

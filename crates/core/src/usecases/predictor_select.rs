@@ -26,11 +26,7 @@ impl PredictorSelector {
         seed: u64,
     ) -> Self {
         assert!(!candidates.is_empty(), "need at least one candidate");
-        let models = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| RqModel::build(field, k, rate, seed.wrapping_add(i as u64)))
-            .collect();
+        let models = candidates.iter().map(|&k| RqModel::build(field, k, rate, seed)).collect();
         PredictorSelector { models }
     }
 

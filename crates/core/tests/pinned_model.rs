@@ -613,7 +613,7 @@ fn every_derived_number_matches_the_frozen_model() {
         for (name, f) in &fields {
             let what = format!("{kind:?}/{name}");
             assert_matches_frozen(&what, f, &RqModel::build(f, kind, 0.1, 11));
-            // The deterministic per-chunk constructor: phase 0.
+            // The per-chunk constructor, at a sample count of its own.
             let strided = RqModel::build_strided(f.as_slice(), f.shape(), kind, 1500);
             assert_matches_frozen(&format!("{what}/strided"), f, &strided);
         }

@@ -254,29 +254,21 @@ impl Pass {
     #[inline]
     pub fn target(&self, j: usize) -> InterpTarget {
         assert!(j < self.len, "target {j} of a pass of {}", self.len);
-        self.targets(j, 1).current()
+        PassTargets::at(self, j, 1).current()
     }
 
     /// Targets `first`, `first + step`, `first + 2·step`, … of the pass, in
     /// order, while they are inside it. `first` is split into its
     /// mixed-radix digits once; every later target is reached by adding
     /// `step` to them with carry, which at `step` 1 is an increment.
-    pub fn targets(&self, first: usize, step: usize) -> PassTargets<'_> {
+    pub fn targets(&self, first: usize, step: usize) -> impl Iterator<Item = InterpTarget> + '_ {
         assert!(step > 0, "a step of 0 never leaves its target");
-        let mut digits = [0usize; MAX_DIMS];
-        let mut rest = first;
-        for d in (0..self.ndim).rev() {
-            let count = self.lattice[d].2.max(1);
-            digits[d] = rest % count;
-            rest /= count;
-        }
-        PassTargets { pass: self, j: first, step, digits }
+        PassTargets::at(self, first, step)
     }
 }
 
 /// Iterator of [`Pass::targets`].
-#[derive(Clone, Debug)]
-pub struct PassTargets<'a> {
+struct PassTargets<'a> {
     pass: &'a Pass,
     /// Index in the pass of the target `digits` spell, `≥ len` once done.
     j: usize,
@@ -284,7 +276,18 @@ pub struct PassTargets<'a> {
     digits: [usize; MAX_DIMS],
 }
 
-impl PassTargets<'_> {
+impl<'a> PassTargets<'a> {
+    fn at(pass: &'a Pass, first: usize, step: usize) -> Self {
+        let mut digits = [0usize; MAX_DIMS];
+        let mut rest = first;
+        for d in (0..pass.ndim).rev() {
+            let count = pass.lattice[d].2.max(1);
+            digits[d] = rest % count;
+            rest /= count;
+        }
+        PassTargets { pass, j: first, step, digits }
+    }
+
     /// The target `digits` spell.
     #[inline]
     fn current(&self) -> InterpTarget {
@@ -483,7 +486,7 @@ mod tests {
                     let stepped: Vec<_> = pass.targets(first, step).map(id).collect();
                     let indexed: Vec<_> =
                         (first..pass.len()).step_by(step).map(|j| id(pass.target(j))).collect();
-                    assert_eq!(stepped, indexed, "shape {:?}, from {first} by {step}", shape.dims());
+                    assert_eq!(stepped, indexed, "{:?}, from {first} by {step}", shape.dims());
                 }
             }
         }

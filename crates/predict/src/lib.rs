@@ -22,7 +22,7 @@
 //! | [`lorenzo`]    | §II-B, §III-C1 | order-1/2 Lorenzo stencils (and their sampling variant) |
 //! | [`interp`]     | §II-B, §III-C1 | the SZ3 multi-level interpolation traversal |
 //! | [`regression`] | §II-B, §III-C1 | SZ2 block-wise linear regression with coefficient side channel |
-//! | [`sample`]     | §III-C        | deterministic strided error sampling + sampled bit-rate estimate (codec scheduling) |
+//! | [`sample`]     | §III-C        | the one strided error sampler (model, planner, scheduler) + the scheduler's sampled bit-rate estimate |
 //!
 //! In the chunk-parallel pipeline every chunk starts a fresh traversal, so
 //! each predictor's causal history never crosses an axis-0 slab boundary.
@@ -32,9 +32,7 @@ pub mod lorenzo;
 pub mod regression;
 pub mod sample;
 
-pub use sample::{
-    sample_prediction_errors, sample_prediction_errors_at, PredictionSample, SampledEstimate,
-};
+pub use sample::{sample_prediction_errors, PredictionSample, SampledEstimate};
 
 /// Which predictor a pipeline uses. Serialized into container headers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -1,19 +1,27 @@
-//! Deterministic strided sampling of prediction errors, and the sampled
-//! ratio estimate built on it (paper §III-C, recast for scheduling).
+//! The one §III-C sampling pass — deterministic, strided, addressed by
+//! index — and the sampled ratio estimate the scheduler builds on it.
 //!
-//! The full ratio-quality model (`rq-core`) performs one randomized
-//! sampling pass and answers *every* error bound from it. The adaptive
-//! codec scheduler in `rq-compress` needs the same primitive — "how many
-//! bits/value would the prediction+quantization+entropy path spend on this
-//! slab?" — but from *inside* the compressor, below `rq-core` in the crate
-//! graph, and it must be bit-deterministic (container bytes are required
-//! to be a pure function of field and configuration, independent of thread
-//! count). This module therefore re-exposes the model's data-dependent
-//! core as a public API at the predictor layer:
+//! The paper's model has one data-dependent input: a cheap sample of
+//! original-value prediction errors, which answers *every* error bound.
+//! Three consumers read it, and all of them read it here: the
+//! ratio-quality model (`rq-core`: `RqModel::build` at a sampling rate,
+//! `RqModel::build_strided` per chunk for every `--target-*` plan) and the
+//! adaptive codec scheduler in `rq-compress`, which sits below `rq-core`
+//! in the crate graph and must be bit-deterministic (container bytes are
+//! required to be a pure function of field and configuration, independent
+//! of thread count).
 //!
-//! * [`sample_prediction_errors`] — a *strided* (seed-free, deterministic)
-//!   sample of original-value prediction errors, per predictor family, the
-//!   §III-C sampling pass without the RNG;
+//! * [`sample_prediction_errors`] — a uniform odd stride over each
+//!   predictor's own traversal: raster points (Lorenzo), the
+//!   level-by-level stencil plan (interpolation), whole blocks
+//!   (regression), from the first visit on. A kept visit is reached by
+//!   its index in the traversal, without touching the points between, so
+//!   the cost is O(sample), and there is one sample per (field, predictor,
+//!   target). A stride over the interpolation plan samples every level in
+//!   proportion to its size; `rq-core` used to carry a second, level-aware
+//!   randomized sampler (coarse levels exhaustively, inverse-probability
+//!   weighting), which bought no accuracy the benchmark could resolve
+//!   (CHANGES.md, PR 21) and was deleted;
 //! * [`PredictionSample::estimate`] — the Eq. 1 entropy bit-rate of the
 //!   quantized sample plus the escape / anchor / side-channel overheads,
 //!   i.e. the sampled model estimate the scheduler compares codecs with.
@@ -218,19 +226,6 @@ pub fn sample_prediction_errors<T: Scalar>(
     predictor: PredictorKind,
     target_samples: usize,
 ) -> PredictionSample {
-    sample_prediction_errors_at(data, shape, predictor, target_samples, 0)
-}
-
-/// [`sample_prediction_errors`] starting at visit `phase % stride` of the
-/// traversal instead of visit 0: the same stride, so the same share of
-/// every region and level, over other points. Any `phase` is valid.
-pub fn sample_prediction_errors_at<T: Scalar>(
-    data: &[T],
-    shape: Shape,
-    predictor: PredictorKind,
-    target_samples: usize,
-    phase: u64,
-) -> PredictionSample {
     assert_eq!(data.len(), shape.len(), "data length must match shape");
     assert!(target_samples > 0, "target_samples must be positive");
     let get = |lin: usize| data[lin].to_f64();
@@ -245,14 +240,15 @@ pub fn sample_prediction_errors_at<T: Scalar>(
         sparse_count: 0,
     };
     match predictor {
-        // TemporalDelta traverses its (residual) field with the order-1
-        // Lorenzo stencil, so the same sampler applies.
         PredictorKind::Lorenzo | PredictorKind::TemporalDelta | PredictorKind::Lorenzo2 => {
+            // TemporalDelta traverses its (residual) field with the order-1
+            // Lorenzo stencil, so the same sampler applies, under that name.
             let order = if predictor == PredictorKind::Lorenzo2 { 2 } else { 1 };
-            sample.predictor =
-                if order == 1 { PredictorKind::Lorenzo } else { PredictorKind::Lorenzo2 };
+            if order == 1 {
+                sample.predictor = PredictorKind::Lorenzo;
+            }
             let stencil = LorenzoStencil::new(nd, order);
-            for lin in kept_visits(n, target_samples, phase) {
+            for lin in (0..n).step_by(odd_stride(n, target_samples)) {
                 let idx = shape.unoffset(lin);
                 sample.push(get(lin), stencil.predict_with(shape, &idx[..nd], get));
             }
@@ -263,9 +259,9 @@ pub fn sample_prediction_errors_at<T: Scalar>(
             let table = passes(shape);
             let targets: usize = table.iter().map(Pass::len).sum();
             sample.verbatim_fraction = (n - targets) as f64 / n as f64;
-            let stride = sample_stride(targets, target_samples);
-            // The first kept visit, counted from the start of the next pass.
-            let mut first = (phase % stride as u64) as usize;
+            // `first`: the next kept visit, counted from the start of `pass`.
+            let stride = odd_stride(targets, target_samples);
+            let mut first = 0;
             for pass in &table {
                 for t in pass.targets(first, stride) {
                     sample.push(get(t.target), t.predict_with(get));
@@ -281,17 +277,10 @@ pub fn sample_prediction_errors_at<T: Scalar>(
             sample.side_bits_per_element =
                 BlockCoeffs::byte_len(nd) as f64 * 8.0 / block_elems as f64;
             let blocks = BlockIter::new(shape, REGRESSION_BLOCK_SIDE);
-            let mut kept = kept_visits(
-                blocks.block_count(),
-                target_samples.div_ceil(block_elems),
-                phase,
-            )
-            .peekable();
+            let target_blocks = target_samples.div_ceil(block_elems);
+            let stride = odd_stride(blocks.block_count(), target_blocks);
             let strides = shape.strides();
-            for (b, block) in blocks.enumerate() {
-                if kept.next_if_eq(&b).is_none() {
-                    continue;
-                }
+            for block in blocks.step_by(stride) {
                 let coeffs = fit_block_with(shape, &block, get);
                 for local in Shape::new(block.size_slice()).indices() {
                     let lin: usize =
@@ -304,19 +293,13 @@ pub fn sample_prediction_errors_at<T: Scalar>(
     sample
 }
 
-/// The visits a strided sampler keeps of a traversal `population` long:
-/// every `stride`-th one from `phase % stride`, with the stride that keeps
-/// about `target` of them. The stride is odd — coprime with power-of-two
+/// The stride that keeps about `target` visits of a traversal `population`
+/// long, counting from the first. It is odd — coprime with power-of-two
 /// extents — so a raster walk cannot alias onto a few columns of the grid
 /// (an even stride over a 2^k-wide row would sample the same column
 /// positions forever; the stencil enumeration rasters within each level,
 /// the block one over block columns).
-fn kept_visits(population: usize, target: usize, phase: u64) -> impl Iterator<Item = usize> {
-    let stride = sample_stride(population, target);
-    ((phase % stride as u64) as usize..population).step_by(stride)
-}
-
-fn sample_stride(population: usize, target: usize) -> usize {
+fn odd_stride(population: usize, target: usize) -> usize {
     (population / target).max(1) | 1
 }
 
@@ -371,55 +354,25 @@ mod tests {
     }
 
     #[test]
-    fn a_phase_shifts_the_stride_along_the_traversal() {
-        // The sample at phase p is visits p, p + stride, … of the traversal
-        // the exhaustive sample lists — points, stencil targets, or blocks.
-        for shape in [Shape::d1(500), Shape::d2(100, 77), Shape::d3(13, 8, 21)] {
-            let mut data = smooth(shape);
-            data[..shape.len() / 5].fill(0.0); // a quiescent stretch
+    fn the_stride_keeps_every_kth_visit_of_the_traversal() {
+        // Visits 0, stride, 2·stride, … of what the exhaustive sample lists:
+        // points, stencil targets (the kept index carries from pass to
+        // pass), or blocks (extents in multiples of 6: every block is whole).
+        for shape in [Shape::d1(498), Shape::d2(96, 78), Shape::d3(12, 18, 24)] {
+            let data = smooth(shape);
             for kind in PredictorKind::all() {
                 let all = sample_prediction_errors(&data, shape, kind, usize::MAX);
+                let unit = match kind {
+                    PredictorKind::Regression => REGRESSION_BLOCK_SIDE.pow(shape.ndim() as u32),
+                    _ => 1,
+                };
                 let target = shape.len() / 20;
-                // How many elements one visit yields, and how many visits.
-                let (unit, population) = match kind {
-                    PredictorKind::Regression => {
-                        // Clipped blocks differ in size: compare block by block.
-                        let blocks = BlockIter::new(shape, REGRESSION_BLOCK_SIDE);
-                        (REGRESSION_BLOCK_SIDE.pow(shape.ndim() as u32), blocks.block_count())
-                    }
-                    _ => (1, all.errors.len()),
-                };
-                let stride = sample_stride(population, target.div_ceil(unit));
+                let stride = odd_stride(all.errors.len() / unit, target.div_ceil(unit));
                 assert!(stride > 1, "{kind:?}: the test needs a real stride");
-                let sizes: Vec<usize> = match kind {
-                    PredictorKind::Regression => {
-                        BlockIter::new(shape, REGRESSION_BLOCK_SIDE).map(|b| b.len()).collect()
-                    }
-                    _ => vec![1; population],
-                };
-                let starts: Vec<usize> = sizes
-                    .iter()
-                    .scan(0, |at, &len| {
-                        *at += len;
-                        Some(*at - len)
-                    })
-                    .collect();
-                for phase in [0u64, 1, stride as u64 - 1, stride as u64, 20220509] {
-                    let got = sample_prediction_errors_at(&data, shape, kind, target, phase);
-                    let want: Vec<f64> = ((phase % stride as u64) as usize..population)
-                        .step_by(stride)
-                        .flat_map(|v| all.errors[starts[v]..starts[v] + sizes[v]].iter().copied())
-                        .collect();
-                    let what = format!("{kind:?} on {:?} at phase {phase}", shape.dims());
-                    assert_eq!(got.errors, want, "{what}");
-                    assert_eq!(got.verbatim_fraction, all.verbatim_fraction, "{what}");
-                    assert_eq!(got.side_bits_per_element, all.side_bits_per_element, "{what}");
-                    let zeros = want.iter().filter(|&&e| e == 0.0).count();
-                    assert!(got.sparse_count <= zeros, "{what}");
-                }
-                let phase0 = sample_prediction_errors(&data, shape, kind, target);
-                let same = sample_prediction_errors_at(&data, shape, kind, target, stride as u64);
-                assert_eq!(phase0.errors, same.errors, "{kind:?}: phase is taken modulo stride");
+                let want: Vec<f64> =
+                    all.errors.chunks(unit).step_by(stride).flatten().copied().collect();
+                let got = sample_prediction_errors(&data, shape, kind, target);
+                assert_eq!(got.errors, want, "{kind:?} on {:?}", shape.dims());
             }
         }
     }
@@ -433,7 +386,7 @@ mod tests {
         for kind in [PredictorKind::Lorenzo, PredictorKind::Interpolation] {
             let s = sample_prediction_errors(&data, shape, kind, shape.len());
             let zeros = s.errors.iter().filter(|&&e| e == 0.0).count();
-            assert!(s.sparse_count > 700 && s.sparse_count <= zeros, "{kind:?}: {}", s.sparse_count);
+            assert!((701..=zeros).contains(&s.sparse_count), "{kind:?}: {}", s.sparse_count);
         }
         let lifted: Vec<f64> = smooth(shape).iter().map(|v| v + 5.0).collect();
         let none = sample_prediction_errors(&lifted, shape, PredictorKind::Lorenzo, 500);
@@ -504,7 +457,8 @@ mod tests {
         // sample is every other point, and the fraction is theirs exactly.
         for shape in [shape, Shape::d3(32, 32, 32), Shape::d2(17, 9), Shape::d1(1)] {
             let data = smooth(shape);
-            let all = sample_prediction_errors(&data, shape, PredictorKind::Interpolation, usize::MAX);
+            let kind = PredictorKind::Interpolation;
+            let all = sample_prediction_errors(&data, shape, kind, usize::MAX);
             let n_anchors = crate::interp::anchors(shape).len();
             assert_eq!(all.errors.len(), shape.len() - n_anchors, "{:?}", shape.dims());
             assert_eq!(all.verbatim_fraction, n_anchors as f64 / shape.len() as f64);
