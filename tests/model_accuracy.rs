@@ -39,8 +39,9 @@ fn eq20_error_measures_scatter_not_bias() {
 /// The sampling column is the model's own 1 % sample against the exhaustive
 /// one. A uniform stride reaches the few coarse-level interpolation targets,
 /// whose errors are the largest, by luck, so the column reads higher than
-/// under the level-aware sampler its ceiling was set for (0.135 % then,
-/// 0.183 % now).
+/// under the level-aware sampler it replaced (0.135 % then, ceiling
+/// 0.170 %); PR 21 re-set this one ceiling for the strided sampler, 25 %
+/// above what it measures like the others.
 #[test]
 fn table2_column_averages_stay_under_their_ceilings() {
     use rqm::core_model::ErrorSample;
@@ -48,7 +49,7 @@ fn table2_column_averages_stay_under_their_ceilings() {
     const POINTS: usize = 4;
     // (column, ceiling, measured here, paper's Table II average)
     let columns = [
-        ("sample", 0.0017, 0.00135, 0.0012),
+        ("sample", 0.0023, 0.00183, 0.0012),
         ("Huffman", 0.072, 0.0574, 0.0516),
         ("lossless", 0.120, 0.0961, 0.0621),
         ("Huffman+LL", 0.123, 0.0983, 0.0653),
