@@ -518,7 +518,7 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
     println!(
         "model: {} predictor, {} samples in {:?}",
         predictor.name(),
-        model.sample().len(),
+        model.sample().errors.len(),
         model.build_time()
     );
     let range = field.value_range();

@@ -33,22 +33,16 @@
 //!
 //! | Module        | Paper section | Implements                               |
 //! |---------------|---------------|------------------------------------------|
-//! | [`sampling`]  | §III-C1       | the model's view of the strided sample   |
-//! | [`histogram`] | §III-C2–C4    | quantization-bin histogram estimation    |
-//! | [`ratio`]     | §III-B, Eq. 1–7 | bit-rate / lossless-ratio model        |
+//! | [`ratio`]     | §III-B, Eq. 4–7 | the lossless-stage (RLE) ratio model   |
 //! | [`quality`]   | §III-D, Eq. 10–15 | PSNR / SSIM quality model            |
 //! | [`model`]     | §III          | the assembled [`RqModel`]                |
 //! | [`usecases`]  | §IV           | the three model-driven use-cases         |
 
 #![warn(missing_docs)]
 
-pub mod histogram;
 pub mod model;
 pub mod quality;
 pub mod ratio;
-pub mod sampling;
 pub mod usecases;
 
-pub use histogram::EstimatedHistogram;
 pub use model::{Estimate, RqModel};
-pub use sampling::ErrorSample;

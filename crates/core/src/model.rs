@@ -1,12 +1,13 @@
 //! The top-level ratio-quality model facade.
 
-use crate::histogram::{central_variance, transfer_fraction, EstimatedHistogram};
 use crate::quality;
-use crate::ratio::{huffman_bit_rates, rle_ratio};
-use crate::sampling::ErrorSample;
+use crate::ratio::rle_ratio;
 use rq_grid::stats::finite_range_and_moments;
 use rq_grid::{NdArray, Scalar};
-use rq_predict::PredictorKind;
+use rq_predict::histogram::{
+    central_variance, huffman_bit_rates, transfer_fraction, EstimatedHistogram,
+};
+use rq_predict::{PredictionSample, PredictorKind};
 use rq_quant::DEFAULT_RADIUS;
 use std::time::{Duration, Instant};
 
@@ -79,7 +80,7 @@ pub struct Estimate {
 ///   sorted magnitudes and prefix sums.
 #[derive(Clone, Debug)]
 pub struct RqModel {
-    sample: ErrorSample,
+    sample: PredictionSample,
     sorted: SortedErrors,
     feedback_std: f64,
     radius: u32,
@@ -89,7 +90,8 @@ pub struct RqModel {
     build_time: Duration,
 }
 
-/// The finite errors of a sample by ascending magnitude, with running sums
+/// The finite modelled errors of a sample ([`PredictionSample::dense_errors`])
+/// by ascending magnitude, with running sums
 /// of `e` and `e²` in that order: `cum_*[i]` covers `abs[..=i]`.
 ///
 /// A code `round(e / 2eb)` never decreases in magnitude as `|e|` grows, so
@@ -103,9 +105,9 @@ struct SortedErrors {
 }
 
 impl SortedErrors {
-    fn of(sample: &ErrorSample) -> Self {
-        let finite = sample.errors.iter().filter(|e| e.is_finite());
-        let mut order: Vec<(f64, f64)> = finite.map(|&e| (e.abs(), e)).collect();
+    fn of(sample: &PredictionSample) -> Self {
+        let finite = sample.dense_errors().filter(|e| e.is_finite());
+        let mut order: Vec<(f64, f64)> = finite.map(|e| (e.abs(), e)).collect();
         // Stable, so equal magnitudes stay in sample order.
         order.sort_by(|a, b| a.0.total_cmp(&b.0));
         let n = order.len();
@@ -186,12 +188,7 @@ impl RqModel {
     ) -> Self {
         let start = Instant::now();
         let (value_range, moments) = finite_range_and_moments(data);
-        let sample = ErrorSample::from_prediction_sample(&rq_predict::sample_prediction_errors(
-            data,
-            shape,
-            predictor,
-            target_samples,
-        ));
+        let sample = rq_predict::sample_prediction_errors(data, shape, predictor, target_samples);
         let mut model = Self::from_sample(sample, T::BITS, value_range, moments.variance());
         model.build_time = start.elapsed();
         model
@@ -199,7 +196,7 @@ impl RqModel {
 
     /// Build from an existing error sample (for custom sampling setups).
     pub fn from_sample(
-        sample: ErrorSample,
+        sample: PredictionSample,
         scalar_bits: u32,
         value_range: f64,
         data_variance: f64,
@@ -227,7 +224,7 @@ impl RqModel {
     }
 
     /// The underlying error sample.
-    pub fn sample(&self) -> &ErrorSample {
+    pub fn sample(&self) -> &PredictionSample {
         &self.sample
     }
 
@@ -245,11 +242,10 @@ impl RqModel {
     /// operation, Fig. 2).
     pub fn estimate(&self, eb: f64) -> Estimate {
         // The histogram covers the *dense* (non-sparse) symbols; quiescent
-        // exact-zero regions were removed at sampling time (§III-C) and are
-        // folded back in below.
+        // exact-zero regions leave it (§III-C) and are folded back in below.
         let hist =
             EstimatedHistogram::build_with_std(&self.sample, eb, self.radius, self.feedback_std);
-        let sf = self.sample.sparse_fraction;
+        let sf = self.sample.sparse_fraction();
         let p0_dense = hist.p0();
         let p0 = sf + (1.0 - sf) * p0_dense;
         let (b_dense, b_comb) = huffman_bit_rates(&hist, sf);
@@ -296,9 +292,9 @@ impl RqModel {
     /// and central-bin variance.
     fn sigma2(&self, eb: f64, p0_dense: f64, central_bin_variance: f64) -> f64 {
         // Cascade inflation of the central-bin variance (multi-level
-        // interpolation feedback; see ErrorSample::quality_kappa), capped
+        // interpolation feedback; see PredictorKind::quality_kappa), capped
         // at the uniform in-bin variance.
-        let g = self.sample.quality_kappa;
+        let g = self.sample.predictor.quality_kappa();
         let central = if g > 0.0 {
             let gain = 1.0 / (1.0 - g * p0_dense).max(0.05);
             (central_bin_variance * gain).min(eb * eb / 3.0)
@@ -306,7 +302,7 @@ impl RqModel {
             central_bin_variance
         };
         // Sparse points reconstruct exactly: scale the dense variance.
-        (1.0 - self.sample.sparse_fraction) * quality::sigma2_refined(eb, p0_dense, central)
+        (1.0 - self.sample.sparse_fraction()) * quality::sigma2_refined(eb, p0_dense, central)
     }
 
     /// [`Self::estimate`]'s `psnr` in O(log sample), for predictors whose
@@ -318,7 +314,7 @@ impl RqModel {
     /// out of the zero bin — the mass of codes ±1. Each is a count or a
     /// prefix sum of the sorted errors.
     fn psnr_probe(&self, eb: f64) -> Option<f64> {
-        if self.sample.feedback_kappa > 0.0 {
+        if self.sample.feedback_kappa() > 0.0 {
             return None;
         }
         let s = &self.sorted;
@@ -548,7 +544,7 @@ mod tests {
             assert!(built.is_err(), "rate {rate} must be refused");
         }
         // The smallest rate still keeps one sample.
-        assert_eq!(RqModel::build(&f, PredictorKind::Lorenzo, 1e-9, 1).sample().len(), 1);
+        assert_eq!(RqModel::build(&f, PredictorKind::Lorenzo, 1e-9, 1).sample().errors.len(), 1);
     }
 
     #[test]

@@ -12,11 +12,12 @@ use rq_compress::{
     choose_codec, compress_with_report, ChunkCodec, ChunkCodecKind, CodecChoice, CompressorConfig,
     LosslessStage, RolzChunkCodec, SzChunkCodec, ZfpChunkCodec,
 };
-use rq_core::{quality, ratio::rle_ratio, ErrorSample, RqModel};
+use rq_core::{quality, ratio::rle_ratio, RqModel};
 use rq_datagen::fields::{cesm_ts, hurricane_u, mixed_smooth_turbulent};
 use rq_grid::stats::Moments;
 use rq_grid::{NdArray, Scalar, Shape};
-use rq_predict::{sample_prediction_errors, PredictorKind};
+use rq_predict::histogram::{huffman_bit_rates, EstimatedHistogram};
+use rq_predict::{sample_prediction_errors, PredictionSample, PredictorKind};
 use rq_quant::{ErrorBoundMode, LinearQuantizer, DEFAULT_RADIUS};
 
 // ---------------------------------------------------------------- fields --
@@ -194,9 +195,10 @@ mod frozen {
     const SPARSE_RESIDUAL_BITS: f64 = 0.05;
 
     /// `rq_core::ErrorSample` as it was at afd36c1: with a weight per
-    /// error. The model's samples are uniform now and carry none; the
-    /// frozen bodies below are handed 1.0 for each, which multiplies and
-    /// sums exactly.
+    /// error. The model's samples are uniform now and carry none — the
+    /// type itself is gone, the model reads `rq_predict::PredictionSample` —
+    /// so the frozen bodies below are handed 1.0 for each, which multiplies
+    /// and sums exactly.
     #[derive(Clone)]
     pub struct ErrorSample {
         pub errors: Vec<f64>,
@@ -211,17 +213,48 @@ mod frozen {
     }
 
     impl ErrorSample {
-        pub fn with_unit_weights(s: &rq_core::ErrorSample) -> Self {
+        /// `rq_core::ErrorSample::from_prediction_sample` as it was at
+        /// 77305af — the sparse zeros leave the error list, first come first
+        /// dropped, and the predictor's calibrated coefficients are filled
+        /// in — with a unit weight per error that stays.
+        pub fn from_prediction_sample(ps: &PredictionSample) -> Self {
+            let n_sampled = ps.errors.len();
+            let mut to_drop = ps.sparse_count;
+            let errors: Vec<f64> = ps
+                .errors
+                .iter()
+                .copied()
+                .filter(|&e| {
+                    if e == 0.0 && to_drop > 0 {
+                        to_drop -= 1;
+                        false
+                    } else {
+                        true
+                    }
+                })
+                .collect();
+            let sparse_fraction =
+                if n_sampled > 0 { ps.sparse_count as f64 / n_sampled as f64 } else { 0.0 };
+            let lorenzo_kappa = |order: usize| {
+                let taps = rq_predict::lorenzo::LorenzoStencil::new(ps.ndim, order).tap_count();
+                0.577 * (taps as f64).powf(0.25)
+            };
+            let (feedback_kappa, quality_kappa) = match ps.predictor {
+                PredictorKind::Lorenzo | PredictorKind::TemporalDelta => (lorenzo_kappa(1), 0.0),
+                PredictorKind::Lorenzo2 => (lorenzo_kappa(2), 0.0),
+                PredictorKind::Interpolation => (0.0, 0.85),
+                PredictorKind::Regression => (0.0, 0.0),
+            };
             ErrorSample {
-                errors: s.errors.clone(),
-                weights: vec![1.0; s.errors.len()],
-                predictor: s.predictor,
-                n_elements: s.n_elements,
-                verbatim_fraction: s.verbatim_fraction,
-                side_bits_per_element: s.side_bits_per_element,
-                feedback_kappa: s.feedback_kappa,
-                quality_kappa: s.quality_kappa,
-                sparse_fraction: s.sparse_fraction,
+                weights: vec![1.0; errors.len()],
+                errors,
+                predictor: ps.predictor,
+                n_elements: ps.n_elements,
+                verbatim_fraction: ps.verbatim_fraction,
+                side_bits_per_element: ps.side_bits_per_element,
+                feedback_kappa,
+                quality_kappa,
+                sparse_fraction,
             }
         }
     }
@@ -439,9 +472,9 @@ mod frozen {
     impl Model {
         /// What `RqModel::build` kept beside the sample: `value_range()`
         /// and a Welford pass over the whole field.
-        pub fn of<T: Scalar>(field: &NdArray<T>, sample: &rq_core::ErrorSample) -> Self {
+        pub fn of<T: Scalar>(field: &NdArray<T>, sample: &PredictionSample) -> Self {
             Model {
-                sample: ErrorSample::with_unit_weights(sample),
+                sample: ErrorSample::from_prediction_sample(sample),
                 scalar_bits: T::BITS,
                 value_range: field.value_range(),
                 data_variance: Moments::from_slice(field.as_slice()).variance(),
@@ -636,14 +669,10 @@ fn the_public_histogram_matches_the_frozen_one() {
     let f = field::<f32>(Shape::d3(24, 20, 28), 0.3, true);
     for kind in [PredictorKind::Lorenzo, PredictorKind::Interpolation] {
         let ps = sample_prediction_errors(f.as_slice(), f.shape(), kind, f.len() / 10);
-        let s = ErrorSample::from_prediction_sample(&ps);
+        let s = frozen::ErrorSample::from_prediction_sample(&ps);
         for eb in [1e-7, 1e-6, 1e-3, 3e-2, 0.5, 40.0] {
-            let new = rq_core::EstimatedHistogram::build(&s, eb, DEFAULT_RADIUS);
-            let old = frozen::Hist::build(
-                &frozen::ErrorSample::with_unit_weights(&s),
-                eb,
-                DEFAULT_RADIUS,
-            );
+            let new = EstimatedHistogram::build(&ps, eb, DEFAULT_RADIUS);
+            let old = frozen::Hist::build(&s, eb, DEFAULT_RADIUS);
             let what = format!("{kind:?} eb {eb:e}");
             assert_eq!(new.occupied_bins(), old.occupied_bins(), "{what}: occupied bins");
             assert_eq!(new.p0(), old.p0(), "{what}: p0");
@@ -651,13 +680,13 @@ fn the_public_histogram_matches_the_frozen_one() {
             assert_eq!(new.entropy(), old.entropy(), "{what}: entropy");
             assert_eq!(new.central_bin_variance, old.central_bin_variance, "{what}");
             assert_eq!(
-                rq_core::ratio::huffman_bit_rate(&new),
+                huffman_bit_rates(&new, 0.0).0,
                 frozen::huffman_bit_rate(&old),
                 "{what}: Eq. 1"
             );
             for sf in [0.0, 0.3, 1.0] {
                 assert_eq!(
-                    rq_core::ratio::huffman_bit_rate_sparse(&new, sf),
+                    huffman_bit_rates(&new, sf).1,
                     frozen::huffman_bit_rate_sparse(&old, sf),
                     "{what}: Eq. 1 with a sparse fraction of {sf}"
                 );

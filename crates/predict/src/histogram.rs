@@ -8,8 +8,14 @@
 //! bin-transfer of Eq. 9: once the zero bin exceeds θ₂ = 80 %, a fraction
 //! `C₂·(1−p₀)` of every bin leaks to its two neighbors, emulating the extra
 //! dispersion caused by reconstruction feedback.
+//!
+//! [`huffman_bit_rates`] is Eq. 1 on that histogram: the Huffman payload
+//! bit-rate is the Shannon entropy of the code distribution, with the most
+//! frequent code's length clamped to the 1-bit minimum a prefix code can
+//! assign.
 
-use crate::sampling::ErrorSample;
+use crate::sample::PredictionSample;
+use std::borrow::Cow;
 
 /// Bin-transfer activation threshold θ₂ of Eq. 9.
 pub const BIN_TRANSFER_THRESHOLD: f64 = 0.8;
@@ -17,7 +23,7 @@ pub const BIN_TRANSFER_THRESHOLD: f64 = 0.8;
 /// The share `C₂·(1−p₀)` of every bin that Eq. 9 moves to its two
 /// neighbors, or `None` where the transfer does not apply (no `C₂`, an
 /// empty histogram, a zero bin under θ₂).
-pub(crate) fn transfer_fraction(c2: f64, total: f64, p0: f64) -> Option<f64> {
+pub fn transfer_fraction(c2: f64, total: f64, p0: f64) -> Option<f64> {
     if c2 == 0.0 || total == 0.0 || p0 < BIN_TRANSFER_THRESHOLD {
         return None;
     }
@@ -27,9 +33,8 @@ pub(crate) fn transfer_fraction(c2: f64, total: f64, p0: f64) -> Option<f64> {
 
 /// `σ²(B[0])` of Eq. 11 from the central bin's count `w` and sums `Σe` and
 /// `Σe²`. The model applies the cascade inflation
-/// ([`ErrorSample::quality_kappa`]) on top, since that needs the sparse
-/// fraction, which lives outside the histogram.
-pub(crate) fn central_variance(w: f64, we: f64, we2: f64) -> f64 {
+/// ([`crate::PredictorKind::quality_kappa`]) on top.
+pub fn central_variance(w: f64, we: f64, we2: f64) -> f64 {
     if w > 0.0 {
         let mean = we / w;
         (we2 / w - mean * mean).max(0.0)
@@ -53,19 +58,21 @@ pub struct EstimatedHistogram {
 }
 
 impl EstimatedHistogram {
-    /// Quantize the error sample at `eb` with the given code radius and
-    /// apply the correction layer of §III-C4: the Eq. 9 bin transfer plus
-    /// the reconstruction-feedback noise `κ·eb` (see
-    /// [`ErrorSample::feedback_kappa`]) that emulates predicting from
-    /// reconstructed instead of original values.
-    pub fn build(sample: &ErrorSample, eb: f64, radius: u32) -> Self {
+    /// Quantize the sample's modelled errors
+    /// ([`PredictionSample::dense_errors`]: quiescent exact zeros leave the
+    /// distribution, §III-C) at `eb` with the given code radius and apply
+    /// the correction layer of §III-C4: the Eq. 9 bin transfer plus the
+    /// reconstruction-feedback noise `κ·eb` (see
+    /// [`crate::PredictorKind::feedback_kappa`]) that emulates predicting
+    /// from reconstructed instead of original values.
+    pub fn build(sample: &PredictionSample, eb: f64, radius: u32) -> Self {
         Self::build_with_std(sample, eb, radius, sample.feedback_std())
     }
 
-    /// [`Self::build`] given [`ErrorSample::feedback_std`], which a model
-    /// takes once and not per error bound.
-    pub(crate) fn build_with_std(
-        sample: &ErrorSample,
+    /// [`Self::build`] given [`PredictionSample::feedback_std`], which a
+    /// model takes once and not per error bound.
+    pub fn build_with_std(
+        sample: &PredictionSample,
         eb: f64,
         radius: u32,
         feedback_std: f64,
@@ -75,8 +82,7 @@ impl EstimatedHistogram {
         // Three plain loops — perturb, quantize, sum — instead of one that
         // does it all: without the fused loop's data-dependent branches
         // each runs at twice the speed of its share of it.
-        let perturbed = feedback_perturbed(sample, eb, feedback_std);
-        let errors = perturbed.as_deref().unwrap_or(&sample.errors);
+        let errors = &*modelled_errors(sample, eb, feedback_std);
 
         // Codes first: one per sample, in sample order, and the span of the
         // ones inside the radius.
@@ -212,13 +218,18 @@ impl EstimatedHistogram {
     }
 }
 
-/// The sample's errors as the compressor would see them at `eb`: each
-/// finite one plus reconstruction-feedback noise `κ·eb` (see
-/// [`ErrorSample::feedback_kappa`]); `None` for a predictor without it.
-fn feedback_perturbed(sample: &ErrorSample, eb: f64, feedback_std: f64) -> Option<Vec<f64>> {
-    let kappa = sample.feedback_kappa;
+/// The sample's modelled errors as the compressor would see them at `eb`:
+/// each finite one plus reconstruction-feedback noise `κ·eb` (see
+/// [`crate::PredictorKind::feedback_kappa`]). The sparse zeros are skipped
+/// before the noise is drawn, so they take none of the stream; a sample
+/// with neither is borrowed as it is.
+fn modelled_errors(sample: &PredictionSample, eb: f64, feedback_std: f64) -> Cow<'_, [f64]> {
+    let kappa = sample.feedback_kappa();
     if kappa <= 0.0 {
-        return None;
+        return match sample.sparse_count {
+            0 => Cow::Borrowed(&sample.errors),
+            _ => Cow::Owned(sample.dense_errors().collect()),
+        };
     }
     // The feedback scale grows with eb but saturates at a few signal
     // scales: once the bin dwarfs the data's own variation, reconstruction
@@ -247,14 +258,14 @@ fn feedback_perturbed(sample: &ErrorSample, eb: f64, feedback_std: f64) -> Optio
     // chunks are smeared across bins and the model overestimates
     // both their rate and their variance by an order of magnitude
     // (visible in per-chunk quality-targeted planning).
-    let perturb = |&err: &f64| -> f64 {
+    let perturb = |err: f64| -> f64 {
         if err.is_finite() {
             err + fb_scale.min(8.0 * err.abs()) * fb_noise()
         } else {
             err // escapes as it is, and draws no noise
         }
     };
-    Some(sample.errors.iter().map(perturb).collect())
+    Cow::Owned(sample.dense_errors().map(perturb).collect())
 }
 
 /// What [`quantization_code`] says of a sample beyond the radius. No code a
@@ -310,21 +321,91 @@ fn sorted_masses(codes: &[i32]) -> Vec<(i32, f64)> {
     bins
 }
 
+/// Eq. 1 from one walk of the bins: the Huffman bit-rate of the histogram's
+/// own (dense) code distribution, and that of the combined one in which a
+/// `sparse_fraction` of all symbols are additional zero codes (the
+/// quiescent regions removed from the histogram per §III-C). Without a
+/// sparse fraction the second is the first; both are 0 for an empty
+/// histogram.
+///
+/// Either rate is the entropy of its distribution with the most probable
+/// symbol's length clamped to the 1 bit a prefix code must spend on it.
+pub fn huffman_bit_rates(hist: &EstimatedHistogram, sparse_fraction: f64) -> (f64, f64) {
+    let sf = sparse_fraction.clamp(0.0, 1.0);
+    let keep = 1.0 - sf;
+    // The combined distribution: every bin scaled by `keep`, bin 0 gaining
+    // the sparse mass. Its walk has to know the most probable symbol
+    // before it starts; that takes a scan, but no logarithm.
+    let (mut zero_q, mut best_q) = (sf, 0.0f64);
+    if sf > 0.0 {
+        for (code, p) in hist.probabilities() {
+            if code == 0 {
+                zero_q += p * keep;
+            } else if p > 0.0 {
+                best_q = best_q.max(p * keep);
+            }
+        }
+        best_q = best_q.max(zero_q);
+    }
+    let mut clamped = false;
+    let mut combined_term = |q: f64| -> f64 {
+        if q <= 0.0 {
+            return 0.0;
+        }
+        let len = if q == best_q && !clamped {
+            clamped = true;
+            (-q.log2()).max(1.0)
+        } else {
+            -q.log2()
+        };
+        q * len
+    };
+
+    let mut best_p = 0.0f64;
+    let mut entropy_rest = 0.0f64;
+    let mut combined = 0.0f64;
+    for (code, p) in hist.probabilities() {
+        if p <= 0.0 {
+            continue;
+        }
+        if p > best_p {
+            if best_p > 0.0 {
+                entropy_rest += -best_p * best_p.log2();
+            }
+            best_p = p;
+        } else {
+            entropy_rest += -p * p.log2();
+        }
+        if sf > 0.0 && code != 0 {
+            combined += combined_term(p * keep);
+        }
+    }
+    // The most frequent code cannot be shorter than 1 bit.
+    let dense =
+        if best_p == 0.0 { 0.0 } else { entropy_rest + best_p * (-best_p.log2()).max(1.0) };
+    if sf == 0.0 {
+        return (dense, dense);
+    }
+    // The zero symbol comes last in the combined sum.
+    (dense, combined + combined_term(zero_q))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rq_predict::PredictorKind;
+    use crate::PredictorKind;
 
-    fn sample_of(errors: Vec<f64>, predictor: PredictorKind) -> ErrorSample {
-        ErrorSample {
+    /// A hand-made sample. Interpolation where a test wants the Eq. 9
+    /// transfer alone: it has a `C₂` and no feedback noise.
+    fn sample_of(errors: Vec<f64>, predictor: PredictorKind) -> PredictionSample {
+        PredictionSample {
             errors,
             predictor,
+            ndim: 1,
             n_elements: 1000,
             verbatim_fraction: 0.0,
             side_bits_per_element: 0.0,
-            feedback_kappa: 0.0,
-            quality_kappa: 0.0,
-            sparse_fraction: 0.0,
+            sparse_count: 0,
         }
     }
 
@@ -351,12 +432,12 @@ mod tests {
 
     #[test]
     fn bin_transfer_only_above_threshold() {
-        // 85% zeros: Lorenzo triggers the Eq. 9 correction.
+        // 85% zeros: interpolation triggers the Eq. 9 correction.
         let mut errors = vec![0.0; 850];
         errors.extend(vec![1.0; 150]);
-        let s = sample_of(errors.clone(), PredictorKind::Lorenzo);
+        let s = sample_of(errors.clone(), PredictorKind::Interpolation);
         let h = EstimatedHistogram::build(&s, 0.4, 1 << 15);
-        // Without transfer p0 would be exactly 0.85; with C2=0.2 mass moved
+        // Without transfer p0 would be exactly 0.85; with C2=0.1 mass moved
         // out of the zero bin.
         assert!(h.p0() < 0.85, "p0 {} should shrink", h.p0());
         // Regression (C2 = 0) must not move anything.
@@ -369,7 +450,7 @@ mod tests {
     fn below_threshold_no_transfer() {
         let mut errors = vec![0.0; 700];
         errors.extend((0..300).map(|i| 1.0 + (i % 5) as f64));
-        let s = sample_of(errors, PredictorKind::Lorenzo);
+        let s = sample_of(errors, PredictorKind::Interpolation);
         let h = EstimatedHistogram::build(&s, 0.4, 1 << 15);
         assert!((h.p0() - 0.7).abs() < 1e-12);
     }
@@ -378,7 +459,7 @@ mod tests {
     fn mass_conserved_by_transfer() {
         let mut errors = vec![0.0; 9500];
         errors.extend(vec![0.9; 500]);
-        let s = sample_of(errors, PredictorKind::Lorenzo);
+        let s = sample_of(errors, PredictorKind::Interpolation);
         let h = EstimatedHistogram::build(&s, 0.4, 1 << 15);
         let total: f64 = h.probabilities().map(|(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -473,6 +554,54 @@ mod tests {
         for x in [1.5, -2.25e-300, f64::NAN, f64::INFINITY, -0.0] {
             assert_eq!(keep_if(true, x).to_bits(), x.to_bits());
             assert_eq!(keep_if(false, x).to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn bit_rate_matches_entropy_for_flat_histograms() {
+        // 16 equi-probable codes => exactly 4 bits.
+        let errors: Vec<f64> = (0..1600).map(|i| (i % 16) as f64 - 7.5).collect();
+        let h = EstimatedHistogram::build(&sample_of(errors, PredictorKind::Regression), 0.5, 1 << 15);
+        assert!((huffman_bit_rates(&h, 0.0).0 - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dominant_code_clamped_to_one_bit() {
+        // 99.9% zeros: entropy says 0.011 bits/symbol for the zero code but
+        // Huffman must spend ≥ 1 bit on it.
+        let mut errors = vec![0.0; 9990];
+        errors.extend((0..10).map(|i| 2.0 + i as f64));
+        let h = EstimatedHistogram::build(&sample_of(errors, PredictorKind::Regression), 0.5, 1 << 15);
+        let (dense, combined) = huffman_bit_rates(&h, 0.0);
+        assert!(dense >= 0.999, "bit rate {dense} must be ≥ ~1");
+        assert_eq!(dense, combined);
+        // And in the combined distribution, where sparse zeros dominate.
+        assert!(huffman_bit_rates(&h, 0.5).1 >= 0.999);
+    }
+
+    #[test]
+    fn empty_histogram_zero_rate() {
+        let h = EstimatedHistogram::build(&sample_of(vec![], PredictorKind::Regression), 0.5, 1 << 15);
+        assert_eq!(huffman_bit_rates(&h, 0.0), (0.0, 0.0));
+    }
+
+    #[test]
+    fn sparse_zeros_leave_the_histogram_and_draw_no_noise() {
+        // The first `sparse_count` exact zeros are not modelled: with them
+        // counted, the histogram is that of the sample without them — also
+        // under Lorenzo's feedback noise, whose stream they do not advance.
+        let dense: Vec<f64> = (1..=600).map(|i| ((i as f64) * 0.377).sin()).collect();
+        for kind in [PredictorKind::Regression, PredictorKind::Lorenzo] {
+            let mut inline = vec![0.0; 5];
+            inline.extend(dense.iter().flat_map(|&e| [e, 0.0]));
+            let mut with_zeros = sample_of(inline, kind);
+            with_zeros.sparse_count = 400;
+            let mut without: Vec<f64> = dense[..395].to_vec();
+            without.extend(dense[395..].iter().flat_map(|&e| [e, 0.0]));
+            let a = EstimatedHistogram::build(&with_zeros, 0.05, 1 << 15);
+            let b = EstimatedHistogram::build(&sample_of(without, kind), 0.05, 1 << 15);
+            assert_eq!(a.bins, b.bins, "{kind:?}");
+            assert_eq!(a.central_bin_variance, b.central_bin_variance, "{kind:?}");
         }
     }
 

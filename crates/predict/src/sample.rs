@@ -55,9 +55,8 @@ pub struct PredictionSample {
     /// other families).
     pub side_bits_per_element: f64,
     /// How many of `errors` came from quiescent exactly-zero regions
-    /// (value 0 and error 0). Kept inline so [`Self::estimate`] is
-    /// unchanged; consumers that model sparse runs separately (the
-    /// ratio-quality model's §III-C treatment) can subtract them.
+    /// (value 0 and error 0). They stay inline — `errors` is every visit —
+    /// and [`Self::dense_errors`] skips them.
     pub sparse_count: usize,
 }
 
@@ -84,6 +83,58 @@ impl PredictionSample {
             self.sparse_count += 1;
         }
         self.errors.push(err);
+    }
+
+    /// Share of the sampled points in quiescent exactly-zero regions. The
+    /// paper's §III-C notes that for sparse scientific data these zeros
+    /// must be removed from the prediction-error distribution; they are
+    /// modelled separately (contiguous zero runs are nearly free under RLE,
+    /// unlike the independent-code assumption of Eq. 7).
+    pub fn sparse_fraction(&self) -> f64 {
+        match self.errors.len() {
+            0 => 0.0,
+            n => self.sparse_count as f64 / n as f64,
+        }
+    }
+
+    /// The modelled distribution: `errors` without its first
+    /// `sparse_count` exact zeros (first come, first dropped — a zero is a
+    /// zero, but the order decides which errors the feedback noise of
+    /// [`crate::histogram`] meets).
+    pub fn dense_errors(&self) -> impl Iterator<Item = f64> + '_ {
+        let mut to_drop = self.sparse_count;
+        self.errors.iter().copied().filter(move |&e| {
+            let dropped = e == 0.0 && to_drop > 0;
+            to_drop -= dropped as usize;
+            !dropped
+        })
+    }
+
+    /// Standard deviation of the modelled errors ([`Self::dense_errors`]).
+    pub fn std(&self) -> f64 {
+        let n = self.errors.len().saturating_sub(self.sparse_count) as f64;
+        if n == 0.0 {
+            return 0.0;
+        }
+        let mean: f64 = self.dense_errors().sum::<f64>() / n;
+        let var: f64 = self.dense_errors().map(|e| (e - mean).powi(2)).sum::<f64>() / n;
+        var.sqrt()
+    }
+
+    /// [`PredictorKind::feedback_kappa`] of the sampled predictor and field.
+    pub fn feedback_kappa(&self) -> f64 {
+        self.predictor.feedback_kappa(self.ndim)
+    }
+
+    /// The signal scale the feedback noise of §III-C4 saturates at:
+    /// [`Self::std`] for a predictor with feedback, and 0 (never read)
+    /// without. Two passes over the sample, so a model takes it once.
+    pub fn feedback_std(&self) -> f64 {
+        if self.feedback_kappa() > 0.0 {
+            self.std()
+        } else {
+            0.0
+        }
     }
 
     /// Estimate the prediction-path bit-rate at absolute bound `eb` with
@@ -391,6 +442,64 @@ mod tests {
         let lifted: Vec<f64> = smooth(shape).iter().map(|v| v + 5.0).collect();
         let none = sample_prediction_errors(&lifted, shape, PredictorKind::Lorenzo, 500);
         assert_eq!(none.sparse_count, 0);
+        assert_eq!(none.sparse_fraction(), 0.0);
+        assert!(none.dense_errors().eq(none.errors.iter().copied()));
+    }
+
+    #[test]
+    fn sparse_zeros_leave_the_modelled_errors_and_become_a_fraction() {
+        // A quiescent first half: its exact zeros are counted, not modelled.
+        let shape = Shape::d2(40, 50);
+        let data: Vec<f64> = shape
+            .indices()
+            .map(|ix| if ix[0] < 20 { 0.0 } else { (ix[1] as f64 * 0.3).sin() + 2.0 })
+            .collect();
+        for kind in [PredictorKind::Lorenzo, PredictorKind::Interpolation] {
+            let s = sample_prediction_errors(&data, shape, kind, shape.len());
+            assert!(s.sparse_count > 0, "{kind:?}");
+            assert_eq!(s.dense_errors().count() + s.sparse_count, s.errors.len(), "{kind:?}");
+            assert_eq!(s.sparse_fraction(), s.sparse_count as f64 / s.errors.len() as f64);
+            assert!((0.3..0.6).contains(&s.sparse_fraction()), "{kind:?}: {}", s.sparse_fraction());
+            // What is left keeps its order, and the first zeros are the ones to go.
+            let kept: Vec<f64> = s.dense_errors().collect();
+            let mut dropped = 0;
+            let want = s.errors.iter().copied().filter(|&e| {
+                let drop = e == 0.0 && dropped < s.sparse_count;
+                dropped += drop as usize;
+                !drop
+            });
+            assert!(kept.iter().copied().eq(want), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn smooth_field_errors_small() {
+        let shape = Shape::d2(64, 64);
+        let data = smooth(shape);
+        for kind in PredictorKind::all() {
+            let s = sample_prediction_errors(&data, shape, kind, shape.len() / 20);
+            assert!(!s.errors.is_empty());
+            // Field range ~4; smooth field predicts well for every family.
+            assert!(s.std() < 0.5, "{kind:?} sd {}", s.std());
+        }
+    }
+
+    #[test]
+    fn sampled_std_matches_full_std_lorenzo() {
+        // The Fig. 4 criterion: sampled error std vs exhaustive std.
+        let shape = Shape::d2(128, 128);
+        let noise = noisy(shape.len(), 0.2);
+        let data: Vec<f64> = shape
+            .indices()
+            .zip(&noise)
+            .map(|(ix, n)| (ix[0] as f64 * 0.1).sin() * 3.0 + n)
+            .collect();
+        let full = sample_prediction_errors(&data, shape, PredictorKind::Lorenzo, shape.len());
+        let sampled =
+            sample_prediction_errors(&data, shape, PredictorKind::Lorenzo, shape.len() / 100);
+        assert_eq!(full.errors.len(), shape.len());
+        let (a, b) = (full.std(), sampled.std());
+        assert!((a - b).abs() / a < 0.15, "full {a} sampled {b}");
     }
 
     #[test]

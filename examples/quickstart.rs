@@ -17,7 +17,7 @@ fn main() {
     println!(
         "model built in {:?} (sampled {} points)\n",
         model.build_time(),
-        model.sample().len()
+        model.sample().errors.len()
     );
 
     // 2. Ask the model about any error bound — microseconds each.

@@ -44,7 +44,6 @@ fn eq20_error_measures_scatter_not_bias() {
 /// above what it measures like the others.
 #[test]
 fn table2_column_averages_stay_under_their_ceilings() {
-    use rqm::core_model::ErrorSample;
     use rqm::predict::sample_prediction_errors;
     const POINTS: usize = 4;
     // (column, ceiling, measured here, paper's Table II average)
@@ -65,9 +64,8 @@ fn table2_column_averages_stay_under_their_ceilings() {
         let range = field.value_range();
         // Sampling error: |sampled std − full std| / range (§V-B1).
         let model = RqModel::build(&field, kind, 0.01, 2);
-        let exhaustive =
-            sample_prediction_errors(field.as_slice(), field.shape(), kind, field.len());
-        let full = ErrorSample::from_prediction_sample(&exhaustive).std();
+        let full =
+            sample_prediction_errors(field.as_slice(), field.shape(), kind, field.len()).std();
         let sampled = model.sample().std();
         let (mut huff, mut lossless, mut overall, mut quality, mut ssim) =
             (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
