@@ -391,8 +391,8 @@ mod tests {
 
     #[test]
     fn degenerate_sample_estimate_is_non_finite_and_loses() {
-        // A hand-built empty sample drives `estimate` through its n == 0
-        // branch, where NaN side-channel bookkeeping poisons the result —
+        // A hand-built empty sample leaves `estimate` nothing but its
+        // overheads, where NaN side-channel bookkeeping poisons the result —
         // the decision seam must shrug it off rather than pick SZ.
         let sample = PredictionSample {
             errors: Vec::new(),

@@ -4,9 +4,7 @@ use crate::quality;
 use crate::ratio::rle_ratio;
 use rq_grid::stats::finite_range_and_moments;
 use rq_grid::{NdArray, Scalar};
-use rq_predict::histogram::{
-    central_variance, huffman_bit_rates, transfer_fraction, EstimatedHistogram,
-};
+use rq_predict::histogram::{central_variance, transfer_fraction};
 use rq_predict::{PredictionSample, PredictorKind};
 use rq_quant::DEFAULT_RADIUS;
 use std::time::{Duration, Instant};
@@ -241,43 +239,31 @@ impl RqModel {
     /// Predict ratio and quality for an absolute error bound (the core
     /// operation, Fig. 2).
     pub fn estimate(&self, eb: f64) -> Estimate {
-        // The histogram covers the *dense* (non-sparse) symbols; quiescent
-        // exact-zero regions leave it (§III-C) and are folded back in below.
-        let hist =
-            EstimatedHistogram::build_with_std(&self.sample, eb, self.radius, self.feedback_std);
+        // The one Eq. 1 estimate, shared with the codec scheduler: the
+        // Huffman-only rate and everything the histogram says. What this
+        // crate adds is the lossless stage and the quality model.
+        let s = self.sample.estimate_with_std(eb, self.radius, self.scalar_bits, self.feedback_std);
         let sf = self.sample.sparse_fraction();
-        let p0_dense = hist.p0();
+        let (p0_dense, b_dense) = (s.p0_dense, s.huffman_bits_dense);
         let p0 = sf + (1.0 - sf) * p0_dense;
-        let (b_dense, b_comb) = huffman_bit_rates(&hist, sf);
-        let bits = self.scalar_bits as f64;
-
         let symbol_frac = 1.0 - self.sample.verbatim_fraction;
-        let escape_frac = symbol_frac * (1.0 - sf) * hist.escape_fraction();
-        let verbatim_bits = (self.sample.verbatim_fraction + escape_frac) * bits;
-        // Serialized codebook ≈ 1 byte per occupied bin (zero-RLE lengths).
-        let codebook_bits = hist.occupied_bins() as f64 * 8.0 / self.sample.n_elements as f64;
-        let overhead_bits =
-            verbatim_bits + self.sample.side_bits_per_element + codebook_bits;
-
-        // Huffman-only: every symbol (dense or sparse) pays its code.
-        let bit_rate_huffman = symbol_frac * b_comb + overhead_bits;
         // With the lossless stage: dense symbols follow the Eq. 4 RLE model;
         // sparse zeros come in contiguous runs and are nearly free.
         let rle = rle_ratio(p0_dense, b_dense.max(1e-9));
         let dense_overall = b_dense / rle;
         let payload_overall =
             symbol_frac * ((1.0 - sf) * dense_overall + sf * SPARSE_RESIDUAL_BITS);
-        let bit_rate = payload_overall + overhead_bits;
-        let ratio = bits / bit_rate.max(1e-12);
+        let bit_rate = payload_overall + s.overhead_bits;
+        let ratio = self.scalar_bits as f64 / bit_rate.max(1e-12);
 
         let sigma2_uniform = quality::sigma2_uniform(eb);
-        let sigma2 = self.sigma2(eb, p0_dense, hist.central_bin_variance);
+        let sigma2 = self.sigma2(eb, p0_dense, s.central_bin_variance);
         let c3 = (0.03 * self.value_range).powi(2);
         Estimate {
             eb,
             p0,
-            escape_fraction: escape_frac,
-            bit_rate_huffman,
+            escape_fraction: s.escape_fraction,
+            bit_rate_huffman: s.bits_per_value,
             bit_rate,
             ratio,
             sigma2_uniform,

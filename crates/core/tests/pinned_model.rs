@@ -157,11 +157,15 @@ fn mixed_slab<T: Scalar>(shape: Shape) -> NdArray<T> {
 /// `sz_bits` of [`choose_codec`] on [`mixed_slab`] configured for
 /// interpolation, `[f32, f64]` per bound of [`SZ_BITS_BOUNDS`], as bits —
 /// the number the strided interpolation sample becomes in an archive.
+/// Re-pinned once, when the scheduler's estimate became the model's
+/// (PR 22): the saturated first bound kept its bits, the second moved by
+/// an ulp (another summation order), the third from 2.024 / 2.026 to
+/// 2.164 / 2.165 bits (the 1-bit floor on the dominant code).
 const SZ_BITS_BOUNDS: [f64; 3] = [1e-4, 1e-2, 0.5];
 const SZ_BITS_PINS: [[u64; 2]; 3] = [
     [0x4036_8F3D_B3FB_3950, 0x4036_8F98_B2AB_0400],
-    [0x401C_964F_948C_E6F8, 0x401C_97BB_AB4E_530F],
-    [0x4000_315C_AB43_9CA6, 0x4000_3434_D8C6_74D3],
+    [0x401C_964F_948C_E6F7, 0x401C_97BB_AB4E_530E],
+    [0x4001_5027_B89A_B299, 0x4001_52FF_E61D_8AC7],
 ];
 
 #[test]
@@ -179,6 +183,41 @@ fn scheduler_sz_bits_are_bit_identical_on_a_mixed_interpolation_slab() {
         })
         .collect();
     assert_eq!(got, SZ_BITS_PINS, "sz_bits moved. All bits now: {got:#018x?}");
+}
+
+#[test]
+fn scheduler_sz_bits_are_the_models_huffman_rate() {
+    // One Eq. 1: what steers the codec choice is what the model reports, to
+    // the last bit — on the mixed slab and on one whose first half is
+    // quiescent (the sparse split), from a bound in the saturation regime
+    // to one where every code is 0.
+    fn check<T: Scalar>(what: &str, slab: &NdArray<T>) -> usize {
+        let mut saturated = 0;
+        for kind in [PredictorKind::Lorenzo, PredictorKind::Interpolation, PredictorKind::Regression]
+        {
+            let model = RqModel::build_strided(slab.as_slice(), slab.shape(), kind, 2048);
+            for eb in [1e-6, 1e-2, 0.5] {
+                let sz = choose_codec(slab.as_slice(), slab.shape(), kind, eb, DEFAULT_RADIUS).sz_bits;
+                let huffman = model.estimate(eb).bit_rate_huffman;
+                assert_eq!(sz.to_bits(), huffman.to_bits(), "{what} {kind:?} at {eb:e}: {sz} {huffman}");
+                let hist = EstimatedHistogram::build(model.sample(), eb, DEFAULT_RADIUS);
+                saturated += hist.saturation(DEFAULT_RADIUS, slab.len() as f64).is_some() as usize;
+            }
+        }
+        saturated
+    }
+    let shape = Shape::d3(16, 40, 36);
+    let mut half_quiet = mixed_slab::<f64>(shape);
+    half_quiet.as_mut_slice()[..shape.len() / 2].fill(0.0);
+    let half_quiet32 = NdArray::from_vec(shape, half_quiet.as_slice().iter().map(|&v| v as f32).collect());
+    assert!(RqModel::build_strided(half_quiet.as_slice(), shape, PredictorKind::Lorenzo, 2048)
+        .sample()
+        .sparse_fraction() > 0.4);
+    let saturated = check("mixed/f32", &mixed_slab::<f32>(shape))
+        + check("mixed/f64", &mixed_slab::<f64>(shape))
+        + check("half quiet/f32", &half_quiet32)
+        + check("half quiet/f64", &half_quiet);
+    assert!((4..36).contains(&saturated), "{saturated} of 36 cases are saturated");
 }
 
 // ------------------------------------------------- the frozen model --
@@ -272,8 +311,8 @@ mod frozen {
     }
 
     pub struct Hist {
-        bins: BTreeMap<i32, f64>,
-        total: f64,
+        pub bins: BTreeMap<i32, f64>,
+        pub total: f64,
         escape_mass: f64,
         pub central_bin_variance: f64,
     }
@@ -484,16 +523,31 @@ mod frozen {
         pub fn estimate(&self, eb: f64) -> Estimate {
             let hist = Hist::build(&self.sample, eb, DEFAULT_RADIUS);
             let sf = self.sample.sparse_fraction;
-            let p0_dense = hist.p0();
-            let p0 = sf + (1.0 - sf) * p0_dense;
             let b_dense = huffman_bit_rate(&hist);
             let b_comb = huffman_bit_rate_sparse(&hist, sf);
+            self.assemble(eb, &hist, b_dense, b_comb, hist.occupied_bins() as f64)
+        }
+
+        /// The frozen `estimate` from its histogram on, with the two Eq. 1
+        /// rates and the occupied-bin count as arguments: `estimate` hands
+        /// it the frozen ones, the saturation check corrected ones.
+        pub fn assemble(
+            &self,
+            eb: f64,
+            hist: &Hist,
+            b_dense: f64,
+            b_comb: f64,
+            occupied: f64,
+        ) -> Estimate {
+            let sf = self.sample.sparse_fraction;
+            let p0_dense = hist.p0();
+            let p0 = sf + (1.0 - sf) * p0_dense;
             let bits = self.scalar_bits as f64;
 
             let symbol_frac = 1.0 - self.sample.verbatim_fraction;
             let escape_frac = symbol_frac * (1.0 - sf) * hist.escape_fraction();
             let verbatim_bits = (self.sample.verbatim_fraction + escape_frac) * bits;
-            let codebook_bits = hist.occupied_bins() as f64 * 8.0 / self.sample.n_elements as f64;
+            let codebook_bits = occupied * 8.0 / self.sample.n_elements as f64;
             let overhead_bits = verbatim_bits + self.sample.side_bits_per_element + codebook_bits;
 
             let bit_rate_huffman = symbol_frac * b_comb + overhead_bits;
@@ -553,7 +607,7 @@ mod frozen {
             pairs.last().unwrap().0.max(f64::MIN_POSITIVE)
         }
 
-        fn eb_search_range(&self) -> (f64, f64) {
+        pub fn eb_search_range(&self) -> (f64, f64) {
             let scale =
                 self.error_quantile(0.9).max(self.value_range * 1e-12).max(f64::MIN_POSITIVE);
             (scale * 1e-9, (self.value_range.max(scale)) * 10.0)
@@ -589,20 +643,74 @@ mod frozen {
 
 // ------------------------------------------------------ differential --
 
+/// The saturation regime of a frozen histogram, from its own bins: the
+/// condition (more than 64 occupied bins, and a quarter as many as in-range
+/// samples) and the two corrections the one estimator applies under it — the
+/// rate Eq. 1 may not fall under, and the bins a slab of `slab_symbols`
+/// symbols occupies (`rq_predict::EstimatedHistogram::saturation`).
+fn saturation(hist: &frozen::Hist, slab_symbols: f64) -> Option<(f64, f64)> {
+    let occupied = hist.bins.len();
+    if !(occupied > 64 && occupied as f64 >= 0.25 * hist.total) {
+        return None;
+    }
+    let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+    for (&code, &mass) in &hist.bins {
+        sum += mass * code as f64;
+        sum_sq += mass * code as f64 * code as f64;
+    }
+    let mean = sum / hist.total;
+    let var = (sum_sq / hist.total - mean * mean).max(0.0) + 1.0 / 12.0;
+    let (lo, hi) = (*hist.bins.keys().next().unwrap(), *hist.bins.keys().next_back().unwrap());
+    let spread = (hi as f64 - lo as f64 + 1.0).max(2.0);
+    let h_gauss = 0.5 * (2.0 * std::f64::consts::PI * std::f64::consts::E * var).log2();
+    let symbols = 2.0 * DEFAULT_RADIUS as f64 + 2.0; // the alphabet and the escape symbol
+    Some((h_gauss.min(spread.log2()).min(symbols.log2()), spread.min(slab_symbols)))
+}
+
+/// The frozen estimate at `eb`, and — where the frozen histogram is
+/// saturated — the frozen assembly of the corrected rates and bin count.
+fn frozen_and_corrected(old: &frozen::Model, eb: f64) -> (frozen::Estimate, Option<frozen::Estimate>) {
+    let hist = frozen::Hist::build(&old.sample, eb, DEFAULT_RADIUS);
+    let sf = old.sample.sparse_fraction;
+    let b_dense = frozen::huffman_bit_rate(&hist);
+    let b_comb = frozen::huffman_bit_rate_sparse(&hist, sf);
+    let occupied = hist.occupied_bins() as f64;
+    let slab_symbols = (1.0 - old.sample.verbatim_fraction) * old.sample.n_elements as f64;
+    let corrected = saturation(&hist, slab_symbols).map(|(rate, bins)| {
+        let (b_dense, b_comb) = (b_dense.max(rate), b_comb.max((1.0 - sf) * rate));
+        old.assemble(eb, &hist, b_dense, b_comb, occupied.max(bins))
+    });
+    (old.assemble(eb, &hist, b_dense, b_comb, occupied), corrected)
+}
+
 /// Hold every derived number of `model` to the frozen bodies' on the same
 /// sample — five bounds, five targets per inversion, five quantiles — bit
 /// for bit: the histogram adds the same terms in the same order as the
 /// `BTreeMap` did, and the inversions branch as theirs did at every step.
 /// `ssim` alone may move (≤ 1e-9 relative): the field's variance now comes
 /// from a fused pass that rounds differently from Welford's.
-fn assert_matches_frozen<T: Scalar>(what: &str, field: &NdArray<T>, model: &RqModel) {
+///
+/// One thing the frozen bodies never had: the saturation corrections the
+/// scheduler's estimate used to keep to itself. Where the frozen histogram
+/// is saturated — the condition is recomputed here from its own bins — the
+/// three rates are held, bit for bit, to the frozen assembly of the
+/// corrected inputs, and may only have grown; everywhere else nothing moved.
+/// Returns how many of the bounds it saw were saturated.
+fn assert_matches_frozen<T: Scalar>(what: &str, field: &NdArray<T>, model: &RqModel) -> usize {
     let old = frozen::Model::of(field, model.sample());
     assert_eq!(model.value_range(), old.value_range, "{what}: value range is exact");
 
     let range = old.value_range.max(1e-30);
+    let mut saturated = 0;
     for rel in [1e-7, 1e-5, 1e-3, 1e-2, 0.3] {
         let eb = rel * range;
-        let (new, want) = (model.estimate(eb), old.estimate(eb));
+        let (frozen, corrected) = frozen_and_corrected(&old, eb);
+        let (new, want) = (model.estimate(eb), corrected.unwrap_or(frozen));
+        if corrected.is_some() {
+            saturated += 1;
+            assert!(new.bit_rate_huffman >= frozen.bit_rate_huffman, "{what} at {eb:e}");
+            assert!(new.bit_rate >= frozen.bit_rate, "{what} at {eb:e}");
+        }
         for (name, a, b) in [
             ("p0", new.p0, want.p0),
             ("escape_fraction", new.escape_fraction, want.escape_fraction),
@@ -633,9 +741,23 @@ fn assert_matches_frozen<T: Scalar>(what: &str, field: &NdArray<T>, model: &RqMo
         assert_eq!(a.to_bits(), b.to_bits(), "{what}: bound for {db} dB = {a:e}, frozen {b:e}");
     }
     for bits in [0.25, 1.0, 2.0, 4.0, 12.0] {
-        let (a, b) = (model.error_bound_for_bit_rate(bits), old.error_bound_for_bit_rate(bits));
+        // The frozen bisection again, on the corrected rates: the same
+        // bound unless a step of it probed a saturated bound.
+        let (mut lo, mut hi) = old.eb_search_range();
+        for _ in 0..100 {
+            let mid = (lo.ln() + hi.ln()).mul_add(0.5, 0.0).exp();
+            let (frozen, corrected) = frozen_and_corrected(&old, mid);
+            if corrected.unwrap_or(frozen).bit_rate > bits {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let (a, b) = (model.error_bound_for_bit_rate(bits), (lo.ln() * 0.5 + hi.ln() * 0.5).exp());
         assert_eq!(a.to_bits(), b.to_bits(), "{what}: bound for {bits} bits = {a:e}, frozen {b:e}");
+        assert!(a >= old.error_bound_for_bit_rate(bits), "{what}: bound for {bits} bits shrank");
     }
+    saturated
 }
 
 #[test]
@@ -646,19 +768,26 @@ fn every_derived_number_matches_the_frozen_model() {
         ("noisy", field(shape, 0.3, false)),
         ("sparse", field(shape, 0.05, true)),
     ];
+    let (mut saturated, mut bounds) = (0, 0);
     for kind in [PredictorKind::Lorenzo, PredictorKind::Interpolation, PredictorKind::Regression] {
         for (name, f) in &fields {
             let what = format!("{kind:?}/{name}");
-            assert_matches_frozen(&what, f, &RqModel::build(f, kind, 0.1, 11));
+            saturated += assert_matches_frozen(&what, f, &RqModel::build(f, kind, 0.1, 11));
             // The per-chunk constructor, at a sample count of its own.
             let strided = RqModel::build_strided(f.as_slice(), f.shape(), kind, 1500);
-            assert_matches_frozen(&format!("{what}/strided"), f, &strided);
+            saturated += assert_matches_frozen(&format!("{what}/strided"), f, &strided);
+            bounds += 10;
         }
     }
     // f64 scalars change `scalar_bits` and nothing else.
     let f = field::<f64>(Shape::d2(90, 70), 0.2, true);
     let m = RqModel::build(&f, PredictorKind::Interpolation, 0.2, 3);
     assert_matches_frozen("Interpolation/f64", &f, &m);
+    // Both sides of the saturation condition were seen (28 of 90 here: the
+    // two tightest bounds of every field but the smooth one under the
+    // point predictors).
+    println!("{saturated} of {bounds} (field, bound) pairs are saturated");
+    assert!(saturated > 0 && saturated < bounds / 2);
 }
 
 #[test]

@@ -209,6 +209,41 @@ impl EstimatedHistogram {
         self.bins.len()
     }
 
+    /// The saturation regime and its two corrections: `None` outside it,
+    /// else the rate (bits per symbol) Eq. 1 may not fall under and the
+    /// bins the whole slab of `slab_symbols` symbols occupies.
+    ///
+    /// A plug-in entropy computed from `N` samples can never exceed
+    /// `log2(N)`. When the codes spread over about as many bins as there
+    /// are samples (more than 64 of them, and a quarter of the in-range
+    /// mass), the true per-symbol cost is recovered from the code variance
+    /// of the bins instead — a Gaussian is the max-entropy distribution for
+    /// a given variance — capped by the uniform cost over the observed code
+    /// spread and over the quantizer's alphabet plus the escape symbol; and
+    /// the slab occupies about `min(spread, slab symbols)` bins, not just
+    /// the ones the sample happened to hit. This is what prices rough
+    /// chunks out of the SZ path (`archive_auto`'s ZFP share); it is applied
+    /// to every symbol, escapes included, and tuning it is ROADMAP item 3's.
+    pub fn saturation(&self, radius: u32, slab_symbols: f64) -> Option<(f64, f64)> {
+        let occupied = self.bins.len();
+        if !(occupied > 64 && occupied as f64 >= 0.25 * self.total) {
+            return None;
+        }
+        let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+        for &(code, mass) in &self.bins {
+            sum += mass * code as f64;
+            sum_sq += mass * code as f64 * code as f64;
+        }
+        let mean = sum / self.total;
+        // +1/12: the variance floor of integer discretization.
+        let var = (sum_sq / self.total - mean * mean).max(0.0) + 1.0 / 12.0;
+        let (lo, hi) = (self.bins[0].0 as f64, self.bins[occupied - 1].0 as f64);
+        let spread = (hi - lo + 1.0).max(2.0);
+        let h_gauss = 0.5 * (2.0 * std::f64::consts::PI * std::f64::consts::E * var).log2();
+        let alphabet = 2.0 * radius as f64 + 1.0;
+        Some((h_gauss.min(spread.log2()).min((alphabet + 1.0).log2()), spread.min(slab_symbols)))
+    }
+
     /// Shannon entropy of the code distribution in bits.
     pub fn entropy(&self) -> f64 {
         self.probabilities()

@@ -30,12 +30,12 @@
 //! one sample reusable across error bounds; the residual bias is small and
 //! identical for every candidate codec, so it cancels in the comparison.
 
+use crate::histogram::{huffman_bit_rates, EstimatedHistogram};
 use crate::interp::{passes, Pass};
 use crate::lorenzo::LorenzoStencil;
 use crate::regression::{fit_block_with, BlockCoeffs, REGRESSION_BLOCK_SIDE};
 use crate::PredictorKind;
 use rq_grid::{BlockIter, Scalar, Shape};
-use rq_quant::LinearQuantizer;
 
 /// A deterministic sample of prediction errors for one field (or slab).
 #[derive(Clone, Debug)]
@@ -60,19 +60,26 @@ pub struct PredictionSample {
     pub sparse_count: usize,
 }
 
-/// The sampled ratio estimate for one error bound — the Eq. 1 bit-rate of
-/// the sample under linear-scaling quantization.
+/// The sampled estimate for one error bound: Eq. 1 on the estimated
+/// histogram with every correction, and what the model builds on it.
 #[derive(Clone, Copy, Debug)]
 pub struct SampledEstimate {
-    /// Estimated bits per value, including escape/anchor/side overheads.
+    /// Huffman-only bits per value: every symbol at its Eq. 1 rate, plus
+    /// `overhead_bits`.
     pub bits_per_value: f64,
-    /// Estimated fraction of quantized points that fall out of the
-    /// quantizer's code range and escape to verbatim storage.
+    /// The part of `bits_per_value` that is not symbol payload: verbatim
+    /// scalars (anchors, escapes), codebook and side channel.
+    pub overhead_bits: f64,
+    /// Eq. 1 rate of the dense (non-sparse) symbols alone, bits per symbol.
+    pub huffman_bits_dense: f64,
+    /// Share of the field's values that fall out of the quantizer's code
+    /// range and escape to verbatim storage.
     pub escape_fraction: f64,
-    /// Estimated zero-code (perfect prediction) probability.
-    pub p0: f64,
-    /// Number of sampled errors the estimate is based on.
-    pub n_samples: usize,
+    /// Zero-code (perfect prediction) share of the dense symbols, after the
+    /// Eq. 9 transfer.
+    pub p0_dense: f64,
+    /// Variance of the errors in the central bin — the `σ(B[0])` of Eq. 11.
+    pub central_bin_variance: f64,
 }
 
 impl PredictionSample {
@@ -137,120 +144,54 @@ impl PredictionSample {
         }
     }
 
-    /// Estimate the prediction-path bit-rate at absolute bound `eb` with
-    /// quantizer `radius`, for a scalar of `scalar_bits` bits.
-    ///
-    /// This is the paper's Eq. 1 evaluated on the sampled histogram: the
-    /// Shannon entropy of the quantization symbols (the Huffman rate is
-    /// within a fraction of a bit of it) plus `scalar_bits` for every
-    /// escaped or verbatim value, the serialized-codebook cost (≈ 1 byte
-    /// per occupied bin, as in the `rq-core` model) and the regression
-    /// side channel.
-    ///
-    /// Two corrections keep the estimate honest on *hard* data, where the
-    /// decision it feeds matters most:
-    ///
-    /// * **entropy saturation** — a plug-in entropy computed from `N`
-    ///   samples can never exceed `log2(N)`; when codes spread over about
-    ///   as many bins as there are samples, the true per-symbol cost is
-    ///   recovered from the sample's code variance instead (a Gaussian is
-    ///   the max-entropy distribution for a given variance, capped by the
-    ///   uniform cost over the observed code spread);
-    /// * **codebook extrapolation** — under the same wide-spread regime,
-    ///   the full slab occupies roughly `min(spread, slab symbols)` bins,
-    ///   not just the bins the sample happened to hit.
+    /// The one Eq. 1 estimate: the Huffman-only bit-rate of the prediction
+    /// path at absolute bound `eb` with quantizer `radius`, for a scalar of
+    /// `scalar_bits` bits — the estimated histogram of [`crate::histogram`]
+    /// (sparse zeros split off, feedback noise, Eq. 9), its two Eq. 1 rates
+    /// with the 1-bit floor, the saturation corrections
+    /// ([`EstimatedHistogram::saturation`]), and around them `scalar_bits`
+    /// for every escaped or verbatim value, the serialized codebook (≈ 1
+    /// byte per occupied bin) and the regression side channel. The
+    /// scheduler compares codecs with `bits_per_value`; `rq-core`'s
+    /// `RqModel::estimate` reports the same number as `bit_rate_huffman` and
+    /// adds the lossless stage (Eq. 4–7) and the quality model from the rest.
     pub fn estimate(&self, eb: f64, radius: u32, scalar_bits: u32) -> SampledEstimate {
-        let q = LinearQuantizer::new(eb, radius);
-        let n = self.errors.len();
-        if n == 0 {
-            return SampledEstimate {
-                bits_per_value: self.verbatim_fraction * scalar_bits as f64
-                    + self.side_bits_per_element,
-                escape_fraction: 0.0,
-                p0: 1.0,
-                n_samples: 0,
-            };
-        }
-        // Quantize the sampled errors into a sparse histogram. Codes are
-        // clustered near zero, so a small dense center plus an overflow
-        // map keeps this near O(n) even for exhaustive samples of
-        // wide-spread data. A BTreeMap (not HashMap) so iteration — and
-        // with it the floating-point entropy summation — is
-        // deterministic, which codec decisions rely on.
-        const CENTER: usize = 512;
-        let mut center = [0u64; 2 * CENTER + 1];
-        let mut tail: std::collections::BTreeMap<i32, u64> = std::collections::BTreeMap::new();
-        let mut escapes = 0u64;
-        let (mut code_min, mut code_max) = (i64::MAX, i64::MIN);
-        let (mut code_sum, mut code_sumsq) = (0.0f64, 0.0f64);
-        for &e in &self.errors {
-            match q.quantize(e) {
-                None => escapes += 1,
-                Some(code) => {
-                    let c = code as i64;
-                    code_min = code_min.min(c);
-                    code_max = code_max.max(c);
-                    code_sum += c as f64;
-                    code_sumsq += (c as f64) * (c as f64);
-                    if c.unsigned_abs() as usize <= CENTER {
-                        center[(c + CENTER as i64) as usize] += 1;
-                    } else {
-                        *tail.entry(code).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        let n_quantized = n as u64 - escapes;
-        let p0 = center[CENTER] as f64 / n as f64;
-        let escape_fraction = escapes as f64 / n as f64;
+        self.estimate_with_std(eb, radius, scalar_bits, self.feedback_std())
+    }
 
-        // Plug-in Shannon entropy of the symbol distribution, escapes
-        // included as one extra symbol (they also pay the verbatim value
-        // below), plus the occupied-bin count.
-        let total = n as f64;
-        let mut entropy = 0.0f64;
-        let mut occupied = 0usize;
-        for &cnt in center.iter().chain(tail.values()) {
-            if cnt > 0 {
-                occupied += 1;
-                let p = cnt as f64 / total;
-                entropy -= p * p.log2();
-            }
+    /// [`Self::estimate`] given [`Self::feedback_std`], which a model takes
+    /// once and not per error bound.
+    pub fn estimate_with_std(
+        &self,
+        eb: f64,
+        radius: u32,
+        scalar_bits: u32,
+        feedback_std: f64,
+    ) -> SampledEstimate {
+        // The histogram covers the *dense* (non-sparse) symbols; quiescent
+        // exact-zero regions leave it (§III-C) and come back as a share of
+        // zero codes in the combined rate.
+        let hist = EstimatedHistogram::build_with_std(self, eb, radius, feedback_std);
+        let sf = self.sparse_fraction();
+        let (mut b_dense, mut b_comb) = huffman_bit_rates(&hist, sf);
+        let symbol_frac = 1.0 - self.verbatim_fraction;
+        let mut occupied = hist.occupied_bins() as f64;
+        if let Some((rate, bins)) = hist.saturation(radius, symbol_frac * self.n_elements as f64) {
+            b_dense = b_dense.max(rate);
+            b_comb = b_comb.max((1.0 - sf) * rate);
+            occupied = occupied.max(bins);
         }
-        if escapes > 0 {
-            let p = escapes as f64 / total;
-            entropy -= p * p.log2();
-        }
-
-        // Saturation regime: the sample occupies about as many bins as it
-        // has points, so the plug-in entropy is bounded by log2(N) while
-        // the true entropy may be far larger.
-        let mut occupied_full = occupied as f64;
-        if n_quantized > 0 && occupied > 64 && occupied as f64 >= 0.25 * n_quantized as f64 {
-            let nq = n_quantized as f64;
-            let mean = code_sum / nq;
-            // +1/12: the variance floor of integer discretization.
-            let var = (code_sumsq / nq - mean * mean).max(0.0) + 1.0 / 12.0;
-            let spread = (code_max - code_min + 1).max(2) as f64;
-            let h_gauss = 0.5 * (2.0 * std::f64::consts::PI * std::f64::consts::E * var).log2();
-            let h_param = h_gauss.min(spread.log2());
-            entropy = entropy.max(h_param.min((q.alphabet_size() as f64 + 1.0).log2()));
-            let slab_symbols = (1.0 - self.verbatim_fraction) * self.n_elements as f64;
-            occupied_full = occupied_full.max(spread.min(slab_symbols));
-        }
-        let codebook_bits =
-            occupied_full * 8.0 / self.n_elements.max(1) as f64;
-
-        let symbol_fraction = 1.0 - self.verbatim_fraction;
-        let bits_per_value = symbol_fraction * (entropy + escape_fraction * scalar_bits as f64)
-            + self.verbatim_fraction * scalar_bits as f64
-            + codebook_bits
-            + self.side_bits_per_element;
+        let escape_fraction = symbol_frac * (1.0 - sf) * hist.escape_fraction();
+        let verbatim_bits = (self.verbatim_fraction + escape_fraction) * scalar_bits as f64;
+        let codebook_bits = occupied * 8.0 / self.n_elements.max(1) as f64;
+        let overhead_bits = verbatim_bits + self.side_bits_per_element + codebook_bits;
         SampledEstimate {
-            bits_per_value,
+            bits_per_value: symbol_frac * b_comb + overhead_bits,
+            overhead_bits,
+            huffman_bits_dense: b_dense,
             escape_fraction,
-            p0,
-            n_samples: n,
+            p0_dense: hist.p0(),
+            central_bin_variance: hist.central_bin_variance,
         }
     }
 }
@@ -518,7 +459,7 @@ mod tests {
         let est = s.estimate(1e-2, 1 << 15, 32);
         assert!(est.bits_per_value < 8.0, "bits {}", est.bits_per_value);
         assert_eq!(est.escape_fraction, 0.0);
-        assert!(est.p0 > 0.1);
+        assert!(est.p0_dense > 0.1);
     }
 
     #[test]
