@@ -87,7 +87,8 @@ mod io;
 use args::Args;
 use rq_catalog::{is_catalog_magic, CatalogIndex, CatalogReader, CatalogWriter};
 use rq_compress::{
-    compress_with_report, generation_name, json_f64, resolved_chunk_rows, ArchiveReader,
+    compress_with_report, generation_name, json_escape, json_f64, resolved_chunk_rows,
+    ArchiveReader,
     ArchiveWriter, ChunkCodecKind, CodecChoice, CompressError, CompressionReport, CompressorConfig,
     Header,
 };
@@ -543,23 +544,6 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Escape a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Name and byte width of the scalar a container's tag byte declares.

@@ -45,7 +45,7 @@ pub use container::{
     CompressError, DecompressError, Header,
 };
 pub use pipeline::{compress, compress_with_report, decompress};
-pub use report::{json_f64, CompressedOutput, CompressionReport};
+pub use report::{json_escape, json_f64, CompressedOutput, CompressionReport};
 pub use rolz::RolzChunkCodec;
 pub use scheduler::pick_codec;
 pub use scheduler::{choose_codec, CodecDecision};

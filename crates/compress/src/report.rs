@@ -1,4 +1,6 @@
-//! Compression outcome descriptors.
+//! Compression outcome descriptors — and the two ways a value becomes JSON
+//! text here (the CLI's hand-rolled `--json` documents): a float through
+//! [`json_f64`], a string through [`json_escape`].
 
 /// Format a float for a hand-rolled JSON document.
 ///
@@ -15,9 +17,28 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
+/// Escape a string for a JSON string literal of a hand-rolled document:
+/// quote, backslash and the control characters; everything else, non-ASCII
+/// included, passes through (JSON text is UTF-8).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod json_tests {
-    use super::json_f64;
+    use super::{json_escape, json_f64};
 
     #[test]
     fn non_finite_floats_become_null() {
@@ -27,6 +48,16 @@ mod json_tests {
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(json_f64(f64::NEG_INFINITY), "null");
+    }
+
+    #[test]
+    fn strings_are_escaped_for_a_json_literal() {
+        assert_eq!(json_escape("plain/path.rqc"), "plain/path.rqc");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("l1\nl2\r\tend"), "l1\\nl2\\r\\tend");
+        assert_eq!(json_escape("\u{0}\u{1f}\u{7f}"), "\\u0000\\u001f\u{7f}");
+        // Non-ASCII is valid JSON text as it is.
+        assert_eq!(json_escape("größe/データ"), "größe/データ");
     }
 }
 

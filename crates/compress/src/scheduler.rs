@@ -13,12 +13,15 @@
 //!
 //! * **SZ** — [`rq_predict::sample_prediction_errors`] draws a strided
 //!   sample of original-value prediction errors from the slab, and
-//!   [`rq_predict::PredictionSample::estimate`] converts it to a bit-rate
-//!   via the Eq. 1 entropy of the quantized sample plus escape / anchor /
-//!   side-channel overheads. This is where SZ's weakness is visible ahead
-//!   of time: errors beyond the quantizer's code range escape to verbatim
-//!   scalars, so rough high-amplitude data at tight bounds costs ≈ 32
-//!   bits/value.
+//!   [`rq_predict::PredictionSample::estimate`] — the one Eq. 1 estimator,
+//!   the same function the ratio-quality model reports as its Huffman-only
+//!   rate; its corrections are described there, not here — prices it. This
+//!   is where SZ's weakness is visible ahead of time: errors beyond the
+//!   quantizer's code range escape to verbatim scalars, so rough
+//!   high-amplitude data at tight bounds costs ≈ 32 bits/value. The price
+//!   has no lossless-stage term (that model, Eq. 4–7, lives above this
+//!   crate), so on near-constant slabs it sits on Huffman's 1-bit floor and
+//!   the measured probes below win them.
 //! * **ZFP** — the transform path has no comparably simple closed form,
 //!   so the scheduler compresses small probe blocks of the slab *for
 //!   real* and measures bits/value: the origin corner, the slab center
@@ -63,11 +66,15 @@ const PROBE_BLOCKS: usize = 3;
 pub struct CodecDecision {
     /// The chosen codec.
     pub codec: ChunkCodecKind,
-    /// Estimated SZ bits/value for the slab.
+    /// The model's Huffman-only rate (`Estimate::bit_rate_huffman`) of a
+    /// 2 048-point strided sample of the slab: no lossless-stage term, so on
+    /// near-constant slabs it sits on the 1-bit floor while the shipped SZ
+    /// stream (RLE + LZSS over Huffman) does not — measured against real
+    /// ZFP and ROLZ probes.
     pub sz_bits: f64,
-    /// Estimated ZFP bits/value for the slab.
+    /// Measured ZFP bits/value of the slab's probe blocks.
     pub zfp_bits: f64,
-    /// Estimated ROLZ bits/value for the slab.
+    /// Measured ROLZ bits/value of the slab's probe blocks.
     pub rolz_bits: f64,
 }
 
@@ -128,7 +135,8 @@ pub fn pick_codec(sz_bits: f64, zfp_bits: f64, rolz_bits: f64) -> ChunkCodecKind
     best
 }
 
-/// Sampled Eq. 1 estimate of the SZ path's bits/value on a slab.
+/// The one Eq. 1 estimate ([`rq_predict::PredictionSample::estimate`]) of
+/// the SZ path's Huffman-only bits/value on a slab.
 pub fn estimate_sz_bits<T: Scalar>(
     data: &[T],
     shape: Shape,
