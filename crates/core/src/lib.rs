@@ -29,6 +29,12 @@
 //! selection, fixed-footprint memory compression and in-situ per-partition
 //! error-bound optimization.
 //!
+//! The sample and the Eq. 1 estimate of it — quantize the sampled errors
+//! at a bound, take the Huffman rate of that histogram — live one crate
+//! down, in [`rq_predict::sample`] and [`rq_predict::histogram`], where the
+//! codec scheduler of `rq-compress` reads the same function; this crate
+//! adds what only the model has.
+//!
 //! ## Paper-section map
 //!
 //! | Module        | Paper section | Implements                               |

@@ -1,4 +1,11 @@
 //! The top-level ratio-quality model facade.
+//!
+//! The ratio side starts from the one Eq. 1 estimate
+//! ([`rq_predict::PredictionSample::estimate`], which the codec scheduler
+//! reads too): this module adds only what is the *model's* — the lossless
+//! stage (Eq. 4–7, [`crate::ratio`]), the quality model (Eq. 10–15,
+//! [`crate::quality`]) and the inversions, each a bisection over the
+//! estimates.
 
 use crate::quality;
 use crate::ratio::rle_ratio;
@@ -300,7 +307,7 @@ impl RqModel {
     /// out of the zero bin — the mass of codes ±1. Each is a count or a
     /// prefix sum of the sorted errors.
     fn psnr_probe(&self, eb: f64) -> Option<f64> {
-        if self.sample.feedback_kappa() > 0.0 {
+        if self.sample.predictor.feedback_kappa(self.sample.ndim) > 0.0 {
             return None;
         }
         let s = &self.sorted;

@@ -1,18 +1,23 @@
-//! Estimated quantization-code histograms (paper §III-C4).
+//! The estimated quantization-code histogram (paper §III-C4) and Eq. 1 on
+//! it: the body of the one estimator, [`PredictionSample::estimate`].
 //!
 //! Given the sampled prediction errors and a candidate error bound, the
 //! model quantizes the *samples* (bin width `2·eb`) to estimate the
-//! quantization-code histogram the compressor would produce. Because the
-//! samples were predicted from original values while the compressor
-//! predicts from reconstructed ones, the estimate is corrected by the
-//! bin-transfer of Eq. 9: once the zero bin exceeds θ₂ = 80 %, a fraction
-//! `C₂·(1−p₀)` of every bin leaks to its two neighbors, emulating the extra
-//! dispersion caused by reconstruction feedback.
+//! quantization-code histogram the compressor would produce, corrected for:
 //!
-//! [`huffman_bit_rates`] is Eq. 1 on that histogram: the Huffman payload
-//! bit-rate is the Shannon entropy of the code distribution, with the most
-//! frequent code's length clamped to the 1-bit minimum a prefix code can
-//! assign.
+//! * **the sparse split** (§III-C) — quiescent exact zeros leave the
+//!   modelled distribution and come back as a share of zero codes;
+//! * **feedback** — the samples were predicted from original values, the
+//!   compressor predicts from reconstructed ones: each error is perturbed
+//!   by ≈ κ·eb ([`crate::PredictorKind::feedback_kappa`], measured), and
+//!   once the zero bin exceeds θ₂ = 80 % a fraction `C₂·(1−p₀)` of every
+//!   bin leaks to its two neighbors (the paper's Eq. 9);
+//! * **the 1-bit floor** — [`huffman_bit_rates`] is Eq. 1: the Shannon
+//!   entropy of the code distribution, with the most frequent code's length
+//!   clamped to the bit a prefix code must spend on it;
+//! * **saturation** (measured, on `archive_auto`'s rough chunks) — a sample
+//!   spread over as many bins as it has points understates entropy and
+//!   codebook alike: [`EstimatedHistogram::saturation`].
 
 use crate::sample::PredictionSample;
 use std::borrow::Cow;
@@ -178,14 +183,10 @@ impl EstimatedHistogram {
 
     /// Fraction of (in-range) mass in the zero bin — the model's `p0`.
     pub fn p0(&self) -> f64 {
-        if self.total == 0.0 {
-            return 0.0;
+        match self.bins.binary_search_by_key(&0, |bin| bin.0) {
+            Ok(i) if self.total > 0.0 => self.bins[i].1 / self.total,
+            _ => 0.0,
         }
-        self.mass(0) / self.total
-    }
-
-    fn mass(&self, code: i32) -> f64 {
-        self.bins.binary_search_by_key(&code, |bin| bin.0).map_or(0.0, |i| self.bins[i].1)
     }
 
     /// Fraction of all sampled mass that escapes the code range.
@@ -215,15 +216,14 @@ impl EstimatedHistogram {
     ///
     /// A plug-in entropy computed from `N` samples can never exceed
     /// `log2(N)`. When the codes spread over about as many bins as there
-    /// are samples (more than 64 of them, and a quarter of the in-range
-    /// mass), the true per-symbol cost is recovered from the code variance
-    /// of the bins instead — a Gaussian is the max-entropy distribution for
-    /// a given variance — capped by the uniform cost over the observed code
-    /// spread and over the quantizer's alphabet plus the escape symbol; and
-    /// the slab occupies about `min(spread, slab symbols)` bins, not just
-    /// the ones the sample happened to hit. This is what prices rough
-    /// chunks out of the SZ path (`archive_auto`'s ZFP share); it is applied
-    /// to every symbol, escapes included, and tuning it is ROADMAP item 3's.
+    /// are samples (more than 64, and a quarter of the in-range mass), the
+    /// per-symbol cost is recovered from the bins' code variance instead — a
+    /// Gaussian is the max-entropy distribution for a given variance —
+    /// capped by the uniform cost over the observed code spread and over
+    /// the alphabet plus the escape symbol; and the slab occupies about
+    /// `min(spread, slab symbols)` bins, not just the ones the sample hit.
+    /// This is what prices rough chunks out of the SZ path (`archive_auto`'s
+    /// ZFP share); tuning it is ROADMAP item 3's.
     pub fn saturation(&self, radius: u32, slab_symbols: f64) -> Option<(f64, f64)> {
         let occupied = self.bins.len();
         if !(occupied > 64 && occupied as f64 >= 0.25 * self.total) {
@@ -259,7 +259,7 @@ impl EstimatedHistogram {
 /// before the noise is drawn, so they take none of the stream; a sample
 /// with neither is borrowed as it is.
 fn modelled_errors(sample: &PredictionSample, eb: f64, feedback_std: f64) -> Cow<'_, [f64]> {
-    let kappa = sample.feedback_kappa();
+    let kappa = sample.predictor.feedback_kappa(sample.ndim);
     if kappa <= 0.0 {
         return match sample.sparse_count {
             0 => Cow::Borrowed(&sample.errors),

@@ -22,7 +22,8 @@
 //! | [`lorenzo`]    | §II-B, §III-C1 | order-1/2 Lorenzo stencils (and their sampling variant) |
 //! | [`interp`]     | §II-B, §III-C1 | the SZ3 multi-level interpolation traversal |
 //! | [`regression`] | §II-B, §III-C1 | SZ2 block-wise linear regression with coefficient side channel |
-//! | [`sample`]     | §III-C        | the one strided error sampler (model, planner, scheduler) + the scheduler's sampled bit-rate estimate |
+//! | [`sample`]     | §III-C        | the one strided error sampler and the one Eq. 1 estimate of its sample (model, planner, scheduler) |
+//! | [`histogram`]  | §III-B Eq. 1, §III-C2–C4 | the estimated quantization-code histogram with its corrections, and the Huffman rate of it |
 //!
 //! In the chunk-parallel pipeline every chunk starts a fresh traversal, so
 //! each predictor's causal history never crosses an axis-0 slab boundary.

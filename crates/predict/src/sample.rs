@@ -1,5 +1,5 @@
 //! The one §III-C sampling pass — deterministic, strided, addressed by
-//! index — and the sampled ratio estimate the scheduler builds on it.
+//! index — and the one Eq. 1 estimate of what it samples.
 //!
 //! The paper's model has one data-dependent input: a cheap sample of
 //! original-value prediction errors, which answers *every* error bound.
@@ -18,17 +18,15 @@
 //!   its index in the traversal, without touching the points between, so
 //!   the cost is O(sample), and there is one sample per (field, predictor,
 //!   target). A stride over the interpolation plan samples every level in
-//!   proportion to its size; `rq-core` used to carry a second, level-aware
-//!   randomized sampler (coarse levels exhaustively, inverse-probability
-//!   weighting), which bought no accuracy the benchmark could resolve
-//!   (CHANGES.md, PR 21) and was deleted;
-//! * [`PredictionSample::estimate`] — the Eq. 1 entropy bit-rate of the
-//!   quantized sample plus the escape / anchor / side-channel overheads,
-//!   i.e. the sampled model estimate the scheduler compares codecs with.
+//!   proportion to its size (§III-C2: each level is 2⁻ⁿ of the next);
+//! * [`PredictionSample::estimate`] — quantize the sample at a bound, take
+//!   the Eq. 1 rate of that histogram ([`crate::histogram`]), add the
+//!   overheads: the number that steers the scheduler *is* the model's
+//!   Huffman-only rate, so an audit of one, or a fix to one, is of both.
 //!
 //! Predicting from **original** values (not reconstructions) is what makes
-//! one sample reusable across error bounds; the residual bias is small and
-//! identical for every candidate codec, so it cancels in the comparison.
+//! one sample reusable across error bounds; the histogram's correction
+//! layer (§III-C4) stands in for the difference.
 
 use crate::histogram::{huffman_bit_rates, EstimatedHistogram};
 use crate::interp::{passes, Pass};
@@ -128,16 +126,11 @@ impl PredictionSample {
         var.sqrt()
     }
 
-    /// [`PredictorKind::feedback_kappa`] of the sampled predictor and field.
-    pub fn feedback_kappa(&self) -> f64 {
-        self.predictor.feedback_kappa(self.ndim)
-    }
-
     /// The signal scale the feedback noise of §III-C4 saturates at:
     /// [`Self::std`] for a predictor with feedback, and 0 (never read)
     /// without. Two passes over the sample, so a model takes it once.
     pub fn feedback_std(&self) -> f64 {
-        if self.feedback_kappa() > 0.0 {
+        if self.predictor.feedback_kappa(self.ndim) > 0.0 {
             self.std()
         } else {
             0.0
@@ -146,15 +139,13 @@ impl PredictionSample {
 
     /// The one Eq. 1 estimate: the Huffman-only bit-rate of the prediction
     /// path at absolute bound `eb` with quantizer `radius`, for a scalar of
-    /// `scalar_bits` bits — the estimated histogram of [`crate::histogram`]
-    /// (sparse zeros split off, feedback noise, Eq. 9), its two Eq. 1 rates
-    /// with the 1-bit floor, the saturation corrections
-    /// ([`EstimatedHistogram::saturation`]), and around them `scalar_bits`
-    /// for every escaped or verbatim value, the serialized codebook (≈ 1
-    /// byte per occupied bin) and the regression side channel. The
-    /// scheduler compares codecs with `bits_per_value`; `rq-core`'s
-    /// `RqModel::estimate` reports the same number as `bit_rate_huffman` and
-    /// adds the lossless stage (Eq. 4–7) and the quality model from the rest.
+    /// `scalar_bits` bits — the corrected histogram and rates of
+    /// [`crate::histogram`], and around them `scalar_bits` for every escaped
+    /// or verbatim value, the serialized codebook (≈ 1 byte per occupied
+    /// bin) and the regression side channel. The scheduler compares codecs
+    /// with `bits_per_value`; `rq-core`'s `RqModel::estimate` reports the
+    /// same number as `bit_rate_huffman` and adds the lossless stage
+    /// (Eq. 4–7) and the quality model from the rest.
     pub fn estimate(&self, eb: f64, radius: u32, scalar_bits: u32) -> SampledEstimate {
         self.estimate_with_std(eb, radius, scalar_bits, self.feedback_std())
     }
