@@ -88,9 +88,8 @@ use args::Args;
 use rq_catalog::{is_catalog_magic, CatalogIndex, CatalogReader, CatalogWriter};
 use rq_compress::{
     compress_with_report, generation_name, json_escape, json_f64, resolved_chunk_rows,
-    ArchiveReader,
-    ArchiveWriter, ChunkCodecKind, CodecChoice, CompressError, CompressionReport, CompressorConfig,
-    Header,
+    ArchiveReader, ArchiveWriter, ChunkCodecKind, CodecChoice, CompressError, CompressionReport,
+    CompressorConfig, Header,
 };
 use rq_core::usecases::{
     measure_archive, Measured, Target, TargetError, TargetOutcome, TargetSession,

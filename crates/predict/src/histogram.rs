@@ -259,12 +259,13 @@ impl EstimatedHistogram {
 /// before the noise is drawn, so they take none of the stream; a sample
 /// with neither is borrowed as it is.
 fn modelled_errors(sample: &PredictionSample, eb: f64, feedback_std: f64) -> Cow<'_, [f64]> {
+    let mut errors = match sample.sparse_count {
+        0 => Cow::Borrowed(&sample.errors[..]),
+        _ => Cow::Owned(sample.dense_errors().collect()),
+    };
     let kappa = sample.predictor.feedback_kappa(sample.ndim);
     if kappa <= 0.0 {
-        return match sample.sparse_count {
-            0 => Cow::Borrowed(&sample.errors),
-            _ => Cow::Owned(sample.dense_errors().collect()),
-        };
+        return errors;
     }
     // The feedback scale grows with eb but saturates at a few signal
     // scales: once the bin dwarfs the data's own variation, reconstruction
@@ -293,14 +294,13 @@ fn modelled_errors(sample: &PredictionSample, eb: f64, feedback_std: f64) -> Cow
     // chunks are smeared across bins and the model overestimates
     // both their rate and their variance by an order of magnitude
     // (visible in per-chunk quality-targeted planning).
-    let perturb = |err: f64| -> f64 {
+    for err in errors.to_mut() {
+        // A non-finite error escapes as it is, and draws no noise.
         if err.is_finite() {
-            err + fb_scale.min(8.0 * err.abs()) * fb_noise()
-        } else {
-            err // escapes as it is, and draws no noise
+            *err += fb_scale.min(8.0 * err.abs()) * fb_noise();
         }
-    };
-    Cow::Owned(sample.dense_errors().map(perturb).collect())
+    }
+    errors
 }
 
 /// What [`quantization_code`] says of a sample beyond the radius. No code a

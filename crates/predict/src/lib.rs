@@ -34,7 +34,6 @@ pub mod lorenzo;
 pub mod regression;
 pub mod sample;
 
-pub use histogram::EstimatedHistogram;
 pub use sample::{sample_prediction_errors, PredictionSample, SampledEstimate};
 
 /// Which predictor a pipeline uses. Serialized into container headers.
