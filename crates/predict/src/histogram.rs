@@ -259,7 +259,7 @@ impl EstimatedHistogram {
 /// before the noise is drawn, so they take none of the stream; a sample
 /// with neither is borrowed as it is.
 fn modelled_errors(sample: &PredictionSample, eb: f64, feedback_std: f64) -> Cow<'_, [f64]> {
-    let mut errors = match sample.sparse_count {
+    let errors = match sample.sparse_count {
         0 => Cow::Borrowed(&sample.errors[..]),
         _ => Cow::Owned(sample.dense_errors().collect()),
     };
@@ -294,13 +294,14 @@ fn modelled_errors(sample: &PredictionSample, eb: f64, feedback_std: f64) -> Cow
     // chunks are smeared across bins and the model overestimates
     // both their rate and their variance by an order of magnitude
     // (visible in per-chunk quality-targeted planning).
-    for err in errors.to_mut() {
-        // A non-finite error escapes as it is, and draws no noise.
+    let perturb = |&err: &f64| -> f64 {
         if err.is_finite() {
-            *err += fb_scale.min(8.0 * err.abs()) * fb_noise();
+            err + fb_scale.min(8.0 * err.abs()) * fb_noise()
+        } else {
+            err // escapes as it is, and draws no noise
         }
-    }
-    errors
+    };
+    Cow::Owned(errors.iter().map(perturb).collect())
 }
 
 /// What [`quantization_code`] says of a sample beyond the radius. No code a
