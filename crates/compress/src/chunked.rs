@@ -95,56 +95,49 @@ where
     slots.into_iter().map(|s| s.expect("worker covered every item")).collect()
 }
 
-/// Fold per-chunk encoding statistics into one [`CompressionReport`].
-pub(crate) fn aggregate_report(
-    quantizer: &LinearQuantizer,
-    per_chunk: Vec<(ChunkCodecKind, ChunkStats)>,
-    n_elements: usize,
-    original_bits: u32,
-    container_bytes: usize,
-) -> CompressionReport {
-    let mut histogram = vec![0u64; quantizer.alphabet_size() + 1];
-    let mut n_symbols = 0usize;
-    let mut n_escapes = 0usize;
-    let mut n_anchors = 0usize;
-    let mut huffman_bytes = 0usize;
-    let mut encoded_bytes = 0usize;
-    let mut codebook_bytes = 0usize;
-    let mut side_bytes = 0usize;
-    let mut chunk_codecs = Vec::with_capacity(per_chunk.len());
-    let n_chunks = per_chunk.len();
-    for (codec, stats) in per_chunk {
-        for (acc, add) in histogram.iter_mut().zip(&stats.histogram) {
+impl CompressionReport {
+    /// The report of an archive no chunk of which is written yet.
+    pub(crate) fn of_no_chunks(
+        quantizer: &LinearQuantizer,
+        n_elements: usize,
+        original_bits: u32,
+    ) -> Self {
+        CompressionReport {
+            symbol_histogram: vec![0u64; quantizer.alphabet_size()],
+            n_quantized: 0,
+            n_unpredictable: 0,
+            n_anchors: 0,
+            huffman_bytes: 0,
+            encoded_bytes: 0,
+            codebook_bytes: 0,
+            side_bytes: 0,
+            container_bytes: 0,
+            n_elements,
+            original_bits,
+            n_chunks: 0,
+            chunk_codecs: Vec::new(),
+        }
+    }
+
+    /// Fold one more chunk's encoding statistics in: the writer keeps this
+    /// one dense histogram and a few sums, not every chunk's statistics
+    /// until it finalizes. ZFP chunks have no symbol stream: the histogram
+    /// and element accounting cover the SZ-coded chunks only.
+    pub(crate) fn add_chunk(&mut self, codec: ChunkCodecKind, stats: &ChunkStats) {
+        let window = &stats.histogram;
+        let bins = self.symbol_histogram.iter_mut().skip(window.first as usize);
+        for (acc, add) in bins.zip(&window.counts) {
             *acc += add;
         }
-        n_symbols += stats.n_symbols;
-        n_escapes += stats.n_escapes;
-        n_anchors += stats.n_anchors;
-        huffman_bytes += stats.huffman_bytes;
-        encoded_bytes += stats.encoded_bytes;
-        codebook_bytes += stats.codebook_bytes;
-        side_bytes += stats.side_bytes;
-        chunk_codecs.push(codec);
-    }
-    CompressionReport {
-        // ZFP chunks have no symbol stream: the histogram and element
-        // accounting cover the SZ-coded chunks only.
-        n_quantized: n_symbols - n_escapes,
-        symbol_histogram: {
-            histogram.truncate(quantizer.alphabet_size()); // drop the escape bin
-            histogram
-        },
-        n_unpredictable: n_escapes,
-        n_anchors,
-        huffman_bytes,
-        encoded_bytes,
-        codebook_bytes,
-        side_bytes,
-        container_bytes,
-        n_elements,
-        original_bits,
-        n_chunks,
-        chunk_codecs,
+        self.n_quantized += stats.n_symbols - stats.n_escapes;
+        self.n_unpredictable += stats.n_escapes;
+        self.n_anchors += stats.n_anchors;
+        self.huffman_bytes += stats.huffman_bytes;
+        self.encoded_bytes += stats.encoded_bytes;
+        self.codebook_bytes += stats.codebook_bytes;
+        self.side_bytes += stats.side_bytes;
+        self.n_chunks += 1;
+        self.chunk_codecs.push(codec);
     }
 }
 

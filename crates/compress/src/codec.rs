@@ -24,6 +24,54 @@ use rq_grid::{Scalar, Shape};
 use rq_predict::PredictorKind;
 use rq_quant::LinearQuantizer;
 
+/// Counts of the symbols `first .. first + counts.len()`; every symbol
+/// outside that window has count 0. A chunk's quantization codes cluster
+/// around the zero code, so the window is some hundred bins wide where the
+/// alphabet has 65 537.
+#[derive(Clone, Debug, Default)]
+pub struct SymbolWindow {
+    /// Symbol of `counts[0]`.
+    pub first: u32,
+    /// Counts of consecutive symbols (zeros at either end are allowed).
+    pub counts: Vec<u64>,
+}
+
+impl SymbolWindow {
+    /// Count one occurrence of `symbol`, widening the window to it if need
+    /// be.
+    #[inline]
+    pub(crate) fn bump(&mut self, symbol: u32) {
+        match self.counts.get_mut(symbol.wrapping_sub(self.first) as usize) {
+            Some(count) => *count += 1,
+            None => self.widen_and_bump(symbol),
+        }
+    }
+
+    /// The window at least doubles on the side that was short, so widening
+    /// costs O(final width) over a chunk.
+    #[cold]
+    fn widen_and_bump(&mut self, symbol: u32) {
+        let width = self.counts.len() as u32;
+        if width == 0 {
+            self.first = symbol;
+        }
+        if symbol < self.first {
+            let first = symbol.min(self.first.saturating_sub(width));
+            self.counts.splice(0..0, std::iter::repeat_n(0, (self.first - first) as usize));
+            self.first = first;
+        } else {
+            let end = (symbol - self.first + 1).max(width.saturating_mul(2));
+            self.counts.resize(end as usize, 0);
+        }
+        self.counts[(symbol - self.first) as usize] += 1;
+    }
+
+    /// `(symbol, count)` of the symbols that occurred, ascending.
+    pub fn present(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        (self.first..).zip(&self.counts).filter(|&(_, &c)| c > 0).map(|(s, &c)| (s, c))
+    }
+}
+
 /// Per-chunk encoding statistics, aggregated into the
 /// [`crate::CompressionReport`].
 ///
@@ -31,8 +79,9 @@ use rq_quant::LinearQuantizer;
 /// its stats are all zero (its cost shows up only in the blob length).
 #[derive(Clone, Debug, Default)]
 pub struct ChunkStats {
-    /// Symbol histogram including the escape bin (empty for ZFP chunks).
-    pub histogram: Vec<u64>,
+    /// Counts of the quantized symbols (empty for ZFP chunks). Escapes are
+    /// not in it: they are `n_escapes`.
+    pub histogram: SymbolWindow,
     /// Number of quantization symbols emitted.
     pub n_symbols: usize,
     /// Number of escape (verbatim) values among the symbols.
@@ -239,6 +288,35 @@ mod tests {
                 ((a - b).abs() as f64) <= eb * (1.0 + 1e-6),
                 "element {i}: |{a} - {b}| > {eb}"
             );
+        }
+    }
+
+    #[test]
+    fn symbol_window_counts_like_a_dense_histogram() {
+        let mut st = 0x05EE_D0FC_0DE5_u64;
+        for spread in [1u64, 3, 100, 70_000] {
+            let mut window = SymbolWindow::default();
+            let mut dense = vec![0u64; 70_000];
+            for _ in 0..5_000 {
+                st ^= st << 13;
+                st ^= st >> 7;
+                st ^= st << 17;
+                // Mostly near the centre, now and then anywhere.
+                let symbol = if st.is_multiple_of(50) {
+                    (st >> 8) % spread
+                } else {
+                    (32_768 + (st >> 8) % spread.min(40)).min(spread - 1)
+                } as u32;
+                window.bump(symbol);
+                dense[symbol as usize] += 1;
+            }
+            let expected: Vec<(u32, u64)> = (0..)
+                .zip(&dense)
+                .filter(|&(_, &c)| c > 0)
+                .map(|(s, &c)| (s, c))
+                .collect();
+            assert_eq!(window.present().collect::<Vec<_>>(), expected, "spread {spread}");
+            assert!(window.counts.len() <= 2 * spread as usize + 2);
         }
     }
 

@@ -10,6 +10,7 @@ use crate::codec::{ChunkCodec, SzChunkCodec};
 use crate::config::LosslessStage;
 use crate::container::{CompressError, DecompressError};
 pub use crate::pipeline::KernelPath;
+use crate::pipeline::Transform;
 use rq_grid::{Scalar, Shape};
 use rq_predict::PredictorKind;
 use rq_quant::LinearQuantizer;
@@ -50,6 +51,45 @@ pub fn decode_chunk<T: Scalar>(
     )
     .with_kernel_path(path);
     codec.decode(blob, shape, out)
+}
+
+/// The codec of a point-wise relative bound `ratio`: values quantized as
+/// `ln(v)` under `ln(1 + ratio)`, non-positive ones escaped.
+fn pointwise_codec(
+    predictor: PredictorKind,
+    ratio: f64,
+    radius: u32,
+    path: KernelPath,
+) -> SzChunkCodec {
+    let eb = rq_quant::ErrorBoundMode::PointwiseRelative(ratio).absolute(0.0);
+    SzChunkCodec::new(predictor, LinearQuantizer::new(eb, radius), LosslessStage::RleLzss)
+        .with_transform(Transform::Log { ratio })
+        .with_kernel_path(path)
+}
+
+/// [`encode_chunk`] under a point-wise relative bound (the log transform).
+pub fn encode_chunk_pointwise<T: Scalar>(
+    data: &[T],
+    shape: Shape,
+    predictor: PredictorKind,
+    ratio: f64,
+    radius: u32,
+    path: KernelPath,
+) -> Result<Vec<u8>, CompressError> {
+    Ok(pointwise_codec(predictor, ratio, radius, path).encode(data, shape)?.0)
+}
+
+/// [`decode_chunk`] of a blob of [`encode_chunk_pointwise`].
+pub fn decode_chunk_pointwise<T: Scalar>(
+    blob: &[u8],
+    shape: Shape,
+    predictor: PredictorKind,
+    ratio: f64,
+    radius: u32,
+    path: KernelPath,
+    out: &mut [T],
+) -> Result<(), DecompressError> {
+    pointwise_codec(predictor, ratio, radius, path).decode(blob, shape, out)
 }
 
 /// Encode one slab to a ROLZ chunk blob on the chosen kernel path.

@@ -38,7 +38,7 @@ pub mod scheduler;
 pub mod stream;
 
 pub use chunked::{decompress_chunk, decompress_with_threads, resolved_chunk_rows};
-pub use codec::{ChunkCodec, ChunkStats, SzChunkCodec, ZfpChunkCodec};
+pub use codec::{ChunkCodec, ChunkStats, SymbolWindow, SzChunkCodec, ZfpChunkCodec};
 pub use config::{Chunking, CodecChoice, CompressorConfig, LosslessStage};
 pub use container::{
     chunk_count, chunk_table, generation_name, peek_header, ChunkCodecKind, ChunkEntry, ChunkTable,

@@ -14,11 +14,30 @@
 //! independently. The one-shot [`compress`] / [`decompress`] at the bottom
 //! of this module are that engine over an in-memory sink and source.
 //!
+//! Interpolation — the predictor of the paper's in-situ use-case — is
+//! walked a *line* at a time on the fast path (`interp_lines`, over
+//! [`rq_predict::interp::Pass::lines`]): no target of a (level, axis) pass
+//! is a source of that pass, so a whole line is predicted before any of it
+//! is reconstructed. Under the identity transform the encoder then
+//! quantizes the line in one branch-free loop
+//! ([`rq_quant::LinearQuantizer::quantize_line`]) and commits it. A line
+//! with a point that must escape is *dirty* and is redone whole, point by
+//! point: escapes enter the verbatim stream in traversal order, so the
+//! clean points before one cannot be committed ahead of it, and redoing
+//! them changes nothing — a point's symbol and reconstruction are a
+//! function of its original and its prediction, both already fixed. The
+//! log transform (escapes are routine, the bound check is a ratio) sends
+//! every line down that per-point route; decode walks the same lines and
+//! replays each point from its ready prediction. [`KernelPath::Reference`]
+//! walks stencil by stencil ([`rq_predict::interp::for_each_stencil`]):
+//! the oracle both are held to, byte for byte.
+//!
 //! Point-wise relative bounds are realized by a log transform
 //! (Liang et al. \[35\]): values are compressed as `ln(v)` under an absolute
 //! bound of `ln(1 + ratio)`; non-positive values take the verbatim escape
 //! path since the transform is undefined there.
 
+use crate::codec::SymbolWindow;
 use crate::config::{CompressorConfig, LosslessStage};
 use crate::container::{CompressError, DecompressError, SectionsBody};
 use crate::report::{CompressedOutput, CompressionReport};
@@ -26,7 +45,7 @@ use crate::stream::ArchiveWriter;
 use rq_encoding::reference::{lossless_compress_ref, lossless_decompress_bounded_ref};
 use rq_encoding::{lossless_compress, lossless_decompress_bounded, HuffmanCodec};
 use rq_grid::{BlockIter, NdArray, Scalar, Shape, MAX_DIMS};
-use rq_predict::interp::{anchors, for_each_stencil};
+use rq_predict::interp::{anchors, for_each_stencil, passes, Line};
 use rq_predict::lorenzo::LorenzoStencil;
 use rq_predict::regression::{fit_block, BlockCoeffs, REGRESSION_BLOCK_SIDE};
 use rq_predict::PredictorKind;
@@ -87,27 +106,35 @@ struct QuantEncoder<T: Scalar> {
     escape_symbol: u32,
     symbols: Vec<u32>,
     verbatim: Vec<T>,
-    histogram: Vec<u64>,
+    /// Counts of the quantized symbols; escapes are `n_escapes`.
+    histogram: SymbolWindow,
     n_escapes: usize,
     /// Which quantize kernel drives [`Self::encode_point`]: the fast
     /// inlined rounder or the pre-rework libm twin. Identical results
     /// (held by rq-quant's `quantize_matches_reference_kernel`), so only
     /// the measured cost differs.
     path: KernelPath,
+    /// [`Self::encode_line`]'s buffers, one slot per point of a line: the
+    /// originals, and what the line quantizer makes of them.
+    line_work: Vec<f64>,
+    line_symbols: Vec<u32>,
+    line_stored: Vec<f64>,
 }
 
 impl<T: Scalar> QuantEncoder<T> {
     fn new(quantizer: LinearQuantizer, transform: Transform, n_hint: usize, path: KernelPath) -> Self {
-        let alphabet = quantizer.alphabet_size() + 1;
         QuantEncoder {
             quantizer,
             transform,
             escape_symbol: quantizer.alphabet_size() as u32,
             symbols: Vec::with_capacity(n_hint),
             verbatim: Vec::new(),
-            histogram: vec![0u64; alphabet],
+            histogram: SymbolWindow::default(),
             n_escapes: 0,
             path,
+            line_work: Vec::new(),
+            line_symbols: Vec::new(),
+            line_stored: Vec::new(),
         }
     }
 
@@ -121,7 +148,6 @@ impl<T: Scalar> QuantEncoder<T> {
     /// Escape through the symbol stream (records the escape symbol too).
     fn escape(&mut self, original: T) -> f64 {
         self.symbols.push(self.escape_symbol);
-        self.histogram[self.escape_symbol as usize] += 1;
         self.n_escapes += 1;
         self.store_verbatim(original)
     }
@@ -174,8 +200,43 @@ impl<T: Scalar> QuantEncoder<T> {
         }
         let sym = self.quantizer.code_to_symbol(code);
         self.symbols.push(sym);
-        self.histogram[sym as usize] += 1;
+        self.histogram.bump(sym);
         recon_stored
+    }
+
+    /// [`Self::encode_point`] for every point of `line`, in order, given
+    /// their predictions; reconstructions go to `recon`. Under the identity
+    /// transform a clean line is quantized and committed whole; a dirty one
+    /// — any point of it must escape — and every line under the log
+    /// transform go point by point (why that changes no byte: module doc).
+    fn encode_line(&mut self, orig: &[T], line: Line, predicted: &[f64], recon: &mut [f64]) {
+        if self.transform == Transform::Identity {
+            let n = line.len;
+            if self.line_work.len() < n {
+                self.line_work.resize(n, 0.0);
+                self.line_symbols.resize(n, 0);
+                self.line_stored.resize(n, 0.0);
+            }
+            let (work, symbols, stored) =
+                (&mut self.line_work[..n], &mut self.line_symbols[..n], &mut self.line_stored[..n]);
+            for (w, lin) in work.iter_mut().zip(line.targets()) {
+                *w = orig[lin].to_f64();
+            }
+            let through_t = |r: f64| T::from_f64(r).to_f64();
+            if self.quantizer.quantize_line(work, predicted, through_t, symbols, stored) {
+                self.symbols.extend_from_slice(symbols);
+                for &sym in symbols.iter() {
+                    self.histogram.bump(sym);
+                }
+                for (lin, &v) in line.targets().zip(stored.iter()) {
+                    recon[lin] = v;
+                }
+                return;
+            }
+        }
+        for (lin, &pred) in line.targets().zip(predicted) {
+            recon[lin] = self.encode_point(orig[lin], pred);
+        }
     }
 }
 
@@ -488,9 +549,33 @@ fn lorenzo1_row_tail<const NT: usize>(
     Ok(())
 }
 
-/// Interpolation traversal over non-anchor points. The caller must have
-/// already written the anchor reconstructions into `recon`.
-fn traverse_interp_points(
+/// The interpolation traversal of the fast path, over non-anchor points a
+/// line at a time (the caller has already written the anchor
+/// reconstructions into `recon`): `visit(line, predicted, recon)` gets a
+/// line of [`rq_predict::interp::Pass::lines`] with the predictions of its
+/// targets and stores their reconstructions. Same targets, predictions
+/// and order as [`interp_points_reference`].
+fn interp_lines(
+    shape: Shape,
+    recon: &mut [f64],
+    mut visit: impl FnMut(Line, &[f64], &mut [f64]) -> Result<(), DecompressError>,
+) -> Result<(), DecompressError> {
+    // No line is longer than the last axis.
+    let mut predicted = vec![0f64; shape.dim(shape.ndim() - 1)];
+    for pass in passes(shape) {
+        for line in pass.lines() {
+            let predicted = &mut predicted[..line.len];
+            pass.predict_line(line, recon, predicted);
+            visit(line, predicted, recon)?;
+        }
+    }
+    Ok(())
+}
+
+/// The interpolation traversal of the reference path, a stencil at a time
+/// ([`for_each_stencil`]): `visit(lin, predicted)` returns the
+/// reconstruction to store. The oracle [`interp_lines`] is held equal to.
+fn interp_points_reference(
     shape: Shape,
     recon: &mut [f64],
     mut visit: impl FnMut(usize, f64) -> Result<f64, DecompressError>,
@@ -552,8 +637,8 @@ pub(crate) struct EncodedStream<T> {
     pub lossless_applied: LosslessStage,
     pub verbatim: Vec<T>,
     pub side: Vec<u8>,
-    /// Symbol histogram including the escape bin (last slot).
-    pub histogram: Vec<u64>,
+    /// Counts of the quantized symbols (escapes are `n_escapes`).
+    pub histogram: SymbolWindow,
     pub n_symbols: usize,
     pub n_escapes: usize,
     pub n_anchors: usize,
@@ -570,8 +655,8 @@ pub(crate) struct QuantizedStream<T> {
     pub symbols: Vec<u32>,
     pub verbatim: Vec<T>,
     pub side: Vec<u8>,
-    /// Symbol histogram including the escape bin (last slot).
-    pub histogram: Vec<u64>,
+    /// Counts of the quantized symbols (escapes are `n_escapes`).
+    pub histogram: SymbolWindow,
     pub n_escapes: usize,
     pub n_anchors: usize,
 }
@@ -630,9 +715,15 @@ pub(crate) fn quantize_stream<T: Scalar>(
                 n_anchors += 1;
                 recon[a] = enc.store_verbatim(orig[a]);
             }
-            traverse_interp_points(shape, &mut recon, |lin, pred| {
-                Ok(enc.encode_point(orig[lin], pred))
-            })
+            match path {
+                KernelPath::Fast => interp_lines(shape, &mut recon, |line, predicted, recon| {
+                    enc.encode_line(orig, line, predicted, recon);
+                    Ok(())
+                }),
+                KernelPath::Reference => interp_points_reference(shape, &mut recon, |lin, pred| {
+                    Ok(enc.encode_point(orig[lin], pred))
+                }),
+            }
             .expect("compression traversal cannot fail");
         }
         PredictorKind::Regression => {
@@ -677,7 +768,12 @@ pub(crate) fn encode_stream<T: Scalar>(
     let (codebook, huffman_payload) = if q.symbols.is_empty() {
         (Vec::new(), Vec::new())
     } else {
-        let codec = HuffmanCodec::from_counts(&q.histogram)?;
+        // The escape symbol is the alphabet's last, past every code's.
+        let mut present: Vec<(u32, u64)> = q.histogram.present().collect();
+        if q.n_escapes > 0 {
+            present.push((quantizer.alphabet_size() as u32, q.n_escapes as u64));
+        }
+        let codec = HuffmanCodec::from_present(quantizer.alphabet_size() + 1, &present)?;
         let payload = match path {
             KernelPath::Fast => codec.encode(&q.symbols)?,
             KernelPath::Reference => codec.encode_reference(&q.symbols)?,
@@ -770,6 +866,9 @@ pub(crate) fn decode_stream<T: Scalar>(
             return Err(DecompressError::Corrupt("symbol count exceeds payload"));
         }
         codec = HuffmanCodec::deserialize_codebook(&body.codebook)?.0;
+        if codec.alphabet_len() > quantizer.alphabet_size() + 1 {
+            return Err(DecompressError::Corrupt("codebook alphabet exceeds the quantizer's"));
+        }
         match path {
             KernelPath::Fast => {
                 SymbolSource::Streaming(codec.streaming_decoder(&payload, n_symbols))
@@ -813,7 +912,19 @@ fn decode_traversal<T: Scalar>(
             for a in anchors(shape) {
                 recon[a] = dec.take_verbatim(a)?;
             }
-            traverse_interp_points(shape, &mut recon, |lin, pred| dec.decode_point(lin, pred))?;
+            match path {
+                KernelPath::Fast => interp_lines(shape, &mut recon, |line, predicted, recon| {
+                    for (lin, &pred) in line.targets().zip(predicted) {
+                        recon[lin] = dec.decode_point(lin, pred)?;
+                    }
+                    Ok(())
+                })?,
+                KernelPath::Reference => {
+                    interp_points_reference(shape, &mut recon, |lin, pred| {
+                        dec.decode_point(lin, pred)
+                    })?
+                }
+            }
         }
         PredictorKind::Regression => {
             let nd = shape.ndim();

@@ -490,6 +490,9 @@ impl<T: Scalar> ChunkCodec<T> for RolzChunkCodec {
                 return Err(DecompressError::Corrupt("rolz token count exceeds payload"));
             }
             let codec = HuffmanCodec::deserialize_codebook(&body.codebook)?.0;
+            if codec.alphabet_len() > TOKEN_ALPHABET {
+                return Err(DecompressError::Corrupt("rolz codebook alphabet exceeds the token set"));
+            }
             match self.path {
                 KernelPath::Fast => {
                     let mut dec = codec.streaming_decoder(token_payload, n_tokens);

@@ -57,7 +57,7 @@
 //! assert_eq!(reader.stats().chunks_decoded, 2); // rows 10..22 span chunks 1 and 2
 //! ```
 
-use crate::chunked::{aggregate_report, decode_entry_blob, resolved_chunk_rows, run_on_workers};
+use crate::chunked::{decode_entry_blob, resolved_chunk_rows, run_on_workers};
 use crate::codec::{ChunkCodec, ChunkStats, SzChunkCodec, ZfpChunkCodec};
 use crate::config::{CodecChoice, CompressorConfig, LosslessStage};
 use crate::container::{
@@ -256,7 +256,8 @@ pub struct ArchiveWriter<T: Scalar, W: Write> {
     /// Chunk index accumulated for the trailer: (rows, codec, blob len,
     /// eb).
     index: Vec<(usize, ChunkCodecKind, usize, f64)>,
-    per_chunk: Vec<(ChunkCodecKind, ChunkStats)>,
+    /// The report of the chunks written so far.
+    report: CompressionReport,
     bytes_written: u64,
 }
 
@@ -358,6 +359,7 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
         let mut head = Vec::with_capacity(96);
         write_header_prefix(&mut head, &header, T::TAG);
         sink.write_all(&head)?;
+        let report = CompressionReport::of_no_chunks(&enc.quantizer, shape.len(), T::BITS);
         Ok(ArchiveWriter {
             sink,
             shape,
@@ -368,7 +370,7 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
             buf: Vec::new(),
             rows_done: 0,
             index: Vec::new(),
-            per_chunk: Vec::new(),
+            report,
             bytes_written: head.len() as u64,
         })
     }
@@ -465,7 +467,7 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
             self.bytes_written += ec.blob.len() as u64;
             self.rows_done += ec.rows;
             self.index.push((ec.rows, ec.codec, ec.blob.len(), ec.eb));
-            self.per_chunk.push((ec.codec, ec.stats));
+            self.report.add_chunk(ec.codec, &ec.stats);
         }
         Ok(())
     }
@@ -490,13 +492,8 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
         self.sink.write_all(&trailer)?;
         self.sink.flush()?;
         self.bytes_written += trailer.len() as u64;
-        let report = aggregate_report(
-            &self.enc.quantizer,
-            self.per_chunk,
-            self.shape.len(),
-            T::BITS,
-            self.bytes_written as usize,
-        );
+        let mut report = self.report;
+        report.container_bytes = self.bytes_written as usize;
         Ok(FinishedArchive { sink: self.sink, report, bytes_written: self.bytes_written })
     }
 }

@@ -7,14 +7,24 @@
 //! stencil) along the same line. After the `s = 1` level every point has
 //! been visited exactly once.
 //!
-//! The traversal is exposed as a deterministic *stencil plan*
-//! ([`for_each_stencil`]): the compressor consumes it writing reconstructed
-//! values and the decompressor replays it. The sampler
-//! ([`crate::sample_prediction_errors`]) strides over the same plan as a
-//! table ([`passes`]), which hands out the `j`-th target of a pass
-//! directly, so keeping 1 % of the targets costs 1 % of the stencils — and
-//! reaches every level in proportion to its size (paper §III-C2: "the
-//! sampling data in the current level is 2⁻ⁿ of the previous level").
+//! The traversal has one definition, the pass table ([`passes`]): one
+//! [`Pass`] per (level, axis), each a lattice of targets in row-major
+//! order. Three consumers read it:
+//!
+//! * the sampler ([`crate::sample_prediction_errors`]) asks a pass for its
+//!   `j`-th target directly ([`Pass::targets`]), so keeping 1 % of the
+//!   targets costs 1 % of the stencils — and reaches every level in
+//!   proportion to its size (paper §III-C2: "the sampling data in the
+//!   current level is 2⁻ⁿ of the previous level");
+//! * the reference walk ([`for_each_stencil`]) visits every target of every
+//!   pass, one [`InterpTarget`] at a time — the order the container format
+//!   is defined by, and the oracle the line kernel is tested against;
+//! * the chunk kernel takes a pass a *line* at a time ([`Pass::lines`]):
+//!   the targets that share every coordinate but the last axis. Every
+//!   stencil source of a pass was finished by an earlier pass, so a whole
+//!   line can be predicted before any of it is reconstructed
+//!   ([`Pass::predict_line`]), and off the interpolation axis one stencil
+//!   kind serves the whole line.
 
 use rq_grid::{Shape, MAX_DIMS};
 
@@ -106,21 +116,12 @@ fn collect_lattice(
 /// finest (`stride = 1`); within a level one pass per axis (axis 0 first);
 /// within a pass, row-major order of targets. Every non-anchor point is
 /// visited exactly once, and every stencil source is either an anchor or a
-/// target of an earlier step.
+/// target of an earlier pass.
 pub fn for_each_stencil(shape: Shape, mut f: impl FnMut(InterpTarget)) {
-    let nd = shape.ndim();
-    let strides = shape.strides();
-    let mut s = anchor_stride(shape) / 2;
-    while s >= 1 {
-        for axis in 0..nd {
-            // Spacing of the known lattice along each axis during this pass:
-            //   axes < axis  → s (already refined this level)
-            //   axis         → targets at odd multiples of s
-            //   axes > axis  → 2s (not yet refined this level)
-            let mut idx = [0usize; MAX_DIMS];
-            walk_pass(shape, &strides, &mut idx, 0, axis, s, nd, &mut f);
+    for pass in passes(shape) {
+        for t in pass.targets(0, 1) {
+            f(t);
         }
-        s /= 2;
     }
 }
 
@@ -151,44 +152,9 @@ fn stencil_at(
     InterpTarget { target: lin, kind, stride: s, axis }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn walk_pass(
-    shape: Shape,
-    strides: &[usize; MAX_DIMS],
-    idx: &mut [usize; MAX_DIMS],
-    depth: usize,
-    axis: usize,
-    s: usize,
-    nd: usize,
-    f: &mut impl FnMut(InterpTarget),
-) {
-    if depth == nd {
-        let lin: usize = (0..nd).map(|a| idx[a] * strides[a]).sum();
-        f(stencil_at(lin, idx[axis], shape.dim(axis), strides[axis], s, axis));
-        return;
-    }
-    let extent = shape.dim(depth);
-    if depth == axis {
-        // Odd multiples of s.
-        let mut c = s;
-        while c < extent {
-            idx[depth] = c;
-            walk_pass(shape, strides, idx, depth + 1, axis, s, nd, f);
-            c += 2 * s;
-        }
-    } else {
-        let step = if depth < axis { s } else { 2 * s };
-        let mut c = 0;
-        while c < extent {
-            idx[depth] = c;
-            walk_pass(shape, strides, idx, depth + 1, axis, s, nd, f);
-            c += step;
-        }
-    }
-}
-
 /// One (level, axis) pass of the traversal as a table: how many targets it
-/// has and which one is the `j`-th, without walking the ones before it.
+/// has, which one is the `j`-th without walking the ones before it, and
+/// which lines they fall into.
 ///
 /// [`for_each_stencil`] visits the passes of [`passes`] in order and,
 /// within a pass, the targets `0..len()` in order; a consumer that needs
@@ -214,8 +180,9 @@ impl Pass {
         let mut lattice = [(0, 1, 1); MAX_DIMS];
         let mut len = 1usize;
         for (d, slot) in lattice.iter_mut().enumerate().take(nd) {
-            // The known lattice of `for_each_stencil`'s pass: odd multiples
-            // of s along `axis`, s before it, 2s after it.
+            // Spacing of the pass's targets: odd multiples of s along
+            // `axis`, s before it (already refined this level), 2s after
+            // it (not yet refined).
             let (first, step) = match d.cmp(&axis) {
                 std::cmp::Ordering::Less => (0, s),
                 std::cmp::Ordering::Equal => (s, 2 * s),
@@ -264,6 +231,108 @@ impl Pass {
     pub fn targets(&self, first: usize, step: usize) -> impl Iterator<Item = InterpTarget> + '_ {
         assert!(step > 0, "a step of 0 never leaves its target");
         PassTargets::at(self, first, step)
+    }
+
+    /// The lines of the pass, in order: concatenated, their targets are
+    /// `targets(0, 1)`.
+    pub fn lines(&self) -> impl Iterator<Item = Line> + '_ {
+        let (_, step, len) = self.lattice[self.ndim - 1];
+        // Every `len`-th target starts a line; an empty pass has none.
+        self.targets(0, len.max(1)).map(move |head| Line {
+            first: head.target,
+            step,
+            len,
+            coord: head.target / self.strides[self.axis] % self.extent,
+        })
+    }
+
+    /// The `k`-th target of `line`, a line of this pass.
+    #[inline]
+    pub fn line_target(&self, line: Line, k: usize) -> InterpTarget {
+        debug_assert!(k < line.len);
+        let along = if self.axis + 1 == self.ndim { k * line.step } else { 0 };
+        stencil_at(
+            line.first + k * line.step,
+            line.coord + along,
+            self.extent,
+            self.strides[self.axis],
+            self.stride,
+            self.axis,
+        )
+    }
+
+    /// Predict every target of `line` from `buf` into `out`
+    /// (`out.len() == line.len`): [`InterpTarget::predict`] of each, in
+    /// order, without building each stencil. No target of a pass is a
+    /// source of the pass, so `buf` need not hold the line itself yet.
+    ///
+    /// Off the interpolation axis the whole line shares one stencil kind
+    /// and its sources are the line itself shifted by `±s`, `±3s` along the
+    /// axis; along it, every target but the first and the last two is
+    /// cubic. Either way the body of the line is one loop over strided
+    /// slices.
+    pub fn predict_line(&self, line: Line, buf: &[f64], out: &mut [f64]) {
+        assert_eq!(out.len(), line.len, "one prediction per target of the line");
+        let mut body = 0..line.len;
+        if self.axis + 1 == self.ndim {
+            let is_cubic = |k| matches!(self.line_target(line, k).kind, StencilKind::Cubic(_));
+            body.start = line.len.min(1);
+            while body.end > body.start && !is_cubic(body.end - 1) {
+                body.end -= 1;
+            }
+        }
+        for k in (0..body.start).chain(body.end..line.len) {
+            out[k] = self.line_target(line, k).predict(buf);
+        }
+        if body.is_empty() {
+            return;
+        }
+        // Source `from` of the body's first target, and the same source of
+        // every later one.
+        let span = (body.len() - 1) * line.step + 1;
+        let along = |from: usize| buf[from..from + span].iter().step_by(line.step);
+        let out = &mut out[body.clone()];
+        match self.line_target(line, body.start).kind {
+            StencilKind::Cubic([a, b, c, d]) => {
+                let sources = along(a).zip(along(b)).zip(along(c)).zip(along(d));
+                for (o, (((a, b), c), d)) in out.iter_mut().zip(sources) {
+                    *o = (-a + 9.0 * b + 9.0 * c - d) / 16.0;
+                }
+            }
+            StencilKind::Linear([a, b]) => {
+                for (o, (a, b)) in out.iter_mut().zip(along(a).zip(along(b))) {
+                    *o = 0.5 * (a + b);
+                }
+            }
+            StencilKind::CopyLeft(a) => {
+                for (o, a) in out.iter_mut().zip(along(a)) {
+                    *o = *a;
+                }
+            }
+        }
+    }
+}
+
+/// The targets of one [`Pass`] that share every coordinate but the last
+/// axis: `first`, `first + step`, … (`len` of them), in traversal order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Line {
+    /// Linear index of the first target.
+    pub first: usize,
+    /// Linear distance from one target to the next (the pass's coordinate
+    /// step along the last axis).
+    pub step: usize,
+    /// Number of targets.
+    pub len: usize,
+    /// Coordinate of the first target along the pass's axis (of every
+    /// target, unless that is the last axis).
+    pub coord: usize,
+}
+
+impl Line {
+    /// Linear indices of the targets, in order.
+    pub fn targets(&self) -> impl Iterator<Item = usize> {
+        (self.first..).step_by(self.step).take(self.len)
     }
 }
 
@@ -474,6 +543,48 @@ mod tests {
                 }
             }
             assert_eq!(next, walked.len(), "shape {:?}: the table is short", shape.dims());
+        }
+    }
+
+    /// The lines of every pass, concatenated, are the traversal — targets,
+    /// stencils and all — and a line predicted whole is each of its
+    /// targets predicted alone, bit for bit.
+    #[test]
+    fn lines_concatenate_to_the_traversal_and_predict_like_their_targets() {
+        let id = |t: InterpTarget| (t.target, t.kind, t.stride, t.axis);
+        let mut shapes = table_shapes();
+        shapes.extend([Shape::d3(8, 96, 96), Shape::d3(7, 33, 65)]);
+        for shape in shapes {
+            // Nothing smooth: a wrong source or weight must show.
+            let buf: Vec<f64> = (0..shape.len())
+                .map(|i| ((i as f64) * 0.7310585).sin() * (1.0 + (i % 13) as f64))
+                .collect();
+            let mut walked = Vec::new();
+            for_each_stencil(shape, |t| walked.push(id(t)));
+            let mut lined = Vec::new();
+            for pass in passes(shape) {
+                let before = lined.len();
+                for line in pass.lines() {
+                    assert!(line.len > 0, "{:?}: an empty line", shape.dims());
+                    let mut predicted = vec![f64::NAN; line.len];
+                    pass.predict_line(line, &buf, &mut predicted);
+                    for (k, lin) in line.targets().enumerate() {
+                        let t = pass.line_target(line, k);
+                        assert_eq!(t.target, lin);
+                        assert_eq!(
+                            predicted[k].to_bits(),
+                            t.predict(&buf).to_bits(),
+                            "{:?}, pass (stride {}, axis {}), target {lin}",
+                            shape.dims(),
+                            pass.stride,
+                            pass.axis
+                        );
+                        lined.push(id(t));
+                    }
+                }
+                assert_eq!(lined.len() - before, pass.len());
+            }
+            assert_eq!(lined, walked, "shape {:?}", shape.dims());
         }
     }
 

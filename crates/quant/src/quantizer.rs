@@ -43,6 +43,30 @@ fn round_ties_away(x: f64) -> f64 {
     f64::from_bits((small & small_mask) | (large & !small_mask))
 }
 
+/// 1.5 × 2⁵². Doubles in `[2⁵², 2⁵³)` are the integers, so adding this to an
+/// `|x| < 2⁵¹` rounds `x` to an integer (ties to even) and leaves that
+/// integer, in two's complement, in the low bits of the sum's mantissa.
+const ONE_AND_A_HALF_2_52: f64 = 6_755_399_441_055_744.0;
+
+/// [`round_ties_away`] for `|x| < 2⁵¹`, as arithmetic a loop can be
+/// vectorized over: no early return and no per-value shift count.
+///
+/// Adding and subtracting [`ONE_AND_A_HALF_2_52`] rounds to the nearest
+/// integer, ties to even; stepping that back to the truncation and testing
+/// the exact remainder against one half turns it into ties away from zero,
+/// which also gets the largest value below 0.5 right. At and beyond 2⁵¹ —
+/// and for infinities and NaN — the result is not `round`'s, but it is no
+/// smaller than 2⁵¹ − 1 in magnitude or not a number: past every code
+/// radius, which is all [`LinearQuantizer::quantize_line`] needs of it.
+#[inline(always)]
+fn round_ties_away_small(x: f64) -> f64 {
+    let magnitude = x.abs();
+    let to_even = ((x + ONE_AND_A_HALF_2_52) - ONE_AND_A_HALF_2_52).abs();
+    let truncated = if to_even > magnitude { to_even - 1.0 } else { to_even };
+    let rounded = if magnitude - truncated >= 0.5 { truncated + 1.0 } else { truncated };
+    rounded.copysign(x)
+}
+
 /// Linear-scaling quantizer with bin width `2 × eb` (paper §II-B).
 ///
 /// Symbols for the entropy coder are the shifted codes
@@ -150,6 +174,52 @@ impl LinearQuantizer {
         Some((code as i32, recon))
     }
 
+    /// [`Self::quantize_value`] over a whole line, for a caller that stores
+    /// reconstructions through a narrower type: point `i` quantizes
+    /// `original[i]` against `predicted[i]`, `stored` is that round trip
+    /// (`|r| T::from_f64(r).to_f64()`), and the point is accepted when
+    /// `quantize_value` accepts it **and** the stored reconstruction is
+    /// within the bound too. Writes each point's symbol
+    /// ([`Self::code_to_symbol`]) and stored reconstruction, and returns
+    /// whether every point was accepted; if not, the outputs mean nothing
+    /// and the caller quantizes the line point by point.
+    ///
+    /// The loop has no branch and no call, so it vectorizes; every accepted
+    /// point gets exactly `quantize_value`'s code and reconstruction
+    /// (`round_ties_away_small` is `round_ties_away` wherever the code can
+    /// be inside the radius). The acceptance tests are written so that a
+    /// NaN anywhere fails them, which is `quantize_value`'s finiteness
+    /// check: a non-finite error makes a non-finite or out-of-radius code.
+    #[inline]
+    pub fn quantize_line(
+        &self,
+        original: &[f64],
+        predicted: &[f64],
+        stored: impl Fn(f64) -> f64,
+        symbols: &mut [u32],
+        recon: &mut [f64],
+    ) -> bool {
+        let n = original.len();
+        assert!(predicted.len() == n && symbols.len() == n && recon.len() == n);
+        let radius = self.radius as f64;
+        let tolerance = self.eb * (1.0 + 1e-9);
+        let mut clean = true;
+        for i in 0..n {
+            let code = round_ties_away_small((original[i] - predicted[i]) / self.two_eb);
+            let exact = predicted[i] + code * self.two_eb;
+            recon[i] = stored(exact);
+            // `code_to_symbol(code as i32)` of an accepted code: `code + radius`
+            // is an integer in `0..=2 * radius`, which the magic sum holds in
+            // its low 32 bits. (`as i32` saturates and tests for NaN, and
+            // cost a twelfth of the encode traversal here.)
+            symbols[i] = ((code + radius) + ONE_AND_A_HALF_2_52).to_bits() as u32;
+            clean &= (code.abs() <= radius)
+                & ((original[i] - exact).abs() <= tolerance)
+                & ((original[i] - recon[i]).abs() <= tolerance);
+        }
+        clean
+    }
+
     /// The pre-rework quantize kernel: same arithmetic as
     /// [`Self::quantize`] but rounding through the libm `f64::round` call
     /// and re-deriving the bin width per call. Bit-identical in result
@@ -255,6 +325,134 @@ mod tests {
             assert_eq!(round_ties_away(h).to_bits(), h.round().to_bits());
             assert_eq!(round_ties_away(-h).to_bits(), (-h).round().to_bits());
         }
+    }
+
+    /// The vectorizable rounder is `round_ties_away` below 2⁵¹ — on the
+    /// same edge list and sweep — and past every radius from there on.
+    #[test]
+    fn round_ties_away_small_matches_below_2_51_and_overshoots_beyond() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+            0.5000000000000001,
+            2147483647.5, // i32::MAX + 0.5
+            -2147483648.5,
+            2251799813685247.5, // last half-integer before 2^51
+            -2251799813685247.5,
+            2251799813685247.0,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            -1e-308,
+        ];
+        for &x in &edges {
+            assert_eq!(
+                round_ties_away_small(x).to_bits(),
+                round_ties_away(x).to_bits(),
+                "edge value {x:e}"
+            );
+        }
+        let beyond = [
+            2251799813685248.0, // 2^51
+            -2251799813685248.0,
+            4503599627370495.5,
+            -4503599627370495.5,
+            4503599627370496.0,
+            9007199254740992.0,
+            1e308,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for &x in &beyond {
+            let r = round_ties_away_small(x).abs();
+            assert!(r.is_nan() || r >= 2251799813685247.0, "{x:e} rounded to {r:e}");
+        }
+        let mut s = 0xD1B5_4A32_D192_ED03u64;
+        for i in 0..200_000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let exp = (s % 64) as i32 - 16;
+            let x = ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2f64.powi(exp);
+            if x.abs() < 2251799813685248.0 {
+                assert_eq!(
+                    round_ties_away_small(x).to_bits(),
+                    round_ties_away(x).to_bits(),
+                    "random {x:e}"
+                );
+            }
+            let h = (i as f64) + 0.5;
+            assert_eq!(round_ties_away_small(h).to_bits(), round_ties_away(h).to_bits());
+            assert_eq!(round_ties_away_small(-h).to_bits(), round_ties_away(-h).to_bits());
+        }
+    }
+
+    /// A clean line is `quantize_value` point for point (code, stored
+    /// reconstruction); a line `quantize_value` or the storage check would
+    /// refuse anywhere is reported dirty.
+    #[test]
+    fn quantize_line_is_quantize_value_or_dirty() {
+        let through_f32 = |r: f64| r as f32 as f64;
+        let mut s = 0x5DEE_CE66_D1CE_5BB5u64;
+        let mut unit = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut clean_lines, mut dirty_lines) = (0, 0);
+        for case in 0..4_000 {
+            let n = 1 + case % 37;
+            let eb = 10f64.powf(-6.0 + 6.0 * unit());
+            let q = LinearQuantizer::new(eb, if case % 5 == 0 { 4 } else { DEFAULT_RADIUS });
+            let original: Vec<f64> =
+                (0..n).map(|_| through_f32(-1e3 + 2e3 * unit())).collect();
+            let mut predicted: Vec<f64> =
+                original.iter().map(|&o| o + (unit() - 0.5) * 40.0 * eb).collect();
+            let mut original = original;
+            match case % 11 {
+                0 => original[n / 2] = f64::NAN,
+                1 => original[n - 1] = f64::INFINITY,
+                2 => predicted[0] = f64::NEG_INFINITY,
+                3 => predicted[n / 3] = f64::NAN,
+                4 => original[0] = 3e38, // f32-representable, far past the radius
+                _ => {}
+            }
+            let mut symbols = vec![0u32; n];
+            let mut recon = vec![0f64; n];
+            let clean = q.quantize_line(&original, &predicted, through_f32, &mut symbols, &mut recon);
+            let pointwise: Vec<Option<(i32, f64)>> = original
+                .iter()
+                .zip(&predicted)
+                .map(|(&o, &p)| {
+                    q.quantize_value(o, p)
+                        .map(|(code, r)| (code, through_f32(r)))
+                        .filter(|&(_, kept)| (o - kept).abs() <= eb * (1.0 + 1e-9))
+                })
+                .collect();
+            assert_eq!(clean, pointwise.iter().all(Option::is_some), "case {case}");
+            if clean {
+                clean_lines += 1;
+                for (i, p) in pointwise.iter().enumerate() {
+                    let (code, kept) = p.unwrap();
+                    assert_eq!(symbols[i], q.code_to_symbol(code), "case {case} point {i}");
+                    assert_eq!(recon[i].to_bits(), kept.to_bits(), "case {case} point {i}");
+                }
+            } else {
+                dirty_lines += 1;
+            }
+        }
+        assert!(clean_lines > 500 && dirty_lines > 500, "{clean_lines} clean, {dirty_lines} dirty");
     }
 
     /// The fast quantize kernel and its pre-rework reference twin must

@@ -931,6 +931,122 @@ fn huffman_codebook_targeted_corruptions() {
     assert!(under_codec.decode_reference(&[0xFF, 0xFF], 1).is_err());
 }
 
+/// Peak resident set of this process so far, in bytes (`VmHWM`).
+fn peak_rss_bytes() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<usize>().ok())
+        .expect("VmHWM line");
+    kb * 1024
+}
+
+#[test]
+fn hostile_codebook_costs_its_bytes_not_its_alphabet() {
+    use rqm::compress_crate::kernels::{
+        decode_chunk, decode_chunk_rolz, encode_chunk, encode_chunk_rolz, KernelPath,
+    };
+    use rqm::compress_crate::LosslessStage;
+    use rqm::encoding::huffman::HuffmanCodec;
+    use rqm::encoding::varint::{get_uvarint, put_uvarint};
+    use std::time::Instant;
+
+    // Twelve and fourteen bytes that declare 2^28 symbols: a code at each
+    // end of the alphabet, and two codes 2^28 - 2 apart with nothing after
+    // the second. A codec that materializes the alphabet (or the span
+    // between its first and last symbol) pays gigabytes and seconds here.
+    let book = |parts: &[u64]| {
+        let mut out = Vec::new();
+        for &p in parts {
+            put_uvarint(&mut out, p);
+        }
+        out
+    };
+    let hostile = [
+        ("whole alphabet", book(&[1 << 28, 1, 0, (1 << 28) - 2, 1])),
+        ("wide span", book(&[1 << 28, 1, 0, (1 << 28) - 3, 1, 0, 1])),
+    ];
+
+    // The oracle: a typed error or success, inside 50 ms (the fastest of
+    // three tries, so that a descheduled test thread is not a failure) and
+    // 16 MB of peak-memory growth.
+    let bounded = |what: &str, run: &dyn Fn() -> bool| {
+        let before = peak_rss_bytes();
+        let fastest = (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(run());
+                t.elapsed()
+            })
+            .min()
+            .unwrap();
+        let grown = peak_rss_bytes().saturating_sub(before);
+        assert!(fastest.as_millis() < 50, "{what}: took {fastest:?}");
+        assert!(grown < 16 << 20, "{what}: peak memory grew by {grown} bytes");
+    };
+
+    for (name, bytes) in &hostile {
+        bounded(&format!("deserialize, {name}"), &|| {
+            HuffmanCodec::deserialize_codebook(bytes).is_ok()
+        });
+    }
+
+    // The same books inside a chunk blob, in place of the real one: the SZ
+    // and ROLZ decoders refuse an alphabet their header cannot have.
+    let shape = Shape::d2(16, 16);
+    let data: Vec<f32> = (0..shape.len()).map(|i| (i as f32 * 0.3).sin()).collect();
+    let sz = encode_chunk(
+        &data,
+        shape,
+        PredictorKind::Lorenzo,
+        1e-3,
+        1 << 15,
+        LosslessStage::None,
+        KernelPath::Fast,
+    )
+    .unwrap();
+    let rolz =
+        encode_chunk_rolz(&data, shape, PredictorKind::Lorenzo, 1e-3, 1 << 15, KernelPath::Fast)
+            .unwrap();
+    let with_book = |blob: &[u8], book: &[u8]| {
+        // Flag byte, then the codebook as a length-prefixed section.
+        let mut pos = 1;
+        let len = get_uvarint(blob, &mut pos).unwrap() as usize;
+        let mut out = vec![blob[0]];
+        put_uvarint(&mut out, book.len() as u64);
+        out.extend_from_slice(book);
+        out.extend_from_slice(&blob[pos + len..]);
+        out
+    };
+    for (name, bytes) in &hostile {
+        for path in [KernelPath::Fast, KernelPath::Reference] {
+            let (sz, rolz) = (with_book(&sz, bytes), with_book(&rolz, bytes));
+            bounded(&format!("sz chunk, {name}, {path:?}"), &|| {
+                let mut out = vec![0f32; shape.len()];
+                let r =
+                    decode_chunk(&sz, shape, PredictorKind::Lorenzo, 1e-3, 1 << 15, path, &mut out);
+                assert!(matches!(r, Err(DecompressError::Corrupt(_))), "{name}: {r:?}");
+                r.is_ok()
+            });
+            bounded(&format!("rolz chunk, {name}, {path:?}"), &|| {
+                let mut out = vec![0f32; shape.len()];
+                let r = decode_chunk_rolz(
+                    &rolz,
+                    shape,
+                    PredictorKind::Lorenzo,
+                    1e-3,
+                    1 << 15,
+                    path,
+                    &mut out,
+                );
+                assert!(matches!(r, Err(DecompressError::Corrupt(_))), "{name}: {r:?}");
+                r.is_ok()
+            });
+        }
+    }
+}
+
 #[test]
 fn rle_runs_at_refill_boundary_decode_identically() {
     use rqm::encoding::reference::rle_decompress_bounded_ref;

@@ -25,7 +25,10 @@
 //! `examples/make_golden_entropy.rs`; never change either
 //! side.
 
-use rqm::compress_crate::kernels::{decode_chunk, encode_chunk, traverse_lorenzo, KernelPath};
+use rqm::compress_crate::kernels::{
+    decode_chunk, decode_chunk_pointwise, encode_chunk, encode_chunk_pointwise, traverse_lorenzo,
+    KernelPath,
+};
 use rqm::compress_crate::LosslessStage;
 use rqm::encoding::huffman::HuffmanCodec;
 use rqm::encoding::lossless::{lossless_compress, lossless_decompress_bounded};
@@ -423,6 +426,181 @@ fn chunk_blobs_and_values_match_reference() {
             for radius in [1 << 15, 8] {
                 chunk_differential::<f32>(predictor, shape, radius);
                 chunk_differential::<f64>(predictor, shape, radius);
+            }
+        }
+    }
+}
+
+/// The shapes of `rq_predict::interp`'s pass-table tests (extents 1, 2, 3,
+/// 5, 17 and 96 in every position a dimension can take, 1-D to 4-D), plus
+/// the benchmark's chunk and one with no extent a power of two.
+fn interp_shapes() -> Vec<Shape> {
+    let mut shapes: Vec<Shape> = [1, 2, 3, 5, 17, 96].iter().map(|&n| Shape::d1(n)).collect();
+    shapes.extend([
+        Shape::d2(1, 1),
+        Shape::d2(2, 17),
+        Shape::d2(17, 2),
+        Shape::d2(96, 5),
+        Shape::d2(3, 96),
+        Shape::d3(1, 5, 1),
+        Shape::d3(2, 3, 5),
+        Shape::d3(17, 1, 96),
+        Shape::d3(5, 17, 3),
+        Shape::d3(96, 2, 2),
+        Shape::d4(1, 2, 3, 5),
+        Shape::d4(5, 3, 2, 1),
+        Shape::d4(3, 17, 1, 5),
+        Shape::d4(2, 2, 17, 3),
+        Shape::d3(8, 96, 96),
+        Shape::d3(7, 33, 65),
+    ]);
+    shapes
+}
+
+/// Values stored verbatim in an SZ chunk blob: flag byte, codebook section,
+/// payload section, then the count.
+fn verbatim_count(blob: &[u8]) -> usize {
+    let mut pos = 1;
+    for _section in ["codebook", "payload"] {
+        let len = get_uvarint(blob, &mut pos).expect("section length") as usize;
+        pos += len;
+    }
+    get_uvarint(blob, &mut pos).expect("verbatim count") as usize
+}
+
+/// What the line kernel must fall back on: the ways a point of a line can
+/// refuse to quantize.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Dirt {
+    /// Every line clean (at the default radius).
+    None,
+    Nan,
+    PlusInf,
+    MinusInf,
+    /// A run of values far outside the field's range.
+    Outliers,
+    /// Radius 2: a point of most lines is out of range.
+    TinyRadius,
+    /// Point-wise relative bound (log transform) over a field with zeros and
+    /// negative values.
+    LogNonPositive,
+}
+
+/// Interpolation, line kernel (Fast) against the per-stencil walk
+/// (Reference): same blob, and either blob decodes to the same values on
+/// both paths. Returns the number of escaped values.
+fn interp_line_differential<T: Scalar>(shape: Shape, eb: f64, dirt: Dirt) -> usize {
+    let mut data: Vec<T> = field(shape);
+    let n = data.len();
+    let what = format!("{shape:?} eb {eb} {dirt:?} {}-bit", T::BITS);
+    match dirt {
+        Dirt::None | Dirt::TinyRadius => {}
+        Dirt::Nan => data[n / 2] = T::from_f64(f64::NAN),
+        Dirt::PlusInf => data[n - 1] = T::from_f64(f64::INFINITY),
+        Dirt::MinusInf => data[n / 3] = T::from_f64(f64::NEG_INFINITY),
+        Dirt::Outliers => {
+            for v in data.iter_mut().skip(n / 2).take(5) {
+                *v = T::from_f64(1e9);
+            }
+        }
+        Dirt::LogNonPositive => {
+            for (i, v) in data.iter_mut().enumerate() {
+                *v = match i % 17 {
+                    0 => T::zero(),
+                    5 => T::from_f64(-v.to_f64().abs() - 1.0),
+                    _ => T::from_f64(v.to_f64().abs() + 0.25),
+                };
+            }
+        }
+    }
+    let radius = if dirt == Dirt::TinyRadius { 2 } else { 1 << 15 };
+    let encode = |path| {
+        if dirt == Dirt::LogNonPositive {
+            encode_chunk_pointwise(&data, shape, PredictorKind::Interpolation, eb, radius, path)
+        } else {
+            let lossless = LosslessStage::RleLzss;
+            encode_chunk(&data, shape, PredictorKind::Interpolation, eb, radius, lossless, path)
+        }
+        .expect("encode")
+    };
+    let blob = encode(KernelPath::Fast);
+    assert!(blob == encode(KernelPath::Reference), "{what}: blobs differ");
+
+    let decode = |path| {
+        let mut out = vec![T::zero(); n];
+        if dirt == Dirt::LogNonPositive {
+            decode_chunk_pointwise(
+                &blob,
+                shape,
+                PredictorKind::Interpolation,
+                eb,
+                radius,
+                path,
+                &mut out,
+            )
+        } else {
+            decode_chunk(&blob, shape, PredictorKind::Interpolation, eb, radius, path, &mut out)
+        }
+        .expect("decode");
+        out
+    };
+    let (fast, reference) = (decode(KernelPath::Fast), decode(KernelPath::Reference));
+    for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
+        assert_eq!(a.to_f64().to_bits(), b.to_f64().to_bits(), "{what}: point {i}");
+    }
+    // And the values are the field's, within the bound (escapes exactly).
+    for (i, (a, b)) in data.iter().zip(&fast).enumerate() {
+        let (a, b) = (a.to_f64(), b.to_f64());
+        let ok = match dirt {
+            Dirt::LogNonPositive if a > 0.0 => (a - b).abs() <= eb * a * (1.0 + 1e-5),
+            Dirt::LogNonPositive => a.to_bits() == b.to_bits(),
+            _ if a.is_finite() => (a - b).abs() <= eb * (1.0 + 1e-6),
+            _ => a.to_bits() == b.to_bits(),
+        };
+        assert!(ok, "{what}: point {i} decoded {a} as {b}");
+    }
+    verbatim_count(&blob) - rqm::predict::interp::anchors(shape).len()
+}
+
+#[test]
+fn interpolation_line_kernel_matches_reference() {
+    // `field` is a smooth wave plus ±0.05 of noise: these bounds price the
+    // noise at about 1, 4 and 12 bits a value.
+    let bounds = [5e-2, 4e-3, 1.5e-5];
+    let biggest = Shape::d3(8, 96, 96);
+    for shape in interp_shapes() {
+        for eb in bounds {
+            let clean = interp_line_differential::<f32>(shape, eb, Dirt::None)
+                + interp_line_differential::<f64>(shape, eb, Dirt::None);
+            // At the widest bound nothing of the benchmark's chunk escapes:
+            // every line of it takes the vector route.
+            if shape.dims() == biggest.dims() && eb == bounds[0] {
+                assert_eq!(clean, 0, "clean field escaped {clean} values at eb {eb}");
+            }
+            for dirt in [
+                Dirt::Nan,
+                Dirt::PlusInf,
+                Dirt::MinusInf,
+                Dirt::Outliers,
+                Dirt::TinyRadius,
+                Dirt::LogNonPositive,
+            ] {
+                // Relative bounds in place of absolute ones for the log case.
+                let eb = if dirt == Dirt::LogNonPositive { eb.min(1e-2) } else { eb };
+                let escapes = interp_line_differential::<f32>(shape, eb, dirt)
+                    .min(interp_line_differential::<f64>(shape, eb, dirt));
+                // A point that cannot quantize escapes, and an escape is a
+                // line that went through the per-point fallback. (Anchors
+                // are verbatim anyway; a one-point field is all anchor.)
+                let has_targets = shape.len() > rqm::predict::interp::anchors(shape).len();
+                let dirty_point_is_a_target = match dirt {
+                    Dirt::TinyRadius => shape.len() >= 17,
+                    Dirt::LogNonPositive => shape.len() > 5,
+                    _ => shape.len() >= 5,
+                };
+                if has_targets && dirty_point_is_a_target {
+                    assert!(escapes > 0, "{shape:?} eb {eb} {dirt:?}: no line fell back");
+                }
             }
         }
     }
