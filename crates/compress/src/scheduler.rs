@@ -27,14 +27,21 @@
 //!   real* and measures bits/value: the origin corner, the slab center
 //!   and the far corner, averaged (corner-only probing judged a slab by
 //!   its edges and missed interior regimes) — or the whole slab when it
-//!   fits the budget, in which case the stream is reused as the final
-//!   encoding. The three estimates together cost ≈ 1.2–1.5 ms per chunk
-//!   (`compress.scheduler_us_per_chunk` on the benchmark's `archive_auto`
-//!   workload, 2-vCPU Xeon 2.1 GHz): cheap next to encoding the chunk, in
-//!   the spirit of the paper's 1 % sampling pass, but not free.
+//!   fits the budget.
 //! * **ROLZ** — the dictionary stage's gain depends on repeat structure
 //!   the entropy model cannot see, so the same probe blocks are pushed
 //!   through [`RolzChunkCodec`] for real and measured.
+//!
+//! The two measured probes are one function (`probe`) over a
+//! [`ChunkCodec`]. When it encodes the whole slab and its codec wins, that
+//! encoding — blob and [`ChunkStats`] — is handed to the writer as the
+//! chunk, so a slab under the probe budget is never encoded twice by its
+//! winner. The three estimates together cost ≈ 0.7 ms per chunk
+//! (`compress.scheduler_us_per_chunk` 698–764 on the benchmark's
+//! `archive_auto` workload, 2-vCPU Xeon 2.1 GHz; 1.0–1.2 ms before `rq-zfp`
+//! kept its block on the stack) and ≈ 0.14 of the encode wall, most of it now
+//! the ROLZ probes: cheap next to encoding the chunk, in the spirit of the
+//! paper's 1 % sampling pass, but not free.
 //!
 //! The decision rule is [`pick_codec`]: the finite minimum of the three
 //! estimates, ties preferring SZ then ZFP then ROLZ, and SZ when every
@@ -42,7 +49,7 @@
 //! historical rule compared `zfp_bits < sz_bits`, which silently picked
 //! SZ whenever the SZ estimate was NaN.
 
-use crate::codec::ChunkCodec;
+use crate::codec::{ChunkCodec, ChunkStats, ZfpChunkCodec};
 use crate::container::ChunkCodecKind;
 use crate::rolz::RolzChunkCodec;
 use rq_grid::{Scalar, Shape, MAX_DIMS};
@@ -94,24 +101,32 @@ pub fn choose_codec<T: Scalar>(
     choose_codec_with_blob(data, shape, predictor, abs_eb, radius).0
 }
 
-/// [`choose_codec`], additionally handing back the ZFP stream when the
-/// probe already compressed the *whole* slab (small chunks) and ZFP won —
-/// the pipeline can then reuse it instead of encoding the slab twice.
-/// (A winning whole-slab ROLZ probe is *not* reused: re-encoding small
-/// slabs is cheap and keeps the chunk's statistics populated.)
+/// [`choose_codec`], additionally handing back the winner's encoding when
+/// its probe already compressed the *whole* slab (small chunks) — blob and
+/// statistics exactly as [`ChunkCodec::encode`] of that codec returns them,
+/// because that is the call the probe made — so the pipeline does not encode
+/// the slab a second time. `None` when SZ wins (its price is an estimate, not
+/// an encoding) or the slab was probed by blocks.
 pub(crate) fn choose_codec_with_blob<T: Scalar>(
     data: &[T],
     shape: Shape,
     predictor: PredictorKind,
     abs_eb: f64,
     radius: u32,
-) -> (CodecDecision, Option<Vec<u8>>) {
+) -> (CodecDecision, Option<(Vec<u8>, ChunkStats)>) {
     let sz_bits = estimate_sz_bits(data, shape, predictor, abs_eb, radius);
-    let (zfp_bits, full_blob) = zfp_probe(data, shape, abs_eb);
-    let rolz_bits = estimate_rolz_bits(data, shape, predictor, abs_eb, radius);
+    // The codecs the writer itself uses under the identity transform — the
+    // only one the scheduler runs under.
+    let (zfp_bits, zfp_ready) = probe(data, shape, &ZfpChunkCodec::new(abs_eb));
+    let rolz = RolzChunkCodec::new(predictor, LinearQuantizer::new(abs_eb, radius));
+    let (rolz_bits, rolz_ready) = probe(data, shape, &rolz);
     let codec = pick_codec(sz_bits, zfp_bits, rolz_bits);
-    let blob = if codec == ChunkCodecKind::Zfp { full_blob } else { None };
-    (CodecDecision { codec, sz_bits, zfp_bits, rolz_bits }, blob)
+    let ready = match codec {
+        ChunkCodecKind::Sz => None,
+        ChunkCodecKind::Zfp => zfp_ready,
+        ChunkCodecKind::Rolz => rolz_ready,
+    };
+    (CodecDecision { codec, sz_bits, zfp_bits, rolz_bits }, ready)
 }
 
 /// Three-way `min(estimated bits)`, safe against non-finite estimates: a
@@ -153,7 +168,7 @@ pub fn estimate_sz_bits<T: Scalar>(
 
 /// Measured bits/value of the ZFP path on probe blocks of a slab.
 pub fn estimate_zfp_bits<T: Scalar>(data: &[T], shape: Shape, abs_eb: f64) -> f64 {
-    zfp_probe(data, shape, abs_eb).0
+    probe(data, shape, &ZfpChunkCodec::new(abs_eb)).0
 }
 
 /// Measured bits/value of the ROLZ path on probe blocks of a slab
@@ -166,45 +181,33 @@ pub fn estimate_rolz_bits<T: Scalar>(
     abs_eb: f64,
     radius: u32,
 ) -> f64 {
-    let codec = RolzChunkCodec::new(predictor, LinearQuantizer::new(abs_eb, radius));
-    let bits_of = |block: &[T], block_shape: Shape| -> f64 {
-        match ChunkCodec::<T>::encode(&codec, block, block_shape) {
-            Ok((blob, _)) => blob.len() as f64 * 8.0 / block_shape.len() as f64,
-            Err(_) => f64::INFINITY,
-        }
-    };
-    let Some(caps) = block_probe_caps(shape) else {
-        return bits_of(data, shape);
-    };
-    let probe_shape = caps_shape(shape, &caps);
-    let mut total_bits = 0.0f64;
-    for origin in probe_origins(shape, &caps) {
-        let probe = copy_block(data, shape, &origin, &caps);
-        total_bits += bits_of(&probe, probe_shape);
-    }
-    total_bits / PROBE_BLOCKS as f64
+    probe(data, shape, &RolzChunkCodec::new(predictor, LinearQuantizer::new(abs_eb, radius))).0
 }
 
-/// Compress ZFP probe block(s) and measure bits/value. When the probe
-/// covers the whole slab (no sub-block was cut), the stream is the slab's
-/// final ZFP encoding and is returned for reuse; otherwise the
-/// origin / center / far blocks are probed and averaged.
-fn zfp_probe<T: Scalar>(data: &[T], shape: Shape, abs_eb: f64) -> (f64, Option<Vec<u8>>) {
+/// Encode a slab's probe block(s) with `codec` for real and measure
+/// bits/value: the whole slab when it fits the budget — the probe then IS
+/// the slab's final encoding and is returned for reuse — otherwise the
+/// origin / center / far blocks, averaged. A failed encode prices the codec
+/// at infinity (an invalid tolerance cannot reach here, `resolve_bound`
+/// validated it): it is never picked.
+fn probe<T: Scalar>(
+    data: &[T],
+    shape: Shape,
+    codec: &impl ChunkCodec<T>,
+) -> (f64, Option<(Vec<u8>, ChunkStats)>) {
+    let bits_of = |blob: &[u8], shape: Shape| blob.len() as f64 * 8.0 / shape.len() as f64;
     let Some(caps) = block_probe_caps(shape) else {
-        // Whole slab fits the budget: the probe IS the encoding.
-        return match rq_zfp::zfp_compress_slice(data, shape, abs_eb) {
-            Ok(bytes) => (bytes.len() as f64 * 8.0 / shape.len() as f64, Some(bytes)),
-            // An invalid tolerance cannot reach here (resolve_bound
-            // validated it); treat a failure as "never pick zfp".
+        return match codec.encode(data, shape) {
+            Ok(encoded) => (bits_of(&encoded.0, shape), Some(encoded)),
             Err(_) => (f64::INFINITY, None),
         };
     };
     let probe_shape = caps_shape(shape, &caps);
     let mut total_bits = 0.0f64;
     for origin in probe_origins(shape, &caps) {
-        let probe = copy_block(data, shape, &origin, &caps);
-        match rq_zfp::zfp_compress_slice(&probe, probe_shape, abs_eb) {
-            Ok(bytes) => total_bits += bytes.len() as f64 * 8.0 / probe_shape.len() as f64,
+        let block = copy_block(data, shape, &origin, &caps);
+        match codec.encode(&block, probe_shape) {
+            Ok((blob, _)) => total_bits += bits_of(&blob, probe_shape),
             Err(_) => return (f64::INFINITY, None),
         }
     }
@@ -524,7 +527,7 @@ mod tests {
         let data = rough(shape, 50.0);
         let (d, blob) = choose_codec_with_blob(&data, shape, PredictorKind::Lorenzo, 1e-4, 256);
         assert_eq!(d.codec, ChunkCodecKind::Zfp);
-        let blob = blob.expect("whole-slab probe must be reusable");
+        let (blob, _) = blob.expect("whole-slab probe must be reusable");
         assert_eq!(blob, rq_zfp::zfp_compress_slice(&data, shape, 1e-4).unwrap());
     }
 }

@@ -164,8 +164,8 @@ impl SlabEncoder {
             )
             .with_transform(self.transform);
             let slab = &data[c.offset..c.offset + c.len];
-            // `ready` carries the scheduler's probe stream when it already
-            // compressed the whole (small) slab — no second zfp pass then.
+            // `ready` carries the scheduler's winning probe when it already
+            // compressed the whole (small) slab — no second pass then.
             let (kind, ready) = match self.codec {
                 CodecChoice::Sz => (ChunkCodecKind::Sz, None),
                 CodecChoice::Zfp => (ChunkCodecKind::Zfp, None),
@@ -176,22 +176,22 @@ impl SlabEncoder {
                         // calibrated, every chunk stays on SZ.
                         (ChunkCodecKind::Sz, None)
                     } else {
-                        let (decision, blob) = crate::scheduler::choose_codec_with_blob(
+                        let (decision, ready) = crate::scheduler::choose_codec_with_blob(
                             slab,
                             c.shape,
                             self.predictor,
                             eb,
                             self.radius,
                         );
-                        (decision.codec, blob)
+                        (decision.codec, ready)
                     }
                 }
             };
             let (blob, stats) = match (kind, ready) {
-                (ChunkCodecKind::Zfp, Some(blob)) => (blob, ChunkStats::default()),
-                (ChunkCodecKind::Sz, _) => ChunkCodec::<T>::encode(&sz, slab, c.shape)?,
+                (_, Some(ready)) => ready,
+                (ChunkCodecKind::Sz, None) => ChunkCodec::<T>::encode(&sz, slab, c.shape)?,
                 (ChunkCodecKind::Zfp, None) => ChunkCodec::<T>::encode(&zfp, slab, c.shape)?,
-                (ChunkCodecKind::Rolz, _) => ChunkCodec::<T>::encode(&rolz, slab, c.shape)?,
+                (ChunkCodecKind::Rolz, None) => ChunkCodec::<T>::encode(&rolz, slab, c.shape)?,
             };
             Ok(EncodedChunk { rows: c.rows, codec: kind, blob, stats, eb })
         })
@@ -2307,5 +2307,69 @@ mod tests {
         assert_eq!(fin.report.symbol_histogram, rep.symbol_histogram);
         assert_eq!(fin.report.container_bytes, rep.container_bytes);
         assert_eq!(fin.report.n_elements, rep.n_elements);
+    }
+
+    #[test]
+    fn reused_whole_slab_probes_are_the_fixed_codec_encodings() {
+        // CESM-TS in 8-row chunks: 8 × 512 values is the probe budget, so
+        // every slab is probed whole, and at this bound all three codecs
+        // win chunks. What the writer takes from the scheduler — the ZFP
+        // and ROLZ probes — must be what encoding the chunk afresh with the
+        // codec its tag names gives: the blob, and the statistics that
+        // reach the report.
+        let field = rq_datagen::fields::cesm_ts();
+        let eb = 6.8e-7 * field.value_range();
+        let c = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(eb))
+            .chunked(8)
+            .with_codec(CodecChoice::Auto)
+            .with_threads(2);
+        let mut w = ArchiveWriter::<f32, Vec<u8>>::create(Vec::new(), field.shape(), &c).unwrap();
+        w.write_slab(&field).unwrap();
+        let fin = w.finalize().unwrap();
+        let entries = chunk_table(&fin.sink).unwrap().entries;
+        for kind in [ChunkCodecKind::Sz, ChunkCodecKind::Zfp, ChunkCodecKind::Rolz] {
+            assert!(entries.iter().any(|e| e.codec == kind), "no {kind:?} chunk");
+        }
+
+        let quantizer = LinearQuantizer::new(eb, c.radius);
+        let mut fresh = CompressionReport::of_no_chunks(&quantizer, field.len(), 32);
+        for (e, spec) in entries.iter().zip(slab_chunks(field.shape(), 8)) {
+            let slab = &field.as_slice()[spec.offset..spec.offset + spec.len];
+            let (decision, ready) = crate::scheduler::choose_codec_with_blob(
+                slab,
+                spec.shape,
+                c.predictor,
+                eb,
+                c.radius,
+            );
+            assert_eq!(decision.codec, e.codec);
+            assert_eq!(ready.is_some(), e.codec != ChunkCodecKind::Sz, "probed whole");
+            let (blob, stats) = match e.codec {
+                ChunkCodecKind::Sz => ChunkCodec::<f32>::encode(
+                    &SzChunkCodec::new(c.predictor, quantizer, c.lossless),
+                    slab,
+                    spec.shape,
+                ),
+                ChunkCodecKind::Zfp => {
+                    ChunkCodec::<f32>::encode(&ZfpChunkCodec::new(eb), slab, spec.shape)
+                }
+                ChunkCodecKind::Rolz => ChunkCodec::<f32>::encode(
+                    &crate::rolz::RolzChunkCodec::new(c.predictor, quantizer),
+                    slab,
+                    spec.shape,
+                ),
+            }
+            .unwrap();
+            assert!(fin.sink[e.offset..e.offset + e.len] == blob[..], "{:?} blob", e.codec);
+            fresh.add_chunk(e.codec, &stats);
+        }
+        assert_eq!(fin.report.chunk_codecs, fresh.chunk_codecs);
+        assert_eq!(fin.report.n_quantized, fresh.n_quantized, "n_symbols - n_escapes");
+        assert_eq!(fin.report.n_unpredictable, fresh.n_unpredictable, "n_escapes");
+        assert!(fin.report.n_quantized > 0 && fin.report.n_unpredictable > 0);
+        assert_eq!(fin.report.symbol_histogram, fresh.symbol_histogram);
+        assert_eq!(fin.report.huffman_bytes, fresh.huffman_bytes);
+        assert_eq!(fin.report.encoded_bytes, fresh.encoded_bytes);
+        assert_eq!(fin.report.codebook_bytes, fresh.codebook_bytes);
     }
 }

@@ -5,6 +5,13 @@
 //! precision, then rounded to integers. Edge blocks are padded by
 //! replicating the last layer (as libzfp does), which keeps the transform
 //! smooth across the pad.
+//!
+//! Scratch in, scratch out: every function here fills a slice the caller
+//! owns (`4^ndim` elements, the front of one [`BLOCK_MAX`]-element array the
+//! codec keeps for the whole call) and allocates nothing. A block is gathered
+//! and scattered one 4-run along the slab's last axis at a time; the run's
+//! offset on the outer axes is a sum of per-axis lane offsets computed once
+//! per block, not an index computation per element.
 
 use rq_grid::{Scalar, Shape, MAX_DIMS};
 
@@ -14,94 +21,86 @@ pub const Q_BITS: i32 = 40;
 /// Side length of a codec block.
 pub const BLOCK_SIDE: usize = 4;
 
-/// Extract the block at `origin` (block-aligned), replicate-padding past
-/// the boundary, as `f64` values in row-major 4^ndim order.
+/// Values in the largest block (`BLOCK_SIDE` to the power [`MAX_DIMS`]):
+/// the length of the per-call scratch arrays a block of any dimensionality
+/// fits in.
+pub const BLOCK_MAX: usize = BLOCK_SIDE.pow(MAX_DIMS as u32);
+
+/// Extract the block at `origin` (block-aligned) into `out` (row-major,
+/// `4^ndim` values), replicate-padding past the boundary.
 ///
 /// Operates on a raw row-major slice so callers can encode sub-slabs of a
 /// larger buffer (the chunk-parallel pipeline) without copying.
-pub fn extract_padded<T: Scalar>(data: &[T], shape: Shape, origin: &[usize]) -> Vec<f64> {
+pub fn extract_padded<T: Scalar>(data: &[T], shape: Shape, origin: &[usize], out: &mut [f64]) {
     let nd = shape.ndim();
-    let n = BLOCK_SIDE.pow(nd as u32);
-    let mut out = Vec::with_capacity(n);
-    let mut local = [0usize; MAX_DIMS];
-    let mut idx = [0usize; MAX_DIMS];
-    loop {
-        for a in 0..nd {
-            // Clamp = replicate padding.
-            idx[a] = (origin[a] + local[a]).min(shape.dim(a) - 1);
-        }
-        out.push(data[shape.offset(&idx[..nd])].to_f64());
-        let mut axis = nd;
-        let mut done = false;
-        loop {
-            if axis == 0 {
-                done = true;
-                break;
-            }
-            axis -= 1;
-            local[axis] += 1;
-            if local[axis] < BLOCK_SIDE {
-                break;
-            }
-            local[axis] = 0;
-        }
-        if done {
-            break;
+    debug_assert_eq!(out.len(), BLOCK_SIDE.pow(nd as u32));
+    let strides = shape.strides();
+    // Clamp = replicate padding, once per axis and lane.
+    let mut offsets = [[0usize; BLOCK_SIDE]; MAX_DIMS];
+    for a in 0..nd {
+        for (lane, o) in offsets[a].iter_mut().enumerate() {
+            *o = (origin[a] + lane).min(shape.dim(a) - 1) * strides[a];
         }
     }
-    out
-}
-
-/// Write a decoded block back, ignoring padded lanes.
-pub fn store_block<T: Scalar>(
-    data: &mut [T],
-    shape: Shape,
-    origin: &[usize],
-    values: &[f64],
-) {
-    let nd = shape.ndim();
-    let mut local = [0usize; MAX_DIMS];
-    let mut idx = [0usize; MAX_DIMS];
-    let mut pos = 0usize;
-    loop {
-        let mut in_range = true;
-        for a in 0..nd {
-            let c = origin[a] + local[a];
-            if c >= shape.dim(a) {
-                in_range = false;
-                break;
-            }
-            idx[a] = c;
+    let last = offsets[nd - 1];
+    let contiguous = origin[nd - 1] + BLOCK_SIDE <= shape.dim(nd - 1);
+    // One 4-run along the last axis per step; the run's number, in base 4,
+    // is its lanes on the outer axes (axis `nd - 2` lowest).
+    for (line, run) in out.chunks_exact_mut(BLOCK_SIDE).enumerate() {
+        let mut base = 0;
+        let mut rem = line;
+        for a in (0..nd - 1).rev() {
+            base += offsets[a][rem % BLOCK_SIDE];
+            rem /= BLOCK_SIDE;
         }
-        if in_range {
-            data[shape.offset(&idx[..nd])] = T::from_f64(values[pos]);
-        }
-        pos += 1;
-        let mut axis = nd;
-        let mut done = false;
-        loop {
-            if axis == 0 {
-                done = true;
-                break;
+        if contiguous {
+            let src = &data[base + last[0]..base + last[0] + BLOCK_SIDE];
+            for (o, v) in run.iter_mut().zip(src) {
+                *o = v.to_f64();
             }
-            axis -= 1;
-            local[axis] += 1;
-            if local[axis] < BLOCK_SIDE {
-                break;
+        } else {
+            for (o, &l) in run.iter_mut().zip(&last) {
+                *o = data[base + l].to_f64();
             }
-            local[axis] = 0;
-        }
-        if done {
-            break;
         }
     }
 }
 
-/// Shared-exponent fixed-point encoding of a block.
+/// Write a decoded block (row-major, `4^ndim` values) back, ignoring padded
+/// lanes.
+pub fn store_block<T: Scalar>(data: &mut [T], shape: Shape, origin: &[usize], values: &[f64]) {
+    let nd = shape.ndim();
+    debug_assert_eq!(values.len(), BLOCK_SIDE.pow(nd as u32));
+    let strides = shape.strides();
+    // Lanes of the block that lie inside the slab, per axis.
+    let mut extent = [0usize; MAX_DIMS];
+    for a in 0..nd {
+        extent[a] = (shape.dim(a) - origin[a]).min(BLOCK_SIDE);
+    }
+    for (line, run) in values.chunks_exact(BLOCK_SIDE).enumerate() {
+        let mut start = origin[nd - 1];
+        let mut rem = line;
+        let mut inside = true;
+        for a in (0..nd - 1).rev() {
+            let lane = rem % BLOCK_SIDE;
+            rem /= BLOCK_SIDE;
+            inside &= lane < extent[a];
+            start += (origin[a] + lane) * strides[a];
+        }
+        if inside {
+            for (d, &v) in data[start..start + extent[nd - 1]].iter_mut().zip(run) {
+                *d = T::from_f64(v);
+            }
+        }
+    }
+}
+
+/// Shared-exponent fixed-point encoding of a block into `ints`
+/// (`ints.len() == values.len()`).
 ///
-/// Returns `(e_max, ints)` with `ints[i] = round(v[i] · 2^(Q − e_max))`;
-/// an all-zero/non-finite block returns `e_max = i32::MIN` and zeros.
-pub fn to_fixed_point(values: &[f64]) -> (i32, Vec<i64>) {
+/// Returns `e_max` with `ints[i] = round(v[i] · 2^(Q − e_max))`; an
+/// all-zero/non-finite block returns `e_max = i32::MIN` and zeros.
+pub fn to_fixed_point(values: &[f64], ints: &mut [i64]) -> i32 {
     let mut e_max = i32::MIN;
     for &v in values {
         if v != 0.0 && v.is_finite() {
@@ -110,29 +109,27 @@ pub fn to_fixed_point(values: &[f64]) -> (i32, Vec<i64>) {
         }
     }
     if e_max == i32::MIN {
-        return (e_max, vec![0; values.len()]);
+        ints.fill(0);
+        return e_max;
     }
     let scale = exp2i(Q_BITS - e_max);
-    let ints = values
-        .iter()
-        .map(|&v| {
-            if v.is_finite() {
-                (v * scale).round() as i64
-            } else {
-                0
-            }
-        })
-        .collect();
-    (e_max, ints)
+    for (i, &v) in ints.iter_mut().zip(values) {
+        *i = if v.is_finite() { (v * scale).round() as i64 } else { 0 };
+    }
+    e_max
 }
 
-/// Inverse of [`to_fixed_point`].
-pub fn from_fixed_point(e_max: i32, ints: &[i64]) -> Vec<f64> {
+/// Inverse of [`to_fixed_point`], into `values`
+/// (`values.len() == ints.len()`).
+pub fn from_fixed_point(e_max: i32, ints: &[i64], values: &mut [f64]) {
     if e_max == i32::MIN {
-        return vec![0.0; ints.len()];
+        values.fill(0.0);
+        return;
     }
     let scale = exp2i(e_max - Q_BITS);
-    ints.iter().map(|&i| i as f64 * scale).collect()
+    for (v, &i) in values.iter_mut().zip(ints) {
+        *v = i as f64 * scale;
+    }
 }
 
 /// `2^k` as f64 for |k| within f64 range.
@@ -171,9 +168,10 @@ mod tests {
 
     #[test]
     fn fixed_point_roundtrip_within_half_ulp() {
-        let vals = vec![1.0, -0.5, 0.25, 3.999, 0.0, -2.5e-3, 1.75];
-        let (e, ints) = to_fixed_point(&vals);
-        let back = from_fixed_point(e, &ints);
+        let vals = [1.0, -0.5, 0.25, 3.999, 0.0, -2.5e-3, 1.75];
+        let (mut ints, mut back) = ([0i64; 7], [0f64; 7]);
+        let e = to_fixed_point(&vals, &mut ints);
+        from_fixed_point(e, &ints, &mut back);
         let tol = exp2i(e - Q_BITS);
         for (a, b) in vals.iter().zip(&back) {
             assert!((a - b).abs() <= tol, "{a} vs {b}");
@@ -182,10 +180,13 @@ mod tests {
 
     #[test]
     fn all_zero_block() {
-        let (e, ints) = to_fixed_point(&[0.0; 16]);
+        // Dirty scratch in, zeros out: the codec reuses one scratch per call.
+        let (mut ints, mut back) = ([7i64; 16], [7f64; 16]);
+        let e = to_fixed_point(&[0.0; 16], &mut ints);
         assert_eq!(e, i32::MIN);
         assert!(ints.iter().all(|&i| i == 0));
-        assert!(from_fixed_point(e, &ints).iter().all(|&v| v == 0.0));
+        from_fixed_point(e, &ints, &mut back);
+        assert!(back.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -196,8 +197,9 @@ mod tests {
         let mut out = vec![0f32; shape.len()];
         for b0 in (0..5).step_by(4) {
             for b1 in (0..6).step_by(4) {
-                let vals = extract_padded(field.as_slice(), shape, &[b0, b1]);
-                assert_eq!(vals.len(), 16);
+                let mut vals = [f64::NAN; 16];
+                extract_padded(field.as_slice(), shape, &[b0, b1], &mut vals);
+                assert!(vals.iter().all(|v| v.is_finite()), "every lane is written");
                 store_block(&mut out, shape, &[b0, b1], &vals);
             }
         }
@@ -207,7 +209,8 @@ mod tests {
     #[test]
     fn padding_replicates_edge() {
         let data = [0.0f32, 1.0, 2.0, 3.0, 4.0];
-        let vals = extract_padded(&data, Shape::d1(5), &[4]);
-        assert_eq!(vals, vec![4.0, 4.0, 4.0, 4.0]);
+        let mut vals = [0f64; 4];
+        extract_padded(&data, Shape::d1(5), &[4], &mut vals);
+        assert_eq!(vals, [4.0, 4.0, 4.0, 4.0]);
     }
 }

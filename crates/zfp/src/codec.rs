@@ -7,14 +7,44 @@
 //! 0-flag. Coding stops at the plane where the truncation error — after
 //! worst-case amplification through the inverse transform — is below the
 //! requested absolute bound, which is what makes the codec error-bounded.
+//!
+//! # A block's state
+//!
+//! One scratch per call (three stack arrays sized for the largest block: a
+//! block's values, its fixed-point integers and its coefficient magnitudes)
+//! and, per block, three `Mask`s over the coefficients in sequency order:
+//! `sig` (significant so far), `neg` (negative) and, per plane `k`, `plane`
+//! (bit `k` of the magnitude set). Nothing is allocated per block or per
+//! plane; a chunk's heap traffic is its payload [`BitWriter`] and its header.
+//!
+//! * **Refinement** of plane `k` is the bits of `plane` at the positions of
+//!   `sig`, ascending: gathered into a word and written by one `put_bits`
+//!   per mask word (MSB-first, so the lowest position goes out first).
+//! * **Significance** is event-coded over `insig`, the coefficients not yet
+//!   significant that lie above the last event: no set bit of `plane` among
+//!   them ends the plane with one 0-flag; otherwise the lowest one, `idx`, is
+//!   an event — a 1-flag, the number of `insig` positions below `idx` in
+//!   `ceil_log2(|insig|)` bits, and the sign — which is one `put_bits`. The
+//!   event's coefficient moves to `sig` and `insig` keeps only what lies
+//!   above `idx`: a coefficient that becomes significant during a plane is
+//!   always below the cursor, so the mask is the list an explicit walk over
+//!   the insignificant coefficients would keep.
+//!
+//! The decoder mirrors it with the same masks, and trusts nothing it reads:
+//! the block flag, `e_max`, `top`, `k_min`, every refinement word, event
+//! flag, offset and sign answer end-of-stream with [`ZfpError::Corrupt`], as
+//! do `top > 62`, `k_min > top` and an offset at or past the insignificant
+//! count; `parse_header` refuses a shape with more blocks than payload
+//! bits before anything is allocated for it. Empty blocks store explicit
+//! zeros, so a dirty destination is overwritten in full.
 
 use crate::block::{
-    extract_padded, from_fixed_point, store_block, to_fixed_point, BLOCK_SIDE, Q_BITS,
+    extract_padded, from_fixed_point, store_block, to_fixed_point, BLOCK_MAX, BLOCK_SIDE, Q_BITS,
 };
 use crate::transform::{fwd_transform, inv_transform, sequency_order};
 use rq_encoding::varint::{get_uvarint, put_uvarint};
 use rq_encoding::{BitReader, BitWriter};
-use rq_grid::{NdArray, Scalar, Shape, MAX_DIMS};
+use rq_grid::{BlockIter, NdArray, Scalar, Shape, MAX_DIMS};
 
 const MAGIC: &[u8; 4] = b"RQZF";
 
@@ -23,6 +53,10 @@ const MAGIC: &[u8; 4] = b"RQZF";
 /// error per axis pass plus carry mixing; 2 bits/dimension is conservative
 /// (validated by the error-bound tests and proptests).
 const GAIN_BITS_PER_DIM: i32 = 2;
+
+/// Mask words of the largest block; a 1-D to 3-D block (at most 64
+/// coefficients) takes one.
+const WORDS_MAX: usize = BLOCK_MAX / 64;
 
 /// Errors surfaced by the codec.
 #[derive(Debug)]
@@ -47,6 +81,110 @@ impl std::fmt::Display for ZfpError {
 
 impl std::error::Error for ZfpError {}
 
+/// A set of coefficient positions of one block, in sequency order: position
+/// `i` is bit `i % 64` of word `i / 64`.
+#[derive(Clone, Copy)]
+struct Mask<const W: usize>([u64; W]);
+
+impl<const W: usize> Mask<W> {
+    const EMPTY: Self = Mask([0; W]);
+
+    /// The positions `0..n`.
+    fn first(n: usize) -> Self {
+        let mut words = [0u64; W];
+        for (w, word) in words.iter_mut().enumerate() {
+            *word = match n.saturating_sub(64 * w) {
+                0 => 0,
+                m if m >= 64 => !0,
+                m => (1 << m) - 1,
+            };
+        }
+        Mask(words)
+    }
+
+    /// The positions whose magnitude has bit `k` set.
+    #[inline]
+    fn plane(mags: &[u64], k: i32) -> Self {
+        let mut words = [0u64; W];
+        for (word, mags) in words.iter_mut().zip(mags.chunks(64)) {
+            for (i, &m) in mags.iter().enumerate() {
+                *word |= ((m >> k) & 1) << i;
+            }
+        }
+        Mask(words)
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    #[inline]
+    fn count(&self) -> u32 {
+        self.0.iter().map(|w| w.count_ones()).sum()
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        (self.0[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// The positions in both masks.
+    #[inline]
+    fn and(self, other: Self) -> Self {
+        Mask(std::array::from_fn(|w| self.0[w] & other.0[w]))
+    }
+
+    /// The positions of `self` that are not in `other`.
+    #[inline]
+    fn and_not(self, other: Self) -> Self {
+        Mask(std::array::from_fn(|w| self.0[w] & !other.0[w]))
+    }
+
+    /// The lowest position, if any.
+    #[inline]
+    fn lowest(&self) -> Option<usize> {
+        let w = self.0.iter().position(|&w| w != 0)?;
+        Some(64 * w + self.0[w].trailing_zeros() as usize)
+    }
+
+    /// How many positions lie below `i`.
+    #[inline]
+    fn count_below(&self, i: usize) -> u32 {
+        let below: u32 = self.0[..i / 64].iter().map(|w| w.count_ones()).sum();
+        below + (self.0[i / 64] & ((1 << (i % 64)) - 1)).count_ones()
+    }
+
+    /// The `rank`-th position from the bottom (`rank < self.count()`).
+    #[inline]
+    fn select(&self, mut rank: u32) -> usize {
+        for (w, &word) in self.0.iter().enumerate() {
+            let here = word.count_ones();
+            if rank < here {
+                let mut word = word;
+                for _ in 0..rank {
+                    word &= word - 1;
+                }
+                return 64 * w + word.trailing_zeros() as usize;
+            }
+            rank -= here;
+        }
+        unreachable!("rank is below the mask's count")
+    }
+
+    /// Drop position `i` and every position below it.
+    #[inline]
+    fn remove_through(&mut self, i: usize) {
+        self.0[..i / 64].fill(0);
+        self.0[i / 64] &= (!1u64) << (i % 64);
+    }
+}
+
 /// Compress `field` under a point-wise absolute error bound `tolerance`.
 pub fn zfp_compress<T: Scalar>(
     field: &NdArray<T>,
@@ -68,8 +206,6 @@ pub fn zfp_compress_slice<T: Scalar>(
     }
     debug_assert_eq!(data.len(), shape.len());
     let nd = shape.ndim();
-    let perm = sequency_order(nd);
-    let gain_bits = GAIN_BITS_PER_DIM * nd as i32;
 
     let mut header = Vec::new();
     header.extend_from_slice(MAGIC);
@@ -81,18 +217,55 @@ pub fn zfp_compress_slice<T: Scalar>(
     header.extend_from_slice(&tolerance.to_le_bytes());
 
     let mut w = BitWriter::new();
-    for origin in block_origins(shape) {
-        let values = extract_padded(data, shape, &origin[..nd]);
-        let (e_max, mut ints) = to_fixed_point(&values);
+    if BLOCK_SIDE.pow(nd as u32) <= 64 {
+        encode_payload::<T, 1>(data, shape, tolerance, &mut w);
+    } else {
+        encode_payload::<T, WORDS_MAX>(data, shape, tolerance, &mut w);
+    }
+    let payload = w.finish();
+    put_uvarint(&mut header, payload.len() as u64);
+    header.extend_from_slice(&payload);
+    Ok(header)
+}
+
+/// Code every block of `data` into `w`; `W` mask words hold a block.
+fn encode_payload<T: Scalar, const W: usize>(
+    data: &[T],
+    shape: Shape,
+    tolerance: f64,
+    w: &mut BitWriter,
+) {
+    let nd = shape.ndim();
+    let n = BLOCK_SIDE.pow(nd as u32);
+    debug_assert!(n <= 64 * W);
+    let perm = &sequency_order(nd)[..n];
+    let gain_bits = GAIN_BITS_PER_DIM * nd as i32;
+    let all = Mask::<W>::first(n);
+    // The call's scratch: one block's values, fixed-point integers and
+    // coefficient magnitudes.
+    let (mut values, mut ints, mut mags) = ([0f64; BLOCK_MAX], [0i64; BLOCK_MAX], [0u64; BLOCK_MAX]);
+    let (values, ints, mags) = (&mut values[..n], &mut ints[..n], &mut mags[..n]);
+
+    for block in BlockIter::new(shape, BLOCK_SIDE) {
+        extract_padded(data, shape, block.origin_slice(), values);
+        let e_max = to_fixed_point(values, ints);
         if e_max == i32::MIN {
             w.put_bit(false); // empty-block flag
             continue;
         }
-        fwd_transform(&mut ints, nd);
-        let coeffs: Vec<i64> = perm.iter().map(|&i| ints[i]).collect();
+        fwd_transform(ints, nd);
+        let mut neg = Mask::<W>::EMPTY;
+        let mut max_mag = 0u64;
+        for (i, (mag, &p)) in mags.iter_mut().zip(perm).enumerate() {
+            let c = ints[p as usize];
+            *mag = c.unsigned_abs();
+            max_mag = max_mag.max(*mag);
+            if c < 0 {
+                neg.insert(i);
+            }
+        }
 
         // Plane range: from the top set bit down to the tolerance floor.
-        let max_mag = coeffs.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
         let top = 63 - max_mag.max(1).leading_zeros() as i32;
         // tol_fixed = tolerance · 2^(Q − e_max); keep planes ≥ k_min where
         // 2^k_min · 2^gain ≤ tol_fixed.
@@ -115,52 +288,38 @@ pub fn zfp_compress_slice<T: Scalar>(
         w.put_bits(top as u64, 7);
         w.put_bits(k_min as u64, 7);
 
-        let mut significant = vec![false; coeffs.len()];
-        let mut k = top;
-        while k >= k_min {
+        let mut sig = Mask::<W>::EMPTY;
+        for k in (k_min..=top).rev() {
+            let plane = Mask::<W>::plane(mags, k);
             // Refinement pass: one bit per already-significant coefficient.
-            for (i, &c) in coeffs.iter().enumerate() {
-                if significant[i] {
-                    w.put_bit((c.unsigned_abs() >> k) & 1 == 1);
+            for (&bits, &at) in plane.0.iter().zip(&sig.0) {
+                let mut word = 0u64;
+                let mut rest = at;
+                while rest != 0 {
+                    word = (word << 1) | ((bits >> rest.trailing_zeros()) & 1);
+                    rest &= rest - 1;
                 }
+                w.put_bits(word, at.count_ones());
             }
             // Significance pass: event-coded over the (sequency-ordered)
             // insignificant tail — one flag per event plus a binary offset,
             // so quiet planes cost a single bit.
-            let insig: Vec<usize> =
-                (0..coeffs.len()).filter(|&i| !significant[i]).collect();
-            let mut start = 0usize;
-            loop {
-                let remaining = insig.len() - start;
-                if remaining == 0 {
+            let mut insig = all.and_not(sig);
+            while !insig.is_empty() {
+                let Some(idx) = plane.and(insig).lowest() else {
+                    w.put_bit(false);
                     break;
-                }
-                let next = insig[start..]
-                    .iter()
-                    .position(|&i| (coeffs[i].unsigned_abs() >> k) & 1 == 1);
-                match next {
-                    None => {
-                        w.put_bit(false);
-                        break;
-                    }
-                    Some(off) => {
-                        w.put_bit(true);
-                        let width = ceil_log2(remaining);
-                        w.put_bits(off as u64, width);
-                        let idx = insig[start + off];
-                        significant[idx] = true;
-                        w.put_bit(coeffs[idx] < 0);
-                        start += off + 1;
-                    }
-                }
+                };
+                let width = ceil_log2(insig.count());
+                let event = (1 << (width + 1))
+                    | (u64::from(insig.count_below(idx)) << 1)
+                    | u64::from(neg.contains(idx));
+                w.put_bits(event, width + 2);
+                sig.insert(idx);
+                insig.remove_through(idx);
             }
-            k -= 1;
         }
     }
-    let payload = w.finish();
-    put_uvarint(&mut header, payload.len() as u64);
-    header.extend_from_slice(&payload);
-    Ok(header)
 }
 
 /// Parsed RQZF stream header: shape plus the payload location.
@@ -202,6 +361,12 @@ fn parse_header(bytes: &[u8]) -> Result<ZfpHeader, ZfpError> {
         get_uvarint(bytes, &mut pos).ok_or(ZfpError::Corrupt("payload len"))? as usize;
     if pos.checked_add(payload_len).is_none_or(|end| end > bytes.len()) {
         return Err(ZfpError::Corrupt("payload"));
+    }
+    // Every block costs at least its flag bit, so a shape with more blocks
+    // than payload bits cannot decode: refuse it here, before a caller
+    // allocates what a 25-byte header claims.
+    if BlockIter::new(shape, BLOCK_SIDE).block_count().div_ceil(8) > payload_len {
+        return Err(ZfpError::Corrupt("shape exceeds payload"));
     }
     Ok(ZfpHeader { scalar_tag, shape, payload_start: pos, payload_len })
 }
@@ -249,19 +414,37 @@ fn decode_payload<T: Scalar>(
     shape: Shape,
     out: &mut [T],
 ) -> Result<(), ZfpError> {
-    let nd = shape.ndim();
-    let mut r = BitReader::new(payload);
+    if BLOCK_SIDE.pow(shape.ndim() as u32) <= 64 {
+        decode_blocks::<T, 1>(payload, shape, out)
+    } else {
+        decode_blocks::<T, WORDS_MAX>(payload, shape, out)
+    }
+}
 
-    let perm = sequency_order(nd);
-    let block_len = BLOCK_SIDE.pow(nd as u32);
-    let zeros = vec![0f64; block_len];
-    for origin in block_origins(shape) {
+/// [`decode_payload`] with `W` mask words to a block.
+fn decode_blocks<T: Scalar, const W: usize>(
+    payload: &[u8],
+    shape: Shape,
+    out: &mut [T],
+) -> Result<(), ZfpError> {
+    let nd = shape.ndim();
+    let n = BLOCK_SIDE.pow(nd as u32);
+    debug_assert!(n <= 64 * W);
+    let mut r = BitReader::new(payload);
+    let perm = &sequency_order(nd)[..n];
+    let all = Mask::<W>::first(n);
+    // The call's scratch: one block's values, fixed-point integers and
+    // coefficient magnitudes.
+    let (mut values, mut ints, mut mags) = ([0f64; BLOCK_MAX], [0i64; BLOCK_MAX], [0u64; BLOCK_MAX]);
+    let (values, ints, mags) = (&mut values[..n], &mut ints[..n], &mut mags[..n]);
+
+    for block in BlockIter::new(shape, BLOCK_SIDE) {
         let nonempty = r.get_bit().ok_or(ZfpError::Corrupt("block flag"))?;
         if !nonempty {
             // Store explicit zeros: `out` may be a recycled (dirty)
             // buffer, so the decoder must overwrite every element rather
             // than rely on a pre-zeroed destination.
-            store_block(out, shape, &origin[..nd], &zeros);
+            store_block(out, shape, block.origin_slice(), &[0.0; BLOCK_MAX][..n]);
             continue;
         }
         let e_max = r.get_bits(12).ok_or(ZfpError::Corrupt("e_max"))? as i32 - 1100;
@@ -270,92 +453,88 @@ fn decode_payload<T: Scalar>(
         if top > 62 || k_min > top {
             return Err(ZfpError::Corrupt("plane range"));
         }
-        let mut mags = vec![0u64; block_len];
-        let mut neg = vec![false; block_len];
-        let mut significant = vec![false; block_len];
-        let mut k = top;
-        while k >= k_min {
-            for i in 0..block_len {
-                if significant[i] {
-                    let bit = r.get_bit().ok_or(ZfpError::Corrupt("refinement bit"))?;
-                    if bit {
-                        mags[i] |= 1u64 << k;
-                    }
+        mags.fill(0);
+        let mut sig = Mask::<W>::EMPTY;
+        let mut neg = Mask::<W>::EMPTY;
+        for k in (k_min..=top).rev() {
+            // Refinement pass: each word's bits, scattered over the
+            // significant positions from the lowest up.
+            for (mags, &at) in mags.chunks_mut(64).zip(&sig.0) {
+                let count = at.count_ones();
+                if count == 0 {
+                    continue;
+                }
+                let word = r.get_bits(count).ok_or(ZfpError::Corrupt("refinement bit"))?;
+                let mut word = word << (64 - count);
+                let mut rest = at;
+                while rest != 0 {
+                    mags[rest.trailing_zeros() as usize] |= (word >> 63) << k;
+                    word <<= 1;
+                    rest &= rest - 1;
                 }
             }
-            let insig: Vec<usize> = (0..block_len).filter(|&i| !significant[i]).collect();
-            let mut start = 0usize;
-            loop {
-                let remaining = insig.len() - start;
-                if remaining == 0 {
-                    break;
-                }
-                let more = r.get_bit().ok_or(ZfpError::Corrupt("event flag"))?;
-                if !more {
-                    break;
-                }
+            // Significance pass: an event is a 1-flag, an offset into the
+            // insignificant tail and a sign, looked at together.
+            let mut insig = all.and_not(sig);
+            while !insig.is_empty() {
+                let remaining = insig.count();
                 let width = ceil_log2(remaining);
-                let off = r.get_bits(width).ok_or(ZfpError::Corrupt("event offset"))? as usize;
+                r.refill();
+                let event = r.peek(width + 2);
+                if event >> (width + 1) == 0 {
+                    if !r.try_consume(1) {
+                        return Err(ZfpError::Corrupt("event flag"));
+                    }
+                    break;
+                }
+                let off = ((event >> 1) & ((1 << width) - 1)) as u32;
+                if !r.try_consume(width + 2) {
+                    // The stream ends inside the event: name the field
+                    // that ran off it (the offset's bits are all there
+                    // when only the sign is missing).
+                    let left = r.remaining();
+                    return Err(ZfpError::Corrupt(if left < 1 + u64::from(width) {
+                        "event offset"
+                    } else if off >= remaining {
+                        "event offset range"
+                    } else {
+                        "sign bit"
+                    }));
+                }
                 if off >= remaining {
                     return Err(ZfpError::Corrupt("event offset range"));
                 }
-                let idx = insig[start + off];
-                significant[idx] = true;
+                let idx = insig.select(off);
+                sig.insert(idx);
                 mags[idx] |= 1u64 << k;
-                neg[idx] = r.get_bit().ok_or(ZfpError::Corrupt("sign bit"))?;
-                start += off + 1;
+                if event & 1 == 1 {
+                    neg.insert(idx);
+                }
+                insig.remove_through(idx);
             }
-            k -= 1;
-        }
-        let mut coeffs = vec![0i64; block_len];
-        for i in 0..block_len {
-            // Mid-point reconstruction of the truncated tail halves the
-            // expected truncation error.
-            let mut m = mags[i] as i64;
-            if significant[i] && k_min > 0 {
-                m += 1i64 << (k_min - 1);
-            }
-            coeffs[i] = if neg[i] { -m } else { m };
         }
         // Undo the sequency permutation, then the transform.
-        let mut ints = vec![0i64; block_len];
-        for (i, &p) in perm.iter().enumerate() {
-            ints[p] = coeffs[i];
+        for (i, (&mag, &p)) in mags.iter().zip(perm).enumerate() {
+            // Mid-point reconstruction of the truncated tail halves the
+            // expected truncation error.
+            let mut m = mag as i64;
+            if sig.contains(i) && k_min > 0 {
+                m += 1i64 << (k_min - 1);
+            }
+            ints[p as usize] = if neg.contains(i) { -m } else { m };
         }
-        inv_transform(&mut ints, nd);
-        let values = from_fixed_point(e_max, &ints);
-        store_block(out, shape, &origin[..nd], &values);
+        inv_transform(ints, nd);
+        from_fixed_point(e_max, ints, values);
+        store_block(out, shape, block.origin_slice(), values);
     }
     Ok(())
 }
 
 /// Bits needed to encode an offset in `0..n` (0 when `n == 1`).
 #[inline]
-fn ceil_log2(n: usize) -> u32 {
+fn ceil_log2(n: u32) -> u32 {
     debug_assert!(n >= 1);
-    usize::BITS - (n - 1).leading_zeros()
-}
-
-/// Block-aligned origins covering `shape`, row-major.
-fn block_origins(shape: Shape) -> Vec<[usize; MAX_DIMS]> {
-    let nd = shape.ndim();
-    let mut out = Vec::new();
-    let mut origin = [0usize; MAX_DIMS];
-    loop {
-        out.push(origin);
-        let mut axis = nd;
-        loop {
-            if axis == 0 {
-                return out;
-            }
-            axis -= 1;
-            origin[axis] += BLOCK_SIDE;
-            if origin[axis] < shape.dim(axis) {
-                break;
-            }
-            origin[axis] = 0;
-        }
-    }
+    u32::BITS - (n - 1).leading_zeros()
 }
 
 #[cfg(test)]

@@ -6,6 +6,13 @@
 //! rather than exactly; at the codec's fixed-point precision (Q = 40 bits
 //! below the block exponent) that residue is ~2⁻³⁸ of the value range and
 //! is absorbed by the error-bound margin.
+//!
+//! Both transforms work in place on the caller's `4^ndim`-element slice. The
+//! lines of a cube along one axis are `stride`-separated 4-tuples inside
+//! consecutive `4 · stride`-element groups, and are walked as exactly that —
+//! no per-element division, no list of axes.
+
+use crate::block::{BLOCK_MAX, BLOCK_SIDE};
 
 /// Forward lift of one 4-vector (in place).
 #[inline]
@@ -52,83 +59,61 @@ pub fn inv_lift(v: &mut [i64; 4]) {
 }
 
 /// Apply the forward lift along every axis of a 4^d block (row-major,
-/// `4usize.pow(d)` elements).
+/// `4usize.pow(ndim)` elements), in place.
 pub fn fwd_transform(block: &mut [i64], ndim: usize) {
-    transform_axes(block, ndim, fwd_lift);
-}
-
-/// Apply the inverse lift along every axis, in reverse order.
-pub fn inv_transform(block: &mut [i64], ndim: usize) {
-    // The per-axis lifts commute only approximately; invert in reverse
-    // axis order to be exact.
-    let n = block.len();
-    let mut axes: Vec<usize> = (0..ndim).collect();
-    axes.reverse();
-    for &axis in &axes {
-        for_each_line(n, ndim, axis, |idx| {
-            let mut v = [block[idx[0]], block[idx[1]], block[idx[2]], block[idx[3]]];
-            inv_lift(&mut v);
-            for k in 0..4 {
-                block[idx[k]] = v[k];
-            }
-        });
-    }
-}
-
-fn transform_axes(block: &mut [i64], ndim: usize, lift: impl Fn(&mut [i64; 4])) {
-    let n = block.len();
     for axis in 0..ndim {
-        for_each_line(n, ndim, axis, |idx| {
-            let mut v = [block[idx[0]], block[idx[1]], block[idx[2]], block[idx[3]]];
-            lift(&mut v);
-            for k in 0..4 {
-                block[idx[k]] = v[k];
-            }
-        });
+        lift_axis(block, axis_stride(ndim, axis), fwd_lift);
     }
 }
 
-/// Enumerate the 4-element lines along `axis` of a 4^ndim cube, invoking
-/// `f` with the four linear indices of each line.
-fn for_each_line(n: usize, ndim: usize, axis: usize, mut f: impl FnMut([usize; 4])) {
-    // Row-major strides: last axis fastest.
-    let stride = 4usize.pow((ndim - 1 - axis) as u32);
-    let lines = n / 4;
-    let mut count = 0;
-    let mut base = 0usize;
-    while count < lines {
-        // Skip bases that are not the first element of a line along `axis`.
-        if (base / stride).is_multiple_of(4) {
-            f([base, base + stride, base + 2 * stride, base + 3 * stride]);
-            count += 1;
-            base += 1;
-        } else {
-            // Jump over the rest of this line group.
-            base += 3 * stride;
-        }
-        if base >= n {
-            break;
+/// Apply the inverse lift along every axis, in place. The per-axis lifts
+/// commute only approximately, so the axes are undone in reverse order.
+pub fn inv_transform(block: &mut [i64], ndim: usize) {
+    for axis in (0..ndim).rev() {
+        lift_axis(block, axis_stride(ndim, axis), inv_lift);
+    }
+}
+
+/// Row-major stride of `axis` in a 4^ndim cube (last axis fastest).
+fn axis_stride(ndim: usize, axis: usize) -> usize {
+    BLOCK_SIDE.pow((ndim - 1 - axis) as u32)
+}
+
+/// Lift every 4-element line of the cube that runs along the axis of
+/// stride `stride`: the cube is a sequence of `4 * stride`-element groups,
+/// and each group holds `stride` lines whose elements sit `stride` apart.
+#[inline]
+fn lift_axis(block: &mut [i64], stride: usize, lift: impl Fn(&mut [i64; 4])) {
+    for group in block.chunks_exact_mut(BLOCK_SIDE * stride) {
+        for i in 0..stride {
+            let mut v = [group[i], group[i + stride], group[i + 2 * stride], group[i + 3 * stride]];
+            lift(&mut v);
+            group[i] = v[0];
+            group[i + stride] = v[1];
+            group[i + 2 * stride] = v[2];
+            group[i + 3 * stride] = v[3];
         }
     }
 }
 
 /// Total-sequency coefficient ordering: coefficients sorted by the sum of
 /// their per-axis indices (low frequencies first), ties broken row-major.
-/// Returns the permutation `perm` such that `reordered[i] = block[perm[i]]`.
-pub fn sequency_order(ndim: usize) -> Vec<usize> {
-    let n = 4usize.pow(ndim as u32);
-    let mut perm: Vec<usize> = (0..n).collect();
-    let key = |lin: usize| -> (usize, usize) {
-        let mut rem = lin;
-        let mut total = 0;
-        for a in (0..ndim).rev() {
-            let _ = a;
-            total += rem % 4;
-            rem /= 4;
+/// The first `4usize.pow(ndim)` entries are the permutation `perm` such
+/// that `reordered[i] = block[perm[i]]`; the rest are unused.
+pub fn sequency_order(ndim: usize) -> [u8; BLOCK_MAX] {
+    let n = BLOCK_SIDE.pow(ndim as u32);
+    let mut perm = [0u8; BLOCK_MAX];
+    let mut filled = 0;
+    for total in 0..=3 * ndim {
+        for lin in 0..n {
+            // A linear index's base-4 digits are its per-axis indices.
+            let digit_sum: usize = (0..ndim).map(|a| (lin >> (2 * a)) & 3).sum();
+            if digit_sum == total {
+                perm[filled] = lin as u8;
+                filled += 1;
+            }
         }
-        (total, lin)
-    };
-    perm.sort_by_key(|&l| key(l));
+    }
     perm
 }
 
@@ -208,31 +193,41 @@ mod tests {
 
     #[test]
     fn sequency_order_is_permutation() {
-        for ndim in 1..=3usize {
+        for ndim in 1..=4usize {
             let p = sequency_order(ndim);
             let n = 4usize.pow(ndim as u32);
             let mut seen = vec![false; n];
-            for &i in &p {
-                assert!(!seen[i]);
-                seen[i] = true;
+            for &i in &p[..n] {
+                assert!(!seen[i as usize]);
+                seen[i as usize] = true;
             }
             // DC first.
             assert_eq!(p[0], 0);
+            // Total sequency never decreases; row-major inside a total.
+            let total = |lin: u8| (0..ndim).map(|a| (lin as usize >> (2 * a)) & 3).sum::<usize>();
+            for pair in p[..n].windows(2) {
+                assert!((total(pair[0]), pair[0]) < (total(pair[1]), pair[1]), "ndim {ndim}");
+            }
         }
     }
 
     #[test]
     fn lines_cover_all_elements() {
-        for ndim in 1..=3usize {
+        for ndim in 1..=4usize {
             let n = 4usize.pow(ndim as u32);
             for axis in 0..ndim {
-                let mut seen = vec![0u8; n];
-                for_each_line(n, ndim, axis, |idx| {
-                    for &i in &idx {
-                        seen[i] += 1;
+                // Number every visit and mark the line's lanes in order:
+                // each element is visited once, as lane `index along axis`.
+                let mut block = vec![0i64; n];
+                lift_axis(&mut block, axis_stride(ndim, axis), |v| {
+                    for (lane, x) in v.iter_mut().enumerate() {
+                        *x += 1 + lane as i64;
                     }
                 });
-                assert!(seen.iter().all(|&c| c == 1), "ndim {ndim} axis {axis}");
+                for (lin, &x) in block.iter().enumerate() {
+                    let along = (lin / axis_stride(ndim, axis)) % 4;
+                    assert_eq!(x, 1 + along as i64, "ndim {ndim} axis {axis} element {lin}");
+                }
             }
         }
     }

@@ -942,6 +942,24 @@ fn peak_rss_bytes() -> usize {
     kb * 1024
 }
 
+/// The resource oracle for a hostile length field: a typed error or success
+/// (`run` asserts which), inside 50 ms (the fastest of three tries, so that a
+/// descheduled test thread is not a failure) and 16 MB of peak-memory growth.
+fn bounded(what: &str, run: &dyn Fn() -> bool) {
+    let before = peak_rss_bytes();
+    let fastest = (0..3)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            std::hint::black_box(run());
+            t.elapsed()
+        })
+        .min()
+        .unwrap();
+    let grown = peak_rss_bytes().saturating_sub(before);
+    assert!(fastest.as_millis() < 50, "{what}: took {fastest:?}");
+    assert!(grown < 16 << 20, "{what}: peak memory grew by {grown} bytes");
+}
+
 #[test]
 fn hostile_codebook_costs_its_bytes_not_its_alphabet() {
     use rqm::compress_crate::kernels::{
@@ -950,7 +968,6 @@ fn hostile_codebook_costs_its_bytes_not_its_alphabet() {
     use rqm::compress_crate::LosslessStage;
     use rqm::encoding::huffman::HuffmanCodec;
     use rqm::encoding::varint::{get_uvarint, put_uvarint};
-    use std::time::Instant;
 
     // Twelve and fourteen bytes that declare 2^28 symbols: a code at each
     // end of the alphabet, and two codes 2^28 - 2 apart with nothing after
@@ -967,24 +984,6 @@ fn hostile_codebook_costs_its_bytes_not_its_alphabet() {
         ("whole alphabet", book(&[1 << 28, 1, 0, (1 << 28) - 2, 1])),
         ("wide span", book(&[1 << 28, 1, 0, (1 << 28) - 3, 1, 0, 1])),
     ];
-
-    // The oracle: a typed error or success, inside 50 ms (the fastest of
-    // three tries, so that a descheduled test thread is not a failure) and
-    // 16 MB of peak-memory growth.
-    let bounded = |what: &str, run: &dyn Fn() -> bool| {
-        let before = peak_rss_bytes();
-        let fastest = (0..3)
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(run());
-                t.elapsed()
-            })
-            .min()
-            .unwrap();
-        let grown = peak_rss_bytes().saturating_sub(before);
-        assert!(fastest.as_millis() < 50, "{what}: took {fastest:?}");
-        assert!(grown < 16 << 20, "{what}: peak memory grew by {grown} bytes");
-    };
 
     for (name, bytes) in &hostile {
         bounded(&format!("deserialize, {name}"), &|| {
@@ -1045,6 +1044,45 @@ fn hostile_codebook_costs_its_bytes_not_its_alphabet() {
             });
         }
     }
+}
+
+#[test]
+fn hostile_rqzf_header_costs_its_bytes_not_its_shape() {
+    use rq_zfp::{zfp_decompress, ZfpError};
+    use rqm::encoding::varint::put_uvarint;
+
+    // A standalone RQZF stream (what `rqm decompress` hands `zfp_decompress`
+    // on a file that starts with the magic) names its own shape. 25 bytes
+    // that claim 2^60 values used to abort the process inside the allocator
+    // — no panic to catch — and 2^16 × 2^16 quietly reserved 16 GiB: every
+    // block costs at least one payload bit, so a one-byte payload cannot
+    // hold either, and the header is refused before anything is allocated.
+    let stream = |dims: &[u64]| {
+        let mut out = b"RQZF".to_vec();
+        out.push(0x04); // f32
+        out.push(dims.len() as u8);
+        for &d in dims {
+            put_uvarint(&mut out, d);
+        }
+        out.extend_from_slice(&1e-3f64.to_le_bytes());
+        put_uvarint(&mut out, 1);
+        out.push(0x00);
+        out
+    };
+    let cube = stream(&[1 << 20; 3]);
+    assert_eq!(cube.len(), 25);
+    for (name, bytes) in [("2^20 cubed", cube), ("2^16 squared", stream(&[1 << 16; 2]))] {
+        bounded(&format!("zfp_decompress, {name}"), &|| {
+            let r = zfp_decompress::<f32>(&bytes);
+            assert!(matches!(r, Err(ZfpError::Corrupt(_))), "{name}: {:?}", r.map(|f| f.len()));
+            r.is_ok()
+        });
+    }
+    // The largest shape a one-byte payload can hold still decodes: eight
+    // empty blocks.
+    let fits = zfp_decompress::<f32>(&stream(&[8, 16])).expect("8 blocks, 8 payload bits");
+    assert!(fits.as_slice().iter().all(|&v| v == 0.0));
+    assert!(zfp_decompress::<f32>(&stream(&[8, 17])).is_err(), "10 blocks, 8 payload bits");
 }
 
 #[test]
