@@ -8,17 +8,20 @@ use crate::subrange::SubRange;
 use rq_compress::{ChunkEntry, ChunkSource, ConcurrentReader, DecompressError, Header};
 use rq_grid::{Scalar, Shape};
 use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A whole dataset exposed as one flattened, time-major [`ChunkSource`]:
 /// global chunk `step × chunks_per_step + c` is spatial chunk `c` of the
 /// *reconstructed* step `step`.
 ///
-/// Every step gets its own [`ConcurrentReader`] over a [`SubRange`] of a
-/// freshly opened file handle, so concurrent readers of different steps
-/// never contend on a cursor. [`ChunkSource::fetch_chunk`] is
-/// self-contained: it decodes the nearest keyframe's chunk and applies
+/// Every step gets its own [`ConcurrentReader`] over a [`SubRange`] of
+/// one file handle the whole dataset shares, so a reader holds one open
+/// descriptor however many steps the catalog has; each step keeps its
+/// own cursor, and only the seek+read of a fetch takes the shared lock.
+/// [`ChunkSource::fetch_chunk`] is self-contained: it decodes the
+/// nearest keyframe's chunk and applies
 /// the delta chain (at most `keyframe_every - 1` residual decodes),
 /// which makes the source safe to wrap in
 /// [`rq_serve`](../rq_serve/index.html)-style decoded-chunk caches — a
@@ -40,7 +43,7 @@ pub struct DatasetReader<T: Scalar> {
     step_rows: usize,
     /// Nearest keyframe at or before each step.
     keyframes: Vec<usize>,
-    steps: Vec<ConcurrentReader<SubRange<File>>>,
+    steps: Vec<ConcurrentReader<SubRange<SharedFile>>>,
     _scalar: std::marker::PhantomData<fn() -> T>,
 }
 
@@ -58,10 +61,11 @@ impl<T: Scalar> DatasetReader<T> {
             });
         }
 
+        let file = Arc::new(Mutex::new(File::open(path)?));
         let mut steps = Vec::with_capacity(entry.steps.len());
         for s in &entry.steps {
-            let sub = SubRange::new(File::open(path)?, s.offset, s.len)?;
-            steps.push(ConcurrentReader::open(sub)?);
+            let handle = SharedFile { file: Arc::clone(&file), pos: 0 };
+            steps.push(ConcurrentReader::open(SubRange::new(handle, s.offset, s.len)?)?);
         }
 
         let step_rows = entry.shape.dim(0);
@@ -194,5 +198,47 @@ impl<T: Scalar> ChunkSource<T> for DatasetReader<T> {
             cur = add_residual(&cur, resid.as_slice());
         }
         Ok(cur.into())
+    }
+}
+
+/// One open file shared by every step of a [`DatasetReader`], read
+/// through a cursor of its own: a read seeks the file to this handle's
+/// position and reads, both under the shared lock.
+struct SharedFile {
+    file: Arc<Mutex<File>>,
+    pos: u64,
+}
+
+impl SharedFile {
+    /// A poisoned lock is taken as is: every use seeks before it reads,
+    /// so a file position left behind by a panic is never relied on.
+    fn lock(&self) -> std::sync::MutexGuard<'_, File> {
+        self.file.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+impl Read for SharedFile {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = {
+            let mut file = self.lock();
+            file.seek(SeekFrom::Start(self.pos))?;
+            file.read(buf)?
+        };
+        self.pos += n as u64;
+        Ok(n)
+    }
+}
+
+impl Seek for SharedFile {
+    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+        self.pos = match pos {
+            SeekFrom::Start(at) => at,
+            relative => {
+                let mut file = self.lock();
+                file.seek(SeekFrom::Start(self.pos))?;
+                file.seek(relative)?
+            }
+        };
+        Ok(self.pos)
     }
 }

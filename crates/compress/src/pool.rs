@@ -22,15 +22,16 @@
 //!
 //! Pools retain at most [`MAX_POOLED`] buffers; anything beyond that is
 //! dropped, so an idle reader does not pin a high-water mark of slabs.
-//! In-flight memory is still bounded by the engines' read-ahead window —
-//! the pool only recycles buffers the window already paid for.
+//! In-flight memory is still bounded by the engine's schedules — one
+//! chunk per slice worker, a window of `2 × threads` chunks in ordered
+//! delivery — the pool only recycles buffers they already paid for.
 
 use rq_grid::Scalar;
 use std::sync::Mutex;
 
-/// Most buffers a pool will hold on to while idle. The decode window is
-/// `threads + read_ahead` (couple dozen at most in practice); retaining
-/// more than this would only serve pathological churn.
+/// Most buffers a pool will hold on to while idle. The ordered decode
+/// window is `2 × threads` chunks (couple dozen at most in practice);
+/// retaining more than this would only serve pathological churn.
 const MAX_POOLED: usize = 32;
 
 /// A recycler of `Vec<u8>` blob buffers. `get` returns a buffer of

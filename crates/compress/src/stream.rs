@@ -27,6 +27,15 @@
 //!   archive handle, cloneable across threads, serving overlapping
 //!   `read_rows`/`read_chunk` requests with per-request [`ReadStats`].
 //!
+//! Both readers are one decode engine: one open-archive state (the reader
+//! holds it by value, the shareable form behind an [`Arc`]), one fetch
+//! stage (a zero-copy window of a mapped file or of in-memory bytes, or a
+//! seek+read under the source lock over a plain stream), one row planner,
+//! one set of counters, and two schedules — static slices of a row range
+//! on `threads` workers that fetch their own blobs, and ordered delivery
+//! through a worker pool behind a window of `2 × threads` chunks. At one
+//! thread both decode inline on the caller.
+//!
 //! Encoding a chunk is a pure function of its data, shape and bound, so
 //! archive bytes depend neither on the worker-thread count nor on how
 //! rows were batched into `write_slab` calls.
@@ -61,8 +70,8 @@ use crate::chunked::{decode_entry_blob, resolved_chunk_rows, run_on_workers};
 use crate::codec::{ChunkCodec, ChunkStats, SzChunkCodec, ZfpChunkCodec};
 use crate::config::{CodecChoice, CompressorConfig, LosslessStage};
 use crate::container::{
-    read_archive_layout, read_span_into, write_header_prefix, write_trailer, ChunkCodecKind,
-    ChunkEntry, ChunkTable, CompressError, DecompressError, Header, VERSION_V2_4,
+    read_archive_layout, read_span_into, write_header_prefix, write_trailer, ArchiveLayout,
+    ChunkCodecKind, ChunkEntry, ChunkTable, CompressError, DecompressError, Header, VERSION_V2_4,
 };
 use crate::mmap::SourceMap;
 use crate::pipeline::{resolve_bound, Transform};
@@ -530,41 +539,27 @@ pub struct ReadStats {
 ///
 /// # Parallel decode
 ///
-/// [`Self::with_threads`] turns on the decode worker pool. Over a plain
-/// stream, chunk extents are still read **sequentially** off the source
-/// (one seek+read per blob, in offset order) and decoding fans out to
-/// scoped workers behind a bounded read-ahead window
-/// ([`Self::with_read_ahead`]): at most `threads + read_ahead` chunks are
-/// in flight at once, so peak memory stays `O(window × chunk)` no matter
-/// how large the archive is. An addressable source — a mapped file, an
-/// archive held in memory — has no fetch stage: region reads hand the
-/// workers statically assigned chunks to decode straight out of the
-/// bytes, and ordered streaming runs the same pipeline with zero-copy
-/// fetches. All decode paths — [`Self::read_all`], [`Self::read_rows`],
-/// [`Self::decompress_rows`] and [`Self::decompress_to_writer`] — use
-/// the pool; results are delivered in row order and are byte-identical
-/// to the single-threaded decode.
+/// [`Self::with_threads`] sets the decode worker count. Region reads
+/// ([`Self::read_all`], [`Self::read_rows`]) hand the workers statically
+/// assigned chunks, and each worker fetches its own blobs: a zero-copy
+/// window of an addressable source (a mapped file, an archive held in
+/// memory), or one seek+read under the source lock over a plain stream.
+/// Ordered streaming ([`Self::decompress_rows`],
+/// [`Self::decompress_to_writer`]) fetches on the calling thread, decodes
+/// on the workers and delivers in row order behind a window of
+/// `2 × threads` chunks, so peak memory stays `O(threads × chunk)` no
+/// matter how large the archive is. At one thread every path decodes
+/// inline on the caller. Results are byte-identical to the
+/// single-threaded decode.
 ///
 /// See the [module docs](self) for a complete write/read example.
 pub struct ArchiveReader<R: Read + Seek> {
-    src: R,
-    /// Memory-mapped view of the source where available (file-backed
-    /// readers opened via [`ArchiveReader::open_path`] on platforms with
-    /// mmap). Chunk fetches become zero-copy windows of the page cache.
-    map: Option<SourceMap>,
+    shared: ReaderShared<R>,
     /// For a source that *is* addressable bytes (an archive held in
     /// memory): how to view them. Fetches are zero-copy, as over a map.
     inline: Option<fn(&R) -> &[u8]>,
-    /// Recycled compressed-blob buffers for unmapped fetches.
-    blob_pool: BytePool,
-    header: Header,
-    chunk_rows: usize,
-    entries: Vec<ChunkEntry>,
-    stats: ReadStats,
     /// Decode worker threads (1 = decode on the calling thread).
     threads: usize,
-    /// Extra chunks fetched ahead of the decoders (`None` = `threads`).
-    read_ahead: Option<usize>,
 }
 
 impl ArchiveReader<std::fs::File> {
@@ -579,7 +574,7 @@ impl ArchiveReader<std::fs::File> {
         let file = std::fs::File::open(path)?;
         let map = SourceMap::map(&file);
         let mut reader = Self::open(file)?;
-        reader.map = map;
+        reader.shared.map = map;
         Ok(reader)
     }
 }
@@ -600,30 +595,27 @@ impl<R: Read + Seek> ArchiveReader<R> {
     /// reading any payload.
     pub fn open(mut src: R) -> Result<Self, DecompressError> {
         let layout = read_archive_layout(&mut src)?;
-        let chunks_total = layout.entries.len();
-        Ok(ArchiveReader {
-            src,
+        let shared = ReaderShared {
+            src: Mutex::new(src),
             map: None,
-            inline: None,
             blob_pool: BytePool::new(),
-            header: layout.header,
-            chunk_rows: layout.chunk_rows,
-            entries: layout.entries,
-            stats: ReadStats { chunks_total, ..ReadStats::default() },
-            threads: 1,
-            read_ahead: None,
-        })
+            layout,
+            counters: Counters::default(),
+        };
+        Ok(ArchiveReader { shared, inline: None, threads: 1 })
     }
 
     /// Whether chunk fetches are served zero-copy from a memory-mapped
     /// source (see [`ArchiveReader::open_path`]).
     pub fn is_mapped(&self) -> bool {
-        self.map.is_some()
+        self.shared.map.is_some()
     }
 
     /// Set the decode worker-thread count (`0` = one per available CPU,
-    /// `1` = decode serially on the calling thread). Decoded output is
-    /// byte-identical at every thread count.
+    /// `1` = decode serially on the calling thread, whatever the source).
+    /// Region reads split their chunks statically across the workers;
+    /// ordered streaming keeps at most `2 × threads` chunks in flight.
+    /// Decoded output is byte-identical at every thread count.
     ///
     /// The pool is clamped to `available_parallelism`: on a machine with
     /// fewer cores than `threads`, extra workers only add dispatch and
@@ -638,19 +630,12 @@ impl<R: Read + Seek> ArchiveReader<R> {
 
     /// [`Self::with_threads`] without the `available_parallelism` clamp:
     /// exactly `threads` workers (`0` is treated as `1`), even beyond the
-    /// core count. Decoded bytes are identical either way; this exists so
-    /// tests and benchmarks can exercise the pool's reorder/backpressure
-    /// machinery on machines with few cores.
+    /// core count, and an ordered window of `2 × threads` chunks. Decoded
+    /// bytes are identical either way; this exists so tests and
+    /// benchmarks can exercise the pool's reorder/backpressure machinery
+    /// on machines with few cores.
     pub fn with_threads_exact(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Bound the read-ahead window: at most `threads + read_ahead` chunks
-    /// (compressed blob + decoded slab) are in flight at once. Defaults
-    /// to `threads`, i.e. a window of `2 × threads` chunks.
-    pub fn with_read_ahead(mut self, read_ahead: usize) -> Self {
-        self.read_ahead = Some(read_ahead);
         self
     }
 
@@ -659,56 +644,48 @@ impl<R: Read + Seek> ArchiveReader<R> {
         self.threads
     }
 
-    /// Chunks allowed in flight at once (fetch → decode → deliver).
-    fn window(&self) -> usize {
-        self.threads + self.read_ahead.unwrap_or(self.threads)
-    }
-
     /// The archive's parsed header.
     pub fn header(&self) -> &Header {
-        &self.header
+        &self.shared.layout.header
     }
 
     /// Nominal axis-0 rows per chunk (the last chunk may hold fewer).
     pub fn chunk_rows(&self) -> usize {
-        self.chunk_rows
+        self.shared.layout.chunk_rows
     }
 
     /// Number of independently-decodable chunks.
     pub fn n_chunks(&self) -> usize {
-        self.entries.len()
+        self.shared.layout.entries.len()
     }
 
     /// The located chunk entries, in slab order.
     pub fn entries(&self) -> &[ChunkEntry] {
-        &self.entries
+        &self.shared.layout.entries
     }
 
     /// The chunk partition in [`ChunkTable`] form (as
     /// [`crate::chunk_table`] returns for in-memory archives).
     pub fn chunk_table(&self) -> ChunkTable {
-        ChunkTable { chunk_rows: self.chunk_rows, entries: self.entries.clone() }
+        ChunkTable { chunk_rows: self.chunk_rows(), entries: self.entries().to_vec() }
     }
 
     /// Decode counters accumulated since [`Self::open`].
     pub fn stats(&self) -> ReadStats {
-        self.stats
+        self.shared.stats()
     }
 
-    fn check_scalar<T: Scalar>(&self) -> Result<(), DecompressError> {
-        check_scalar_tag::<T>(&self.header)
-    }
-
-    /// Split the session into what one decode run needs: the fetch stage
-    /// (the addressable bytes if the source has any, else the stream and
-    /// its buffer pool), the header, and the counters to update.
-    fn decode_parts(&mut self) -> (Fetcher<'_, R>, &Header, &mut ReadStats) {
-        let fetcher = match (&self.map, self.inline) {
-            (Some(map), _) => Fetcher::Bytes(map.as_slice()),
-            (None, Some(view)) => Fetcher::Bytes(view(&self.src)),
-            (None, None) => Fetcher::Stream { src: &mut self.src, pool: &self.blob_pool },
+    /// The engine of one decode call. An in-memory source is viewed
+    /// through `&mut self`, so it is fetched from without the lock.
+    fn engine(&mut self) -> Engine<'_, R> {
+        let shared = &mut self.shared;
+        let fetcher = match self.inline {
+            Some(view) => {
+                Fetcher::Bytes(view(shared.src.get_mut().unwrap_or_else(|p| p.into_inner())))
+            }
+            None => shared.fetcher(),
         };
-        (fetcher, &self.header, &mut self.stats)
+        Engine { fetcher, layout: &shared.layout, counters: &shared.counters }
     }
 
     /// Decode a single chunk (random access). Returns the slab's first
@@ -717,21 +694,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
         &mut self,
         chunk: usize,
     ) -> Result<(usize, NdArray<T>), DecompressError> {
-        self.check_scalar::<T>()?;
-        let Some(&entry) = self.entries.get(chunk) else {
-            return Err(DecompressError::ChunkOutOfRange {
-                requested: chunk,
-                available: self.entries.len(),
-            });
-        };
-        let cshape = self.header.shape.with_rows(entry.rows);
-        let mut out = vec![T::zero(); cshape.len()];
-        let (mut fetcher, header, stats) = self.decode_parts();
-        let blob = fetcher.fetch(entry)?;
-        stats.blob_bytes_read += entry.len as u64;
-        decode_entry_blob(&blob, header, entry, cshape, &mut out)?;
-        stats.chunks_decoded += 1;
-        Ok((entry.start_row, NdArray::from_vec(cshape, out)))
+        self.engine().read_chunk(chunk).map(|(start, slab, _)| (start, slab))
     }
 
     /// Decode the axis-0 row range `rows` (non-empty, within the field),
@@ -746,50 +709,21 @@ impl<R: Read + Seek> ArchiveReader<R> {
     where
         R: Send,
     {
-        self.check_scalar::<T>()?;
-        let d0 = self.header.shape.dim(0);
-        if rows.start >= rows.end || rows.end > d0 {
-            return Err(DecompressError::RowsOutOfRange { requested_end: rows.end, rows: d0 });
-        }
-        let shape = self.header.shape;
-        let (threads, window) = (self.threads, self.window());
-        let row_elems: usize = shape.dims()[1..].iter().product::<usize>().max(1);
-        let out_rows = rows.end - rows.start;
-        let mut out = vec![T::zero(); out_rows * row_elems];
-        // Chunks tile axis 0 in order, so the intersecting chunks cover
-        // `out` contiguously: hand each one its disjoint output slice.
-        let mut jobs = Vec::new();
-        let mut rest: &mut [T] = &mut out;
-        for &entry in &self.entries {
-            let e_start = entry.start_row;
-            let e_end = e_start + entry.rows;
-            if e_end <= rows.start || e_start >= rows.end {
-                continue;
-            }
-            let lo = rows.start.max(e_start);
-            let hi = rows.end.min(e_end);
-            let (dst, tail) = rest.split_at_mut((hi - lo) * row_elems);
-            rest = tail;
-            jobs.push(SliceJob {
-                entry,
-                cshape: shape.with_rows(entry.rows),
-                take: (lo - e_start) * row_elems..(hi - e_start) * row_elems,
-                dst,
-            });
-        }
-        let (fetcher, header, stats) = self.decode_parts();
-        run_slice_jobs(fetcher, header, jobs, threads, window, stats)?;
-        Ok(NdArray::from_vec(shape.with_rows(out_rows), out))
+        let threads = self.threads;
+        let engine = self.engine();
+        let scratch = SlabPool::new();
+        plan_rows(&engine.layout.header, &engine.layout.entries, rows, |jobs| {
+            run_on_workers(jobs, threads, |(_, job)| engine.decode(job, &scratch)).map(drop)
+        })
     }
 
-    /// Decode the whole field on the decode pool (memory: the output plus
-    /// at most a window of compressed blobs).
+    /// Decode the whole field on the decode pool (memory: the output,
+    /// plus a blob buffer per worker over a plain stream).
     pub fn read_all<T: Scalar>(&mut self) -> Result<NdArray<T>, DecompressError>
     where
         R: Send,
     {
-        self.check_scalar::<T>()?;
-        let shape = self.header.shape;
+        let shape = self.header().shape;
         self.read_rows(0..shape.dim(0)).map(|a| {
             // Same element count and order; restore the full-field shape.
             NdArray::from_vec(shape, a.into_vec())
@@ -797,9 +731,9 @@ impl<R: Read + Seek> ArchiveReader<R> {
     }
 
     /// Stream the whole field through `emit` as axis-0 slabs in row
-    /// order, decoding chunks on the worker pool behind the bounded
-    /// read-ahead window. Unlike [`Self::read_all`] the field is never
-    /// resident: peak memory is `O(window × chunk)`.
+    /// order, decoding chunks on the worker pool behind a window of
+    /// `2 × threads` chunks. Unlike [`Self::read_all`] the field is never
+    /// resident: peak memory is `O(threads × chunk)`.
     ///
     /// `emit` receives each chunk's decoded elements exactly once, in row
     /// order; an error from `emit` aborts the decode.
@@ -810,13 +744,9 @@ impl<R: Read + Seek> ArchiveReader<R> {
     where
         R: Send,
     {
-        self.check_scalar::<T>()?;
-        let shape = self.header.shape;
-        let (threads, window) = (self.threads, self.window());
-        let jobs: Vec<(ChunkEntry, Shape)> =
-            self.entries.iter().map(|&e| (e, shape.with_rows(e.rows))).collect();
-        let (fetcher, header, stats) = self.decode_parts();
-        run_ordered_jobs::<T, R>(fetcher, header, jobs, threads, window, stats, &mut |slab| {
+        check_scalar_tag::<T>(self.header())?;
+        let threads = self.threads;
+        run_ordered_jobs::<T, R>(&self.engine(), threads, &mut |slab| {
             emit(slab).map_err(DecompressError::Io)
         })
     }
@@ -851,23 +781,11 @@ impl<R: Read + Seek> ArchiveReader<R> {
     /// mapping, if any). Accumulated [`ReadStats`] carry over as the
     /// aggregate baseline.
     pub fn into_concurrent(self) -> ConcurrentReader<R> {
-        ConcurrentReader {
-            shared: Arc::new(ReaderShared {
-                src: Mutex::new(self.src),
-                map: self.map,
-                blob_pool: self.blob_pool,
-                header: self.header,
-                chunk_rows: self.chunk_rows,
-                entries: self.entries,
-                chunks_decoded: AtomicU64::new(self.stats.chunks_decoded),
-                blob_bytes_read: AtomicU64::new(self.stats.blob_bytes_read),
-                reorder_copies: AtomicU64::new(self.stats.reorder_copies),
-            }),
-        }
+        ConcurrentReader { shared: Arc::new(self.shared) }
     }
 }
 
-/// Scalar-tag check shared by the streaming and concurrent readers.
+/// Scalar-tag check shared by every read path.
 fn check_scalar_tag<T: Scalar>(header: &Header) -> Result<(), DecompressError> {
     if header.scalar_tag != T::TAG {
         return Err(DecompressError::ScalarMismatch {
@@ -879,12 +797,65 @@ fn check_scalar_tag<T: Scalar>(header: &Header) -> Result<(), DecompressError> {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel streaming decode engine
+// The decode engine both readers share
 // ---------------------------------------------------------------------------
 
-/// One chunk's decode destination in a slice-mode parallel run: the
-/// element range `take` of the decoded chunk lands in `dst` (disjoint
-/// across jobs, so workers write concurrently without coordination).
+/// The state of one open archive, which both readers are built on: the
+/// source behind a mutex (held only while a plain stream's fetch seeks
+/// and reads — decoding runs unlocked), the mapping where there is one,
+/// the blob pool, the parsed layout and the aggregate counters.
+/// [`ArchiveReader`] holds it by value, [`ConcurrentReader`] behind an
+/// [`Arc`].
+struct ReaderShared<R> {
+    src: Mutex<R>,
+    /// Mapped view of the source where available: fetches through it
+    /// take **no lock at all** — concurrent requests don't serialize
+    /// even on the fetch stage.
+    map: Option<SourceMap>,
+    /// Recycled blob buffers; checked out *before* taking the source
+    /// lock so the critical section is exactly one seek+read.
+    blob_pool: BytePool,
+    layout: ArchiveLayout,
+    counters: Counters,
+}
+
+impl<R: Read + Seek> ReaderShared<R> {
+    /// The fetch stage over this source: windows of the mapping, else a
+    /// seek+read under the source lock.
+    fn fetcher(&self) -> Fetcher<'_, R> {
+        match &self.map {
+            Some(map) => Fetcher::Bytes(map.as_slice()),
+            None => Fetcher::Stream { src: &self.src, pool: &self.blob_pool },
+        }
+    }
+
+    fn engine(&self) -> Engine<'_, R> {
+        Engine { fetcher: self.fetcher(), layout: &self.layout, counters: &self.counters }
+    }
+
+    fn stats(&self) -> ReadStats {
+        let c = &self.counters;
+        ReadStats {
+            chunks_total: self.layout.entries.len(),
+            chunks_decoded: c.chunks_decoded.load(Ordering::Relaxed),
+            blob_bytes_read: c.blob_bytes_read.load(Ordering::Relaxed),
+            reorder_copies: c.reorder_copies.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// The aggregate decode counters of one open archive, across every
+/// request and every handle on it.
+#[derive(Default)]
+struct Counters {
+    chunks_decoded: AtomicU64,
+    blob_bytes_read: AtomicU64,
+    reorder_copies: AtomicU64,
+}
+
+/// One chunk's decode destination: the element range `take` of the
+/// decoded chunk lands in `dst` (disjoint across jobs, so workers write
+/// concurrently without coordination).
 struct SliceJob<'o, T> {
     entry: ChunkEntry,
     cshape: Shape,
@@ -928,22 +899,28 @@ fn blob_window(bytes: &[u8], entry: ChunkEntry) -> Result<&[u8], DecompressError
         .ok_or(DecompressError::Corrupt("chunk extent beyond mapped source"))
 }
 
-/// The fetch stage of one decode run.
+/// The one fetch stage, shared by every thread of every read.
 enum Fetcher<'e, R> {
     /// An addressable source — a mapped file or an archive held in
-    /// memory: a fetch is a window of these bytes.
+    /// memory: a fetch is a window of these bytes, with no lock.
     Bytes(&'e [u8]),
-    /// A plain stream: a fetch is a seek+read into a recycled buffer.
-    Stream { src: &'e mut R, pool: &'e BytePool },
+    /// A plain stream: a fetch is a seek+read into a recycled buffer,
+    /// which is checked out before the lock is taken.
+    Stream { src: &'e Mutex<R>, pool: &'e BytePool },
 }
 
 impl<'e, R: Read + Seek> Fetcher<'e, R> {
-    fn fetch(&mut self, entry: ChunkEntry) -> Result<Blob<'e>, DecompressError> {
-        match self {
+    fn fetch(&self, entry: ChunkEntry) -> Result<Blob<'e>, DecompressError> {
+        match *self {
             Fetcher::Bytes(bytes) => blob_window(bytes, entry).map(Blob::Mapped),
             Fetcher::Stream { src, pool } => {
                 let mut buf = pool.get(entry.len);
-                match read_span_into(*src, entry.offset as u64, &mut buf) {
+                let read = read_span_into(
+                    &mut *src.lock().unwrap_or_else(|p| p.into_inner()),
+                    entry.offset as u64,
+                    &mut buf,
+                );
+                match read {
                     Ok(()) => Ok(Blob::Pooled(buf, pool)),
                     Err(e) => {
                         pool.put(buf);
@@ -981,260 +958,156 @@ fn decode_slice_job<T: Scalar>(
     }
 }
 
-/// Run slice jobs through the decode pool; workers write into their
-/// jobs' disjoint output slices, so no reorder buffer is needed.
-///
-/// An addressable source (a mapped file, an archive held in memory) has
-/// no fetch stage: the jobs are statically assigned to `threads` scoped
-/// workers, each slicing its own blobs out of the bytes — for small
-/// chunks a channel hop and a wake-up per chunk cost more than decoding
-/// the chunk. Over a plain stream the calling thread fetches blobs
-/// sequentially (in offset order) into recycled pool buffers and hands
-/// them to the workers over a bounded channel, so at most `window`
-/// fetched blobs queue ahead of the decoders (plus one in each worker's
-/// hands); with one thread, a dedicated prefetch thread reads ahead
-/// instead, overlapping I/O with the caller's decoding. The first error
-/// aborts the run; remaining queued jobs are drained, never left hanging.
-fn run_slice_jobs<T: Scalar, R: Read + Seek + Send>(
-    mut fetcher: Fetcher<'_, R>,
-    header: &Header,
-    jobs: Vec<SliceJob<'_, T>>,
-    threads: usize,
-    window: usize,
-    stats: &mut ReadStats,
-) -> Result<(), DecompressError> {
-    let scratch = SlabPool::<T>::new();
-    if let Fetcher::Bytes(bytes) = fetcher {
-        let chunks = jobs.len() as u64;
-        let blob_bytes: u64 = jobs.iter().map(|j| j.entry.len as u64).sum();
-        let copied = run_on_workers(jobs, threads, |job| {
-            decode_slice_job(header, blob_window(bytes, job.entry)?, job, &scratch)
-        })?;
-        stats.chunks_decoded += chunks;
-        stats.blob_bytes_read += blob_bytes;
-        stats.reorder_copies += copied.iter().filter(|&&c| c).count() as u64;
-        return Ok(());
+/// What one decode call works with: the fetch stage, the layout and the
+/// counters of the archive. `Sync` whenever the source is `Send`, so the
+/// workers of a run share it.
+struct Engine<'e, R> {
+    fetcher: Fetcher<'e, R>,
+    layout: &'e ArchiveLayout,
+    counters: &'e Counters,
+}
+
+impl<R: Read + Seek> Engine<'_, R> {
+    /// Count one decoded chunk in the aggregate; returns it as a request's
+    /// counters.
+    fn count(&self, entry: ChunkEntry, copied: bool) -> ReadStats {
+        self.counters.chunks_decoded.fetch_add(1, Ordering::Relaxed);
+        self.counters.blob_bytes_read.fetch_add(entry.len as u64, Ordering::Relaxed);
+        self.counters.reorder_copies.fetch_add(copied as u64, Ordering::Relaxed);
+        ReadStats {
+            chunks_total: self.layout.entries.len(),
+            chunks_decoded: 1,
+            blob_bytes_read: entry.len as u64,
+            reorder_copies: copied as u64,
+        }
     }
-    // Serial inline decode: a single job never benefits from staging.
-    if jobs.len() <= 1 {
-        for job in jobs {
-            let entry = job.entry;
-            let blob = fetcher.fetch(entry)?;
-            stats.blob_bytes_read += entry.len as u64;
-            let copied = decode_slice_job(header, &blob, job, &scratch)?;
-            stats.chunks_decoded += 1;
-            stats.reorder_copies += copied as u64;
+
+    /// The unit of work of every schedule: fetch one job's blob, decode
+    /// it into the job's destination, count it.
+    fn decode<T: Scalar>(
+        &self,
+        job: SliceJob<'_, T>,
+        scratch: &SlabPool<T>,
+    ) -> Result<ReadStats, DecompressError> {
+        let entry = job.entry;
+        let blob = self.fetcher.fetch(entry)?;
+        let copied = decode_slice_job(&self.layout.header, &blob, job, scratch)?;
+        Ok(self.count(entry, copied))
+    }
+
+    /// Chunk `chunk` decoded whole on the calling thread: its first row,
+    /// the slab, and this request's counters.
+    fn read_chunk<T: Scalar>(
+        &self,
+        chunk: usize,
+    ) -> Result<(usize, NdArray<T>, ReadStats), DecompressError> {
+        let header = &self.layout.header;
+        check_scalar_tag::<T>(header)?;
+        let Some(&entry) = self.layout.entries.get(chunk) else {
+            return Err(DecompressError::ChunkOutOfRange {
+                requested: chunk,
+                available: self.layout.entries.len(),
+            });
+        };
+        let cshape = header.shape.with_rows(entry.rows);
+        let mut out = vec![T::zero(); cshape.len()];
+        let job = SliceJob { entry, cshape, take: 0..cshape.len(), dst: &mut out };
+        let stats = self.decode(job, &SlabPool::new())?;
+        Ok((entry.start_row, NdArray::from_vec(cshape, out), stats))
+    }
+}
+
+/// The row planner of every region read: check `rows` (non-empty, within
+/// the field), allocate the output and hand `decode` one job per chunk
+/// that intersects `rows`, in chunk order and with its index. Chunks tile
+/// axis 0 in order, so the jobs' `dst` slices cover the output
+/// contiguously.
+fn plan_rows<T: Scalar>(
+    header: &Header,
+    entries: &[ChunkEntry],
+    rows: Range<usize>,
+    decode: impl FnOnce(Vec<(usize, SliceJob<'_, T>)>) -> Result<(), DecompressError>,
+) -> Result<NdArray<T>, DecompressError> {
+    check_scalar_tag::<T>(header)?;
+    let shape = header.shape;
+    let d0 = shape.dim(0);
+    if rows.start >= rows.end || rows.end > d0 {
+        return Err(DecompressError::RowsOutOfRange { requested_end: rows.end, rows: d0 });
+    }
+    let row_elems: usize = shape.dims()[1..].iter().product::<usize>().max(1);
+    let mut out = vec![T::zero(); rows.len() * row_elems];
+    let mut jobs = Vec::new();
+    let mut rest: &mut [T] = &mut out;
+    for (idx, &entry) in entries.iter().enumerate() {
+        let e_start = entry.start_row;
+        let e_end = e_start + entry.rows;
+        if e_end <= rows.start || e_start >= rows.end {
+            continue;
+        }
+        let lo = rows.start.max(e_start);
+        let hi = rows.end.min(e_end);
+        let (dst, tail) = rest.split_at_mut((hi - lo) * row_elems);
+        rest = tail;
+        let take = (lo - e_start) * row_elems..(hi - e_start) * row_elems;
+        jobs.push((idx, SliceJob { entry, cshape: shape.with_rows(entry.rows), take, dst }));
+    }
+    decode(jobs)?;
+    Ok(NdArray::from_vec(shape.with_rows(rows.len()), out))
+}
+
+/// The ordered schedule: every chunk, whole, handed to `emit` in row
+/// order. At one thread, or with one chunk, every source decodes inline
+/// on the caller. Otherwise the caller fetches blobs in offset order and
+/// dispatches them to `threads` scoped workers, which decode into
+/// recycled slabs; the caller reorders completions by sequence number
+/// and hands each slab to `emit` in row order (slabs return to the pool
+/// right after `emit`, so the common in-order arrival recycles the same
+/// couple of slabs for the whole run). A chunk counts against the window
+/// of `2 × threads` from fetch until its slab is emitted, so
+/// out-of-order completions can never pile up more than a window of
+/// decoded slabs.
+fn run_ordered_jobs<T: Scalar, R: Read + Seek + Send>(
+    engine: &Engine<'_, R>,
+    threads: usize,
+    emit: &mut dyn FnMut(&[T]) -> Result<(), DecompressError>,
+) -> Result<(), DecompressError> {
+    let (header, entries) = (&engine.layout.header, &engine.layout.entries);
+    let slabs = SlabPool::<T>::new();
+    if threads <= 1 || entries.len() <= 1 {
+        for &entry in entries {
+            let cshape = header.shape.with_rows(entry.rows);
+            let mut slab = slabs.get(cshape.len());
+            let job = SliceJob { entry, cshape, take: 0..cshape.len(), dst: &mut slab };
+            let delivered = engine.decode(job, &slabs).and_then(|_| emit(&slab));
+            slabs.put(slab);
+            delivered?;
         }
         return Ok(());
     }
-    let window = window.max(2);
-    if threads <= 1 {
-        // Single-threaded decode of several chunks off a stream: a dedicated
-        // fetch thread reads extents ahead (bounded by the window) while
-        // the calling thread decodes, overlapping I/O with decode.
-        return std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::sync_channel::<(SliceJob<'_, T>, Blob<'_>)>(window);
-            let fetch = scope.spawn(move || -> Result<(), DecompressError> {
-                for job in jobs {
-                    let blob = fetcher.fetch(job.entry)?;
-                    if tx.send((job, blob)).is_err() {
-                        break; // the decoder bailed out early
-                    }
-                }
-                Ok(())
-            });
-            let mut result = Ok(());
-            for (job, blob) in rx.iter() {
-                stats.blob_bytes_read += job.entry.len as u64;
-                match decode_slice_job(header, &blob, job, &scratch) {
-                    Ok(copied) => {
-                        stats.chunks_decoded += 1;
-                        stats.reorder_copies += copied as u64;
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
-            drop(rx); // unblocks the fetch thread if it sits mid-send
-            let fetched = fetch.join().expect("prefetch thread panicked");
-            if result.is_ok() {
-                result = fetched;
-            }
-            result
-        });
-    }
-    let (work_tx, work_rx) = mpsc::sync_channel::<(SliceJob<'_, T>, Blob<'_>)>(window);
+    let window = 2 * threads;
+    let (work_tx, work_rx) = mpsc::sync_channel::<(usize, ChunkEntry, Blob<'_>)>(window);
     let work_rx = Mutex::new(work_rx);
-    let (done_tx, done_rx) = mpsc::channel::<Result<bool, DecompressError>>();
+    let (done_tx, done_rx) = mpsc::channel::<(usize, Result<Vec<T>, DecompressError>)>();
     let abort = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs.len()) {
+        for _ in 0..threads.min(entries.len()) {
             let done_tx = done_tx.clone();
-            let (work_rx, scratch, abort) = (&work_rx, &scratch, &abort);
+            let (work_rx, slabs, abort) = (&work_rx, &slabs, &abort);
             scope.spawn(move || loop {
                 // Hold the lock only for the dequeue; decode unlocked.
                 let next = {
                     let rx = work_rx.lock().unwrap_or_else(|p| p.into_inner());
                     rx.recv()
                 };
-                let Ok((job, blob)) = next else { break };
-                let r = decode_slice_job(header, &blob, job, scratch);
-                drop(blob); // recycle the buffer before signaling
-                if r.is_err() {
-                    abort.store(true, Ordering::Relaxed);
-                }
-                if done_tx.send(r).is_err() {
-                    break; // the driver bailed out early
-                }
-            });
-        }
-        drop(done_tx);
-        // The bounded work channel is the backpressure: `send` blocks
-        // once `window` fetched blobs queue undecoded, so the driver
-        // keeps fetching (overlapping workers' decode) only while the
-        // window has room.
-        let mut err: Option<DecompressError> = None;
-        let mut sent = 0usize;
-        for job in jobs {
-            if abort.load(Ordering::Relaxed) {
-                break; // a worker failed; its error is collected below
-            }
-            match fetcher.fetch(job.entry) {
-                Ok(blob) => {
-                    stats.blob_bytes_read += job.entry.len as u64;
-                    if work_tx.send((job, blob)).is_err() {
-                        break;
-                    }
-                    sent += 1;
-                }
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        drop(work_tx);
-        for _ in 0..sent {
-            match done_rx.recv() {
-                Ok(Ok(copied)) => {
-                    stats.chunks_decoded += 1;
-                    stats.reorder_copies += copied as u64;
-                }
-                Ok(Err(e)) => {
-                    if err.is_none() {
-                        err = Some(e);
-                    }
-                }
-                Err(_) => break, // all workers exited; nothing more to count
-            }
-        }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })
-}
-
-/// Run whole-chunk decode jobs through the pool with **in-order
-/// delivery**: workers decode into recycled slabs, the calling thread
-/// reorders completions by sequence number and hands each slab to `emit`
-/// in row order (slabs return to the pool right after `emit`, so the
-/// common in-order arrival recycles the same couple of slabs for the
-/// whole run). A chunk counts against the `window` from fetch until its
-/// slab is emitted, so out-of-order completions can never pile up more
-/// than a window of decoded slabs. With one thread over a plain stream,
-/// a dedicated prefetch thread overlaps extent reads with the caller's
-/// decode+emit instead.
-fn run_ordered_jobs<T: Scalar, R: Read + Seek + Send>(
-    mut fetcher: Fetcher<'_, R>,
-    header: &Header,
-    jobs: Vec<(ChunkEntry, Shape)>,
-    threads: usize,
-    window: usize,
-    stats: &mut ReadStats,
-    emit: &mut dyn FnMut(&[T]) -> Result<(), DecompressError>,
-) -> Result<(), DecompressError> {
-    let slabs = SlabPool::<T>::new();
-    // Serial inline decode: a single job never benefits from staging, and
-    // an addressable source needs no prefetch thread at 1 thread — there
-    // is no I/O to overlap (over a map, the kernel's readahead already
-    // faults upcoming extents while this one decodes).
-    if jobs.len() <= 1 || (threads <= 1 && matches!(fetcher, Fetcher::Bytes(_))) {
-        for (entry, cshape) in jobs {
-            let blob = fetcher.fetch(entry)?;
-            stats.blob_bytes_read += entry.len as u64;
-            let mut slab = slabs.get(cshape.len());
-            let decoded = decode_entry_blob(&blob, header, entry, cshape, &mut slab);
-            drop(blob);
-            let delivered = decoded.and_then(|()| {
-                stats.chunks_decoded += 1;
-                emit(&slab)
-            });
-            slabs.put(slab);
-            delivered?;
-        }
-        return Ok(());
-    }
-    let window = window.max(2);
-    if threads <= 1 {
-        // Unmapped single-threaded streaming: prefetch thread reads
-        // ahead, the caller decodes and emits in arrival order (which is
-        // row order — one fetcher, one decoder).
-        return std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::sync_channel::<(ChunkEntry, Shape, Blob<'_>)>(window);
-            let fetch = scope.spawn(move || -> Result<(), DecompressError> {
-                for (entry, cshape) in jobs {
-                    let blob = fetcher.fetch(entry)?;
-                    if tx.send((entry, cshape, blob)).is_err() {
-                        break; // the decoder bailed out early
-                    }
-                }
-                Ok(())
-            });
-            let mut result = Ok(());
-            for (entry, cshape, blob) in rx.iter() {
-                stats.blob_bytes_read += entry.len as u64;
+                let Ok((seq, entry, blob)) = next else { break };
+                let cshape = header.shape.with_rows(entry.rows);
                 let mut slab = slabs.get(cshape.len());
                 let decoded = decode_entry_blob(&blob, header, entry, cshape, &mut slab);
-                drop(blob);
-                let delivered = decoded.and_then(|()| {
-                    stats.chunks_decoded += 1;
-                    emit(&slab)
+                drop(blob); // recycle the buffer before signaling
+                let r = decoded.map(|()| {
+                    engine.count(entry, false);
+                    slab
                 });
-                slabs.put(slab);
-                if let Err(e) = delivered {
-                    result = Err(e);
-                    break;
-                }
-            }
-            drop(rx); // unblocks the fetch thread if it sits mid-send
-            let fetched = fetch.join().expect("prefetch thread panicked");
-            if result.is_ok() {
-                result = fetched;
-            }
-            result
-        });
-    }
-    let (work_tx, work_rx) = mpsc::sync_channel::<(usize, ChunkEntry, Shape, Blob<'_>)>(window);
-    let work_rx = Mutex::new(work_rx);
-    let (done_tx, done_rx) = mpsc::channel::<(usize, Result<Vec<T>, DecompressError>)>();
-    let abort = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs.len()) {
-            let done_tx = done_tx.clone();
-            let (work_rx, slabs, abort) = (&work_rx, &slabs, &abort);
-            scope.spawn(move || loop {
-                let next = {
-                    let rx = work_rx.lock().unwrap_or_else(|p| p.into_inner());
-                    rx.recv()
-                };
-                let Ok((seq, entry, cshape, blob)) = next else { break };
-                let mut slab = slabs.get(cshape.len());
-                let decoded = decode_entry_blob(&blob, header, entry, cshape, &mut slab);
-                drop(blob); // recycle the buffer before signaling
-                let r = decoded.map(|()| slab);
                 if r.is_err() {
                     abort.store(true, Ordering::Relaxed);
                 }
@@ -1259,13 +1132,11 @@ fn run_ordered_jobs<T: Scalar, R: Read + Seek + Send>(
                                next_emit: &mut usize,
                                done: &mut usize,
                                retired: &mut usize,
-                               stats: &mut ReadStats,
                                emit: &mut dyn FnMut(&[T]) -> Result<(), DecompressError>|
          -> bool {
             match done_rx.recv() {
                 Ok((seq, Ok(slab))) => {
                     *done += 1;
-                    stats.chunks_decoded += 1;
                     if err.is_some() {
                         // Already failing: recycle without delivering.
                         slabs.put(slab);
@@ -1300,7 +1171,7 @@ fn run_ordered_jobs<T: Scalar, R: Read + Seek + Send>(
                 Err(_) => false,
             }
         };
-        'dispatch: for (seq, (entry, cshape)) in jobs.into_iter().enumerate() {
+        'dispatch: for (seq, &entry) in entries.iter().enumerate() {
             while err.is_none() && sent - retired >= window {
                 if !receive_one(
                     &mut err,
@@ -1308,7 +1179,6 @@ fn run_ordered_jobs<T: Scalar, R: Read + Seek + Send>(
                     &mut next_emit,
                     &mut done,
                     &mut retired,
-                    stats,
                     emit,
                 ) {
                     break 'dispatch;
@@ -1317,10 +1187,9 @@ fn run_ordered_jobs<T: Scalar, R: Read + Seek + Send>(
             if err.is_some() || abort.load(Ordering::Relaxed) {
                 break;
             }
-            match fetcher.fetch(entry) {
+            match engine.fetcher.fetch(entry) {
                 Ok(blob) => {
-                    stats.blob_bytes_read += entry.len as u64;
-                    if work_tx.send((seq, entry, cshape, blob)).is_err() {
+                    if work_tx.send((seq, entry, blob)).is_err() {
                         break;
                     }
                     sent += 1;
@@ -1336,15 +1205,8 @@ fn run_ordered_jobs<T: Scalar, R: Read + Seek + Send>(
         // emitted) here.
         drop(work_tx);
         while done < sent {
-            if !receive_one(
-                &mut err,
-                &mut pending,
-                &mut next_emit,
-                &mut done,
-                &mut retired,
-                stats,
-                emit,
-            ) {
+            if !receive_one(&mut err, &mut pending, &mut next_emit, &mut done, &mut retired, emit)
+            {
                 break;
             }
         }
@@ -1359,35 +1221,16 @@ fn run_ordered_jobs<T: Scalar, R: Read + Seek + Send>(
 // ConcurrentReader
 // ---------------------------------------------------------------------------
 
-/// The archive state shared by every [`ConcurrentReader`] handle: the
-/// source behind a mutex (held only while fetching blob bytes — decoding
-/// runs unlocked), the immutable layout, and the aggregate counters.
-struct ReaderShared<R> {
-    src: Mutex<R>,
-    /// Mapped view of the source where available: fetches through it
-    /// take **no lock at all** — concurrent requests don't serialize
-    /// even on the fetch stage.
-    map: Option<SourceMap>,
-    /// Recycled blob buffers; checked out *before* taking the source
-    /// lock so the critical section is exactly one seek+read.
-    blob_pool: BytePool,
-    header: Header,
-    chunk_rows: usize,
-    entries: Vec<ChunkEntry>,
-    chunks_decoded: AtomicU64,
-    blob_bytes_read: AtomicU64,
-    reorder_copies: AtomicU64,
-}
-
 /// A shareable, cloneable decompression handle over **one** open archive
 /// source, for serving many overlapping region reads concurrently.
 ///
 /// Cloning is cheap (an [`Arc`] bump) and every clone reads the same
 /// underlying `R`. Requests lock the source only to fetch a chunk's
 /// compressed bytes; decoding happens outside the lock, so readers on
-/// different threads genuinely overlap. Each request reports its own
-/// [`ReadStats`] (via [`Self::read_rows_with_stats`]), and
-/// [`Self::stats`] aggregates across all clones and requests.
+/// different threads genuinely overlap. Each request decodes on its
+/// calling thread, reports its own [`ReadStats`] (via
+/// [`Self::read_rows_with_stats`]), and [`Self::stats`] aggregates across
+/// all clones and requests.
 ///
 /// ```
 /// use rq_compress::{ArchiveWriter, CompressorConfig, ConcurrentReader};
@@ -1435,21 +1278,8 @@ impl ConcurrentReader<std::fs::File> {
 impl<R: Read + Seek> ConcurrentReader<R> {
     /// Open an archive for shared concurrent reading: parse the header
     /// and chunk index, without reading any payload.
-    pub fn open(mut src: R) -> Result<Self, DecompressError> {
-        let layout = read_archive_layout(&mut src)?;
-        Ok(ConcurrentReader {
-            shared: Arc::new(ReaderShared {
-                src: Mutex::new(src),
-                map: None,
-                blob_pool: BytePool::new(),
-                header: layout.header,
-                chunk_rows: layout.chunk_rows,
-                entries: layout.entries,
-                chunks_decoded: AtomicU64::new(0),
-                blob_bytes_read: AtomicU64::new(0),
-                reorder_copies: AtomicU64::new(0),
-            }),
-        })
+    pub fn open(src: R) -> Result<Self, DecompressError> {
+        ArchiveReader::open(src).map(ArchiveReader::into_concurrent)
     }
 
     /// Whether chunk fetches are served zero-copy (and lock-free) from a
@@ -1460,83 +1290,27 @@ impl<R: Read + Seek> ConcurrentReader<R> {
 
     /// The archive's parsed header.
     pub fn header(&self) -> &Header {
-        &self.shared.header
+        &self.shared.layout.header
     }
 
     /// Nominal axis-0 rows per chunk (the last chunk may hold fewer).
     pub fn chunk_rows(&self) -> usize {
-        self.shared.chunk_rows
+        self.shared.layout.chunk_rows
     }
 
     /// Number of independently-decodable chunks.
     pub fn n_chunks(&self) -> usize {
-        self.shared.entries.len()
+        self.shared.layout.entries.len()
     }
 
     /// The located chunk entries, in slab order.
     pub fn entries(&self) -> &[ChunkEntry] {
-        &self.shared.entries
+        &self.shared.layout.entries
     }
 
     /// Aggregate decode counters across every clone and request so far.
     pub fn stats(&self) -> ReadStats {
-        ReadStats {
-            chunks_total: self.shared.entries.len(),
-            chunks_decoded: self.shared.chunks_decoded.load(Ordering::Relaxed),
-            blob_bytes_read: self.shared.blob_bytes_read.load(Ordering::Relaxed),
-            reorder_copies: self.shared.reorder_copies.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The **fetch** stage alone: one chunk's compressed bytes. Over a
-    /// mapped source this takes no lock — it is a bounds-checked window
-    /// of the shared mapping. Otherwise a recycled buffer is checked out
-    /// of the pool *before* locking, so the critical section is exactly
-    /// one seek+read; decoding always happens outside the lock either
-    /// way, so concurrent readers overlap on everything but that read.
-    fn fetch_blob(&self, entry: ChunkEntry) -> Result<Blob<'_>, DecompressError> {
-        if let Some(map) = &self.shared.map {
-            return blob_window(map.as_slice(), entry).map(Blob::Mapped);
-        }
-        let mut buf = self.shared.blob_pool.get(entry.len);
-        let read = {
-            let mut src = self.shared.src.lock().unwrap_or_else(|p| p.into_inner());
-            read_span_into(&mut *src, entry.offset as u64, &mut buf)
-        };
-        match read {
-            Ok(()) => Ok(Blob::Pooled(buf, &self.shared.blob_pool)),
-            Err(e) => {
-                self.shared.blob_pool.put(buf);
-                Err(e)
-            }
-        }
-    }
-
-    /// Bump the aggregate counters for one decoded chunk.
-    fn count_decoded(&self, entry: ChunkEntry, reordered: bool) {
-        self.shared.chunks_decoded.fetch_add(1, Ordering::Relaxed);
-        self.shared.blob_bytes_read.fetch_add(entry.len as u64, Ordering::Relaxed);
-        self.shared.reorder_copies.fetch_add(reordered as u64, Ordering::Relaxed);
-    }
-
-    /// Fetch one chunk's compressed bytes (see [`Self::fetch_blob`]),
-    /// decode its job outside the lock (full chunk or boundary crop, via
-    /// the same [`decode_slice_job`] the parallel engine uses), and
-    /// update this request's and the aggregate counters.
-    fn fetch_and_decode<T: Scalar>(
-        &self,
-        job: SliceJob<'_, T>,
-        scratch: &SlabPool<T>,
-        req: &mut ReadStats,
-    ) -> Result<(), DecompressError> {
-        let entry = job.entry;
-        let blob = self.fetch_blob(entry)?;
-        let copied = decode_slice_job(&self.shared.header, &blob, job, scratch)?;
-        req.chunks_decoded += 1;
-        req.blob_bytes_read += entry.len as u64;
-        req.reorder_copies += copied as u64;
-        self.count_decoded(entry, copied);
-        Ok(())
+        self.shared.stats()
     }
 
     /// Decode a single chunk (random access). Returns the slab's first
@@ -1545,20 +1319,7 @@ impl<R: Read + Seek> ConcurrentReader<R> {
         &self,
         chunk: usize,
     ) -> Result<(usize, NdArray<T>, ReadStats), DecompressError> {
-        check_scalar_tag::<T>(&self.shared.header)?;
-        let Some(&entry) = self.shared.entries.get(chunk) else {
-            return Err(DecompressError::ChunkOutOfRange {
-                requested: chunk,
-                available: self.shared.entries.len(),
-            });
-        };
-        let cshape = self.shared.header.shape.with_rows(entry.rows);
-        let mut out = vec![T::zero(); cshape.len()];
-        let mut req = ReadStats { chunks_total: self.shared.entries.len(), ..Default::default() };
-        let take = 0..cshape.len();
-        let scratch = SlabPool::new();
-        self.fetch_and_decode(SliceJob { entry, cshape, take, dst: &mut out }, &scratch, &mut req)?;
-        Ok((entry.start_row, NdArray::from_vec(cshape, out), req))
+        self.shared.engine().read_chunk(chunk)
     }
 
     /// Decode the axis-0 row range `rows`, touching only intersecting
@@ -1575,41 +1336,26 @@ impl<R: Read + Seek> ConcurrentReader<R> {
         &self,
         rows: Range<usize>,
     ) -> Result<(NdArray<T>, ReadStats), DecompressError> {
-        check_scalar_tag::<T>(&self.shared.header)?;
-        let shape = self.shared.header.shape;
-        let d0 = shape.dim(0);
-        if rows.start >= rows.end || rows.end > d0 {
-            return Err(DecompressError::RowsOutOfRange { requested_end: rows.end, rows: d0 });
-        }
-        let row_elems: usize = shape.dims()[1..].iter().product::<usize>().max(1);
-        let out_rows = rows.end - rows.start;
-        let mut out = vec![T::zero(); out_rows * row_elems];
-        let mut req = ReadStats { chunks_total: self.shared.entries.len(), ..Default::default() };
+        let engine = self.shared.engine();
+        let mut req = ReadStats { chunks_total: self.n_chunks(), ..ReadStats::default() };
         // One scratch pool per request: a range crops at most its two
         // boundary chunks, and they share the same recycled slab.
         let scratch = SlabPool::new();
-        for &entry in &self.shared.entries {
-            let e_start = entry.start_row;
-            let e_end = e_start + entry.rows;
-            if e_end <= rows.start || e_start >= rows.end {
-                continue;
+        let out = plan_rows(&engine.layout.header, &engine.layout.entries, rows, |jobs| {
+            for (_, job) in jobs {
+                let run = engine.decode(job, &scratch)?;
+                req.chunks_decoded += run.chunks_decoded;
+                req.blob_bytes_read += run.blob_bytes_read;
+                req.reorder_copies += run.reorder_copies;
             }
-            let lo = rows.start.max(e_start);
-            let hi = rows.end.min(e_end);
-            let job = SliceJob {
-                entry,
-                cshape: shape.with_rows(entry.rows),
-                take: (lo - e_start) * row_elems..(hi - e_start) * row_elems,
-                dst: &mut out[(lo - rows.start) * row_elems..(hi - rows.start) * row_elems],
-            };
-            self.fetch_and_decode(job, &scratch, &mut req)?;
-        }
-        Ok((NdArray::from_vec(shape.with_rows(out_rows), out), req))
+            Ok(())
+        })?;
+        Ok((out, req))
     }
 
     /// Decode the whole field (one request).
     pub fn read_all<T: Scalar>(&self) -> Result<NdArray<T>, DecompressError> {
-        let shape = self.shared.header.shape;
+        let shape = self.header().shape;
         self.read_rows::<T>(0..shape.dim(0))
             .map(|a| NdArray::from_vec(shape, a.into_vec()))
     }
@@ -1653,33 +1399,19 @@ pub trait ChunkSource<T: Scalar>: Send + Sync {
 
 impl<T: Scalar, R: Read + Seek + Send> ChunkSource<T> for ConcurrentReader<R> {
     fn header(&self) -> &Header {
-        &self.shared.header
+        &self.shared.layout.header
     }
 
     fn chunk_rows(&self) -> usize {
-        self.shared.chunk_rows
+        self.shared.layout.chunk_rows
     }
 
     fn entries(&self) -> &[ChunkEntry] {
-        &self.shared.entries
+        &self.shared.layout.entries
     }
 
     fn fetch_chunk(&self, idx: usize) -> Result<Arc<[T]>, DecompressError> {
-        check_scalar_tag::<T>(&self.shared.header)?;
-        let Some(&entry) = self.shared.entries.get(idx) else {
-            return Err(DecompressError::ChunkOutOfRange {
-                requested: idx,
-                available: self.shared.entries.len(),
-            });
-        };
-        let cshape = self.shared.header.shape.with_rows(entry.rows);
-        let blob = self.fetch_blob(entry)?;
-        // The decoded slab's ownership leaves through the `Arc`, so it
-        // cannot come from a pool — only the blob buffer recycles here.
-        let mut out = vec![T::zero(); cshape.len()];
-        decode_entry_blob(&blob, &self.shared.header, entry, cshape, &mut out)?;
-        self.count_decoded(entry, false);
-        Ok(out.into())
+        self.read_chunk::<T>(idx).map(|(_, slab, _)| slab.into_vec().into())
     }
 }
 
@@ -1697,28 +1429,12 @@ pub fn assemble_rows<T: Scalar, S: ChunkSource<T> + ?Sized>(
     src: &S,
     rows: Range<usize>,
 ) -> Result<NdArray<T>, DecompressError> {
-    check_scalar_tag::<T>(src.header())?;
-    let shape = src.header().shape;
-    let d0 = shape.dim(0);
-    if rows.start >= rows.end || rows.end > d0 {
-        return Err(DecompressError::RowsOutOfRange { requested_end: rows.end, rows: d0 });
-    }
-    let row_elems: usize = shape.dims()[1..].iter().product::<usize>().max(1);
-    let out_rows = rows.end - rows.start;
-    let mut out = vec![T::zero(); out_rows * row_elems];
-    for (idx, &entry) in src.entries().iter().enumerate() {
-        let e_start = entry.start_row;
-        let e_end = e_start + entry.rows;
-        if e_end <= rows.start || e_start >= rows.end {
-            continue;
+    plan_rows(src.header(), src.entries(), rows, |jobs| {
+        for (idx, job) in jobs {
+            job.dst.copy_from_slice(&src.fetch_chunk(idx)?[job.take]);
         }
-        let lo = rows.start.max(e_start);
-        let hi = rows.end.min(e_end);
-        let chunk = src.fetch_chunk(idx)?;
-        out[(lo - rows.start) * row_elems..(hi - rows.start) * row_elems]
-            .copy_from_slice(&chunk[(lo - e_start) * row_elems..(hi - e_start) * row_elems]);
-    }
-    Ok(NdArray::from_vec(shape.with_rows(out_rows), out))
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -168,3 +168,48 @@ fn dataset_reader_matches_catalog_reader_exactly() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Descriptors of this process open on `path` (`/proc/self/fd` links;
+/// other tests of the binary open files of their own concurrently, so
+/// only links to the catalog count).
+#[cfg(target_os = "linux")]
+fn fds_open_on(path: &std::path::Path) -> usize {
+    let path = path.canonicalize().unwrap();
+    std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| *target == path)
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn dataset_reader_holds_one_descriptor_whatever_the_step_count() {
+    // A 64-step dataset: the reader's descriptors must not grow with the
+    // steps (one handle per step made `rqm serve` fail with EMFILE on
+    // long catalogs), and every step still reads as the sequential walk.
+    let steps = rqm::datagen::rtm_steps(0xFD64, 64, [8, 8, 8]);
+    let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(EB32));
+    let mut w = CatalogWriter::create(Vec::new()).unwrap();
+    w.write_dataset("wave", &cfg, 8, &steps).unwrap();
+    let bytes = w.finalize().unwrap().sink;
+    let dir = std::env::temp_dir().join(format!("rqm_cat_fd_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("long.rqc");
+    std::fs::write(&path, &bytes).unwrap();
+
+    let before = fds_open_on(&path);
+    let conc = DatasetReader::<f32>::open_path(&path, "wave").unwrap();
+    let grown = fds_open_on(&path) - before;
+    assert!(grown <= 2, "a 64-step DatasetReader holds {grown} descriptors on its catalog");
+
+    let mut seq = CatalogReader::open(Cursor::new(bytes)).unwrap();
+    for t in 0..64 {
+        let want = seq.read_step::<f32>("wave", t).unwrap();
+        let rows = t * conc.step_rows()..(t + 1) * conc.step_rows();
+        let got = rqm::compress_crate::assemble_rows(&conc, rows).unwrap();
+        assert_eq!(got.as_slice(), want.as_slice(), "step {t} diverges");
+    }
+    drop(conc);
+    std::fs::remove_dir_all(&dir).ok();
+}

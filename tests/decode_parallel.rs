@@ -1,9 +1,10 @@
 //! Differential and concurrency tests for the parallel decode engine.
 //!
-//! The engine's contract is that thread count, read-ahead window,
-//! delivery mode and the kind of source (stream, mapped file, bytes in
-//! memory) are implementation details: every decode path — `read_all`,
-//! `read_rows`, `decompress_to_writer` on `ArchiveReader`, the one-shot
+//! The engine's contract is that thread count, chunk count against the
+//! ordered window, delivery mode and the kind of source (stream, mapped
+//! file, bytes in memory) are implementation details: every decode
+//! path — `read_all`, `read_rows`, `decompress_to_writer` on
+//! `ArchiveReader`, the one-shot
 //! `decompress`/`decompress_chunk`, and every request on a shared
 //! `ConcurrentReader` — must produce results byte-identical to the
 //! single-threaded serial decode, for every container generation
@@ -16,7 +17,7 @@
 //! every result against a precomputed serial decode, and verifies that
 //! the aggregate `ReadStats` equal the sum of the per-request stats.
 
-use rqm::compress_crate::DecompressError;
+use rqm::compress_crate::{ChunkSource, DecompressError};
 use rqm::grid::Scalar;
 use rqm::prelude::*;
 use std::io::Cursor;
@@ -168,11 +169,13 @@ fn parallel_decode_matches_serial_across_generations() {
 
 #[test]
 fn every_source_kind_decodes_identically_with_equal_stats() {
-    // One engine, three kinds of source: the same bytes held in memory
+    // One engine, every kind of source: the same bytes held in memory
     // (`decompress`, `decompress_chunk`), behind a seekable stream
-    // (`open(Cursor)`) and in a mapped file (`open_path`) must give
-    // bit-identical values and count the same number of decoded chunks,
-    // at 1, 2 and 8 (oversubscribed) worker threads.
+    // (`open(Cursor)`) and in a mapped file (`open_path`), read by the
+    // session reader at 1, 2 and 8 (oversubscribed) worker threads, by the
+    // shared reader over both, and chunk by chunk through `ChunkSource`,
+    // must give bit-identical values and count the same decoded chunks,
+    // blob bytes and reorder copies — one fetch, one set of counters.
     let field = mixed_field(Shape::d3(23, 8, 6));
     let dir = std::env::temp_dir().join("rqm_decode_parallel_test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -201,6 +204,22 @@ fn assert_source_kinds_agree<T: Scalar>(name: &str, bytes: &[u8], path: &std::pa
         );
     }
     std::fs::write(path, bytes).unwrap();
+    // The kinds without a thread count: one `read_all` request on a shared
+    // reader over the stream and over the map, and every chunk fetched
+    // whole through the chunk source.
+    let shared_stream = ConcurrentReader::open(Cursor::new(bytes)).unwrap();
+    let shared_mapped = ConcurrentReader::open_path(path).unwrap();
+    let source = ConcurrentReader::open(Cursor::new(bytes)).unwrap();
+    let mut fetched = Vec::with_capacity(reference.len());
+    for chunk in 0..n_chunks {
+        fetched.extend_from_slice(&ChunkSource::<T>::fetch_chunk(&source, chunk).unwrap());
+    }
+    let fetched = NdArray::from_vec(reference.shape(), fetched);
+    let mut kinds = vec![
+        ("shared stream".into(), shared_stream.read_all::<T>().unwrap(), shared_stream.stats()),
+        ("shared mapped".into(), shared_mapped.read_all::<T>().unwrap(), shared_mapped.stats()),
+        ("chunk source".to_string(), fetched, source.stats()),
+    ];
     for threads in [1usize, 2, 8] {
         assert!(
             decompress_with_threads::<T>(bytes, threads).unwrap().as_slice()
@@ -210,44 +229,53 @@ fn assert_source_kinds_agree<T: Scalar>(name: &str, bytes: &[u8], path: &std::pa
         let mut stream =
             ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
         let mut mapped = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
-        for (kind, all, stats) in [
-            ("stream", stream.read_all::<T>().unwrap(), stream.stats()),
-            ("mapped", mapped.read_all::<T>().unwrap(), mapped.stats()),
-        ] {
-            assert!(all.as_slice() == reference.as_slice(), "{name} {kind} threads={threads}");
-            assert_eq!(stats.chunks_decoded, n_chunks as u64, "{name} {kind} threads={threads}");
-            assert_eq!(stats.reorder_copies, 0, "{name} {kind} threads={threads}");
-        }
-        assert_eq!(stream.stats().blob_bytes_read, mapped.stats().blob_bytes_read, "{name}");
+        let all = stream.read_all::<T>().unwrap();
+        kinds.push((format!("stream threads={threads}"), all, stream.stats()));
+        let all = mapped.read_all::<T>().unwrap();
+        kinds.push((format!("mapped threads={threads}"), all, mapped.stats()));
     }
+    let want = kinds[0].2;
+    assert_eq!(want.chunks_decoded, n_chunks as u64, "{name}");
+    assert_eq!(want.reorder_copies, 0, "{name}");
+    for (kind, all, stats) in &kinds {
+        assert!(all.as_slice() == reference.as_slice(), "{name} {kind}");
+        assert_eq!(*stats, want, "{name} {kind}");
+    }
+
+    // A session's counters carry over into its shared form exactly.
+    let d0 = reference.shape().dim(0);
+    let mut session = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(2);
+    session.read_rows::<T>(d0 / 2..d0).unwrap();
+    let before = session.stats();
+    let shared = session.into_concurrent();
+    assert_eq!(shared.stats(), before, "{name}: into_concurrent");
+    shared.read_all::<T>().unwrap();
+    let after = shared.stats();
+    assert_eq!(after.chunks_decoded, before.chunks_decoded + want.chunks_decoded, "{name}");
+    assert_eq!(after.blob_bytes_read, before.blob_bytes_read + want.blob_bytes_read, "{name}");
+    assert_eq!(after.reorder_copies, before.reorder_copies, "{name}");
 }
 
 #[test]
-fn tiny_read_ahead_window_preserves_order() {
-    // The window can never drop below the worker count (window =
-    // threads + read_ahead), so read_ahead=0 on 8 workers is its
-    // tightest configuration: every in-flight chunk has a worker racing
-    // on it and completions arrive maximally out of order. The in-order
-    // delivery guarantee must hold at every window size regardless.
+fn more_chunks_than_the_window_preserve_order() {
+    // The ordered window is 2 × threads chunks, so one-row chunks of a
+    // 32-row field put 32 chunks against a window of 16 at 8 workers:
+    // the credit loop has to stall dispatch, every in-flight chunk has a
+    // worker racing on it and completions arrive maximally out of order.
+    // The in-order delivery guarantee must hold regardless.
     let field = mixed_field(Shape::d3(32, 6, 5));
     let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3))
-        .chunked(2)
+        .chunked(1)
         .with_codec(CodecChoice::Auto);
     let bytes = streamed(&field, &cfg, None);
     let mut serial = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
     let reference = serial.read_all::<f32>().unwrap();
-    for read_ahead in [0usize, 1, 5] {
-        let mut r = ArchiveReader::open(Cursor::new(&bytes[..]))
-            .unwrap()
-            .with_threads_exact(8)
-            .with_read_ahead(read_ahead);
-        let mut sink = Vec::new();
-        r.decompress_to_writer::<f32, _>(&mut sink).unwrap();
-        let expect: Vec<u8> =
-            reference.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
-        assert_eq!(sink, expect, "read_ahead={read_ahead}");
-        assert_eq!(r.stats().chunks_decoded, 16);
-    }
+    let mut r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap().with_threads_exact(8);
+    let mut sink = Vec::new();
+    r.decompress_to_writer::<f32, _>(&mut sink).unwrap();
+    let expect: Vec<u8> = reference.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+    assert_eq!(sink, expect);
+    assert_eq!(r.stats().chunks_decoded, 32);
 }
 
 #[test]

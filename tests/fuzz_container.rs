@@ -413,13 +413,13 @@ fn archive_reader_never_panics_on_mutations() {
                     continue; // same allocation guard as try_decode
                 }
             }
-            // threads=1 exercises the dedicated prefetch-thread stage
-            // (fetch ahead of the decoding caller), threads=4 the worker
-            // pool; varying read_ahead squeezes the window down to its
-            // floor so corrupt blobs surface mid-backpressure too.
+            // threads=1 decodes inline on the caller, threads=4 runs the
+            // static slice workers (each fetching its own blobs under the
+            // source lock) and the ordered pool, whose window of 8 chunks
+            // corrupt blobs hit mid-backpressure.
             let threads = if case % 2 == 0 { 1 } else { 4 };
             if let Ok(r) = rqm::compress_crate::ArchiveReader::open(Cursor::new(&m[..])) {
-                let mut r = r.with_threads_exact(threads).with_read_ahead(case % 3);
+                let mut r = r.with_threads_exact(threads);
                 let _ = r.read_all::<f32>();
                 let _ = r.read_rows::<f32>(0..1);
                 let _ = r.decompress_to_writer::<f32, _>(&mut std::io::sink());
@@ -448,10 +448,10 @@ fn parallel_decode_corruptions_error_at_every_thread_count() {
     // produce a typed `DecompressError` at 1 and 4 threads: no panic, no
     // abort, no hang, and identical accept/reject decisions across
     // thread counts.
-    let try_streaming = |bytes: &[u8], threads: usize, read_ahead: usize| -> Result<(), String> {
+    let try_streaming = |bytes: &[u8], threads: usize| -> Result<(), String> {
         let r = rqm::compress_crate::ArchiveReader::open(Cursor::new(bytes))
             .map_err(|e| e.to_string())?;
-        let mut r = r.with_threads_exact(threads).with_read_ahead(read_ahead);
+        let mut r = r.with_threads_exact(threads);
         r.decompress_to_writer::<f32, _>(&mut std::io::sink())
             .map(|_| ())
             .map_err(|e| e.to_string())?;
@@ -496,13 +496,12 @@ fn parallel_decode_corruptions_error_at_every_thread_count() {
             m[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
             cases.push((format!("{name} NaN per-chunk eb"), m));
         }
-        // (1,0) = prefetch thread at the tightest window, (1,2) = a
-        // roomier prefetch window, (4,1) = worker pool mid-backpressure.
+        // 1 = inline on the caller, 4 = the ordered pool.
         for (case, mutated) in cases {
-            for (threads, read_ahead) in [(1usize, 0usize), (1, 2), (4, 1)] {
+            for threads in [1usize, 4] {
                 assert!(
-                    try_streaming(&mutated, threads, read_ahead).is_err(),
-                    "{case}: decoded Ok at {threads} threads (read_ahead {read_ahead})"
+                    try_streaming(&mutated, threads).is_err(),
+                    "{case}: decoded Ok at {threads} threads"
                 );
             }
         }
@@ -517,8 +516,8 @@ fn parallel_decode_corruptions_error_at_every_thread_count() {
             for b in &mut m[pos..(pos + 4).min(tstart)] {
                 *b = rng.next() as u8;
             }
-            let serial = try_streaming(&m, 1, 0);
-            let parallel = try_streaming(&m, 4, 1);
+            let serial = try_streaming(&m, 1);
+            let parallel = try_streaming(&m, 4);
             assert_eq!(
                 serial.is_ok(),
                 parallel.is_ok(),

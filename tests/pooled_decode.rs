@@ -1,7 +1,8 @@
 //! Differential coverage for the pooled, zero-copy decode paths.
 //!
 //! PR 7 reworked the streaming decode engines around recycled buffer
-//! pools, an mmap fast path, and a prefetch stage. None of that may be
+//! pools and an mmap fast path (PR 25 folded them into one engine with
+//! one fetch stage and no prefetch thread). None of that may be
 //! observable in the decoded bytes: a long-lived reader whose pools are
 //! saturated with dirty buffers from earlier requests must keep
 //! producing output byte-identical to a fresh reader, across container
