@@ -15,7 +15,9 @@
 //!   over 1-D..4-D shapes;
 //! * whole chunk blobs encoded on the fast path equal the reference
 //!   path byte-for-byte, for `f32` and `f64`, and each side decodes the
-//!   other's blobs to bit-identical values;
+//!   other's blobs to bit-identical values; blobs, values and the ROLZ
+//!   corruption sweep's verdicts are also pinned as folded FNV-1a digests
+//!   (`*_PINS`), asserted on both paths;
 //! * the committed `tests/data/golden_huffman_*.bin` /
 //!   `golden_lossless_rlelzss.bin` fixtures — encoded by the
 //!   **pre-rework** coder — still decode exactly, and re-encoding the
@@ -353,6 +355,93 @@ fn lorenzo_traversal_matches_generic() {
 }
 
 // ---------------------------------------------------------------------------
+// pins: what the chunk kernels write and decode, as folded digests
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    /// A blob: its length, then its bytes.
+    fn blob(&mut self, blob: &[u8]) {
+        self.word(blob.len() as u64);
+        self.bytes(blob);
+    }
+
+    /// The bits of decoded values.
+    fn values<T: Scalar>(&mut self, values: &[T]) {
+        for v in values {
+            self.word(v.to_f64().to_bits());
+        }
+    }
+
+    fn blob_and_values<T: Scalar>(&mut self, blob: &[u8], values: &[T]) {
+        self.blob(blob);
+        self.values(values);
+    }
+}
+
+/// The cases of one test folded into one digest. Each case's own digest is
+/// kept, so that a mismatch prints them all to diff against a run of the
+/// commit that pinned the constant.
+struct Pins {
+    all: Fnv,
+    cases: Vec<(String, u64)>,
+}
+
+impl Pins {
+    fn new() -> Self {
+        Pins { all: Fnv::new(), cases: Vec::new() }
+    }
+
+    /// Fold one case: what `fold` feeds a fresh hasher.
+    fn case(&mut self, what: String, fold: impl FnOnce(&mut Fnv)) {
+        let mut one = Fnv::new();
+        fold(&mut one);
+        self.all.word(one.0);
+        self.cases.push((what, one.0));
+    }
+
+    fn check(&self, test: &str, pinned: u64) {
+        if self.all.0 != pinned {
+            let cases: Vec<String> =
+                self.cases.iter().map(|(what, d)| format!("  {d:#018x} {what}")).collect();
+            panic!(
+                "{test}: digest {:#018x}, pinned {pinned:#018x}; per case:\n{}",
+                self.all.0,
+                cases.join("\n")
+            );
+        }
+    }
+}
+
+/// [`chunk_blobs_and_values_match_reference`]: every SZ blob and its decoded
+/// values, `f32` then `f64`.
+const SZ_CHUNK_PINS: [u64; 2] = [0xee60_73d6_9c01_96da, 0xf27e_417f_85cc_2c67];
+/// [`interpolation_line_kernel_matches_reference`], `f32` then `f64`.
+const INTERP_LINE_PINS: [u64; 2] = [0x5020_cff7_5eaf_dad1, 0xfc73_3c96_137c_0420];
+/// [`rolz_chunk_blobs_and_values_match_reference`], `f32` then `f64`.
+const ROLZ_CHUNK_PINS: [u64; 2] = [0x0cfe_89df_5e9b_78a8, 0x6b9b_d9ed_97bc_c3e5];
+/// The ROLZ corruption sweep: the blob, then accept/reject and decoded
+/// values of every cut and flip.
+const ROLZ_CORRUPT_PIN: u64 = 0x40c7_e5cd_608a_2bf5;
+
+// ---------------------------------------------------------------------------
 // whole-chunk pipeline
 // ---------------------------------------------------------------------------
 
@@ -375,7 +464,12 @@ fn field<T: Scalar>(shape: Shape) -> Vec<T> {
     out
 }
 
-fn chunk_differential<T: Scalar>(predictor: PredictorKind, shape: Shape, radius: u32) {
+fn chunk_differential<T: Scalar>(
+    predictor: PredictorKind,
+    shape: Shape,
+    radius: u32,
+    pins: &mut [Pins; 2],
+) {
     let data: Vec<T> = field(shape);
     let eb = 1e-3;
     let blob_fast = encode_chunk(
@@ -413,10 +507,15 @@ fn chunk_differential<T: Scalar>(predictor: PredictorKind, shape: Shape, radius:
             "{predictor:?} {shape:?} point {i}"
         );
     }
+    let what = format!("{predictor:?} {shape:?} radius {radius}");
+    pins[0].case(what.clone(), |h| h.blob_and_values(&blob_fast, &out_fast));
+    pins[1].case(what, |h| h.blob_and_values(&blob_ref, &out_ref));
 }
 
 #[test]
 fn chunk_blobs_and_values_match_reference() {
+    let mut pins32 = [Pins::new(), Pins::new()];
+    let mut pins64 = [Pins::new(), Pins::new()];
     for shape in [Shape::d1(193), Shape::d2(13, 21), Shape::d3(5, 9, 11)] {
         for predictor in
             [PredictorKind::Lorenzo, PredictorKind::Lorenzo2, PredictorKind::Interpolation]
@@ -424,10 +523,14 @@ fn chunk_blobs_and_values_match_reference() {
             // Default-like radius (everything quantizes) and a tiny one
             // (escape/verbatim machinery active).
             for radius in [1 << 15, 8] {
-                chunk_differential::<f32>(predictor, shape, radius);
-                chunk_differential::<f64>(predictor, shape, radius);
+                chunk_differential::<f32>(predictor, shape, radius, &mut pins32);
+                chunk_differential::<f64>(predictor, shape, radius, &mut pins64);
             }
         }
+    }
+    for (i, path) in [KernelPath::Fast, KernelPath::Reference].into_iter().enumerate() {
+        pins32[i].check(&format!("SZ chunks, f32, {path:?}"), SZ_CHUNK_PINS[0]);
+        pins64[i].check(&format!("SZ chunks, f64, {path:?}"), SZ_CHUNK_PINS[1]);
     }
 }
 
@@ -489,7 +592,12 @@ enum Dirt {
 /// Interpolation, line kernel (Fast) against the per-stencil walk
 /// (Reference): same blob, and either blob decodes to the same values on
 /// both paths. Returns the number of escaped values.
-fn interp_line_differential<T: Scalar>(shape: Shape, eb: f64, dirt: Dirt) -> usize {
+fn interp_line_differential<T: Scalar>(
+    shape: Shape,
+    eb: f64,
+    dirt: Dirt,
+    pins: &mut [Pins; 2],
+) -> usize {
     let mut data: Vec<T> = field(shape);
     let n = data.len();
     let what = format!("{shape:?} eb {eb} {dirt:?} {}-bit", T::BITS);
@@ -524,7 +632,8 @@ fn interp_line_differential<T: Scalar>(shape: Shape, eb: f64, dirt: Dirt) -> usi
         .expect("encode")
     };
     let blob = encode(KernelPath::Fast);
-    assert!(blob == encode(KernelPath::Reference), "{what}: blobs differ");
+    let blob_ref = encode(KernelPath::Reference);
+    assert!(blob == blob_ref, "{what}: blobs differ");
 
     let decode = |path| {
         let mut out = vec![T::zero(); n];
@@ -548,6 +657,8 @@ fn interp_line_differential<T: Scalar>(shape: Shape, eb: f64, dirt: Dirt) -> usi
     for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
         assert_eq!(a.to_f64().to_bits(), b.to_f64().to_bits(), "{what}: point {i}");
     }
+    pins[0].case(what.clone(), |h| h.blob_and_values(&blob, &fast));
+    pins[1].case(what.clone(), |h| h.blob_and_values(&blob_ref, &reference));
     // And the values are the field's, within the bound (escapes exactly).
     for (i, (a, b)) in data.iter().zip(&fast).enumerate() {
         let (a, b) = (a.to_f64(), b.to_f64());
@@ -568,10 +679,12 @@ fn interpolation_line_kernel_matches_reference() {
     // noise at about 1, 4 and 12 bits a value.
     let bounds = [5e-2, 4e-3, 1.5e-5];
     let biggest = Shape::d3(8, 96, 96);
+    let mut pins32 = [Pins::new(), Pins::new()];
+    let mut pins64 = [Pins::new(), Pins::new()];
     for shape in interp_shapes() {
         for eb in bounds {
-            let clean = interp_line_differential::<f32>(shape, eb, Dirt::None)
-                + interp_line_differential::<f64>(shape, eb, Dirt::None);
+            let clean = interp_line_differential::<f32>(shape, eb, Dirt::None, &mut pins32)
+                + interp_line_differential::<f64>(shape, eb, Dirt::None, &mut pins64);
             // At the widest bound nothing of the benchmark's chunk escapes:
             // every line of it takes the vector route.
             if shape.dims() == biggest.dims() && eb == bounds[0] {
@@ -587,8 +700,8 @@ fn interpolation_line_kernel_matches_reference() {
             ] {
                 // Relative bounds in place of absolute ones for the log case.
                 let eb = if dirt == Dirt::LogNonPositive { eb.min(1e-2) } else { eb };
-                let escapes = interp_line_differential::<f32>(shape, eb, dirt)
-                    .min(interp_line_differential::<f64>(shape, eb, dirt));
+                let escapes = interp_line_differential::<f32>(shape, eb, dirt, &mut pins32)
+                    .min(interp_line_differential::<f64>(shape, eb, dirt, &mut pins64));
                 // A point that cannot quantize escapes, and an escape is a
                 // line that went through the per-point fallback. (Anchors
                 // are verbatim anyway; a one-point field is all anchor.)
@@ -604,13 +717,22 @@ fn interpolation_line_kernel_matches_reference() {
             }
         }
     }
+    for (i, path) in [KernelPath::Fast, KernelPath::Reference].into_iter().enumerate() {
+        pins32[i].check(&format!("interpolation lines, f32, {path:?}"), INTERP_LINE_PINS[0]);
+        pins64[i].check(&format!("interpolation lines, f64, {path:?}"), INTERP_LINE_PINS[1]);
+    }
 }
 
 /// ROLZ twin of [`chunk_differential`]: the fast path (SWAR match
 /// extension + streaming Huffman) against the scalar reference (byte-loop
 /// matching + reference Huffman), byte-identical blobs and bit-identical
 /// reconstructions in both decode directions.
-fn rolz_chunk_differential<T: Scalar>(predictor: PredictorKind, shape: Shape, radius: u32) {
+fn rolz_chunk_differential<T: Scalar>(
+    predictor: PredictorKind,
+    shape: Shape,
+    radius: u32,
+    pins: &mut [Pins; 2],
+) {
     use rqm::compress_crate::kernels::{decode_chunk_rolz, encode_chunk_rolz};
     let data: Vec<T> = field(shape);
     let eb = 1e-3;
@@ -641,19 +763,28 @@ fn rolz_chunk_differential<T: Scalar>(predictor: PredictorKind, shape: Shape, ra
             "rolz {predictor:?} {shape:?} point {i}"
         );
     }
+    let what = format!("{predictor:?} {shape:?} radius {radius}");
+    pins[0].case(what.clone(), |h| h.blob_and_values(&blob_fast, &out_fast));
+    pins[1].case(what, |h| h.blob_and_values(&blob_ref, &out_ref));
 }
 
 #[test]
 fn rolz_chunk_blobs_and_values_match_reference() {
+    let mut pins32 = [Pins::new(), Pins::new()];
+    let mut pins64 = [Pins::new(), Pins::new()];
     for shape in [Shape::d1(193), Shape::d2(13, 21), Shape::d3(5, 9, 11)] {
         for predictor in
             [PredictorKind::Lorenzo, PredictorKind::Lorenzo2, PredictorKind::Interpolation]
         {
             for radius in [1 << 15, 8] {
-                rolz_chunk_differential::<f32>(predictor, shape, radius);
-                rolz_chunk_differential::<f64>(predictor, shape, radius);
+                rolz_chunk_differential::<f32>(predictor, shape, radius, &mut pins32);
+                rolz_chunk_differential::<f64>(predictor, shape, radius, &mut pins64);
             }
         }
+    }
+    for (i, path) in [KernelPath::Fast, KernelPath::Reference].into_iter().enumerate() {
+        pins32[i].check(&format!("ROLZ chunks, f32, {path:?}"), ROLZ_CHUNK_PINS[0]);
+        pins64[i].check(&format!("ROLZ chunks, f64, {path:?}"), ROLZ_CHUNK_PINS[1]);
     }
 }
 
@@ -666,6 +797,10 @@ fn rolz_corrupt_blobs_rejected_identically_on_both_paths() {
         encode_chunk_rolz(&data, shape, PredictorKind::Lorenzo, 1e-3, 1 << 15, KernelPath::Fast)
             .unwrap();
     let mut out = vec![0f32; shape.len()];
+    let mut pins = [Pins::new(), Pins::new()];
+    for p in &mut pins {
+        p.case("blob".into(), |h| h.blob(&blob));
+    }
     // Every truncation and a sweep of byte corruptions: both kernel
     // paths must agree on accept/reject (and never panic).
     for cut in 0..blob.len() {
@@ -689,6 +824,8 @@ fn rolz_corrupt_blobs_rejected_identically_on_both_paths() {
         );
         assert_eq!(fast.is_ok(), reference.is_ok(), "cut {cut}");
         assert!(fast.is_err(), "truncation to {cut} bytes decoded Ok");
+        pins[0].case(format!("cut {cut}"), |h| h.word(fast.is_ok() as u64));
+        pins[1].case(format!("cut {cut}"), |h| h.word(reference.is_ok() as u64));
     }
     let mut st = 0x5EED_901E_u64;
     for case in 0..300 {
@@ -720,6 +857,18 @@ fn rolz_corrupt_blobs_rejected_identically_on_both_paths() {
                 assert_eq!(a.to_bits(), b.to_bits(), "case {case} at byte {pos}");
             }
         }
+        let what = format!("flip {case} at byte {pos}");
+        for (p, ok, values) in [(0, fast.is_ok(), &out), (1, reference.is_ok(), &out_ref)] {
+            pins[p].case(what.clone(), |h| {
+                h.word(ok as u64);
+                if ok {
+                    h.values(values);
+                }
+            });
+        }
+    }
+    for (i, path) in [KernelPath::Fast, KernelPath::Reference].into_iter().enumerate() {
+        pins[i].check(&format!("ROLZ corruptions, {path:?}"), ROLZ_CORRUPT_PIN);
     }
 }
 
