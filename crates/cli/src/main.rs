@@ -37,11 +37,12 @@
 //! container v2.4; `decompress` and `info` read all six generations.
 //!
 //! `decompress` streams for every thread count: rows flow from the
-//! archive to the output through `rq_compress::ArchiveReader`'s bounded
-//! read-ahead window, so peak memory is a few chunks no matter how large
-//! the field is. With `--threads N` chunk *decoding* fans out to N
-//! workers while extents are still read sequentially — the output bytes
-//! are identical at every thread count, only the wall time changes.
+//! archive to the output through `rq_compress::ArchiveReader` one chunk at
+//! a time, or, on more than one thread, through an ordered window of at
+//! most `2 × threads` chunks in flight, so peak memory is a few chunks no
+//! matter how large the field is. With `--threads N` chunk *decoding* fans
+//! out to N workers while extents are still read sequentially — the output
+//! bytes are identical at every thread count, only the wall time changes.
 //!
 //! `--codec` selects the per-chunk backend: `sz` (default, the prediction
 //! path), `zfp` (the transform path), `rolz` (the prediction front end
@@ -470,8 +471,8 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
     }
     // Streaming decode at every thread count: chunk extents are read
     // sequentially (zero-copy off a memory-mapped source where the
-    // platform allows), decoding fans out to `--threads` workers behind
-    // the reader's bounded read-ahead window, and rows are delivered in
+    // platform allows), decoding fans out to `--threads` workers with at
+    // most `2 × threads` chunks in flight, and rows are delivered in
     // order — peak memory is a window of chunks, never the field. Rows
     // stream into a temp file that is renamed into place only after
     // every chunk decoded, so a corrupt archive can neither clobber an

@@ -21,7 +21,7 @@ use crate::config::{Chunking, CompressorConfig};
 use crate::container::{
     read_chunk_blob, read_sections_body, ChunkCodecKind, ChunkEntry, DecompressError, Header,
 };
-use crate::pipeline::{decode_stream, KernelPath, Transform};
+use crate::pipeline::{decode_stream, Transform};
 use crate::report::CompressionReport;
 use crate::stream::ArchiveReader;
 use rq_grid::{auto_chunk_rows, NdArray, Scalar, Shape};
@@ -165,16 +165,7 @@ pub(crate) fn decode_entry_blob<T: Scalar>(
             } else {
                 read_chunk_blob::<T>(blob)?
             };
-            decode_stream(
-                &body,
-                lossless,
-                chunk_shape,
-                header.predictor,
-                quantizer,
-                transform,
-                KernelPath::Fast,
-                out,
-            )
+            decode_stream(&body, lossless, chunk_shape, header.predictor, quantizer, transform, out)
         }
         ChunkCodecKind::Zfp => {
             ChunkCodec::<T>::decode(&ZfpChunkCodec::new(entry.eb), blob, chunk_shape, out)

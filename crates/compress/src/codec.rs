@@ -19,7 +19,7 @@ use crate::config::LosslessStage;
 use crate::container::{
     read_chunk_blob, write_chunk_blob, ChunkCodecKind, CompressError, DecompressError,
 };
-use crate::pipeline::{decode_stream, encode_stream, KernelPath, Transform};
+use crate::pipeline::{decode_stream, encode_stream, Transform};
 use rq_grid::{Scalar, Shape};
 use rq_predict::PredictorKind;
 use rq_quant::LinearQuantizer;
@@ -128,36 +128,18 @@ pub struct SzChunkCodec {
     pub(crate) transform: Transform,
     /// Optional lossless stage configuration.
     pub lossless: LosslessStage,
-    /// Which kernel implementations to run (production is always
-    /// [`KernelPath::Fast`]; the reference path is the oracle of the
-    /// differential tests).
-    pub(crate) path: KernelPath,
 }
 
 impl SzChunkCodec {
     /// Codec for a resolved absolute bound with the identity transform.
     pub fn new(predictor: PredictorKind, quantizer: LinearQuantizer, lossless: LosslessStage) -> Self {
-        SzChunkCodec {
-            predictor,
-            quantizer,
-            transform: Transform::Identity,
-            lossless,
-            path: KernelPath::Fast,
-        }
+        SzChunkCodec { predictor, quantizer, transform: Transform::Identity, lossless }
     }
 
     /// Same, with an explicit transform (crate-internal: the transform
     /// enum is not public API).
     pub(crate) fn with_transform(mut self, transform: Transform) -> Self {
         self.transform = transform;
-        self
-    }
-
-    /// Same, forcing a kernel path (crate-internal: used by the
-    /// `kernels` test surface; the container bytes are identical
-    /// either way, which is exactly what the differential tests assert).
-    pub(crate) fn with_kernel_path(mut self, path: KernelPath) -> Self {
-        self.path = path;
         self
     }
 }
@@ -175,7 +157,6 @@ impl<T: Scalar> ChunkCodec<T> for SzChunkCodec {
             self.quantizer,
             self.transform,
             self.lossless,
-            self.path,
         )?;
         let blob = write_chunk_blob::<T>(
             stream.lossless_applied,
@@ -204,16 +185,7 @@ impl<T: Scalar> ChunkCodec<T> for SzChunkCodec {
         out: &mut [T],
     ) -> Result<(), DecompressError> {
         let (lossless, body) = read_chunk_blob::<T>(blob)?;
-        decode_stream(
-            &body,
-            lossless,
-            shape,
-            self.predictor,
-            self.quantizer,
-            self.transform,
-            self.path,
-            out,
-        )
+        decode_stream(&body, lossless, shape, self.predictor, self.quantizer, self.transform, out)
     }
 }
 
@@ -329,6 +301,17 @@ mod tests {
             LosslessStage::RleLzss,
         );
         roundtrip_codec(&codec, eb);
+    }
+
+    /// The Lorenzo walk loads the slab unchecked, so a slab shorter than
+    /// its shape must stop at the length check, in release builds too.
+    #[test]
+    #[should_panic(expected = "quantize_stream input slab size mismatch")]
+    fn sz_codec_refuses_a_slab_shorter_than_its_shape() {
+        let (data, shape) = slab();
+        let q = LinearQuantizer::new(1e-3, DEFAULT_RADIUS);
+        let sz = SzChunkCodec::new(PredictorKind::Lorenzo, q, LosslessStage::None);
+        let _ = ChunkCodec::<f32>::encode(&sz, &data[1..], shape);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! of this module are that engine over an in-memory sink and source.
 //!
 //! Interpolation — the predictor of the paper's in-situ use-case — is
-//! walked a *line* at a time on the fast path (`interp_lines`, over
+//! walked a *line* at a time (`interp_lines`, over
 //! [`rq_predict::interp::Pass::lines`]): no target of a (level, axis) pass
 //! is a source of that pass, so a whole line is predicted before any of it
 //! is reconstructed. Under the identity transform the encoder then
@@ -28,9 +28,10 @@
 //! function of its original and its prediction, both already fixed. The
 //! log transform (escapes are routine, the bound check is a ratio) sends
 //! every line down that per-point route; decode walks the same lines and
-//! replays each point from its ready prediction. [`KernelPath::Reference`]
-//! walks stencil by stencil ([`rq_predict::interp::for_each_stencil`]):
-//! the oracle both are held to, byte for byte.
+//! replays each point from its ready prediction.
+//!
+//! `tests/kernel_differential.rs` pins the blobs this kernel writes and the
+//! values it decodes them to, byte for byte.
 //!
 //! Point-wise relative bounds are realized by a log transform
 //! (Liang et al. \[35\]): values are compressed as `ln(v)` under an absolute
@@ -42,10 +43,9 @@ use crate::config::{CompressorConfig, LosslessStage};
 use crate::container::{CompressError, DecompressError, SectionsBody};
 use crate::report::{CompressedOutput, CompressionReport};
 use crate::stream::ArchiveWriter;
-use rq_encoding::reference::{lossless_compress_ref, lossless_decompress_bounded_ref};
 use rq_encoding::{lossless_compress, lossless_decompress_bounded, HuffmanCodec};
 use rq_grid::{BlockIter, NdArray, Scalar, Shape, MAX_DIMS};
-use rq_predict::interp::{anchors, for_each_stencil, passes, Line};
+use rq_predict::interp::{anchors, passes, Line};
 use rq_predict::lorenzo::LorenzoStencil;
 use rq_predict::regression::{fit_block, BlockCoeffs, REGRESSION_BLOCK_SIDE};
 use rq_predict::PredictorKind;
@@ -109,11 +109,6 @@ struct QuantEncoder<T: Scalar> {
     /// Counts of the quantized symbols; escapes are `n_escapes`.
     histogram: SymbolWindow,
     n_escapes: usize,
-    /// Which quantize kernel drives [`Self::encode_point`]: the fast
-    /// inlined rounder or the pre-rework libm twin. Identical results
-    /// (held by rq-quant's `quantize_matches_reference_kernel`), so only
-    /// the measured cost differs.
-    path: KernelPath,
     /// [`Self::encode_line`]'s buffers, one slot per point of a line: the
     /// originals, and what the line quantizer makes of them.
     line_work: Vec<f64>,
@@ -122,7 +117,7 @@ struct QuantEncoder<T: Scalar> {
 }
 
 impl<T: Scalar> QuantEncoder<T> {
-    fn new(quantizer: LinearQuantizer, transform: Transform, n_hint: usize, path: KernelPath) -> Self {
+    fn new(quantizer: LinearQuantizer, transform: Transform, n_hint: usize) -> Self {
         QuantEncoder {
             quantizer,
             transform,
@@ -131,7 +126,6 @@ impl<T: Scalar> QuantEncoder<T> {
             verbatim: Vec::new(),
             histogram: SymbolWindow::default(),
             n_escapes: 0,
-            path,
             line_work: Vec::new(),
             line_symbols: Vec::new(),
             line_stored: Vec::new(),
@@ -157,30 +151,15 @@ impl<T: Scalar> QuantEncoder<T> {
     ///
     /// The working-domain value is derived here (`transform.forward` is a
     /// pure function of `original`) rather than read from a precomputed
-    /// slab — the encode hot loop used to stream an extra 8 bytes/point
-    /// through memory for it. The reference kernel path keeps that slab
-    /// (see [`Self::encode_point_with_work`]) so it stays a faithful
-    /// pre-rework cost model.
+    /// slab, which would stream an extra 8 bytes/point through memory.
     #[inline]
     fn encode_point(&mut self, original: T, predicted: f64) -> f64 {
-        let work = self.transform.forward(original.to_f64());
-        self.encode_point_with_work(original, work, predicted)
-    }
-
-    /// [`Self::encode_point`] with the working-domain value supplied by
-    /// the caller — the pre-rework loop shape, where every point's
-    /// transform was precomputed into a `Vec<f64>` slab.
-    #[inline]
-    fn encode_point_with_work(&mut self, original: T, work: f64, predicted: f64) -> f64 {
         // Non-positive values cannot live in the log domain.
         if matches!(self.transform, Transform::Log { .. }) && original.to_f64() <= 0.0 {
             return self.escape(original);
         }
-        let quantized = match self.path {
-            KernelPath::Fast => self.quantizer.quantize_value(work, predicted),
-            KernelPath::Reference => self.quantizer.quantize_value_ref(work, predicted),
-        };
-        let Some((code, recon_work)) = quantized else {
+        let work = self.transform.forward(original.to_f64());
+        let Some((code, recon_work)) = self.quantizer.quantize_value(work, predicted) else {
             return self.escape(original);
         };
         let (ok, recon_stored) = match self.transform {
@@ -242,14 +221,11 @@ impl<T: Scalar> QuantEncoder<T> {
 
 /// Where [`QuantDecoder`] pulls its symbol stream from.
 ///
-/// The fast kernel path streams symbols straight out of the Huffman
-/// payload as the traversal consumes them, so the entropy decode's
-/// integer work overlaps the reconstruction's serial floating-point
-/// chain (and the whole-stream `Vec<u32>` never exists). The reference
-/// path keeps the pre-rework shape: all symbols decoded upfront, then
-/// drained from the slab. Both yield the same symbols; on corrupt blobs
-/// both reject (the surfaced error may differ — upfront decoding hits a
-/// payload error before the traversal can hit a stream-exhaustion one).
+/// An SZ chunk streams symbols straight out of the Huffman payload as the
+/// traversal consumes them, so the entropy decode's integer work overlaps
+/// the reconstruction's serial floating-point chain (and the whole-stream
+/// `Vec<u32>` never exists). A slab decoded upfront — the ROLZ codec's
+/// recovered symbols, or no symbols at all — is drained instead.
 enum SymbolSource<'a> {
     Upfront(std::slice::Iter<'a, u32>),
     Streaming(rq_encoding::huffman::StreamingDecoder<'a>),
@@ -327,41 +303,27 @@ impl<'a, T: Scalar> QuantDecoder<'a, T> {
     }
 }
 
-/// Which implementations drive the per-point hot loops and the entropy
-/// stages. Production code always runs [`KernelPath::Fast`];
-/// [`KernelPath::Reference`] keeps the pre-rework scalar kernels
-/// reachable so `tests/kernel_differential.rs` can hold the two
-/// byte-identical.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelPath {
-    /// Table-driven / word-at-a-time / row-specialized kernels.
-    Fast,
-    /// The original scalar kernels.
-    Reference,
-}
-
 /// Row-major Lorenzo traversal shared by the compressor and decompressor.
 /// `visit(lin, predicted)` returns the reconstruction to store.
 ///
-/// The fast path covers order 1 (every production Lorenzo/TemporalDelta
-/// stream); order 2 always takes the generic stencil walk. Both paths
-/// produce **bit-identical** reconstructions — the fast path reorders no
-/// floating-point additions (see [`traverse_lorenzo1_fast`]).
+/// Order 1 (every Lorenzo/TemporalDelta stream) takes the row-specialized
+/// walk, which reorders no floating-point additions of the per-point
+/// stencil walk (see [`traverse_lorenzo1_fast`]); order 2 takes the
+/// stencil walk itself.
 pub(crate) fn traverse_lorenzo(
     shape: Shape,
     order: usize,
-    path: KernelPath,
     visit: impl FnMut(usize, f64) -> Result<f64, DecompressError>,
 ) -> Result<Vec<f64>, DecompressError> {
-    if order == 1 && path == KernelPath::Fast {
+    if order == 1 {
         traverse_lorenzo1_fast(shape, visit)
     } else {
         traverse_lorenzo_generic(shape, order, visit)
     }
 }
 
-/// The generic (reference) traversal: per-point stencil evaluation with
-/// checked neighbor subtraction.
+/// The generic traversal: per-point stencil evaluation with checked
+/// neighbor subtraction.
 fn traverse_lorenzo_generic(
     shape: Shape,
     order: usize,
@@ -549,12 +511,11 @@ fn lorenzo1_row_tail<const NT: usize>(
     Ok(())
 }
 
-/// The interpolation traversal of the fast path, over non-anchor points a
-/// line at a time (the caller has already written the anchor
-/// reconstructions into `recon`): `visit(line, predicted, recon)` gets a
-/// line of [`rq_predict::interp::Pass::lines`] with the predictions of its
-/// targets and stores their reconstructions. Same targets, predictions
-/// and order as [`interp_points_reference`].
+/// The interpolation traversal, over non-anchor points a line at a time
+/// (the caller has already written the anchor reconstructions into
+/// `recon`): `visit(line, predicted, recon)` gets a line of
+/// [`rq_predict::interp::Pass::lines`] with the predictions of its targets
+/// and stores their reconstructions.
 fn interp_lines(
     shape: Shape,
     recon: &mut [f64],
@@ -570,31 +531,6 @@ fn interp_lines(
         }
     }
     Ok(())
-}
-
-/// The interpolation traversal of the reference path, a stencil at a time
-/// ([`for_each_stencil`]): `visit(lin, predicted)` returns the
-/// reconstruction to store. The oracle [`interp_lines`] is held equal to.
-fn interp_points_reference(
-    shape: Shape,
-    recon: &mut [f64],
-    mut visit: impl FnMut(usize, f64) -> Result<f64, DecompressError>,
-) -> Result<(), DecompressError> {
-    let mut err = None;
-    for_each_stencil(shape, |t| {
-        if err.is_some() {
-            return;
-        }
-        let pred = t.predict(recon);
-        match visit(t.target, pred) {
-            Ok(v) => recon[t.target] = v,
-            Err(e) => err = Some(e),
-        }
-    });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
 }
 
 /// Iterate the elements of one block in row-major (block-local) order.
@@ -673,12 +609,13 @@ pub(crate) fn quantize_stream<T: Scalar>(
     predictor: PredictorKind,
     quantizer: LinearQuantizer,
     transform: Transform,
-    path: KernelPath,
 ) -> QuantizedStream<T> {
-    debug_assert_eq!(orig.len(), shape.len());
+    // Hard assert (not debug): the Lorenzo walk's unchecked loads rely on
+    // it, and `ChunkCodec::encode` is public.
+    assert_eq!(orig.len(), shape.len(), "quantize_stream input slab size mismatch");
     let n = shape.len();
 
-    let mut enc = QuantEncoder::<T>::new(quantizer, transform, n, path);
+    let mut enc = QuantEncoder::<T>::new(quantizer, transform, n);
     let mut side = Vec::new();
     let mut n_anchors = 0usize;
 
@@ -688,25 +625,13 @@ pub(crate) fn quantize_stream<T: Scalar>(
         // they traverse exactly like order-1 Lorenzo.
         PredictorKind::Lorenzo | PredictorKind::Lorenzo2 | PredictorKind::TemporalDelta => {
             let order = if predictor == PredictorKind::Lorenzo2 { 2 } else { 1 };
-            match path {
-                KernelPath::Fast => traverse_lorenzo(shape, order, path, |lin, pred| {
-                    // SAFETY: the traversal visits each `lin < shape.len()`
-                    // exactly once, and `orig.len() == shape.len()`
-                    // (asserted above); audited, covered by
-                    // tests/kernel_differential.rs.
-                    let o = unsafe { *orig.get_unchecked(lin) };
-                    Ok(enc.encode_point(o, pred))
-                }),
-                KernelPath::Reference => {
-                    // Pre-rework loop shape: the working-domain slab is
-                    // precomputed and streamed back through memory.
-                    let work: Vec<f64> =
-                        orig.iter().map(|&v| transform.forward(v.to_f64())).collect();
-                    traverse_lorenzo(shape, order, path, |lin, pred| {
-                        Ok(enc.encode_point_with_work(orig[lin], work[lin], pred))
-                    })
-                }
-            }
+            traverse_lorenzo(shape, order, |lin, pred| {
+                // SAFETY: the traversal visits each `lin < shape.len()`
+                // exactly once, and `orig.len() == shape.len()` (asserted
+                // above); audited, covered by tests/kernel_differential.rs.
+                let o = unsafe { *orig.get_unchecked(lin) };
+                Ok(enc.encode_point(o, pred))
+            })
             .expect("compression traversal cannot fail");
         }
         PredictorKind::Interpolation => {
@@ -715,15 +640,10 @@ pub(crate) fn quantize_stream<T: Scalar>(
                 n_anchors += 1;
                 recon[a] = enc.store_verbatim(orig[a]);
             }
-            match path {
-                KernelPath::Fast => interp_lines(shape, &mut recon, |line, predicted, recon| {
-                    enc.encode_line(orig, line, predicted, recon);
-                    Ok(())
-                }),
-                KernelPath::Reference => interp_points_reference(shape, &mut recon, |lin, pred| {
-                    Ok(enc.encode_point(orig[lin], pred))
-                }),
-            }
+            interp_lines(shape, &mut recon, |line, predicted, recon| {
+                enc.encode_line(orig, line, predicted, recon);
+                Ok(())
+            })
             .expect("compression traversal cannot fail");
         }
         PredictorKind::Regression => {
@@ -760,9 +680,8 @@ pub(crate) fn encode_stream<T: Scalar>(
     quantizer: LinearQuantizer,
     transform: Transform,
     lossless: LosslessStage,
-    path: KernelPath,
 ) -> Result<EncodedStream<T>, CompressError> {
-    let q = quantize_stream(orig, shape, predictor, quantizer, transform, path);
+    let q = quantize_stream(orig, shape, predictor, quantizer, transform);
 
     // Entropy coding.
     let (codebook, huffman_payload) = if q.symbols.is_empty() {
@@ -774,20 +693,13 @@ pub(crate) fn encode_stream<T: Scalar>(
             present.push((quantizer.alphabet_size() as u32, q.n_escapes as u64));
         }
         let codec = HuffmanCodec::from_present(quantizer.alphabet_size() + 1, &present)?;
-        let payload = match path {
-            KernelPath::Fast => codec.encode(&q.symbols)?,
-            KernelPath::Reference => codec.encode_reference(&q.symbols)?,
-        };
-        (codec.serialize_codebook(), payload)
+        (codec.serialize_codebook(), codec.encode(&q.symbols)?)
     };
     let huffman_bytes = huffman_payload.len();
     let (payload, lossless_applied) = match lossless {
         LosslessStage::None => (huffman_payload, LosslessStage::None),
         LosslessStage::RleLzss => {
-            let ll = match path {
-                KernelPath::Fast => lossless_compress(&huffman_payload),
-                KernelPath::Reference => lossless_compress_ref(&huffman_payload),
-            };
+            let ll = lossless_compress(&huffman_payload);
             if ll.len() < huffman_bytes {
                 (ll, LosslessStage::RleLzss)
             } else {
@@ -820,7 +732,6 @@ pub(crate) fn decode_stream<T: Scalar>(
     predictor: PredictorKind,
     quantizer: LinearQuantizer,
     transform: Transform,
-    path: KernelPath,
     out: &mut [T],
 ) -> Result<(), DecompressError> {
     // Hard assert (not debug): QuantDecoder's unchecked stores rely on
@@ -833,13 +744,11 @@ pub(crate) fn decode_stream<T: Scalar>(
     let n_symbols = n - n_anchors;
 
     // Owned storage the symbol source borrows from; each is initialized
-    // only on the paths that read it.
+    // only when the payload has symbols.
     let payload: std::borrow::Cow<'_, [u8]>;
     let codec: HuffmanCodec;
-    let symbols: Vec<u32>;
     let source = if n_symbols == 0 {
-        symbols = Vec::new();
-        SymbolSource::Upfront(symbols.iter())
+        SymbolSource::Upfront([].iter())
     } else {
         payload = if lossless == LosslessStage::RleLzss {
             // A Huffman code is at most 64 bits, so the decoded payload
@@ -847,14 +756,9 @@ pub(crate) fn decode_stream<T: Scalar>(
             // lossless stage here keeps corrupt run lengths from forcing
             // huge allocations.
             let max_payload = n_symbols.saturating_mul(8).saturating_add(16);
-            match path {
-                KernelPath::Fast => lossless_decompress_bounded(&body.payload, max_payload),
-                KernelPath::Reference => {
-                    lossless_decompress_bounded_ref(&body.payload, max_payload)
-                }
-            }
-            .ok_or(DecompressError::Corrupt("lossless stage"))?
-            .into()
+            lossless_decompress_bounded(&body.payload, max_payload)
+                .ok_or(DecompressError::Corrupt("lossless stage"))?
+                .into()
         } else {
             (&body.payload[..]).into()
         };
@@ -869,15 +773,7 @@ pub(crate) fn decode_stream<T: Scalar>(
         if codec.alphabet_len() > quantizer.alphabet_size() + 1 {
             return Err(DecompressError::Corrupt("codebook alphabet exceeds the quantizer's"));
         }
-        match path {
-            KernelPath::Fast => {
-                SymbolSource::Streaming(codec.streaming_decoder(&payload, n_symbols))
-            }
-            KernelPath::Reference => {
-                symbols = codec.decode_reference(&payload, n_symbols)?;
-                SymbolSource::Upfront(symbols.iter())
-            }
-        }
+        SymbolSource::Streaming(codec.streaming_decoder(&payload, n_symbols))
     };
 
     let dec = QuantDecoder::<T> {
@@ -888,7 +784,7 @@ pub(crate) fn decode_stream<T: Scalar>(
         verbatim: body.verbatim.iter(),
         out,
     };
-    decode_traversal(dec, shape, predictor, &body.side, path)
+    decode_traversal(dec, shape, predictor, &body.side)
 }
 
 /// The traversal half of the decode kernel: replay `dec`'s symbol source
@@ -900,31 +796,23 @@ fn decode_traversal<T: Scalar>(
     shape: Shape,
     predictor: PredictorKind,
     side: &[u8],
-    path: KernelPath,
 ) -> Result<(), DecompressError> {
     match predictor {
         PredictorKind::Lorenzo | PredictorKind::Lorenzo2 | PredictorKind::TemporalDelta => {
             let order = if predictor == PredictorKind::Lorenzo2 { 2 } else { 1 };
-            traverse_lorenzo(shape, order, path, |lin, pred| dec.decode_point(lin, pred))?;
+            traverse_lorenzo(shape, order, |lin, pred| dec.decode_point(lin, pred))?;
         }
         PredictorKind::Interpolation => {
             let mut recon = vec![0f64; shape.len()];
             for a in anchors(shape) {
                 recon[a] = dec.take_verbatim(a)?;
             }
-            match path {
-                KernelPath::Fast => interp_lines(shape, &mut recon, |line, predicted, recon| {
-                    for (lin, &pred) in line.targets().zip(predicted) {
-                        recon[lin] = dec.decode_point(lin, pred)?;
-                    }
-                    Ok(())
-                })?,
-                KernelPath::Reference => {
-                    interp_points_reference(shape, &mut recon, |lin, pred| {
-                        dec.decode_point(lin, pred)
-                    })?
+            interp_lines(shape, &mut recon, |line, predicted, recon| {
+                for (lin, &pred) in line.targets().zip(predicted) {
+                    recon[lin] = dec.decode_point(lin, pred)?;
                 }
-            }
+                Ok(())
+            })?;
         }
         PredictorKind::Regression => {
             let nd = shape.ndim();
@@ -964,7 +852,6 @@ pub(crate) fn dequantize_stream<T: Scalar>(
     predictor: PredictorKind,
     quantizer: LinearQuantizer,
     transform: Transform,
-    path: KernelPath,
     out: &mut [T],
 ) -> Result<(), DecompressError> {
     // Hard assert (not debug): QuantDecoder's unchecked stores rely on
@@ -978,7 +865,7 @@ pub(crate) fn dequantize_stream<T: Scalar>(
         verbatim: verbatim.iter(),
         out,
     };
-    decode_traversal(dec, shape, predictor, side, path)
+    decode_traversal(dec, shape, predictor, side)
 }
 
 /// Compress `field` under `cfg` into one in-memory archive.

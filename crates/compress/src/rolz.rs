@@ -25,17 +25,16 @@
 //!    through the same canonical static Huffman coder as the SZ path.
 //!
 //! Encoder and decoder run the identical context/rank state machine, so
-//! the blob is a pure function of the input slab. Like the other codecs
-//! the fast kernels (SWAR match extension, table-driven Huffman) have
-//! scalar [`KernelPath::Reference`] twins held byte-identical by
-//! `tests/kernel_differential.rs`.
+//! the blob is a pure function of the input slab.
+//! `tests/kernel_differential.rs` pins its blobs, the values they decode to
+//! and its verdicts on corrupt blobs.
 
 use crate::codec::{ChunkCodec, ChunkStats};
 use crate::config::LosslessStage;
 use crate::container::{
     read_chunk_blob, write_chunk_blob, ChunkCodecKind, CompressError, DecompressError,
 };
-use crate::pipeline::{dequantize_stream, quantize_stream, KernelPath, Transform};
+use crate::pipeline::{dequantize_stream, quantize_stream, Transform};
 use rq_encoding::varint::{get_uvarint, put_uvarint};
 use rq_encoding::{common_prefix, HuffmanCodec};
 use rq_grid::{Scalar, Shape};
@@ -148,16 +147,6 @@ fn context(bytes: &[u8], pos: usize) -> usize {
     }
 }
 
-/// Scalar twin of [`common_prefix`] for the reference kernel path.
-#[inline]
-fn common_prefix_ref(a: &[u8], b: &[u8], limit: usize) -> usize {
-    let mut l = 0;
-    while l < limit && a[l] == b[l] {
-        l += 1;
-    }
-    l
-}
-
 /// Serialize quantization symbols as zigzag LEB128 varints re-centered on
 /// the zero code, so perfect predictions become byte 0.
 fn symbols_to_bytes(symbols: &[u32], zero: u32) -> Vec<u8> {
@@ -208,7 +197,7 @@ struct RolzTokens {
 }
 
 /// Run the ROLZ model forward over the code byte stream.
-fn rolz_compress(bytes: &[u8], path: KernelPath) -> RolzTokens {
+fn rolz_compress(bytes: &[u8]) -> RolzTokens {
     let n = bytes.len();
     let mut state = RolzState::new();
     let mut t = RolzTokens {
@@ -234,10 +223,7 @@ fn rolz_compress(bytes: &[u8], path: KernelPath) -> RolzTokens {
                 }
                 let p = p as usize;
                 // `p < i`, so both slices hold at least `limit` bytes.
-                let l = match path {
-                    KernelPath::Fast => common_prefix(&bytes[p..], &bytes[i..], limit),
-                    KernelPath::Reference => common_prefix_ref(&bytes[p..], &bytes[i..], limit),
-                };
+                let l = common_prefix(&bytes[p..], &bytes[i..], limit);
                 // Strict `>`: ties keep the lowest slot, deterministically.
                 if l > best_len {
                     best_len = l;
@@ -355,33 +341,18 @@ pub struct RolzChunkCodec {
     /// Value-domain transform (identity, or log for point-wise relative
     /// bounds).
     pub(crate) transform: Transform,
-    /// Which kernel implementations to run (production is always
-    /// [`KernelPath::Fast`]).
-    pub(crate) path: KernelPath,
 }
 
 impl RolzChunkCodec {
     /// Codec for a resolved absolute bound with the identity transform.
     pub fn new(predictor: PredictorKind, quantizer: LinearQuantizer) -> Self {
-        RolzChunkCodec {
-            predictor,
-            quantizer,
-            transform: Transform::Identity,
-            path: KernelPath::Fast,
-        }
+        RolzChunkCodec { predictor, quantizer, transform: Transform::Identity }
     }
 
     /// Same, with an explicit transform (crate-internal: the transform
     /// enum is not public API).
     pub(crate) fn with_transform(mut self, transform: Transform) -> Self {
         self.transform = transform;
-        self
-    }
-
-    /// Same, forcing a kernel path (crate-internal: the differential
-    /// harness asserts both paths produce identical containers).
-    pub(crate) fn with_kernel_path(mut self, path: KernelPath) -> Self {
-        self.path = path;
         self
     }
 }
@@ -392,19 +363,15 @@ impl<T: Scalar> ChunkCodec<T> for RolzChunkCodec {
     }
 
     fn encode(&self, data: &[T], shape: Shape) -> Result<(Vec<u8>, ChunkStats), CompressError> {
-        let q = quantize_stream(data, shape, self.predictor, self.quantizer, self.transform, self.path);
+        let q = quantize_stream(data, shape, self.predictor, self.quantizer, self.transform);
         let code_bytes = symbols_to_bytes(&q.symbols, self.quantizer.zero_symbol());
-        let t = rolz_compress(&code_bytes, self.path);
+        let t = rolz_compress(&code_bytes);
 
         let (codebook, token_payload) = if t.tokens.is_empty() {
             (Vec::new(), Vec::new())
         } else {
             let codec = HuffmanCodec::from_counts(&t.histogram)?;
-            let payload = match self.path {
-                KernelPath::Fast => codec.encode(&t.tokens)?,
-                KernelPath::Reference => codec.encode_reference(&t.tokens)?,
-            };
-            (codec.serialize_codebook(), payload)
+            (codec.serialize_codebook(), codec.encode(&t.tokens)?)
         };
 
         let mut payload = Vec::with_capacity(
@@ -493,22 +460,13 @@ impl<T: Scalar> ChunkCodec<T> for RolzChunkCodec {
             if codec.alphabet_len() > TOKEN_ALPHABET {
                 return Err(DecompressError::Corrupt("rolz codebook alphabet exceeds the token set"));
             }
-            match self.path {
-                KernelPath::Fast => {
-                    let mut dec = codec.streaming_decoder(token_payload, n_tokens);
-                    rolz_decompress(
-                        std::iter::from_fn(|| Some(dec.next_symbol().map_err(Into::into)))
-                            .take(n_tokens),
-                        lens,
-                        raws,
-                        n_bytes,
-                    )?
-                }
-                KernelPath::Reference => {
-                    let tokens = codec.decode_reference(token_payload, n_tokens)?;
-                    rolz_decompress(tokens.into_iter().map(Ok), lens, raws, n_bytes)?
-                }
-            }
+            let mut dec = codec.streaming_decoder(token_payload, n_tokens);
+            rolz_decompress(
+                std::iter::from_fn(|| Some(dec.next_symbol().map_err(Into::into))).take(n_tokens),
+                lens,
+                raws,
+                n_bytes,
+            )?
         };
 
         let symbols = bytes_to_symbols(
@@ -525,7 +483,6 @@ impl<T: Scalar> ChunkCodec<T> for RolzChunkCodec {
             self.predictor,
             self.quantizer,
             self.transform,
-            self.path,
             out,
         )
     }
@@ -558,29 +515,12 @@ mod tests {
                     bytes[n / 2 + k] = bytes[k];
                 }
             }
-            for path in [KernelPath::Fast, KernelPath::Reference] {
-                let t = rolz_compress(&bytes, path);
-                let back = rolz_decompress(
-                    t.tokens.iter().map(|&x| Ok(x)),
-                    &t.lens,
-                    &t.raws,
-                    bytes.len(),
-                )
-                .unwrap();
-                assert_eq!(back, bytes, "trial {trial} path {path:?}");
-            }
+            let t = rolz_compress(&bytes);
+            let back =
+                rolz_decompress(t.tokens.iter().map(|&x| Ok(x)), &t.lens, &t.raws, bytes.len())
+                    .unwrap();
+            assert_eq!(back, bytes, "trial {trial}");
         }
-    }
-
-    #[test]
-    fn fast_and_reference_tokens_identical() {
-        let mut rng = xorshift(0xDEAD_10CC);
-        let bytes: Vec<u8> = (0..4096).map(|_| (rng() % 9) as u8).collect();
-        let f = rolz_compress(&bytes, KernelPath::Fast);
-        let r = rolz_compress(&bytes, KernelPath::Reference);
-        assert_eq!(f.tokens, r.tokens);
-        assert_eq!(f.lens, r.lens);
-        assert_eq!(f.raws, r.raws);
     }
 
     #[test]

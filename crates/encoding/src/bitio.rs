@@ -6,7 +6,7 @@
 //! look-ahead register so a decoder can [`BitReader::peek`] a whole code's
 //! worth of bits with one shift and commit with [`BitReader::try_consume`].
 //! The byte stream produced and consumed is **identical** to the original
-//! byte-at-a-time implementation (kept in [`crate::reference`] and held
+//! byte-at-a-time implementation (frozen in `tests/frozen_kernels` and held
 //! equal by `tests/kernel_differential.rs`).
 //!
 //! Invariants of the reader's look-ahead register:
@@ -306,27 +306,5 @@ mod tests {
         assert!(r.try_consume(8));
         assert!(!r.try_consume(1));
         assert_eq!(r.position(), 8);
-    }
-
-    #[test]
-    fn writer_matches_reference_writer() {
-        use crate::reference::RefBitWriter;
-        let mut st = 0x243F_6A88_85A3_08D3u64;
-        let mut xs = move || {
-            st ^= st << 13;
-            st ^= st >> 7;
-            st ^= st << 17;
-            st
-        };
-        let mut w = BitWriter::new();
-        let mut rw = RefBitWriter::new();
-        for _ in 0..10_000 {
-            let v = xs();
-            let l = (xs() % 65) as u32;
-            w.put_bits(v, l);
-            rw.put_bits(v, l);
-            assert_eq!(w.bit_len(), rw.bit_len());
-        }
-        assert_eq!(w.finish(), rw.finish());
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! Every helper walks 8 bytes per iteration on the aligned middle of the
 //! buffer and falls back to a byte loop for the tail, returning exactly
-//! the index the equivalent byte loop would — the coders built on these
-//! are held byte-identical to their scalar references by
-//! `tests/kernel_differential.rs`.
+//! the index the equivalent byte loop would (`scans_agree_with_byte_loops`
+//! below); the RLE/LZSS coders built on these are held byte-identical to
+//! frozen scalar copies (`tests/frozen_kernels`) by
+//! `tests/kernel_differential.rs`, and the ROLZ match finder through its
+//! pinned chunk blobs.
 
 const LO: u64 = 0x0101_0101_0101_0101;
 const HI: u64 = 0x8080_8080_8080_8080;

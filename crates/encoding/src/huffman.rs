@@ -31,7 +31,6 @@
 //!   length in bytes, and encoding with it works through the binary search.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::reference::RefBitReader;
 use crate::varint::{get_uvarint, put_uvarint};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -376,49 +375,6 @@ impl HuffmanCodec {
             }
         }
         Err(HuffmanError::Corrupt("code longer than any in book"))
-    }
-
-    /// Encode with the pre-rework byte-at-a-time bit writer: the reference
-    /// kernel `tests/kernel_differential.rs` holds [`Self::encode`] equal
-    /// to.
-    pub fn encode_reference(&self, symbols: &[u32]) -> Result<Vec<u8>, HuffmanError> {
-        let mut w = crate::reference::RefBitWriter::new();
-        for &s in symbols {
-            let e = self.entry(s);
-            if e == 0 {
-                return Err(HuffmanError::UnknownSymbol(s));
-            }
-            w.put_bits(e & 0xFFFF_FFFF, (e >> 32) as u32);
-        }
-        Ok(w.finish())
-    }
-
-    /// Decode with the pre-rework bit-at-a-time canonical scan (reference
-    /// kernel, see [`Self::encode_reference`]).
-    pub fn decode_reference(&self, bytes: &[u8], n: usize) -> Result<Vec<u32>, HuffmanError> {
-        let mut r = RefBitReader::new(bytes);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut code = 0u64;
-            let mut len = 0u32;
-            loop {
-                let bit =
-                    r.get_bit().ok_or(HuffmanError::Corrupt("truncated payload"))? as u64;
-                code = (code << 1) | bit;
-                len += 1;
-                if len as usize >= self.first_code.len() {
-                    return Err(HuffmanError::Corrupt("code longer than any in book"));
-                }
-                let fc = self.first_code[len as usize];
-                let fi = self.first_index[len as usize];
-                let count = self.len_count[len as usize];
-                if count > 0 && code >= fc && code < fc + count as u64 {
-                    out.push(self.sorted_symbols[fi + (code - fc) as usize]);
-                    break;
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Serialize the codebook: the alphabet length, then the code length
@@ -923,7 +879,6 @@ mod tests {
             for codec in [&dense, &sparse, &read] {
                 assert_eq!(codec.serialize_codebook(), book, "{what}");
                 assert_eq!(codec.encode(&symbols).unwrap(), payload, "{what}");
-                assert_eq!(codec.encode_reference(&symbols).unwrap(), payload, "{what}");
                 assert_eq!(codec.decode(&payload, symbols.len()).unwrap(), symbols, "{what}");
                 assert_eq!(codec.alphabet_len(), counts.len());
                 assert_eq!(codec.distinct_symbols(), present.len());

@@ -24,9 +24,10 @@
 //! | [`bitio`], [`varint`] | —   | serialization substrate (container headers, codebooks) |
 //!
 //! The hot paths (Huffman decode, bit I/O, RLE/LZSS inner loops) are
-//! table-driven / word-at-a-time kernels; the original scalar
-//! implementations live on in [`mod@reference`], and the differential harness
-//! in `tests/kernel_differential.rs` holds the two byte-identical.
+//! table-driven / word-at-a-time kernels, and the only implementation
+//! shipped. `tests/kernel_differential.rs` holds them byte-identical to
+//! frozen copies of the scalar coders they replaced, which live on the
+//! test side only (`tests/frozen_kernels`).
 
 pub mod bitio;
 mod bytescan;
@@ -37,7 +38,6 @@ pub use bytescan::common_prefix;
 pub mod huffman;
 pub mod lossless;
 pub mod lzss;
-pub mod reference;
 pub mod rle;
 pub mod varint;
 

@@ -9,16 +9,15 @@
 //!
 //! The traversal has one definition, the pass table ([`passes`]): one
 //! [`Pass`] per (level, axis), each a lattice of targets in row-major
-//! order. Three consumers read it:
+//! order. The passes in order, and the targets `0..len()` of each in order,
+//! are the causal order the container format is defined by. Two consumers
+//! read it:
 //!
 //! * the sampler ([`crate::sample_prediction_errors`]) asks a pass for its
 //!   `j`-th target directly ([`Pass::targets`]), so keeping 1 % of the
 //!   targets costs 1 % of the stencils — and reaches every level in
 //!   proportion to its size (paper §III-C2: "the sampling data in the
 //!   current level is 2⁻ⁿ of the previous level");
-//! * the reference walk ([`for_each_stencil`]) visits every target of every
-//!   pass, one [`InterpTarget`] at a time — the order the container format
-//!   is defined by, and the oracle the line kernel is tested against;
 //! * the chunk kernel takes a pass a *line* at a time ([`Pass::lines`]):
 //!   the targets that share every coordinate but the last axis. Every
 //!   stencil source of a pass was finished by an earlier pass, so a whole
@@ -110,21 +109,6 @@ fn collect_lattice(
     }
 }
 
-/// Walk every interpolation target in causal order, invoking `f` for each.
-///
-/// The order is: levels from coarsest (`stride = anchor_stride / 2`) to
-/// finest (`stride = 1`); within a level one pass per axis (axis 0 first);
-/// within a pass, row-major order of targets. Every non-anchor point is
-/// visited exactly once, and every stencil source is either an anchor or a
-/// target of an earlier pass.
-pub fn for_each_stencil(shape: Shape, mut f: impl FnMut(InterpTarget)) {
-    for pass in passes(shape) {
-        for t in pass.targets(0, 1) {
-            f(t);
-        }
-    }
-}
-
 /// The stencil of the target at linear index `lin` whose coordinate along
 /// `axis` (extent `extent`, `stride_lin` elements per step) is `t`, an odd
 /// multiple of the level stride `s`.
@@ -156,10 +140,10 @@ fn stencil_at(
 /// has, which one is the `j`-th without walking the ones before it, and
 /// which lines they fall into.
 ///
-/// [`for_each_stencil`] visits the passes of [`passes`] in order and,
-/// within a pass, the targets `0..len()` in order; a consumer that needs
-/// only some of the targets (the model keeps ~1 % of them) pays for those
-/// and for nothing else.
+/// The traversal visits the passes of [`passes`] in order and, within a
+/// pass, the targets `0..len()` in order; a consumer that needs only some
+/// of the targets (the model keeps ~1 % of them) pays for those and for
+/// nothing else.
 #[derive(Clone, Copy, Debug)]
 pub struct Pass {
     /// Level stride `s` (power of two, 1 = finest level).
@@ -213,8 +197,8 @@ impl Pass {
         self.len == 0
     }
 
-    /// The `j`-th target of the pass, in [`for_each_stencil`]'s (row-major)
-    /// order: `j` is read as a mixed-radix number over the pass's lattice.
+    /// The `j`-th target of the pass, in traversal (row-major) order: `j`
+    /// is read as a mixed-radix number over the pass's lattice.
     ///
     /// # Panics
     /// Panics if `j >= self.len()`.
@@ -396,8 +380,11 @@ impl Iterator for PassTargets<'_> {
     }
 }
 
-/// The passes of [`for_each_stencil`], in its order: levels from coarsest
-/// to finest, one pass per axis within a level.
+/// The passes of the traversal, in its order: levels from coarsest
+/// (`stride = anchor_stride / 2`) to finest (`stride = 1`), one pass per
+/// axis within a level (axis 0 first). Every non-anchor point is a target
+/// of exactly one pass, and every stencil source is either an anchor or a
+/// target of an earlier pass.
 pub fn passes(shape: Shape) -> Vec<Pass> {
     let mut out = Vec::new();
     let mut s = anchor_stride(shape) / 2;
@@ -428,7 +415,11 @@ mod tests {
             for &a in &anchors(shape) {
                 seen[a] += 1;
             }
-            for_each_stencil(shape, |t| seen[t.target] += 1);
+            for pass in passes(shape) {
+                for t in pass.targets(0, 1) {
+                    seen[t.target] += 1;
+                }
+            }
             assert!(
                 seen.iter().all(|&c| c == 1),
                 "shape {:?}: min {:?} max {:?}",
@@ -448,18 +439,20 @@ mod tests {
         for &a in &anchors(shape) {
             known[a] = true;
         }
-        for_each_stencil(shape, |t| {
-            let sources: Vec<usize> = match t.kind {
-                StencilKind::Cubic(s) => s.to_vec(),
-                StencilKind::Linear(s) => s.to_vec(),
-                StencilKind::CopyLeft(s) => vec![s],
-            };
-            for src in sources {
-                assert!(known[src], "target {} uses unknown source {}", t.target, src);
+        for pass in passes(shape) {
+            for t in pass.targets(0, 1) {
+                let sources: Vec<usize> = match t.kind {
+                    StencilKind::Cubic(s) => s.to_vec(),
+                    StencilKind::Linear(s) => s.to_vec(),
+                    StencilKind::CopyLeft(s) => vec![s],
+                };
+                for src in sources {
+                    assert!(known[src], "target {} uses unknown source {}", t.target, src);
+                }
+                assert!(!known[t.target], "target {} visited twice", t.target);
+                known[t.target] = true;
             }
-            assert!(!known[t.target], "target {} visited twice", t.target);
-            known[t.target] = true;
-        });
+        }
         assert!(known.iter().all(|&k| k));
     }
 
@@ -469,14 +462,16 @@ mod tests {
         // prediction errors are 0 (except copy-left boundaries).
         let shape = Shape::d2(16, 16);
         let a = NdArray::<f64>::from_fn(shape, |ix| ix[0] as f64 + 2.0 * ix[1] as f64);
-        for_each_stencil(shape, |t| {
-            if matches!(t.kind, StencilKind::CopyLeft(_)) {
-                return;
+        for pass in passes(shape) {
+            for t in pass.targets(0, 1) {
+                if matches!(t.kind, StencilKind::CopyLeft(_)) {
+                    continue;
+                }
+                let p = t.predict(a.as_slice());
+                let actual = a.as_slice()[t.target];
+                assert!((p - actual).abs() < 1e-9, "target {} {:?}", t.target, t.kind);
             }
-            let p = t.predict(a.as_slice());
-            let actual = a.as_slice()[t.target];
-            assert!((p - actual).abs() < 1e-9, "target {} {:?}", t.target, t.kind);
-        });
+        }
     }
 
     #[test]
@@ -485,17 +480,19 @@ mod tests {
         let shape = Shape::d1(64);
         let f = |x: f64| 0.5 * x * x * x - 2.0 * x * x + x - 3.0;
         let a = NdArray::<f64>::from_fn(shape, |ix| f(ix[0] as f64));
-        for_each_stencil(shape, |t| {
-            if let StencilKind::Cubic(_) = t.kind {
-                let p = t.predict(a.as_slice());
-                assert!(
-                    (p - a.as_slice()[t.target]).abs() < 1e-6,
-                    "target {} stride {}",
-                    t.target,
-                    t.stride
-                );
+        for pass in passes(shape) {
+            for t in pass.targets(0, 1) {
+                if let StencilKind::Cubic(_) = t.kind {
+                    let p = t.predict(a.as_slice());
+                    assert!(
+                        (p - a.as_slice()[t.target]).abs() < 1e-6,
+                        "target {} stride {}",
+                        t.target,
+                        t.stride
+                    );
+                }
             }
-        });
+        }
     }
 
     /// Shapes with extents 1, 2, 3, 5, 17 and 96 in every position a
@@ -525,7 +522,9 @@ mod tests {
     fn pass_table_is_the_traversal_target_for_target() {
         for shape in table_shapes() {
             let mut walked = Vec::new();
-            for_each_stencil(shape, |t| walked.push(t));
+            for pass in passes(shape) {
+                walked.extend(pass.targets(0, 1));
+            }
             let mut next = 0usize;
             for pass in passes(shape) {
                 for j in 0..pass.len() {
@@ -560,7 +559,9 @@ mod tests {
                 .map(|i| ((i as f64) * 0.7310585).sin() * (1.0 + (i % 13) as f64))
                 .collect();
             let mut walked = Vec::new();
-            for_each_stencil(shape, |t| walked.push(id(t)));
+            for pass in passes(shape) {
+                walked.extend(pass.targets(0, 1).map(id));
+            }
             let mut lined = Vec::new();
             for pass in passes(shape) {
                 let before = lined.len();
@@ -615,7 +616,11 @@ mod tests {
         let shape = Shape::d1(1);
         assert_eq!(anchors(shape), vec![0]);
         let mut n = 0;
-        for_each_stencil(shape, |_| n += 1);
+        for pass in passes(shape) {
+            for _ in pass.targets(0, 1) {
+                n += 1;
+            }
+        }
         assert_eq!(n, 0);
     }
 }

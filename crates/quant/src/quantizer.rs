@@ -220,37 +220,6 @@ impl LinearQuantizer {
         clean
     }
 
-    /// The pre-rework quantize kernel: same arithmetic as
-    /// [`Self::quantize`] but rounding through the libm `f64::round` call
-    /// and re-deriving the bin width per call. Bit-identical in result
-    /// (`2.0 * eb` is exact, and `round_ties_away` is proven equal to
-    /// `round`); kept so the reference kernel path, the oracle of
-    /// `tests/kernel_differential.rs`, is the pre-rework code unchanged.
-    #[inline]
-    pub fn quantize_ref(&self, prediction_error: f64) -> Option<i32> {
-        if !prediction_error.is_finite() {
-            return None;
-        }
-        let code = (prediction_error / (2.0 * self.eb)).round();
-        if code.abs() > self.radius as f64 {
-            None
-        } else {
-            Some(code as i32)
-        }
-    }
-
-    /// Reference twin of [`Self::quantize_value`], built on
-    /// [`Self::quantize_ref`]. Identical accept/reject and codes.
-    #[inline]
-    pub fn quantize_value_ref(&self, original: f64, predicted: f64) -> Option<(i32, f64)> {
-        let code = self.quantize_ref(original - predicted)?;
-        let recon = predicted + code as f64 * 2.0 * self.eb;
-        if (original - recon).abs() > self.eb * (1.0 + 1e-9) {
-            return None;
-        }
-        Some((code, recon))
-    }
-
     /// Shift a code into the entropy-coder symbol space.
     #[inline]
     pub fn code_to_symbol(&self, code: i32) -> u32 {
@@ -455,8 +424,34 @@ mod tests {
         assert!(clean_lines > 500 && dirty_lines > 500, "{clean_lines} clean, {dirty_lines} dirty");
     }
 
-    /// The fast quantize kernel and its pre-rework reference twin must
-    /// agree exactly — same accept/reject, same codes, bit-identical
+    /// The pre-rework quantize kernel, frozen: the arithmetic of
+    /// [`LinearQuantizer::quantize`] rounding through the libm `f64::round`
+    /// call and re-deriving the bin width per call.
+    fn frozen_quantize(q: &LinearQuantizer, prediction_error: f64) -> Option<i32> {
+        if !prediction_error.is_finite() {
+            return None;
+        }
+        let code = (prediction_error / (2.0 * q.eb)).round();
+        if code.abs() > q.radius as f64 {
+            None
+        } else {
+            Some(code as i32)
+        }
+    }
+
+    /// The pre-rework [`LinearQuantizer::quantize_value`], frozen, on
+    /// [`frozen_quantize`].
+    fn frozen_quantize_value(q: &LinearQuantizer, original: f64, predicted: f64) -> Option<(i32, f64)> {
+        let code = frozen_quantize(q, original - predicted)?;
+        let recon = predicted + code as f64 * 2.0 * q.eb;
+        if (original - recon).abs() > q.eb * (1.0 + 1e-9) {
+            return None;
+        }
+        Some((code, recon))
+    }
+
+    /// The quantize kernel and its frozen pre-rework twin must agree
+    /// exactly — same accept/reject, same codes, bit-identical
     /// reconstructions.
     #[test]
     fn quantize_matches_reference_kernel() {
@@ -472,9 +467,9 @@ mod tests {
             let pred = orig + (-1e2 + 2e2 * unit());
             let eb = 10f64.powf(-7.0 + 10.0 * unit());
             let q = LinearQuantizer::with_default_radius(eb);
-            assert_eq!(q.quantize(orig - pred), q.quantize_ref(orig - pred));
+            assert_eq!(q.quantize(orig - pred), frozen_quantize(&q, orig - pred));
             let fast = q.quantize_value(orig, pred);
-            let refr = q.quantize_value_ref(orig, pred);
+            let refr = frozen_quantize_value(&q, orig, pred);
             match (fast, refr) {
                 (None, None) => {}
                 (Some((cf, rf)), Some((cr, rr))) => {
@@ -486,7 +481,7 @@ mod tests {
         }
         let q = LinearQuantizer::new(0.5, 4);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 5.0, -5.0] {
-            assert_eq!(q.quantize(bad), q.quantize_ref(bad));
+            assert_eq!(q.quantize(bad), frozen_quantize(&q, bad));
         }
     }
 

@@ -1,19 +1,25 @@
-//! Pre-rework scalar reference kernels, kept alive as the oracle of the
-//! differential tests.
+//! Frozen scalar kernels: the oracle of `kernel_differential` and
+//! `fuzz_container`, built on nothing but the crates' public API.
 //!
-//! Every function and type here is a verbatim copy of the byte-at-a-time
-//! implementation that shipped before the table-driven kernel rework
-//! (PR 9). The fast paths in [`crate::bitio`], [`crate::huffman`],
-//! [`crate::rle`] and [`crate::lzss`] must produce **byte-identical**
-//! streams and decodes; `tests/kernel_differential.rs` asserts that
-//! equivalence across distributions and buffer lengths.
+//! The bit I/O, RLE, LZSS and lossless-stage functions are verbatim copies
+//! of the byte-at-a-time coders the library shipped before its kernels were
+//! reworked to table-driven / word-at-a-time loops. The Huffman coder is
+//! the canonical code rebuilt from a codec's public code lengths, coded a
+//! bit at a time, and the Lorenzo walk evaluates the public order-1 stencil
+//! point by point. The library must write and read exactly what these do.
 //!
-//! Do not "improve" this module — its value is that it does not change.
+//! Do not "improve" this module: its value is that it does not change.
 
-use crate::varint::{get_uvarint, put_uvarint};
+#![allow(dead_code)] // each test binary uses its own part
+
+use rqm::compress_crate::DecompressError;
+use rqm::encoding::huffman::HuffmanCodec;
+use rqm::encoding::varint::{get_uvarint, put_uvarint};
+use rqm::grid::{Shape, MAX_DIMS};
+use rqm::predict::lorenzo::LorenzoStencil;
 
 // ---------------------------------------------------------------------------
-// Bit I/O (pre-rework: 8-bit accumulator writer, per-byte cursor reader)
+// Bit I/O (8-bit accumulator writer, per-byte cursor reader)
 // ---------------------------------------------------------------------------
 
 /// The original byte-at-a-time MSB-first bit writer.
@@ -127,12 +133,12 @@ impl<'a> RefBitReader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// RLE (pre-rework: per-byte loops)
+// RLE (per-byte loops)
 // ---------------------------------------------------------------------------
 
 const ESCAPE: u8 = 0xF7;
 
-/// The original per-byte [`crate::rle::rle_compress`].
+/// The original per-byte `rle::rle_compress`.
 pub fn rle_compress_ref(input: &[u8], marker: u8) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     let mut i = 0;
@@ -158,7 +164,7 @@ pub fn rle_compress_ref(input: &[u8], marker: u8) -> Vec<u8> {
     out
 }
 
-/// The original per-byte [`crate::rle::rle_decompress_bounded`].
+/// The original per-byte `rle::rle_decompress_bounded`.
 pub fn rle_decompress_bounded_ref(input: &[u8], marker: u8, max_len: usize) -> Option<Vec<u8>> {
     let cap = (max_len as u64).min(1 << 34);
     let mut out = Vec::with_capacity(input.len() * 2);
@@ -187,7 +193,7 @@ pub fn rle_decompress_bounded_ref(input: &[u8], marker: u8, max_len: usize) -> O
 }
 
 // ---------------------------------------------------------------------------
-// LZSS (pre-rework: per-byte match compare, per-byte copy-out)
+// LZSS (per-byte match compare, per-byte copy-out)
 // ---------------------------------------------------------------------------
 
 const WINDOW: usize = 1 << 16;
@@ -202,7 +208,7 @@ fn hash4(window: &[u8]) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// The original [`crate::lzss::lzss_compress`] with byte-loop match search.
+/// The original `lzss::lzss_compress` with byte-loop match search.
 pub fn lzss_compress_ref(input: &[u8]) -> Vec<u8> {
     let mut header = Vec::new();
     put_uvarint(&mut header, input.len() as u64);
@@ -268,8 +274,8 @@ pub fn lzss_compress_ref(input: &[u8]) -> Vec<u8> {
     header
 }
 
-/// The original [`crate::lzss::lzss_decompress_bounded`] with per-byte
-/// match copy-out.
+/// The original `lzss::lzss_decompress_bounded` with per-byte match
+/// copy-out.
 pub fn lzss_decompress_bounded_ref(input: &[u8], max_len: usize) -> Option<Vec<u8>> {
     let mut pos = 0;
     let n = get_uvarint(input, &mut pos)? as usize;
@@ -301,14 +307,14 @@ pub fn lzss_decompress_bounded_ref(input: &[u8], max_len: usize) -> Option<Vec<u
 }
 
 // ---------------------------------------------------------------------------
-// Lossless stage (pre-rework composition of the reference coders)
+// Lossless stage (composition of the coders above)
 // ---------------------------------------------------------------------------
 
 const FLAG_RLE: u8 = 0b01;
 const FLAG_LZSS: u8 = 0b10;
 const RLE_MARKER: u8 = 0x00;
 
-/// [`crate::lossless::lossless_compress`] built from the reference coders.
+/// `lossless::lossless_compress` built from the frozen coders.
 pub fn lossless_compress_ref(input: &[u8]) -> Vec<u8> {
     let mut flags = 0u8;
     let mut cur: Vec<u8>;
@@ -333,8 +339,7 @@ pub fn lossless_compress_ref(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// [`crate::lossless::lossless_decompress_bounded`] built from the
-/// reference coders.
+/// `lossless::lossless_decompress_bounded` built from the frozen coders.
 pub fn lossless_decompress_bounded_ref(input: &[u8], max_len: usize) -> Option<Vec<u8>> {
     let (&flags, rest) = input.split_first()?;
     if flags & !(FLAG_RLE | FLAG_LZSS) != 0 {
@@ -354,4 +359,116 @@ pub fn lossless_decompress_bounded_ref(input: &[u8], max_len: usize) -> Option<V
         return None;
     }
     Some(cur)
+}
+
+// ---------------------------------------------------------------------------
+// Huffman (canonical code from the code lengths, a bit at a time)
+// ---------------------------------------------------------------------------
+
+/// The canonical code of a [`HuffmanCodec`], rebuilt from its public code
+/// lengths alone: codes are handed out in (length, symbol) order, which is
+/// what makes a code canonical.
+pub struct CanonicalCode {
+    /// `(code, length)` per symbol of the alphabet; length 0: no code.
+    codes: Vec<(u64, u32)>,
+    /// Per code length: the first code of that length, the index of its
+    /// symbol in `sorted`, and how many codes have that length.
+    first: Vec<(u64, usize, usize)>,
+    /// The symbols with a code, by (length, symbol).
+    sorted: Vec<u32>,
+}
+
+impl CanonicalCode {
+    pub fn of(codec: &HuffmanCodec) -> Self {
+        let alphabet = codec.alphabet_len() as u32;
+        let mut sorted: Vec<u32> = (0..alphabet).filter(|&s| codec.code_len(s) > 0).collect();
+        sorted.sort_by_key(|&s| (codec.code_len(s), s));
+        let max_len = sorted.last().map_or(0, |&s| codec.code_len(s));
+        let mut codes = vec![(0u64, 0u32); alphabet as usize];
+        let mut first = vec![(0u64, 0usize, 0usize); max_len as usize + 1];
+        let (mut code, mut prev_len) = (0u64, 0u32);
+        for (i, &s) in sorted.iter().enumerate() {
+            let len = codec.code_len(s);
+            code <<= len - prev_len;
+            let f = &mut first[len as usize];
+            if f.2 == 0 {
+                (f.0, f.1) = (code, i);
+            }
+            f.2 += 1;
+            codes[s as usize] = (code, len);
+            code += 1;
+            prev_len = len;
+        }
+        CanonicalCode { codes, first, sorted }
+    }
+
+    /// Encode with the byte-at-a-time bit writer.
+    ///
+    /// # Panics
+    /// Panics on a symbol without a code.
+    pub fn encode(&self, symbols: &[u32]) -> Vec<u8> {
+        let mut w = RefBitWriter::new();
+        for &s in symbols {
+            let (code, len) = self.codes[s as usize];
+            assert!(len > 0, "symbol {s} has no code");
+            w.put_bits(code, len);
+        }
+        w.finish()
+    }
+
+    /// Decode `n` symbols a bit at a time: `None` where the payload runs
+    /// out, or a prefix as long as the longest code matches none.
+    pub fn decode(&self, bytes: &[u8], n: usize) -> Option<Vec<u32>> {
+        let mut r = RefBitReader::new(bytes);
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (mut code, mut len) = (0u64, 0usize);
+            loop {
+                code = (code << 1) | r.get_bit()? as u64;
+                len += 1;
+                let &(fc, fi, count) = self.first.get(len)?;
+                if count > 0 && code >= fc && code < fc + count as u64 {
+                    out.push(self.sorted[fi + (code - fc) as usize]);
+                    break;
+                }
+            }
+        }
+        Some(out)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lorenzo (the order-1 stencil, point by point)
+// ---------------------------------------------------------------------------
+
+/// The generic order-1 Lorenzo traversal: row-major, per-point stencil
+/// evaluation with checked neighbor subtraction. `visit(lin, predicted)`
+/// returns the reconstruction to store.
+pub fn traverse_lorenzo1_generic(
+    shape: Shape,
+    mut visit: impl FnMut(usize, f64) -> Result<f64, DecompressError>,
+) -> Result<Vec<f64>, DecompressError> {
+    let stencil = LorenzoStencil::new(shape.ndim(), 1);
+    let mut recon = vec![0f64; shape.len()];
+    let nd = shape.ndim();
+    let mut idx = [0usize; MAX_DIMS];
+    let mut lin = 0usize;
+    loop {
+        let pred = stencil.predict(&recon, shape, &idx[..nd]);
+        recon[lin] = visit(lin, pred)?;
+        lin += 1;
+        // Odometer advance, last axis fastest (matches linear order).
+        let mut axis = nd;
+        loop {
+            if axis == 0 {
+                return Ok(recon);
+            }
+            axis -= 1;
+            idx[axis] += 1;
+            if idx[axis] < shape.dim(axis) {
+                break;
+            }
+            idx[axis] = 0;
+        }
+    }
 }

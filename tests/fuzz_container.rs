@@ -26,6 +26,8 @@
 //! can describe an enormous (but structurally valid) field, and a fuzz
 //! loop should not be at the mercy of such an allocation.
 
+mod frozen_kernels;
+
 use rqm::compress_crate::DecompressError;
 use rqm::prelude::*;
 use std::io::Cursor;
@@ -839,6 +841,7 @@ fn catalog_dangling_keyframe_refs_error() {
 
 #[test]
 fn huffman_codebook_targeted_corruptions() {
+    use frozen_kernels::CanonicalCode;
     use rqm::encoding::huffman::{HuffmanCodec, HuffmanError};
     use rqm::encoding::varint::put_uvarint;
 
@@ -895,30 +898,27 @@ fn huffman_codebook_targeted_corruptions() {
 
     // A maximum-depth book (lengths 1..=32, Kraft-complete): parses, and
     // the flat-table decoder with its long-code fallback agrees with the
-    // reference decoder on every payload — valid, truncated, or garbage.
+    // frozen bit-at-a-time decoder on every payload — valid, truncated, or
+    // garbage.
     let mut deep: Vec<u64> = (1..=31).collect();
     deep.extend([32u64, 32]);
     let deep_bytes = serialize_lengths(&deep);
     let (deep_codec, _) = HuffmanCodec::deserialize_codebook(&deep_bytes).expect("max-depth book");
+    let deep_frozen = CanonicalCode::of(&deep_codec);
     let symbols: Vec<u32> = (0..deep.len() as u32).rev().collect();
     let payload = deep_codec.encode(&symbols).unwrap();
     assert_eq!(deep_codec.decode(&payload, symbols.len()).unwrap(), symbols);
     for cut in 0..payload.len() {
         assert_eq!(
             deep_codec.decode(&payload[..cut], symbols.len()).is_ok(),
-            deep_codec.decode_reference(&payload[..cut], symbols.len()).is_ok(),
+            deep_frozen.decode(&payload[..cut], symbols.len()).is_some(),
             "max-depth payload cut {cut}"
         );
     }
     for case in 0..200 {
         let garbage: Vec<u8> = (0..rng.below(24)).map(|_| rng.next() as u8).collect();
         let n = 1 + rng.below(16);
-        let fast = deep_codec.decode(&garbage, n);
-        let reference = deep_codec.decode_reference(&garbage, n);
-        assert_eq!(fast.is_ok(), reference.is_ok(), "case {case}");
-        if let (Ok(a), Ok(b)) = (&fast, &reference) {
-            assert_eq!(a, b, "case {case}");
-        }
+        assert_eq!(deep_codec.decode(&garbage, n).ok(), deep_frozen.decode(&garbage, n), "case {case}");
     }
 
     // Undersubscribed book with a reachable unassigned prefix: lengths
@@ -927,7 +927,7 @@ fn huffman_codebook_targeted_corruptions() {
     let under = serialize_lengths(&[2u64, 2, 2]);
     let (under_codec, _) = HuffmanCodec::deserialize_codebook(&under).expect("undersubscribed");
     assert!(under_codec.decode(&[0xFF, 0xFF], 1).is_err());
-    assert!(under_codec.decode_reference(&[0xFF, 0xFF], 1).is_err());
+    assert!(CanonicalCode::of(&under_codec).decode(&[0xFF, 0xFF], 1).is_none());
 }
 
 /// Peak resident set of this process so far, in bytes (`VmHWM`).
@@ -961,10 +961,7 @@ fn bounded(what: &str, run: &dyn Fn() -> bool) {
 
 #[test]
 fn hostile_codebook_costs_its_bytes_not_its_alphabet() {
-    use rqm::compress_crate::kernels::{
-        decode_chunk, decode_chunk_rolz, encode_chunk, encode_chunk_rolz, KernelPath,
-    };
-    use rqm::compress_crate::LosslessStage;
+    use rqm::compress_crate::{ChunkCodec, LosslessStage, RolzChunkCodec, SzChunkCodec};
     use rqm::encoding::huffman::HuffmanCodec;
     use rqm::encoding::varint::{get_uvarint, put_uvarint};
 
@@ -994,19 +991,11 @@ fn hostile_codebook_costs_its_bytes_not_its_alphabet() {
     // and ROLZ decoders refuse an alphabet their header cannot have.
     let shape = Shape::d2(16, 16);
     let data: Vec<f32> = (0..shape.len()).map(|i| (i as f32 * 0.3).sin()).collect();
-    let sz = encode_chunk(
-        &data,
-        shape,
-        PredictorKind::Lorenzo,
-        1e-3,
-        1 << 15,
-        LosslessStage::None,
-        KernelPath::Fast,
-    )
-    .unwrap();
-    let rolz =
-        encode_chunk_rolz(&data, shape, PredictorKind::Lorenzo, 1e-3, 1 << 15, KernelPath::Fast)
-            .unwrap();
+    let q = rqm::quant::LinearQuantizer::new(1e-3, 1 << 15);
+    let sz_codec = SzChunkCodec::new(PredictorKind::Lorenzo, q, LosslessStage::None);
+    let rolz_codec = RolzChunkCodec::new(PredictorKind::Lorenzo, q);
+    let sz = ChunkCodec::<f32>::encode(&sz_codec, &data, shape).unwrap().0;
+    let rolz = ChunkCodec::<f32>::encode(&rolz_codec, &data, shape).unwrap().0;
     let with_book = |blob: &[u8], book: &[u8]| {
         // Flag byte, then the codebook as a length-prefixed section.
         let mut pos = 1;
@@ -1017,27 +1006,14 @@ fn hostile_codebook_costs_its_bytes_not_its_alphabet() {
         out.extend_from_slice(&blob[pos + len..]);
         out
     };
+    let codecs: [(&str, &dyn ChunkCodec<f32>, Vec<u8>); 2] =
+        [("sz", &sz_codec, sz), ("rolz", &rolz_codec, rolz)];
     for (name, bytes) in &hostile {
-        for path in [KernelPath::Fast, KernelPath::Reference] {
-            let (sz, rolz) = (with_book(&sz, bytes), with_book(&rolz, bytes));
-            bounded(&format!("sz chunk, {name}, {path:?}"), &|| {
+        for (codec_name, codec, blob) in &codecs {
+            let blob = with_book(blob, bytes);
+            bounded(&format!("{codec_name} chunk, {name}"), &|| {
                 let mut out = vec![0f32; shape.len()];
-                let r =
-                    decode_chunk(&sz, shape, PredictorKind::Lorenzo, 1e-3, 1 << 15, path, &mut out);
-                assert!(matches!(r, Err(DecompressError::Corrupt(_))), "{name}: {r:?}");
-                r.is_ok()
-            });
-            bounded(&format!("rolz chunk, {name}, {path:?}"), &|| {
-                let mut out = vec![0f32; shape.len()];
-                let r = decode_chunk_rolz(
-                    &rolz,
-                    shape,
-                    PredictorKind::Lorenzo,
-                    1e-3,
-                    1 << 15,
-                    path,
-                    &mut out,
-                );
+                let r = codec.decode(&blob, shape, &mut out);
                 assert!(matches!(r, Err(DecompressError::Corrupt(_))), "{name}: {r:?}");
                 r.is_ok()
             });
@@ -1086,7 +1062,7 @@ fn hostile_rqzf_header_costs_its_bytes_not_its_shape() {
 
 #[test]
 fn rle_runs_at_refill_boundary_decode_identically() {
-    use rqm::encoding::reference::rle_decompress_bounded_ref;
+    use frozen_kernels::rle_decompress_bounded_ref;
     use rqm::encoding::rle::rle_decompress_bounded;
     use rqm::encoding::varint::put_uvarint;
 
@@ -1122,44 +1098,34 @@ fn rle_runs_at_refill_boundary_decode_identically() {
 
 #[test]
 fn symbol_count_exceeding_payload_is_rejected_before_allocation() {
-    use rqm::compress_crate::kernels::{decode_chunk, encode_chunk, KernelPath};
-    use rqm::compress_crate::{DecompressError, LosslessStage};
+    use rqm::compress_crate::{ChunkCodec, DecompressError, LosslessStage, SzChunkCodec};
 
     // Regression for the decode_stream guard: a blob whose payload holds
     // far fewer bits than the declared element count demands must be
-    // rejected up front (every Huffman code is >= 1 bit), on both kernel
-    // paths, for both the raw and the lossless-wrapped payload — the
-    // multi-symbol-per-refill decode loop must never be entered with a
-    // symbol budget the payload cannot cover.
+    // rejected up front (every Huffman code is >= 1 bit), for both the raw
+    // and the lossless-wrapped payload — the multi-symbol-per-refill decode
+    // loop must never be entered with a symbol budget the payload cannot
+    // cover.
     let small = Shape::d2(4, 4);
     let data: Vec<f32> = (0..small.len()).map(|i| (i as f32 * 0.3).sin()).collect();
     for lossless in [LosslessStage::None, LosslessStage::RleLzss] {
-        let blob = encode_chunk(
-            &data,
-            small,
-            PredictorKind::Lorenzo,
-            1e-3,
-            1 << 15,
-            lossless,
-            KernelPath::Fast,
-        )
-        .unwrap();
+        let q = rqm::quant::LinearQuantizer::new(1e-3, 1 << 15);
+        let codec = SzChunkCodec::new(PredictorKind::Lorenzo, q, lossless);
+        let blob = ChunkCodec::<f32>::encode(&codec, &data, small).unwrap().0;
         // Same blob, reinterpreted as a 64×64 chunk: 4096 symbols against
         // a payload of a few dozen bits.
         let big = Shape::d2(64, 64);
         let mut out = vec![0f32; big.len()];
-        for path in [KernelPath::Fast, KernelPath::Reference] {
-            let err = decode_chunk(&blob, big, PredictorKind::Lorenzo, 1e-3, 1 << 15, path, &mut out)
-                .expect_err("oversized symbol count decoded Ok");
-            assert!(
-                matches!(
-                    err,
-                    DecompressError::Corrupt("symbol count exceeds payload")
-                        | DecompressError::Corrupt("lossless stage")
-                ),
-                "unexpected error: {err:?}"
-            );
-        }
+        let err = ChunkCodec::<f32>::decode(&codec, &blob, big, &mut out)
+            .expect_err("oversized symbol count decoded Ok");
+        assert!(
+            matches!(
+                err,
+                DecompressError::Corrupt("symbol count exceeds payload")
+                    | DecompressError::Corrupt("lossless stage")
+            ),
+            "unexpected error: {err:?}"
+        );
     }
 }
 

@@ -1,23 +1,24 @@
-//! Differential kernel harness: the fast codec kernels vs the frozen
-//! scalar reference implementations.
+//! Differential kernel harness: the codec kernels against frozen scalar
+//! implementations and against pinned chunk outputs.
 //!
-//! The PR that introduced the table-driven Huffman decoder, the 64-bit
+//! The rework that introduced the table-driven Huffman decoder, the 64-bit
 //! bit I/O, the word-at-a-time RLE/LZSS loops and the row-specialized
 //! Lorenzo traversal kept the **container byte format and every decoded
 //! value bit-identical**. This suite is what holds that claim:
 //!
 //! * every byte-level kernel (bitio, Huffman, RLE, LZSS, the combined
-//!   lossless stage) is run against its reference twin across skewed /
-//!   uniform / adversarial inputs and every buffer length in `0..=65`
-//!   (the range that covers all 64-bit refill boundary cases);
+//!   lossless stage) is run against its frozen scalar copy
+//!   (`frozen_kernels`) across skewed / uniform / adversarial inputs and
+//!   every buffer length in `0..=65` (the range that covers all 64-bit
+//!   refill boundary cases);
 //! * the order-1 Lorenzo traversal is compared reconstruction-for-
 //!   reconstruction (exact `f64` bits) against the generic stencil walk
 //!   over 1-D..4-D shapes;
-//! * whole chunk blobs encoded on the fast path equal the reference
-//!   path byte-for-byte, for `f32` and `f64`, and each side decodes the
-//!   other's blobs to bit-identical values; blobs, values and the ROLZ
-//!   corruption sweep's verdicts are also pinned as folded FNV-1a digests
-//!   (`*_PINS`), asserted on both paths;
+//! * whole SZ and ROLZ chunk blobs, for `f32` and `f64`, the values they
+//!   decode to, and the ROLZ decoder's verdicts on corrupt blobs are pinned
+//!   as folded FNV-1a digests (`*_PINS`). The pins were asserted on the
+//!   scalar chunk path and the fast one alike before the scalar path left
+//!   the library, so they are its output;
 //! * the committed `tests/data/golden_huffman_*.bin` /
 //!   `golden_lossless_rlelzss.bin` fixtures — encoded by the
 //!   **pre-rework** coder — still decode exactly, and re-encoding the
@@ -27,23 +28,23 @@
 //! `examples/make_golden_entropy.rs`; never change either
 //! side.
 
-use rqm::compress_crate::kernels::{
-    decode_chunk, decode_chunk_pointwise, encode_chunk, encode_chunk_pointwise, traverse_lorenzo,
-    KernelPath,
+mod frozen_kernels;
+
+use frozen_kernels::{
+    lossless_compress_ref, lossless_decompress_bounded_ref, lzss_compress_ref,
+    lzss_decompress_bounded_ref, rle_compress_ref, rle_decompress_bounded_ref,
+    traverse_lorenzo1_generic, CanonicalCode, RefBitReader, RefBitWriter,
 };
-use rqm::compress_crate::LosslessStage;
+use rqm::compress_crate::kernels::{pointwise_codec, traverse_lorenzo};
+use rqm::compress_crate::{ChunkCodec, LosslessStage, RolzChunkCodec, SzChunkCodec};
 use rqm::encoding::huffman::HuffmanCodec;
 use rqm::encoding::lossless::{lossless_compress, lossless_decompress_bounded};
-use rqm::encoding::reference::{
-    lossless_compress_ref, lossless_decompress_bounded_ref, lzss_compress_ref,
-    lzss_decompress_bounded_ref, rle_compress_ref, rle_decompress_bounded_ref, RefBitReader,
-    RefBitWriter,
-};
 use rqm::encoding::rle::{rle_compress, rle_decompress_bounded};
 use rqm::encoding::varint::get_uvarint;
 use rqm::encoding::{lzss, BitReader, BitWriter};
 use rqm::grid::{Scalar, Shape};
 use rqm::predict::PredictorKind;
+use rqm::quant::LinearQuantizer;
 
 /// The one RNG every generator here uses, frozen (xorshift64).
 fn xorshift(state: &mut u64) -> u64 {
@@ -61,20 +62,23 @@ fn xorshift(state: &mut u64) -> u64 {
 
 #[test]
 fn bitio_writer_matches_reference() {
-    let mut st = 0xB17_0B17_0B17u64;
-    for round in 0..64 {
+    let stream = |st: &mut u64, n_puts: usize, what: &str| {
         let mut fast = BitWriter::new();
         let mut reference = RefBitWriter::new();
-        let n_puts = round * 3;
         for _ in 0..n_puts {
-            let len = (xorshift(&mut st) % 65) as u32;
-            let val = xorshift(&mut st);
+            let len = (xorshift(st) % 65) as u32;
+            let val = xorshift(st);
             fast.put_bits(val, len);
             reference.put_bits(val, len);
-            assert_eq!(fast.bit_len(), reference.bit_len());
+            assert_eq!(fast.bit_len(), reference.bit_len(), "{what}");
         }
-        assert_eq!(fast.finish(), reference.finish(), "round {round}");
+        assert_eq!(fast.finish(), reference.finish(), "{what}");
+    };
+    let mut st = 0xB17_0B17_0B17u64;
+    for round in 0..64 {
+        stream(&mut st, round * 3, &format!("round {round}"));
     }
+    stream(&mut 0x243F_6A88_85A3_08D3, 10_000, "long stream");
 }
 
 #[test]
@@ -278,33 +282,27 @@ fn huffman_matches_reference() {
             hist[s as usize] += 1;
         }
         let codec = HuffmanCodec::from_counts(&hist).expect("histogram");
+        let frozen = CanonicalCode::of(&codec);
         // Every prefix length 0..=65 plus the full stream: encode must be
         // byte-identical and both decoders must reproduce the symbols.
         for len in (0..=65).chain([stream.len()]) {
             let prefix = &stream[..len.min(stream.len())];
             let fast = codec.encode(prefix).expect("encode");
-            let reference = codec.encode_reference(prefix).expect("encode_reference");
-            assert_eq!(fast, reference, "{name} len {len}");
+            assert_eq!(fast, frozen.encode(prefix), "{name} len {len}");
             assert_eq!(
                 codec.decode(&fast, prefix.len()).expect("decode"),
                 prefix,
                 "{name} len {len}"
             );
-            assert_eq!(
-                codec.decode_reference(&fast, prefix.len()).expect("decode_reference"),
-                prefix,
-                "{name} len {len}"
-            );
+            assert_eq!(frozen.decode(&fast, prefix.len()).as_deref(), Some(prefix), "{name} len {len}");
             // Truncations: both decoders must refuse exactly the same
             // payloads (the error text may differ; accept/reject may not).
-            if !fast.is_empty() {
-                for cut in 0..fast.len() {
-                    assert_eq!(
-                        codec.decode(&fast[..cut], prefix.len()).is_ok(),
-                        codec.decode_reference(&fast[..cut], prefix.len()).is_ok(),
-                        "{name} len {len} cut {cut}"
-                    );
-                }
+            for cut in 0..fast.len() {
+                assert_eq!(
+                    codec.decode(&fast[..cut], prefix.len()).is_ok(),
+                    frozen.decode(&fast[..cut], prefix.len()).is_some(),
+                    "{name} len {len} cut {cut}"
+                );
             }
         }
     }
@@ -341,8 +339,8 @@ fn lorenzo_traversal_matches_generic() {
         shapes.push(Shape::d4(s.0, s.1, s.2, s.3));
     }
     for shape in shapes {
-        let fast = traverse_lorenzo(shape, 1, KernelPath::Fast, synthetic_visit).unwrap();
-        let generic = traverse_lorenzo(shape, 1, KernelPath::Reference, synthetic_visit).unwrap();
+        let fast = traverse_lorenzo(shape, 1, synthetic_visit).unwrap();
+        let generic = traverse_lorenzo1_generic(shape, synthetic_visit).unwrap();
         assert_eq!(fast.len(), generic.len());
         for (i, (a, b)) in fast.iter().zip(&generic).enumerate() {
             assert_eq!(
@@ -389,11 +387,6 @@ impl Fnv {
             self.word(v.to_f64().to_bits());
         }
     }
-
-    fn blob_and_values<T: Scalar>(&mut self, blob: &[u8], values: &[T]) {
-        self.blob(blob);
-        self.values(values);
-    }
 }
 
 /// The cases of one test folded into one digest. Each case's own digest is
@@ -437,8 +430,8 @@ const SZ_CHUNK_PINS: [u64; 2] = [0xee60_73d6_9c01_96da, 0xf27e_417f_85cc_2c67];
 const INTERP_LINE_PINS: [u64; 2] = [0x5020_cff7_5eaf_dad1, 0xfc73_3c96_137c_0420];
 /// [`rolz_chunk_blobs_and_values_match_reference`], `f32` then `f64`.
 const ROLZ_CHUNK_PINS: [u64; 2] = [0x0cfe_89df_5e9b_78a8, 0x6b9b_d9ed_97bc_c3e5];
-/// The ROLZ corruption sweep: the blob, then accept/reject and decoded
-/// values of every cut and flip.
+/// [`rolz_corrupt_blobs_rejected_as_pinned`]: the blob, then accept/reject
+/// and decoded values of every cut and flip.
 const ROLZ_CORRUPT_PIN: u64 = 0x40c7_e5cd_608a_2bf5;
 
 // ---------------------------------------------------------------------------
@@ -464,74 +457,52 @@ fn field<T: Scalar>(shape: Shape) -> Vec<T> {
     out
 }
 
-fn chunk_differential<T: Scalar>(
-    predictor: PredictorKind,
-    shape: Shape,
-    radius: u32,
-    pins: &mut [Pins; 2],
-) {
-    let data: Vec<T> = field(shape);
-    let eb = 1e-3;
-    let blob_fast = encode_chunk(
-        &data,
-        shape,
-        predictor,
-        eb,
-        radius,
-        LosslessStage::RleLzss,
-        KernelPath::Fast,
-    )
-    .expect("fast encode");
-    let blob_ref = encode_chunk(
-        &data,
-        shape,
-        predictor,
-        eb,
-        radius,
-        LosslessStage::RleLzss,
-        KernelPath::Reference,
-    )
-    .expect("reference encode");
-    assert_eq!(blob_fast, blob_ref, "{predictor:?} {shape:?} radius {radius}");
-
-    let mut out_fast = vec![T::zero(); shape.len()];
-    let mut out_ref = vec![T::zero(); shape.len()];
-    decode_chunk(&blob_fast, shape, predictor, eb, radius, KernelPath::Fast, &mut out_fast)
-        .expect("fast decode");
-    decode_chunk(&blob_fast, shape, predictor, eb, radius, KernelPath::Reference, &mut out_ref)
-        .expect("reference decode");
-    for (i, (a, b)) in out_fast.iter().zip(&out_ref).enumerate() {
-        assert_eq!(
-            a.to_f64().to_bits(),
-            b.to_f64().to_bits(),
-            "{predictor:?} {shape:?} point {i}"
-        );
-    }
-    let what = format!("{predictor:?} {shape:?} radius {radius}");
-    pins[0].case(what.clone(), |h| h.blob_and_values(&blob_fast, &out_fast));
-    pins[1].case(what, |h| h.blob_and_values(&blob_ref, &out_ref));
+/// Encode `data` through `codec` and decode the blob back.
+fn roundtrip<T: Scalar>(codec: &dyn ChunkCodec<T>, data: &[T], shape: Shape) -> (Vec<u8>, Vec<T>) {
+    let (blob, _) = codec.encode(data, shape).expect("encode");
+    let mut out = vec![T::zero(); shape.len()];
+    codec.decode(&blob, shape, &mut out).expect("decode");
+    (blob, out)
 }
 
-#[test]
-fn chunk_blobs_and_values_match_reference() {
-    let mut pins32 = [Pins::new(), Pins::new()];
-    let mut pins64 = [Pins::new(), Pins::new()];
+/// [`field`] of three shapes through the codec `codec_of` builds, for the
+/// Lorenzo, second-order Lorenzo and interpolation predictors, at a
+/// default-like radius (everything quantizes) and a tiny one (the
+/// escape/verbatim machinery active): every blob and its decoded values,
+/// folded per scalar type, `f32` then `f64`.
+fn chunk_pins<C: ChunkCodec<f32> + ChunkCodec<f64>>(
+    codec_of: impl Fn(PredictorKind, LinearQuantizer) -> C,
+) -> [Pins; 2] {
+    let mut pins = [Pins::new(), Pins::new()];
     for shape in [Shape::d1(193), Shape::d2(13, 21), Shape::d3(5, 9, 11)] {
         for predictor in
             [PredictorKind::Lorenzo, PredictorKind::Lorenzo2, PredictorKind::Interpolation]
         {
-            // Default-like radius (everything quantizes) and a tiny one
-            // (escape/verbatim machinery active).
             for radius in [1 << 15, 8] {
-                chunk_differential::<f32>(predictor, shape, radius, &mut pins32);
-                chunk_differential::<f64>(predictor, shape, radius, &mut pins64);
+                let codec = codec_of(predictor, LinearQuantizer::new(1e-3, radius));
+                let what = format!("{predictor:?} {shape:?} radius {radius}");
+                let (blob, out) = roundtrip::<f32>(&codec, &field(shape), shape);
+                pins[0].case(what.clone(), |h| {
+                    h.blob(&blob);
+                    h.values(&out);
+                });
+                let (blob, out) = roundtrip::<f64>(&codec, &field(shape), shape);
+                pins[1].case(what, |h| {
+                    h.blob(&blob);
+                    h.values(&out);
+                });
             }
         }
     }
-    for (i, path) in [KernelPath::Fast, KernelPath::Reference].into_iter().enumerate() {
-        pins32[i].check(&format!("SZ chunks, f32, {path:?}"), SZ_CHUNK_PINS[0]);
-        pins64[i].check(&format!("SZ chunks, f64, {path:?}"), SZ_CHUNK_PINS[1]);
-    }
+    pins
+}
+
+#[test]
+fn chunk_blobs_and_values_match_reference() {
+    let [pins32, pins64] =
+        chunk_pins(|predictor, q| SzChunkCodec::new(predictor, q, LosslessStage::RleLzss));
+    pins32.check("SZ chunks, f32", SZ_CHUNK_PINS[0]);
+    pins64.check("SZ chunks, f64", SZ_CHUNK_PINS[1]);
 }
 
 /// The shapes of `rq_predict::interp`'s pass-table tests (extents 1, 2, 3,
@@ -589,15 +560,10 @@ enum Dirt {
     LogNonPositive,
 }
 
-/// Interpolation, line kernel (Fast) against the per-stencil walk
-/// (Reference): same blob, and either blob decodes to the same values on
-/// both paths. Returns the number of escaped values.
-fn interp_line_differential<T: Scalar>(
-    shape: Shape,
-    eb: f64,
-    dirt: Dirt,
-    pins: &mut [Pins; 2],
-) -> usize {
+/// Interpolation through the line kernel: the blob and its decoded values
+/// folded into `pins`, and the values the field's within the bound.
+/// Returns the number of escaped values.
+fn interp_line_case<T: Scalar>(shape: Shape, eb: f64, dirt: Dirt, pins: &mut Pins) -> usize {
     let mut data: Vec<T> = field(shape);
     let n = data.len();
     let what = format!("{shape:?} eb {eb} {dirt:?} {}-bit", T::BITS);
@@ -622,45 +588,19 @@ fn interp_line_differential<T: Scalar>(
         }
     }
     let radius = if dirt == Dirt::TinyRadius { 2 } else { 1 << 15 };
-    let encode = |path| {
-        if dirt == Dirt::LogNonPositive {
-            encode_chunk_pointwise(&data, shape, PredictorKind::Interpolation, eb, radius, path)
-        } else {
-            let lossless = LosslessStage::RleLzss;
-            encode_chunk(&data, shape, PredictorKind::Interpolation, eb, radius, lossless, path)
-        }
-        .expect("encode")
+    let codec = if dirt == Dirt::LogNonPositive {
+        pointwise_codec(PredictorKind::Interpolation, eb, radius)
+    } else {
+        let q = LinearQuantizer::new(eb, radius);
+        SzChunkCodec::new(PredictorKind::Interpolation, q, LosslessStage::RleLzss)
     };
-    let blob = encode(KernelPath::Fast);
-    let blob_ref = encode(KernelPath::Reference);
-    assert!(blob == blob_ref, "{what}: blobs differ");
-
-    let decode = |path| {
-        let mut out = vec![T::zero(); n];
-        if dirt == Dirt::LogNonPositive {
-            decode_chunk_pointwise(
-                &blob,
-                shape,
-                PredictorKind::Interpolation,
-                eb,
-                radius,
-                path,
-                &mut out,
-            )
-        } else {
-            decode_chunk(&blob, shape, PredictorKind::Interpolation, eb, radius, path, &mut out)
-        }
-        .expect("decode");
-        out
-    };
-    let (fast, reference) = (decode(KernelPath::Fast), decode(KernelPath::Reference));
-    for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
-        assert_eq!(a.to_f64().to_bits(), b.to_f64().to_bits(), "{what}: point {i}");
-    }
-    pins[0].case(what.clone(), |h| h.blob_and_values(&blob, &fast));
-    pins[1].case(what.clone(), |h| h.blob_and_values(&blob_ref, &reference));
-    // And the values are the field's, within the bound (escapes exactly).
-    for (i, (a, b)) in data.iter().zip(&fast).enumerate() {
+    let (blob, decoded) = roundtrip(&codec, &data, shape);
+    pins.case(what.clone(), |h| {
+        h.blob(&blob);
+        h.values(&decoded);
+    });
+    // The values are the field's, within the bound (escapes exactly).
+    for (i, (a, b)) in data.iter().zip(&decoded).enumerate() {
         let (a, b) = (a.to_f64(), b.to_f64());
         let ok = match dirt {
             Dirt::LogNonPositive if a > 0.0 => (a - b).abs() <= eb * a * (1.0 + 1e-5),
@@ -679,12 +619,11 @@ fn interpolation_line_kernel_matches_reference() {
     // noise at about 1, 4 and 12 bits a value.
     let bounds = [5e-2, 4e-3, 1.5e-5];
     let biggest = Shape::d3(8, 96, 96);
-    let mut pins32 = [Pins::new(), Pins::new()];
-    let mut pins64 = [Pins::new(), Pins::new()];
+    let (mut pins32, mut pins64) = (Pins::new(), Pins::new());
     for shape in interp_shapes() {
         for eb in bounds {
-            let clean = interp_line_differential::<f32>(shape, eb, Dirt::None, &mut pins32)
-                + interp_line_differential::<f64>(shape, eb, Dirt::None, &mut pins64);
+            let clean = interp_line_case::<f32>(shape, eb, Dirt::None, &mut pins32)
+                + interp_line_case::<f64>(shape, eb, Dirt::None, &mut pins64);
             // At the widest bound nothing of the benchmark's chunk escapes:
             // every line of it takes the vector route.
             if shape.dims() == biggest.dims() && eb == bounds[0] {
@@ -700,8 +639,8 @@ fn interpolation_line_kernel_matches_reference() {
             ] {
                 // Relative bounds in place of absolute ones for the log case.
                 let eb = if dirt == Dirt::LogNonPositive { eb.min(1e-2) } else { eb };
-                let escapes = interp_line_differential::<f32>(shape, eb, dirt, &mut pins32)
-                    .min(interp_line_differential::<f64>(shape, eb, dirt, &mut pins64));
+                let escapes = interp_line_case::<f32>(shape, eb, dirt, &mut pins32)
+                    .min(interp_line_case::<f64>(shape, eb, dirt, &mut pins64));
                 // A point that cannot quantize escapes, and an escape is a
                 // line that went through the per-point fallback. (Anchors
                 // are verbatim anyway; a one-point field is all anchor.)
@@ -717,159 +656,48 @@ fn interpolation_line_kernel_matches_reference() {
             }
         }
     }
-    for (i, path) in [KernelPath::Fast, KernelPath::Reference].into_iter().enumerate() {
-        pins32[i].check(&format!("interpolation lines, f32, {path:?}"), INTERP_LINE_PINS[0]);
-        pins64[i].check(&format!("interpolation lines, f64, {path:?}"), INTERP_LINE_PINS[1]);
-    }
-}
-
-/// ROLZ twin of [`chunk_differential`]: the fast path (SWAR match
-/// extension + streaming Huffman) against the scalar reference (byte-loop
-/// matching + reference Huffman), byte-identical blobs and bit-identical
-/// reconstructions in both decode directions.
-fn rolz_chunk_differential<T: Scalar>(
-    predictor: PredictorKind,
-    shape: Shape,
-    radius: u32,
-    pins: &mut [Pins; 2],
-) {
-    use rqm::compress_crate::kernels::{decode_chunk_rolz, encode_chunk_rolz};
-    let data: Vec<T> = field(shape);
-    let eb = 1e-3;
-    let blob_fast =
-        encode_chunk_rolz(&data, shape, predictor, eb, radius, KernelPath::Fast).expect("fast");
-    let blob_ref = encode_chunk_rolz(&data, shape, predictor, eb, radius, KernelPath::Reference)
-        .expect("reference");
-    assert_eq!(blob_fast, blob_ref, "rolz {predictor:?} {shape:?} radius {radius}");
-
-    let mut out_fast = vec![T::zero(); shape.len()];
-    let mut out_ref = vec![T::zero(); shape.len()];
-    decode_chunk_rolz(&blob_fast, shape, predictor, eb, radius, KernelPath::Fast, &mut out_fast)
-        .expect("fast decode");
-    decode_chunk_rolz(
-        &blob_fast,
-        shape,
-        predictor,
-        eb,
-        radius,
-        KernelPath::Reference,
-        &mut out_ref,
-    )
-    .expect("reference decode");
-    for (i, (a, b)) in out_fast.iter().zip(&out_ref).enumerate() {
-        assert_eq!(
-            a.to_f64().to_bits(),
-            b.to_f64().to_bits(),
-            "rolz {predictor:?} {shape:?} point {i}"
-        );
-    }
-    let what = format!("{predictor:?} {shape:?} radius {radius}");
-    pins[0].case(what.clone(), |h| h.blob_and_values(&blob_fast, &out_fast));
-    pins[1].case(what, |h| h.blob_and_values(&blob_ref, &out_ref));
+    pins32.check("interpolation lines, f32", INTERP_LINE_PINS[0]);
+    pins64.check("interpolation lines, f64", INTERP_LINE_PINS[1]);
 }
 
 #[test]
 fn rolz_chunk_blobs_and_values_match_reference() {
-    let mut pins32 = [Pins::new(), Pins::new()];
-    let mut pins64 = [Pins::new(), Pins::new()];
-    for shape in [Shape::d1(193), Shape::d2(13, 21), Shape::d3(5, 9, 11)] {
-        for predictor in
-            [PredictorKind::Lorenzo, PredictorKind::Lorenzo2, PredictorKind::Interpolation]
-        {
-            for radius in [1 << 15, 8] {
-                rolz_chunk_differential::<f32>(predictor, shape, radius, &mut pins32);
-                rolz_chunk_differential::<f64>(predictor, shape, radius, &mut pins64);
-            }
-        }
-    }
-    for (i, path) in [KernelPath::Fast, KernelPath::Reference].into_iter().enumerate() {
-        pins32[i].check(&format!("ROLZ chunks, f32, {path:?}"), ROLZ_CHUNK_PINS[0]);
-        pins64[i].check(&format!("ROLZ chunks, f64, {path:?}"), ROLZ_CHUNK_PINS[1]);
-    }
+    let [pins32, pins64] = chunk_pins(RolzChunkCodec::new);
+    pins32.check("ROLZ chunks, f32", ROLZ_CHUNK_PINS[0]);
+    pins64.check("ROLZ chunks, f64", ROLZ_CHUNK_PINS[1]);
 }
 
 #[test]
-fn rolz_corrupt_blobs_rejected_identically_on_both_paths() {
-    use rqm::compress_crate::kernels::{decode_chunk_rolz, encode_chunk_rolz};
+fn rolz_corrupt_blobs_rejected_as_pinned() {
     let shape = Shape::d2(13, 21);
-    let data: Vec<f32> = field(shape);
-    let blob =
-        encode_chunk_rolz(&data, shape, PredictorKind::Lorenzo, 1e-3, 1 << 15, KernelPath::Fast)
-            .unwrap();
+    let codec = RolzChunkCodec::new(PredictorKind::Lorenzo, LinearQuantizer::new(1e-3, 1 << 15));
+    let decode =
+        |blob: &[u8], out: &mut [f32]| ChunkCodec::<f32>::decode(&codec, blob, shape, out).is_ok();
+    let (blob, _) = roundtrip::<f32>(&codec, &field(shape), shape);
     let mut out = vec![0f32; shape.len()];
-    let mut pins = [Pins::new(), Pins::new()];
-    for p in &mut pins {
-        p.case("blob".into(), |h| h.blob(&blob));
-    }
-    // Every truncation and a sweep of byte corruptions: both kernel
-    // paths must agree on accept/reject (and never panic).
+    let mut pins = Pins::new();
+    pins.case("blob".into(), |h| h.blob(&blob));
+    // Every truncation is refused, and a sweep of byte corruptions is
+    // accepted or refused — and decoded — as pinned (never a panic).
     for cut in 0..blob.len() {
-        let fast = decode_chunk_rolz(
-            &blob[..cut],
-            shape,
-            PredictorKind::Lorenzo,
-            1e-3,
-            1 << 15,
-            KernelPath::Fast,
-            &mut out,
-        );
-        let reference = decode_chunk_rolz(
-            &blob[..cut],
-            shape,
-            PredictorKind::Lorenzo,
-            1e-3,
-            1 << 15,
-            KernelPath::Reference,
-            &mut out,
-        );
-        assert_eq!(fast.is_ok(), reference.is_ok(), "cut {cut}");
-        assert!(fast.is_err(), "truncation to {cut} bytes decoded Ok");
-        pins[0].case(format!("cut {cut}"), |h| h.word(fast.is_ok() as u64));
-        pins[1].case(format!("cut {cut}"), |h| h.word(reference.is_ok() as u64));
+        let ok = decode(&blob[..cut], &mut out);
+        assert!(!ok, "truncation to {cut} bytes decoded Ok");
+        pins.case(format!("cut {cut}"), |h| h.word(ok as u64));
     }
     let mut st = 0x5EED_901E_u64;
     for case in 0..300 {
         let mut m = blob.clone();
         let pos = (xorshift(&mut st) % m.len() as u64) as usize;
         m[pos] ^= 1 << (xorshift(&mut st) % 8);
-        let fast = decode_chunk_rolz(
-            &m,
-            shape,
-            PredictorKind::Lorenzo,
-            1e-3,
-            1 << 15,
-            KernelPath::Fast,
-            &mut out,
-        );
-        let mut out_ref = vec![0f32; shape.len()];
-        let reference = decode_chunk_rolz(
-            &m,
-            shape,
-            PredictorKind::Lorenzo,
-            1e-3,
-            1 << 15,
-            KernelPath::Reference,
-            &mut out_ref,
-        );
-        assert_eq!(fast.is_ok(), reference.is_ok(), "case {case} at byte {pos}");
-        if fast.is_ok() {
-            for (a, b) in out.iter().zip(&out_ref) {
-                assert_eq!(a.to_bits(), b.to_bits(), "case {case} at byte {pos}");
+        let ok = decode(&m, &mut out);
+        pins.case(format!("flip {case} at byte {pos}"), |h| {
+            h.word(ok as u64);
+            if ok {
+                h.values(&out);
             }
-        }
-        let what = format!("flip {case} at byte {pos}");
-        for (p, ok, values) in [(0, fast.is_ok(), &out), (1, reference.is_ok(), &out_ref)] {
-            pins[p].case(what.clone(), |h| {
-                h.word(ok as u64);
-                if ok {
-                    h.values(values);
-                }
-            });
-        }
+        });
     }
-    for (i, path) in [KernelPath::Fast, KernelPath::Reference].into_iter().enumerate() {
-        pins[i].check(&format!("ROLZ corruptions, {path:?}"), ROLZ_CORRUPT_PIN);
-    }
+    pins.check("ROLZ corruptions", ROLZ_CORRUPT_PIN);
 }
 
 // ---------------------------------------------------------------------------
@@ -899,13 +727,12 @@ fn golden_huffman_fixtures_decode_exactly() {
         assert_eq!(used, book_len, "{name}: codebook length");
         // The flat-table decoder reads the pre-rework bitstream exactly…
         assert_eq!(codec.decode(payload, n_symbols).expect("decode"), stream, "{name}");
-        assert_eq!(
-            codec.decode_reference(payload, n_symbols).expect("decode_reference"),
-            stream,
-            "{name}"
-        );
-        // …and the 64-bit writer reproduces it bit-for-bit.
+        let frozen = CanonicalCode::of(&codec);
+        assert_eq!(frozen.decode(payload, n_symbols), Some(stream.clone()), "{name}");
+        // …and the 64-bit writer reproduces it bit-for-bit, as the frozen
+        // one does.
         assert_eq!(codec.encode(&stream).expect("encode"), payload, "{name}");
+        assert_eq!(frozen.encode(&stream), payload, "{name}");
     }
 }
 
