@@ -1108,8 +1108,8 @@ fn symbol_count_exceeding_payload_is_rejected_before_allocation() {
     // cover.
     let small = Shape::d2(4, 4);
     let data: Vec<f32> = (0..small.len()).map(|i| (i as f32 * 0.3).sin()).collect();
+    let q = rqm::quant::LinearQuantizer::new(1e-3, 1 << 15);
     for lossless in [LosslessStage::None, LosslessStage::RleLzss] {
-        let q = rqm::quant::LinearQuantizer::new(1e-3, 1 << 15);
         let codec = SzChunkCodec::new(PredictorKind::Lorenzo, q, lossless);
         let blob = ChunkCodec::<f32>::encode(&codec, &data, small).unwrap().0;
         // Same blob, reinterpreted as a 64×64 chunk: 4096 symbols against

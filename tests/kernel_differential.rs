@@ -387,6 +387,11 @@ impl Fnv {
             self.word(v.to_f64().to_bits());
         }
     }
+
+    fn blob_and_values<T: Scalar>(&mut self, blob: &[u8], values: &[T]) {
+        self.blob(blob);
+        self.values(values);
+    }
 }
 
 /// The cases of one test folded into one digest. Each case's own digest is
@@ -482,15 +487,9 @@ fn chunk_pins<C: ChunkCodec<f32> + ChunkCodec<f64>>(
                 let codec = codec_of(predictor, LinearQuantizer::new(1e-3, radius));
                 let what = format!("{predictor:?} {shape:?} radius {radius}");
                 let (blob, out) = roundtrip::<f32>(&codec, &field(shape), shape);
-                pins[0].case(what.clone(), |h| {
-                    h.blob(&blob);
-                    h.values(&out);
-                });
+                pins[0].case(what.clone(), |h| h.blob_and_values(&blob, &out));
                 let (blob, out) = roundtrip::<f64>(&codec, &field(shape), shape);
-                pins[1].case(what, |h| {
-                    h.blob(&blob);
-                    h.values(&out);
-                });
+                pins[1].case(what, |h| h.blob_and_values(&blob, &out));
             }
         }
     }
@@ -595,10 +594,7 @@ fn interp_line_case<T: Scalar>(shape: Shape, eb: f64, dirt: Dirt, pins: &mut Pin
         SzChunkCodec::new(PredictorKind::Interpolation, q, LosslessStage::RleLzss)
     };
     let (blob, decoded) = roundtrip(&codec, &data, shape);
-    pins.case(what.clone(), |h| {
-        h.blob(&blob);
-        h.values(&decoded);
-    });
+    pins.case(what.clone(), |h| h.blob_and_values(&blob, &decoded));
     // The values are the field's, within the bound (escapes exactly).
     for (i, (a, b)) in data.iter().zip(&decoded).enumerate() {
         let (a, b) = (a.to_f64(), b.to_f64());
