@@ -8,8 +8,10 @@
 # The map is the bold cells of "Which layer moves which end-to-end metric" in
 # benchmark/README.md: the reader engine moves posthoc_read, the scheduler and
 # its backends archive_auto, the chunk kernel and the model insitu_dump, the
-# transport serve_hot, the catalog serve_steps. A change anywhere else under
-# crates/ gets archive_auto, the run CI made before this script; a change
+# transport serve_hot, the catalog serve_steps. The worker pool (chunked.rs)
+# schedules the writer and the reader, so it moves posthoc_read and also
+# archive_auto, whose chunks differ in cost by codec. A change anywhere else
+# under crates/ gets archive_auto, the run CI made before this script; a change
 # outside crates/ gets no paired run, and nothing is printed. Workloads come
 # out in BENCHMARK.json's order, each once. Run from the root of a checkout.
 #
@@ -20,9 +22,9 @@ set -euo pipefail
 
 workload_of() {
     case "$1" in
+        crates/compress/src/chunked.rs) echo posthoc_read archive_auto ;;
         crates/compress/src/stream.rs | crates/compress/src/pool.rs | \
-            crates/compress/src/mmap.rs | crates/compress/src/chunked.rs | \
-            crates/compress/src/container.rs) echo posthoc_read ;;
+            crates/compress/src/mmap.rs | crates/compress/src/container.rs) echo posthoc_read ;;
         crates/compress/src/scheduler.rs | crates/compress/src/rolz.rs | crates/zfp/*) echo archive_auto ;;
         crates/core/* | crates/predict/* | crates/quant/* | crates/encoding/* | \
             crates/compress/src/pipeline.rs | crates/compress/src/codec.rs | \
@@ -72,6 +74,8 @@ check "--workload posthoc_read --workload serve_steps" \
     crates/compress/src/stream.rs crates/compress/src/pool.rs crates/catalog/src/dataset.rs \
     tests/decode_parallel.rs docs/ARCHITECTURE.md .github/bench_workloads.sh
 check "--workload archive_auto" crates/compress/src/scheduler.rs crates/zfp/src/codec.rs
+# The worker pool: the writer's and the reader's workloads both.
+check "--workload archive_auto --workload posthoc_read" crates/compress/src/chunked.rs
 check "--workload insitu_dump" crates/core/src/model.rs crates/compress/src/kernels.rs
 check "--workload serve_hot" crates/serve/src/server.rs
 check "--workload archive_auto" crates/datagen/src/fields.rs crates/cli/src/main.rs

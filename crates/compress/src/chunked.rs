@@ -11,10 +11,10 @@
 //! quantized against its chunk's bound inside exactly one chunk.
 //!
 //! This module holds what the one archive engine ([`crate::stream`])
-//! needs around the kernel — the chunking policy, the scoped worker
-//! pool, report aggregation and the per-chunk blob decoder — plus the
-//! in-memory decode functions, which are that engine's reader over a
-//! byte slice.
+//! needs around the kernel — the chunking policy, the one worker pool
+//! (`run_in_order`), report aggregation and the per-chunk blob
+//! decoder — plus the in-memory decode functions, which are that
+//! engine's reader over a byte slice.
 
 use crate::codec::{ChunkCodec, ChunkStats, ZfpChunkCodec};
 use crate::config::{Chunking, CompressorConfig};
@@ -26,6 +26,7 @@ use crate::report::CompressionReport;
 use crate::stream::ArchiveReader;
 use rq_grid::{auto_chunk_rows, NdArray, Scalar, Shape};
 use rq_quant::LinearQuantizer;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Minimum elements per auto-sized chunk, so per-chunk codebook/section
 /// overhead stays well under a percent of typical chunk payloads.
@@ -52,47 +53,111 @@ pub fn resolved_chunk_rows(cfg: &CompressorConfig, shape: Shape) -> usize {
     }
 }
 
-/// Run `f` over `items` on up to `threads` scoped workers, round-robin
-/// (`std::thread::scope` — chunk workloads are large enough that spawn
-/// cost is noise, and the static assignment is deterministic). Results
-/// come back in input order. Errors are propagated (first one in input
-/// order wins).
-pub(crate) fn run_on_workers<I, R, E, F>(items: Vec<I>, threads: usize, f: F) -> Result<Vec<R>, E>
+/// The crate's one worker pool, which the writer's batches, region reads
+/// and ordered streaming all run on: `f` runs over `items` on up to
+/// `threads` scoped workers, which claim items in input order from one
+/// cursor, at most `2 × threads` ahead of delivery; each result goes to
+/// `deliver` on the calling thread, in input order, exactly once. The
+/// first error in input order, at item *k*, from `f` or `deliver`, stops
+/// all claims after *k*: the items before *k* are delivered, then *k*'s
+/// error is returned, as at one thread. At one thread, or with one item,
+/// this is a plain loop on the caller.
+pub(crate) fn run_in_order<I, R, E, F, D>(
+    items: Vec<I>,
+    threads: usize,
+    f: F,
+    mut deliver: D,
+) -> Result<(), E>
 where
     I: Send,
     R: Send,
     E: Send,
     F: Fn(I) -> Result<R, E> + Sync,
+    D: FnMut(R) -> Result<(), E>,
 {
-    let threads = threads.max(1).min(items.len().max(1));
+    let (n, threads) = (items.len(), threads.min(items.len()));
     if threads <= 1 {
-        return items.into_iter().map(&f).collect();
+        return items.into_iter().try_for_each(|item| deliver(f(item)?));
     }
-    let n = items.len();
-    // Hand worker w items w, w+threads, w+2·threads, …
-    let mut per_worker: Vec<Vec<(usize, I)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        per_worker[i % threads].push((i, item));
-    }
-    let f = &f;
-    let mut slots: Vec<Option<Result<R, E>>> = (0..n).map(|_| None).collect();
+    let slots = (0..n).map(|_| None).collect();
+    let state = Pool { items: items.into_iter(), claimed: 0, limit: n, delivered: 0, slots };
+    let (pool, wake) = (Mutex::new(state), Condvar::new());
+    // `f` and `deliver` run unlocked and no update under the lock can stop
+    // half-way, so a lock poisoned by a panic still holds a valid state.
+    let lock = || pool.lock().unwrap_or_else(PoisonError::into_inner);
+    let wait = |st| wake.wait(st).unwrap_or_else(PoisonError::into_inner);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for batch in per_worker {
-            handles.push(scope.spawn(move || {
-                batch
-                    .into_iter()
-                    .map(|(i, item)| (i, f(item)))
-                    .collect::<Vec<(usize, Result<R, E>)>>()
-            }));
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let _halt = Halt(&pool, &wake);
+                let mut st = lock();
+                loop {
+                    while st.claimed < st.limit && st.claimed >= st.delivered + 2 * threads {
+                        st = wait(st);
+                    }
+                    let i = st.claimed;
+                    let Some(item) = (i < st.limit).then(|| st.items.next()).flatten() else {
+                        return;
+                    };
+                    st.claimed += 1;
+                    drop(st);
+                    let result = f(item);
+                    st = lock();
+                    if result.is_err() {
+                        st.limit = st.limit.min(i + 1);
+                    }
+                    st.slots[i] = Some(result);
+                    wake.notify_all();
+                }
+            });
         }
-        for h in handles {
-            for (i, r) in h.join().expect("chunk worker panicked") {
-                slots[i] = Some(r);
+        let _halt = Halt(&pool, &wake);
+        for i in 0..n {
+            let mut st = lock();
+            let result = loop {
+                match st.slots[i].take() {
+                    Some(result) => break result,
+                    None if st.limit == 0 => return Ok(()), // the scope re-raises the panic
+                    None => st = wait(st),
+                }
+            };
+            drop(st);
+            let delivered = result.and_then(&mut deliver);
+            let mut st = lock();
+            st.delivered += 1;
+            if delivered.is_err() {
+                st.limit = st.limit.min(st.claimed);
             }
+            wake.notify_all();
+            delivered?;
         }
-    });
-    slots.into_iter().map(|s| s.expect("worker covered every item")).collect()
+        Ok(())
+    })
+}
+
+/// What the threads of one [`run_in_order`] call share behind its lock:
+/// the unclaimed items and the claim cursor, where claims stop (the item
+/// count, cut to one past the first failure; `0` once a thread panicked),
+/// the count of delivered results, and one slot per item for its result.
+struct Pool<I, R, E> {
+    items: std::vec::IntoIter<I>,
+    claimed: usize,
+    limit: usize,
+    delivered: usize,
+    slots: Vec<Option<Result<R, E>>>,
+}
+
+/// Stops the pool when its thread panics, so that nobody waits for the
+/// result or the window slot that thread held.
+struct Halt<'p, I, R, E>(&'p Mutex<Pool<I, R, E>>, &'p Condvar);
+
+impl<I, R, E> Drop for Halt<'_, I, R, E> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().unwrap_or_else(PoisonError::into_inner).limit = 0;
+            self.1.notify_all();
+        }
+    }
 }
 
 impl CompressionReport {
@@ -209,6 +274,113 @@ mod tests {
     use crate::pipeline::{compress, compress_with_report, decompress};
     use rq_predict::PredictorKind;
     use rq_quant::ErrorBoundMode;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+
+    /// Item `i`'s cost in the pool tests: skewed, so later items often
+    /// finish before earlier ones.
+    fn skewed_cost(i: usize) {
+        let micros = [900, 50, 300, 0, 600][i % 5];
+        std::thread::sleep(std::time::Duration::from_micros(micros));
+    }
+
+    #[test]
+    fn pool_delivers_each_result_once_in_order_within_its_window() {
+        for threads in [1, 2, 3, 8] {
+            let (claimed, delivered, ahead) =
+                (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+            let mut got = Vec::new();
+            let square = |i: usize| -> Result<usize, ()> {
+                let c = claimed.fetch_add(1, SeqCst) + 1;
+                ahead.fetch_max(c.saturating_sub(delivered.load(SeqCst)), SeqCst);
+                skewed_cost(i);
+                Ok(i * i)
+            };
+            run_in_order((0..40).collect(), threads, square, |r| {
+                got.push(r);
+                delivered.fetch_add(1, SeqCst);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(got, (0..40).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
+            let ahead = ahead.into_inner();
+            assert!(ahead <= 2 * threads, "threads={threads}: {ahead} claimed ahead of delivery");
+        }
+    }
+
+    #[test]
+    fn pool_returns_the_first_error_in_input_order_after_its_prefix() {
+        // Items 7 and 11 fail. From three threads on, the window lets 11
+        // be claimed while 7 runs, and 7 waits until 11 has failed.
+        for threads in [1, 2, 3, 8] {
+            let mut got = Vec::new();
+            let eleven_failed = AtomicBool::new(false);
+            let fail = |i: usize| {
+                skewed_cost(i);
+                match i {
+                    7 if threads >= 3 => {
+                        while !eleven_failed.load(SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        Err(i)
+                    }
+                    7 => Err(i),
+                    11 => {
+                        eleven_failed.store(true, SeqCst);
+                        Err(i)
+                    }
+                    _ => Ok(i),
+                }
+            };
+            let result = run_in_order((0..30).collect(), threads, fail, |r| {
+                got.push(r);
+                Ok(())
+            });
+            assert_eq!(result, Err(7), "threads={threads}");
+            assert_eq!(got, (0..7).collect::<Vec<_>>(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn pool_claims_at_most_a_window_after_a_deliver_error() {
+        for threads in [1, 2, 3, 8] {
+            let calls = AtomicUsize::new(0);
+            let mut calls_at_error = 0;
+            let count = |i: usize| -> Result<usize, usize> {
+                calls.fetch_add(1, SeqCst);
+                skewed_cost(i);
+                Ok(i)
+            };
+            let result = run_in_order((0..60).collect(), threads, count, |i| {
+                if i < 4 {
+                    return Ok(());
+                }
+                calls_at_error = calls.load(SeqCst);
+                Err(100 + i)
+            });
+            assert_eq!(result, Err(104), "threads={threads}");
+            let more = calls.into_inner() - calls_at_error;
+            assert!(more <= 2 * threads, "threads={threads}: f ran {more} more times");
+        }
+    }
+
+    #[test]
+    fn pool_propagates_a_panic_instead_of_hanging() {
+        let worker = std::panic::catch_unwind(|| {
+            let f = |i: usize| -> Result<usize, ()> {
+                assert_ne!(i, 5, "item 5 panics");
+                Ok(i)
+            };
+            run_in_order((0..20).collect(), 3, f, |_| Ok(()))
+        });
+        assert!(worker.is_err(), "a worker's panic must reach the caller");
+        let caller = std::panic::catch_unwind(|| {
+            run_in_order((0..20).collect(), 3, Ok::<usize, ()>, |i| {
+                assert_ne!(i, 5, "delivering item 5 panics");
+                Ok(())
+            })
+        });
+        assert!(caller.is_err(), "a panic in deliver must leave no worker waiting");
+    }
 
     fn wavy(shape: Shape) -> NdArray<f32> {
         let mut lin = 0u64;

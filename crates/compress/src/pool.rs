@@ -22,9 +22,9 @@
 //!
 //! Pools retain at most [`MAX_POOLED`] buffers; anything beyond that is
 //! dropped, so an idle reader does not pin a high-water mark of slabs.
-//! In-flight memory is still bounded by the engine's schedules — one
-//! chunk per slice worker, a window of `2 × threads` chunks in ordered
-//! delivery — the pool only recycles buffers they already paid for.
+//! In-flight memory is still bounded by the one worker pool's window of
+//! `2 × threads` chunks claimed ahead of delivery; these pools only
+//! recycle buffers that window already paid for.
 
 use rq_grid::Scalar;
 use std::sync::Mutex;

@@ -30,11 +30,11 @@
 //! Both readers are one decode engine: one open-archive state (the reader
 //! holds it by value, the shareable form behind an [`Arc`]), one fetch
 //! stage (a zero-copy window of a mapped file or of in-memory bytes, or a
-//! seek+read under the source lock over a plain stream), one row planner,
-//! one set of counters, and two schedules — static slices of a row range
-//! on `threads` workers that fetch their own blobs, and ordered delivery
-//! through a worker pool behind a window of `2 × threads` chunks. At one
-//! thread both decode inline on the caller.
+//! seek+read under the source lock over a plain stream), one row planner
+//! and one set of counters. Writer and readers share one worker pool:
+//! `threads` workers claim chunks in order as they free up and fetch their
+//! own blobs, at most `2 × threads` chunks ahead of the caller, who takes
+//! the results in row order. At one thread all runs inline on the caller.
 //!
 //! Encoding a chunk is a pure function of its data, shape and bound, so
 //! archive bytes depend neither on the worker-thread count nor on how
@@ -66,7 +66,7 @@
 //! assert_eq!(reader.stats().chunks_decoded, 2); // rows 10..22 span chunks 1 and 2
 //! ```
 
-use crate::chunked::{decode_entry_blob, resolved_chunk_rows, run_on_workers};
+use crate::chunked::{decode_entry_blob, resolved_chunk_rows, run_in_order};
 use crate::codec::{ChunkCodec, ChunkStats, SzChunkCodec, ZfpChunkCodec};
 use crate::config::{CodecChoice, CompressorConfig, LosslessStage};
 use crate::container::{
@@ -80,11 +80,10 @@ use crate::report::CompressionReport;
 use rq_grid::{slab_chunks, ChunkSpec, NdArray, Scalar, Shape};
 use rq_predict::PredictorKind;
 use rq_quant::{ErrorBoundMode, LinearQuantizer};
-use std::collections::BTreeMap;
 use std::io::{Read, Seek, Write};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Per-chunk encode core
@@ -159,7 +158,8 @@ impl SlabEncoder {
             .enumerate()
             .map(|(i, c)| (c, plan.map_or(self.abs_eb, |p| p[i])))
             .collect();
-        run_on_workers(items, self.threads, |(c, eb)| -> Result<EncodedChunk, CompressError> {
+        let mut encoded = Vec::with_capacity(items.len());
+        let encode = |(c, eb): (ChunkSpec, f64)| -> Result<EncodedChunk, CompressError> {
             let sz = SzChunkCodec::new(
                 self.predictor,
                 LinearQuantizer::new(eb, self.radius),
@@ -203,7 +203,12 @@ impl SlabEncoder {
                 (ChunkCodecKind::Rolz, None) => ChunkCodec::<T>::encode(&rolz, slab, c.shape)?,
             };
             Ok(EncodedChunk { rows: c.rows, codec: kind, blob, stats, eb })
-        })
+        };
+        run_in_order(items, self.threads, encode, |ec| {
+            encoded.push(ec);
+            Ok(())
+        })?;
+        Ok(encoded)
     }
 }
 
@@ -539,18 +544,18 @@ pub struct ReadStats {
 ///
 /// # Parallel decode
 ///
-/// [`Self::with_threads`] sets the decode worker count. Region reads
-/// ([`Self::read_all`], [`Self::read_rows`]) hand the workers statically
-/// assigned chunks, and each worker fetches its own blobs: a zero-copy
-/// window of an addressable source (a mapped file, an archive held in
-/// memory), or one seek+read under the source lock over a plain stream.
-/// Ordered streaming ([`Self::decompress_rows`],
-/// [`Self::decompress_to_writer`]) fetches on the calling thread, decodes
-/// on the workers and delivers in row order behind a window of
-/// `2 × threads` chunks, so peak memory stays `O(threads × chunk)` no
-/// matter how large the archive is. At one thread every path decodes
-/// inline on the caller. Results are byte-identical to the
-/// single-threaded decode.
+/// [`Self::with_threads`] sets the decode worker count. Every path runs
+/// on one pool whose workers claim chunks in row order as they free up,
+/// each fetching its own blobs: a zero-copy window of an addressable
+/// source (a mapped file, an archive held in memory), or one seek+read
+/// under the source lock over a plain stream. Region reads
+/// ([`Self::read_all`], [`Self::read_rows`]) decode straight into the
+/// output; ordered streaming ([`Self::decompress_rows`],
+/// [`Self::decompress_to_writer`]) decodes into recycled slabs delivered
+/// in row order, at most `2 × threads` chunks ahead, so peak memory stays
+/// `O(threads × chunk)`. At one thread every path decodes inline on the
+/// caller. Results, and the first error with the rows before it, are the
+/// single-threaded decode's.
 ///
 /// See the [module docs](self) for a complete write/read example.
 pub struct ArchiveReader<R: Read + Seek> {
@@ -613,9 +618,9 @@ impl<R: Read + Seek> ArchiveReader<R> {
 
     /// Set the decode worker-thread count (`0` = one per available CPU,
     /// `1` = decode serially on the calling thread, whatever the source).
-    /// Region reads split their chunks statically across the workers;
-    /// ordered streaming keeps at most `2 × threads` chunks in flight.
-    /// Decoded output is byte-identical at every thread count.
+    /// The workers claim chunks as they free up, at most `2 × threads`
+    /// ahead of the chunk the caller delivers next. Decoded output is
+    /// byte-identical at every thread count.
     ///
     /// The pool is clamped to `available_parallelism`: on a machine with
     /// fewer cores than `threads`, extra workers only add dispatch and
@@ -630,10 +635,9 @@ impl<R: Read + Seek> ArchiveReader<R> {
 
     /// [`Self::with_threads`] without the `available_parallelism` clamp:
     /// exactly `threads` workers (`0` is treated as `1`), even beyond the
-    /// core count, and an ordered window of `2 × threads` chunks. Decoded
-    /// bytes are identical either way; this exists so tests and
-    /// benchmarks can exercise the pool's reorder/backpressure machinery
-    /// on machines with few cores.
+    /// core count, and a window of `2 × threads` chunks. Decoded bytes are
+    /// identical either way; this exists so tests and benchmarks can
+    /// exercise the pool's ordering and window on machines with few cores.
     pub fn with_threads_exact(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -694,9 +698,19 @@ impl<R: Read + Seek> ArchiveReader<R> {
         &mut self,
         chunk: usize,
     ) -> Result<(usize, NdArray<T>), DecompressError> {
-        self.engine().read_chunk(chunk).map(|(start, slab, _)| (start, slab))
+        self.engine().read_chunk(chunk, &SlabPool::new()).map(|(start, slab, _)| (start, slab))
     }
 
+    /// Convert this session into a shareable [`ConcurrentReader`] over
+    /// the same source, keeping the already-parsed layout (and the file
+    /// mapping, if any). Accumulated [`ReadStats`] carry over as the
+    /// aggregate baseline.
+    pub fn into_concurrent(self) -> ConcurrentReader<R> {
+        ConcurrentReader { shared: Arc::new(self.shared) }
+    }
+}
+
+impl<R: Read + Seek + Send> ArchiveReader<R> {
     /// Decode the axis-0 row range `rows` (non-empty, within the field),
     /// touching only the chunks that intersect it, on the decode pool.
     ///
@@ -705,29 +719,15 @@ impl<R: Read + Seek> ArchiveReader<R> {
     pub fn read_rows<T: Scalar>(
         &mut self,
         rows: Range<usize>,
-    ) -> Result<NdArray<T>, DecompressError>
-    where
-        R: Send,
-    {
+    ) -> Result<NdArray<T>, DecompressError> {
         let threads = self.threads;
-        let engine = self.engine();
-        let scratch = SlabPool::new();
-        plan_rows(&engine.layout.header, &engine.layout.entries, rows, |jobs| {
-            run_on_workers(jobs, threads, |(_, job)| engine.decode(job, &scratch)).map(drop)
-        })
+        self.engine().read_rows(rows, threads).map(|(out, _)| out)
     }
 
     /// Decode the whole field on the decode pool (memory: the output,
     /// plus a blob buffer per worker over a plain stream).
-    pub fn read_all<T: Scalar>(&mut self) -> Result<NdArray<T>, DecompressError>
-    where
-        R: Send,
-    {
-        let shape = self.header().shape;
-        self.read_rows(0..shape.dim(0)).map(|a| {
-            // Same element count and order; restore the full-field shape.
-            NdArray::from_vec(shape, a.into_vec())
-        })
+    pub fn read_all<T: Scalar>(&mut self) -> Result<NdArray<T>, DecompressError> {
+        self.read_rows(0..self.header().shape.dim(0))
     }
 
     /// Stream the whole field through `emit` as axis-0 slabs in row
@@ -736,18 +736,20 @@ impl<R: Read + Seek> ArchiveReader<R> {
     /// resident: peak memory is `O(threads × chunk)`.
     ///
     /// `emit` receives each chunk's decoded elements exactly once, in row
-    /// order; an error from `emit` aborts the decode.
+    /// order. The first failing chunk or `emit` call ends the decode with
+    /// its error, every chunk before it emitted, at every thread count.
     pub fn decompress_rows<T: Scalar>(
         &mut self,
         mut emit: impl FnMut(&[T]) -> std::io::Result<()>,
-    ) -> Result<(), DecompressError>
-    where
-        R: Send,
-    {
-        check_scalar_tag::<T>(self.header())?;
-        let threads = self.threads;
-        run_ordered_jobs::<T, R>(&self.engine(), threads, &mut |slab| {
-            emit(slab).map_err(DecompressError::Io)
+    ) -> Result<(), DecompressError> {
+        let (threads, slabs) = (self.threads, SlabPool::<T>::new());
+        let engine = self.engine();
+        let chunks = (0..engine.layout.entries.len()).collect();
+        let decode = |chunk| engine.read_chunk(chunk, &slabs).map(|(_, slab, _)| slab.into_vec());
+        run_in_order(chunks, threads, decode, |slab| {
+            let emitted = emit(&slab).map_err(DecompressError::Io);
+            slabs.put(slab);
+            emitted
         })
     }
 
@@ -758,10 +760,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
     pub fn decompress_to_writer<T: Scalar, W: Write>(
         &mut self,
         sink: &mut W,
-    ) -> Result<u64, DecompressError>
-    where
-        R: Send,
-    {
+    ) -> Result<u64, DecompressError> {
         let mut values = 0u64;
         let mut buf: Vec<u8> = Vec::new();
         self.decompress_rows::<T>(|slab| {
@@ -774,14 +773,6 @@ impl<R: Read + Seek> ArchiveReader<R> {
             sink.write_all(&buf)
         })?;
         Ok(values)
-    }
-
-    /// Convert this session into a shareable [`ConcurrentReader`] over
-    /// the same source, keeping the already-parsed layout (and the file
-    /// mapping, if any). Accumulated [`ReadStats`] carry over as the
-    /// aggregate baseline.
-    pub fn into_concurrent(self) -> ConcurrentReader<R> {
-        ConcurrentReader { shared: Arc::new(self.shared) }
     }
 }
 
@@ -968,22 +959,9 @@ struct Engine<'e, R> {
 }
 
 impl<R: Read + Seek> Engine<'_, R> {
-    /// Count one decoded chunk in the aggregate; returns it as a request's
-    /// counters.
-    fn count(&self, entry: ChunkEntry, copied: bool) -> ReadStats {
-        self.counters.chunks_decoded.fetch_add(1, Ordering::Relaxed);
-        self.counters.blob_bytes_read.fetch_add(entry.len as u64, Ordering::Relaxed);
-        self.counters.reorder_copies.fetch_add(copied as u64, Ordering::Relaxed);
-        ReadStats {
-            chunks_total: self.layout.entries.len(),
-            chunks_decoded: 1,
-            blob_bytes_read: entry.len as u64,
-            reorder_copies: copied as u64,
-        }
-    }
-
-    /// The unit of work of every schedule: fetch one job's blob, decode
-    /// it into the job's destination, count it.
+    /// The unit of work of every read: fetch one job's blob, decode it
+    /// into the job's destination, count it in the aggregate; returns it
+    /// as a request's counters.
     fn decode<T: Scalar>(
         &self,
         job: SliceJob<'_, T>,
@@ -991,15 +969,20 @@ impl<R: Read + Seek> Engine<'_, R> {
     ) -> Result<ReadStats, DecompressError> {
         let entry = job.entry;
         let blob = self.fetcher.fetch(entry)?;
-        let copied = decode_slice_job(&self.layout.header, &blob, job, scratch)?;
-        Ok(self.count(entry, copied))
+        let copied = decode_slice_job(&self.layout.header, &blob, job, scratch)? as u64;
+        self.counters.chunks_decoded.fetch_add(1, Ordering::Relaxed);
+        self.counters.blob_bytes_read.fetch_add(entry.len as u64, Ordering::Relaxed);
+        self.counters.reorder_copies.fetch_add(copied, Ordering::Relaxed);
+        let (chunks_total, blob_bytes_read) = (self.layout.entries.len(), entry.len as u64);
+        Ok(ReadStats { chunks_total, chunks_decoded: 1, blob_bytes_read, reorder_copies: copied })
     }
 
-    /// Chunk `chunk` decoded whole on the calling thread: its first row,
+    /// Chunk `chunk` decoded whole into a slab of `slabs`: its first row,
     /// the slab, and this request's counters.
     fn read_chunk<T: Scalar>(
         &self,
         chunk: usize,
+        slabs: &SlabPool<T>,
     ) -> Result<(usize, NdArray<T>, ReadStats), DecompressError> {
         let header = &self.layout.header;
         check_scalar_tag::<T>(header)?;
@@ -1010,10 +993,36 @@ impl<R: Read + Seek> Engine<'_, R> {
             });
         };
         let cshape = header.shape.with_rows(entry.rows);
-        let mut out = vec![T::zero(); cshape.len()];
+        let mut out = slabs.get(cshape.len());
         let job = SliceJob { entry, cshape, take: 0..cshape.len(), dst: &mut out };
-        let stats = self.decode(job, &SlabPool::new())?;
+        let stats = self.decode(job, slabs)?;
         Ok((entry.start_row, NdArray::from_vec(cshape, out), stats))
+    }
+
+    /// The region read of both readers: `rows`, each intersecting chunk
+    /// decoded on the pool straight into the output, and their counters.
+    fn read_rows<T: Scalar>(
+        &self,
+        rows: Range<usize>,
+        threads: usize,
+    ) -> Result<(NdArray<T>, ReadStats), DecompressError>
+    where
+        R: Send,
+    {
+        let mut req = ReadStats { chunks_total: self.layout.entries.len(), ..ReadStats::default() };
+        // One scratch pool per request: a range crops at most its two
+        // boundary chunks, and they share the same recycled slab.
+        let scratch = SlabPool::new();
+        let out = plan_rows(&self.layout.header, &self.layout.entries, rows, |jobs| {
+            let decode = |(_, job)| self.decode(job, &scratch);
+            run_in_order(jobs, threads, decode, |run: ReadStats| {
+                req.chunks_decoded += run.chunks_decoded;
+                req.blob_bytes_read += run.blob_bytes_read;
+                req.reorder_copies += run.reorder_copies;
+                Ok(())
+            })
+        })?;
+        Ok((out, req))
     }
 }
 
@@ -1053,168 +1062,6 @@ fn plan_rows<T: Scalar>(
     }
     decode(jobs)?;
     Ok(NdArray::from_vec(shape.with_rows(rows.len()), out))
-}
-
-/// The ordered schedule: every chunk, whole, handed to `emit` in row
-/// order. At one thread, or with one chunk, every source decodes inline
-/// on the caller. Otherwise the caller fetches blobs in offset order and
-/// dispatches them to `threads` scoped workers, which decode into
-/// recycled slabs; the caller reorders completions by sequence number
-/// and hands each slab to `emit` in row order (slabs return to the pool
-/// right after `emit`, so the common in-order arrival recycles the same
-/// couple of slabs for the whole run). A chunk counts against the window
-/// of `2 × threads` from fetch until its slab is emitted, so
-/// out-of-order completions can never pile up more than a window of
-/// decoded slabs.
-fn run_ordered_jobs<T: Scalar, R: Read + Seek + Send>(
-    engine: &Engine<'_, R>,
-    threads: usize,
-    emit: &mut dyn FnMut(&[T]) -> Result<(), DecompressError>,
-) -> Result<(), DecompressError> {
-    let (header, entries) = (&engine.layout.header, &engine.layout.entries);
-    let slabs = SlabPool::<T>::new();
-    if threads <= 1 || entries.len() <= 1 {
-        for &entry in entries {
-            let cshape = header.shape.with_rows(entry.rows);
-            let mut slab = slabs.get(cshape.len());
-            let job = SliceJob { entry, cshape, take: 0..cshape.len(), dst: &mut slab };
-            let delivered = engine.decode(job, &slabs).and_then(|_| emit(&slab));
-            slabs.put(slab);
-            delivered?;
-        }
-        return Ok(());
-    }
-    let window = 2 * threads;
-    let (work_tx, work_rx) = mpsc::sync_channel::<(usize, ChunkEntry, Blob<'_>)>(window);
-    let work_rx = Mutex::new(work_rx);
-    let (done_tx, done_rx) = mpsc::channel::<(usize, Result<Vec<T>, DecompressError>)>();
-    let abort = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(entries.len()) {
-            let done_tx = done_tx.clone();
-            let (work_rx, slabs, abort) = (&work_rx, &slabs, &abort);
-            scope.spawn(move || loop {
-                // Hold the lock only for the dequeue; decode unlocked.
-                let next = {
-                    let rx = work_rx.lock().unwrap_or_else(|p| p.into_inner());
-                    rx.recv()
-                };
-                let Ok((seq, entry, blob)) = next else { break };
-                let cshape = header.shape.with_rows(entry.rows);
-                let mut slab = slabs.get(cshape.len());
-                let decoded = decode_entry_blob(&blob, header, entry, cshape, &mut slab);
-                drop(blob); // recycle the buffer before signaling
-                let r = decoded.map(|()| {
-                    engine.count(entry, false);
-                    slab
-                });
-                if r.is_err() {
-                    abort.store(true, Ordering::Relaxed);
-                }
-                if done_tx.send((seq, r)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(done_tx);
-        // `sent` jobs dispatched, `done` completions received, `retired`
-        // slabs emitted/recycled/failed. `sent - retired` is the
-        // fetch→emit credit the window bounds; because `retired ≤ done`,
-        // the work channel can never block the driver mid-send.
-        let (mut sent, mut done, mut retired) = (0usize, 0usize, 0usize);
-        let mut next_emit = 0usize;
-        let mut pending: BTreeMap<usize, Vec<T>> = BTreeMap::new();
-        let mut err: Option<DecompressError> = None;
-        // Receive one completion; emit (and recycle) every slab that
-        // became consecutive. Returns false if the pool disconnected.
-        let receive_one = |err: &mut Option<DecompressError>,
-                               pending: &mut BTreeMap<usize, Vec<T>>,
-                               next_emit: &mut usize,
-                               done: &mut usize,
-                               retired: &mut usize,
-                               emit: &mut dyn FnMut(&[T]) -> Result<(), DecompressError>|
-         -> bool {
-            match done_rx.recv() {
-                Ok((seq, Ok(slab))) => {
-                    *done += 1;
-                    if err.is_some() {
-                        // Already failing: recycle without delivering.
-                        slabs.put(slab);
-                        *retired += 1;
-                        return true;
-                    }
-                    pending.insert(seq, slab);
-                    loop {
-                        let key = *next_emit;
-                        let Some(slab) = pending.remove(&key) else { break };
-                        let delivered = emit(&slab);
-                        slabs.put(slab);
-                        *retired += 1;
-                        *next_emit += 1;
-                        if let Err(e) = delivered {
-                            *err = Some(e);
-                            break;
-                        }
-                    }
-                    true
-                }
-                Ok((_, Err(e))) => {
-                    *done += 1;
-                    *retired += 1;
-                    if err.is_none() {
-                        *err = Some(e);
-                    }
-                    true
-                }
-                // All workers exited; only reachable once every
-                // dispatched job's completion was already received.
-                Err(_) => false,
-            }
-        };
-        'dispatch: for (seq, &entry) in entries.iter().enumerate() {
-            while err.is_none() && sent - retired >= window {
-                if !receive_one(
-                    &mut err,
-                    &mut pending,
-                    &mut next_emit,
-                    &mut done,
-                    &mut retired,
-                    emit,
-                ) {
-                    break 'dispatch;
-                }
-            }
-            if err.is_some() || abort.load(Ordering::Relaxed) {
-                break;
-            }
-            match engine.fetcher.fetch(entry) {
-                Ok(blob) => {
-                    if work_tx.send((seq, entry, blob)).is_err() {
-                        break;
-                    }
-                    sent += 1;
-                }
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Closing the work channel lets every worker drain and exit;
-        // their remaining completions are collected (and recycled or
-        // emitted) here.
-        drop(work_tx);
-        while done < sent {
-            if !receive_one(&mut err, &mut pending, &mut next_emit, &mut done, &mut retired, emit)
-            {
-                break;
-            }
-        }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1319,9 +1166,12 @@ impl<R: Read + Seek> ConcurrentReader<R> {
         &self,
         chunk: usize,
     ) -> Result<(usize, NdArray<T>, ReadStats), DecompressError> {
-        self.shared.engine().read_chunk(chunk)
+        self.shared.engine().read_chunk(chunk, &SlabPool::new())
     }
 
+}
+
+impl<R: Read + Seek + Send> ConcurrentReader<R> {
     /// Decode the axis-0 row range `rows`, touching only intersecting
     /// chunks; see [`Self::read_rows_with_stats`] for the per-request
     /// counters.
@@ -1336,28 +1186,13 @@ impl<R: Read + Seek> ConcurrentReader<R> {
         &self,
         rows: Range<usize>,
     ) -> Result<(NdArray<T>, ReadStats), DecompressError> {
-        let engine = self.shared.engine();
-        let mut req = ReadStats { chunks_total: self.n_chunks(), ..ReadStats::default() };
-        // One scratch pool per request: a range crops at most its two
-        // boundary chunks, and they share the same recycled slab.
-        let scratch = SlabPool::new();
-        let out = plan_rows(&engine.layout.header, &engine.layout.entries, rows, |jobs| {
-            for (_, job) in jobs {
-                let run = engine.decode(job, &scratch)?;
-                req.chunks_decoded += run.chunks_decoded;
-                req.blob_bytes_read += run.blob_bytes_read;
-                req.reorder_copies += run.reorder_copies;
-            }
-            Ok(())
-        })?;
-        Ok((out, req))
+        // One thread: a request decodes on its calling thread.
+        self.shared.engine().read_rows(rows, 1)
     }
 
     /// Decode the whole field (one request).
     pub fn read_all<T: Scalar>(&self) -> Result<NdArray<T>, DecompressError> {
-        let shape = self.header().shape;
-        self.read_rows::<T>(0..shape.dim(0))
-            .map(|a| NdArray::from_vec(shape, a.into_vec()))
+        self.read_rows::<T>(0..self.header().shape.dim(0))
     }
 }
 

@@ -279,6 +279,42 @@ fn more_chunks_than_the_window_preserve_order() {
 }
 
 #[test]
+fn failing_chunks_give_the_same_error_and_prefix_at_every_thread_count() {
+    // 32 one-row chunks, some of whose blobs are overwritten with 0xFF. The
+    // first failing chunk in row order decides: at every thread count
+    // `decompress_to_writer` writes exactly the chunks before it and returns
+    // its error, and `read_all` returns the same error.
+    let field = mixed_field(Shape::d3(32, 6, 5));
+    let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3)).chunked(1);
+    let bytes = streamed(&field, &cfg, None);
+    let mut pristine = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+    let entries = pristine.entries().to_vec();
+    assert_eq!(entries.len(), 32);
+    let reference = le_bytes(pristine.read_all::<f32>().unwrap().as_slice());
+    let chunk_bytes = reference.len() / 32;
+    for bad in [&[0][..], &[5], &[31], &[3, 4], &[5, 20], &[9, 30]] {
+        let mut m = bytes.clone();
+        for &k in bad {
+            m[entries[k].offset..entries[k].offset + entries[k].len].fill(0xFF);
+        }
+        let prefix = &reference[..bad[0] * chunk_bytes];
+        let mut want: Option<String> = None;
+        for threads in [1usize, 2, 4, 8] {
+            let open =
+                || ArchiveReader::open(Cursor::new(&m[..])).unwrap().with_threads_exact(threads);
+            let mut sink = Vec::new();
+            let err = open().decompress_to_writer::<f32, _>(&mut sink).unwrap_err().to_string();
+            let written = sink.len();
+            assert!(sink == prefix, "chunks {bad:?} threads={threads}: {written} bytes written");
+            let want = want.get_or_insert_with(|| err.clone());
+            assert_eq!(&err, want, "chunks {bad:?} threads={threads}: decompress_to_writer");
+            let err = open().read_all::<f32>().map(drop).unwrap_err().to_string();
+            assert_eq!(&err, want, "chunks {bad:?} threads={threads}: read_all");
+        }
+    }
+}
+
+#[test]
 fn parallel_reader_stats_count_every_chunk_once() {
     let field = mixed_field(Shape::d2(24, 10));
     let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3)).chunked(6);

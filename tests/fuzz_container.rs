@@ -416,9 +416,9 @@ fn archive_reader_never_panics_on_mutations() {
                 }
             }
             // threads=1 decodes inline on the caller, threads=4 runs the
-            // static slice workers (each fetching its own blobs under the
-            // source lock) and the ordered pool, whose window of 8 chunks
-            // corrupt blobs hit mid-backpressure.
+            // one worker pool: each worker fetches its own blobs under the
+            // source lock, and corrupt blobs hit its window of 8 chunks
+            // mid-backpressure.
             let threads = if case % 2 == 0 { 1 } else { 4 };
             if let Ok(r) = rqm::compress_crate::ArchiveReader::open(Cursor::new(&m[..])) {
                 let mut r = r.with_threads_exact(threads);
@@ -498,7 +498,7 @@ fn parallel_decode_corruptions_error_at_every_thread_count() {
             m[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
             cases.push((format!("{name} NaN per-chunk eb"), m));
         }
-        // 1 = inline on the caller, 4 = the ordered pool.
+        // 1 = inline on the caller, 4 = the worker pool.
         for (case, mutated) in cases {
             for threads in [1usize, 4] {
                 assert!(
@@ -520,11 +520,7 @@ fn parallel_decode_corruptions_error_at_every_thread_count() {
             }
             let serial = try_streaming(&m, 1);
             let parallel = try_streaming(&m, 4);
-            assert_eq!(
-                serial.is_ok(),
-                parallel.is_ok(),
-                "{name} at byte {pos}: accept/reject differs across thread counts"
-            );
+            assert_eq!(serial, parallel, "{name} at byte {pos}: results differ across threads");
         }
     }
 }
