@@ -10,7 +10,10 @@
 # its backends archive_auto, the chunk kernel and the model insitu_dump, the
 # transport serve_hot, the catalog serve_steps. The worker pool (chunked.rs)
 # schedules the writer and the reader, so it moves posthoc_read and also
-# archive_auto, whose chunks differ in cost by codec. A change anywhere else
+# archive_auto, whose chunks differ in cost by codec. The lossless stage
+# (crates/encoding/src/{lossless,lzss,rle}.rs) runs on every SZ chunk and every
+# catalog segment, so it moves posthoc_read, insitu_dump and serve_steps, where
+# chunks keep it most often. A change anywhere else
 # under crates/ gets archive_auto, the run CI made before this script; a change
 # outside crates/ gets no paired run, and nothing is printed. Workloads come
 # out in BENCHMARK.json's order, each once. Run from the root of a checkout.
@@ -26,6 +29,8 @@ workload_of() {
         crates/compress/src/stream.rs | crates/compress/src/pool.rs | \
             crates/compress/src/mmap.rs | crates/compress/src/container.rs) echo posthoc_read ;;
         crates/compress/src/scheduler.rs | crates/compress/src/rolz.rs | crates/zfp/*) echo archive_auto ;;
+        crates/encoding/src/lossless.rs | crates/encoding/src/lzss.rs | \
+            crates/encoding/src/rle.rs) echo posthoc_read insitu_dump serve_steps ;;
         crates/core/* | crates/predict/* | crates/quant/* | crates/encoding/* | \
             crates/compress/src/pipeline.rs | crates/compress/src/codec.rs | \
             crates/compress/src/kernels.rs) echo insitu_dump ;;
@@ -77,6 +82,10 @@ check "--workload archive_auto" crates/compress/src/scheduler.rs crates/zfp/src/
 # The worker pool: the writer's and the reader's workloads both.
 check "--workload archive_auto --workload posthoc_read" crates/compress/src/chunked.rs
 check "--workload insitu_dump" crates/core/src/model.rs crates/compress/src/kernels.rs
+# The lossless stage: every SZ chunk and every catalog segment; the rest of the
+# entropy crate stays on the chunk kernel's workload.
+check "--workload insitu_dump --workload posthoc_read --workload serve_steps" \
+    crates/encoding/src/lzss.rs crates/encoding/src/huffman.rs
 check "--workload serve_hot" crates/serve/src/server.rs
 check "--workload archive_auto" crates/datagen/src/fields.rs crates/cli/src/main.rs
 check "--workload insitu_dump --workload archive_auto --workload posthoc_read --workload serve_hot --workload serve_steps" \

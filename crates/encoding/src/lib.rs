@@ -11,8 +11,10 @@
 //! * [`rle`] — run-length coding of the dominant (zero) symbol, the
 //!   mechanism the paper models in Eq. 4–8,
 //! * [`lzss`] — an LZ77-family dictionary coder with hash-chain match
-//!   search; combined with the zero-RLE pass it stands in for Zstandard
-//!   (see DESIGN.md §4 for why this substitution preserves behaviour).
+//!   search, and an exact one-pass bound that says when its output cannot
+//!   be smaller than its input; combined with the zero-RLE pass it stands
+//!   in for Zstandard (see DESIGN.md §4 for why this substitution preserves
+//!   behaviour).
 //!
 //! ## Paper-section map
 //!

@@ -7,8 +7,13 @@
 //! records which passes were applied so decompression is self-describing,
 //! and each pass is only kept when it actually shrank the data — mirroring
 //! the "optional" nature of the stage.
+//!
+//! LZSS, the costly pass, only runs when [`cannot_shrink`] has not proved
+//! that its output would be larger than its input: a skipped pass is one
+//! whose output would have been discarded, so the bytes are those of always
+//! running it.
 
-use crate::lzss::{lzss_compress, lzss_decompress_bounded};
+use crate::lzss::{cannot_shrink, lzss_compress, lzss_decompress_bounded};
 use crate::rle::{rle_compress, rle_decompress_bounded};
 
 const FLAG_RLE: u8 = 0b01;
@@ -31,10 +36,12 @@ pub fn lossless_compress(input: &[u8]) -> Vec<u8> {
         cur = input.to_vec();
     }
 
-    let lz = lzss_compress(&cur);
-    if lz.len() < cur.len() {
-        flags |= FLAG_LZSS;
-        cur = lz;
+    if !cannot_shrink(&cur) {
+        let lz = lzss_compress(&cur);
+        if lz.len() < cur.len() {
+            flags |= FLAG_LZSS;
+            cur = lz;
+        }
     }
 
     let mut out = Vec::with_capacity(cur.len() + 1);

@@ -9,6 +9,12 @@
 //! * `1` + 8 bits        → literal byte
 //! * `0` + 16-bit offset + 8-bit length → match of `length + MIN_MATCH`
 //!   bytes at distance `offset + 1` (up to 64 KiB window).
+//!
+//! Most inputs this coder sees (Huffman payloads) are close to random bytes,
+//! and on them the match search is the whole cost and its output is larger
+//! than its input. [`cannot_shrink`] proves that case from a one-pass 4-gram
+//! count, so a caller that keeps the output only when it is smaller can skip
+//! the search without changing a byte.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::bytescan::common_prefix;
@@ -25,6 +31,47 @@ const MAX_CHAIN: usize = 64;
 fn hash4(window: &[u8]) -> usize {
     let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// Whether [`lzss_compress`] is certain to return more bytes than `input`
+/// holds, decided by counting repeated 4-grams instead of searching matches.
+///
+/// Call a position *repeat* if the 4-gram starting there also starts at an
+/// earlier position, and let `R` count them. A match of length `len ≥ 4` at
+/// distance `d` covers `len − 3` repeat positions (its 4-grams recur `d`
+/// bytes back), and matches are disjoint, so with `M` matches covering `C`
+/// bytes, `S = Σ(len − 3) ≤ R`, `M ≤ S` and `C = S + 3M`. Literals cost 9
+/// bits and matches 25, so the token stream is
+/// `9(m − C) + 25M = 9m − 9S − 2M ≥ 9m − 11R` bits for an `m`-byte input,
+/// after a length varint of at least one byte. Hence `11·R ≤ m` gives an
+/// output of at least `1 + m` bytes, whatever parse the search finds.
+///
+/// `R` is over-counted, never under-counted, by a bitset of 4-gram hashes of
+/// every earlier position (a collision only adds a repeat, and the count
+/// ignores the 64 KiB window), so a `true` is never wrong. The bitset has
+/// 16 bits per input byte rounded up to a power of two (capped at 2³² bits)
+/// — between ¼ and ½ of the `prev` array [`lzss_compress`] allocates — which
+/// keeps false repeats under 1 in 16 positions; counting stops as soon as
+/// the count passes `m / 11`.
+pub fn cannot_shrink(input: &[u8]) -> bool {
+    let m = input.len() as u64;
+    let bits = (m * 16).next_power_of_two().clamp(64, 1 << 32);
+    let shift = 64 - bits.trailing_zeros();
+    let mut seen = vec![0u64; (bits / 64) as usize];
+    let mut repeats = 0u64;
+    for gram in input.windows(MIN_MATCH) {
+        let v = u32::from_le_bytes([gram[0], gram[1], gram[2], gram[3]]) as u64;
+        let h = (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        let (word, bit) = (&mut seen[h / 64], 1u64 << (h % 64));
+        if *word & bit != 0 {
+            repeats += 1;
+            if 11 * repeats > m {
+                return false;
+            }
+        }
+        *word |= bit;
+    }
+    true
 }
 
 /// Compress `input`. Output starts with a varint of the original length.
@@ -164,9 +211,44 @@ pub fn lzss_decompress_bounded(input: &[u8], max_len: usize) -> Option<Vec<u8>> 
 mod tests {
     use super::*;
 
+    /// `cannot_shrink`'s promise, checked against the coder itself.
+    fn assert_sound(data: &[u8]) {
+        if cannot_shrink(data) {
+            assert!(lzss_compress(data).len() > data.len(), "unsound on {} bytes", data.len());
+        }
+    }
+
+    #[test]
+    fn cannot_shrink_short_and_random_inputs() {
+        for data in [&[][..], &[7], &[7, 7], &[7, 7, 7]] {
+            assert!(cannot_shrink(data), "{data:?}");
+            assert_sound(data);
+        }
+        let mut st = 0x2545_F491_4F6C_DD1Du64;
+        let random: Vec<u8> = (0..64 << 10)
+            .map(|_| {
+                st ^= st << 13;
+                st ^= st >> 7;
+                st ^= st << 17;
+                st as u8
+            })
+            .collect();
+        assert!(cannot_shrink(&random));
+        assert_sound(&random);
+    }
+
+    #[test]
+    fn could_shrink_runs_and_periods() {
+        for data in [vec![0u8; 4096], b"xyz".repeat(2000)] {
+            assert!(!cannot_shrink(&data));
+            assert!(lzss_compress(&data).len() < data.len());
+        }
+    }
+
     #[test]
     fn roundtrip_repetitive() {
         let data: Vec<u8> = b"abcabcabcabcabcabcabcabcxyz".repeat(100);
+        assert_sound(&data);
         let c = lzss_compress(&data);
         assert!(c.len() < data.len() / 3, "{} vs {}", c.len(), data.len());
         assert_eq!(lzss_decompress(&c).unwrap(), data);
@@ -177,6 +259,7 @@ mod tests {
         // Pseudo-random bytes: must still round-trip, may expand slightly.
         let data: Vec<u8> =
             (0..5000u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+        assert_sound(&data);
         let c = lzss_compress(&data);
         assert_eq!(lzss_decompress(&c).unwrap(), data);
     }
@@ -184,6 +267,7 @@ mod tests {
     #[test]
     fn roundtrip_empty_and_tiny() {
         for data in [vec![], vec![1u8], vec![1, 2, 3]] {
+            assert_sound(&data);
             let c = lzss_compress(&data);
             assert_eq!(lzss_decompress(&c).unwrap(), data);
         }
@@ -193,6 +277,7 @@ mod tests {
     fn overlapping_match() {
         // A single byte repeated: forces dist=1 self-overlapping matches.
         let data = vec![9u8; 10_000];
+        assert_sound(&data);
         let c = lzss_compress(&data);
         assert!(c.len() < 200);
         assert_eq!(lzss_decompress(&c).unwrap(), data);
@@ -222,6 +307,7 @@ mod tests {
         let mut data = vec![0u8; 1000];
         data.extend((0..50).map(|i| i as u8));
         data.extend(vec![0u8; 1000]);
+        assert_sound(&data);
         let c = lzss_compress(&data);
         assert_eq!(lzss_decompress(&c).unwrap(), data);
     }

@@ -10,7 +10,8 @@
 //!   lossless stage) is run against its frozen scalar copy
 //!   (`frozen_kernels`) across skewed / uniform / adversarial inputs and
 //!   every buffer length in `0..=65` (the range that covers all 64-bit
-//!   refill boundary cases);
+//!   refill boundary cases), and the combined stage again on 4 KiB – 1 MiB
+//!   inputs on both sides of the bound that lets it skip LZSS;
 //! * the order-1 Lorenzo traversal is compared reconstruction-for-
 //!   reconstruction (exact `f64` bits) against the generic stencil walk
 //!   over 1-D..4-D shapes;
@@ -212,6 +213,93 @@ fn lossless_stage_matches_reference() {
             }
         }
     }
+}
+
+/// Inputs of 4 KiB – 1 MiB on both sides of `lzss::cannot_shrink`'s bound:
+/// random bytes, Huffman payloads of i.i.d. geometric symbols at 1–8
+/// bits/symbol, and random bytes with 32-byte spans copied from up to 4 KiB
+/// back, whose repeated 4-grams cover from about 1 % to 22 % of the input
+/// (the bound sits at 1/11 ≈ 9 %).
+fn bound_streams() -> Vec<(String, Vec<u8>)> {
+    let mut st = 0xB00D_5EEDu64;
+    let mut random = |n: usize| -> Vec<u8> { (0..n).map(|_| xorshift(&mut st) as u8).collect() };
+    let mut out: Vec<(String, Vec<u8>)> = [4 << 10, 64 << 10, 1 << 20]
+        .into_iter()
+        .map(|n| (format!("random {n}"), random(n)))
+        .collect();
+    // Success probabilities whose geometric entropy is 1, 2, …, 8 bits.
+    let ps = [0.7729, 0.5, 0.2893, 0.1564, 0.0815, 0.0416, 0.021, 0.0106];
+    let mut st = 0x6_E03E_741Cu64;
+    for (bits, p) in (1..).zip(ps) {
+        // About 8 KiB of payload each; 320 KiB at 5 bits/symbol, the rate of
+        // the benchmark's 39 MB Lorenzo archive, whose payloads must skip LZSS.
+        let n = if bits == 5 { 1 << 19 } else { (8 << 13) / bits };
+        let q = (1.0f64 - p).ln();
+        let symbols: Vec<u32> = (0..n)
+            .map(|_| {
+                let u = (xorshift(&mut st) >> 11) as f64 / (1u64 << 53) as f64;
+                ((1.0 - u).ln() / q).min(2047.0) as u32
+            })
+            .collect();
+        let mut hist = vec![0u64; 2048];
+        for &s in &symbols {
+            hist[s as usize] += 1;
+        }
+        let codec = HuffmanCodec::from_counts(&hist).expect("histogram");
+        out.push((format!("geometric {bits} bits"), codec.encode(&symbols).expect("encode")));
+    }
+    let mut st = 0xC_09E5_9A45u64;
+    // A copy starts at a position with probability `per_10k` / 10 000.
+    for per_10k in [4, 8, 12, 16, 20, 25, 30, 45, 60, 90] {
+        let mut bytes: Vec<u8> = (0..8 << 10).map(|_| xorshift(&mut st) as u8).collect();
+        let mut at = 64;
+        while at + 64 <= bytes.len() {
+            if xorshift(&mut st) % 10_000 < per_10k {
+                let from = at - 1 - (xorshift(&mut st) % (at as u64 - 1).min(4000)) as usize;
+                bytes.copy_within(from..from + 32, at);
+                at += 32;
+            } else {
+                at += 1;
+            }
+        }
+        out.push((format!("copied spans {per_10k}/10k"), bytes));
+    }
+    out
+}
+
+#[test]
+fn lossless_stage_matches_reference_across_the_bound() {
+    let (mut skipped, mut searched) = (0, 0);
+    for (name, input) in bound_streams() {
+        let fast = lossless_compress(&input);
+        assert_eq!(fast, lossless_compress_ref(&input), "{name}");
+        assert_eq!(
+            lossless_decompress_bounded(&fast, input.len()).as_deref(),
+            Some(&input[..]),
+            "{name}"
+        );
+        let skip = lzss::cannot_shrink(&input);
+        if skip {
+            assert!(
+                lzss::lzss_compress(&input).len() > input.len(),
+                "{name}: the bound is unsound"
+            );
+            skipped += 1;
+        } else {
+            searched += 1;
+        }
+        assert!(skip || name != "geometric 5 bits", "{name}: a Huffman payload no longer skips LZSS");
+        if input.len() <= 64 << 10 {
+            for cut in 0..fast.len() {
+                assert_eq!(
+                    lossless_decompress_bounded(&fast[..cut], input.len()),
+                    lossless_decompress_bounded_ref(&fast[..cut], input.len()),
+                    "{name} cut {cut}"
+                );
+            }
+        }
+    }
+    assert!(skipped > 0 && searched > 0, "skipped {skipped}, searched {searched}");
 }
 
 // ---------------------------------------------------------------------------
