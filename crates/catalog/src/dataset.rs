@@ -6,21 +6,22 @@ use crate::format::DatasetEntry;
 use crate::reader::CatalogReader;
 use crate::subrange::SubRange;
 use rq_compress::{ChunkEntry, ChunkSource, ConcurrentReader, DecompressError, Header};
-use rq_grid::{Scalar, Shape};
+use rq_grid::Scalar;
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io::{Read, Seek};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A whole dataset exposed as one flattened, time-major [`ChunkSource`]:
 /// global chunk `step × chunks_per_step + c` is spatial chunk `c` of the
 /// *reconstructed* step `step`.
 ///
-/// Every step gets its own [`ConcurrentReader`] over a [`SubRange`] of
-/// one file handle the whole dataset shares, so a reader holds one open
-/// descriptor however many steps the catalog has; each step keeps its
-/// own cursor, and only the seek+read of a fetch takes the shared lock.
-/// [`ChunkSource::fetch_chunk`] is self-contained: it decodes the
+/// Built by [`DatasetReader::open`] from a [`CatalogReader`]'s parsed
+/// index: every step gets its own [`ConcurrentReader`] over a
+/// [`SubRange`] window of the catalog's one source, so any number of
+/// datasets and steps read through one open descriptor; each step keeps
+/// its own cursor, and only the seek+read of a fetch takes the source's
+/// lock. [`ChunkSource::fetch_chunk`] is self-contained: it decodes the
 /// nearest keyframe's chunk and applies
 /// the delta chain (at most `keyframe_every - 1` residual decodes),
 /// which makes the source safe to wrap in
@@ -30,7 +31,7 @@ use std::sync::{Arc, Mutex};
 /// Reconstruction uses the same element-wise rule as
 /// [`CatalogReader::read_step`], so both paths produce byte-identical
 /// values.
-pub struct DatasetReader<T: Scalar> {
+pub struct DatasetReader<T: Scalar, R: Read + Seek = File> {
     entry: DatasetEntry,
     /// Synthesized header: the per-step header with axis 0 stretched to
     /// `n_steps × step_rows` (the flattened time-major extent).
@@ -38,35 +39,34 @@ pub struct DatasetReader<T: Scalar> {
     /// Flattened chunk table: start rows in flattened coordinates, byte
     /// offsets catalog-absolute.
     entries: Vec<ChunkEntry>,
-    chunk_rows: usize,
-    chunks_per_step: usize,
-    step_rows: usize,
-    /// Nearest keyframe at or before each step.
-    keyframes: Vec<usize>,
-    steps: Vec<ConcurrentReader<SubRange<SharedFile>>>,
+    /// One reader per step; all share step 0's chunk partition.
+    steps: Vec<ConcurrentReader<SubRange<R>>>,
     _scalar: std::marker::PhantomData<fn() -> T>,
 }
 
 impl<T: Scalar> DatasetReader<T> {
     /// Open dataset `name` of the catalog at `path`.
     pub fn open_path(path: impl AsRef<Path>, name: &str) -> Result<Self, CatalogError> {
-        let path = path.as_ref();
-        let cat = CatalogReader::open_path(path)?;
+        Self::open(&CatalogReader::open_path(path)?, name)
+    }
+}
+
+impl<T: Scalar, R: Read + Seek> DatasetReader<T, R> {
+    /// Open dataset `name` of `cat` from its parsed index, reading
+    /// through windows of `cat`'s source (which the reader keeps open).
+    pub fn open(cat: &CatalogReader<R>, name: &str) -> Result<Self, CatalogError> {
         let entry = cat.dataset(name)?.clone();
-        drop(cat);
         if entry.scalar_tag != T::TAG {
             return Err(CatalogError::ScalarMismatch {
                 expected: entry.scalar_tag,
                 found: T::TAG,
             });
         }
-
-        let file = Arc::new(Mutex::new(File::open(path)?));
-        let mut steps = Vec::with_capacity(entry.steps.len());
-        for s in &entry.steps {
-            let handle = SharedFile { file: Arc::clone(&file), pos: 0 };
-            steps.push(ConcurrentReader::open(SubRange::new(handle, s.offset, s.len)?)?);
-        }
+        let steps = entry
+            .steps
+            .iter()
+            .map(|s| ConcurrentReader::open(cat.window(s)))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let step_rows = entry.shape.dim(0);
         let first = &steps[0];
@@ -76,10 +76,8 @@ impl<T: Scalar> DatasetReader<T> {
         if first.header().shape.dims() != entry.shape.dims() {
             return Err(CatalogError::Corrupt("segment shape differs from the index"));
         }
-        let chunk_rows = first.chunk_rows();
-        let chunks_per_step = first.n_chunks();
         for r in &steps {
-            if r.n_chunks() != chunks_per_step
+            if r.n_chunks() != first.n_chunks()
                 || r.header().shape.dims() != entry.shape.dims()
                 || r.entries()
                     .iter()
@@ -96,7 +94,7 @@ impl<T: Scalar> DatasetReader<T> {
         let mut header = first.header().clone();
         header.shape = entry.shape.with_rows(flat_rows);
 
-        let mut entries = Vec::with_capacity(chunks_per_step * entry.steps.len());
+        let mut entries = Vec::with_capacity(first.n_chunks() * entry.steps.len());
         for (t, (r, s)) in steps.iter().zip(&entry.steps).enumerate() {
             for e in r.entries() {
                 entries.push(ChunkEntry {
@@ -107,23 +105,10 @@ impl<T: Scalar> DatasetReader<T> {
             }
         }
 
-        let mut keyframes = Vec::with_capacity(entry.steps.len());
-        let mut last_kf = 0;
-        for (t, s) in entry.steps.iter().enumerate() {
-            if s.keyframe {
-                last_kf = t;
-            }
-            keyframes.push(last_kf);
-        }
-
         Ok(DatasetReader {
             entry,
             header,
             entries,
-            chunk_rows,
-            chunks_per_step,
-            step_rows,
-            keyframes,
             steps,
             _scalar: std::marker::PhantomData,
         })
@@ -141,17 +126,12 @@ impl<T: Scalar> DatasetReader<T> {
 
     /// Axis-0 rows of one step.
     pub fn step_rows(&self) -> usize {
-        self.step_rows
+        self.entry.shape.dim(0)
     }
 
     /// Spatial chunks per step.
     pub fn chunks_per_step(&self) -> usize {
-        self.chunks_per_step
-    }
-
-    /// The per-step field shape.
-    pub fn step_shape(&self) -> Shape {
-        self.entry.shape
+        self.steps[0].n_chunks()
     }
 
     /// Decode counters aggregated across every step's reader.
@@ -168,13 +148,13 @@ impl<T: Scalar> DatasetReader<T> {
     }
 }
 
-impl<T: Scalar> ChunkSource<T> for DatasetReader<T> {
+impl<T: Scalar, R: Read + Seek + Send> ChunkSource<T> for DatasetReader<T, R> {
     fn header(&self) -> &Header {
         &self.header
     }
 
     fn chunk_rows(&self) -> usize {
-        self.chunk_rows
+        self.steps[0].chunk_rows()
     }
 
     fn entries(&self) -> &[ChunkEntry] {
@@ -188,9 +168,11 @@ impl<T: Scalar> ChunkSource<T> for DatasetReader<T> {
                 available: self.entries.len(),
             });
         }
-        let step = idx / self.chunks_per_step;
-        let c = idx % self.chunks_per_step;
-        let kf = self.keyframes[step];
+        let (step, c) = (idx / self.chunks_per_step(), idx % self.chunks_per_step());
+        let kf = self
+            .entry
+            .keyframe_before(step)
+            .ok_or(DecompressError::Corrupt("no keyframe at or before the step"))?;
         let (_, key, _) = self.steps[kf].read_chunk::<T>(c)?;
         let mut cur = key.into_vec();
         for t in kf + 1..=step {
@@ -198,47 +180,5 @@ impl<T: Scalar> ChunkSource<T> for DatasetReader<T> {
             cur = add_residual(&cur, resid.as_slice());
         }
         Ok(cur.into())
-    }
-}
-
-/// One open file shared by every step of a [`DatasetReader`], read
-/// through a cursor of its own: a read seeks the file to this handle's
-/// position and reads, both under the shared lock.
-struct SharedFile {
-    file: Arc<Mutex<File>>,
-    pos: u64,
-}
-
-impl SharedFile {
-    /// A poisoned lock is taken as is: every use seeks before it reads,
-    /// so a file position left behind by a panic is never relied on.
-    fn lock(&self) -> std::sync::MutexGuard<'_, File> {
-        self.file.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-impl Read for SharedFile {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = {
-            let mut file = self.lock();
-            file.seek(SeekFrom::Start(self.pos))?;
-            file.read(buf)?
-        };
-        self.pos += n as u64;
-        Ok(n)
-    }
-}
-
-impl Seek for SharedFile {
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        self.pos = match pos {
-            SeekFrom::Start(at) => at,
-            relative => {
-                let mut file = self.lock();
-                file.seek(SeekFrom::Start(self.pos))?;
-                file.seek(relative)?
-            }
-        };
-        Ok(self.pos)
     }
 }

@@ -27,7 +27,7 @@
 //!     flags     u8   (bit 0 = keyframe; rest reserved, must be 0)
 //!     offset         (absolute byte offset of the segment)
 //!     len            (segment byte length)
-//!     codec     u8   (0 = SZ only, 1 = ZFP only, 2 = mixed)
+//!     codec     u8   (0 = SZ / ROLZ only, 1 = ZFP only, 2 = mixed)
 //!     eb        f64  (the user's absolute bound for this step)
 //! ```
 
@@ -62,11 +62,12 @@ pub fn is_catalog_magic(prefix: &[u8]) -> bool {
 /// per-chunk tags live inside the segment itself).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodecSummary {
-    /// Every chunk took the SZ prediction path.
+    /// Every chunk took a prediction path (SZ or ROLZ).
     Sz,
     /// Every chunk took the ZFP transform path.
     Zfp,
-    /// Both codecs appear in the segment.
+    /// Both a prediction path and the ZFP transform path appear in the
+    /// segment.
     Mixed,
 }
 

@@ -9,8 +9,10 @@
 //!   `(dataset, step)` as an embedded, byte-for-byte ordinary
 //!   single-field archive, behind a trailer index (see [`mod@format`]).
 //!   [`CatalogWriter`] streams segments out as they are encoded;
-//!   [`CatalogReader`] parses only the index on open and can hand any
-//!   segment back as a plain `ArchiveReader` over a [`SubRange`].
+//!   [`CatalogReader`] opens its source once, parses only the index, and
+//!   reads every segment through a [`SubRange`] window of that one
+//!   source — any segment comes back as a plain `ArchiveReader` over its
+//!   window.
 //! * **Time-delta coding** — step `t` stores residuals against the
 //!   *reconstructed* step `t-1`
 //!   ([`rq_predict::PredictorKind::TemporalDelta`]), with a keyframe
@@ -21,7 +23,10 @@
 //!
 //! [`DatasetReader`] flattens a dataset into one time-major
 //! [`rq_compress::ChunkSource`] for concurrent serving — the layout
-//! behind `rq-serve`'s `LIST_DATASETS` / `READ_STEP_ROWS` opcodes.
+//! behind `rq-serve`'s `LIST_DATASETS` / `READ_STEP_ROWS` opcodes. It
+//! is built from a [`CatalogReader`]'s parsed index
+//! ([`DatasetReader::open`]) and reads through windows of the same
+//! source, so every dataset of a catalog shares one open file.
 
 mod dataset;
 mod delta;

@@ -3,14 +3,15 @@
 use crate::delta::add_residual;
 use crate::error::CatalogError;
 use crate::format::{
-    parse_trailer, CatalogIndex, DatasetEntry, CATALOG_MAGIC, CATALOG_VERSION, PREAMBLE_LEN,
-    TRAILER_MAGIC, TRAILER_SUFFIX_LEN,
+    parse_trailer, CatalogIndex, DatasetEntry, StepEntry, CATALOG_MAGIC, CATALOG_VERSION,
+    PREAMBLE_LEN, TRAILER_MAGIC, TRAILER_SUFFIX_LEN,
 };
 use crate::subrange::SubRange;
 use rq_compress::{decompress, ArchiveReader};
 use rq_grid::{NdArray, Scalar};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
+use std::sync::{Arc, Mutex};
 
 /// Lazy-index reader over any `Read + Seek` source.
 ///
@@ -18,8 +19,13 @@ use std::io::{Read, Seek, SeekFrom};
 /// a step is actually read. Any `(dataset, step)` segment can be opened
 /// as a perfectly ordinary single-field archive via
 /// [`CatalogReader::open_step`] — a catalog is archives all the way down.
+///
+/// The source is opened once and shared: every segment is read through a
+/// [`SubRange`] window of it — [`Self::read_step`], [`Self::open_step`],
+/// and every [`DatasetReader`](crate::DatasetReader) built from this
+/// reader, which keeps the source open after the reader is dropped.
 pub struct CatalogReader<R: Read + Seek> {
-    src: R,
+    src: Arc<Mutex<R>>,
     index: CatalogIndex,
 }
 
@@ -65,7 +71,7 @@ impl<R: Read + Seek> CatalogReader<R> {
         let mut body = vec![0u8; body_len as usize];
         src.read_exact(&mut body)?;
         let index = parse_trailer(&body, data_end)?;
-        Ok(CatalogReader { src, index })
+        Ok(CatalogReader { src: Arc::new(Mutex::new(src)), index })
     }
 
     /// The parsed catalog index.
@@ -87,11 +93,7 @@ impl<R: Read + Seek> CatalogReader<R> {
         Ok(&self.index.datasets[i])
     }
 
-    fn step_entry(
-        &self,
-        name: &str,
-        step: usize,
-    ) -> Result<crate::format::StepEntry, CatalogError> {
+    fn step_entry(&self, name: &str, step: usize) -> Result<StepEntry, CatalogError> {
         let d = self.dataset(name)?;
         d.steps
             .get(step)
@@ -99,12 +101,16 @@ impl<R: Read + Seek> CatalogReader<R> {
             .ok_or(CatalogError::StepOutOfRange { step, n_steps: d.steps.len() })
     }
 
+    /// The window of the shared source that holds a step's segment.
+    pub(crate) fn window(&self, s: &StepEntry) -> SubRange<R> {
+        SubRange::new(Arc::clone(&self.src), s.offset, s.len)
+    }
+
     /// Raw bytes of one step's embedded archive segment.
     pub fn read_segment(&mut self, name: &str, step: usize) -> Result<Vec<u8>, CatalogError> {
         let s = self.step_entry(name, step)?;
-        self.src.seek(SeekFrom::Start(s.offset))?;
         let mut bytes = vec![0u8; s.len as usize];
-        self.src.read_exact(&mut bytes)?;
+        self.window(&s).read_exact(&mut bytes)?;
         Ok(bytes)
     }
 
@@ -116,10 +122,9 @@ impl<R: Read + Seek> CatalogReader<R> {
         &mut self,
         name: &str,
         step: usize,
-    ) -> Result<ArchiveReader<SubRange<&mut R>>, CatalogError> {
+    ) -> Result<ArchiveReader<SubRange<R>>, CatalogError> {
         let s = self.step_entry(name, step)?;
-        let sub = SubRange::new(&mut self.src, s.offset, s.len)?;
-        Ok(ArchiveReader::open(sub)?)
+        Ok(ArchiveReader::open(self.window(&s))?)
     }
 
     /// Decode the reconstructed field of `(dataset, step)`.

@@ -260,12 +260,6 @@ impl<W: Write, T: Scalar> DatasetWriter<'_, W, T> {
         Ok(())
     }
 
-    /// The reconstruction of the last written step (what a reader will
-    /// decode) — handy for measuring actual per-step error.
-    pub fn last_recon(&self) -> &[T] {
-        &self.recon
-    }
-
     /// Steps written so far.
     pub fn n_steps(&self) -> usize {
         self.t
@@ -281,12 +275,36 @@ impl<W: Write, T: Scalar> DatasetWriter<'_, W, T> {
     }
 }
 
+/// A segment's chunk codecs as the index summarizes them: ZFP is the
+/// transform path, every other codec (SZ, ROLZ) a prediction path.
 fn summarize_codecs(codecs: &[ChunkCodecKind]) -> CodecSummary {
-    let any_sz = codecs.contains(&ChunkCodecKind::Sz);
     let any_zfp = codecs.contains(&ChunkCodecKind::Zfp);
-    match (any_sz, any_zfp) {
+    let any_prediction = codecs.iter().any(|&c| c != ChunkCodecKind::Zfp);
+    match (any_prediction, any_zfp) {
         (true, true) => CodecSummary::Mixed,
         (false, true) => CodecSummary::Zfp,
         _ => CodecSummary::Sz,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ChunkCodecKind::{Rolz, Sz, Zfp};
+
+    #[test]
+    fn rolz_counts_as_a_prediction_path() {
+        let cases: [(&[ChunkCodecKind], CodecSummary); 7] = [
+            (&[Sz], CodecSummary::Sz),
+            (&[Rolz], CodecSummary::Sz),
+            (&[Sz, Rolz], CodecSummary::Sz),
+            (&[Zfp], CodecSummary::Zfp),
+            (&[Sz, Zfp], CodecSummary::Mixed),
+            (&[Rolz, Zfp], CodecSummary::Mixed),
+            (&[Sz, Rolz, Zfp], CodecSummary::Mixed),
+        ];
+        for (codecs, want) in cases {
+            assert_eq!(summarize_codecs(codecs), want, "{codecs:?}");
+        }
     }
 }

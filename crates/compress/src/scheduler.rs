@@ -166,24 +166,6 @@ pub fn estimate_sz_bits<T: Scalar>(
     sample.estimate(abs_eb, radius, T::BITS).bits_per_value
 }
 
-/// Measured bits/value of the ZFP path on probe blocks of a slab.
-pub fn estimate_zfp_bits<T: Scalar>(data: &[T], shape: Shape, abs_eb: f64) -> f64 {
-    probe(data, shape, &ZfpChunkCodec::new(abs_eb)).0
-}
-
-/// Measured bits/value of the ROLZ path on probe blocks of a slab
-/// (each block quantized, ROLZ-coded and entropy-coded for real — the
-/// dictionary stage's gain has no useful closed form).
-pub fn estimate_rolz_bits<T: Scalar>(
-    data: &[T],
-    shape: Shape,
-    predictor: PredictorKind,
-    abs_eb: f64,
-    radius: u32,
-) -> f64 {
-    probe(data, shape, &RolzChunkCodec::new(predictor, LinearQuantizer::new(abs_eb, radius))).0
-}
-
 /// Encode a slab's probe block(s) with `codec` for real and measure
 /// bits/value: the whole slab when it fits the budget — the probe then IS
 /// the slab's final encoding and is returned for reuse — otherwise the

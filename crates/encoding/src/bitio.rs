@@ -163,20 +163,6 @@ impl<'a> BitReader<'a> {
         self.acc >> (64 - n)
     }
 
-    /// Consume `n` bits the caller has already proven in-bounds:
-    /// `position() + n <= bit_len()` and `n` within the bits made visible
-    /// by the last [`Self::refill`]. Burst decode loops hoist the
-    /// end-of-stream check out of their safe region and commit with this;
-    /// everything else should use [`Self::try_consume`].
-    #[inline]
-    pub fn consume(&mut self, n: u32) {
-        debug_assert!(n <= self.bits);
-        debug_assert!(self.pos + n as u64 <= self.bit_len());
-        self.acc <<= n;
-        self.bits -= n;
-        self.pos += n as u64;
-    }
-
     /// Consume `n` bits if at least that many remain; `false` (and no
     /// state change) otherwise. `n` must not exceed the bits made visible
     /// by the last [`Self::refill`].

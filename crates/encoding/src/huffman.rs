@@ -274,80 +274,12 @@ impl HuffmanCodec {
         Ok(w.finish())
     }
 
-    /// Decode exactly `n` symbols from `bytes`.
-    ///
-    /// One table hit decodes any code of at most `TABLE_BITS` bits: peek
-    /// `table_bits` bits, load symbol + length from the flat table, commit
-    /// the length. Longer codes (zero-length entries) take the canonical
-    /// first-code fallback walk (`decode_long`).
-    ///
-    /// The hot loop decodes **bursts of symbols per refill**: while at
-    /// least 64 stream bits remain, one refill makes at least 56 bits
-    /// visible, and five table hits consume at most `5 × TABLE_BITS = 55`
-    /// of them — so each burst commits five symbols with the refill, the
-    /// end-of-stream check, and the budget bookkeeping all hoisted out of
-    /// the per-symbol path. The final symbols (and any stream too short
-    /// to guarantee a burst) run the fully checked per-symbol path, which
-    /// keeps accept/reject behavior identical to the reference decoder.
+    /// Decode exactly `n` symbols from `bytes`: the symbols of
+    /// [`Self::streaming_decoder`], collected — so this accepts and rejects
+    /// exactly the payloads the chunk decoders do.
     pub fn decode(&self, bytes: &[u8], n: usize) -> Result<Vec<u32>, HuffmanError> {
-        let mut r = BitReader::new(bytes);
-        let mut out = vec![0u32; n];
-        self.decode_into(&mut r, &mut out)?;
-        Ok(out)
-    }
-
-    /// Decode exactly `out.len()` symbols from `r`, continuing wherever a
-    /// previous call left the reader — the shared core of [`Self::decode`]
-    /// and [`StreamingDecoder`]. Chunking a stream across calls yields the
-    /// same symbols and the same per-position errors as one big call: the
-    /// burst/tail split depends only on the reader's remaining bits.
-    fn decode_into(&self, r: &mut BitReader, out: &mut [u32]) -> Result<(), HuffmanError> {
-        let n = out.len();
-        let tb = self.table_bits;
-        debug_assert!(tb <= TABLE_BITS, "5-symbol bursts rely on 5 * tb <= 56");
-        let table = self.table.as_slice();
-        let mut i = 0usize;
-        'bursts: while i + 5 <= n && r.remaining() >= 64 {
-            r.refill(); // >= 56 bits visible: covers all five table hits
-            for _ in 0..5 {
-                // SAFETY: `peek(tb) < 2^tb == table.len()` — `from_lengths`
-                // sizes the table as `1 << table_bits` and `peek` returns
-                // at most `table_bits` bits; `i + 5 <= n == out.len()` is
-                // the burst guard and at most five stores happen per burst
-                // (audited; covered by tests/kernel_differential.rs).
-                let entry = unsafe { *table.get_unchecked(r.peek(tb) as usize) };
-                let len = (entry >> 32) as u32;
-                if len == 0 {
-                    // Longer-than-table code (or corrupt prefix): decode
-                    // this one symbol on the fully checked path.
-                    r.refill();
-                    let s = self.decode_long(r)?;
-                    unsafe { *out.get_unchecked_mut(i) = s };
-                    i += 1;
-                    continue 'bursts;
-                }
-                // In bounds: five hits consume <= 5 * tb = 55 of the
-                // >= 64 remaining bits, each `len <= tb` of >= tb visible.
-                r.consume(len);
-                unsafe { *out.get_unchecked_mut(i) = entry as u32 };
-                i += 1;
-            }
-        }
-        while i < n {
-            r.refill();
-            let entry = self.table[r.peek(tb) as usize];
-            let len = (entry >> 32) as u32;
-            if len != 0 {
-                if !r.try_consume(len) {
-                    return Err(HuffmanError::Corrupt("truncated payload"));
-                }
-                out[i] = entry as u32;
-            } else {
-                out[i] = self.decode_long(r)?;
-            }
-            i += 1;
-        }
-        Ok(())
+        let mut symbols = self.streaming_decoder(bytes, n);
+        (0..n).map(|_| symbols.next_symbol()).collect()
     }
 
     /// Fallback for codes longer than the flat table (and for unassigned
@@ -467,12 +399,10 @@ impl HuffmanCodec {
 /// the table decode hides in the FP chain's stall slots instead of
 /// running as a separate serial pass over a symbol slab.
 ///
-/// Yields exactly the symbol sequence of [`HuffmanCodec::decode`] on the
-/// same payload, and fails on exactly the payloads it rejects (at the
-/// same symbol position — only the point in wall-clock time where the
-/// error surfaces moves). The per-symbol steps are literally the checked
-/// tail loop of [`HuffmanCodec::decode`], whose burst path is held
-/// equivalent to it by construction.
+/// One symbol is one table hit: peek `table_bits` bits, load symbol +
+/// length from the flat table, commit the length. Longer codes
+/// (zero-length entries) take the canonical first-code walk
+/// (`decode_long`). [`HuffmanCodec::decode`] is this decoder, collected.
 pub struct StreamingDecoder<'a> {
     codec: &'a HuffmanCodec,
     r: BitReader<'a>,
@@ -484,8 +414,7 @@ impl StreamingDecoder<'_> {
     /// The next symbol of the stream.
     ///
     /// # Errors
-    /// Where [`HuffmanCodec::decode`] would fail on this payload: a
-    /// truncated or corrupt code at this symbol's position — or asking
+    /// A truncated or corrupt code at this symbol's position — or asking
     /// for more symbols than the stream was opened with.
     #[inline]
     pub fn next_symbol(&mut self) -> Result<u32, HuffmanError> {
@@ -496,8 +425,7 @@ impl StreamingDecoder<'_> {
         self.r.refill();
         // SAFETY: `peek(tb) < 2^tb == table.len()` — `from_lengths` sizes
         // the table as `1 << table_bits` and `peek` returns at most
-        // `table_bits` bits (audited; covered by the streaming-vs-upfront
-        // equivalence test and tests/kernel_differential.rs).
+        // `table_bits` bits (audited; covered by tests/kernel_differential.rs).
         let entry =
             unsafe { *self.codec.table.get_unchecked(self.r.peek(self.codec.table_bits) as usize) };
         let len = (entry >> 32) as u32;
@@ -584,59 +512,6 @@ mod tests {
         assert_eq!(back, symbols);
         // Skewed stream must compress well below 8 bits/symbol.
         assert!((bytes.len() as f64) < symbols.len() as f64);
-    }
-
-    /// The streaming decoder must yield exactly the upfront decoder's
-    /// symbol sequence — across batch boundaries, long codes, and an
-    /// alphabet wide enough to exceed the flat table — and fail on
-    /// exactly the payloads (truncations) the upfront decoder rejects.
-    #[test]
-    fn streaming_decoder_matches_upfront() {
-        let mut st = 0xBEEF_CAFE_0123_4567u64;
-        let mut xs = move || {
-            st ^= st << 13;
-            st ^= st >> 7;
-            st ^= st << 17;
-            st
-        };
-        // Skewed stream over a big alphabet: short codes dominate, rare
-        // symbols get longer-than-table codes.
-        let alphabet = 1usize << 14;
-        let symbols: Vec<u32> = (0..20_000)
-            .map(|_| match xs() % 100 {
-                0..=84 => 100,
-                85..=94 => 99 + (xs() % 3) as u32,
-                _ => (xs() % alphabet as u64) as u32,
-            })
-            .collect();
-        let codec = HuffmanCodec::from_counts(&histogram(&symbols, alphabet)).unwrap();
-        let bytes = codec.encode(&symbols).unwrap();
-
-        for n in [0usize, 1, 4095, 4096, 4097, 20_000] {
-            let upfront = codec.decode(&bytes, n).unwrap();
-            let mut s = codec.streaming_decoder(&bytes, n);
-            for (i, &want) in upfront.iter().enumerate() {
-                assert_eq!(s.next_symbol().unwrap(), want, "n {n} sym {i}");
-            }
-            // Over-asking past the opened count is refused.
-            assert!(s.next_symbol().is_err(), "n {n}: over-ask succeeded");
-        }
-
-        // Truncations: accept/reject must agree with the upfront decoder
-        // at every cut (the error may just surface later in the drain).
-        for cut in [0usize, 1, bytes.len() / 2, bytes.len() - 1] {
-            let cut_bytes = &bytes[..cut];
-            let upfront_ok = codec.decode(cut_bytes, symbols.len()).is_ok();
-            let mut s = codec.streaming_decoder(cut_bytes, symbols.len());
-            let mut streamed_ok = true;
-            for _ in 0..symbols.len() {
-                if s.next_symbol().is_err() {
-                    streamed_ok = false;
-                    break;
-                }
-            }
-            assert_eq!(streamed_ok, upfront_ok, "cut {cut}");
-        }
     }
 
     #[test]

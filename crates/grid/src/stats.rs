@@ -43,11 +43,6 @@ impl Moments {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Merge two accumulators (parallel reduction).
     pub fn merge(&self, other: &Moments) -> Moments {
         if self.n == 0 {
@@ -154,69 +149,6 @@ pub fn covariance<T: Scalar>(a: &[T], b: &[T]) -> f64 {
     acc / a.len() as f64
 }
 
-/// A fixed-width histogram over `f64` samples, used to approximate
-/// prediction-error and quantization-code distributions.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    counts: Vec<u64>,
-    /// Samples falling outside `[lo, lo + width*bins)`.
-    pub outliers: u64,
-}
-
-impl Histogram {
-    /// A histogram of `bins` equal-width cells covering `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        assert!(hi > lo, "invalid range [{lo}, {hi})");
-        Histogram { lo, width: (hi - lo) / bins as f64, counts: vec![0; bins], outliers: 0 }
-    }
-
-    /// Insert a sample.
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        let rel = (x - self.lo) / self.width;
-        if rel < 0.0 || !rel.is_finite() {
-            self.outliers += 1;
-            return;
-        }
-        let b = rel as usize;
-        if b < self.counts.len() {
-            self.counts[b] += 1;
-        } else {
-            self.outliers += 1;
-        }
-    }
-
-    /// Bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total in-range samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        self.lo + (i as f64 + 0.5) * self.width
-    }
-
-    /// Normalized frequencies (empty if no samples).
-    pub fn frequencies(&self) -> Vec<f64> {
-        let t = self.total();
-        if t == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts.iter().map(|&c| c as f64 / t as f64).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,28 +243,5 @@ mod tests {
         let a: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let b: Vec<f64> = (0..100).map(|i| -(i as f64)).collect();
         assert!(covariance(&a, &b) < 0.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.6, 9.99, -0.1, 10.0, f64::NAN] {
-            h.push(x);
-        }
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[1], 2);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.outliers, 3);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    fn histogram_frequencies_sum_to_one() {
-        let mut h = Histogram::new(-1.0, 1.0, 4);
-        for i in 0..100 {
-            h.push(-1.0 + 2.0 * (i as f64 + 0.5) / 100.0);
-        }
-        let f: f64 = h.frequencies().iter().sum();
-        assert!((f - 1.0).abs() < 1e-12);
     }
 }

@@ -115,11 +115,6 @@ impl LorenzoStencil {
     }
 }
 
-/// Convenience: one-shot order-1 prediction.
-pub fn predict_order1(buf: &[f64], shape: Shape, idx: &[usize]) -> f64 {
-    LorenzoStencil::new(shape.ndim(), 1).predict(buf, shape, idx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

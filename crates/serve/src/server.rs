@@ -306,10 +306,11 @@ fn open_archive<R: Read + Seek + Send + 'static>(
 }
 
 /// Every dataset of the catalog at `path`, the cache budget split evenly
-/// across them.
+/// across them; all read through the one open of the file.
 fn open_catalog(path: &Path, cache_bytes: u64) -> io::Result<Vec<Box<dyn Dataset>>> {
     let unreadable = |e: CatalogError| invalid(format!("open catalog: {e}"));
-    let entries = CatalogReader::open_path(path).map_err(unreadable)?.datasets().to_vec();
+    let cat = CatalogReader::open_path(path).map_err(unreadable)?;
+    let entries = cat.datasets();
     if entries.is_empty() {
         return Err(invalid("catalog has no datasets"));
     }
@@ -318,7 +319,7 @@ fn open_catalog(path: &Path, cache_bytes: u64) -> io::Result<Vec<Box<dyn Dataset
         .iter()
         .map(|d| {
             with_scalar!(d.scalar_tag, T => {
-                let ds = DatasetReader::<T>::open_path(path, &d.name).map_err(unreadable)?;
+                let ds = DatasetReader::<T>::open(&cat, &d.name).map_err(unreadable)?;
                 Ok(Box::new(Served {
                     name: d.name.clone(),
                     step_dims: d.shape.dims().to_vec(),

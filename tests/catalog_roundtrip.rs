@@ -10,8 +10,9 @@
 //! is asserted once, at a size where it shows: residual coding must buy
 //! at least 1.3× over independent steps at the same bound.
 
-use rqm::catalog::{CatalogReader, CatalogWriter, DatasetReader};
-use rqm::compress_crate::ArchiveWriter;
+use rqm::catalog::{CatalogError, CatalogReader, CatalogWriter, DatasetReader};
+use rqm::compress_crate::{assemble_rows, ArchiveWriter, ChunkSource, DecompressError};
+use rqm::grid::Scalar;
 use rqm::prelude::*;
 use std::io::Cursor;
 
@@ -167,6 +168,83 @@ fn dataset_reader_matches_catalog_reader_exactly() {
         assert_eq!(got.as_slice().len(), DIMS[0] * row_elems);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The little-endian bytes of `values`: what "byte for byte" compares.
+fn le_bytes<T: Scalar>(values: &[T]) -> Vec<u8> {
+    let mut out = Vec::new();
+    values.iter().for_each(|&v| v.write_le(&mut out));
+    out
+}
+
+/// A catalog held in memory.
+type MemCatalog = CatalogReader<Cursor<Vec<u8>>>;
+
+/// Every step of `name` read through a [`DatasetReader`] built on `cat`
+/// equals `read_step` byte for byte, and so does every chunk it fetches;
+/// a chunk past the flat table is out of range.
+fn flat_view_matches_read_step<T: Scalar>(cat: &mut MemCatalog, name: &str, what: &str) {
+    let ds = DatasetReader::<T, _>::open(cat, name).unwrap();
+    let (rows, per_step) = (ds.step_rows(), ds.chunks_per_step());
+    for t in 0..ds.n_steps() {
+        let want = cat.read_step::<T>(name, t).unwrap();
+        let row_elems = want.len() / rows;
+        let got = assemble_rows(&ds, t * rows..(t + 1) * rows).unwrap();
+        assert_eq!(le_bytes(got.as_slice()), le_bytes(want.as_slice()), "{what} {name} t={t}");
+        for idx in t * per_step..(t + 1) * per_step {
+            let e = ds.entries()[idx];
+            let local = e.start_row - t * rows;
+            let slice = &want.as_slice()[local * row_elems..(local + e.rows) * row_elems];
+            let chunk = ds.fetch_chunk(idx).unwrap();
+            assert_eq!(le_bytes(&chunk), le_bytes(slice), "{what} {name} chunk {idx}");
+        }
+    }
+    let n = ds.entries().len();
+    assert!(
+        matches!(
+            ds.fetch_chunk(n),
+            Err(DecompressError::ChunkOutOfRange { requested, available })
+                if requested == n && available == n
+        ),
+        "{what} {name}: chunk {n} of {n}"
+    );
+}
+
+#[test]
+fn dataset_reader_over_memory_matches_read_step() {
+    // A DatasetReader needs no file: built on a catalog held in memory, it
+    // reads through windows of the same source as `read_step`, and the
+    // catalog reader stays usable beside it.
+    let (steps32, steps64) = sequences(5);
+    for keyframe_every in [1usize, 3] {
+        for chunked in [true, false] {
+            let what = format!("k={keyframe_every} chunked={chunked}");
+            let cfg = |predictor, eb| {
+                let cfg = CompressorConfig::new(predictor, ErrorBoundMode::Abs(eb));
+                if chunked {
+                    cfg.chunked(4)
+                } else {
+                    cfg
+                }
+            };
+            let mut w = CatalogWriter::create(Vec::new()).unwrap();
+            let cfg32 = cfg(PredictorKind::Lorenzo, EB32);
+            w.write_dataset("pressure", &cfg32, keyframe_every, &steps32).unwrap();
+            let cfg64 = cfg(PredictorKind::Interpolation, EB64);
+            w.write_dataset("energy", &cfg64, keyframe_every, &steps64).unwrap();
+            let mut cat = CatalogReader::open(Cursor::new(w.finalize().unwrap().sink)).unwrap();
+
+            flat_view_matches_read_step::<f32>(&mut cat, "pressure", &what);
+            flat_view_matches_read_step::<f64>(&mut cat, "energy", &what);
+            assert!(
+                matches!(
+                    DatasetReader::<f64, _>::open(&cat, "pressure"),
+                    Err(CatalogError::ScalarMismatch { expected: 0x04, found: 0x08 })
+                ),
+                "{what}: f64 view of an f32 dataset"
+            );
+        }
+    }
 }
 
 /// Descriptors of this process open on `path` (`/proc/self/fd` links;

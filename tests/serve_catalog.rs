@@ -336,3 +336,50 @@ fn out_of_range_steps_and_datasets_get_typed_errors() {
     assert_eq!(slab.shape().dim(0), 2);
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
+
+/// Descriptors of this process open on `path` (`/proc/self/fd` links;
+/// the other tests of this binary open files of their own concurrently,
+/// so only links to the catalog count).
+#[cfg(target_os = "linux")]
+fn fds_open_on(path: &std::path::Path) -> usize {
+    let path = path.canonicalize().unwrap();
+    std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| *target == path)
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn serving_a_catalog_holds_one_descriptor() {
+    // Three datasets are served through the catalog's one open file, not
+    // one descriptor each; every dataset still reads as the local decode.
+    let steps = rqm::datagen::rtm_steps(0x0FD3, 4, DIMS);
+    let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(EB)).chunked(4);
+    let names = ["pressure", "velocity", "density"];
+    let mut w = CatalogWriter::create(Vec::new()).unwrap();
+    for (k, name) in names.iter().enumerate() {
+        w.write_dataset(name, &cfg, k + 1, &steps).unwrap();
+    }
+    let bytes = w.finalize().unwrap().sink;
+    let path = write_temp("three.rqc", &bytes);
+
+    let before = fds_open_on(&path);
+    let server = Server::bind_path("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
+    let grown = fds_open_on(&path) - before;
+    assert_eq!(grown, 1, "serving a 3-dataset catalog holds {grown} descriptors on it");
+
+    let mut local = CatalogReader::open(Cursor::new(bytes)).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let ds = c.list_datasets().unwrap();
+    assert_eq!(ds.len(), names.len());
+    for (info, name) in ds.iter().zip(names) {
+        assert_eq!(info.name, name);
+        let want = local.read_step::<f32>(name, 3).unwrap();
+        let got = c.read_step_rows::<f32>(info, 3, 0..DIMS[0]).unwrap();
+        assert_eq!(got.as_slice(), want.as_slice(), "{name}: step 3 differs");
+    }
+    drop(server);
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
