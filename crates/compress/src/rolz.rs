@@ -149,7 +149,7 @@ fn context(bytes: &[u8], pos: usize) -> usize {
 
 /// Serialize quantization symbols as zigzag LEB128 varints re-centered on
 /// the zero code, so perfect predictions become byte 0.
-fn symbols_to_bytes(symbols: &[u32], zero: u32) -> Vec<u8> {
+pub(crate) fn symbols_to_bytes(symbols: &[u32], zero: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(symbols.len() + symbols.len() / 2);
     for &s in symbols {
         let delta = s as i64 - zero as i64;
@@ -185,19 +185,19 @@ fn bytes_to_symbols(
 }
 
 /// The ROLZ token streams for one chunk, pre-entropy.
-struct RolzTokens {
+pub(crate) struct RolzTokens {
     /// Token per literal/match decision, in [`TOKEN_ALPHABET`].
-    tokens: Vec<u32>,
+    pub(crate) tokens: Vec<u32>,
     /// Token histogram for the Huffman stage.
-    histogram: Vec<u64>,
+    pub(crate) histogram: Vec<u64>,
     /// `match length - MIN_MATCH` per match token, in token order.
-    lens: Vec<u8>,
+    pub(crate) lens: Vec<u8>,
     /// Raw byte per escape token, in token order.
-    raws: Vec<u8>,
+    pub(crate) raws: Vec<u8>,
 }
 
 /// Run the ROLZ model forward over the code byte stream.
-fn rolz_compress(bytes: &[u8]) -> RolzTokens {
+pub(crate) fn rolz_compress(bytes: &[u8]) -> RolzTokens {
     let n = bytes.len();
     let mut state = RolzState::new();
     let mut t = RolzTokens {

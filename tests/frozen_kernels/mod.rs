@@ -6,7 +6,9 @@
 //! reworked to table-driven / word-at-a-time loops. The Huffman coder is
 //! the canonical code rebuilt from a codec's public code lengths, coded a
 //! bit at a time, and the Lorenzo walk evaluates the public order-1 stencil
-//! point by point. The library must write and read exactly what these do.
+//! point by point. The ROLZ token pass is the encoder that compared every
+//! slot of its context in full. The library must write and read exactly
+//! what these do.
 //!
 //! Do not "improve" this module: its value is that it does not change.
 
@@ -470,5 +472,170 @@ pub fn traverse_lorenzo1_generic(
             }
             idx[axis] = 0;
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// ROLZ token pass (naive 16-slot scan, `position` rank search)
+// ---------------------------------------------------------------------------
+
+/// The ROLZ encoder's token pass as the library shipped it before its match
+/// finder learned to skip candidates: every slot of the context compared in
+/// full, a literal's rank found by a linear `position` search. Only the
+/// byte-level `common_prefix` is local here, a byte loop, so the oracle does
+/// not lean on the kernel it checks.
+pub mod rolz {
+    const ROLZ_SLOTS: usize = 16;
+    const ROLZ_CONTEXTS: usize = 256;
+    const MIN_MATCH: usize = 4;
+    const MAX_MATCH: usize = MIN_MATCH + 255;
+    const SYMRANK_SIZE: usize = 64;
+    const TOKEN_ESCAPE: u32 = SYMRANK_SIZE as u32;
+    const TOKEN_MATCH0: u32 = TOKEN_ESCAPE + 1;
+    const TOKEN_ALPHABET: usize = SYMRANK_SIZE + 1 + ROLZ_SLOTS;
+    const EMPTY: u32 = u32::MAX;
+
+    fn common_prefix(a: &[u8], b: &[u8], limit: usize) -> usize {
+        let mut l = 0;
+        while l < limit && a[l] == b[l] {
+            l += 1;
+        }
+        l
+    }
+
+    struct RolzState {
+        positions: Vec<u32>,
+        heads: [u8; ROLZ_CONTEXTS],
+        ranks: Vec<u8>,
+    }
+
+    impl RolzState {
+        fn new() -> Self {
+            let mut ranks = vec![0u8; ROLZ_CONTEXTS * SYMRANK_SIZE];
+            for c in 0..ROLZ_CONTEXTS {
+                for r in 0..SYMRANK_SIZE {
+                    ranks[c * SYMRANK_SIZE + r] = r as u8;
+                }
+            }
+            RolzState {
+                positions: vec![EMPTY; ROLZ_CONTEXTS * ROLZ_SLOTS],
+                heads: [0; ROLZ_CONTEXTS],
+                ranks,
+            }
+        }
+
+        #[inline]
+        fn slot(&self, ctx: usize, s: usize) -> u32 {
+            self.positions[ctx * ROLZ_SLOTS + s]
+        }
+
+        #[inline]
+        fn insert(&mut self, ctx: usize, pos: usize) {
+            let h = self.heads[ctx] as usize;
+            self.positions[ctx * ROLZ_SLOTS + h] = pos as u32;
+            self.heads[ctx] = ((h + 1) % ROLZ_SLOTS) as u8;
+        }
+
+        #[inline]
+        fn rank_of(&self, ctx: usize, byte: u8) -> Option<usize> {
+            self.ranks[ctx * SYMRANK_SIZE..(ctx + 1) * SYMRANK_SIZE]
+                .iter()
+                .position(|&b| b == byte)
+        }
+
+        #[inline]
+        fn promote(&mut self, ctx: usize, r: usize) {
+            let t = &mut self.ranks[ctx * SYMRANK_SIZE..(ctx + 1) * SYMRANK_SIZE];
+            let b = t[r];
+            let to = r / 2;
+            for k in (to + 1..=r).rev() {
+                t[k] = t[k - 1];
+            }
+            t[to] = b;
+        }
+
+        #[inline]
+        fn adopt(&mut self, ctx: usize, byte: u8) {
+            self.ranks[ctx * SYMRANK_SIZE + SYMRANK_SIZE - 1] = byte;
+        }
+    }
+
+    #[inline]
+    fn context(bytes: &[u8], pos: usize) -> usize {
+        if pos == 0 {
+            0
+        } else {
+            bytes[pos - 1] as usize
+        }
+    }
+
+    /// The token streams of one pass: tokens, match lengths less
+    /// `MIN_MATCH`, escaped raw bytes, and the token histogram.
+    pub struct RolzTokens {
+        pub tokens: Vec<u32>,
+        pub histogram: Vec<u64>,
+        pub lens: Vec<u8>,
+        pub raws: Vec<u8>,
+    }
+
+    pub fn rolz_compress(bytes: &[u8]) -> RolzTokens {
+        let n = bytes.len();
+        let mut state = RolzState::new();
+        let mut t = RolzTokens {
+            tokens: Vec::with_capacity(n / 2 + 16),
+            histogram: vec![0u64; TOKEN_ALPHABET],
+            lens: Vec::new(),
+            raws: Vec::new(),
+        };
+        let emit = |tok: u32, t: &mut RolzTokens| {
+            t.tokens.push(tok);
+            t.histogram[tok as usize] += 1;
+        };
+        let mut i = 0usize;
+        while i < n {
+            let ctx = context(bytes, i);
+            let limit = MAX_MATCH.min(n - i);
+            let (mut best_len, mut best_slot) = (0usize, 0usize);
+            if limit >= MIN_MATCH {
+                for s in 0..ROLZ_SLOTS {
+                    let p = state.slot(ctx, s);
+                    if p == EMPTY {
+                        continue;
+                    }
+                    let p = p as usize;
+                    // `p < i`, so both slices hold at least `limit` bytes.
+                    let l = common_prefix(&bytes[p..], &bytes[i..], limit);
+                    // Strict `>`: ties keep the lowest slot, deterministically.
+                    if l > best_len {
+                        best_len = l;
+                        best_slot = s;
+                    }
+                }
+            }
+            // Every token start enters the ring — after the search, so a
+            // match can never reference its own position. The decoder
+            // mirrors this exactly.
+            state.insert(ctx, i);
+            if best_len >= MIN_MATCH {
+                emit(TOKEN_MATCH0 + best_slot as u32, &mut t);
+                t.lens.push((best_len - MIN_MATCH) as u8);
+                i += best_len;
+            } else {
+                let b = bytes[i];
+                match state.rank_of(ctx, b) {
+                    Some(r) => {
+                        emit(r as u32, &mut t);
+                        state.promote(ctx, r);
+                    }
+                    None => {
+                        emit(TOKEN_ESCAPE, &mut t);
+                        t.raws.push(b);
+                        state.adopt(ctx, b);
+                    }
+                }
+                i += 1;
+            }
+        }
+        t
     }
 }

@@ -12,6 +12,11 @@
 //!   every buffer length in `0..=65` (the range that covers all 64-bit
 //!   refill boundary cases), and the combined stage again on 4 KiB – 1 MiB
 //!   inputs on both sides of the bound that lets it skip LZSS;
+//! * the ROLZ encoder's token pass (tokens, match lengths, raw bytes and the
+//!   token histogram) is run against its frozen copy, the one that compared
+//!   every slot of a context in full, on every length in `0..=65`, runs
+//!   longer than a match can carry, period-k textures, random bytes and
+//!   4 KiB – 1 MiB code streams of quantized fields;
 //! * the order-1 Lorenzo traversal is compared reconstruction-for-
 //!   reconstruction (exact `f64` bits) against the generic stencil walk
 //!   over 1-D..4-D shapes;
@@ -19,7 +24,10 @@
 //!   decode to, and the ROLZ decoder's verdicts on corrupt blobs are pinned
 //!   as folded FNV-1a digests (`*_PINS`). The pins were asserted on the
 //!   scalar chunk path and the fast one alike before the scalar path left
-//!   the library, so they are its output;
+//!   the library, so they are its output. In release builds the ROLZ blobs
+//!   of every slab of the benchmark's `archive_auto` recipe are pinned too
+//!   (`ROLZ_RECIPE_PIN`): those slabs are long enough to fill every ring
+//!   and to reach the longest match;
 //! * the committed `tests/data/golden_huffman_*.bin` /
 //!   `golden_lossless_rlelzss.bin` fixtures — encoded by the
 //!   **pre-rework** coder — still decode exactly, and re-encoding the
@@ -36,16 +44,19 @@ use frozen_kernels::{
     lzss_decompress_bounded_ref, rle_compress_ref, rle_decompress_bounded_ref,
     traverse_lorenzo1_generic, CanonicalCode, RefBitReader, RefBitWriter,
 };
-use rqm::compress_crate::kernels::{pointwise_codec, traverse_lorenzo};
+use rqm::compress_crate::kernels::{
+    pointwise_codec, rolz_code_bytes, rolz_tokens, traverse_lorenzo,
+};
 use rqm::compress_crate::{ChunkCodec, LosslessStage, RolzChunkCodec, SzChunkCodec};
+use rqm::datagen::fields::{cesm_ts, hurricane_u, mixed_smooth_turbulent};
 use rqm::encoding::huffman::HuffmanCodec;
 use rqm::encoding::lossless::{lossless_compress, lossless_decompress_bounded};
 use rqm::encoding::rle::{rle_compress, rle_decompress_bounded};
 use rqm::encoding::varint::get_uvarint;
 use rqm::encoding::{lzss, BitReader, BitWriter};
-use rqm::grid::{Scalar, Shape};
+use rqm::grid::{NdArray, Scalar, Shape};
 use rqm::predict::PredictorKind;
-use rqm::quant::LinearQuantizer;
+use rqm::quant::{LinearQuantizer, DEFAULT_RADIUS};
 
 /// The one RNG every generator here uses, frozen (xorshift64).
 fn xorshift(state: &mut u64) -> u64 {
@@ -526,6 +537,9 @@ const ROLZ_CHUNK_PINS: [u64; 2] = [0x0cfe_89df_5e9b_78a8, 0x6b9b_d9ed_97bc_c3e5]
 /// [`rolz_corrupt_blobs_rejected_as_pinned`]: the blob, then accept/reject
 /// and decoded values of every cut and flip.
 const ROLZ_CORRUPT_PIN: u64 = 0x40c7_e5cd_608a_2bf5;
+/// [`rolz_blobs_of_the_auto_recipe_match_reference`]: per field and bound,
+/// the blob and decoded values of every 8-row slab, `f32`.
+const ROLZ_RECIPE_PIN: u64 = 0xbad5_5f9a_5c2c_b270;
 
 // ---------------------------------------------------------------------------
 // whole-chunk pipeline
@@ -751,6 +765,40 @@ fn rolz_chunk_blobs_and_values_match_reference() {
     pins64.check("ROLZ chunks, f64", ROLZ_CHUNK_PINS[1]);
 }
 
+/// The fields of the benchmark's `archive_auto` workload, as its recipe
+/// builds them.
+fn auto_recipe_fields() -> [(&'static str, NdArray<f32>); 3] {
+    let hurricane = hurricane_u();
+    let half = hurricane.as_slice()[..hurricane.len() / 2].to_vec();
+    [
+        ("mixed", mixed_smooth_turbulent(Shape::d3(64, 96, 96), 32, 40.0)),
+        ("hurricane", NdArray::from_vec(Shape::d3(16, 128, 128), half)),
+        ("cesm", cesm_ts()),
+    ]
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "ROLZ over every slab of nine archives: run it in release")]
+fn rolz_blobs_of_the_auto_recipe_match_reference() {
+    let mut pins = Pins::new();
+    for (name, field) in auto_recipe_fields() {
+        let shape = field.shape();
+        let row = shape.len() / shape.dim(0);
+        for rel in [1e-6, 3.16e-5, 1e-3] {
+            let q = LinearQuantizer::new(rel * field.value_range(), DEFAULT_RADIUS);
+            let codec = RolzChunkCodec::new(PredictorKind::Lorenzo, q);
+            pins.case(format!("{name} rel {rel:e}"), |h| {
+                for slab in field.as_slice().chunks(8 * row) {
+                    let slab_shape = shape.with_rows(slab.len() / row);
+                    let (blob, out) = roundtrip::<f32>(&codec, slab, slab_shape);
+                    h.blob_and_values(&blob, &out);
+                }
+            });
+        }
+    }
+    pins.check("ROLZ on the archive_auto recipe", ROLZ_RECIPE_PIN);
+}
+
 #[test]
 fn rolz_corrupt_blobs_rejected_as_pinned() {
     let shape = Shape::d2(13, 21);
@@ -782,6 +830,104 @@ fn rolz_corrupt_blobs_rejected_as_pinned() {
         });
     }
     pins.check("ROLZ corruptions", ROLZ_CORRUPT_PIN);
+}
+
+// ---------------------------------------------------------------------------
+// ROLZ token pass
+// ---------------------------------------------------------------------------
+
+/// The longest match one ROLZ token carries.
+const ROLZ_MAX_MATCH: usize = 4 + 255;
+
+/// Code streams of quantized fields, 4 KiB to 1 MiB: what the ROLZ pass
+/// really sees, a varint per Lorenzo residual.
+fn rolz_code_streams() -> Vec<(String, Vec<u8>)> {
+    let hurricane = hurricane_u();
+    let fields = [("cesm", cesm_ts()), ("hurricane", hurricane)];
+    let mut out = Vec::new();
+    for (name, field) in &fields {
+        for rel in [1e-6, 1e-4, 1e-2] {
+            let q = LinearQuantizer::new(rel * field.value_range(), DEFAULT_RADIUS);
+            let bytes =
+                rolz_code_bytes(field.as_slice(), field.shape(), PredictorKind::Lorenzo, q);
+            for cut in [4 << 10, 64 << 10, 1 << 20] {
+                if cut <= bytes.len() {
+                    out.push((format!("{name} rel {rel:e} first {cut}"), bytes[..cut].to_vec()));
+                }
+            }
+        }
+    }
+    assert!(out.iter().any(|(_, b)| b.len() == 1 << 20), "no 1 MiB code stream");
+    out
+}
+
+/// Inputs of the ROLZ token pass: every prefix length in `0..=65` of the
+/// byte streams above and of a period-3 texture, runs of `0x00` and `0xFF`
+/// around and past the longest match, period-k textures, small-alphabet
+/// random streams, random bytes and quantized fields' code streams.
+fn rolz_streams() -> Vec<(String, Vec<u8>)> {
+    let mut bases = byte_streams();
+    bases.push(("period 3", (0..256).map(|i| [7u8, 0, 1][i % 3]).collect()));
+    let mut out = Vec::new();
+    for (name, base) in &bases {
+        for len in 0..=65 {
+            out.push((format!("{name} len {len}"), base[..len].to_vec()));
+        }
+    }
+    for byte in [0x00u8, 0xFF] {
+        for len in [ROLZ_MAX_MATCH - 1, ROLZ_MAX_MATCH, ROLZ_MAX_MATCH + 5, 3 * ROLZ_MAX_MATCH + 1]
+        {
+            out.push((format!("run of {byte:#04x} x {len}"), vec![byte; len]));
+            // The run behind a few other bytes, so it starts in a fresh context.
+            let mut behind = vec![1u8, 2, 3, byte ^ 0x80];
+            behind.extend(std::iter::repeat_n(byte, len));
+            out.push((format!("4 bytes, then a run of {byte:#04x} x {len}"), behind));
+        }
+    }
+    let mut st = 0x0D15_EA5E_u64;
+    for k in 1..=17 {
+        let period: Vec<u8> = (0..k).map(|_| (xorshift(&mut st) % 6) as u8).collect();
+        let mut bytes: Vec<u8> = (0..4096).map(|i| period[i % k]).collect();
+        out.push((format!("period {k}"), bytes.clone()));
+        // The same texture with one byte in 97 changed: matches end early.
+        for i in (0..bytes.len()).step_by(97) {
+            bytes[i] = xorshift(&mut st) as u8;
+        }
+        out.push((format!("period {k}, dirty"), bytes));
+    }
+    // Two- and three-letter random streams: every context holds candidates
+    // that agree with the current bytes to many lengths, up to the end of
+    // the stream.
+    for len in (1..=600).step_by(7) {
+        for letters in [2, 3] {
+            let bytes = (0..len).map(|_| (xorshift(&mut st) % letters) as u8).collect();
+            out.push((format!("{letters} letters x {len}"), bytes));
+        }
+    }
+    // A 300-byte block repeated with sparse flips: candidates that stop a
+    // byte or a few short of the longest match beside ones that reach it.
+    let block: Vec<u8> = (0..300).map(|_| (xorshift(&mut st) % 2) as u8).collect();
+    let mut repeats: Vec<u8> = block.iter().copied().cycle().take(8 * 300).collect();
+    for _ in 0..12 {
+        let at = (xorshift(&mut st) % repeats.len() as u64) as usize;
+        repeats[at] ^= 1;
+    }
+    out.push(("repeated block, flipped".into(), repeats));
+    out.push(("uniform 64 KiB".into(), (0..64 << 10).map(|_| xorshift(&mut st) as u8).collect()));
+    out.extend(rolz_code_streams());
+    out
+}
+
+#[test]
+fn rolz_token_pass_matches_reference() {
+    for (name, bytes) in rolz_streams() {
+        let (tokens, lens, raws, histogram) = rolz_tokens(&bytes);
+        let want = frozen_kernels::rolz::rolz_compress(&bytes);
+        assert!(tokens == want.tokens, "{name}: tokens differ");
+        assert!(lens == want.lens, "{name}: match lengths differ");
+        assert!(raws == want.raws, "{name}: raw bytes differ");
+        assert_eq!(histogram, want.histogram, "{name}: token histogram");
+    }
 }
 
 // ---------------------------------------------------------------------------
