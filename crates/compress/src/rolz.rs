@@ -36,7 +36,7 @@ use crate::container::{
 };
 use crate::pipeline::{dequantize_stream, quantize_stream, Transform};
 use rq_encoding::varint::{get_uvarint, put_uvarint};
-use rq_encoding::{common_prefix, HuffmanCodec};
+use rq_encoding::{common_prefix, find_byte, HuffmanCodec};
 use rq_grid::{Scalar, Shape};
 use rq_predict::interp::anchors;
 use rq_predict::PredictorKind;
@@ -108,12 +108,12 @@ impl RolzState {
         self.heads[ctx] = ((h + 1) % ROLZ_SLOTS) as u8;
     }
 
-    /// Rank of `byte` in the context's table, if present.
+    /// Rank of `byte` in the context's table, if present: the table is
+    /// scanned a word (8 ranks) at a time.
     #[inline]
     fn rank_of(&self, ctx: usize, byte: u8) -> Option<usize> {
-        self.ranks[ctx * SYMRANK_SIZE..(ctx + 1) * SYMRANK_SIZE]
-            .iter()
-            .position(|&b| b == byte)
+        let r = find_byte(&self.ranks[ctx * SYMRANK_SIZE..(ctx + 1) * SYMRANK_SIZE], 0, byte);
+        (r < SYMRANK_SIZE).then_some(r)
     }
 
     /// Move the byte at rank `r` halfway to the front (orz-style gradual
@@ -196,10 +196,63 @@ pub(crate) struct RolzTokens {
     pub(crate) raws: Vec<u8>,
 }
 
+/// The first [`MIN_MATCH`] bytes at `pos`, as one word.
+#[inline]
+fn head_at(bytes: &[u8], pos: usize) -> u32 {
+    u32::from_le_bytes(bytes[pos..pos + MIN_MATCH].try_into().unwrap())
+}
+
+/// The encoder's own view of the position rings: the first [`MIN_MATCH`]
+/// bytes at every filled slot, and which slots are filled. The decoder has
+/// no use for it, and the blob does not depend on it: it only tells the
+/// match finder which candidates can make a match at all.
+struct HeadRing {
+    /// `ROLZ_CONTEXTS × ROLZ_SLOTS` heads, slot for slot with
+    /// `RolzState::positions`.
+    heads: Vec<[u32; ROLZ_SLOTS]>,
+    /// Filled slots per context, one bit a slot. A sentinel head cannot
+    /// mark an empty slot: every 32-bit head is a possible stream.
+    filled: [u16; ROLZ_CONTEXTS],
+}
+
+impl HeadRing {
+    fn new() -> Self {
+        HeadRing { heads: vec![[0; ROLZ_SLOTS]; ROLZ_CONTEXTS], filled: [0; ROLZ_CONTEXTS] }
+    }
+
+    /// Slots of `ctx` whose position starts with `head`, one bit a slot.
+    #[inline]
+    fn matching(&self, ctx: usize, head: u32) -> u32 {
+        let mut mask = 0u32;
+        for (s, &h) in self.heads[ctx].iter().enumerate() {
+            mask |= ((h == head) as u32) << s;
+        }
+        mask & self.filled[ctx] as u32
+    }
+
+    /// Record `head` at slot `s` of `ctx`, where `RolzState::insert` puts
+    /// the position.
+    #[inline]
+    fn insert(&mut self, ctx: usize, s: usize, head: u32) {
+        self.heads[ctx][s] = head;
+        self.filled[ctx] |= 1 << s;
+    }
+}
+
 /// Run the ROLZ model forward over the code byte stream.
+///
+/// The match finder compares only candidates that can change the token.
+/// A slot whose first [`MIN_MATCH`] bytes differ from the current ones
+/// (the [`HeadRing`] mask) has a common prefix under `MIN_MATCH`, so it
+/// cannot make a match. A survivor that differs at byte `best_len` has a
+/// prefix of at most `best_len`, so under the strict `>` it cannot win, and
+/// nothing can beat a match of `limit` bytes. Every candidate that could
+/// win is still compared, in slot order, so the token is the one a full
+/// scan of all [`ROLZ_SLOTS`] picks.
 pub(crate) fn rolz_compress(bytes: &[u8]) -> RolzTokens {
     let n = bytes.len();
     let mut state = RolzState::new();
+    let mut ring = HeadRing::new();
     let mut t = RolzTokens {
         tokens: Vec::with_capacity(n / 2 + 16),
         histogram: vec![0u64; TOKEN_ALPHABET],
@@ -215,25 +268,36 @@ pub(crate) fn rolz_compress(bytes: &[u8]) -> RolzTokens {
         let ctx = context(bytes, i);
         let limit = MAX_MATCH.min(n - i);
         let (mut best_len, mut best_slot) = (0usize, 0usize);
+        // Within `MIN_MATCH` of the end no match fits, and no later
+        // position searches either, so the head of this one is never read.
+        let head = if limit >= MIN_MATCH { head_at(bytes, i) } else { 0 };
         if limit >= MIN_MATCH {
-            for s in 0..ROLZ_SLOTS {
-                let p = state.slot(ctx, s);
-                if p == EMPTY {
+            let mut candidates = ring.matching(ctx, head);
+            while candidates != 0 {
+                let s = candidates.trailing_zeros() as usize;
+                candidates &= candidates - 1;
+                // `p < i`, so both slices hold at least `limit` bytes, and
+                // `best_len < limit` here.
+                let p = state.slot(ctx, s) as usize;
+                if bytes[p + best_len] != bytes[i + best_len] {
                     continue;
                 }
-                let p = p as usize;
-                // `p < i`, so both slices hold at least `limit` bytes.
-                let l = common_prefix(&bytes[p..], &bytes[i..], limit);
+                let l = MIN_MATCH
+                    + common_prefix(&bytes[p + MIN_MATCH..], &bytes[i + MIN_MATCH..], limit - MIN_MATCH);
                 // Strict `>`: ties keep the lowest slot, deterministically.
                 if l > best_len {
                     best_len = l;
                     best_slot = s;
+                    if l == limit {
+                        break;
+                    }
                 }
             }
         }
         // Every token start enters the ring — after the search, so a
         // match can never reference its own position. The decoder
         // mirrors this exactly.
+        ring.insert(ctx, state.heads[ctx] as usize, head);
         state.insert(ctx, i);
         if best_len >= MIN_MATCH {
             emit(TOKEN_MATCH0 + best_slot as u32, &mut t);

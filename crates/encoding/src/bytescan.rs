@@ -5,8 +5,8 @@
 //! the index the equivalent byte loop would (`scans_agree_with_byte_loops`
 //! below); the RLE/LZSS coders built on these are held byte-identical to
 //! frozen scalar copies (`tests/frozen_kernels`) by
-//! `tests/kernel_differential.rs`, and the ROLZ match finder through its
-//! pinned chunk blobs.
+//! `tests/kernel_differential.rs`, and so is the ROLZ token pass that
+//! extends matches and ranks literals with them.
 
 const LO: u64 = 0x0101_0101_0101_0101;
 const HI: u64 = 0x8080_8080_8080_8080;
@@ -48,7 +48,7 @@ pub(crate) fn run_end(buf: &[u8], mut i: usize, byte: u8) -> usize {
 
 /// First index `>= i` holding `byte`, or `buf.len()`.
 #[inline]
-pub(crate) fn find_byte(buf: &[u8], mut i: usize, byte: u8) -> usize {
+pub fn find_byte(buf: &[u8], mut i: usize, byte: u8) -> usize {
     let s = splat(byte);
     while i + 8 <= buf.len() {
         let m = has_zero_byte(load(buf, i) ^ s);

@@ -33,10 +33,10 @@
 
 pub mod bitio;
 mod bytescan;
-/// Word-at-a-time byte scanning primitives shared with downstream match
-/// finders (the ROLZ residual coder extends matches through
-/// [`common_prefix`]).
-pub use bytescan::common_prefix;
+/// Word-at-a-time byte scanning primitives shared with downstream coders
+/// (the ROLZ residual coder extends matches through [`common_prefix`] and
+/// finds a literal's rank with [`find_byte`]).
+pub use bytescan::{common_prefix, find_byte};
 pub mod huffman;
 pub mod lossless;
 pub mod lzss;
