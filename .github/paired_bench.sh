@@ -3,7 +3,8 @@
 # performance change reports, as a command.
 #
 #   .github/paired_bench.sh <parent-ref> [--pairs N] [--seconds S] [--seed N]
-#                           [--workload NAME]... [--rates-advisory]
+#                           [--workload NAME]... [--rates-advisory] [--record FILE]
+#   .github/paired_bench.sh --summary FILE [--rates-advisory]
 #
 # The parent is exported with `git archive`, the change with `git
 # checkout-index` (what is staged: `git add -A` first; in CI, the checked-out
@@ -24,6 +25,14 @@
 #   - a run failed an operation, or printed no result.
 # With --rates-advisory only the last two are fatal: a shared runner cannot
 # resolve a 25 % bound on a rate, it can still tell that the bytes moved.
+#
+# --record FILE also writes the ledger as one JSON file before the temporary
+# directory is removed: every run's result (`runs.<workload>.<side>[pair]`,
+# null for a run that printed none), the seed, pair count and seconds, the
+# parent's commit, the change's (HEAD, and the tree of the index that ran),
+# and each workload's `machine` descriptor from benchmark/out/results-<w>.json.
+# --summary FILE prints the table and verdicts of such a file, against the
+# bounds of this checkout's BENCHMARK.json, and runs nothing.
 set -euo pipefail
 
 usage() {
@@ -32,9 +41,17 @@ usage() {
 }
 
 [ $# -ge 1 ] || usage
-parent_ref="$1"
-shift
-pairs=10 seconds="" seed=20220509 advisory=0 workloads=()
+root="$(git rev-parse --show-toplevel)"
+parent_ref="" summary=""
+if [ "$1" = --summary ]; then
+    [ $# -ge 2 ] || usage
+    summary="$2"
+    shift 2
+else
+    parent_ref="$1"
+    shift
+fi
+pairs=10 seconds="" seed=20220509 advisory=0 workloads=() record=""
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="$2"; shift 2 ;;
@@ -42,57 +59,90 @@ while [ $# -gt 0 ]; do
         --seed) seed="$2"; shift 2 ;;
         --workload) workloads+=("$2"); shift 2 ;;
         --rates-advisory) advisory=1; shift ;;
+        --record) record="$2"; shift 2 ;;
         *) usage ;;
     esac
 done
 
-root="$(git rev-parse --show-toplevel)"
-work="$(mktemp -d)"
-trap 'rm -rf "$work"' EXIT
-mkdir "$work/parent" "$work/change" "$work/runs"
-git -C "$root" archive "$parent_ref" | tar -x -C "$work/parent"
-(cd "$root" && git checkout-index -a --prefix="$work/change/")
-rm -rf "$work/parent/benchmark"
-cp -r "$work/change/benchmark" "$work/parent/benchmark"
-manifest="$work/change/BENCHMARK.json"
+# Run the pairs and write their ledger to $ledger.
+run_pairs() {
+    work="$(mktemp -d)"
+    trap 'rm -rf "$work"' EXIT
+    mkdir "$work/parent" "$work/change" "$work/runs"
+    git -C "$root" archive "$parent_ref" | tar -x -C "$work/parent"
+    (cd "$root" && git checkout-index -a --prefix="$work/change/")
+    rm -rf "$work/parent/benchmark"
+    cp -r "$work/change/benchmark" "$work/parent/benchmark"
+    manifest="$work/change/BENCHMARK.json"
 
-[ -n "$seconds" ] || seconds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$manifest")"
-if [ ${#workloads[@]} -eq 0 ]; then
-    mapfile -t workloads < <(python3 -c 'import json, sys
+    [ -n "$seconds" ] || seconds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$manifest")"
+    if [ ${#workloads[@]} -eq 0 ]; then
+        mapfile -t workloads < <(python3 -c 'import json, sys
 for w in json.load(open(sys.argv[1]))["workloads"]: print(w["name"])' "$manifest")
-fi
+    fi
 
-for side in parent change; do
-    cargo build --release --offline --quiet --manifest-path "$work/$side/benchmark/Cargo.toml" >&2
-done
-
-echo "parent $(git -C "$root" rev-parse --short "$parent_ref"), change: the index of $root; $pairs pairs x $seconds s, seed $seed, workloads: ${workloads[*]}" >&2
-for ((i = 0; i < pairs; i++)); do
-    if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
-    for w in "${workloads[@]}"; do
-        for side in "${order[@]}"; do
-            # The last line of a run is its result as JSON; a run that fails an
-            # operation exits non-zero and still prints it.
-            (cd "$work/$side" && bash benchmark/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null || true) |
-                tail -n 1 >"$work/runs/$side.$w.$i.json"
-        done
-        echo "pair $((i + 1))/$pairs $w done" >&2
+    for side in parent change; do
+        cargo build --release --offline --quiet --manifest-path "$work/$side/benchmark/Cargo.toml" >&2
     done
-done
 
-python3 - "$manifest" "$work/runs" "$pairs" "$advisory" "${workloads[@]}" <<'EOF'
-import json, statistics, sys
+    echo "parent $(git -C "$root" rev-parse --short "$parent_ref"), change: the index of $root; $pairs pairs x $seconds s, seed $seed, workloads: ${workloads[*]}" >&2
+    for ((i = 0; i < pairs; i++)); do
+        if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
+        for w in "${workloads[@]}"; do
+            for side in "${order[@]}"; do
+                # The last line of a run is its result as JSON; a run that fails an
+                # operation exits non-zero and still prints it.
+                (cd "$work/$side" && bash benchmark/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null || true) |
+                    tail -n 1 >"$work/runs/$side.$w.$i.json"
+            done
+            echo "pair $((i + 1))/$pairs $w done" >&2
+        done
+    done
 
-manifest, runs, pairs, advisory = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1"
-workloads = sys.argv[5:]
-metrics = json.load(open(manifest))["end_to_end"]
-exact = lambda name: name in ("bits_per_value", "psnr_db") or (name.startswith("model_") and name.endswith("_accuracy"))
+    ledger="$work/ledger.json"
+    python3 - "$work" "$ledger" "$pairs" "$seconds" "$seed" \
+        "$(git -C "$root" rev-parse "$parent_ref^{commit}")" "$(git -C "$root" rev-parse HEAD)" \
+        "$(cd "$root" && git write-tree)" "${workloads[@]}" <<'EOF'
+import json, sys
 
-def load(side, workload, i):
+work, ledger, pairs, seconds, seed, parent, head, tree = sys.argv[1:9]
+workloads, pairs = sys.argv[9:], int(pairs)
+
+def load(path):
     try:
-        return json.load(open(f"{runs}/{side}.{workload}.{i}.json"))
+        return json.load(open(path))
     except (OSError, ValueError):
         return None
+
+json.dump({
+    "parent": {"commit": parent},
+    "change": {"head": head, "tree": tree},
+    "seed": int(seed),
+    "pairs": pairs,
+    "seconds": float(seconds),
+    "workloads": workloads,
+    "machine": {w: (load(f"{work}/change/benchmark/out/results-{w}.json") or {}).get("machine") for w in workloads},
+    "runs": {w: {side: [load(f"{work}/runs/{side}.{w}.{i}.json") for i in range(pairs)]
+                 for side in ("parent", "change")} for w in workloads},
+}, open(ledger, "w"), indent=1)
+EOF
+    [ -z "$record" ] || cp "$ledger" "$record"
+}
+
+if [ -n "$summary" ]; then
+    ledger="$summary"
+    manifest="$root/BENCHMARK.json"
+else
+    run_pairs
+fi
+
+python3 - "$manifest" "$ledger" "$advisory" <<'EOF'
+import json, statistics, sys
+
+manifest, ledger, advisory = sys.argv[1], json.load(open(sys.argv[2])), sys.argv[3] == "1"
+pairs, workloads = ledger["pairs"], ledger["workloads"]
+metrics = json.load(open(manifest))["end_to_end"]
+exact = lambda name: name in ("bits_per_value", "psnr_db") or (name.startswith("model_") and name.endswith("_accuracy"))
 
 def spread(xs):
     if len(xs) < 2:
@@ -100,10 +150,12 @@ def spread(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return med, q1, q3
 
+print(f"parent {ledger['parent']['commit'][:10]}, change {ledger['change']['head'][:10]} (tree {ledger['change']['tree'][:10]});"
+      f" {pairs} pairs x {ledger['seconds']:g} s, seed {ledger['seed']}")
 fatal = []
 print(f"{'workload':13} {'metric':21} {'parent median [Q1, Q3]':>34} {'change median [Q1, Q3]':>34} {'ratio':>7} {'won':>6}  verdict")
 for w in workloads:
-    results = {side: [load(side, w, i) for i in range(pairs)] for side in ("parent", "change")}
+    results = ledger["runs"][w]
     for side, rs in results.items():
         for i, r in enumerate(rs):
             if r is None:

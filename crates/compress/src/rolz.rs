@@ -26,8 +26,20 @@
 //!
 //! Encoder and decoder run the identical context/rank state machine, so
 //! the blob is a pure function of the input slab.
-//! `tests/kernel_differential.rs` pins its blobs, the values they decode to
-//! and its verdicts on corrupt blobs.
+//!
+//! The encoder's match finder compares only the candidates that can win.
+//! Beside the shared position rings it keeps a ring of its own, the first
+//! `MIN_MATCH` code bytes at every slot's position (`HeadRing`), and
+//! masks out the slots whose four bytes differ from the current ones before
+//! extending any match. A survivor that differs at byte `best_len` is
+//! skipped, and the scan stops at a match of `limit` bytes. Each skip
+//! discards only a candidate that cannot make a match token or cannot beat
+//! the best one under the strict `>`, so every token is the one a full scan
+//! of the 16 slots picks. The head ring is encoder-only: the decoder, the
+//! blob layout (`docs/FORMAT.md`) and the shared `RolzState` do not know
+//! it. `tests/kernel_differential.rs` holds the token pass to a frozen copy
+//! of the full scan, and pins its blobs, the values they decode to and its
+//! verdicts on corrupt blobs.
 
 use crate::codec::{ChunkCodec, ChunkStats};
 use crate::config::LosslessStage;
@@ -269,9 +281,11 @@ pub(crate) fn rolz_compress(bytes: &[u8]) -> RolzTokens {
         let limit = MAX_MATCH.min(n - i);
         let (mut best_len, mut best_slot) = (0usize, 0usize);
         // Within `MIN_MATCH` of the end no match fits, and no later
-        // position searches either, so the head of this one is never read.
-        let head = if limit >= MIN_MATCH { head_at(bytes, i) } else { 0 };
+        // position searches either, so the head stored for this one is
+        // never read.
+        let mut head = 0;
         if limit >= MIN_MATCH {
+            head = head_at(bytes, i);
             let mut candidates = ring.matching(ctx, head);
             while candidates != 0 {
                 let s = candidates.trailing_zeros() as usize;
@@ -282,8 +296,8 @@ pub(crate) fn rolz_compress(bytes: &[u8]) -> RolzTokens {
                 if bytes[p + best_len] != bytes[i + best_len] {
                     continue;
                 }
-                let l = MIN_MATCH
-                    + common_prefix(&bytes[p + MIN_MATCH..], &bytes[i + MIN_MATCH..], limit - MIN_MATCH);
+                let (from, to) = (&bytes[p + MIN_MATCH..], &bytes[i + MIN_MATCH..]);
+                let l = MIN_MATCH + common_prefix(from, to, limit - MIN_MATCH);
                 // Strict `>`: ties keep the lowest slot, deterministically.
                 if l > best_len {
                     best_len = l;

@@ -36,12 +36,13 @@
 //! [`ChunkCodec`]. When it encodes the whole slab and its codec wins, that
 //! encoding — blob and [`ChunkStats`] — is handed to the writer as the
 //! chunk, so a slab under the probe budget is never encoded twice by its
-//! winner. The three estimates together cost ≈ 0.7 ms per chunk
-//! (`compress.scheduler_us_per_chunk` 698–764 on the benchmark's
-//! `archive_auto` workload, 2-vCPU Xeon 2.1 GHz; 1.0–1.2 ms before `rq-zfp`
-//! kept its block on the stack) and ≈ 0.14 of the encode wall, most of it now
-//! the ROLZ probes: cheap next to encoding the chunk, in the spirit of the
-//! paper's 1 % sampling pass, but not free.
+//! winner. The three estimates together cost ≈ 1 ms per chunk
+//! (`compress.scheduler_us_per_chunk` on the benchmark's `archive_auto`
+//! workload, medians of three traced runs on a 2-vCPU Xeon 2.1 GHz: 1 182 µs
+//! before the ROLZ match finder skipped candidates that cannot win, 961 µs
+//! after) and ≈ 0.21 of the encode wall (`compress.scheduler_share` 0.246 →
+//! 0.206), most of it the ROLZ probes: cheap next to encoding the chunk, in
+//! the spirit of the paper's 1 % sampling pass, but not free.
 //!
 //! The decision rule is [`pick_codec`]: the finite minimum of the three
 //! estimates, ties preferring SZ then ZFP then ROLZ, and SZ when every
