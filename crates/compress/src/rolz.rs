@@ -251,16 +251,8 @@ impl HeadRing {
     }
 }
 
-/// Run the ROLZ model forward over the code byte stream.
-///
-/// The match finder compares only candidates that can change the token.
-/// A slot whose first [`MIN_MATCH`] bytes differ from the current ones
-/// (the [`HeadRing`] mask) has a common prefix under `MIN_MATCH`, so it
-/// cannot make a match. A survivor that differs at byte `best_len` has a
-/// prefix of at most `best_len`, so under the strict `>` it cannot win, and
-/// nothing can beat a match of `limit` bytes. Every candidate that could
-/// win is still compared, in slot order, so the token is the one a full
-/// scan of all [`ROLZ_SLOTS`] picks.
+/// Run the ROLZ model forward over the code byte stream. The match finder
+/// skips only candidates that cannot change the token (see the module doc).
 pub(crate) fn rolz_compress(bytes: &[u8]) -> RolzTokens {
     let n = bytes.len();
     let mut state = RolzState::new();
