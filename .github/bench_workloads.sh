@@ -27,7 +27,7 @@ workload_of() {
     case "$1" in
         crates/compress/src/chunked.rs) echo posthoc_read archive_auto ;;
         crates/compress/src/stream.rs | crates/compress/src/pool.rs | \
-            crates/compress/src/mmap.rs | crates/compress/src/container.rs) echo posthoc_read ;;
+            crates/compress/src/container.rs) echo posthoc_read ;;
         crates/compress/src/scheduler.rs | crates/compress/src/rolz.rs | crates/zfp/*) echo archive_auto ;;
         crates/encoding/src/lossless.rs | crates/encoding/src/lzss.rs | \
             crates/encoding/src/rle.rs) echo posthoc_read insitu_dump serve_steps ;;
@@ -89,7 +89,7 @@ check "--workload insitu_dump --workload posthoc_read --workload serve_steps" \
 check "--workload serve_hot" crates/serve/src/server.rs
 check "--workload archive_auto" crates/datagen/src/fields.rs crates/cli/src/main.rs
 check "--workload insitu_dump --workload archive_auto --workload posthoc_read --workload serve_hot --workload serve_steps" \
-    crates/catalog/src/lib.rs crates/serve/src/cache.rs crates/compress/src/mmap.rs \
+    crates/catalog/src/lib.rs crates/serve/src/cache.rs crates/compress/src/container.rs \
     crates/quant/src/quantizer.rs crates/compress/src/rolz.rs
 check "" README.md tests/fuzz_container.rs .github/workflows/ci.yml benchmark/src/adapter.rs
 check ""

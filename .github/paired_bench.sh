@@ -5,6 +5,7 @@
 #   .github/paired_bench.sh <parent-ref> [--pairs N] [--seconds S] [--seed N]
 #                           [--workload NAME]... [--rates-advisory] [--record FILE]
 #   .github/paired_bench.sh --summary FILE [--rates-advisory]
+#   .github/paired_bench.sh --trajectory FILE...
 #
 # The parent is exported with `git archive`, the change with `git
 # checkout-index` (what is staged: `git add -A` first; in CI, the checked-out
@@ -33,6 +34,13 @@
 # and each workload's `machine` descriptor from benchmark/out/results-<w>.json.
 # --summary FILE prints the table and verdicts of such a file, against the
 # bounds of this checkout's BENCHMARK.json, and runs nothing.
+#
+# --trajectory FILE... reads recorded files only and runs nothing. Per workload
+# and end-to-end metric it prints each file's ratio of the change's median to
+# the parent's ("-" where a file did not run the workload), in the order the
+# files are given, and the product of those ratios: what the changes add up
+# to. It exits non-zero when a product is worse than the metric's bound in
+# this checkout's BENCHMARK.json, even when every file passed on its own.
 set -euo pipefail
 
 usage() {
@@ -42,11 +50,16 @@ usage() {
 
 [ $# -ge 1 ] || usage
 root="$(git rev-parse --show-toplevel)"
-parent_ref="" summary=""
+# The recorded ledgers to read (none: run the pairs and read their ledger).
+parent_ref="" mode=summary files=()
 if [ "$1" = --summary ]; then
     [ $# -ge 2 ] || usage
-    summary="$2"
+    files=("$2")
     shift 2
+elif [ "$1" = --trajectory ]; then
+    [ $# -ge 2 ] || usage
+    mode=trajectory files=("${@:2}")
+    set --
 else
     parent_ref="$1"
     shift
@@ -129,18 +142,17 @@ EOF
     [ -z "$record" ] || cp "$ledger" "$record"
 }
 
-if [ -n "$summary" ]; then
-    ledger="$summary"
+if [ ${#files[@]} -gt 0 ]; then
     manifest="$root/BENCHMARK.json"
 else
     run_pairs
+    files=("$ledger")
 fi
 
-python3 - "$manifest" "$ledger" "$advisory" <<'EOF'
-import json, statistics, sys
+python3 - "$manifest" "$advisory" "$mode" "${files[@]}" <<'EOF'
+import json, math, statistics, sys
 
-manifest, ledger, advisory = sys.argv[1], json.load(open(sys.argv[2])), sys.argv[3] == "1"
-pairs, workloads = ledger["pairs"], ledger["workloads"]
+manifest, advisory, mode, files = sys.argv[1], sys.argv[2] == "1", sys.argv[3], sys.argv[4:]
 metrics = json.load(open(manifest))["end_to_end"]
 exact = lambda name: name in ("bits_per_value", "psnr_db") or (name.startswith("model_") and name.endswith("_accuracy"))
 
@@ -150,6 +162,51 @@ def spread(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return med, q1, q3
 
+def done_pairs(ledger, w):
+    """The pairs of workload `w` in which both sides printed a result."""
+    results = ledger["runs"][w]
+    return [i for i in range(ledger["pairs"]) if results["parent"][i] and results["change"][i]]
+
+def sides(ledger, w, name, done):
+    """The parent's and the change's values of metric `name`, pair by pair."""
+    results = ledger["runs"][w]
+    return ([results["parent"][i]["metrics"][name]["value"] for i in done],
+            [results["change"][i]["metrics"][name]["value"] for i in done])
+
+def median_ratio(pm, cm):
+    return cm / pm if pm else (1.0 if cm == pm else float("nan"))
+
+if mode == "trajectory":
+    ledgers = [json.load(open(f)) for f in files]
+    workloads = list(dict.fromkeys(w for ledger in ledgers for w in ledger["workloads"]))
+    print("files, in order: " + ", ".join(
+        f"{f} (parent {l['parent']['commit'][:10]}, change {l['change']['head'][:10]})" for f, l in zip(files, ledgers)))
+    print(f"{'workload':13} {'metric':21} " + " ".join(f"{i + 1:>7}" for i in range(len(files))) + f" {'product':>8}  verdict")
+    fatal = []
+    for w in workloads:
+        for m in metrics:
+            name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
+            cells, product = [], 1.0
+            for ledger in ledgers:
+                done = done_pairs(ledger, w) if w in ledger["workloads"] else []
+                if not done:
+                    cells.append(f"{'-':>7}")
+                    continue
+                p, c = sides(ledger, w, name, done)
+                ratio = median_ratio(spread(p)[0], spread(c)[0])
+                cells.append(f"{ratio:7.3f}")
+                product *= ratio
+            worse = math.isnan(product) or (product < 1 - bound if higher else product > 1 + bound)
+            verdict = f"WORSE by more than {bound:g}" if worse else "inside its bound"
+            if worse:
+                fatal.append(f"{w} {name}: product {product:.4g}, bound {bound:g}")
+            print(f"{w:13} {name:21} " + " ".join(cells) + f" {product:8.3f}  {verdict}")
+    for line in fatal:
+        print("FATAL:", line)
+    sys.exit(1 if fatal else 0)
+
+ledger = json.load(open(files[0]))
+pairs, workloads = ledger["pairs"], ledger["workloads"]
 print(f"parent {ledger['parent']['commit'][:10]}, change {ledger['change']['head'][:10]} (tree {ledger['change']['tree'][:10]});"
       f" {pairs} pairs x {ledger['seconds']:g} s, seed {ledger['seed']}")
 fatal = []
@@ -162,17 +219,16 @@ for w in workloads:
                 fatal.append(f"{w}: {side} run {i} printed no result")
             elif r["failed"] != 0 or not r["correct"]:
                 fatal.append(f"{w}: {side} run {i} failed {r['failed']} of {r['attempted']} operations")
-    done = [i for i in range(pairs) if results["parent"][i] and results["change"][i]]
+    done = done_pairs(ledger, w)
     if not done:
         continue
     for m in metrics:
         name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
-        p = [results["parent"][i]["metrics"][name]["value"] for i in done]
-        c = [results["change"][i]["metrics"][name]["value"] for i in done]
+        p, c = sides(ledger, w, name, done)
         (pm, p1, p3), (cm, c1, c3) = spread(p), spread(c)
         won = sum((b > a) if higher else (b < a) for a, b in zip(p, c))
         lost = sum((b < a) if higher else (b > a) for a, b in zip(p, c))
-        ratio = cm / pm if pm else float("nan")
+        ratio = median_ratio(pm, cm)
         if exact(name):
             same = len({repr(v) for v in p + c}) == 1
             verdict = "equal" if same else "DIFFERS"

@@ -469,9 +469,9 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
         println!("{input} -> {output}: {:?}, {} values", field.shape(), field.len());
         return Ok(());
     }
-    // Streaming decode at every thread count: chunk extents are read
-    // sequentially (zero-copy off a memory-mapped source where the
-    // platform allows), decoding fans out to `--threads` workers with at
+    // Streaming decode at every thread count: each of `--threads`
+    // workers fetches a chunk's extent with one seek+read under the
+    // reader's source lock and decodes it outside the lock, with at
     // most `2 × threads` chunks in flight, and rows are delivered in
     // order — peak memory is a window of chunks, never the field. Rows
     // stream into a temp file that is renamed into place only after

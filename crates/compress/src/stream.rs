@@ -29,8 +29,8 @@
 //!
 //! Both readers are one decode engine: one open-archive state (the reader
 //! holds it by value, the shareable form behind an [`Arc`]), one fetch
-//! stage (a zero-copy window of a mapped file or of in-memory bytes, or a
-//! seek+read under the source lock over a plain stream), one row planner
+//! stage (a seek+read under the source lock into a recycled buffer, or a
+//! zero-copy window of an archive already held in memory), one row planner
 //! and one set of counters. Writer and readers share one worker pool:
 //! `threads` workers claim chunks in order as they free up and fetch their
 //! own blobs, at most `2 × threads` chunks ahead of the caller, who takes
@@ -73,7 +73,6 @@ use crate::container::{
     read_archive_layout, read_span_into, write_header_prefix, write_trailer, ArchiveLayout,
     ChunkCodecKind, ChunkEntry, ChunkTable, CompressError, DecompressError, Header, VERSION_V2_4,
 };
-use crate::mmap::SourceMap;
 use crate::pipeline::{resolve_bound, Transform};
 use crate::pool::{BytePool, SlabPool};
 use crate::report::CompressionReport;
@@ -546,9 +545,9 @@ pub struct ReadStats {
 ///
 /// [`Self::with_threads`] sets the decode worker count. Every path runs
 /// on one pool whose workers claim chunks in row order as they free up,
-/// each fetching its own blobs: a zero-copy window of an addressable
-/// source (a mapped file, an archive held in memory), or one seek+read
-/// under the source lock over a plain stream. Region reads
+/// each fetching its own blobs: one seek+read under the source lock into a
+/// recycled buffer (a file, any other stream), or a zero-copy window of an
+/// archive already held in memory. Decoding runs outside the lock. Region reads
 /// ([`Self::read_all`], [`Self::read_rows`]) decode straight into the
 /// output; ordered streaming ([`Self::decompress_rows`],
 /// [`Self::decompress_to_writer`]) decodes into recycled slabs delivered
@@ -561,33 +560,27 @@ pub struct ReadStats {
 pub struct ArchiveReader<R: Read + Seek> {
     shared: ReaderShared<R>,
     /// For a source that *is* addressable bytes (an archive held in
-    /// memory): how to view them. Fetches are zero-copy, as over a map.
+    /// memory): how to view them. Fetches are zero-copy windows.
     inline: Option<fn(&R) -> &[u8]>,
     /// Decode worker threads (1 = decode on the calling thread).
     threads: usize,
 }
 
 impl ArchiveReader<std::fs::File> {
-    /// Open an archive file directly, memory-mapping it when the
-    /// platform allows (Linux): chunk extents are then fetched as
-    /// zero-copy windows of the page cache instead of per-chunk
-    /// seek+read copies, and the kernel's readahead overlaps faulting
-    /// the next extents with decoding the current one. Where no mapping
-    /// is available this silently falls back to the seek+read path —
-    /// decoded bytes are identical either way.
+    /// Open an archive file: [`Self::open`] over the opened file. Each
+    /// chunk fetch is one seek+read under the source lock into a recycled
+    /// buffer. A file that shrinks while it is open gives a typed error on
+    /// the first fetch past its new end
+    /// ([`DecompressError::Io`], `UnexpectedEof`), not a crash.
     pub fn open_path(path: impl AsRef<std::path::Path>) -> Result<Self, DecompressError> {
-        let file = std::fs::File::open(path)?;
-        let map = SourceMap::map(&file);
-        let mut reader = Self::open(file)?;
-        reader.shared.map = map;
-        Ok(reader)
+        Self::open(std::fs::File::open(path)?)
     }
 }
 
 impl<'a> ArchiveReader<std::io::Cursor<&'a [u8]>> {
     /// Open an archive held in memory — the reader behind the one-shot
     /// [`crate::decompress`] family. Chunk fetches are zero-copy windows
-    /// of `bytes`, exactly as over a mapped file.
+    /// of `bytes`, taken without the source lock.
     pub(crate) fn open_bytes(bytes: &'a [u8]) -> Result<Self, DecompressError> {
         let mut reader = Self::open(std::io::Cursor::new(bytes))?;
         reader.inline = Some(|src| src.get_ref());
@@ -602,18 +595,11 @@ impl<R: Read + Seek> ArchiveReader<R> {
         let layout = read_archive_layout(&mut src)?;
         let shared = ReaderShared {
             src: Mutex::new(src),
-            map: None,
             blob_pool: BytePool::new(),
             layout,
             counters: Counters::default(),
         };
         Ok(ArchiveReader { shared, inline: None, threads: 1 })
-    }
-
-    /// Whether chunk fetches are served zero-copy from a memory-mapped
-    /// source (see [`ArchiveReader::open_path`]).
-    pub fn is_mapped(&self) -> bool {
-        self.shared.map.is_some()
     }
 
     /// Set the decode worker-thread count (`0` = one per available CPU,
@@ -702,9 +688,8 @@ impl<R: Read + Seek> ArchiveReader<R> {
     }
 
     /// Convert this session into a shareable [`ConcurrentReader`] over
-    /// the same source, keeping the already-parsed layout (and the file
-    /// mapping, if any). Accumulated [`ReadStats`] carry over as the
-    /// aggregate baseline.
+    /// the same source, keeping the already-parsed layout. Accumulated
+    /// [`ReadStats`] carry over as the aggregate baseline.
     pub fn into_concurrent(self) -> ConcurrentReader<R> {
         ConcurrentReader { shared: Arc::new(self.shared) }
     }
@@ -792,17 +777,13 @@ fn check_scalar_tag<T: Scalar>(header: &Header) -> Result<(), DecompressError> {
 // ---------------------------------------------------------------------------
 
 /// The state of one open archive, which both readers are built on: the
-/// source behind a mutex (held only while a plain stream's fetch seeks
-/// and reads — decoding runs unlocked), the mapping where there is one,
-/// the blob pool, the parsed layout and the aggregate counters.
+/// source behind a mutex (held only while a fetch seeks and reads —
+/// decoding runs unlocked), the blob pool, the parsed layout and the
+/// aggregate counters.
 /// [`ArchiveReader`] holds it by value, [`ConcurrentReader`] behind an
 /// [`Arc`].
 struct ReaderShared<R> {
     src: Mutex<R>,
-    /// Mapped view of the source where available: fetches through it
-    /// take **no lock at all** — concurrent requests don't serialize
-    /// even on the fetch stage.
-    map: Option<SourceMap>,
     /// Recycled blob buffers; checked out *before* taking the source
     /// lock so the critical section is exactly one seek+read.
     blob_pool: BytePool,
@@ -811,13 +792,9 @@ struct ReaderShared<R> {
 }
 
 impl<R: Read + Seek> ReaderShared<R> {
-    /// The fetch stage over this source: windows of the mapping, else a
-    /// seek+read under the source lock.
+    /// The fetch stage over this source: a seek+read under the source lock.
     fn fetcher(&self) -> Fetcher<'_, R> {
-        match &self.map {
-            Some(map) => Fetcher::Bytes(map.as_slice()),
-            None => Fetcher::Stream { src: &self.src, pool: &self.blob_pool },
-        }
+        Fetcher::Stream { src: &self.src, pool: &self.blob_pool }
     }
 
     fn engine(&self) -> Engine<'_, R> {
@@ -855,11 +832,11 @@ struct SliceJob<'o, T> {
 }
 
 /// One fetched chunk extent: either a recycled pool buffer (returned to
-/// its pool on drop) or a zero-copy window of the memory-mapped source.
+/// its pool on drop) or a zero-copy window of an archive held in memory.
 /// Either way the decode stage sees plain `&[u8]` via `Deref`.
 enum Blob<'e> {
     Pooled(Vec<u8>, &'e BytePool),
-    Mapped(&'e [u8]),
+    Window(&'e [u8]),
 }
 
 impl std::ops::Deref for Blob<'_> {
@@ -867,7 +844,7 @@ impl std::ops::Deref for Blob<'_> {
     fn deref(&self) -> &[u8] {
         match self {
             Blob::Pooled(buf, _) => buf,
-            Blob::Mapped(bytes) => bytes,
+            Blob::Window(bytes) => bytes,
         }
     }
 }
@@ -880,30 +857,31 @@ impl Drop for Blob<'_> {
     }
 }
 
-/// One chunk's compressed bytes as a bounds-checked window of an
-/// addressable source (zero-copy, no syscall).
+/// One chunk's compressed bytes as a bounds-checked window of an archive
+/// held in memory (zero-copy, no syscall).
 fn blob_window(bytes: &[u8], entry: ChunkEntry) -> Result<&[u8], DecompressError> {
     entry
         .offset
         .checked_add(entry.len)
         .and_then(|end| bytes.get(entry.offset..end))
-        .ok_or(DecompressError::Corrupt("chunk extent beyond mapped source"))
+        .ok_or(DecompressError::Corrupt("chunk extent beyond source"))
 }
 
 /// The one fetch stage, shared by every thread of every read.
 enum Fetcher<'e, R> {
-    /// An addressable source — a mapped file or an archive held in
-    /// memory: a fetch is a window of these bytes, with no lock.
+    /// An archive held in memory (`open_bytes`): a fetch is a window of
+    /// these bytes, with no lock.
     Bytes(&'e [u8]),
-    /// A plain stream: a fetch is a seek+read into a recycled buffer,
-    /// which is checked out before the lock is taken.
+    /// Any other source, a file included: a fetch is a seek+read into a
+    /// recycled buffer, which is checked out before the lock is taken. A
+    /// short read (a source that shrank) is `Io(UnexpectedEof)`.
     Stream { src: &'e Mutex<R>, pool: &'e BytePool },
 }
 
 impl<'e, R: Read + Seek> Fetcher<'e, R> {
     fn fetch(&self, entry: ChunkEntry) -> Result<Blob<'e>, DecompressError> {
         match *self {
-            Fetcher::Bytes(bytes) => blob_window(bytes, entry).map(Blob::Mapped),
+            Fetcher::Bytes(bytes) => blob_window(bytes, entry).map(Blob::Window),
             Fetcher::Stream { src, pool } => {
                 let mut buf = pool.get(entry.len);
                 let read = read_span_into(
@@ -1112,11 +1090,10 @@ impl<R: Read + Seek> Clone for ConcurrentReader<R> {
 }
 
 impl ConcurrentReader<std::fs::File> {
-    /// Open an archive file for shared reading, memory-mapping it when
-    /// the platform allows (Linux). Mapped fetches take **no lock at
-    /// all** — concurrent requests stop serializing even on the fetch
-    /// stage — and fall back to the pooled seek+read path (identical
-    /// results) where no mapping is available.
+    /// Open an archive file for shared reading: [`ArchiveReader::open_path`]
+    /// made shareable. Concurrent requests take turns only for the
+    /// seek+read of a fetch; they decode in parallel. A file that shrinks
+    /// while it is open gives [`DecompressError::Io`] (`UnexpectedEof`).
     pub fn open_path(path: impl AsRef<std::path::Path>) -> Result<Self, DecompressError> {
         ArchiveReader::open_path(path).map(ArchiveReader::into_concurrent)
     }
@@ -1127,12 +1104,6 @@ impl<R: Read + Seek> ConcurrentReader<R> {
     /// and chunk index, without reading any payload.
     pub fn open(src: R) -> Result<Self, DecompressError> {
         ArchiveReader::open(src).map(ArchiveReader::into_concurrent)
-    }
-
-    /// Whether chunk fetches are served zero-copy (and lock-free) from a
-    /// memory-mapped source (see [`ConcurrentReader::open_path`]).
-    pub fn is_mapped(&self) -> bool {
-        self.shared.map.is_some()
     }
 
     /// The archive's parsed header.
@@ -1806,12 +1777,12 @@ mod tests {
     }
 
     #[test]
-    fn open_path_mapped_reader_matches_in_memory() {
+    fn open_path_reader_matches_in_memory() {
         let field = wavy(Shape::d3(24, 10, 8));
         let bytes = stream_archive(&field, &cfg(), 24);
         let dir = std::env::temp_dir().join("rqm_stream_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("mapped_{}.rqm", std::process::id()));
+        let path = dir.join(format!("file_{}.rqm", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
 
         let mut want_r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
@@ -1819,12 +1790,8 @@ mod tests {
 
         for threads in [1usize, 2, 4] {
             let mut r = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
-            if cfg!(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))
-            {
-                assert!(r.is_mapped(), "expected an mmap-backed reader on Linux");
-            }
             assert_eq!(want.as_slice(), r.read_all::<f32>().unwrap().as_slice());
-            // Ordered streaming over the same mapped source.
+            // Ordered streaming over the same file.
             let mut streamed: Vec<f32> = Vec::new();
             let mut r = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
             r.decompress_rows::<f32>(|slab| {
@@ -1835,10 +1802,53 @@ mod tests {
             assert_eq!(want.as_slice(), &streamed[..], "ordered threads={threads}");
         }
 
-        // Concurrent mapped reader: fetches take no lock, bytes agree.
+        // Concurrent reader over the file: same bytes.
         let cr = ConcurrentReader::open_path(&path).unwrap();
         assert_eq!(want.as_slice(), cr.read_all::<f32>().unwrap().as_slice());
         assert_eq!(cr.stats().reorder_copies, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn file_truncated_after_open_is_a_typed_error() {
+        // `cp new.rqc a.rqc` truncates a file in place under a reader that
+        // indexed it whole: every read past the new end must come back as
+        // `Io(UnexpectedEof)`, at every thread count and on both readers.
+        let field = wavy(Shape::d3(48, 10, 8));
+        let bytes = stream_archive(&field, &cfg(), 48);
+        // Rows 40..48 are chunk 7, which starts past the 200 B cut.
+        assert!(chunk_table(&bytes).unwrap().entries[7].offset >= 200);
+        let dir = std::env::temp_dir().join("rqm_stream_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("truncated_{}.rqm", std::process::id()));
+        let truncate = || {
+            std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(200).unwrap();
+        };
+        let eof = |what: &str, got: Result<(), DecompressError>| match got {
+            Err(DecompressError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {}
+            other => panic!("{what}: expected Io(UnexpectedEof), got {other:?}"),
+        };
+
+        for threads in [1usize, 2] {
+            type ReadFn = fn(&mut ArchiveReader<std::fs::File>) -> Result<(), DecompressError>;
+            let reads: [(&str, ReadFn); 3] = [
+                ("read_rows", |r| r.read_rows::<f32>(40..48).map(drop)),
+                ("read_all", |r| r.read_all::<f32>().map(drop)),
+                ("decompress_rows", |r| r.decompress_rows::<f32>(|_| Ok(()))),
+            ];
+            for (what, read) in reads {
+                std::fs::write(&path, &bytes).unwrap();
+                let mut r = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
+                truncate();
+                eof(&format!("{what} threads={threads}"), read(&mut r));
+            }
+        }
+
+        std::fs::write(&path, &bytes).unwrap();
+        let cr = ConcurrentReader::open_path(&path).unwrap();
+        truncate();
+        eof("concurrent read_rows", cr.read_rows::<f32>(40..48).map(drop));
+        eof("concurrent read_all", cr.read_all::<f32>().map(drop));
         std::fs::remove_file(&path).ok();
     }
 

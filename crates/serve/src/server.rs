@@ -387,11 +387,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// Serve the file at `path` — a single-field archive (memory-mapped
-    /// where the platform allows: cache fills then fetch compressed
-    /// extents zero-copy and lock-free instead of serializing on a
-    /// seek+read) or, sniffed by magic, an `RQCAT` catalog whose
-    /// datasets all become addressable via the v2 opcodes.
+    /// Serve the file at `path` — a single-field archive or, sniffed by
+    /// magic, an `RQCAT` catalog whose datasets all become addressable via
+    /// the v2 opcodes. Either way a cache fill fetches its compressed
+    /// extent with one seek+read under the file's lock and decodes outside
+    /// it. A file that shrinks while served fails the requests that reach
+    /// past its new end with a typed `DECODE` frame; the server stays up.
     pub fn bind_path<A: ToSocketAddrs>(addr: A, path: &Path, cfg: ServeConfig) -> io::Result<Server> {
         let mut head = Vec::with_capacity(6);
         Read::take(std::fs::File::open(path)?, 6).read_to_end(&mut head)?;

@@ -1,8 +1,8 @@
 //! Differential and concurrency tests for the parallel decode engine.
 //!
 //! The engine's contract is that thread count, chunk count against the
-//! ordered window, delivery mode and the kind of source (stream, mapped
-//! file, bytes in memory) are implementation details: every decode
+//! ordered window, delivery mode and the kind of source (stream, file,
+//! bytes in memory) are implementation details: every decode
 //! path — `read_all`, `read_rows`, `decompress_to_writer` on
 //! `ArchiveReader`, the one-shot
 //! `decompress`/`decompress_chunk`, and every request on a shared
@@ -171,7 +171,7 @@ fn parallel_decode_matches_serial_across_generations() {
 fn every_source_kind_decodes_identically_with_equal_stats() {
     // One engine, every kind of source: the same bytes held in memory
     // (`decompress`, `decompress_chunk`), behind a seekable stream
-    // (`open(Cursor)`) and in a mapped file (`open_path`), read by the
+    // (`open(Cursor)`) and in a file (`open_path`), read by the
     // session reader at 1, 2 and 8 (oversubscribed) worker threads, by the
     // shared reader over both, and chunk by chunk through `ChunkSource`,
     // must give bit-identical values and count the same decoded chunks,
@@ -190,7 +190,7 @@ fn every_source_kind_decodes_identically_with_equal_stats() {
 }
 
 /// One archive through every kind of source (see the test above); `path`
-/// is scratch space for the mapped copy.
+/// is scratch space for the file copy.
 fn assert_source_kinds_agree<T: Scalar>(name: &str, bytes: &[u8], path: &std::path::Path) {
     let reference = decompress::<T>(bytes).unwrap();
     let n_chunks = chunk_count(bytes).unwrap();
@@ -205,10 +205,10 @@ fn assert_source_kinds_agree<T: Scalar>(name: &str, bytes: &[u8], path: &std::pa
     }
     std::fs::write(path, bytes).unwrap();
     // The kinds without a thread count: one `read_all` request on a shared
-    // reader over the stream and over the map, and every chunk fetched
+    // reader over the stream and over the file, and every chunk fetched
     // whole through the chunk source.
     let shared_stream = ConcurrentReader::open(Cursor::new(bytes)).unwrap();
-    let shared_mapped = ConcurrentReader::open_path(path).unwrap();
+    let shared_file = ConcurrentReader::open_path(path).unwrap();
     let source = ConcurrentReader::open(Cursor::new(bytes)).unwrap();
     let mut fetched = Vec::with_capacity(reference.len());
     for chunk in 0..n_chunks {
@@ -217,7 +217,7 @@ fn assert_source_kinds_agree<T: Scalar>(name: &str, bytes: &[u8], path: &std::pa
     let fetched = NdArray::from_vec(reference.shape(), fetched);
     let mut kinds = vec![
         ("shared stream".into(), shared_stream.read_all::<T>().unwrap(), shared_stream.stats()),
-        ("shared mapped".into(), shared_mapped.read_all::<T>().unwrap(), shared_mapped.stats()),
+        ("shared file".into(), shared_file.read_all::<T>().unwrap(), shared_file.stats()),
         ("chunk source".to_string(), fetched, source.stats()),
     ];
     for threads in [1usize, 2, 8] {
@@ -228,11 +228,11 @@ fn assert_source_kinds_agree<T: Scalar>(name: &str, bytes: &[u8], path: &std::pa
         );
         let mut stream =
             ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
-        let mut mapped = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
+        let mut file = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
         let all = stream.read_all::<T>().unwrap();
         kinds.push((format!("stream threads={threads}"), all, stream.stats()));
-        let all = mapped.read_all::<T>().unwrap();
-        kinds.push((format!("mapped threads={threads}"), all, mapped.stats()));
+        let all = file.read_all::<T>().unwrap();
+        kinds.push((format!("file threads={threads}"), all, file.stats()));
     }
     let want = kinds[0].2;
     assert_eq!(want.chunks_decoded, n_chunks as u64, "{name}");

@@ -1,16 +1,15 @@
 //! Differential coverage for the pooled, zero-copy decode paths.
 //!
-//! PR 7 reworked the streaming decode engines around recycled buffer
-//! pools and an mmap fast path (PR 25 folded them into one engine with
-//! one fetch stage and no prefetch thread). None of that may be
+//! The streaming decode engine runs on recycled buffer pools, with one
+//! fetch stage and no prefetch thread. None of that may be
 //! observable in the decoded bytes: a long-lived reader whose pools are
 //! saturated with dirty buffers from earlier requests must keep
 //! producing output byte-identical to a fresh reader, across container
 //! generations {v1, v2.2, v2.3} (committed fixtures; f64 ones for
 //! v1–v2.3) and v2.4 (live writer, adaptive codecs, planned and not) ×
 //! threads {1, 2, 8} ×
-//! random row ranges, and a file-backed (memory-mapped) reader must
-//! agree with the in-memory cursor reader everywhere.
+//! random row ranges, and a file-backed reader (`open_path`) must agree
+//! with the in-memory cursor reader everywhere.
 
 use rqm::grid::Scalar;
 use rqm::prelude::*;
@@ -121,24 +120,25 @@ fn assert_saturated_pools_identical<T: Scalar>(name: &str, bytes: &[u8], rng: &m
 
 #[test]
 fn mapped_file_reader_matches_in_memory() {
-    // A file-backed reader (zero-copy mmap fetches where the platform
-    // provides them, pooled seek+read otherwise) must agree with the
-    // in-memory cursor reader on every path and thread count.
+    // A file-backed reader (pooled seek+read fetches under the source
+    // lock) must agree with the in-memory cursor reader on every path and
+    // thread count. The test keeps the name it had when `open_path`
+    // memory-mapped the file.
     let field = mixed_field(Shape::d3(23, 8, 6));
     let dir = std::env::temp_dir().join("rqm_pooled_decode");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("mapped_{}.rqm", std::process::id()));
+    let path = dir.join(format!("file_{}.rqm", std::process::id()));
     let mut rng = Rng(0x3A77_ED01);
     for (name, bytes) in generations(&field) {
-        assert_mapped_matches_in_memory::<f32>(&name, &bytes, &path, &mut rng);
+        assert_file_matches_in_memory::<f32>(&name, &bytes, &path, &mut rng);
     }
     for (name, bytes) in f64_fixtures() {
-        assert_mapped_matches_in_memory::<f64>(name, bytes, &path, &mut rng);
+        assert_file_matches_in_memory::<f64>(name, bytes, &path, &mut rng);
     }
     std::fs::remove_file(&path).ok();
 }
 
-fn assert_mapped_matches_in_memory<T: Scalar>(
+fn assert_file_matches_in_memory<T: Scalar>(
     name: &str,
     bytes: &[u8],
     path: &std::path::Path,
@@ -152,7 +152,7 @@ fn assert_mapped_matches_in_memory<T: Scalar>(
         let mut r = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
         assert!(
             r.read_all::<T>().unwrap().as_slice() == reference.as_slice(),
-            "{name} threads={threads}: mapped read_all"
+            "{name} threads={threads}: file read_all"
         );
         for _ in 0..8 {
             let start = rng.below(d0);
@@ -160,7 +160,7 @@ fn assert_mapped_matches_in_memory<T: Scalar>(
             let part = r.read_rows::<T>(start..end).unwrap();
             assert!(
                 part.as_slice() == &reference.as_slice()[start * row_elems..end * row_elems],
-                "{name} threads={threads}: mapped rows {start}..{end}"
+                "{name} threads={threads}: file rows {start}..{end}"
             );
         }
         let mut sink = Vec::new();
@@ -168,9 +168,9 @@ fn assert_mapped_matches_in_memory<T: Scalar>(
         r.decompress_to_writer::<T, _>(&mut sink).unwrap();
         let mut expect = Vec::new();
         reference.as_slice().iter().for_each(|v| v.write_le(&mut expect));
-        assert_eq!(sink, expect, "{name} threads={threads}: mapped writer");
+        assert_eq!(sink, expect, "{name} threads={threads}: file writer");
     }
-    // Shared mapped reader: lock-free fetches, same bytes.
+    // Shared reader over the file: same bytes.
     let cr = ConcurrentReader::open_path(path).unwrap();
     for _ in 0..6 {
         let start = rng.below(d0);
@@ -178,7 +178,7 @@ fn assert_mapped_matches_in_memory<T: Scalar>(
         let part = cr.read_rows::<T>(start..end).unwrap();
         assert!(
             part.as_slice() == &reference.as_slice()[start * row_elems..end * row_elems],
-            "{name}: concurrent mapped rows {start}..{end}"
+            "{name}: concurrent file rows {start}..{end}"
         );
     }
 }
