@@ -5,7 +5,7 @@ use crate::error::CatalogError;
 use crate::format::DatasetEntry;
 use crate::reader::CatalogReader;
 use crate::subrange::SubRange;
-use rq_compress::{ChunkEntry, ChunkSource, ConcurrentReader, DecompressError, Header};
+use rq_compress::{ArchiveReader, ChunkEntry, ChunkSource, DecompressError, Header};
 use rq_grid::Scalar;
 use std::fs::File;
 use std::io::{Read, Seek};
@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// *reconstructed* step `step`.
 ///
 /// Built by [`DatasetReader::open`] from a [`CatalogReader`]'s parsed
-/// index: every step gets its own [`ConcurrentReader`] over a
+/// index: every step gets its own [`ArchiveReader`] over a
 /// [`SubRange`] window of the catalog's one source, so any number of
 /// datasets and steps read through one open descriptor; each step keeps
 /// its own cursor, and only the seek+read of a fetch takes the source's
@@ -40,7 +40,7 @@ pub struct DatasetReader<T: Scalar, R: Read + Seek = File> {
     /// offsets catalog-absolute.
     entries: Vec<ChunkEntry>,
     /// One reader per step; all share step 0's chunk partition.
-    steps: Vec<ConcurrentReader<SubRange<R>>>,
+    steps: Vec<ArchiveReader<SubRange<R>>>,
     _scalar: std::marker::PhantomData<fn() -> T>,
 }
 
@@ -65,7 +65,7 @@ impl<T: Scalar, R: Read + Seek> DatasetReader<T, R> {
         let steps = entry
             .steps
             .iter()
-            .map(|s| ConcurrentReader::open(cat.window(s)))
+            .map(|s| ArchiveReader::open(cat.window(s)))
             .collect::<Result<Vec<_>, _>>()?;
 
         let step_rows = entry.shape.dim(0);

@@ -90,7 +90,7 @@ mod tests {
         let fin = w.finalize().unwrap();
         assert_eq!(fin.bytes_written as usize, fin.sink.len());
 
-        let mut r = CatalogReader::open(Cursor::new(fin.sink)).unwrap();
+        let r = CatalogReader::open(Cursor::new(fin.sink)).unwrap();
         assert_eq!(r.datasets().len(), 2);
         for t in 0..6 {
             let dec = r.read_step::<f32>("a", t).unwrap();
@@ -121,7 +121,7 @@ mod tests {
         let mut w = CatalogWriter::create(Vec::new()).unwrap();
         w.write_dataset("x", &cfg(1e-3), 2, &steps).unwrap();
         let bytes = w.finalize().unwrap().sink;
-        let mut r = CatalogReader::open(Cursor::new(bytes)).unwrap();
+        let r = CatalogReader::open(Cursor::new(bytes)).unwrap();
         assert!(matches!(
             r.read_step::<f32>("y", 0),
             Err(CatalogError::DatasetNotFound(_))
@@ -165,9 +165,9 @@ mod tests {
         let mut w = CatalogWriter::create(Vec::new()).unwrap();
         w.write_dataset("x", &cfg(1e-3), 2, &steps).unwrap();
         let bytes = w.finalize().unwrap().sink;
-        let mut r = CatalogReader::open(Cursor::new(bytes)).unwrap();
+        let r = CatalogReader::open(Cursor::new(bytes)).unwrap();
         // Keyframe step: the segment decodes to the field directly.
-        let mut ar = r.open_step("x", 2).unwrap();
+        let ar = r.open_step("x", 2).unwrap();
         assert_eq!(ar.header().shape.dims(), &[16, 16]);
         let dec = ar.read_all::<f32>().unwrap();
         for (a, b) in dec.as_slice().iter().zip(steps[2].as_slice()) {
@@ -191,7 +191,7 @@ mod tests {
         let ds = DatasetReader::<f32>::open_path(&path, "x").unwrap();
         assert_eq!(ds.n_steps(), 5);
         assert_eq!(ds.step_rows(), 20);
-        let mut cat = CatalogReader::open_path(&path).unwrap();
+        let cat = CatalogReader::open_path(&path).unwrap();
         for t in 0..5 {
             let want = cat.read_step::<f32>("x", t).unwrap();
             let rows = t * ds.step_rows()..(t + 1) * ds.step_rows();

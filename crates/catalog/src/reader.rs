@@ -7,7 +7,7 @@ use crate::format::{
     PREAMBLE_LEN, TRAILER_MAGIC, TRAILER_SUFFIX_LEN,
 };
 use crate::subrange::SubRange;
-use rq_compress::{decompress, ArchiveReader};
+use rq_compress::ArchiveReader;
 use rq_grid::{NdArray, Scalar};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -107,7 +107,7 @@ impl<R: Read + Seek> CatalogReader<R> {
     }
 
     /// Raw bytes of one step's embedded archive segment.
-    pub fn read_segment(&mut self, name: &str, step: usize) -> Result<Vec<u8>, CatalogError> {
+    pub fn read_segment(&self, name: &str, step: usize) -> Result<Vec<u8>, CatalogError> {
         let s = self.step_entry(name, step)?;
         let mut bytes = vec![0u8; s.len as usize];
         self.window(&s).read_exact(&mut bytes)?;
@@ -119,7 +119,7 @@ impl<R: Read + Seek> CatalogReader<R> {
     /// For delta steps the archive holds the *residual* stream, not the
     /// field; use [`CatalogReader::read_step`] for reconstructed values.
     pub fn open_step(
-        &mut self,
+        &self,
         name: &str,
         step: usize,
     ) -> Result<ArchiveReader<SubRange<R>>, CatalogError> {
@@ -130,12 +130,13 @@ impl<R: Read + Seek> CatalogReader<R> {
     /// Decode the reconstructed field of `(dataset, step)`.
     ///
     /// Walks back to the nearest keyframe and applies the delta chain —
-    /// at most one keyframe plus `keyframe_every - 1` residual decodes.
-    pub fn read_step<T: Scalar>(
-        &mut self,
-        name: &str,
-        step: usize,
-    ) -> Result<NdArray<T>, CatalogError> {
+    /// at most one keyframe plus `keyframe_every - 1` residual decodes,
+    /// each an [`ArchiveReader`] over the segment's window, one worker per
+    /// CPU.
+    pub fn read_step<T: Scalar>(&self, name: &str, step: usize) -> Result<NdArray<T>, CatalogError>
+    where
+        R: Send,
+    {
         let d = self.dataset(name)?;
         if step >= d.steps.len() {
             return Err(CatalogError::StepOutOfRange { step, n_steps: d.steps.len() });
@@ -148,18 +149,16 @@ impl<R: Read + Seek> CatalogReader<R> {
             .keyframe_before(step)
             .ok_or(CatalogError::Corrupt("no keyframe at or before the step"))?;
 
-        let bytes = self.read_segment(name, kf)?;
-        let mut recon = decompress::<T>(&bytes)?.into_vec();
-        if recon.len() != shape.len() {
-            return Err(CatalogError::Corrupt("segment shape differs from the index"));
-        }
-        for t in kf + 1..=step {
-            let bytes = self.read_segment(name, t)?;
-            let resid = decompress::<T>(&bytes)?;
-            if resid.len() != shape.len() {
+        let segment = |t: usize| -> Result<NdArray<T>, CatalogError> {
+            let field = ArchiveReader::open(self.window(&d.steps[t]))?.with_threads(0).read_all()?;
+            if field.len() != shape.len() {
                 return Err(CatalogError::Corrupt("segment shape differs from the index"));
             }
-            recon = add_residual(&recon, resid.as_slice());
+            Ok(field)
+        };
+        let mut recon = segment(kf)?.into_vec();
+        for t in kf + 1..=step {
+            recon = add_residual(&recon, segment(t)?.as_slice());
         }
         Ok(NdArray::from_vec(shape, recon))
     }

@@ -7,9 +7,9 @@ use std::sync::{Arc, Mutex};
 /// standalone `Read + Seek` stream whose position 0 is `start`.
 ///
 /// This is how an embedded archive segment of a catalog becomes "a normal
-/// archive" for [`rq_compress::ArchiveReader`] /
-/// [`rq_compress::ConcurrentReader`]: the segment's window is carved out
-/// and the archive reader never learns it lives inside a bigger file.
+/// archive" for [`rq_compress::ArchiveReader`]: the segment's window is
+/// carved out and the archive reader never learns it lives inside a
+/// bigger file.
 ///
 /// Every window of one [`CatalogReader`](crate::CatalogReader) shares
 /// its one source. A window keeps its own position; a read seeks the

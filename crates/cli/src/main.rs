@@ -88,7 +88,7 @@ mod io;
 use args::Args;
 use rq_catalog::{is_catalog_magic, CatalogIndex, CatalogReader, CatalogWriter};
 use rq_compress::{
-    compress_with_report, generation_name, json_escape, json_f64, resolved_chunk_rows,
+    generation_name, json_escape, json_f64, resolved_chunk_rows,
     ArchiveReader, ArchiveWriter, ChunkCodecKind, CodecChoice, CompressError, CompressionReport,
     CompressorConfig, Header,
 };
@@ -302,7 +302,7 @@ fn compress_to_target(
             // of the input resident at a time.
             let originals = io::raw_slabs(input, shape, chunk_rows)?;
             ArchiveReader::open_path(&path)
-                .and_then(|mut reader| measure_archive(&mut reader, bytes, originals))
+                .and_then(|reader| measure_archive(&reader, bytes, originals))
                 .map_err(|e| format!("verification failed: {e}"))
         })
         .map_err(|e| match e {
@@ -396,17 +396,10 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
         };
         plan_note = format!("{goal_note}, per-chunk eb {eb_lo:.2e}..{eb_hi:.2e}, ");
         rep
-    } else if chunked {
-        // Chunked: stream slabs through the writer session — peak RSS is
-        // a few slabs, not the field.
-        replace_on_success(&output, |tmp| stream_compress(&input, tmp, shape, cfg, None))?
     } else {
-        // One whole-field chunk: its causal traversal needs the whole field.
-        let field = io::read_raw_f32(&input, shape)?;
-        let (out, rep) =
-            compress_with_report(&field, &cfg).map_err(|e| format!("compression failed: {e}"))?;
-        io::write_bytes(&output, &out.bytes)?;
-        rep
+        // Stream slabs through the writer session: peak RSS is a few slabs,
+        // or the field when it is one whole-field chunk.
+        replace_on_success(&output, |tmp| stream_compress(&input, tmp, shape, cfg, None))?
     };
 
     let n_zfp =
@@ -479,7 +472,7 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
     // existing output nor leave a silently truncated one.
     let threads = args.unsigned("threads")?.unwrap_or(1);
     drop(src);
-    let mut reader = ArchiveReader::open_path(&input)
+    let reader = ArchiveReader::open_path(&input)
         .map_err(|e| format!("decompression failed: {e}"))?
         .with_threads(threads);
     let shape = reader.header().shape;
@@ -888,7 +881,7 @@ fn cmd_unpack(args: &Args) -> Result<(), String> {
     let [_, input, outdir] = positional::<3>(args)?;
     let only = args.get("dataset");
     let step_sel = args.unsigned("step")?;
-    let mut reader =
+    let reader =
         CatalogReader::open_path(&input).map_err(|e| format!("not a readable catalog: {e}"))?;
     let selected: Vec<(String, u8, usize, Shape)> = reader
         .datasets()
@@ -1180,20 +1173,34 @@ mod tests {
         let rqc = tmp("a.rqc");
         let back = tmp("a.out.f32");
         let f = write_field(&raw);
-        run_args(&[
-            "compress",
-            raw.to_str().unwrap(),
-            rqc.to_str().unwrap(),
-            "--shape",
-            "20x30",
-            "--abs",
-            "1e-3",
-        ])
-        .unwrap();
-        run_args(&["decompress", rqc.to_str().unwrap(), back.to_str().unwrap()]).unwrap();
-        let g = io::read_raw_f32(back.to_str().unwrap(), Shape::d2(20, 30)).unwrap();
-        for (&a, &b) in f.as_slice().iter().zip(g.as_slice()) {
-            assert!((a - b).abs() <= 1e-3 * 1.001);
+        // An unchunked run streams through the writer and writes the
+        // one-shot archive, byte for byte.
+        for (flag, value, bound) in [
+            ("--abs", "1e-3", ErrorBoundMode::Abs(1e-3)),
+            ("--rel", "1e-4", ErrorBoundMode::ValueRangeRelative(1e-4)),
+        ] {
+            run_args(&[
+                "compress",
+                raw.to_str().unwrap(),
+                rqc.to_str().unwrap(),
+                "--shape",
+                "20x30",
+                flag,
+                value,
+            ])
+            .unwrap();
+            let cfg = CompressorConfig::new(rq_predict::PredictorKind::Interpolation, bound);
+            let one_shot = rq_compress::compress(&f, &cfg).unwrap().bytes;
+            assert!(io::read_bytes(rqc.to_str().unwrap()).unwrap() == one_shot, "{flag}");
+            run_args(&["decompress", rqc.to_str().unwrap(), back.to_str().unwrap()]).unwrap();
+            let g = io::read_raw_f32(back.to_str().unwrap(), Shape::d2(20, 30)).unwrap();
+            let eb = match bound {
+                ErrorBoundMode::ValueRangeRelative(r) => r * f.value_range(),
+                _ => 1e-3,
+            };
+            for (&a, &b) in f.as_slice().iter().zip(g.as_slice()) {
+                assert!(((a - b).abs() as f64) <= eb * 1.001, "{flag}");
+            }
         }
     }
 
@@ -1858,7 +1865,7 @@ mod tests {
         ])
         .unwrap();
         // The served rows must match the local decode of the same step.
-        let mut local = CatalogReader::open_path(cat.to_str().unwrap()).unwrap();
+        let local = CatalogReader::open_path(cat.to_str().unwrap()).unwrap();
         let step = local.read_step::<f32>("q", 3).unwrap();
         let got = io::read_raw_f32(fetched.to_str().unwrap(), Shape::d2(5, 64)).unwrap();
         for (&a, &b) in got.as_slice().iter().zip(&step.as_slice()[2 * 64..7 * 64]) {

@@ -26,6 +26,7 @@ use crate::report::CompressionReport;
 use crate::stream::ArchiveReader;
 use rq_grid::{auto_chunk_rows, NdArray, Scalar, Shape};
 use rq_quant::LinearQuantizer;
+use std::io::Cursor;
 use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Minimum elements per auto-sized chunk, so per-chunk codebook/section
@@ -251,7 +252,7 @@ pub fn decompress_with_threads<T: Scalar>(
     bytes: &[u8],
     threads: usize,
 ) -> Result<NdArray<T>, DecompressError> {
-    ArchiveReader::open_bytes(bytes)?.with_threads(threads).read_all()
+    ArchiveReader::open(Cursor::new(bytes))?.with_threads(threads).read_all()
 }
 
 /// Decode a single chunk of a container held in memory (random access).
@@ -263,7 +264,8 @@ pub fn decompress_chunk<T: Scalar>(
     bytes: &[u8],
     chunk: usize,
 ) -> Result<(usize, NdArray<T>), DecompressError> {
-    ArchiveReader::open_bytes(bytes)?.read_chunk(chunk)
+    let (start, slab, _) = ArchiveReader::open(Cursor::new(bytes))?.read_chunk(chunk)?;
+    Ok((start, slab))
 }
 
 #[cfg(test)]
@@ -464,7 +466,7 @@ mod tests {
         // Parallel decode agrees with single-threaded decode (`_exact`
         // so the pool really runs 8-wide even on a small host).
         let a = decompress_with_threads::<f32>(&reference, 1).unwrap();
-        let mut wide = ArchiveReader::open_bytes(&reference).unwrap().with_threads_exact(8);
+        let wide = ArchiveReader::open(Cursor::new(&reference[..])).unwrap().with_threads_exact(8);
         assert_eq!(a.as_slice(), wide.read_all::<f32>().unwrap().as_slice());
     }
 

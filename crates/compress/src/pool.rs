@@ -4,7 +4,7 @@
 //! compressed blob fetched off the source and (in ordered delivery or
 //! boundary crops) a decoded scratch slab. Allocating both per chunk puts
 //! one `malloc`/`free` pair *per chunk* on the critical path and, worse,
-//! inside [`ConcurrentReader`](crate::ConcurrentReader)'s source lock.
+//! inside [`ArchiveReader`](crate::ArchiveReader)'s source lock.
 //! These pools let the engines check a buffer out, use it, and check it
 //! back in — steady-state decoding touches the allocator zero times.
 //!

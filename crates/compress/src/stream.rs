@@ -2,9 +2,9 @@
 //!
 //! Every archive in the workspace — one-shot, streaming, planned, catalog
 //! segment, CLI — is produced by [`ArchiveWriter`] and decoded by
-//! [`ArchiveReader`] (or its shareable form); the one-shot
-//! [`crate::compress`] / [`crate::decompress`] are these sessions over an
-//! in-memory sink and source.
+//! [`ArchiveReader`]; the one-shot [`crate::compress`] /
+//! [`crate::decompress`] are these sessions over an in-memory sink and
+//! source.
 //!
 //! * [`ArchiveWriter`] accepts axis-0 slabs incrementally, runs the
 //!   per-chunk codec scheduler (including [`CodecChoice::Auto`]) on each
@@ -22,19 +22,18 @@
 //!   [`ArchiveReader::with_threads`] decoding fans out to a worker pool,
 //!   and [`ArchiveReader::decompress_rows`] /
 //!   [`ArchiveReader::decompress_to_writer`] stream the field out in row
-//!   order without ever holding it resident.
-//! * [`ConcurrentReader`] is the shareable form of the reader: one open
-//!   archive handle, cloneable across threads, serving overlapping
-//!   `read_rows`/`read_chunk` requests with per-request [`ReadStats`].
+//!   order without ever holding it resident. Every read takes `&self` and
+//!   a clone shares the open archive, so one reader serves overlapping
+//!   requests from many threads, each with its own [`ReadStats`].
 //!
-//! Both readers are one decode engine: one open-archive state (the reader
-//! holds it by value, the shareable form behind an [`Arc`]), one fetch
-//! stage (a seek+read under the source lock into a recycled buffer, or a
-//! zero-copy window of an archive already held in memory), one row planner
-//! and one set of counters. Writer and readers share one worker pool:
-//! `threads` workers claim chunks in order as they free up and fetch their
-//! own blobs, at most `2 × threads` chunks ahead of the caller, who takes
-//! the results in row order. At one thread all runs inline on the caller.
+//! The reader is one decode engine: one open-archive state behind an
+//! [`Arc`], one fetch (a seek+read under the source lock into a recycled
+//! buffer, for a file, a stream and an archive in memory alike), one row
+//! planner and one set of counters. Writer and reader share one worker
+//! pool: `threads` workers claim chunks in order as they free up and fetch
+//! their own blobs, at most `2 × threads` chunks ahead of the caller, who
+//! takes the results in row order. At one thread all runs inline on the
+//! caller.
 //!
 //! Encoding a chunk is a pure function of its data, shape and bound, so
 //! archive bytes depend neither on the worker-thread count nor on how
@@ -60,7 +59,7 @@
 //! let finished = writer.finalize().unwrap();
 //!
 //! // Random-access region read: only intersecting chunks are decoded.
-//! let mut reader = ArchiveReader::open(std::io::Cursor::new(finished.sink)).unwrap();
+//! let reader = ArchiveReader::open(std::io::Cursor::new(finished.sink)).unwrap();
 //! let rows = reader.read_rows::<f32>(10..22).unwrap();
 //! assert_eq!(rows.shape().dims(), &[12, 16]);
 //! assert_eq!(reader.stats().chunks_decoded, 2); // rows 10..22 span chunks 1 and 2
@@ -546,8 +545,8 @@ pub struct ReadStats {
 /// [`Self::with_threads`] sets the decode worker count. Every path runs
 /// on one pool whose workers claim chunks in row order as they free up,
 /// each fetching its own blobs: one seek+read under the source lock into a
-/// recycled buffer (a file, any other stream), or a zero-copy window of an
-/// archive already held in memory. Decoding runs outside the lock. Region reads
+/// recycled buffer, whatever the source (a file, a stream, an archive held
+/// in memory). Decoding runs outside the lock. Region reads
 /// ([`Self::read_all`], [`Self::read_rows`]) decode straight into the
 /// output; ordered streaming ([`Self::decompress_rows`],
 /// [`Self::decompress_to_writer`]) decodes into recycled slabs delivered
@@ -556,35 +555,59 @@ pub struct ReadStats {
 /// caller. Results, and the first error with the rows before it, are the
 /// single-threaded decode's.
 ///
-/// See the [module docs](self) for a complete write/read example.
+/// # Sharing
+///
+/// Every read takes `&self`, and cloning is an [`Arc`] bump: all clones
+/// read the one open source, and requests on different threads overlap
+/// in everything but the seek+read of a fetch. Each request reports its
+/// own counters ([`Self::read_rows_with_stats`], [`Self::read_chunk`]);
+/// [`Self::stats`] aggregates every clone and request.
+///
+/// ```
+/// use rq_compress::{ArchiveReader, ArchiveWriter, CompressorConfig};
+/// use rq_grid::{NdArray, Shape};
+/// use rq_predict::PredictorKind;
+/// use rq_quant::ErrorBoundMode;
+///
+/// let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3)).chunked(8);
+/// let field = NdArray::<f32>::from_fn(Shape::d2(32, 16), |ix| (ix[0] as f32 * 0.2).sin());
+/// let mut w = ArchiveWriter::<f32, _>::create(Vec::new(), field.shape(), &cfg).unwrap();
+/// w.write_slab(&field).unwrap();
+/// let bytes = w.finalize().unwrap().sink;
+///
+/// let reader = ArchiveReader::open(std::io::Cursor::new(bytes)).unwrap();
+/// std::thread::scope(|s| {
+///     for t in 0..4 {
+///         let r = reader.clone();
+///         // Rows t*6..t*6+10 always straddle a chunk boundary.
+///         s.spawn(move || r.read_rows::<f32>(t * 6..t * 6 + 10).unwrap());
+///     }
+/// });
+/// assert_eq!(reader.stats().chunks_decoded, 4 * 2); // every request decoded 2 chunks
+/// ```
 pub struct ArchiveReader<R: Read + Seek> {
-    shared: ReaderShared<R>,
-    /// For a source that *is* addressable bytes (an archive held in
-    /// memory): how to view them. Fetches are zero-copy windows.
-    inline: Option<fn(&R) -> &[u8]>,
+    shared: Arc<ReaderShared<R>>,
     /// Decode worker threads (1 = decode on the calling thread).
     threads: usize,
 }
 
-impl ArchiveReader<std::fs::File> {
-    /// Open an archive file: [`Self::open`] over the opened file. Each
-    /// chunk fetch is one seek+read under the source lock into a recycled
-    /// buffer. A file that shrinks while it is open gives a typed error on
-    /// the first fetch past its new end
-    /// ([`DecompressError::Io`], `UnexpectedEof`), not a crash.
-    pub fn open_path(path: impl AsRef<std::path::Path>) -> Result<Self, DecompressError> {
-        Self::open(std::fs::File::open(path)?)
+/// The name of the reader's shareable form when it was a type of its
+/// own. Every [`ArchiveReader`] is shareable.
+pub type ConcurrentReader<R> = ArchiveReader<R>;
+
+impl<R: Read + Seek> Clone for ArchiveReader<R> {
+    fn clone(&self) -> Self {
+        ArchiveReader { shared: Arc::clone(&self.shared), threads: self.threads }
     }
 }
 
-impl<'a> ArchiveReader<std::io::Cursor<&'a [u8]>> {
-    /// Open an archive held in memory — the reader behind the one-shot
-    /// [`crate::decompress`] family. Chunk fetches are zero-copy windows
-    /// of `bytes`, taken without the source lock.
-    pub(crate) fn open_bytes(bytes: &'a [u8]) -> Result<Self, DecompressError> {
-        let mut reader = Self::open(std::io::Cursor::new(bytes))?;
-        reader.inline = Some(|src| src.get_ref());
-        Ok(reader)
+impl ArchiveReader<std::fs::File> {
+    /// Open an archive file: [`Self::open`] over the opened file. A file
+    /// that shrinks while it is open gives a typed error on the first
+    /// fetch past its new end ([`DecompressError::Io`], `UnexpectedEof`),
+    /// not a crash.
+    pub fn open_path(path: impl AsRef<std::path::Path>) -> Result<Self, DecompressError> {
+        Self::open(std::fs::File::open(path)?)
     }
 }
 
@@ -599,7 +622,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
             layout,
             counters: Counters::default(),
         };
-        Ok(ArchiveReader { shared, inline: None, threads: 1 })
+        Ok(ArchiveReader { shared: Arc::new(shared), threads: 1 })
     }
 
     /// Set the decode worker-thread count (`0` = one per available CPU,
@@ -660,38 +683,19 @@ impl<R: Read + Seek> ArchiveReader<R> {
         ChunkTable { chunk_rows: self.chunk_rows(), entries: self.entries().to_vec() }
     }
 
-    /// Decode counters accumulated since [`Self::open`].
+    /// Decode counters accumulated since [`Self::open`], across every
+    /// clone and request.
     pub fn stats(&self) -> ReadStats {
         self.shared.stats()
     }
 
-    /// The engine of one decode call. An in-memory source is viewed
-    /// through `&mut self`, so it is fetched from without the lock.
-    fn engine(&mut self) -> Engine<'_, R> {
-        let shared = &mut self.shared;
-        let fetcher = match self.inline {
-            Some(view) => {
-                Fetcher::Bytes(view(shared.src.get_mut().unwrap_or_else(|p| p.into_inner())))
-            }
-            None => shared.fetcher(),
-        };
-        Engine { fetcher, layout: &shared.layout, counters: &shared.counters }
-    }
-
     /// Decode a single chunk (random access). Returns the slab's first
-    /// axis-0 row and the decoded slab as a standalone array.
+    /// axis-0 row, the decoded slab, and this request's [`ReadStats`].
     pub fn read_chunk<T: Scalar>(
-        &mut self,
+        &self,
         chunk: usize,
-    ) -> Result<(usize, NdArray<T>), DecompressError> {
-        self.engine().read_chunk(chunk, &SlabPool::new()).map(|(start, slab, _)| (start, slab))
-    }
-
-    /// Convert this session into a shareable [`ConcurrentReader`] over
-    /// the same source, keeping the already-parsed layout. Accumulated
-    /// [`ReadStats`] carry over as the aggregate baseline.
-    pub fn into_concurrent(self) -> ConcurrentReader<R> {
-        ConcurrentReader { shared: Arc::new(self.shared) }
+    ) -> Result<(usize, NdArray<T>, ReadStats), DecompressError> {
+        self.shared.read_chunk(chunk, &SlabPool::new())
     }
 }
 
@@ -701,17 +705,23 @@ impl<R: Read + Seek + Send> ArchiveReader<R> {
     ///
     /// Returns an array of shape `[rows.len(), dims[1..]]` whose elements
     /// equal the corresponding rows of a full decompression exactly.
-    pub fn read_rows<T: Scalar>(
-        &mut self,
+    pub fn read_rows<T: Scalar>(&self, rows: Range<usize>) -> Result<NdArray<T>, DecompressError> {
+        self.read_rows_with_stats(rows).map(|(out, _)| out)
+    }
+
+    /// [`Self::read_rows`], also returning this request's own
+    /// [`ReadStats`] (chunks decoded and blob bytes fetched by this call
+    /// alone — the aggregate view stays available via [`Self::stats`]).
+    pub fn read_rows_with_stats<T: Scalar>(
+        &self,
         rows: Range<usize>,
-    ) -> Result<NdArray<T>, DecompressError> {
-        let threads = self.threads;
-        self.engine().read_rows(rows, threads).map(|(out, _)| out)
+    ) -> Result<(NdArray<T>, ReadStats), DecompressError> {
+        self.shared.read_rows(rows, self.threads)
     }
 
     /// Decode the whole field on the decode pool (memory: the output,
-    /// plus a blob buffer per worker over a plain stream).
-    pub fn read_all<T: Scalar>(&mut self) -> Result<NdArray<T>, DecompressError> {
+    /// plus a blob buffer per worker).
+    pub fn read_all<T: Scalar>(&self) -> Result<NdArray<T>, DecompressError> {
         self.read_rows(0..self.header().shape.dim(0))
     }
 
@@ -724,14 +734,14 @@ impl<R: Read + Seek + Send> ArchiveReader<R> {
     /// order. The first failing chunk or `emit` call ends the decode with
     /// its error, every chunk before it emitted, at every thread count.
     pub fn decompress_rows<T: Scalar>(
-        &mut self,
+        &self,
         mut emit: impl FnMut(&[T]) -> std::io::Result<()>,
     ) -> Result<(), DecompressError> {
-        let (threads, slabs) = (self.threads, SlabPool::<T>::new());
-        let engine = self.engine();
-        let chunks = (0..engine.layout.entries.len()).collect();
-        let decode = |chunk| engine.read_chunk(chunk, &slabs).map(|(_, slab, _)| slab.into_vec());
-        run_in_order(chunks, threads, decode, |slab| {
+        let slabs = SlabPool::<T>::new();
+        let chunks = (0..self.n_chunks()).collect();
+        let decode =
+            |chunk| self.shared.read_chunk(chunk, &slabs).map(|(_, slab, _)| slab.into_vec());
+        run_in_order(chunks, self.threads, decode, |slab| {
             let emitted = emit(&slab).map_err(DecompressError::Io);
             slabs.put(slab);
             emitted
@@ -743,7 +753,7 @@ impl<R: Read + Seek + Send> ArchiveReader<R> {
     /// of `rqm decompress --threads`). Returns the number of values
     /// written.
     pub fn decompress_to_writer<T: Scalar, W: Write>(
-        &mut self,
+        &self,
         sink: &mut W,
     ) -> Result<u64, DecompressError> {
         let mut values = 0u64;
@@ -773,15 +783,14 @@ fn check_scalar_tag<T: Scalar>(header: &Header) -> Result<(), DecompressError> {
 }
 
 // ---------------------------------------------------------------------------
-// The decode engine both readers share
+// The decode engine
 // ---------------------------------------------------------------------------
 
-/// The state of one open archive, which both readers are built on: the
-/// source behind a mutex (held only while a fetch seeks and reads —
+/// The state of one open archive, shared by every clone of its reader:
+/// the source behind a mutex (held only while a fetch seeks and reads —
 /// decoding runs unlocked), the blob pool, the parsed layout and the
-/// aggregate counters.
-/// [`ArchiveReader`] holds it by value, [`ConcurrentReader`] behind an
-/// [`Arc`].
+/// aggregate counters. `Sync` whenever the source is `Send`, so the
+/// workers of a run and the clones of a reader all share it.
 struct ReaderShared<R> {
     src: Mutex<R>,
     /// Recycled blob buffers; checked out *before* taking the source
@@ -789,27 +798,6 @@ struct ReaderShared<R> {
     blob_pool: BytePool,
     layout: ArchiveLayout,
     counters: Counters,
-}
-
-impl<R: Read + Seek> ReaderShared<R> {
-    /// The fetch stage over this source: a seek+read under the source lock.
-    fn fetcher(&self) -> Fetcher<'_, R> {
-        Fetcher::Stream { src: &self.src, pool: &self.blob_pool }
-    }
-
-    fn engine(&self) -> Engine<'_, R> {
-        Engine { fetcher: self.fetcher(), layout: &self.layout, counters: &self.counters }
-    }
-
-    fn stats(&self) -> ReadStats {
-        let c = &self.counters;
-        ReadStats {
-            chunks_total: self.layout.entries.len(),
-            chunks_decoded: c.chunks_decoded.load(Ordering::Relaxed),
-            blob_bytes_read: c.blob_bytes_read.load(Ordering::Relaxed),
-            reorder_copies: c.reorder_copies.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// The aggregate decode counters of one open archive, across every
@@ -829,76 +817,6 @@ struct SliceJob<'o, T> {
     cshape: Shape,
     take: Range<usize>,
     dst: &'o mut [T],
-}
-
-/// One fetched chunk extent: either a recycled pool buffer (returned to
-/// its pool on drop) or a zero-copy window of an archive held in memory.
-/// Either way the decode stage sees plain `&[u8]` via `Deref`.
-enum Blob<'e> {
-    Pooled(Vec<u8>, &'e BytePool),
-    Window(&'e [u8]),
-}
-
-impl std::ops::Deref for Blob<'_> {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        match self {
-            Blob::Pooled(buf, _) => buf,
-            Blob::Window(bytes) => bytes,
-        }
-    }
-}
-
-impl Drop for Blob<'_> {
-    fn drop(&mut self) {
-        if let Blob::Pooled(buf, pool) = self {
-            pool.put(std::mem::take(buf));
-        }
-    }
-}
-
-/// One chunk's compressed bytes as a bounds-checked window of an archive
-/// held in memory (zero-copy, no syscall).
-fn blob_window(bytes: &[u8], entry: ChunkEntry) -> Result<&[u8], DecompressError> {
-    entry
-        .offset
-        .checked_add(entry.len)
-        .and_then(|end| bytes.get(entry.offset..end))
-        .ok_or(DecompressError::Corrupt("chunk extent beyond source"))
-}
-
-/// The one fetch stage, shared by every thread of every read.
-enum Fetcher<'e, R> {
-    /// An archive held in memory (`open_bytes`): a fetch is a window of
-    /// these bytes, with no lock.
-    Bytes(&'e [u8]),
-    /// Any other source, a file included: a fetch is a seek+read into a
-    /// recycled buffer, which is checked out before the lock is taken. A
-    /// short read (a source that shrank) is `Io(UnexpectedEof)`.
-    Stream { src: &'e Mutex<R>, pool: &'e BytePool },
-}
-
-impl<'e, R: Read + Seek> Fetcher<'e, R> {
-    fn fetch(&self, entry: ChunkEntry) -> Result<Blob<'e>, DecompressError> {
-        match *self {
-            Fetcher::Bytes(bytes) => blob_window(bytes, entry).map(Blob::Window),
-            Fetcher::Stream { src, pool } => {
-                let mut buf = pool.get(entry.len);
-                let read = read_span_into(
-                    &mut *src.lock().unwrap_or_else(|p| p.into_inner()),
-                    entry.offset as u64,
-                    &mut buf,
-                );
-                match read {
-                    Ok(()) => Ok(Blob::Pooled(buf, pool)),
-                    Err(e) => {
-                        pool.put(buf);
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Decode one fetched blob into its job's destination slice. Decodes
@@ -927,27 +845,40 @@ fn decode_slice_job<T: Scalar>(
     }
 }
 
-/// What one decode call works with: the fetch stage, the layout and the
-/// counters of the archive. `Sync` whenever the source is `Send`, so the
-/// workers of a run share it.
-struct Engine<'e, R> {
-    fetcher: Fetcher<'e, R>,
-    layout: &'e ArchiveLayout,
-    counters: &'e Counters,
-}
+impl<R: Read + Seek> ReaderShared<R> {
+    fn stats(&self) -> ReadStats {
+        let c = &self.counters;
+        ReadStats {
+            chunks_total: self.layout.entries.len(),
+            chunks_decoded: c.chunks_decoded.load(Ordering::Relaxed),
+            blob_bytes_read: c.blob_bytes_read.load(Ordering::Relaxed),
+            reorder_copies: c.reorder_copies.load(Ordering::Relaxed),
+        }
+    }
 
-impl<R: Read + Seek> Engine<'_, R> {
-    /// The unit of work of every read: fetch one job's blob, decode it
-    /// into the job's destination, count it in the aggregate; returns it
-    /// as a request's counters.
+    /// The unit of work of every read: fetch one job's blob (one
+    /// seek+read under the source lock into a recycled buffer), decode it
+    /// into the job's destination outside the lock, count it in the
+    /// aggregate; returns it as a request's counters. A short read (a
+    /// source that shrank) is `Io(UnexpectedEof)`.
     fn decode<T: Scalar>(
         &self,
         job: SliceJob<'_, T>,
         scratch: &SlabPool<T>,
     ) -> Result<ReadStats, DecompressError> {
         let entry = job.entry;
-        let blob = self.fetcher.fetch(entry)?;
-        let copied = decode_slice_job(&self.layout.header, &blob, job, scratch)? as u64;
+        let mut blob = self.blob_pool.get(entry.len);
+        // A statement of its own: the lock guard is a temporary of this
+        // statement, so it is released before the decode below.
+        let fetched = read_span_into(
+            &mut *self.src.lock().unwrap_or_else(|p| p.into_inner()),
+            entry.offset as u64,
+            &mut blob,
+        );
+        let decoded =
+            fetched.and_then(|()| decode_slice_job(&self.layout.header, &blob, job, scratch));
+        self.blob_pool.put(blob);
+        let copied = decoded? as u64;
         self.counters.chunks_decoded.fetch_add(1, Ordering::Relaxed);
         self.counters.blob_bytes_read.fetch_add(entry.len as u64, Ordering::Relaxed);
         self.counters.reorder_copies.fetch_add(copied, Ordering::Relaxed);
@@ -977,8 +908,8 @@ impl<R: Read + Seek> Engine<'_, R> {
         Ok((entry.start_row, NdArray::from_vec(cshape, out), stats))
     }
 
-    /// The region read of both readers: `rows`, each intersecting chunk
-    /// decoded on the pool straight into the output, and their counters.
+    /// The region read: `rows`, each intersecting chunk decoded on the
+    /// pool straight into the output, and their counters.
     fn read_rows<T: Scalar>(
         &self,
         rows: Range<usize>,
@@ -1043,131 +974,6 @@ fn plan_rows<T: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// ConcurrentReader
-// ---------------------------------------------------------------------------
-
-/// A shareable, cloneable decompression handle over **one** open archive
-/// source, for serving many overlapping region reads concurrently.
-///
-/// Cloning is cheap (an [`Arc`] bump) and every clone reads the same
-/// underlying `R`. Requests lock the source only to fetch a chunk's
-/// compressed bytes; decoding happens outside the lock, so readers on
-/// different threads genuinely overlap. Each request decodes on its
-/// calling thread, reports its own [`ReadStats`] (via
-/// [`Self::read_rows_with_stats`]), and [`Self::stats`] aggregates across
-/// all clones and requests.
-///
-/// ```
-/// use rq_compress::{ArchiveWriter, CompressorConfig, ConcurrentReader};
-/// use rq_grid::{NdArray, Shape};
-/// use rq_predict::PredictorKind;
-/// use rq_quant::ErrorBoundMode;
-///
-/// let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3)).chunked(8);
-/// let field = NdArray::<f32>::from_fn(Shape::d2(32, 16), |ix| (ix[0] as f32 * 0.2).sin());
-/// let mut w = ArchiveWriter::<f32, _>::create(Vec::new(), field.shape(), &cfg).unwrap();
-/// w.write_slab(&field).unwrap();
-/// let bytes = w.finalize().unwrap().sink;
-///
-/// let reader = ConcurrentReader::open(std::io::Cursor::new(bytes)).unwrap();
-/// std::thread::scope(|s| {
-///     for t in 0..4 {
-///         let r = reader.clone();
-///         // Rows t*6..t*6+10 always straddle a chunk boundary.
-///         s.spawn(move || r.read_rows::<f32>(t * 6..t * 6 + 10).unwrap());
-///     }
-/// });
-/// assert_eq!(reader.stats().chunks_decoded, 4 * 2); // every request decoded 2 chunks
-/// ```
-pub struct ConcurrentReader<R: Read + Seek> {
-    shared: Arc<ReaderShared<R>>,
-}
-
-impl<R: Read + Seek> Clone for ConcurrentReader<R> {
-    fn clone(&self) -> Self {
-        ConcurrentReader { shared: Arc::clone(&self.shared) }
-    }
-}
-
-impl ConcurrentReader<std::fs::File> {
-    /// Open an archive file for shared reading: [`ArchiveReader::open_path`]
-    /// made shareable. Concurrent requests take turns only for the
-    /// seek+read of a fetch; they decode in parallel. A file that shrinks
-    /// while it is open gives [`DecompressError::Io`] (`UnexpectedEof`).
-    pub fn open_path(path: impl AsRef<std::path::Path>) -> Result<Self, DecompressError> {
-        ArchiveReader::open_path(path).map(ArchiveReader::into_concurrent)
-    }
-}
-
-impl<R: Read + Seek> ConcurrentReader<R> {
-    /// Open an archive for shared concurrent reading: parse the header
-    /// and chunk index, without reading any payload.
-    pub fn open(src: R) -> Result<Self, DecompressError> {
-        ArchiveReader::open(src).map(ArchiveReader::into_concurrent)
-    }
-
-    /// The archive's parsed header.
-    pub fn header(&self) -> &Header {
-        &self.shared.layout.header
-    }
-
-    /// Nominal axis-0 rows per chunk (the last chunk may hold fewer).
-    pub fn chunk_rows(&self) -> usize {
-        self.shared.layout.chunk_rows
-    }
-
-    /// Number of independently-decodable chunks.
-    pub fn n_chunks(&self) -> usize {
-        self.shared.layout.entries.len()
-    }
-
-    /// The located chunk entries, in slab order.
-    pub fn entries(&self) -> &[ChunkEntry] {
-        &self.shared.layout.entries
-    }
-
-    /// Aggregate decode counters across every clone and request so far.
-    pub fn stats(&self) -> ReadStats {
-        self.shared.stats()
-    }
-
-    /// Decode a single chunk (random access). Returns the slab's first
-    /// axis-0 row, the decoded slab, and this request's [`ReadStats`].
-    pub fn read_chunk<T: Scalar>(
-        &self,
-        chunk: usize,
-    ) -> Result<(usize, NdArray<T>, ReadStats), DecompressError> {
-        self.shared.engine().read_chunk(chunk, &SlabPool::new())
-    }
-
-}
-
-impl<R: Read + Seek + Send> ConcurrentReader<R> {
-    /// Decode the axis-0 row range `rows`, touching only intersecting
-    /// chunks; see [`Self::read_rows_with_stats`] for the per-request
-    /// counters.
-    pub fn read_rows<T: Scalar>(&self, rows: Range<usize>) -> Result<NdArray<T>, DecompressError> {
-        self.read_rows_with_stats(rows).map(|(a, _)| a)
-    }
-
-    /// [`Self::read_rows`], also returning this request's own
-    /// [`ReadStats`] (chunks decoded and blob bytes fetched by this call
-    /// alone — the aggregate view stays available via [`Self::stats`]).
-    pub fn read_rows_with_stats<T: Scalar>(
-        &self,
-        rows: Range<usize>,
-    ) -> Result<(NdArray<T>, ReadStats), DecompressError> {
-        // One thread: a request decodes on its calling thread.
-        self.shared.engine().read_rows(rows, 1)
-    }
-
-    /// Decode the whole field (one request).
-    pub fn read_all<T: Scalar>(&self) -> Result<NdArray<T>, DecompressError> {
-        self.read_rows::<T>(0..self.header().shape.dim(0))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // ChunkSource: the separable fetch+decode stage
 // ---------------------------------------------------------------------------
 
@@ -1178,12 +984,12 @@ impl<R: Read + Seek + Send> ConcurrentReader<R> {
 /// a network daemon) is oblivious to whether a chunk came from the codec
 /// or from the cache; see the `rq-serve` crate.
 ///
-/// [`ConcurrentReader`] is the canonical implementation: fetch takes the
+/// [`ArchiveReader`] is the canonical implementation: fetch takes the
 /// source lock, decode runs unlocked, and every fetched chunk counts in
 /// the aggregate [`ReadStats`]. [`assemble_rows`] is the matching
 /// delivery stage.
 ///
-/// Unlike [`ConcurrentReader::read_rows`] — which decodes boundary chunks
+/// Unlike [`ArchiveReader::read_rows`] — which decodes boundary chunks
 /// straight into a cropped output slice — a `ChunkSource` always
 /// materializes whole chunks, because whole chunks are the unit a cache
 /// can share between overlapping requests. The [`Arc`] return lets a
@@ -1203,7 +1009,7 @@ pub trait ChunkSource<T: Scalar>: Send + Sync {
     fn fetch_chunk(&self, idx: usize) -> Result<Arc<[T]>, DecompressError>;
 }
 
-impl<T: Scalar, R: Read + Seek + Send> ChunkSource<T> for ConcurrentReader<R> {
+impl<T: Scalar, R: Read + Seek + Send> ChunkSource<T> for ArchiveReader<R> {
     fn header(&self) -> &Header {
         &self.shared.layout.header
     }
@@ -1228,7 +1034,7 @@ impl<T: Scalar, R: Read + Seek + Send> ChunkSource<T> for ConcurrentReader<R> {
 ///
 /// Returns an array of shape `[rows.len(), dims[1..]]` whose elements
 /// equal the corresponding rows of a full decompression exactly, as
-/// [`ConcurrentReader::read_rows`] does; the two differ only in that this
+/// [`ArchiveReader::read_rows`] does; the two differ only in that this
 /// path materializes whole chunks (the cacheable unit) where `read_rows`
 /// crops boundary chunks during decode.
 pub fn assemble_rows<T: Scalar, S: ChunkSource<T> + ?Sized>(
@@ -1315,7 +1121,7 @@ mod tests {
         for (&a, &b) in field.as_slice().iter().zip(back.as_slice()) {
             assert!((a - b).abs() <= 1e-3 * 1.001);
         }
-        let mut wide = ArchiveReader::open_bytes(&bytes).unwrap().with_threads_exact(3);
+        let wide = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap().with_threads_exact(3);
         assert_eq!(back.as_slice(), wide.read_all::<f32>().unwrap().as_slice());
         assert_eq!(chunk_table(&bytes).unwrap().entries.len(), 4);
     }
@@ -1325,11 +1131,11 @@ mod tests {
         let field = wavy(Shape::d3(23, 6, 5));
         let bytes = stream_archive(&field, &cfg(), 9);
         let full = decompress::<f32>(&bytes).unwrap();
-        let mut r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+        let r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         assert_eq!(r.n_chunks(), 4); // 6+6+6+5
         let all = r.read_all::<f32>().unwrap();
         assert_eq!(all.as_slice(), full.as_slice());
-        let (start, slab) = r.read_chunk::<f32>(2).unwrap();
+        let (start, slab, _) = r.read_chunk::<f32>(2).unwrap();
         assert_eq!(start, 12);
         assert_eq!(slab.as_slice(), &full.as_slice()[12 * 30..18 * 30]);
         assert!(matches!(
@@ -1343,7 +1149,7 @@ mod tests {
         let field = wavy(Shape::d2(30, 12));
         let bytes = stream_archive(&field, &cfg(), 30); // chunks of 6 rows
         let full = decompress::<f32>(&bytes).unwrap();
-        let mut r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+        let r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         // Rows 7..11 live entirely inside chunk 1 (rows 6..12).
         let part = r.read_rows::<f32>(7..11).unwrap();
         assert_eq!(part.shape().dims(), &[4, 12]);
@@ -1380,7 +1186,7 @@ mod tests {
         ];
         for (name, bytes) in archives {
             let full = decompress::<f32>(bytes).unwrap();
-            let mut r = ArchiveReader::open(Cursor::new(bytes)).unwrap();
+            let r = ArchiveReader::open(Cursor::new(bytes)).unwrap();
             let all = r.read_all::<f32>().unwrap();
             assert_eq!(all.as_slice(), full.as_slice(), "{name}: read_all");
             let shape = r.header().shape;
@@ -1494,7 +1300,7 @@ mod tests {
                 &one_shot[b.offset..b.offset + b.len]
             );
         }
-        let mut r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+        let r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         let all = r.read_all::<f32>().unwrap();
         for (&x, &y) in field.as_slice().iter().zip(all.as_slice()) {
             assert!((x - y).abs() <= 1e-4 * 1.001);
@@ -1523,7 +1329,7 @@ mod tests {
         assert_eq!(ebs, plan);
         // Per-chunk bound conformance through every decode path.
         let full = decompress::<f32>(&bytes).unwrap();
-        let mut r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+        let r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         let streamed = r.read_all::<f32>().unwrap();
         assert_eq!(full.as_slice(), streamed.as_slice());
         let row_elems = 8 * 6;
@@ -1692,7 +1498,7 @@ mod tests {
     fn reader_scalar_mismatch_detected() {
         let field = wavy(Shape::d2(12, 6));
         let bytes = stream_archive(&field, &cfg(), 12);
-        let mut r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+        let r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         assert!(matches!(
             r.read_all::<f64>(),
             Err(DecompressError::ScalarMismatch { .. })
@@ -1706,7 +1512,7 @@ mod tests {
         // exactly the reference rows.
         let field = wavy(Shape::d3(18, 10, 8));
         let bytes = stream_archive(&field, &cfg(), 18);
-        let mut r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+        let r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         let header = r.header().clone();
         let entry = r.entries()[1];
         let cshape = header.shape.with_rows(entry.rows);
@@ -1761,7 +1567,7 @@ mod tests {
         let field = wavy(Shape::d3(24, 10, 8));
         let bytes = stream_archive(&field, &cfg(), 24);
         for threads in [1usize, 2] {
-            let mut r = ArchiveReader::open(Cursor::new(&bytes[..]))
+            let r = ArchiveReader::open(Cursor::new(&bytes[..]))
                 .unwrap()
                 .with_threads_exact(threads);
             let first = r.read_rows::<f32>(0..24).unwrap();
@@ -1785,15 +1591,15 @@ mod tests {
         let path = dir.join(format!("file_{}.rqm", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
 
-        let mut want_r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+        let want_r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         let want = want_r.read_all::<f32>().unwrap();
 
         for threads in [1usize, 2, 4] {
-            let mut r = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
+            let r = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
             assert_eq!(want.as_slice(), r.read_all::<f32>().unwrap().as_slice());
             // Ordered streaming over the same file.
             let mut streamed: Vec<f32> = Vec::new();
-            let mut r = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
+            let r = ArchiveReader::open_path(&path).unwrap().with_threads_exact(threads);
             r.decompress_rows::<f32>(|slab| {
                 streamed.extend_from_slice(slab);
                 Ok(())

@@ -105,7 +105,7 @@ impl Measured {
 /// chunk partition, in order). Decoding goes through
 /// [`ArchiveReader::read_chunk`], so one chunk of each is resident.
 pub fn measure_archive<T: Scalar, A: Borrow<NdArray<T>>, R: std::io::Read + std::io::Seek>(
-    reader: &mut ArchiveReader<R>,
+    reader: &ArchiveReader<R>,
     archive_bytes: usize,
     originals: impl IntoIterator<Item = std::io::Result<A>>,
 ) -> Result<Measured, DecompressError> {
@@ -115,7 +115,7 @@ pub fn measure_archive<T: Scalar, A: Borrow<NdArray<T>>, R: std::io::Read + std:
         let original = originals
             .next()
             .ok_or(DecompressError::Corrupt("more chunks than original slabs"))??;
-        let (_, decoded) = reader.read_chunk::<T>(chunk)?;
+        let (_, decoded, _) = reader.read_chunk::<T>(chunk)?;
         if decoded.shape() != original.borrow().shape() {
             return Err(DecompressError::Corrupt("chunk and original slab differ in shape"));
         }
@@ -555,8 +555,8 @@ mod tests {
             ArchiveWriter::<f32, _>::create_planned(Vec::new(), field.shape(), &cfg, ebs).unwrap();
         w.write_slab(&field).unwrap();
         let bytes = w.finalize().unwrap().sink;
-        let mut reader = ArchiveReader::open(std::io::Cursor::new(&bytes[..])).unwrap();
-        let m = measure_archive(&mut reader, bytes.len(), parts.iter().map(Ok)).unwrap();
+        let reader = ArchiveReader::open(std::io::Cursor::new(&bytes[..])).unwrap();
+        let m = measure_archive(&reader, bytes.len(), parts.iter().map(Ok)).unwrap();
         assert_eq!(m.bytes, bytes.len());
         let table = rq_compress::chunk_table(&bytes).unwrap();
         for (bits, e) in m.bits.iter().zip(&table.entries) {
@@ -567,7 +567,7 @@ mod tests {
         let psnr = crate::quality::psnr_model(field.value_range(), mse);
         assert!((psnr - rq_analysis::psnr(&field, &back)).abs() < 1e-9, "{psnr}");
         // Too few originals is an error, not a short measurement.
-        assert!(measure_archive(&mut reader, bytes.len(), parts[..2].iter().map(Ok)).is_err());
+        assert!(measure_archive(&reader, bytes.len(), parts[..2].iter().map(Ok)).is_err());
     }
 
     /// §IV-B on one partition with real compression: every budget is met,

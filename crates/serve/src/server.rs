@@ -6,7 +6,7 @@
 //! time-major [`ChunkSource`] plus its step geometry. A catalog dataset
 //! is that over its [`DatasetReader`]; a plain archive is the same thing
 //! with one step, keyframe cadence 1 and the name
-//! [`SINGLE_ARCHIVE_DATASET`] over its [`ConcurrentReader`]. The v1
+//! [`SINGLE_ARCHIVE_DATASET`] over its [`ArchiveReader`]. The v1
 //! opcodes address dataset 0's flat view, the v2 opcodes a
 //! `(dataset, step)` mapped onto it.
 //!
@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use rq_catalog::{is_catalog_magic, CatalogError, CatalogReader, DatasetReader};
 use rq_compress::{
-    assemble_rows, ChunkEntry, ChunkSource, ConcurrentReader, DecompressError, ReadStats,
+    assemble_rows, ArchiveReader, ChunkEntry, ChunkSource, DecompressError, ReadStats,
 };
 use rq_grid::Scalar;
 
@@ -171,7 +171,7 @@ struct Served<T: Scalar, S: ChunkSource<T>> {
     n_steps: u64,
     eb: f64,
     cache: ChunkCache<T, S>,
-    /// The source's own decode counters (`ConcurrentReader::stats` or
+    /// The source's own decode counters (`ArchiveReader::stats` or
     /// `DatasetReader::stats`, which [`ChunkSource`] does not carry).
     read_stats: fn(&S) -> ReadStats,
 }
@@ -288,7 +288,7 @@ fn invalid(why: impl Into<String>) -> io::Error {
 /// A plain archive as the one dataset it is on the wire: a single step,
 /// every step a keyframe.
 fn open_archive<R: Read + Seek + Send + 'static>(
-    reader: Result<ConcurrentReader<R>, DecompressError>,
+    reader: Result<ArchiveReader<R>, DecompressError>,
     cache_bytes: u64,
 ) -> io::Result<Vec<Box<dyn Dataset>>> {
     let reader = reader.map_err(|e| invalid(format!("open archive: {e}")))?;
@@ -301,7 +301,7 @@ fn open_archive<R: Read + Seek + Send + 'static>(
         n_steps: 1,
         eb,
         cache: ChunkCache::new(reader, cache_bytes),
-        read_stats: ConcurrentReader::stats,
+        read_stats: ArchiveReader::stats,
     }) as Box<dyn Dataset>]))
 }
 
@@ -399,7 +399,7 @@ impl Server {
         let datasets = if is_catalog_magic(&head) {
             open_catalog(path, cfg.cache_bytes)?
         } else {
-            open_archive(ConcurrentReader::open_path(path), cfg.cache_bytes)?
+            open_archive(ArchiveReader::open_path(path), cfg.cache_bytes)?
         };
         Server::bind_datasets(addr, datasets, cfg)
     }
@@ -410,7 +410,7 @@ impl Server {
         bytes: Vec<u8>,
         cfg: ServeConfig,
     ) -> io::Result<Server> {
-        let datasets = open_archive(ConcurrentReader::open(Cursor::new(bytes)), cfg.cache_bytes)?;
+        let datasets = open_archive(ArchiveReader::open(Cursor::new(bytes)), cfg.cache_bytes)?;
         Server::bind_datasets(addr, datasets, cfg)
     }
 

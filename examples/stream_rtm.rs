@@ -55,7 +55,7 @@ fn main() {
     assert_eq!(finished.bytes_written as usize, archive.len());
 
     // --- read_all: bound must hold everywhere ---
-    let mut reader = ArchiveReader::open(Cursor::new(&archive[..])).expect("reader open");
+    let reader = ArchiveReader::open(Cursor::new(&archive[..])).expect("reader open");
     assert_eq!(reader.header().shape.dims(), shape.dims());
     let restored = reader.read_all::<f32>().expect("read_all");
     for (i, (&a, &b)) in snap.as_slice().iter().zip(restored.as_slice()).enumerate() {

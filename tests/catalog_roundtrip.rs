@@ -59,7 +59,7 @@ fn every_step_of_every_config_meets_its_bound() {
             w.write_dataset("energy", &cfg64, keyframe_every, &steps64).unwrap();
             let bytes = w.finalize().unwrap().sink;
 
-            let mut r = CatalogReader::open(Cursor::new(bytes)).unwrap();
+            let r = CatalogReader::open(Cursor::new(bytes)).unwrap();
             assert_eq!(r.datasets().len(), 2);
             for t in 0..n_steps {
                 let what = format!("steps={n_steps} k={keyframe_every} t={t}");
@@ -86,7 +86,7 @@ fn keyframe_segments_equal_independent_archives() {
     w.write_dataset("pressure", &cfg, 3, &steps32).unwrap();
     let bytes = w.finalize().unwrap().sink;
 
-    let mut r = CatalogReader::open(Cursor::new(bytes)).unwrap();
+    let r = CatalogReader::open(Cursor::new(bytes)).unwrap();
     let pinned = cfg.chunked(rqm::compress_crate::resolved_chunk_rows(
         &cfg,
         steps32[0].shape(),
@@ -120,7 +120,7 @@ fn temporal_delta_is_1_3x_smaller_than_independent_steps() {
     // Same bound on both sides, so the byte counts compare at matched
     // quality.
     for bytes in [&independent, &delta] {
-        let mut r = CatalogReader::open(Cursor::new(&bytes[..])).unwrap();
+        let r = CatalogReader::open(Cursor::new(&bytes[..])).unwrap();
         for (t, truth) in steps.iter().enumerate() {
             let got = r.read_step::<f32>("wave", t).unwrap();
             let err = max_abs_err(got.as_slice(), truth.as_slice());
@@ -153,7 +153,7 @@ fn dataset_reader_matches_catalog_reader_exactly() {
     let path = dir.join("seq.rqc");
     std::fs::write(&path, &bytes).unwrap();
 
-    let mut seq = CatalogReader::open(Cursor::new(bytes)).unwrap();
+    let seq = CatalogReader::open(Cursor::new(bytes)).unwrap();
     let conc = DatasetReader::<f32>::open_path(&path, "pressure").unwrap();
     assert_eq!(conc.n_steps(), 5);
     let row_elems = DIMS[1] * DIMS[2];
@@ -281,7 +281,7 @@ fn dataset_reader_holds_one_descriptor_whatever_the_step_count() {
     let grown = fds_open_on(&path) - before;
     assert!(grown <= 2, "a 64-step DatasetReader holds {grown} descriptors on its catalog");
 
-    let mut seq = CatalogReader::open(Cursor::new(bytes)).unwrap();
+    let seq = CatalogReader::open(Cursor::new(bytes)).unwrap();
     for t in 0..64 {
         let want = seq.read_step::<f32>("wave", t).unwrap();
         let rows = t * conc.step_rows()..(t + 1) * conc.step_rows();

@@ -283,7 +283,7 @@ fn assert_read_rows_matches_decompress<T: rqm::grid::Scalar + PartialEq>(
     rng: &mut Rng,
 ) {
     let full = rqm::compress_crate::decompress::<T>(bytes).unwrap();
-    let mut reader = rqm::compress_crate::ArchiveReader::open(Cursor::new(bytes)).unwrap();
+    let reader = rqm::compress_crate::ArchiveReader::open(Cursor::new(bytes)).unwrap();
     let table = reader.chunk_table();
     let shape = reader.header().shape;
     let row_elems: usize = shape.dims()[1..].iter().product::<usize>().max(1);
@@ -332,7 +332,7 @@ fn assert_read_rows_matches_decompress_live<T: rqm::grid::Scalar + PartialEq>(rn
 /// archives (the only committed f64 archives of an old generation).
 fn cat1_segments(dataset: &str, steps: usize) -> Vec<Vec<u8>> {
     let bytes = include_bytes!("data/golden_cat1.rqc");
-    let mut cat = CatalogReader::open(Cursor::new(&bytes[..])).unwrap();
+    let cat = CatalogReader::open(Cursor::new(&bytes[..])).unwrap();
     (0..steps).map(|t| cat.read_segment(dataset, t).unwrap()).collect()
 }
 
@@ -477,7 +477,7 @@ fn golden_f64_fixtures_backward_compat() {
             assert!(slab.as_slice() == &back.as_slice()[lo..lo + slab.len()], "{name} chunk {i}");
         }
         for threads in [1usize, 2, 8] {
-            let mut reader = rqm::compress_crate::ArchiveReader::open(Cursor::new(bytes))
+            let reader = rqm::compress_crate::ArchiveReader::open(Cursor::new(bytes))
                 .unwrap()
                 .with_threads_exact(threads);
             assert_eq!(reader.entries(), &table.entries[..], "{name}");

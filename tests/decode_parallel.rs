@@ -74,7 +74,7 @@ fn archive_matrix(field: &NdArray<f32>) -> Vec<(String, u8, Vec<u8>)> {
     let mut out: Vec<(String, u8, Vec<u8>)> =
         fixtures.iter().map(|&(name, v, bytes)| (name.into(), v, bytes.to_vec())).collect();
     let cat = include_bytes!("data/golden_cat1.rqc");
-    let mut cat = CatalogReader::open(Cursor::new(&cat[..])).unwrap();
+    let cat = CatalogReader::open(Cursor::new(&cat[..])).unwrap();
     for t in 0..5 {
         out.push((format!("golden cat1 wave[{t}]"), 4, cat.read_segment("wave", t).unwrap()));
     }
@@ -120,14 +120,14 @@ fn assert_parallel_matches_serial<T: Scalar>(name: &str, version: u8, bytes: &[u
     let d0 = header.shape.dim(0);
     let row_elems = header.shape.len() / d0;
     // The serial reference: single-threaded streaming read_all.
-    let mut serial = ArchiveReader::open(Cursor::new(bytes)).unwrap();
+    let serial = ArchiveReader::open(Cursor::new(bytes)).unwrap();
     let reference = serial.read_all::<T>().unwrap();
     assert!(
         reference.as_slice() == decompress::<T>(bytes).unwrap().as_slice(),
         "{name}: serial streaming decode diverges from the in-memory decoder"
     );
     for threads in [1usize, 2, 3, 8] {
-        let mut r = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
+        let r = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
         // Whole-field decode.
         let all = r.read_all::<T>().unwrap();
         assert!(all.as_slice() == reference.as_slice(), "{name} threads={threads}: read_all");
@@ -143,7 +143,7 @@ fn assert_parallel_matches_serial<T: Scalar>(name: &str, version: u8, bytes: &[u
             );
         }
         // Ordered streaming delivery into a writer.
-        let mut r = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
+        let r = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
         let mut sink = Vec::new();
         let values = r.decompress_to_writer::<T, _>(&mut sink).unwrap();
         assert_eq!(values as usize, reference.len(), "{name} threads={threads}");
@@ -226,9 +226,9 @@ fn assert_source_kinds_agree<T: Scalar>(name: &str, bytes: &[u8], path: &std::pa
                 == reference.as_slice(),
             "{name} threads={threads}: decompress_with_threads"
         );
-        let mut stream =
+        let stream =
             ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
-        let mut file = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
+        let file = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
         let all = stream.read_all::<T>().unwrap();
         kinds.push((format!("stream threads={threads}"), all, stream.stats()));
         let all = file.read_all::<T>().unwrap();
@@ -244,10 +244,10 @@ fn assert_source_kinds_agree<T: Scalar>(name: &str, bytes: &[u8], path: &std::pa
 
     // A session's counters carry over into its shared form exactly.
     let d0 = reference.shape().dim(0);
-    let mut session = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(2);
+    let session = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(2);
     session.read_rows::<T>(d0 / 2..d0).unwrap();
     let before = session.stats();
-    let shared = session.into_concurrent();
+    let shared = session.clone();
     assert_eq!(shared.stats(), before, "{name}: into_concurrent");
     shared.read_all::<T>().unwrap();
     let after = shared.stats();
@@ -268,9 +268,9 @@ fn more_chunks_than_the_window_preserve_order() {
         .chunked(1)
         .with_codec(CodecChoice::Auto);
     let bytes = streamed(&field, &cfg, None);
-    let mut serial = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+    let serial = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
     let reference = serial.read_all::<f32>().unwrap();
-    let mut r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap().with_threads_exact(8);
+    let r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap().with_threads_exact(8);
     let mut sink = Vec::new();
     r.decompress_to_writer::<f32, _>(&mut sink).unwrap();
     let expect: Vec<u8> = reference.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
@@ -287,7 +287,7 @@ fn failing_chunks_give_the_same_error_and_prefix_at_every_thread_count() {
     let field = mixed_field(Shape::d3(32, 6, 5));
     let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3)).chunked(1);
     let bytes = streamed(&field, &cfg, None);
-    let mut pristine = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+    let pristine = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
     let entries = pristine.entries().to_vec();
     assert_eq!(entries.len(), 32);
     let reference = le_bytes(pristine.read_all::<f32>().unwrap().as_slice());
@@ -319,7 +319,7 @@ fn parallel_reader_stats_count_every_chunk_once() {
     let field = mixed_field(Shape::d2(24, 10));
     let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3)).chunked(6);
     let bytes = streamed(&field, &cfg, None);
-    let mut r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap().with_threads_exact(4);
+    let r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap().with_threads_exact(4);
     assert_eq!(r.stats().chunks_total, 4);
     r.read_all::<f32>().unwrap();
     assert_eq!(r.stats().chunks_decoded, 4);
@@ -340,66 +340,71 @@ fn concurrent_reader_stress() {
         .with_codec(CodecChoice::Auto);
     let bytes = streamed(&field, &cfg, None);
     let reference = decompress::<f32>(&bytes).unwrap();
-    let reader = ConcurrentReader::open(Cursor::new(bytes)).unwrap();
-    let n_chunks = reader.n_chunks();
-    let chunk_rows = reader.chunk_rows();
-    let d0 = field.shape().dim(0);
+    // At 3 workers each region read of the 8 threads runs on its own pool
+    // of the one shared handle.
+    for threads in [1usize, 3] {
+        let reader =
+            ConcurrentReader::open(Cursor::new(bytes.clone())).unwrap().with_threads_exact(threads);
+        let n_chunks = reader.n_chunks();
+        let chunk_rows = reader.chunk_rows();
+        let d0 = field.shape().dim(0);
 
-    let per_thread: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..8u64 {
-            let r = reader.clone();
-            let reference = &reference;
-            handles.push(scope.spawn(move || {
-                let mut rng = Rng(0xC0C0 + t);
-                let mut decoded = 0u64;
-                let mut blob_bytes = 0u64;
-                for _ in 0..150 {
-                    if rng.below(2) == 0 {
-                        let start = rng.below(d0);
-                        let end = start + 1 + rng.below(d0 - start);
-                        let (part, stats) =
-                            r.read_rows_with_stats::<f32>(start..end).unwrap();
-                        assert_eq!(
-                            part.as_slice(),
-                            &reference.as_slice()[start * row_elems..end * row_elems],
-                            "thread {t}: rows {start}..{end}"
-                        );
-                        // The request touched exactly the intersecting
-                        // chunks.
-                        let expect_chunks =
-                            (end.div_ceil(chunk_rows) - start / chunk_rows) as u64;
-                        assert_eq!(stats.chunks_decoded, expect_chunks);
-                        decoded += stats.chunks_decoded;
-                        blob_bytes += stats.blob_bytes_read;
-                    } else {
-                        let chunk = rng.below(n_chunks);
-                        let (start_row, slab, stats) = r.read_chunk::<f32>(chunk).unwrap();
-                        assert_eq!(start_row, chunk * chunk_rows);
-                        let lo = start_row * row_elems;
-                        assert_eq!(
-                            slab.as_slice(),
-                            &reference.as_slice()[lo..lo + slab.len()],
-                            "thread {t}: chunk {chunk}"
-                        );
-                        assert_eq!(stats.chunks_decoded, 1);
-                        decoded += 1;
-                        blob_bytes += stats.blob_bytes_read;
+        let per_thread: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for t in 0..8u64 {
+                let r = reader.clone();
+                let reference = &reference;
+                handles.push(scope.spawn(move || {
+                    let mut rng = Rng(0xC0C0 + t);
+                    let mut decoded = 0u64;
+                    let mut blob_bytes = 0u64;
+                    for _ in 0..150 {
+                        if rng.below(2) == 0 {
+                            let start = rng.below(d0);
+                            let end = start + 1 + rng.below(d0 - start);
+                            let (part, stats) =
+                                r.read_rows_with_stats::<f32>(start..end).unwrap();
+                            assert_eq!(
+                                part.as_slice(),
+                                &reference.as_slice()[start * row_elems..end * row_elems],
+                                "thread {t}: rows {start}..{end}"
+                            );
+                            // The request touched exactly the intersecting
+                            // chunks.
+                            let expect_chunks =
+                                (end.div_ceil(chunk_rows) - start / chunk_rows) as u64;
+                            assert_eq!(stats.chunks_decoded, expect_chunks);
+                            decoded += stats.chunks_decoded;
+                            blob_bytes += stats.blob_bytes_read;
+                        } else {
+                            let chunk = rng.below(n_chunks);
+                            let (start_row, slab, stats) = r.read_chunk::<f32>(chunk).unwrap();
+                            assert_eq!(start_row, chunk * chunk_rows);
+                            let lo = start_row * row_elems;
+                            assert_eq!(
+                                slab.as_slice(),
+                                &reference.as_slice()[lo..lo + slab.len()],
+                                "thread {t}: chunk {chunk}"
+                            );
+                            assert_eq!(stats.chunks_decoded, 1);
+                            decoded += 1;
+                            blob_bytes += stats.blob_bytes_read;
+                        }
                     }
-                }
-                (decoded, blob_bytes)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+                    (decoded, blob_bytes)
+                }));
+            }
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
 
-    let total_decoded: u64 = per_thread.iter().map(|&(d, _)| d).sum();
-    let total_blob: u64 = per_thread.iter().map(|&(_, b)| b).sum();
-    let agg = reader.stats();
-    assert_eq!(agg.chunks_decoded, total_decoded, "aggregate chunk-decode count");
-    assert_eq!(agg.blob_bytes_read, total_blob, "aggregate blob bytes");
-    assert_eq!(agg.chunks_total, n_chunks);
-    assert!(total_decoded > 0);
+        let total_decoded: u64 = per_thread.iter().map(|&(d, _)| d).sum();
+        let total_blob: u64 = per_thread.iter().map(|&(_, b)| b).sum();
+        let agg = reader.stats();
+        assert_eq!(agg.chunks_decoded, total_decoded, "aggregate chunk-decode count");
+        assert_eq!(agg.blob_bytes_read, total_blob, "aggregate blob bytes");
+        assert_eq!(agg.chunks_total, n_chunks);
+        assert!(total_decoded > 0);
+    }
 }
 
 #[test]
@@ -436,16 +441,21 @@ fn concurrent_reader_handles_all_generations_and_errors() {
 
 #[test]
 fn into_concurrent_carries_layout_and_stats() {
+    // A clone is the shared form of a reader: it carries the parsed
+    // layout, and every clone counts into the one set of counters.
     let field = mixed_field(Shape::d2(18, 6));
     let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3)).chunked(6);
     let bytes = streamed(&field, &cfg, None);
-    let mut r = ArchiveReader::open(Cursor::new(bytes)).unwrap();
+    let r = ArchiveReader::open(Cursor::new(bytes)).unwrap();
     let reference = r.read_all::<f32>().unwrap();
     let decoded_before = r.stats().chunks_decoded;
-    let shared = r.into_concurrent();
+    let shared = r.clone().with_threads_exact(2);
     assert_eq!(shared.stats().chunks_decoded, decoded_before);
     assert_eq!(shared.n_chunks(), 3);
+    assert_eq!(shared.entries(), r.entries());
     let again = shared.read_all::<f32>().unwrap();
     assert_eq!(again.as_slice(), reference.as_slice());
     assert_eq!(shared.stats().chunks_decoded, decoded_before + 3);
+    assert_eq!(r.stats(), shared.stats(), "the clones share their counters");
+    assert_eq!((r.threads(), shared.threads()), (1, 2), "a clone's thread count is its own");
 }

@@ -391,7 +391,7 @@ fn per_chunk_eb_targeted_corruptions(bytes: Vec<u8>, plan: &[f64; 4]) {
     assert!(try_decode(&m).unwrap().is_err());
 
     // The streaming reader agrees with the in-memory one on all of it.
-    let mut good = rqm::compress_crate::ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+    let good = rqm::compress_crate::ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
     assert!(good.read_all::<f32>().is_ok());
     let mut m = bytes.clone();
     m[eb_offsets[0]..eb_offsets[0] + 8].copy_from_slice(&f64::NAN.to_le_bytes());
@@ -421,7 +421,7 @@ fn archive_reader_never_panics_on_mutations() {
             // mid-backpressure.
             let threads = if case % 2 == 0 { 1 } else { 4 };
             if let Ok(r) = rqm::compress_crate::ArchiveReader::open(Cursor::new(&m[..])) {
-                let mut r = r.with_threads_exact(threads);
+                let r = r.with_threads_exact(threads);
                 let _ = r.read_all::<f32>();
                 let _ = r.read_rows::<f32>(0..1);
                 let _ = r.decompress_to_writer::<f32, _>(&mut std::io::sink());
@@ -432,7 +432,7 @@ fn archive_reader_never_panics_on_mutations() {
             let threads = if case % 2 == 0 { 1 } else { 4 };
             if let Ok(r) = rqm::compress_crate::ArchiveReader::open(Cursor::new(&bytes[..cut]))
             {
-                let mut r = r.with_threads_exact(threads);
+                let r = r.with_threads_exact(threads);
                 assert!(
                     r.read_all::<f32>().is_err(),
                     "truncation to {cut} bytes read_all Ok at {threads} threads"
@@ -453,7 +453,7 @@ fn parallel_decode_corruptions_error_at_every_thread_count() {
     let try_streaming = |bytes: &[u8], threads: usize| -> Result<(), String> {
         let r = rqm::compress_crate::ArchiveReader::open(Cursor::new(bytes))
             .map_err(|e| e.to_string())?;
-        let mut r = r.with_threads_exact(threads);
+        let r = r.with_threads_exact(threads);
         r.decompress_to_writer::<f32, _>(&mut std::io::sink())
             .map(|_| ())
             .map_err(|e| e.to_string())?;
@@ -699,7 +699,7 @@ fn valid_catalog() -> Vec<u8> {
 /// the calling test.
 fn try_catalog(bytes: &[u8]) -> Result<(), String> {
     use rqm::catalog::CatalogReader;
-    let mut r = CatalogReader::open(std::io::Cursor::new(bytes)).map_err(|e| e.to_string())?;
+    let r = CatalogReader::open(std::io::Cursor::new(bytes)).map_err(|e| e.to_string())?;
     let plan: Vec<(String, u8, usize)> = r
         .datasets()
         .iter()

@@ -423,8 +423,8 @@ fn target_psnr_planned_archive_meets_measured_floor() {
             w.write_slab(&field).unwrap();
             let bytes = w.finalize().unwrap().sink;
             assert_eq!(rqm::compress_crate::peek_header(&bytes).unwrap().version, 6);
-            let mut reader = ArchiveReader::open(std::io::Cursor::new(&bytes[..])).unwrap();
-            let measured = measure_archive(&mut reader, bytes.len(), slabs.iter().map(Ok)).unwrap();
+            let reader = ArchiveReader::open(std::io::Cursor::new(&bytes[..])).unwrap();
+            let measured = measure_archive(&reader, bytes.len(), slabs.iter().map(Ok)).unwrap();
             archives.push(bytes);
             plans.push(ebs.to_vec());
             Ok(measured)

@@ -225,7 +225,7 @@ fn check_fixed_sz_fixture(bytes: &[u8], version: u8) {
         let lo = start_row * row_elems;
         assert_eq!(slab.as_slice(), &back.as_slice()[lo..lo + slab.len()]);
     }
-    let mut reader = ArchiveReader::open(std::io::Cursor::new(bytes)).unwrap();
+    let reader = ArchiveReader::open(std::io::Cursor::new(bytes)).unwrap();
     assert_eq!(reader.entries(), &table.entries[..]);
     assert_eq!(reader.read_all::<f32>().unwrap().as_slice(), back.as_slice());
 }
@@ -382,7 +382,7 @@ fn golden_v23_fixture_backward_compat() {
         let lo = start_row * row_elems;
         assert_eq!(slab.as_slice(), &back.as_slice()[lo..lo + slab.len()]);
     }
-    let mut reader =
+    let reader =
         ArchiveReader::open(std::io::Cursor::new(&bytes[..])).unwrap();
     assert_eq!(reader.read_all::<f32>().unwrap().as_slice(), back.as_slice());
 
@@ -472,7 +472,7 @@ fn golden_v24_fixture_backward_compat() {
         let lo = start_row * row_elems;
         assert_eq!(slab.as_slice(), &back.as_slice()[lo..lo + slab.len()]);
     }
-    let mut reader = ArchiveReader::open(std::io::Cursor::new(&bytes[..])).unwrap();
+    let reader = ArchiveReader::open(std::io::Cursor::new(&bytes[..])).unwrap();
     assert_eq!(reader.read_all::<f32>().unwrap().as_slice(), back.as_slice());
 
     // Every pre-v2.4 golden fixture stays readable through the same code
@@ -503,7 +503,7 @@ fn golden_cat1_fixture_backward_compat() {
     // must keep decoding it.
     let bytes = include_bytes!("data/golden_cat1.rqc");
     assert!(rqm::catalog::is_catalog_magic(bytes));
-    let mut r = CatalogReader::open(std::io::Cursor::new(&bytes[..])).unwrap();
+    let r = CatalogReader::open(std::io::Cursor::new(&bytes[..])).unwrap();
 
     // The index recorded at fixture time.
     let d = r.dataset("wave").unwrap();
@@ -543,7 +543,7 @@ fn golden_cat1_fixture_backward_compat() {
 
     // A keyframe segment is an ordinary single-field archive: open it
     // directly and decode it with the plain archive reader.
-    let mut seg = r.open_step("wave", 2).unwrap();
+    let seg = r.open_step("wave", 2).unwrap();
     let slab = seg.read_all::<f32>().unwrap();
     assert_eq!(slab.shape().dims(), &[8, 10, 10]);
 }

@@ -98,7 +98,7 @@ fn assert_saturated_pools_identical<T: Scalar>(name: &str, bytes: &[u8], rng: &m
     let d0 = reference.shape().dim(0);
     let row_elems = reference.len() / d0;
     for threads in [1usize, 2, 8] {
-        let mut r = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
+        let r = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);
         for round in 0..15 {
             let start = rng.below(d0);
             let end = start + 1 + rng.below(d0 - start);
@@ -149,7 +149,7 @@ fn assert_file_matches_in_memory<T: Scalar>(
     let d0 = reference.shape().dim(0);
     let row_elems = reference.len() / d0;
     for threads in [1usize, 2, 8] {
-        let mut r = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
+        let r = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
         assert!(
             r.read_all::<T>().unwrap().as_slice() == reference.as_slice(),
             "{name} threads={threads}: file read_all"
@@ -164,7 +164,7 @@ fn assert_file_matches_in_memory<T: Scalar>(
             );
         }
         let mut sink = Vec::new();
-        let mut r = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
+        let r = ArchiveReader::open_path(path).unwrap().with_threads_exact(threads);
         r.decompress_to_writer::<T, _>(&mut sink).unwrap();
         let mut expect = Vec::new();
         reference.as_slice().iter().for_each(|v| v.write_le(&mut expect));
@@ -191,7 +191,7 @@ fn aligned_reads_never_reorder_copy() {
     let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3)).chunked(5);
     let bytes = streamed(&field, &cfg, None);
     for threads in [1usize, 2, 8] {
-        let mut r = ArchiveReader::open(Cursor::new(&bytes[..]))
+        let r = ArchiveReader::open(Cursor::new(&bytes[..]))
             .unwrap()
             .with_threads_exact(threads);
         r.read_all::<f32>().unwrap();

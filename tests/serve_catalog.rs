@@ -73,7 +73,7 @@ fn sixty_four_clients_match_the_local_catalog_decode_across_budgets() {
     let path = write_temp("diff.rqc", &bytes);
 
     // The local reference: every step of both datasets, decoded once.
-    let mut local = CatalogReader::open(Cursor::new(bytes)).unwrap();
+    let local = CatalogReader::open(Cursor::new(bytes)).unwrap();
     let ref32: Vec<Arc<Vec<f32>>> = (0..N_STEPS)
         .map(|t| Arc::new(local.read_step::<f32>("pressure", t).unwrap().into_vec()))
         .collect();
@@ -370,7 +370,7 @@ fn serving_a_catalog_holds_one_descriptor() {
     let grown = fds_open_on(&path) - before;
     assert_eq!(grown, 1, "serving a 3-dataset catalog holds {grown} descriptors on it");
 
-    let mut local = CatalogReader::open(Cursor::new(bytes)).unwrap();
+    let local = CatalogReader::open(Cursor::new(bytes)).unwrap();
     let mut c = Client::connect(server.local_addr()).unwrap();
     let ds = c.list_datasets().unwrap();
     assert_eq!(ds.len(), names.len());

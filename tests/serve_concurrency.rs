@@ -68,7 +68,7 @@ fn sixty_four_clients_match_the_serial_decode_across_generations_and_budgets() {
             "{name}: fixture has the wrong container generation"
         );
         // The serial reference decode, once per generation.
-        let mut serial = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
+        let serial = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
         let reference = Arc::new(serial.read_all::<f32>().unwrap());
         let row_elems = reference.len() / reference.shape().dim(0);
         let chunk_starts: Vec<(usize, usize)> = rqm::compress_crate::chunk_table(&bytes)
