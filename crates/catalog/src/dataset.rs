@@ -1,6 +1,6 @@
 //! Concurrent, chunk-addressable view of one catalog dataset.
 
-use crate::delta::add_residual;
+use crate::delta::walk_chain;
 use crate::error::CatalogError;
 use crate::format::DatasetEntry;
 use crate::reader::CatalogReader;
@@ -173,12 +173,11 @@ impl<T: Scalar, R: Read + Seek + Send> ChunkSource<T> for DatasetReader<T, R> {
             .entry
             .keyframe_before(step)
             .ok_or(DecompressError::Corrupt("no keyframe at or before the step"))?;
-        let (_, key, _) = self.steps[kf].read_chunk::<T>(c)?;
-        let mut cur = key.into_vec();
-        for t in kf + 1..=step {
-            let (_, resid, _) = self.steps[t].read_chunk::<T>(c)?;
-            cur = add_residual(&cur, resid.as_slice());
-        }
+        let chunk_of = |t: usize| -> Result<Vec<T>, DecompressError> {
+            Ok(self.steps[t].read_chunk::<T>(c)?.1.into_vec())
+        };
+        let mut cur = chunk_of(kf)?;
+        walk_chain(&mut cur, kf, step, chunk_of)?;
         Ok(cur.into())
     }
 }

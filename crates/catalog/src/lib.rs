@@ -19,7 +19,9 @@
 //!   every `K` steps, so random access costs at most one keyframe plus
 //!   `K-1` residual decodes and the per-step absolute error bound holds
 //!   without accumulation (the writer mirrors the decoder; delta
-//!   segments carry a small bound headroom, [`DELTA_EB_HEADROOM`]).
+//!   segments carry a small bound headroom, [`DELTA_EB_HEADROOM`]). A
+//!   [`CatalogReader`] resumes from the step it last reconstructed, so a
+//!   forward read costs one residual decode.
 //!
 //! [`DatasetReader`] flattens a dataset into one time-major
 //! [`rq_compress::ChunkSource`] for concurrent serving — the layout

@@ -1,6 +1,6 @@
 //! Sequential catalog reader.
 
-use crate::delta::add_residual;
+use crate::delta::walk_chain;
 use crate::error::CatalogError;
 use crate::format::{
     parse_trailer, CatalogIndex, DatasetEntry, StepEntry, CATALOG_MAGIC, CATALOG_VERSION,
@@ -9,9 +9,10 @@ use crate::format::{
 use crate::subrange::SubRange;
 use rq_compress::ArchiveReader;
 use rq_grid::{NdArray, Scalar};
+use std::any::Any;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Lazy-index reader over any `Read + Seek` source.
 ///
@@ -24,9 +25,24 @@ use std::sync::{Arc, Mutex};
 /// [`SubRange`] window of it — [`Self::read_step`], [`Self::open_step`],
 /// and every [`DatasetReader`](crate::DatasetReader) built from this
 /// reader, which keeps the source open after the reader is dropped.
+///
+/// The reader also keeps the last step [`Self::read_step`] reconstructed,
+/// one step at a time and only while the step after it is a delta step,
+/// so reading a dataset forward walks each delta chain once.
 pub struct CatalogReader<R: Read + Seek> {
     src: Arc<Mutex<R>>,
     index: CatalogIndex,
+    last: Mutex<Option<LastStep>>,
+}
+
+/// The step [`CatalogReader::read_step`] last reconstructed: a forward
+/// read in the same keyframe group starts from it.
+struct LastStep {
+    /// Position of the dataset in the index.
+    dataset: usize,
+    step: usize,
+    /// The step's values, a `Vec<T>` of the dataset's scalar type.
+    values: Box<dyn Any + Send>,
 }
 
 impl CatalogReader<File> {
@@ -71,7 +87,7 @@ impl<R: Read + Seek> CatalogReader<R> {
         let mut body = vec![0u8; body_len as usize];
         src.read_exact(&mut body)?;
         let index = parse_trailer(&body, data_end)?;
-        Ok(CatalogReader { src: Arc::new(Mutex::new(src)), index })
+        Ok(CatalogReader { src: Arc::new(Mutex::new(src)), index, last: Mutex::new(None) })
     }
 
     /// The parsed catalog index.
@@ -86,11 +102,11 @@ impl<R: Read + Seek> CatalogReader<R> {
 
     /// Look up a dataset by name.
     pub fn dataset(&self, name: &str) -> Result<&DatasetEntry, CatalogError> {
-        let i = self
-            .index
-            .find(name)
-            .ok_or_else(|| CatalogError::DatasetNotFound(name.to_string()))?;
-        Ok(&self.index.datasets[i])
+        Ok(&self.index.datasets[self.dataset_pos(name)?])
+    }
+
+    fn dataset_pos(&self, name: &str) -> Result<usize, CatalogError> {
+        self.index.find(name).ok_or_else(|| CatalogError::DatasetNotFound(name.to_string()))
     }
 
     fn step_entry(&self, name: &str, step: usize) -> Result<StepEntry, CatalogError> {
@@ -129,15 +145,21 @@ impl<R: Read + Seek> CatalogReader<R> {
 
     /// Decode the reconstructed field of `(dataset, step)`.
     ///
-    /// Walks back to the nearest keyframe and applies the delta chain —
-    /// at most one keyframe plus `keyframe_every - 1` residual decodes,
-    /// each an [`ArchiveReader`] over the segment's window, one worker per
-    /// CPU.
+    /// A delta step is its keyframe plus the chain of residuals after it,
+    /// each decoded by an [`ArchiveReader`] over the segment's window, one
+    /// worker per CPU. The walk starts from the step this reader last
+    /// reconstructed when that step is in the same keyframe group at or
+    /// before `step`, and from the keyframe otherwise: random access costs
+    /// at most one keyframe plus `keyframe_every - 1` residual decodes, and
+    /// a forward read costs one residual. The result is kept (one step per
+    /// reader) only while step `step + 1` exists and is a delta step; a
+    /// failed read keeps nothing.
     pub fn read_step<T: Scalar>(&self, name: &str, step: usize) -> Result<NdArray<T>, CatalogError>
     where
         R: Send,
     {
-        let d = self.dataset(name)?;
+        let pos = self.dataset_pos(name)?;
+        let d = &self.index.datasets[pos];
         if step >= d.steps.len() {
             return Err(CatalogError::StepOutOfRange { step, n_steps: d.steps.len() });
         }
@@ -149,17 +171,31 @@ impl<R: Read + Seek> CatalogReader<R> {
             .keyframe_before(step)
             .ok_or(CatalogError::Corrupt("no keyframe at or before the step"))?;
 
-        let segment = |t: usize| -> Result<NdArray<T>, CatalogError> {
+        let segment = |t: usize| -> Result<Vec<T>, CatalogError> {
             let field = ArchiveReader::open(self.window(&d.steps[t]))?.with_threads(0).read_all()?;
-            if field.len() != shape.len() {
+            if field.shape().dims() != shape.dims() {
                 return Err(CatalogError::Corrupt("segment shape differs from the index"));
             }
-            Ok(field)
+            Ok(field.into_vec())
         };
-        let mut recon = segment(kf)?.into_vec();
-        for t in kf + 1..=step {
-            recon = add_residual(&recon, segment(t)?.as_slice());
+        // Taken out under the lock, so the decode below runs outside it.
+        let resumed = self.last().take_if(|l| l.dataset == pos && (kf..=step).contains(&l.step));
+        let resumed = resumed.and_then(|l| Some((l.step, *l.values.downcast::<Vec<T>>().ok()?)));
+        let (from, mut recon) = match resumed {
+            Some(start) => start,
+            None => (kf, segment(kf)?),
+        };
+        walk_chain(&mut recon, from, step, segment)?;
+        if d.steps.get(step + 1).is_some_and(|next| !next.keyframe) {
+            let values = Box::new(recon.clone());
+            *self.last() = Some(LastStep { dataset: pos, step, values });
         }
         Ok(NdArray::from_vec(shape, recon))
+    }
+
+    /// The kept step. Every update replaces the whole value, so a lock
+    /// poisoned by a panicking reader still holds a valid one.
+    fn last(&self) -> MutexGuard<'_, Option<LastStep>> {
+        self.last.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }

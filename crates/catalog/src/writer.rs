@@ -241,11 +241,11 @@ impl<W: Write, T: Scalar> DatasetWriter<'_, W, T> {
         // Decoder mirror: advance the reconstruction the way a reader
         // will, from the compressed bytes.
         let decoded = decompress::<T>(&bytes)?;
-        self.recon = if is_key {
-            decoded.into_vec()
+        if is_key {
+            self.recon = decoded.into_vec();
         } else {
-            add_residual(&self.recon, decoded.as_slice())
-        };
+            add_residual(&mut self.recon, decoded.as_slice());
+        }
 
         self.cat.sink.write_all(&bytes)?;
         self.entry.steps.push(StepEntry {

@@ -291,3 +291,250 @@ fn dataset_reader_holds_one_descriptor_whatever_the_step_count() {
     drop(conc);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn read_step_rejects_a_segment_whose_dims_differ_from_the_index() {
+    // Datasets of 16×8 and 8×16 have segments of the same length. With
+    // their step-0 entries swapped in the index, each step decodes a
+    // segment of the other layout: that is a corrupt catalog, and both
+    // readers must say so in the same words.
+    let field = |rows, cols| {
+        NdArray::from_fn(Shape::d2(rows, cols), |ix| (ix[0] * 31 + ix[1]) as f32 * 0.01)
+    };
+    let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(EB32));
+    let mut w = CatalogWriter::create(Vec::new()).unwrap();
+    w.write_dataset("a", &cfg, 1, &[field(16, 8)]).unwrap();
+    w.write_dataset("b", &cfg, 1, &[field(8, 16)]).unwrap();
+    let fin = w.finalize().unwrap();
+    let suffix = fin.sink.len() - 12;
+    let body_len = u64::from_le_bytes(fin.sink[suffix..suffix + 8].try_into().unwrap());
+    let data_end = suffix - body_len as usize;
+
+    let mut index = fin.index.clone();
+    let (a0, b0) = (index.datasets[0].steps[0], index.datasets[1].steps[0]);
+    index.datasets[0].steps[0] = b0;
+    index.datasets[1].steps[0] = a0;
+    let body = rqm::catalog::format::encode_trailer(&index);
+    let mut bytes = fin.sink[..data_end].to_vec();
+    bytes.extend_from_slice(&body);
+    bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(rqm::catalog::format::TRAILER_MAGIC);
+
+    let cat = CatalogReader::open(Cursor::new(bytes)).unwrap();
+    for name in ["a", "b"] {
+        let flat = DatasetReader::<f32, _>::open(&cat, name).err().map(|e| e.to_string());
+        let step = cat.read_step::<f32>(name, 0).err().map(|e| e.to_string());
+        assert_eq!(
+            flat.as_deref(),
+            Some("corrupt catalog: segment shape differs from the index"),
+            "{name}: DatasetReader::open"
+        );
+        assert_eq!(step, flat, "{name}: read_step");
+    }
+}
+
+/// Deterministic xorshift64* stream for read orders.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0.wrapping_mul(0x2545F4914F6CDD1D) % n as u64) as usize
+    }
+
+    /// `ops` in a seeded (Fisher–Yates) order.
+    fn shuffled<T>(&mut self, mut ops: Vec<T>) -> Vec<T> {
+        for i in (1..ops.len()).rev() {
+            ops.swap(i, self.below(i + 1));
+        }
+        ops
+    }
+}
+
+/// One read: a dataset of [`three_dataset_catalog`] and a step.
+type Op = (&'static str, usize);
+
+/// The datasets of [`three_dataset_catalog`].
+const NAMES: [&str; 3] = ["pressure", "velocity", "energy"];
+
+/// A catalog of `n` steps of `pressure` and `velocity` (f32) and `energy`
+/// (f64), each with a keyframe every `keyframe_every` steps. Two datasets
+/// share a scalar type, so a step kept for one of them would also fit the
+/// other.
+fn three_dataset_catalog(n: usize, keyframe_every: usize) -> Vec<u8> {
+    let (steps32, steps64) = sequences(n);
+    let velocity: Vec<NdArray<f32>> = steps32
+        .iter()
+        .map(|s| NdArray::from_vec(s.shape(), s.as_slice().iter().map(|&v| 0.5 * v - 1.0).collect()))
+        .collect();
+    let cfg32 = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(EB32)).chunked(4);
+    let cfg64 = CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(EB64));
+    let mut w = CatalogWriter::create(Vec::new()).unwrap();
+    w.write_dataset("pressure", &cfg32, keyframe_every, &steps32).unwrap();
+    w.write_dataset("velocity", &cfg32, keyframe_every, &velocity).unwrap();
+    w.write_dataset("energy", &cfg64, keyframe_every, &steps64).unwrap();
+    w.finalize().unwrap().sink
+}
+
+/// The little-endian bytes of one read on `cat`, or its error text.
+fn read_op<R: std::io::Read + std::io::Seek + Send>(
+    cat: &CatalogReader<R>,
+    (name, t): Op,
+) -> Result<Vec<u8>, String> {
+    let values = match name {
+        "energy" => cat.read_step::<f64>(name, t).map(|f| le_bytes(f.as_slice())),
+        _ => cat.read_step::<f32>(name, t).map(|f| le_bytes(f.as_slice())),
+    };
+    values.map_err(|e| e.to_string())
+}
+
+/// The same read on a reader of its own, opened for it alone.
+fn fresh_read(bytes: &[u8], op: Op) -> Result<Vec<u8>, String> {
+    read_op(&CatalogReader::open(Cursor::new(bytes)).unwrap(), op)
+}
+
+/// Run `order` on the one reader `cat` and require every result to equal
+/// the fresh read of its op in `fresh`.
+fn reads_match_fresh<R: std::io::Read + std::io::Seek + Send>(
+    cat: &CatalogReader<R>,
+    order: &[Op],
+    fresh: &dyn Fn(Op) -> Result<Vec<u8>, String>,
+    what: &str,
+) {
+    for (i, &op) in order.iter().enumerate() {
+        assert!(read_op(cat, op) == fresh(op), "{what}: read {i} of {order:?} ({op:?}) differs");
+    }
+}
+
+#[test]
+fn read_order_does_not_change_a_step() {
+    // `read_step` resumes from the step the reader last reconstructed; in
+    // no order of reads — interleaved datasets, forward, backward, shuffled
+    // with repeats, or from two threads sharing the reader — may a step
+    // differ from a read of it on a fresh reader, at cadence 1 (nothing to
+    // resume) and 3.
+    let n = 7;
+    for keyframe_every in [1usize, 3] {
+        let bytes = three_dataset_catalog(n, keyframe_every);
+        let ops: Vec<Op> = NAMES
+            .into_iter()
+            .flat_map(|name| (0..n).map(move |t| (name, t)))
+            .collect();
+        let want: std::collections::HashMap<Op, Vec<u8>> =
+            ops.iter().map(|&op| (op, fresh_read(&bytes, op).unwrap())).collect();
+        let fresh = |op: Op| Ok(want[&op].clone());
+
+        let interleaved: Vec<Op> = (0..n).flat_map(|t| NAMES.map(|name| (name, t))).collect();
+        let backward: Vec<Op> = ops.iter().rev().copied().collect();
+        let mut rng = Rng(0x0DE5_EED5 + keyframe_every as u64);
+        let twice: Vec<Op> = ops.iter().chain(&ops).copied().collect();
+        let shuffled = rng.shuffled(twice);
+        for (label, order) in [
+            ("interleaved", &interleaved),
+            ("forward", &ops),
+            ("backward", &backward),
+            ("shuffled", &shuffled),
+        ] {
+            let cat = CatalogReader::open(Cursor::new(&bytes[..])).unwrap();
+            reads_match_fresh(&cat, order, &fresh, &format!("k={keyframe_every} {label}"));
+        }
+
+        let cat = CatalogReader::open(Cursor::new(&bytes[..])).unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for order in [&interleaved, &shuffled] {
+                let (cat, fresh, start) = (&cat, &fresh, &start);
+                s.spawn(move || {
+                    start.wait();
+                    reads_match_fresh(cat, order, fresh, "two threads")
+                });
+            }
+        });
+    }
+}
+
+/// A source that counts the bytes it serves.
+struct Counting {
+    inner: Cursor<Vec<u8>>,
+    served: std::sync::Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl std::io::Read for Counting {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.served.fetch_add(n as u64, std::sync::atomic::Ordering::Relaxed);
+        Ok(n)
+    }
+}
+
+impl std::io::Seek for Counting {
+    fn seek(&mut self, pos: std::io::SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
+#[test]
+fn a_forward_read_decodes_each_segment_once() {
+    // Reading every step in order must read from the source exactly what
+    // one decode of each segment reads: each delta chain is walked once,
+    // not again from its keyframe for every step.
+    let n = 9;
+    let bytes = three_dataset_catalog(n, 4);
+    let open = || {
+        let served = std::sync::Arc::default();
+        let src = Counting { inner: Cursor::new(bytes.clone()), served: std::sync::Arc::clone(&served) };
+        (CatalogReader::open(src).unwrap(), served)
+    };
+    let count = |served: &std::sync::atomic::AtomicU64| served.load(std::sync::atomic::Ordering::Relaxed);
+    for name in NAMES {
+        let (segments, served) = open();
+        let mut once = 0;
+        for t in 0..n {
+            let before = count(&served);
+            let archive = segments.open_step(name, t).unwrap();
+            match name {
+                "energy" => drop(archive.read_all::<f64>().unwrap()),
+                _ => drop(archive.read_all::<f32>().unwrap()),
+            }
+            once += count(&served) - before;
+        }
+
+        let (cat, served) = open();
+        let before = count(&served);
+        for t in 0..n {
+            read_op(&cat, (name, t)).unwrap();
+        }
+        assert_eq!(count(&served) - before, once, "{name}: bytes read walking forward");
+    }
+}
+
+#[test]
+fn a_failed_read_leaves_nothing_to_resume_from() {
+    // Step 2 of the first keyframe group (steps 0–3) has a broken segment.
+    // In any read order, steps 2 and 3 must fail, and every other step —
+    // the first read after a failure included — must equal a fresh read.
+    let n = 8;
+    let mut bytes = three_dataset_catalog(n, 4);
+    let index = CatalogReader::open(Cursor::new(&bytes[..])).unwrap().index().clone();
+    let broken = index.datasets[0].steps[2];
+    assert!(!broken.keyframe);
+    bytes[broken.offset as usize..][..4].copy_from_slice(b"XXXX");
+
+    let steps: Vec<Op> = (0..n).map(|t| ("pressure", t)).collect();
+    let fresh = |op: Op| fresh_read(&bytes, op);
+    for &op in &steps {
+        assert_eq!(fresh(op).is_err(), (2..4).contains(&op.1), "fresh read of {op:?}");
+    }
+    let forward_twice: Vec<Op> = steps.iter().chain(&steps).copied().collect();
+    let backward: Vec<Op> = steps.iter().rev().copied().collect();
+    let around: Vec<Op> = [1, 2, 1, 2, 3, 0, 1, 3, 2, 1].map(|t| ("pressure", t)).to_vec();
+    let mut orders = vec![forward_twice.clone(), backward, around];
+    let mut rng = Rng(0x00FA_11ED);
+    orders.extend((0..6).map(|_| rng.shuffled(forward_twice.clone())));
+    for (i, order) in orders.iter().enumerate() {
+        let cat = CatalogReader::open(Cursor::new(&bytes[..])).unwrap();
+        reads_match_fresh(&cat, order, &fresh, &format!("order {i}"));
+    }
+}

@@ -731,6 +731,70 @@ fn catalog_byte_flips_never_panic() {
     }
 }
 
+/// One `read_step` on `r`: the little-endian bytes of the step, or the
+/// error text.
+fn catalog_read(
+    r: &rqm::catalog::CatalogReader<Cursor<&[u8]>>,
+    name: &str,
+    tag: u8,
+    t: usize,
+) -> Result<Vec<u8>, String> {
+    use rqm::grid::Scalar;
+    fn le_bytes<T: Scalar>(values: &[T]) -> Vec<u8> {
+        let mut out = Vec::new();
+        values.iter().for_each(|&v| v.write_le(&mut out));
+        out
+    }
+    match tag {
+        0x04 => r.read_step::<f32>(name, t).map(|f| le_bytes(f.as_slice())),
+        _ => r.read_step::<f64>(name, t).map(|f| le_bytes(f.as_slice())),
+    }
+    .map_err(|e| e.to_string())
+}
+
+#[test]
+fn catalog_reads_on_one_reader_match_fresh_reads() {
+    // A reader resumes a step from the one it last reconstructed. On a
+    // mutated catalog, a sequence of reads on one reader — random steps and
+    // forward runs — must give, op for op, what each read gives on a
+    // reader opened for it alone: the same bytes or the same error.
+    use rqm::catalog::CatalogReader;
+    let bytes = valid_catalog();
+    let mut rng = Rng(0x5EED_0C04);
+    for case in 0..300 {
+        let mut m = bytes.clone();
+        for _ in 0..(1 + rng.below(3)) {
+            let pos = rng.below(m.len());
+            m[pos] ^= 1 << rng.below(8);
+        }
+        let Ok(r) = CatalogReader::open(Cursor::new(&m[..])) else { continue };
+        let plan: Vec<(String, u8, usize)> = r
+            .datasets()
+            .iter()
+            .map(|d| (d.name.clone(), d.scalar_tag, d.n_steps()))
+            .collect();
+        if plan.iter().any(|&(_, _, n)| n == 0) || plan.is_empty() {
+            continue;
+        }
+        let (mut d, mut t) = (0, 0);
+        for op in 0..12 {
+            // Half the reads go on to the next step of the last dataset.
+            if op == 0 || rng.below(2) == 0 || t + 1 >= plan[d].2 {
+                d = rng.below(plan.len());
+                t = rng.below(plan[d].2);
+            } else {
+                t += 1;
+            }
+            let (name, tag, _) = &plan[d];
+            let fresh = CatalogReader::open(Cursor::new(&m[..])).unwrap();
+            assert!(
+                catalog_read(&r, name, *tag, t) == catalog_read(&fresh, name, *tag, t),
+                "case {case} op {op}: {name} step {t} differs from a fresh read"
+            );
+        }
+    }
+}
+
 #[test]
 fn catalog_truncations_always_error() {
     let bytes = valid_catalog();
