@@ -36,6 +36,24 @@ impl Fuzz {
 
 const CASES: usize = 48;
 
+/// The wrapper's stream, pinned: 10 000 rounds of a raw draw, a `[0, 1)`
+/// draw and a range draw (every other one over a span past `2^63`, where
+/// about half the raw draws are rejected), folded into one FNV-1a digest.
+#[test]
+fn fuzz_draws_are_pinned() {
+    let mut fz = Fuzz::new(0x5EED);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for i in 0..10_000usize {
+        let hi = if i % 2 == 0 { i + 1 + i * 31 } else { (1 << 63) + i };
+        for x in [fz.next_u64(), fz.unit().to_bits(), fz.range(i, hi) as u64] {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(h, 0xe140_a058_d8cf_be65, "draw digest {h:016x}");
+}
+
 fn arb_field(fz: &mut Fuzz) -> NdArray<f32> {
     let nd = fz.range(1, 4);
     let (d0, d1, d2) = (fz.range(2, 40), fz.range(2, 20), fz.range(2, 12));
