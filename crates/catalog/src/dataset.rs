@@ -3,7 +3,7 @@
 use crate::delta::walk_chain;
 use crate::error::CatalogError;
 use crate::format::DatasetEntry;
-use crate::reader::CatalogReader;
+use crate::reader::{check_segment, CatalogReader};
 use crate::subrange::SubRange;
 use rq_compress::{ArchiveReader, ChunkEntry, ChunkSource, DecompressError, Header};
 use rq_grid::Scalar;
@@ -70,12 +70,7 @@ impl<T: Scalar, R: Read + Seek> DatasetReader<T, R> {
 
         let step_rows = entry.shape.dim(0);
         let first = &steps[0];
-        if first.header().scalar_tag != T::TAG {
-            return Err(CatalogError::Corrupt("segment scalar tag differs from the index"));
-        }
-        if first.header().shape.dims() != entry.shape.dims() {
-            return Err(CatalogError::Corrupt("segment shape differs from the index"));
-        }
+        check_segment::<T>(first.header(), entry.shape)?;
         for r in &steps {
             if r.n_chunks() != first.n_chunks()
                 || r.header().shape.dims() != entry.shape.dims()

@@ -7,12 +7,24 @@ use crate::format::{
     PREAMBLE_LEN, TRAILER_MAGIC, TRAILER_SUFFIX_LEN,
 };
 use crate::subrange::SubRange;
-use rq_compress::ArchiveReader;
-use rq_grid::{NdArray, Scalar};
+use rq_compress::{ArchiveReader, Header};
+use rq_grid::{NdArray, Scalar, Shape};
 use std::any::Any;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// A segment whose header disagrees with its dataset's index entry is a
+/// corrupt catalog, whichever reader opens it, in one wording.
+pub(crate) fn check_segment<T: Scalar>(header: &Header, shape: Shape) -> Result<(), CatalogError> {
+    if header.scalar_tag != T::TAG {
+        return Err(CatalogError::Corrupt("segment scalar tag differs from the index"));
+    }
+    if header.shape.dims() != shape.dims() {
+        return Err(CatalogError::Corrupt("segment shape differs from the index"));
+    }
+    Ok(())
+}
 
 /// Lazy-index reader over any `Read + Seek` source.
 ///
@@ -172,11 +184,9 @@ impl<R: Read + Seek> CatalogReader<R> {
             .ok_or(CatalogError::Corrupt("no keyframe at or before the step"))?;
 
         let segment = |t: usize| -> Result<Vec<T>, CatalogError> {
-            let field = ArchiveReader::open(self.window(&d.steps[t]))?.with_threads(0).read_all()?;
-            if field.shape().dims() != shape.dims() {
-                return Err(CatalogError::Corrupt("segment shape differs from the index"));
-            }
-            Ok(field.into_vec())
+            let reader = ArchiveReader::open(self.window(&d.steps[t]))?.with_threads(0);
+            check_segment::<T>(reader.header(), shape)?;
+            Ok(reader.read_all()?.into_vec())
         };
         // Taken out under the lock, so the decode below runs outside it.
         let resumed = self.last().take_if(|l| l.dataset == pos && (kf..=step).contains(&l.step));

@@ -28,13 +28,16 @@
 //!
 //! `--threads`/`--chunk-size` switch to **streaming** chunk-parallel
 //! compression: the input file is read in axis-0 slabs of `--chunk-size`
-//! rows (default: auto-sized to the thread count), each slab is
-//! compressed concurrently through the `rq_compress::ArchiveWriter`
-//! session, and blobs go straight to the output file with the chunk
-//! index in a trailer — peak memory stays at a few slabs no matter how
-//! large the field is. Plain `compress` without either flag loads the
-//! field and writes it as one whole-field chunk. Every archive is
-//! container v2.4; `decompress` and `info` read all six generations.
+//! rows, each slab is compressed concurrently through the
+//! `rq_compress::ArchiveWriter` session, and blobs go straight to the
+//! output file with the chunk index in a trailer — peak memory stays at
+//! a few slabs no matter how large the field is. Without `--chunk-size`
+//! the slabs are `Chunking::Auto`'s: about 16 chunks of at least 32 Ki
+//! values, whatever the thread count, so `--threads` never changes a
+//! byte; `--codec zfp|rolz|auto` and `--target-*` runs chunk the same way
+//! without either flag. Plain `compress` loads the field and writes it as
+//! one whole-field chunk. Every archive is container v2.4; `decompress`
+//! and `info` read all six generations.
 //!
 //! `decompress` streams for every thread count: rows flow from the
 //! archive to the output through `rq_compress::ArchiveReader` one chunk at
@@ -351,23 +354,16 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
     }
     let threads = args.unsigned("threads")?;
     let chunk_rows = args.unsigned("chunk-size")?;
-    let chunked =
-        threads.is_some() || chunk_rows.is_some() || codec != CodecChoice::Sz || targeted;
-    if threads.is_some() || chunk_rows.is_some() {
+    // The adaptive codecs and the quality planner decide per chunk: give
+    // them chunks even when none were asked for. Auto sizing does not read
+    // the thread count, so the bytes do not depend on the machine.
+    if threads.is_some() || chunk_rows.is_some() || codec != CodecChoice::Sz || targeted {
         cfg = match chunk_rows {
             Some(0) => return Err("--chunk-size must be positive".into()),
             Some(rows) => cfg.chunked(rows),
             None => cfg.auto_chunked(),
         };
         cfg = cfg.with_threads(threads.unwrap_or(0));
-    }
-    if chunked && chunk_rows.is_none() && (threads.is_none() || targeted) {
-        // The adaptive codecs and the quality planner decide per chunk:
-        // give them chunks even when none were asked for. A fixed
-        // chunk-count target keeps the bytes machine-independent, and the
-        // planner needs the partition before the writer exists — so a
-        // targeted run never takes the thread-derived auto sizing.
-        cfg = cfg.chunked(rq_grid::auto_chunk_rows(shape, 16, 1 << 15));
     }
 
     let mut plan_note = String::new();
@@ -1256,6 +1252,33 @@ mod tests {
             .is_err(),
             "zero chunk size must be rejected"
         );
+    }
+
+    #[test]
+    fn thread_count_does_not_change_an_auto_chunked_archive() {
+        // 64³ is enough values for a chunk count taken from the thread
+        // count to show: it would write 4 chunks at one thread, 8 at two.
+        let raw = tmp("threads.f32");
+        let shape = Shape::d3(64, 64, 64);
+        let f = NdArray::<f32>::from_fn(shape, |ix| {
+            (ix[0] as f32 * 0.1).sin() * 4.0 + (ix[1] as f32 * 0.07).cos() * 2.0 + ix[2] as f32 * 0.01
+        });
+        io::write_raw_f32(raw.to_str().unwrap(), &f).unwrap();
+        let archives: Vec<Vec<u8>> = ["1", "2"]
+            .into_iter()
+            .map(|threads| {
+                let rqc = tmp(&format!("threads{threads}.rqc"));
+                let (input, output) = (raw.to_str().unwrap(), rqc.to_str().unwrap());
+                run_args(&[
+                    "compress", input, output, "--shape", "64x64x64", "--abs", "1e-3",
+                    "--threads", threads,
+                ])
+                .unwrap();
+                io::read_bytes(output).unwrap()
+            })
+            .collect();
+        assert!(archives[0] == archives[1], "--threads 1 and 2 wrote different archives");
+        assert_eq!(rq_compress::chunk_count(&archives[0]).unwrap(), 8);
     }
 
     #[test]

@@ -33,9 +33,10 @@ use std::sync::{Condvar, Mutex, PoisonError};
 /// overhead stays well under a percent of typical chunk payloads.
 const AUTO_MIN_CHUNK_ELEMS: usize = 1 << 15;
 
-/// Auto mode aims for this many chunks per worker thread, which keeps the
-/// tail of the schedule short without shrinking chunks too far.
-const AUTO_CHUNKS_PER_THREAD: usize = 4;
+/// Auto mode aims for this many chunks whatever the thread count, so the
+/// bytes do not depend on the machine: enough to feed 16 workers, and to
+/// give the codec scheduler and the quality planner per-chunk choices.
+const AUTO_CHUNKS: usize = 16;
 
 /// The axis-0 rows per chunk that `cfg`'s chunking resolves to for
 /// `shape` — i.e. the chunk partition every writer (one-shot, streaming,
@@ -46,11 +47,7 @@ pub fn resolved_chunk_rows(cfg: &CompressorConfig, shape: Shape) -> usize {
     match cfg.chunking {
         Chunking::Serial => shape.dim(0),
         Chunking::Rows(rows) => rows.clamp(1, shape.dim(0)),
-        Chunking::Auto => auto_chunk_rows(
-            shape,
-            cfg.resolved_threads() * AUTO_CHUNKS_PER_THREAD,
-            AUTO_MIN_CHUNK_ELEMS,
-        ),
+        Chunking::Auto => auto_chunk_rows(shape, AUTO_CHUNKS, AUTO_MIN_CHUNK_ELEMS),
     }
 }
 
@@ -455,14 +452,19 @@ mod tests {
     fn thread_counts_do_not_change_bytes() {
         // The container must be a pure function of (field, cfg modulo
         // threads): parallelism is an implementation detail.
+        // The auto-sized field is large enough for a chunk count taken
+        // from the thread count to show: 4 chunks against 8 at 1 and 2.
         let field = wavy(Shape::d3(32, 16, 16));
-        let base = CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(1e-3))
-            .chunked(8);
-        let reference = compress(&field, &base.with_threads(1)).unwrap().bytes;
-        for threads in [2, 3, 8] {
-            let bytes = compress(&field, &base.with_threads(threads)).unwrap().bytes;
-            assert_eq!(reference, bytes, "threads={threads}");
+        let large = wavy(Shape::d3(64, 64, 64));
+        let base = CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(1e-3));
+        for (field, base) in [(&field, base.chunked(8)), (&large, base.auto_chunked())] {
+            let reference = compress(field, &base.with_threads(1)).unwrap().bytes;
+            for threads in [2, 3, 8] {
+                let bytes = compress(field, &base.with_threads(threads)).unwrap().bytes;
+                assert_eq!(reference, bytes, "{:?} threads={threads}", base.chunking);
+            }
         }
+        let reference = compress(&field, &base.chunked(8).with_threads(1)).unwrap().bytes;
         // Parallel decode agrees with single-threaded decode (`_exact`
         // so the pool really runs 8-wide even on a small host).
         let a = decompress_with_threads::<f32>(&reference, 1).unwrap();

@@ -1,7 +1,7 @@
 //! Compressor configuration.
 
 use rq_predict::PredictorKind;
-use rq_quant::{ErrorBoundMode, DEFAULT_RADIUS};
+use rq_quant::ErrorBoundMode;
 
 /// Whether the optional lossless stage runs after Huffman coding.
 ///
@@ -72,8 +72,6 @@ pub struct CompressorConfig {
     pub predictor: PredictorKind,
     /// User error-bound mode.
     pub bound: ErrorBoundMode,
-    /// Quantization code radius.
-    pub radius: u32,
     /// Optional lossless stage.
     pub lossless: LosslessStage,
     /// Field partitioning for (parallel) compression.
@@ -86,12 +84,12 @@ pub struct CompressorConfig {
 }
 
 impl CompressorConfig {
-    /// Config with the default radius and the lossless stage enabled.
+    /// Config with the lossless stage enabled, one whole-field chunk and
+    /// the SZ codec.
     pub fn new(predictor: PredictorKind, bound: ErrorBoundMode) -> Self {
         CompressorConfig {
             predictor,
             bound,
-            radius: DEFAULT_RADIUS,
             lossless: LosslessStage::RleLzss,
             chunking: Chunking::Serial,
             threads: 0,
@@ -102,12 +100,6 @@ impl CompressorConfig {
     /// Disable the optional lossless stage (Huffman only).
     pub fn huffman_only(mut self) -> Self {
         self.lossless = LosslessStage::None;
-        self
-    }
-
-    /// Override the quantization radius.
-    pub fn with_radius(mut self, radius: u32) -> Self {
-        self.radius = radius;
         self
     }
 
@@ -181,10 +173,8 @@ mod tests {
     #[test]
     fn builders_compose() {
         let cfg = CompressorConfig::new(PredictorKind::Interpolation, ErrorBoundMode::Abs(0.5))
-            .huffman_only()
-            .with_radius(128);
+            .huffman_only();
         assert_eq!(cfg.lossless, LosslessStage::None);
-        assert_eq!(cfg.radius, 128);
         assert_eq!(cfg.predictor, PredictorKind::Interpolation);
     }
 

@@ -77,7 +77,7 @@ use crate::pool::{BytePool, SlabPool};
 use crate::report::CompressionReport;
 use rq_grid::{slab_chunks, ChunkSpec, NdArray, Scalar, Shape};
 use rq_predict::PredictorKind;
-use rq_quant::{ErrorBoundMode, LinearQuantizer};
+use rq_quant::{ErrorBoundMode, LinearQuantizer, DEFAULT_RADIUS};
 use std::io::{Read, Seek, Write};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,7 +108,6 @@ struct SlabEncoder {
     transform: Transform,
     lossless: LosslessStage,
     codec: CodecChoice,
-    radius: u32,
     threads: usize,
 }
 
@@ -128,12 +127,11 @@ impl SlabEncoder {
         }
         Ok(SlabEncoder {
             predictor: cfg.predictor,
-            quantizer: LinearQuantizer::new(abs_eb, cfg.radius),
+            quantizer: LinearQuantizer::new(abs_eb, DEFAULT_RADIUS),
             abs_eb,
             transform,
             lossless: cfg.lossless,
             codec: cfg.codec,
-            radius: cfg.radius,
             threads: cfg.resolved_threads(),
         })
     }
@@ -160,14 +158,14 @@ impl SlabEncoder {
         let encode = |(c, eb): (ChunkSpec, f64)| -> Result<EncodedChunk, CompressError> {
             let sz = SzChunkCodec::new(
                 self.predictor,
-                LinearQuantizer::new(eb, self.radius),
+                LinearQuantizer::new(eb, DEFAULT_RADIUS),
                 self.lossless,
             )
             .with_transform(self.transform);
             let zfp = ZfpChunkCodec::new(eb);
             let rolz = crate::rolz::RolzChunkCodec::new(
                 self.predictor,
-                LinearQuantizer::new(eb, self.radius),
+                LinearQuantizer::new(eb, DEFAULT_RADIUS),
             )
             .with_transform(self.transform);
             let slab = &data[c.offset..c.offset + c.len];
@@ -188,7 +186,7 @@ impl SlabEncoder {
                             c.shape,
                             self.predictor,
                             eb,
-                            self.radius,
+                            DEFAULT_RADIUS,
                         );
                         (decision.codec, ready)
                     }
@@ -366,7 +364,7 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
             log_transform: transform != Transform::Identity,
             shape,
             abs_eb,
-            radius: cfg.radius,
+            radius: DEFAULT_RADIUS,
         };
         let mut head = Vec::with_capacity(96);
         write_header_prefix(&mut head, &header, T::TAG);
@@ -1698,7 +1696,7 @@ mod tests {
             assert!(entries.iter().any(|e| e.codec == kind), "no {kind:?} chunk");
         }
 
-        let quantizer = LinearQuantizer::new(eb, c.radius);
+        let quantizer = LinearQuantizer::new(eb, DEFAULT_RADIUS);
         let mut fresh = CompressionReport::of_no_chunks(&quantizer, field.len(), 32);
         for (e, spec) in entries.iter().zip(slab_chunks(field.shape(), 8)) {
             let slab = &field.as_slice()[spec.offset..spec.offset + spec.len];
@@ -1707,7 +1705,7 @@ mod tests {
                 spec.shape,
                 c.predictor,
                 eb,
-                c.radius,
+                DEFAULT_RADIUS,
             );
             assert_eq!(decision.codec, e.codec);
             assert_eq!(ready.is_some(), e.codec != ChunkCodecKind::Sz, "probed whole");

@@ -8,7 +8,6 @@
 use crate::grf::{grf_2d, grf_3d};
 use crate::rng::{normal, seeded};
 use crate::rtm::RtmSimulator;
-use rand::Rng;
 use rq_grid::{NdArray, Shape};
 
 fn to_f32(a: NdArray<f64>) -> NdArray<f32> {
@@ -107,9 +106,9 @@ pub fn hacc_xx() -> NdArray<f32> {
     let box_size = 256.0;
     while out.len() < n {
         // One halo: center uniform in the box, ~Plummer-ish radial jitter.
-        let center: f64 = rng.gen::<f64>() * box_size;
-        let members = 64 + (rng.gen::<f64>() * 960.0) as usize;
-        let scale = 0.1 + rng.gen::<f64>() * 2.0;
+        let center = rng.unit() * box_size;
+        let members = 64 + (rng.unit() * 960.0) as usize;
+        let scale = 0.1 + rng.unit() * 2.0;
         for _ in 0..members.min(n - out.len()) {
             let r = normal(&mut rng) * scale;
             out.push(((center + r).rem_euclid(box_size)) as f32);
@@ -168,11 +167,11 @@ pub fn qmcpack_einspline() -> NdArray<f32> {
     let lobes: Vec<([f64; 3], f64, [f64; 3])> = (0..24)
         .map(|_| {
             let c = [
-                rng.gen::<f64>() * dims[0] as f64,
-                rng.gen::<f64>() * dims[1] as f64,
-                rng.gen::<f64>() * dims[2] as f64,
+                rng.unit() * dims[0] as f64,
+                rng.unit() * dims[1] as f64,
+                rng.unit() * dims[2] as f64,
             ];
-            let width = 6.0 + rng.gen::<f64>() * 10.0;
+            let width = 6.0 + rng.unit() * 10.0;
             let kvec = [normal(&mut rng) * 0.4, normal(&mut rng) * 0.4, normal(&mut rng) * 0.4];
             (c, width, kvec)
         })
@@ -218,9 +217,9 @@ pub fn exafel_raw() -> NdArray<f32> {
     for ev in 0..dims[0] {
         for panel in 0..dims[1] {
             for _ in 0..6 {
-                let r = rng.gen::<f64>() * (dims[2] - 3) as f64;
-                let c = rng.gen::<f64>() * (dims[3] - 3) as f64;
-                let amp = 2000.0 + rng.gen::<f64>() * 12_000.0;
+                let r = rng.unit() * (dims[2] - 3) as f64;
+                let c = rng.unit() * (dims[3] - 3) as f64;
+                let amp = 2000.0 + rng.unit() * 12_000.0;
                 for dr in 0..3usize {
                     for dc in 0..3usize {
                         let idx =

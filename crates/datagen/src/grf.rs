@@ -8,8 +8,7 @@
 //! keeps the output exactly real and the target spectrum exact up to the
 //! noise realization.
 
-use crate::rng::fill_normal;
-use rand::Rng;
+use crate::rng::{fill_normal, Rng};
 use rq_analysis::fft::{fft3_in_place, fft_in_place, ifft_in_place, Complex};
 use rq_grid::{NdArray, Shape};
 
@@ -36,7 +35,7 @@ fn folded_k(i: usize, n: usize) -> f64 {
 
 /// Generate a 3D Gaussian random field with spectrum `P(k) ∝ k^{−slope}`,
 /// zero mean, unit variance. Extents must be powers of two.
-pub fn grf_3d(dims: [usize; 3], slope: f64, rng: &mut impl Rng) -> NdArray<f64> {
+pub fn grf_3d(dims: [usize; 3], slope: f64, rng: &mut Rng) -> NdArray<f64> {
     let n = dims[0] * dims[1] * dims[2];
     let mut noise = vec![0.0f64; n];
     fill_normal(rng, &mut noise);
@@ -63,7 +62,7 @@ pub fn grf_3d(dims: [usize; 3], slope: f64, rng: &mut impl Rng) -> NdArray<f64> 
 }
 
 /// 1D power-law Gaussian process of length `n` (power of two).
-pub fn grf_1d(n: usize, slope: f64, rng: &mut impl Rng) -> NdArray<f64> {
+pub fn grf_1d(n: usize, slope: f64, rng: &mut Rng) -> NdArray<f64> {
     let mut noise = vec![0.0f64; n];
     fill_normal(rng, &mut noise);
     let mut buf: Vec<Complex> = noise.iter().map(|&v| Complex::new(v, 0.0)).collect();
@@ -81,7 +80,7 @@ pub fn grf_1d(n: usize, slope: f64, rng: &mut impl Rng) -> NdArray<f64> {
 }
 
 /// 2D power-law field, built as a cube of depth 1 for simplicity.
-pub fn grf_2d(dims: [usize; 2], slope: f64, rng: &mut impl Rng) -> NdArray<f64> {
+pub fn grf_2d(dims: [usize; 2], slope: f64, rng: &mut Rng) -> NdArray<f64> {
     // Use the 3D path with a thin axis; spectra along the thin axis are
     // trivial so the 2D spectrum dominates.
     let cube = grf_3d([1, dims[0], dims[1]], slope, rng);

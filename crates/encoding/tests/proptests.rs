@@ -6,20 +6,19 @@
 //! fuzz loops because the offline build cannot fetch proptest. Inputs are
 //! reproducible for a given seed constant.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rq_datagen::rng::{seeded, Rng};
 use rq_encoding::lzss::{lzss_compress, lzss_decompress};
 use rq_encoding::rle::{rle_compress, rle_decompress};
 use rq_encoding::varint::{get_uvarint, put_uvarint};
 use rq_encoding::{lossless_compress, lossless_decompress, HuffmanCodec};
 
 /// Deterministic input generator for fuzz-style loops, backed by the
-/// workspace's `rand` shim.
-struct Fuzz(StdRng);
+/// workspace's seeded generator, `rq_datagen::rng::Rng`.
+struct Fuzz(Rng);
 
 impl Fuzz {
     fn new(seed: u64) -> Self {
-        Fuzz(StdRng::seed_from_u64(seed))
+        Fuzz(seeded(seed))
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -27,7 +26,7 @@ impl Fuzz {
     }
 
     fn range(&mut self, lo: usize, hi: usize) -> usize {
-        self.0.gen_range(lo..hi)
+        self.0.range(lo, hi)
     }
 
     fn bytes(&mut self, max_len: usize) -> Vec<u8> {

@@ -305,6 +305,29 @@ fn read_step_rejects_a_segment_whose_dims_differ_from_the_index() {
     let mut w = CatalogWriter::create(Vec::new()).unwrap();
     w.write_dataset("a", &cfg, 1, &[field(16, 8)]).unwrap();
     w.write_dataset("b", &cfg, 1, &[field(8, 16)]).unwrap();
+    let cat = CatalogReader::open(Cursor::new(with_step_0_swapped(w))).unwrap();
+    for name in ["a", "b"] {
+        assert_one_corruption::<f32>(&cat, name, "segment shape differs from the index");
+    }
+}
+
+#[test]
+fn read_step_rejects_a_segment_whose_scalar_tag_differs_from_the_index() {
+    // An f32 and an f64 dataset of one shape, their step-0 entries
+    // swapped: each step decodes a segment of the other scalar type.
+    let shape = Shape::d2(16, 8);
+    let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(EB32));
+    let mut w = CatalogWriter::create(Vec::new()).unwrap();
+    w.write_dataset("a", &cfg, 1, &[NdArray::from_fn(shape, |ix| ix[0] as f32 * 0.5)]).unwrap();
+    w.write_dataset("b", &cfg, 1, &[NdArray::from_fn(shape, |ix| ix[1] as f64 * 0.5)]).unwrap();
+    let cat = CatalogReader::open(Cursor::new(with_step_0_swapped(w))).unwrap();
+    assert_one_corruption::<f32>(&cat, "a", "segment scalar tag differs from the index");
+    assert_one_corruption::<f64>(&cat, "b", "segment scalar tag differs from the index");
+}
+
+/// The catalog `w` writes, with the step-0 entries of its first two
+/// datasets swapped in a re-encoded index.
+fn with_step_0_swapped(w: CatalogWriter<Vec<u8>>) -> Vec<u8> {
     let fin = w.finalize().unwrap();
     let suffix = fin.sink.len() - 12;
     let body_len = u64::from_le_bytes(fin.sink[suffix..suffix + 8].try_into().unwrap());
@@ -319,18 +342,16 @@ fn read_step_rejects_a_segment_whose_dims_differ_from_the_index() {
     bytes.extend_from_slice(&body);
     bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
     bytes.extend_from_slice(rqm::catalog::format::TRAILER_MAGIC);
+    bytes
+}
 
-    let cat = CatalogReader::open(Cursor::new(bytes)).unwrap();
-    for name in ["a", "b"] {
-        let flat = DatasetReader::<f32, _>::open(&cat, name).err().map(|e| e.to_string());
-        let step = cat.read_step::<f32>(name, 0).err().map(|e| e.to_string());
-        assert_eq!(
-            flat.as_deref(),
-            Some("corrupt catalog: segment shape differs from the index"),
-            "{name}: DatasetReader::open"
-        );
-        assert_eq!(step, flat, "{name}: read_step");
-    }
+/// Both readers refuse dataset `name` as the same corrupt catalog.
+fn assert_one_corruption<T: Scalar>(cat: &CatalogReader<Cursor<Vec<u8>>>, name: &str, what: &str) {
+    let flat = DatasetReader::<T, _>::open(cat, name).err().map(|e| e.to_string());
+    let step = cat.read_step::<T>(name, 0).err().map(|e| e.to_string());
+    let expected = format!("corrupt catalog: {what}");
+    assert_eq!(flat.as_deref(), Some(expected.as_str()), "{name}: DatasetReader::open");
+    assert_eq!(step, flat, "{name}: read_step");
 }
 
 /// Deterministic xorshift64* stream for read orders.

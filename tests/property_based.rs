@@ -6,17 +6,16 @@
 //! no network access, so they run as deterministic seeded fuzz loops
 //! instead — same invariants, fixed case counts, reproducible failures.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rqm::datagen::rng::{seeded, Rng};
 use rqm::prelude::*;
 
 /// Deterministic case generator for fuzz-style loops, backed by the
-/// workspace's `rand` shim.
-struct Fuzz(StdRng);
+/// workspace's seeded generator, `rq_datagen::rng::Rng`.
+struct Fuzz(Rng);
 
 impl Fuzz {
     fn new(seed: u64) -> Self {
-        Fuzz(StdRng::seed_from_u64(seed))
+        Fuzz(seeded(seed))
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -25,12 +24,12 @@ impl Fuzz {
 
     /// Uniform in `[0, 1)`.
     fn unit(&mut self) -> f64 {
-        self.0.gen()
+        self.0.unit()
     }
 
     /// Uniform integer in `[lo, hi)`.
     fn range(&mut self, lo: usize, hi: usize) -> usize {
-        self.0.gen_range(lo..hi)
+        self.0.range(lo, hi)
     }
 }
 
