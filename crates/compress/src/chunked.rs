@@ -463,13 +463,13 @@ mod tests {
                 let bytes = compress(field, &base.with_threads(threads)).unwrap().bytes;
                 assert_eq!(reference, bytes, "{:?} threads={threads}", base.chunking);
             }
+            // Parallel decode agrees with single-threaded decode (`_exact`
+            // so the pool really runs 8-wide even on a small host).
+            let a = decompress_with_threads::<f32>(&reference, 1).unwrap();
+            let wide =
+                ArchiveReader::open(Cursor::new(&reference[..])).unwrap().with_threads_exact(8);
+            assert_eq!(a.as_slice(), wide.read_all::<f32>().unwrap().as_slice());
         }
-        let reference = compress(&field, &base.chunked(8).with_threads(1)).unwrap().bytes;
-        // Parallel decode agrees with single-threaded decode (`_exact`
-        // so the pool really runs 8-wide even on a small host).
-        let a = decompress_with_threads::<f32>(&reference, 1).unwrap();
-        let wide = ArchiveReader::open(Cursor::new(&reference[..])).unwrap().with_threads_exact(8);
-        assert_eq!(a.as_slice(), wide.read_all::<f32>().unwrap().as_slice());
     }
 
     #[test]
