@@ -559,3 +559,87 @@ fn a_failed_read_leaves_nothing_to_resume_from() {
         reads_match_fresh(&cat, order, &fresh, &format!("order {i}"));
     }
 }
+
+/// [`catalog_bytes_are_pinned`]: FNV-1a of every catalog it writes, folded
+/// in write order.
+const CATALOG_BYTES_PIN: u64 = 0x6179_808b_1e5a_16cd;
+
+/// 64-bit FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `steps` with escapes planted in steps 1 and 3 (a delta and a keyframe
+/// step at cadence 3): values far past the quantizer's radius, ±inf, NaN
+/// and −0.0.
+fn with_escapes<T: Scalar>(steps: &[NdArray<T>]) -> Vec<NdArray<T>> {
+    let specials =
+        [1e4, -3e4, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0, 2e4, -0.0].map(T::from_f64);
+    let mut out = steps.to_vec();
+    for t in [1, 3] {
+        let mut v = out[t].as_slice().to_vec();
+        let n = v.len();
+        for (k, &s) in specials.iter().enumerate() {
+            v[(k * 113 + t * 7) % n] = s;
+        }
+        out[t] = NdArray::from_vec(out[t].shape(), v);
+    }
+    out
+}
+
+#[test]
+fn catalog_bytes_are_pinned() {
+    // Every codec path the catalog writer takes, at both scalar widths,
+    // two keyframe cadences and two thread counts: a change to how the
+    // writer advances its reconstruction must move no byte of any catalog.
+    let (steps32, steps64) = sequences(5);
+    let (esc32, esc64) = (with_escapes(&steps32), with_escapes(&steps64));
+    let configs = [
+        ("lorenzo", PredictorKind::Lorenzo, CodecChoice::Sz),
+        ("lorenzo2", PredictorKind::Lorenzo2, CodecChoice::Sz),
+        ("interpolation", PredictorKind::Interpolation, CodecChoice::Sz),
+        ("regression", PredictorKind::Regression, CodecChoice::Sz),
+        ("zfp", PredictorKind::Lorenzo, CodecChoice::Zfp),
+        ("rolz", PredictorKind::Lorenzo, CodecChoice::Rolz),
+        ("auto", PredictorKind::Lorenzo, CodecChoice::Auto),
+    ];
+    let mut all = 0xcbf2_9ce4_8422_2325u64;
+    let mut cases = Vec::new();
+    for keyframe_every in [1usize, 3] {
+        for threads in [1usize, 2] {
+            let mut w = CatalogWriter::create(Vec::new()).unwrap();
+            for (name, predictor, codec) in configs {
+                let cfg = |eb| {
+                    CompressorConfig::new(predictor, ErrorBoundMode::Abs(eb))
+                        .chunked(4)
+                        .with_codec(codec)
+                        .with_threads(threads)
+                };
+                w.write_dataset(&format!("{name}32"), &cfg(EB32), keyframe_every, &steps32)
+                    .unwrap();
+                w.write_dataset(&format!("{name}64"), &cfg(EB64), keyframe_every, &steps64)
+                    .unwrap();
+                if codec != CodecChoice::Sz {
+                    continue;
+                }
+                w.write_dataset(&format!("{name}32_escapes"), &cfg(EB32), keyframe_every, &esc32)
+                    .unwrap();
+                w.write_dataset(&format!("{name}64_escapes"), &cfg(EB64), keyframe_every, &esc64)
+                    .unwrap();
+            }
+            let bytes = w.finalize().unwrap().sink;
+            let digest = fnv1a(0xcbf2_9ce4_8422_2325, &bytes);
+            all = fnv1a(all, &digest.to_le_bytes());
+            cases.push(format!("  {digest:#018x} cadence {keyframe_every}, {threads} thread(s)"));
+        }
+    }
+    assert_eq!(
+        all,
+        CATALOG_BYTES_PIN,
+        "catalog digest {all:#018x}, pinned {CATALOG_BYTES_PIN:#018x}; per catalog:\n{}",
+        cases.join("\n")
+    );
+}
