@@ -10,7 +10,10 @@
 # its backends archive_auto, the chunk kernel and the model insitu_dump, the
 # transport serve_hot, the catalog serve_steps. The worker pool (chunked.rs)
 # schedules the writer and the reader, so it moves posthoc_read and also
-# archive_auto, whose chunks differ in cost by codec. The lossless stage
+# archive_auto, whose chunks differ in cost by codec. Every catalog step is
+# written by the archive writer and read by the archive reader at two threads
+# on that pool, so the engine (stream.rs) and the pool move serve_steps too.
+# The lossless stage
 # (crates/encoding/src/{lossless,lzss,rle}.rs) runs on every SZ chunk and every
 # catalog segment, so it moves posthoc_read, insitu_dump and serve_steps, where
 # chunks keep it most often. A change anywhere else
@@ -25,9 +28,9 @@ set -euo pipefail
 
 workload_of() {
     case "$1" in
-        crates/compress/src/chunked.rs) echo posthoc_read archive_auto ;;
-        crates/compress/src/stream.rs | crates/compress/src/pool.rs | \
-            crates/compress/src/container.rs) echo posthoc_read ;;
+        crates/compress/src/chunked.rs) echo posthoc_read archive_auto serve_steps ;;
+        crates/compress/src/stream.rs) echo posthoc_read serve_steps ;;
+        crates/compress/src/pool.rs | crates/compress/src/container.rs) echo posthoc_read ;;
         crates/compress/src/scheduler.rs | crates/compress/src/rolz.rs | crates/zfp/*) echo archive_auto ;;
         crates/encoding/src/lossless.rs | crates/encoding/src/lzss.rs | \
             crates/encoding/src/rle.rs) echo posthoc_read insitu_dump serve_steps ;;
@@ -74,13 +77,18 @@ check() {
         failed=1
     fi
 }
-# PR 25's paths: the reader engine and the catalog.
+# PR 25's paths: the reader engine and the catalog. The engine alone moves
+# the catalog's workload too; the buffer pools do not.
 check "--workload posthoc_read --workload serve_steps" \
     crates/compress/src/stream.rs crates/compress/src/pool.rs crates/catalog/src/dataset.rs \
     tests/decode_parallel.rs docs/ARCHITECTURE.md .github/bench_workloads.sh
+check "--workload posthoc_read --workload serve_steps" crates/compress/src/stream.rs
+check "--workload posthoc_read" crates/compress/src/pool.rs
 check "--workload archive_auto" crates/compress/src/scheduler.rs crates/zfp/src/codec.rs
-# The worker pool: the writer's and the reader's workloads both.
-check "--workload archive_auto --workload posthoc_read" crates/compress/src/chunked.rs
+# The worker pool: the writer's and the reader's workloads, the catalog's
+# among them.
+check "--workload archive_auto --workload posthoc_read --workload serve_steps" \
+    crates/compress/src/chunked.rs
 check "--workload insitu_dump" crates/core/src/model.rs crates/compress/src/kernels.rs
 # The lossless stage: every SZ chunk and every catalog segment; the rest of the
 # entropy crate stays on the chunk kernel's workload.

@@ -70,10 +70,12 @@ impl<T: Scalar, R: Read + Seek> DatasetReader<T, R> {
 
         let step_rows = entry.shape.dim(0);
         let first = &steps[0];
-        check_segment::<T>(first.header(), entry.shape)?;
+        // Every segment, not only step 0's: a later one of another scalar
+        // type or shape is refused here in `read_step`'s words, not at
+        // fetch time in a decoder's.
         for r in &steps {
+            check_segment::<T>(r.header(), entry.shape)?;
             if r.n_chunks() != first.n_chunks()
-                || r.header().shape.dims() != entry.shape.dims()
                 || r.entries()
                     .iter()
                     .zip(first.entries())

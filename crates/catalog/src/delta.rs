@@ -1,12 +1,14 @@
 //! The keyframe/delta arithmetic every code path shares.
 //!
 //! Reconstruction of a delta step is `T(recon_prev + residual)`,
-//! element-wise in `f64`. The writer's encoder mirror, the sequential
+//! element-wise in `f64`. The writer's decoder mirror, the sequential
 //! [`CatalogReader`](crate::CatalogReader) and the concurrent
 //! [`DatasetReader`](crate::DatasetReader) (which backs `rq-serve`) all
 //! fold residuals with [`add_residual`] (the two readers through
 //! [`walk_chain`], the one chain walk), so a step decodes to
-//! byte-identical values no matter which path produced it.
+//! byte-identical values no matter which path produced it. The writer
+//! folds the encoder's own reconstruction of each residual segment — bit
+//! for bit what a reader decodes from it — so it decodes nothing.
 
 use rq_grid::Scalar;
 

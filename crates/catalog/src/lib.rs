@@ -18,8 +18,10 @@
 //!   ([`rq_predict::PredictorKind::TemporalDelta`]), with a keyframe
 //!   every `K` steps, so random access costs at most one keyframe plus
 //!   `K-1` residual decodes and the per-step absolute error bound holds
-//!   without accumulation (the writer mirrors the decoder; delta
-//!   segments carry a small bound headroom, [`DELTA_EB_HEADROOM`]). A
+//!   without accumulation (the writer mirrors the decoder — its mirror is
+//!   the encoder's own reconstruction of each segment, not a second
+//!   decode; delta segments carry a small bound headroom,
+//!   [`DELTA_EB_HEADROOM`]). A
 //!   [`CatalogReader`] resumes from the step it last reconstructed, so a
 //!   forward read costs one residual decode.
 //!

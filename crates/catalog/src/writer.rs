@@ -6,9 +6,7 @@ use crate::format::{
     encode_trailer, CatalogIndex, CodecSummary, DatasetEntry, StepEntry, CATALOG_MAGIC,
     CATALOG_VERSION, TRAILER_MAGIC,
 };
-use rq_compress::{
-    decompress, resolved_chunk_rows, ArchiveWriter, ChunkCodecKind, CompressorConfig,
-};
+use rq_compress::{compress_mirrored, resolved_chunk_rows, ChunkCodecKind, CompressorConfig};
 use rq_grid::{NdArray, Scalar, Shape};
 use rq_predict::PredictorKind;
 use rq_quant::ErrorBoundMode;
@@ -206,12 +204,16 @@ pub struct DatasetWriter<'a, W: Write, T: Scalar> {
     /// Decoder-mirror reconstruction of the last step: exactly what any
     /// reader will hold after decoding it, so residuals are formed
     /// against the receiver's state, not the encoder's lossless input.
+    /// It is the encoder's own reconstruction of each segment
+    /// ([`compress_mirrored`]), not a second pass over the bytes.
     recon: Vec<T>,
     t: usize,
 }
 
 impl<W: Write, T: Scalar> DatasetWriter<'_, W, T> {
-    /// Encode and append one time step.
+    /// Encode and append one time step: one encode, and no decode — the
+    /// decoder mirror advances by the encoder's own reconstruction of the
+    /// segment.
     pub fn write_step(&mut self, field: &NdArray<T>) -> Result<(), CatalogError> {
         if field.shape().dims() != self.entry.shape.dims() {
             return Err(CatalogError::InvalidConfig(
@@ -220,8 +222,9 @@ impl<W: Write, T: Scalar> DatasetWriter<'_, W, T> {
         }
         let is_key = self.t.is_multiple_of(self.entry.keyframe_every);
 
-        // Encode to memory first: the sink is write-only, but the mirror
-        // below must decode exactly the bytes that go out.
+        // Encode to memory first: the segment's length goes into the index,
+        // and the encoder hands back the values a reader will decode from
+        // exactly these bytes.
         let (cfg, to_encode);
         if is_key {
             cfg = &self.key_cfg;
@@ -233,18 +236,15 @@ impl<W: Write, T: Scalar> DatasetWriter<'_, W, T> {
                 residual(field.as_slice(), &self.recon),
             ));
         }
-        let mut w = ArchiveWriter::<T, _>::create(Vec::new(), self.entry.shape, cfg)?;
-        w.write_slab(to_encode.as_ref().unwrap_or(field))?;
-        let fin = w.finalize()?;
-        let bytes = fin.sink;
+        let (out, report, mirror) = compress_mirrored(to_encode.as_ref().unwrap_or(field), cfg)?;
+        let bytes = out.bytes;
 
         // Decoder mirror: advance the reconstruction the way a reader
-        // will, from the compressed bytes.
-        let decoded = decompress::<T>(&bytes)?;
+        // will, from the encoder's reconstruction of the segment.
         if is_key {
-            self.recon = decoded.into_vec();
+            self.recon = mirror.into_vec();
         } else {
-            add_residual(&mut self.recon, decoded.as_slice());
+            add_residual(&mut self.recon, mirror.as_slice());
         }
 
         self.cat.sink.write_all(&bytes)?;
@@ -252,7 +252,7 @@ impl<W: Write, T: Scalar> DatasetWriter<'_, W, T> {
             keyframe: is_key,
             offset: self.cat.pos,
             len: bytes.len() as u64,
-            codec: summarize_codecs(&fin.report.chunk_codecs),
+            codec: summarize_codecs(&report.chunk_codecs),
             eb: self.user_eb,
         });
         self.cat.pos += bytes.len() as u64;

@@ -19,7 +19,7 @@ use crate::config::LosslessStage;
 use crate::container::{
     read_chunk_blob, write_chunk_blob, ChunkCodecKind, CompressError, DecompressError,
 };
-use crate::pipeline::{decode_stream, encode_stream, Transform};
+use crate::pipeline::{decode_stream, encode_stream, keeps_mirror, Transform};
 use rq_grid::{Scalar, Shape};
 use rq_predict::PredictorKind;
 use rq_quant::LinearQuantizer;
@@ -114,6 +114,48 @@ pub trait ChunkCodec<T: Scalar>: Sync {
     /// Decode one blob into `out` (`out.len() == shape.len()`).
     fn decode(&self, blob: &[u8], shape: Shape, out: &mut [T])
         -> Result<(), DecompressError>;
+
+    /// [`Self::encode`], also writing into `mirror` (`mirror.len() ==
+    /// shape.len()`) the values [`Self::decode`] of the blob yields, bit for
+    /// bit — what a writer that must track its reader's state needs.
+    ///
+    /// The default encodes, then decodes the blob into `mirror`. A codec
+    /// whose encoder reconstructs every value as the decoder will overrides
+    /// it to hand that reconstruction over instead.
+    fn encode_mirrored(
+        &self,
+        data: &[T],
+        shape: Shape,
+        mirror: &mut [T],
+    ) -> Result<(Vec<u8>, ChunkStats), CompressError> {
+        encode_then_decode(self, data, shape, mirror)
+    }
+}
+
+/// [`ChunkCodec::encode_mirrored`] by a second pass: encode, then decode
+/// the blob into `mirror`.
+pub(crate) fn encode_then_decode<T: Scalar, C: ChunkCodec<T> + ?Sized>(
+    codec: &C,
+    data: &[T],
+    shape: Shape,
+    mirror: &mut [T],
+) -> Result<(Vec<u8>, ChunkStats), CompressError> {
+    let (blob, stats) = codec.encode(data, shape)?;
+    decode_own(codec, &blob, shape, mirror)?;
+    Ok((blob, stats))
+}
+
+/// Decode a blob `codec` itself just encoded: a failure is the codec's
+/// fault, not the input's, so it is a [`CompressError`].
+pub(crate) fn decode_own<T: Scalar, C: ChunkCodec<T> + ?Sized>(
+    codec: &C,
+    blob: &[u8],
+    shape: Shape,
+    out: &mut [T],
+) -> Result<(), CompressError> {
+    codec.decode(blob, shape, out).map_err(|e| {
+        CompressError::Unsupported(format!("{:?} chunk does not decode: {e}", codec.kind()))
+    })
 }
 
 /// The SZ prediction path as a [`ChunkCodec`].
@@ -142,14 +184,15 @@ impl SzChunkCodec {
         self.transform = transform;
         self
     }
-}
 
-impl<T: Scalar> ChunkCodec<T> for SzChunkCodec {
-    fn kind(&self) -> ChunkCodecKind {
-        ChunkCodecKind::Sz
-    }
-
-    fn encode(&self, data: &[T], shape: Shape) -> Result<(Vec<u8>, ChunkStats), CompressError> {
+    /// [`ChunkCodec::encode`], filling `mirror` from the traversal when
+    /// given one ([`crate::pipeline::quantize_stream`]).
+    fn encode_with<T: Scalar>(
+        &self,
+        data: &[T],
+        shape: Shape,
+        mirror: Option<&mut [T]>,
+    ) -> Result<(Vec<u8>, ChunkStats), CompressError> {
         let stream = encode_stream(
             data,
             shape,
@@ -157,6 +200,7 @@ impl<T: Scalar> ChunkCodec<T> for SzChunkCodec {
             self.quantizer,
             self.transform,
             self.lossless,
+            mirror,
         )?;
         let blob = write_chunk_blob::<T>(
             stream.lossless_applied,
@@ -176,6 +220,29 @@ impl<T: Scalar> ChunkCodec<T> for SzChunkCodec {
             histogram: stream.histogram,
         };
         Ok((blob, stats))
+    }
+}
+
+impl<T: Scalar> ChunkCodec<T> for SzChunkCodec {
+    fn kind(&self) -> ChunkCodecKind {
+        ChunkCodecKind::Sz
+    }
+
+    fn encode(&self, data: &[T], shape: Shape) -> Result<(Vec<u8>, ChunkStats), CompressError> {
+        self.encode_with(data, shape, None)
+    }
+
+    fn encode_mirrored(
+        &self,
+        data: &[T],
+        shape: Shape,
+        mirror: &mut [T],
+    ) -> Result<(Vec<u8>, ChunkStats), CompressError> {
+        if keeps_mirror(self.predictor, self.transform) {
+            self.encode_with(data, shape, Some(mirror))
+        } else {
+            encode_then_decode(self, data, shape, mirror)
+        }
     }
 
     fn decode(

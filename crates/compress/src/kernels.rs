@@ -40,7 +40,7 @@ pub fn rolz_code_bytes<T: Scalar>(
     predictor: PredictorKind,
     quantizer: LinearQuantizer,
 ) -> Vec<u8> {
-    let q = quantize_stream(data, shape, predictor, quantizer, Transform::Identity);
+    let q = quantize_stream(data, shape, predictor, quantizer, Transform::Identity, None);
     crate::rolz::symbols_to_bytes(&q.symbols, quantizer.zero_symbol())
 }
 

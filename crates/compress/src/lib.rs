@@ -43,7 +43,7 @@ pub use container::{
     chunk_count, chunk_table, generation_name, peek_header, ChunkCodecKind, ChunkEntry, ChunkTable,
     CompressError, DecompressError, Header,
 };
-pub use pipeline::{compress, compress_with_report, decompress};
+pub use pipeline::{compress, compress_mirrored, compress_with_report, decompress};
 pub use report::{json_escape, json_f64, CompressedOutput, CompressionReport};
 pub use rolz::RolzChunkCodec;
 pub use scheduler::pick_codec;

@@ -597,23 +597,40 @@ pub(crate) struct QuantizedStream<T> {
     pub n_anchors: usize,
 }
 
+/// Whether [`quantize_stream`] can fill a mirror: its traversal keeps the
+/// reconstruction of every point (not the regression walk's), in the value
+/// domain the decoder writes (the identity transform's).
+pub(crate) fn keeps_mirror(predictor: PredictorKind, transform: Transform) -> bool {
+    transform == Transform::Identity && predictor != PredictorKind::Regression
+}
+
 /// Run the predictor's causal traversal over `orig`, quantizing every
 /// prediction error — the encode kernel minus entropy coding.
 ///
 /// `orig.len()` must equal `shape.len()`. The stream starts with empty
 /// history, so running the kernel on an axis-0 slab yields exactly the
 /// symbols a standalone field of that slab's shape would produce.
+///
+/// With a `mirror` (`mirror.len() == shape.len()`, and only where
+/// [`keeps_mirror`] holds) the traversal's own reconstruction is written
+/// into it after the walk: the values the decoder will write, bit for bit
+/// (see [`fill_mirror`]).
 pub(crate) fn quantize_stream<T: Scalar>(
     orig: &[T],
     shape: Shape,
     predictor: PredictorKind,
     quantizer: LinearQuantizer,
     transform: Transform,
+    mirror: Option<&mut [T]>,
 ) -> QuantizedStream<T> {
     // Hard assert (not debug): the Lorenzo walk's unchecked loads rely on
     // it, and `ChunkCodec::encode` is public.
     assert_eq!(orig.len(), shape.len(), "quantize_stream input slab size mismatch");
     let n = shape.len();
+    assert!(
+        mirror.as_ref().is_none_or(|m| m.len() == n && keeps_mirror(predictor, transform)),
+        "quantize_stream cannot fill this mirror"
+    );
 
     let mut enc = QuantEncoder::<T>::new(quantizer, transform, n);
     let mut side = Vec::new();
@@ -625,7 +642,7 @@ pub(crate) fn quantize_stream<T: Scalar>(
         // they traverse exactly like order-1 Lorenzo.
         PredictorKind::Lorenzo | PredictorKind::Lorenzo2 | PredictorKind::TemporalDelta => {
             let order = if predictor == PredictorKind::Lorenzo2 { 2 } else { 1 };
-            traverse_lorenzo(shape, order, |lin, pred| {
+            let recon = traverse_lorenzo(shape, order, |lin, pred| {
                 // SAFETY: the traversal visits each `lin < shape.len()`
                 // exactly once, and `orig.len() == shape.len()` (asserted
                 // above); audited, covered by tests/kernel_differential.rs.
@@ -633,6 +650,10 @@ pub(crate) fn quantize_stream<T: Scalar>(
                 Ok(enc.encode_point(o, pred))
             })
             .expect("compression traversal cannot fail");
+            if let Some(mirror) = mirror {
+                // Row-major order is the traversal's.
+                fill_mirror(mirror, &recon, &enc, 0, 0..n);
+            }
         }
         PredictorKind::Interpolation => {
             let mut recon = vec![0f64; n];
@@ -645,6 +666,15 @@ pub(crate) fn quantize_stream<T: Scalar>(
                 Ok(())
             })
             .expect("compression traversal cannot fail");
+            if let Some(mirror) = mirror {
+                let anchors = anchors(shape);
+                for (&a, &v) in anchors.iter().zip(&enc.verbatim) {
+                    mirror[a] = v;
+                }
+                let passes = passes(shape);
+                let targets = passes.iter().flat_map(|p| p.lines()).flat_map(|l| l.targets());
+                fill_mirror(mirror, &recon, &enc, anchors.len(), targets);
+            }
         }
         PredictorKind::Regression => {
             // The regression fitter is the one consumer that needs the
@@ -671,8 +701,36 @@ pub(crate) fn quantize_stream<T: Scalar>(
     }
 }
 
+/// Write what the decoder writes for each point into `mirror`, from an
+/// identity-transform traversal's reconstruction `recon`: `order` yields the
+/// linear index of each symbol of `enc`'s stream, in stream order, and the
+/// verbatim values from `first_escape` on are the escapes, in that order.
+///
+/// A quantized point is `T::from_f64(recon)` — the walk kept the value
+/// already rounded through `T`, so rounding it again changes no bit. An
+/// escape is its verbatim `T` itself, never a round trip through `f64`: an
+/// `f32` signalling NaN comes back from `f64` quieted.
+fn fill_mirror<T: Scalar>(
+    mirror: &mut [T],
+    recon: &[f64],
+    enc: &QuantEncoder<T>,
+    first_escape: usize,
+    order: impl Iterator<Item = usize>,
+) {
+    let mut escapes = enc.verbatim[first_escape..].iter();
+    for (lin, &sym) in order.zip(&enc.symbols) {
+        mirror[lin] = if sym == enc.escape_symbol {
+            *escapes.next().expect("an escape symbol has its verbatim value")
+        } else {
+            T::from_f64(recon[lin])
+        };
+    }
+}
+
 /// The chunk kernel, encode side: one causal traversal over `orig`
-/// (row-major, laid out as `shape`), producing a self-contained stream.
+/// (row-major, laid out as `shape`), producing a self-contained stream;
+/// with a `mirror`, also the values its decode will yield
+/// ([`quantize_stream`]).
 pub(crate) fn encode_stream<T: Scalar>(
     orig: &[T],
     shape: Shape,
@@ -680,8 +738,9 @@ pub(crate) fn encode_stream<T: Scalar>(
     quantizer: LinearQuantizer,
     transform: Transform,
     lossless: LosslessStage,
+    mirror: Option<&mut [T]>,
 ) -> Result<EncodedStream<T>, CompressError> {
-    let q = quantize_stream(orig, shape, predictor, quantizer, transform);
+    let q = quantize_stream(orig, shape, predictor, quantizer, transform, mirror);
 
     // Entropy coding.
     let (codebook, huffman_payload) = if q.symbols.is_empty() {
@@ -897,6 +956,33 @@ pub fn compress_with_report<T: Scalar>(
     let out =
         CompressedOutput { bytes: done.sink, n_elements: field.len(), original_bits: T::BITS };
     Ok((out, done.report))
+}
+
+/// Compress `field` as one slab — the archive [`ArchiveWriter::create`],
+/// one [`ArchiveWriter::write_slab`] and [`ArchiveWriter::finalize`] write,
+/// so the bound must not be value-range-relative — and also return the
+/// field a decode of that archive yields, bit for bit.
+///
+/// The returned field is the encoders' own reconstruction
+/// ([`ChunkCodec::encode_mirrored`](crate::ChunkCodec::encode_mirrored)):
+/// SZ and ROLZ chunks under the identity transform, except regression
+/// ones, decode nothing; the other chunks are decoded once. A writer that
+/// must track its reader's state (a time-delta catalog) takes it instead
+/// of decoding the archive.
+pub fn compress_mirrored<T: Scalar>(
+    field: &NdArray<T>,
+    cfg: &CompressorConfig,
+) -> Result<(CompressedOutput, CompressionReport, NdArray<T>), CompressError> {
+    let shape = field.shape();
+    let mut writer = ArchiveWriter::create(Vec::new(), shape, cfg)?;
+    let mut mirror = vec![T::zero(); field.len()];
+    // The whole field is one batch of whole chunks: what `write_slab`
+    // encodes from a fresh session's only slab.
+    writer.encode_rows(field.as_slice(), shape.dim(0), Some(&mut mirror))?;
+    let done = writer.finalize()?;
+    let out =
+        CompressedOutput { bytes: done.sink, n_elements: field.len(), original_bits: T::BITS };
+    Ok((out, done.report, NdArray::from_vec(shape, mirror)))
 }
 
 /// Decompress a container of any generation held in memory, chunk-parallel

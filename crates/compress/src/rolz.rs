@@ -41,12 +41,12 @@
 //! of the full scan, and pins its blobs, the values they decode to and its
 //! verdicts on corrupt blobs.
 
-use crate::codec::{ChunkCodec, ChunkStats};
+use crate::codec::{encode_then_decode, ChunkCodec, ChunkStats};
 use crate::config::LosslessStage;
 use crate::container::{
     read_chunk_blob, write_chunk_blob, ChunkCodecKind, CompressError, DecompressError,
 };
-use crate::pipeline::{dequantize_stream, quantize_stream, Transform};
+use crate::pipeline::{dequantize_stream, keeps_mirror, quantize_stream, Transform};
 use rq_encoding::varint::{get_uvarint, put_uvarint};
 use rq_encoding::{common_prefix, find_byte, HuffmanCodec};
 use rq_grid::{Scalar, Shape};
@@ -425,15 +425,17 @@ impl RolzChunkCodec {
         self.transform = transform;
         self
     }
-}
 
-impl<T: Scalar> ChunkCodec<T> for RolzChunkCodec {
-    fn kind(&self) -> ChunkCodecKind {
-        ChunkCodecKind::Rolz
-    }
-
-    fn encode(&self, data: &[T], shape: Shape) -> Result<(Vec<u8>, ChunkStats), CompressError> {
-        let q = quantize_stream(data, shape, self.predictor, self.quantizer, self.transform);
+    /// [`ChunkCodec::encode`], filling `mirror` from the traversal when
+    /// given one ([`quantize_stream`]).
+    fn encode_with<T: Scalar>(
+        &self,
+        data: &[T],
+        shape: Shape,
+        mirror: Option<&mut [T]>,
+    ) -> Result<(Vec<u8>, ChunkStats), CompressError> {
+        let q =
+            quantize_stream(data, shape, self.predictor, self.quantizer, self.transform, mirror);
         let code_bytes = symbols_to_bytes(&q.symbols, self.quantizer.zero_symbol());
         let t = rolz_compress(&code_bytes);
 
@@ -469,6 +471,29 @@ impl<T: Scalar> ChunkCodec<T> for RolzChunkCodec {
             histogram: q.histogram,
         };
         Ok((blob, stats))
+    }
+}
+
+impl<T: Scalar> ChunkCodec<T> for RolzChunkCodec {
+    fn kind(&self) -> ChunkCodecKind {
+        ChunkCodecKind::Rolz
+    }
+
+    fn encode(&self, data: &[T], shape: Shape) -> Result<(Vec<u8>, ChunkStats), CompressError> {
+        self.encode_with(data, shape, None)
+    }
+
+    fn encode_mirrored(
+        &self,
+        data: &[T],
+        shape: Shape,
+        mirror: &mut [T],
+    ) -> Result<(Vec<u8>, ChunkStats), CompressError> {
+        if keeps_mirror(self.predictor, self.transform) {
+            self.encode_with(data, shape, Some(mirror))
+        } else {
+            encode_then_decode(self, data, shape, mirror)
+        }
     }
 
     fn decode(

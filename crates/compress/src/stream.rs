@@ -66,7 +66,7 @@
 //! ```
 
 use crate::chunked::{decode_entry_blob, resolved_chunk_rows, run_in_order};
-use crate::codec::{ChunkCodec, ChunkStats, SzChunkCodec, ZfpChunkCodec};
+use crate::codec::{decode_own, ChunkCodec, ChunkStats, SzChunkCodec, ZfpChunkCodec};
 use crate::config::{CodecChoice, CompressorConfig, LosslessStage};
 use crate::container::{
     read_archive_layout, read_span_into, write_header_prefix, write_trailer, ArchiveLayout,
@@ -142,20 +142,35 @@ impl SlabEncoder {
     /// takes the encoder's shared bound. Each chunk's quantizer/tolerance
     /// — and, under [`CodecChoice::Auto`], the scheduler's decision — uses
     /// that chunk's bound, so a uniform plan yields the fixed-bound bytes.
+    ///
+    /// A `mirror` as long as `data` receives, chunk by chunk, the values a
+    /// decode of the blobs yields ([`ChunkCodec::encode_mirrored`]).
     fn encode_chunks<T: Scalar>(
         &self,
         data: &[T],
         chunks: Vec<ChunkSpec>,
         plan: Option<&[f64]>,
+        mut mirror: Option<&mut [T]>,
     ) -> Result<Vec<EncodedChunk>, CompressError> {
         debug_assert!(plan.is_none_or(|p| p.len() == chunks.len()));
-        let items: Vec<(ChunkSpec, f64)> = chunks
+        debug_assert!(mirror.as_ref().is_none_or(|m| m.len() == data.len()));
+        // Chunks tile `data` in order, so each takes the next `c.len`
+        // values of the mirror.
+        let items: Vec<(ChunkSpec, f64, Option<&mut [T]>)> = chunks
             .into_iter()
             .enumerate()
-            .map(|(i, c)| (c, plan.map_or(self.abs_eb, |p| p[i])))
+            .map(|(i, c)| {
+                let slice = mirror.take().map(|m| {
+                    let (head, tail) = m.split_at_mut(c.len);
+                    mirror = Some(tail);
+                    head
+                });
+                (c, plan.map_or(self.abs_eb, |p| p[i]), slice)
+            })
             .collect();
         let mut encoded = Vec::with_capacity(items.len());
-        let encode = |(c, eb): (ChunkSpec, f64)| -> Result<EncodedChunk, CompressError> {
+        let encode = |(c, eb, mirror): (ChunkSpec, f64, Option<&mut [T]>)|
+         -> Result<EncodedChunk, CompressError> {
             let sz = SzChunkCodec::new(
                 self.predictor,
                 LinearQuantizer::new(eb, DEFAULT_RADIUS),
@@ -192,11 +207,19 @@ impl SlabEncoder {
                     }
                 }
             };
-            let (blob, stats) = match (kind, ready) {
-                (_, Some(ready)) => ready,
-                (ChunkCodecKind::Sz, None) => ChunkCodec::<T>::encode(&sz, slab, c.shape)?,
-                (ChunkCodecKind::Zfp, None) => ChunkCodec::<T>::encode(&zfp, slab, c.shape)?,
-                (ChunkCodecKind::Rolz, None) => ChunkCodec::<T>::encode(&rolz, slab, c.shape)?,
+            let codec: &dyn ChunkCodec<T> = match kind {
+                ChunkCodecKind::Sz => &sz,
+                ChunkCodecKind::Zfp => &zfp,
+                ChunkCodecKind::Rolz => &rolz,
+            };
+            let (blob, stats) = match (ready, mirror) {
+                (Some(ready), None) => ready,
+                (Some(ready), Some(mirror)) => {
+                    decode_own(codec, &ready.0, c.shape, mirror)?;
+                    ready
+                }
+                (None, None) => codec.encode(slab, c.shape)?,
+                (None, Some(mirror)) => codec.encode_mirrored(slab, c.shape, mirror)?,
             };
             Ok(EncodedChunk { rows: c.rows, codec: kind, blob, stats, eb })
         };
@@ -443,7 +466,7 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
         let ready = if total == self.shape.dim(0) { rows } else { rows - rows % self.chunk_rows };
         let ready_elems = ready * self.row_elems;
         let encoded =
-            if ready > 0 { self.encode_rows(&data[..ready_elems], ready) } else { Ok(()) };
+            if ready > 0 { self.encode_rows(&data[..ready_elems], ready, None) } else { Ok(()) };
         match (&encoded, fresh) {
             (Ok(()), true) => self.buf.extend_from_slice(&data[ready_elems..]),
             (Ok(()), false) => {
@@ -460,14 +483,20 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
         encoded
     }
 
-    /// Encode `rows` rows of `data` as the next chunks and write them.
-    fn encode_rows(&mut self, data: &[T], rows: usize) -> Result<(), CompressError> {
+    /// Encode `rows` rows of `data` as the next chunks and write them; a
+    /// `mirror` as long as `data` receives what a decode of them yields.
+    pub(crate) fn encode_rows(
+        &mut self,
+        data: &[T],
+        rows: usize,
+        mirror: Option<&mut [T]>,
+    ) -> Result<(), CompressError> {
         let chunks = slab_chunks(self.shape.with_rows(rows), self.chunk_rows);
         // Slabs arrive in row order, so the batch's chunks are the next
         // `chunks.len()` entries of the whole-field plan.
         let base = self.index.len();
         let plan = self.plan.as_ref().map(|p| &p[base..base + chunks.len()]);
-        let encoded = self.enc.encode_chunks(data, chunks, plan)?;
+        let encoded = self.enc.encode_chunks(data, chunks, plan, mirror)?;
         // Count a batch only once all of it is written, so a failed call
         // leaves the session's row accounting where it was.
         for ec in &encoded {

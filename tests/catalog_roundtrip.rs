@@ -305,9 +305,9 @@ fn read_step_rejects_a_segment_whose_dims_differ_from_the_index() {
     let mut w = CatalogWriter::create(Vec::new()).unwrap();
     w.write_dataset("a", &cfg, 1, &[field(16, 8)]).unwrap();
     w.write_dataset("b", &cfg, 1, &[field(8, 16)]).unwrap();
-    let cat = CatalogReader::open(Cursor::new(with_step_0_swapped(w))).unwrap();
+    let cat = CatalogReader::open(Cursor::new(with_step_swapped(w, 0))).unwrap();
     for name in ["a", "b"] {
-        assert_one_corruption::<f32>(&cat, name, "segment shape differs from the index");
+        assert_one_corruption::<f32>(&cat, name, 0, "segment shape differs from the index");
     }
 }
 
@@ -320,23 +320,42 @@ fn read_step_rejects_a_segment_whose_scalar_tag_differs_from_the_index() {
     let mut w = CatalogWriter::create(Vec::new()).unwrap();
     w.write_dataset("a", &cfg, 1, &[NdArray::from_fn(shape, |ix| ix[0] as f32 * 0.5)]).unwrap();
     w.write_dataset("b", &cfg, 1, &[NdArray::from_fn(shape, |ix| ix[1] as f64 * 0.5)]).unwrap();
-    let cat = CatalogReader::open(Cursor::new(with_step_0_swapped(w))).unwrap();
-    assert_one_corruption::<f32>(&cat, "a", "segment scalar tag differs from the index");
-    assert_one_corruption::<f64>(&cat, "b", "segment scalar tag differs from the index");
+    let cat = CatalogReader::open(Cursor::new(with_step_swapped(w, 0))).unwrap();
+    assert_one_corruption::<f32>(&cat, "a", 0, "segment scalar tag differs from the index");
+    assert_one_corruption::<f64>(&cat, "b", 0, "segment scalar tag differs from the index");
 }
 
-/// The catalog `w` writes, with the step-0 entries of its first two
+#[test]
+fn dataset_reader_rejects_a_later_segment_whose_scalar_tag_differs_from_the_index() {
+    // As above, with the step-1 entries swapped: step 0 of each dataset is
+    // sound, so only a check of every step at open refuses the dataset.
+    let shape = Shape::d2(16, 8);
+    let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(EB32));
+    let a: Vec<NdArray<f32>> =
+        (0..3).map(|t| NdArray::from_fn(shape, |ix| (ix[0] + t) as f32 * 0.5)).collect();
+    let b: Vec<NdArray<f64>> =
+        (0..3).map(|t| NdArray::from_fn(shape, |ix| (ix[1] + t) as f64 * 0.5)).collect();
+    let mut w = CatalogWriter::create(Vec::new()).unwrap();
+    w.write_dataset("a", &cfg, 1, &a).unwrap();
+    w.write_dataset("b", &cfg, 1, &b).unwrap();
+    let cat = CatalogReader::open(Cursor::new(with_step_swapped(w, 1))).unwrap();
+    assert_one_corruption::<f32>(&cat, "a", 1, "segment scalar tag differs from the index");
+    assert_one_corruption::<f64>(&cat, "b", 1, "segment scalar tag differs from the index");
+    assert_eq!(cat.read_step::<f32>("a", 0).unwrap().as_slice(), a[0].as_slice());
+}
+
+/// The catalog `w` writes, with the `step` entries of its first two
 /// datasets swapped in a re-encoded index.
-fn with_step_0_swapped(w: CatalogWriter<Vec<u8>>) -> Vec<u8> {
+fn with_step_swapped(w: CatalogWriter<Vec<u8>>, step: usize) -> Vec<u8> {
     let fin = w.finalize().unwrap();
     let suffix = fin.sink.len() - 12;
     let body_len = u64::from_le_bytes(fin.sink[suffix..suffix + 8].try_into().unwrap());
     let data_end = suffix - body_len as usize;
 
     let mut index = fin.index.clone();
-    let (a0, b0) = (index.datasets[0].steps[0], index.datasets[1].steps[0]);
-    index.datasets[0].steps[0] = b0;
-    index.datasets[1].steps[0] = a0;
+    let (a, b) = (index.datasets[0].steps[step], index.datasets[1].steps[step]);
+    index.datasets[0].steps[step] = b;
+    index.datasets[1].steps[step] = a;
     let body = rqm::catalog::format::encode_trailer(&index);
     let mut bytes = fin.sink[..data_end].to_vec();
     bytes.extend_from_slice(&body);
@@ -345,10 +364,16 @@ fn with_step_0_swapped(w: CatalogWriter<Vec<u8>>) -> Vec<u8> {
     bytes
 }
 
-/// Both readers refuse dataset `name` as the same corrupt catalog.
-fn assert_one_corruption<T: Scalar>(cat: &CatalogReader<Cursor<Vec<u8>>>, name: &str, what: &str) {
+/// Both readers refuse dataset `name` as the same corrupt catalog:
+/// `DatasetReader` at open, `read_step` at step `t`.
+fn assert_one_corruption<T: Scalar>(
+    cat: &CatalogReader<Cursor<Vec<u8>>>,
+    name: &str,
+    t: usize,
+    what: &str,
+) {
     let flat = DatasetReader::<T, _>::open(cat, name).err().map(|e| e.to_string());
-    let step = cat.read_step::<T>(name, 0).err().map(|e| e.to_string());
+    let step = cat.read_step::<T>(name, t).err().map(|e| e.to_string());
     let expected = format!("corrupt catalog: {what}");
     assert_eq!(flat.as_deref(), Some(expected.as_str()), "{name}: DatasetReader::open");
     assert_eq!(step, flat, "{name}: read_step");

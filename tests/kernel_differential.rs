@@ -28,6 +28,10 @@
 //!   of every slab of the benchmark's `archive_auto` recipe are pinned too
 //!   (`ROLZ_RECIPE_PIN`): those slabs are long enough to fill every ring
 //!   and to reach the longest match;
+//! * `ChunkCodec::encode_mirrored` of every codec and predictor, at both
+//!   scalar widths and with every kind of escape in the slab, writes the
+//!   blob `encode` writes and a mirror equal bit for bit to the blob's
+//!   decode;
 //! * the committed `tests/data/golden_huffman_*.bin` /
 //!   `golden_lossless_rlelzss.bin` fixtures — encoded by the
 //!   **pre-rework** coder — still decode exactly, and re-encoding the
@@ -47,7 +51,7 @@ use frozen_kernels::{
 use rqm::compress_crate::kernels::{
     pointwise_codec, rolz_code_bytes, rolz_tokens, traverse_lorenzo,
 };
-use rqm::compress_crate::{ChunkCodec, LosslessStage, RolzChunkCodec, SzChunkCodec};
+use rqm::compress_crate::{ChunkCodec, LosslessStage, RolzChunkCodec, SzChunkCodec, ZfpChunkCodec};
 use rqm::datagen::fields::{cesm_ts, hurricane_u, mixed_smooth_turbulent};
 use rqm::encoding::huffman::HuffmanCodec;
 use rqm::encoding::lossless::{lossless_compress, lossless_decompress_bounded};
@@ -604,6 +608,92 @@ fn chunk_blobs_and_values_match_reference() {
         chunk_pins(|predictor, q| SzChunkCodec::new(predictor, q, LosslessStage::RleLzss));
     pins32.check("SZ chunks, f32", SZ_CHUNK_PINS[0]);
     pins64.check("SZ chunks, f64", SZ_CHUNK_PINS[1]);
+}
+
+/// [`field`] with escapes planted: values far past any radius, ±inf, a
+/// quiet and a signalling NaN, and −0.0.
+fn field_with_escapes<T: Scalar>(shape: Shape) -> Vec<T> {
+    let mut data = field::<T>(shape);
+    let n = data.len();
+    let signalling_nan: Vec<u8> = if T::BYTES == 4 {
+        0x7fa0_0001u32.to_le_bytes().to_vec()
+    } else {
+        0x7ff4_0000_0000_0001u64.to_le_bytes().to_vec()
+    };
+    let specials = [
+        T::from_f64(1e6),
+        T::from_f64(-3e6),
+        T::from_f64(f64::INFINITY),
+        T::from_f64(f64::NEG_INFINITY),
+        T::from_f64(f64::NAN),
+        T::from_f64(-0.0),
+        T::read_le(&signalling_nan),
+    ];
+    for (k, &v) in specials.iter().enumerate() {
+        data[(k * 37 + 5) % n] = v;
+    }
+    data
+}
+
+/// The little-endian bytes of `values`: bit for bit, signalling NaNs too.
+fn value_bits<T: Scalar>(values: &[T]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &v in values {
+        v.write_le(&mut out);
+    }
+    out
+}
+
+/// `encode_mirrored` writes `encode`'s blob, and its mirror is the blob's
+/// decode bit for bit; the mirror starts poisoned, so a value left
+/// unwritten shows.
+fn assert_mirror_is_decode<T: Scalar>(
+    codec: &dyn ChunkCodec<T>,
+    data: &[T],
+    shape: Shape,
+    what: &str,
+) {
+    let (blob, out) = roundtrip(codec, data, shape);
+    let mut mirror = vec![T::from_f64(-12345.0); shape.len()];
+    let (mirrored_blob, _) = codec.encode_mirrored(data, shape, &mut mirror).expect("encode");
+    assert!(mirrored_blob == blob, "{what}: encode_mirrored wrote another blob");
+    assert!(value_bits(&mirror) == value_bits(&out), "{what}: mirror differs from the decode");
+}
+
+#[test]
+fn mirrored_encodes_equal_their_decodes() {
+    fn sweep<T: Scalar>() {
+        for shape in [Shape::d1(193), Shape::d2(13, 21), Shape::d3(5, 9, 11)] {
+            let plain = field::<T>(shape);
+            let escapes = field_with_escapes::<T>(shape);
+            let zfp = ZfpChunkCodec::new(1e-3);
+            assert_mirror_is_decode::<T>(&zfp, &plain, shape, &format!("zfp {shape:?}"));
+            for predictor in [
+                PredictorKind::Lorenzo,
+                PredictorKind::Lorenzo2,
+                PredictorKind::Interpolation,
+                PredictorKind::Regression,
+            ] {
+                for radius in [1 << 15, 8] {
+                    let q = LinearQuantizer::new(1e-3, radius);
+                    let sz = SzChunkCodec::new(predictor, q, LosslessStage::RleLzss);
+                    let rolz = RolzChunkCodec::new(predictor, q);
+                    let log = pointwise_codec(predictor, 1e-3, radius);
+                    for (name, codec) in
+                        [("sz", &sz as &dyn ChunkCodec<T>), ("rolz", &rolz), ("sz log", &log)]
+                    {
+                        for (kind, data) in [("plain", &plain), ("escapes", &escapes)] {
+                            let what =
+                                format!("{name} {predictor:?} {shape:?} radius {radius} {kind}");
+                            assert_mirror_is_decode::<T>(codec, data, shape, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    sweep::<f32>();
+    sweep::<f64>();
 }
 
 /// The shapes of `rq_predict::interp`'s pass-table tests (extents 1, 2, 3,

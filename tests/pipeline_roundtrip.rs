@@ -567,3 +567,57 @@ fn model_guided_container_write_hits_quality_target() {
         "target {target} dB, measured {measured:.1} dB (eb {eb:.3e})"
     );
 }
+
+#[test]
+fn compress_mirrored_returns_the_decode_of_its_archive() {
+    // Every codec policy — the scheduler's picks, whose winning probes the
+    // writer reuses, included — at one and two threads: the archive is the
+    // one `compress` writes, and the field handed back is its decode, bit
+    // for bit.
+    fn check<T: rqm::grid::Scalar>(
+        field: &NdArray<T>,
+        cfg: &CompressorConfig,
+        what: &str,
+    ) -> Vec<ChunkCodecKind> {
+        let (out, report, mirror) = rqm::compress_crate::compress_mirrored(field, cfg).unwrap();
+        let (want, want_report) = compress_with_report(field, cfg).unwrap();
+        assert!(out.bytes == want.bytes, "{what}: another archive than compress's");
+        assert_eq!(report.chunk_codecs, want_report.chunk_codecs, "{what}");
+        let bits = |values: &[T]| {
+            let mut out = Vec::new();
+            values.iter().for_each(|v| v.write_le(&mut out));
+            out
+        };
+        let back = decompress::<T>(&out.bytes).unwrap();
+        let same = bits(mirror.as_slice()) == bits(back.as_slice());
+        assert!(same, "{what}: mirror differs from the decode");
+        report.chunk_codecs
+    }
+    let field32 = rqm::datagen::fields::mixed_smooth_turbulent(Shape::d3(32, 24, 24), 16, 40.0);
+    let field64 = NdArray::from_vec(
+        field32.shape(),
+        field32.as_slice().iter().map(|&v| v as f64 * 1.5).collect(),
+    );
+    let mut auto_picks = Vec::new();
+    for codec in [CodecChoice::Sz, CodecChoice::Zfp, CodecChoice::Rolz, CodecChoice::Auto] {
+        for predictor in
+            [PredictorKind::Lorenzo, PredictorKind::Interpolation, PredictorKind::Regression]
+        {
+            for threads in [1, 2] {
+                let cfg = CompressorConfig::new(predictor, ErrorBoundMode::Abs(1e-4))
+                    .chunked(4)
+                    .with_codec(codec)
+                    .with_threads(threads);
+                let what = format!("{codec:?} {predictor:?} {threads} thread(s)");
+                let picks32 = check(&field32, &cfg, &format!("{what} f32"));
+                let picks64 = check(&field64, &cfg, &format!("{what} f64"));
+                if codec == CodecChoice::Auto {
+                    auto_picks.extend(picks32.into_iter().chain(picks64));
+                }
+            }
+        }
+    }
+    for kind in [ChunkCodecKind::Sz, ChunkCodecKind::Zfp, ChunkCodecKind::Rolz] {
+        assert!(auto_picks.contains(&kind), "the scheduler never picked {kind:?}");
+    }
+}
