@@ -30,7 +30,7 @@ workload_of() {
     case "$1" in
         crates/compress/src/chunked.rs) echo posthoc_read archive_auto serve_steps ;;
         crates/compress/src/stream.rs) echo posthoc_read serve_steps ;;
-        crates/compress/src/pool.rs | crates/compress/src/container.rs) echo posthoc_read ;;
+        crates/compress/src/container.rs) echo posthoc_read ;;
         crates/compress/src/scheduler.rs | crates/compress/src/rolz.rs | crates/zfp/*) echo archive_auto ;;
         crates/encoding/src/lossless.rs | crates/encoding/src/lzss.rs | \
             crates/encoding/src/rle.rs) echo posthoc_read insitu_dump serve_steps ;;
@@ -78,12 +78,11 @@ check() {
     fi
 }
 # PR 25's paths: the reader engine and the catalog. The engine alone moves
-# the catalog's workload too; the buffer pools do not.
+# the catalog's workload too.
 check "--workload posthoc_read --workload serve_steps" \
-    crates/compress/src/stream.rs crates/compress/src/pool.rs crates/catalog/src/dataset.rs \
+    crates/compress/src/stream.rs crates/catalog/src/dataset.rs \
     tests/decode_parallel.rs docs/ARCHITECTURE.md .github/bench_workloads.sh
 check "--workload posthoc_read --workload serve_steps" crates/compress/src/stream.rs
-check "--workload posthoc_read" crates/compress/src/pool.rs
 check "--workload archive_auto" crates/compress/src/scheduler.rs crates/zfp/src/codec.rs
 # The worker pool: the writer's and the reader's workloads, the catalog's
 # among them.

@@ -10,6 +10,7 @@ pub fn read_raw_f32(path: &str, shape: Shape) -> Result<NdArray<f32>, String> {
 }
 
 /// Write a field as raw little-endian `f32`.
+#[cfg(test)]
 pub fn write_raw_f32(path: &str, field: &NdArray<f32>) -> Result<(), String> {
     let mut out = Vec::with_capacity(field.len() * 4);
     for &v in field.as_slice() {
@@ -19,6 +20,7 @@ pub fn write_raw_f32(path: &str, field: &NdArray<f32>) -> Result<(), String> {
 }
 
 /// Read a whole file.
+#[cfg(test)]
 pub fn read_bytes(path: &str) -> Result<Vec<u8>, String> {
     std::fs::read(path).map_err(|e| format!("{path}: {e}"))
 }

@@ -99,7 +99,7 @@ use rq_core::usecases::{
     measure_archive, Measured, Target, TargetError, TargetOutcome, TargetSession,
 };
 use rq_core::RqModel;
-use rq_grid::{NdArray, Shape};
+use rq_grid::Shape;
 use rq_quant::ErrorBoundMode;
 use rq_serve::{Client, DatasetInfo, ServeConfig, Server};
 use std::io::{Read, Write};
@@ -449,15 +449,6 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
              use `rqm unpack`"
         ));
     }
-    if sniffed >= 4 && &magic[..4] == b"RQZF" {
-        // Standalone transform-codec stream: whole-buffer decode.
-        let bytes = io::read_bytes(&input)?;
-        let field: NdArray<f32> = rq_zfp::zfp_decompress(&bytes)
-            .map_err(|e| format!("zfp decompression failed: {e}"))?;
-        io::write_raw_f32(&output, &field)?;
-        println!("{input} -> {output}: {:?}, {} values", field.shape(), field.len());
-        return Ok(());
-    }
     // Streaming decode at every thread count: each of `--threads`
     // workers fetches a chunk's extent with one seek+read under the
     // reader's source lock and decodes it outside the lock, with at
@@ -469,7 +460,7 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
     let threads = args.unsigned("threads")?.unwrap_or(1);
     drop(src);
     let reader = ArchiveReader::open_path(&input)
-        .map_err(|e| format!("decompression failed: {e}"))?
+        .map_err(|e| format!("not a compressed container: {e}"))?
         .with_threads(threads);
     let shape = reader.header().shape;
     let values = replace_on_success(&output, |tmp| {
@@ -622,17 +613,6 @@ fn cmd_info(args: &Args) -> Result<(), String> {
         let reader = CatalogReader::open_path(&input)
             .map_err(|e| format!("not a readable catalog: {e}"))?;
         return print_catalog(&input, total_bytes, reader.index(), json);
-    }
-    if sniffed >= 4 && &magic[..4] == b"RQZF" {
-        if json {
-            println!(
-                "{{\n  \"file\": \"{}\",\n  \"format\": \"rqzf\",\n  \"bytes\": {total_bytes}\n}}",
-                json_escape(&input)
-            );
-        } else {
-            println!("{input}: RQZF transform-codec stream, {total_bytes} bytes");
-        }
-        return Ok(());
     }
     // The reader parses only the header and chunk index — `info` never
     // loads the payload, however large the archive.
@@ -1143,7 +1123,8 @@ fn positional<const N: usize>(args: &Args) -> Result<[String; N], String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rq_compress::peek_header;
+    use rq_compress::{peek_header, DecompressError};
+    use rq_grid::NdArray;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("rqm_cli_tests");
@@ -1664,6 +1645,29 @@ mod tests {
         // (A flip inside an entropy payload can decode "successfully" to
         // wrong data — that case is allowed; the guarantee under test is
         // only about the failure path.)
+    }
+
+    #[test]
+    fn a_bare_rqzf_stream_is_not_a_container() {
+        // A ZFP chunk's blob is a whole `RQZF` stream, but no command
+        // writes one on its own: `decompress` and `info` read RQMC
+        // archives (and point catalogs elsewhere), nothing else.
+        let zfp = tmp("bare.zfp");
+        let out = tmp("bare.out.f32");
+        let _ = std::fs::remove_file(&out);
+        let f = NdArray::<f32>::from_fn(Shape::d2(20, 30), |ix| (ix[0] * 30 + ix[1]) as f32);
+        let codec = rq_compress::ZfpChunkCodec::new(1e-3);
+        let (blob, _) =
+            rq_compress::ChunkCodec::<f32>::encode(&codec, f.as_slice(), f.shape()).unwrap();
+        assert_eq!(&blob[..4], b"RQZF");
+        std::fs::write(&zfp, &blob).unwrap();
+        let (zfp, out_s) = (zfp.to_str().unwrap(), out.to_str().unwrap());
+        let want = format!("not a compressed container: {}", DecompressError::NotAContainer);
+        for args in [&["decompress", zfp, out_s][..], &["info", zfp], &["info", zfp, "--json"]] {
+            assert_eq!(run_args(args).unwrap_err(), want, "{args:?}");
+        }
+        assert!(!out.exists(), "decompress wrote an output");
+        assert!(!std::path::Path::new(&format!("{out_s}.rqm-partial")).exists());
     }
 
     #[test]

@@ -661,8 +661,9 @@ pub(crate) fn read_span<R: std::io::Read + std::io::Seek>(
     Ok(buf)
 }
 
-/// [`read_span`] into a caller-provided buffer (typically a recycled pool
-/// buffer): seek to `at` and fill `buf` exactly, with no allocation.
+/// [`read_span`] into a caller-provided buffer: seek to `at` and fill `buf`
+/// exactly, with no allocation (the reader allocates the buffer before it
+/// takes its source lock).
 pub(crate) fn read_span_into<R: std::io::Read + std::io::Seek>(
     src: &mut R,
     at: u64,

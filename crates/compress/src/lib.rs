@@ -29,7 +29,6 @@ pub mod config;
 pub mod container;
 #[doc(hidden)]
 pub mod kernels;
-mod pool;
 pub mod pipeline;
 pub mod report;
 pub mod rolz;

@@ -27,9 +27,10 @@
 //!   requests from many threads, each with its own [`ReadStats`].
 //!
 //! The reader is one decode engine: one open-archive state behind an
-//! [`Arc`], one fetch (a seek+read under the source lock into a recycled
-//! buffer, for a file, a stream and an archive in memory alike), one row
-//! planner and one set of counters. Writer and reader share one worker
+//! [`Arc`], one fetch (a seek+read under the source lock into a buffer of
+//! the read's own, for a file, a stream and an archive in memory alike), one
+//! row planner and one set of counters. Each read allocates its own buffers,
+//! so no decoder ever sees a stale one. Writer and reader share one worker
 //! pool: `threads` workers claim chunks in order as they free up and fetch
 //! their own blobs, at most `2 × threads` chunks ahead of the caller, who
 //! takes the results in row order. At one thread all runs inline on the
@@ -73,7 +74,6 @@ use crate::container::{
     ChunkCodecKind, ChunkEntry, ChunkTable, CompressError, DecompressError, Header, VERSION_V2_4,
 };
 use crate::pipeline::{resolve_bound, Transform};
-use crate::pool::{BytePool, SlabPool};
 use crate::report::CompressionReport;
 use rq_grid::{slab_chunks, ChunkSpec, NdArray, Scalar, Shape};
 use rq_predict::PredictorKind;
@@ -572,15 +572,15 @@ pub struct ReadStats {
 /// [`Self::with_threads`] sets the decode worker count. Every path runs
 /// on one pool whose workers claim chunks in row order as they free up,
 /// each fetching its own blobs: one seek+read under the source lock into a
-/// recycled buffer, whatever the source (a file, a stream, an archive held
-/// in memory). Decoding runs outside the lock. Region reads
+/// freshly allocated buffer, whatever the source (a file, a stream, an
+/// archive held in memory). Decoding runs outside the lock. Region reads
 /// ([`Self::read_all`], [`Self::read_rows`]) decode straight into the
 /// output; ordered streaming ([`Self::decompress_rows`],
-/// [`Self::decompress_to_writer`]) decodes into recycled slabs delivered
-/// in row order, at most `2 × threads` chunks ahead, so peak memory stays
-/// `O(threads × chunk)`. At one thread every path decodes inline on the
-/// caller. Results, and the first error with the rows before it, are the
-/// single-threaded decode's.
+/// [`Self::decompress_to_writer`]) decodes each chunk into a slab of its
+/// own, delivered in row order and then dropped, at most `2 × threads`
+/// chunks ahead, so peak memory stays `O(threads × chunk)`. At one thread
+/// every path decodes inline on the caller. Results, and the first error
+/// with the rows before it, are the single-threaded decode's.
 ///
 /// # Sharing
 ///
@@ -645,7 +645,6 @@ impl<R: Read + Seek> ArchiveReader<R> {
         let layout = read_archive_layout(&mut src)?;
         let shared = ReaderShared {
             src: Mutex::new(src),
-            blob_pool: BytePool::new(),
             layout,
             counters: Counters::default(),
         };
@@ -722,7 +721,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
         &self,
         chunk: usize,
     ) -> Result<(usize, NdArray<T>, ReadStats), DecompressError> {
-        self.shared.read_chunk(chunk, &SlabPool::new())
+        self.shared.read_chunk(chunk)
     }
 }
 
@@ -764,14 +763,10 @@ impl<R: Read + Seek + Send> ArchiveReader<R> {
         &self,
         mut emit: impl FnMut(&[T]) -> std::io::Result<()>,
     ) -> Result<(), DecompressError> {
-        let slabs = SlabPool::<T>::new();
         let chunks = (0..self.n_chunks()).collect();
-        let decode =
-            |chunk| self.shared.read_chunk(chunk, &slabs).map(|(_, slab, _)| slab.into_vec());
+        let decode = |chunk| self.shared.read_chunk(chunk).map(|(_, slab, _)| slab);
         run_in_order(chunks, self.threads, decode, |slab| {
-            let emitted = emit(&slab).map_err(DecompressError::Io);
-            slabs.put(slab);
-            emitted
+            emit(slab.as_slice()).map_err(DecompressError::Io)
         })
     }
 
@@ -815,14 +810,11 @@ fn check_scalar_tag<T: Scalar>(header: &Header) -> Result<(), DecompressError> {
 
 /// The state of one open archive, shared by every clone of its reader:
 /// the source behind a mutex (held only while a fetch seeks and reads —
-/// decoding runs unlocked), the blob pool, the parsed layout and the
-/// aggregate counters. `Sync` whenever the source is `Send`, so the
-/// workers of a run and the clones of a reader all share it.
+/// decoding runs unlocked), the parsed layout and the aggregate counters.
+/// `Sync` whenever the source is `Send`, so the workers of a run and the
+/// clones of a reader all share it.
 struct ReaderShared<R> {
     src: Mutex<R>,
-    /// Recycled blob buffers; checked out *before* taking the source
-    /// lock so the critical section is exactly one seek+read.
-    blob_pool: BytePool,
     layout: ArchiveLayout,
     counters: Counters,
 }
@@ -848,28 +840,31 @@ struct SliceJob<'o, T> {
 
 /// Decode one fetched blob into its job's destination slice. Decodes
 /// in place when the job takes the whole chunk; only a partial take
-/// (boundary rows of a region read) goes through a scratch slab and a
-/// copy. Returns whether the scratch copy happened, so callers can count
+/// (boundary rows of a region read) goes through a slab of its own and a
+/// copy. Returns whether the copy happened, so callers can count
 /// [`ReadStats::reorder_copies`].
 fn decode_slice_job<T: Scalar>(
     header: &Header,
     blob: &[u8],
     job: SliceJob<'_, T>,
-    scratch: &SlabPool<T>,
 ) -> Result<bool, DecompressError> {
     let SliceJob { entry, cshape, take, dst } = job;
     if take.start == 0 && take.end == cshape.len() {
         decode_entry_blob(blob, header, entry, cshape, dst)?;
         Ok(false)
     } else {
-        let mut tmp = scratch.get(cshape.len());
-        let decoded = decode_entry_blob(blob, header, entry, cshape, &mut tmp);
-        if decoded.is_ok() {
-            dst.copy_from_slice(&tmp[take]);
-        }
-        scratch.put(tmp);
-        decoded.map(|()| true)
+        let mut whole = vec![T::zero(); cshape.len()];
+        decode_entry_blob(blob, header, entry, cshape, &mut whole)?;
+        dst.copy_from_slice(&whole[take]);
+        Ok(true)
     }
+}
+
+/// Add one decode's counters to a request's.
+fn tally(req: &mut ReadStats, run: ReadStats) {
+    req.chunks_decoded += run.chunks_decoded;
+    req.blob_bytes_read += run.blob_bytes_read;
+    req.reorder_copies += run.reorder_copies;
 }
 
 impl<R: Read + Seek> ReaderShared<R> {
@@ -884,28 +879,21 @@ impl<R: Read + Seek> ReaderShared<R> {
     }
 
     /// The unit of work of every read: fetch one job's blob (one
-    /// seek+read under the source lock into a recycled buffer), decode it
-    /// into the job's destination outside the lock, count it in the
-    /// aggregate; returns it as a request's counters. A short read (a
-    /// source that shrank) is `Io(UnexpectedEof)`.
-    fn decode<T: Scalar>(
-        &self,
-        job: SliceJob<'_, T>,
-        scratch: &SlabPool<T>,
-    ) -> Result<ReadStats, DecompressError> {
+    /// seek+read under the source lock into a buffer allocated before the
+    /// lock is taken), decode it into the job's destination outside the
+    /// lock, count it in the aggregate; returns it as a request's counters.
+    /// A short read (a source that shrank) is `Io(UnexpectedEof)`.
+    fn decode<T: Scalar>(&self, job: SliceJob<'_, T>) -> Result<ReadStats, DecompressError> {
         let entry = job.entry;
-        let mut blob = self.blob_pool.get(entry.len);
+        let mut blob = vec![0u8; entry.len];
         // A statement of its own: the lock guard is a temporary of this
         // statement, so it is released before the decode below.
-        let fetched = read_span_into(
+        read_span_into(
             &mut *self.src.lock().unwrap_or_else(|p| p.into_inner()),
             entry.offset as u64,
             &mut blob,
-        );
-        let decoded =
-            fetched.and_then(|()| decode_slice_job(&self.layout.header, &blob, job, scratch));
-        self.blob_pool.put(blob);
-        let copied = decoded? as u64;
+        )?;
+        let copied = decode_slice_job(&self.layout.header, &blob, job)? as u64;
         self.counters.chunks_decoded.fetch_add(1, Ordering::Relaxed);
         self.counters.blob_bytes_read.fetch_add(entry.len as u64, Ordering::Relaxed);
         self.counters.reorder_copies.fetch_add(copied, Ordering::Relaxed);
@@ -913,26 +901,30 @@ impl<R: Read + Seek> ReaderShared<R> {
         Ok(ReadStats { chunks_total, chunks_decoded: 1, blob_bytes_read, reorder_copies: copied })
     }
 
-    /// Chunk `chunk` decoded whole into a slab of `slabs`: its first row,
-    /// the slab, and this request's counters.
+    /// Chunk `chunk` decoded whole: the row planner's read of the chunk's
+    /// own rows, on the calling thread. Returns its first row, the slab,
+    /// and this request's counters.
     fn read_chunk<T: Scalar>(
         &self,
         chunk: usize,
-        slabs: &SlabPool<T>,
     ) -> Result<(usize, NdArray<T>, ReadStats), DecompressError> {
-        let header = &self.layout.header;
+        let (header, entries) = (&self.layout.header, &self.layout.entries);
         check_scalar_tag::<T>(header)?;
-        let Some(&entry) = self.layout.entries.get(chunk) else {
+        let Some(&entry) = entries.get(chunk) else {
             return Err(DecompressError::ChunkOutOfRange {
                 requested: chunk,
-                available: self.layout.entries.len(),
+                available: entries.len(),
             });
         };
-        let cshape = header.shape.with_rows(entry.rows);
-        let mut out = slabs.get(cshape.len());
-        let job = SliceJob { entry, cshape, take: 0..cshape.len(), dst: &mut out };
-        let stats = self.decode(job, slabs)?;
-        Ok((entry.start_row, NdArray::from_vec(cshape, out), stats))
+        let mut req = ReadStats { chunks_total: entries.len(), ..ReadStats::default() };
+        let rows = entry.start_row..entry.start_row + entry.rows;
+        let out = plan_rows(header, entries, rows, |jobs| {
+            for (_, job) in jobs {
+                tally(&mut req, self.decode(job)?);
+            }
+            Ok(())
+        })?;
+        Ok((entry.start_row, out, req))
     }
 
     /// The region read: `rows`, each intersecting chunk decoded on the
@@ -946,15 +938,10 @@ impl<R: Read + Seek> ReaderShared<R> {
         R: Send,
     {
         let mut req = ReadStats { chunks_total: self.layout.entries.len(), ..ReadStats::default() };
-        // One scratch pool per request: a range crops at most its two
-        // boundary chunks, and they share the same recycled slab.
-        let scratch = SlabPool::new();
         let out = plan_rows(&self.layout.header, &self.layout.entries, rows, |jobs| {
-            let decode = |(_, job)| self.decode(job, &scratch);
-            run_in_order(jobs, threads, decode, |run: ReadStats| {
-                req.chunks_decoded += run.chunks_decoded;
-                req.blob_bytes_read += run.blob_bytes_read;
-                req.reorder_copies += run.reorder_copies;
+            let decode = |(_, job)| self.decode(job);
+            run_in_order(jobs, threads, decode, |run| {
+                tally(&mut req, run);
                 Ok(())
             })
         })?;
@@ -1534,9 +1521,8 @@ mod tests {
 
     #[test]
     fn poisoned_scratch_slab_is_fully_overwritten() {
-        // The pools hand back dirty buffers by contract; a partial-take
-        // decode through a garbage-seeded scratch pool must still yield
-        // exactly the reference rows.
+        // A partial-take decode into a garbage-filled destination must
+        // still yield exactly the reference rows.
         let field = wavy(Shape::d3(18, 10, 8));
         let bytes = stream_archive(&field, &cfg(), 18);
         let r = ArchiveReader::open(Cursor::new(&bytes[..])).unwrap();
@@ -1548,15 +1534,13 @@ mod tests {
         let want =
             r.read_rows::<f32>(entry.start_row + 1..entry.start_row + entry.rows).unwrap();
 
-        let scratch = SlabPool::<f32>::new();
-        scratch.seed(vec![vec![f32::NAN; cshape.len()], vec![7.5e30; 3]]);
         let take = row_elems..cshape.len();
         let mut dst = vec![f32::NAN; take.end - take.start];
         let blob = &bytes[entry.offset..entry.offset + entry.len];
         let copied =
-            decode_slice_job(&header, blob, SliceJob { entry, cshape, take, dst: &mut dst }, &scratch)
+            decode_slice_job(&header, blob, SliceJob { entry, cshape, take, dst: &mut dst })
                 .unwrap();
-        assert!(copied, "a partial take must go through scratch");
+        assert!(copied, "a partial take must decode whole and copy");
         assert_eq!(&dst[..], want.as_slice());
         assert!(dst.iter().all(|v| v.is_finite()));
     }
@@ -1565,7 +1549,7 @@ mod tests {
     fn zfp_zero_blocks_overwrite_dirty_slabs() {
         // An all-zero field makes the zfp encoder emit empty blocks; the
         // decoder must store explicit zeros rather than assume a zeroed
-        // destination, or recycled slabs would leak garbage.
+        // destination. The whole take decodes straight into `dst`.
         let field = NdArray::<f32>::from_fn(Shape::d3(12, 8, 8), |_| 0.0);
         let zcfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3))
             .chunked(6)
@@ -1576,21 +1560,19 @@ mod tests {
         let entry = r.entries()[0];
         let cshape = header.shape.with_rows(entry.rows);
         let row_elems: usize = header.shape.dims()[1..].iter().product();
-        let scratch = SlabPool::<f32>::new();
-        scratch.seed(vec![vec![123.0f32; cshape.len()]]);
-        let take = row_elems..cshape.len();
-        let mut dst = vec![123.0f32; take.end - take.start];
         let blob = &bytes[entry.offset..entry.offset + entry.len];
-        decode_slice_job(&header, blob, SliceJob { entry, cshape, take, dst: &mut dst }, &scratch)
-            .unwrap();
-        assert!(dst.iter().all(|&v| v == 0.0), "dirty slab leaked through zfp zero blocks");
+        for take in [0..cshape.len(), row_elems..cshape.len()] {
+            let mut dst = vec![123.0f32; take.end - take.start];
+            decode_slice_job(&header, blob, SliceJob { entry, cshape, take, dst: &mut dst })
+                .unwrap();
+            assert!(dst.iter().all(|&v| v == 0.0), "dirty slab leaked through zfp zero blocks");
+        }
     }
 
     #[test]
-    fn repeated_reads_recycle_buffers_byte_identically() {
-        // Later reads run on recycled (dirty) blob buffers and scratch
-        // slabs — natural poisoning across calls — and must match the
-        // first read exactly; aligned reads must never reorder-copy.
+    fn repeated_reads_are_byte_identical() {
+        // Later reads on one reader must match the first read exactly;
+        // aligned reads must never reorder-copy.
         let field = wavy(Shape::d3(24, 10, 8));
         let bytes = stream_archive(&field, &cfg(), 24);
         for threads in [1usize, 2] {

@@ -441,9 +441,9 @@ fn decode_blocks<T: Scalar, const W: usize>(
     for block in BlockIter::new(shape, BLOCK_SIDE) {
         let nonempty = r.get_bit().ok_or(ZfpError::Corrupt("block flag"))?;
         if !nonempty {
-            // Store explicit zeros: `out` may be a recycled (dirty)
-            // buffer, so the decoder must overwrite every element rather
-            // than rely on a pre-zeroed destination.
+            // Store explicit zeros: `out` may hold anything, so the
+            // decoder overwrites every element rather than rely on a
+            // pre-zeroed destination.
             store_block(out, shape, block.origin_slice(), &[0.0; BLOCK_MAX][..n]);
             continue;
         }

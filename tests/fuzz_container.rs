@@ -1086,8 +1086,8 @@ fn hostile_rqzf_header_costs_its_bytes_not_its_shape() {
     use rq_zfp::{zfp_decompress, ZfpError};
     use rqm::encoding::varint::put_uvarint;
 
-    // A standalone RQZF stream (what `rqm decompress` hands `zfp_decompress`
-    // on a file that starts with the magic) names its own shape. 25 bytes
+    // A standalone RQZF stream (what the public `rq_zfp::zfp_decompress`
+    // takes from any caller, unchecked) names its own shape. 25 bytes
     // that claim 2^60 values used to abort the process inside the allocator
     // — no panic to catch — and 2^16 × 2^16 quietly reserved 16 GiB: every
     // block costs at least one payload bit, so a one-byte payload cannot

@@ -31,7 +31,9 @@
 //! * `ChunkCodec::encode_mirrored` of every codec and predictor, at both
 //!   scalar widths and with every kind of escape in the slab, writes the
 //!   blob `encode` writes and a mirror equal bit for bit to the blob's
-//!   decode;
+//!   decode, and `ChunkCodec::decode` into an output pre-filled with
+//!   garbage (NaN, 123.0) equals bit for bit its decode into zeros — ZFP
+//!   on an all-zero slab too, where every block is empty;
 //! * the committed `tests/data/golden_huffman_*.bin` /
 //!   `golden_lossless_rlelzss.bin` fixtures — encoded by the
 //!   **pre-rework** coder — still decode exactly, and re-encoding the
@@ -646,7 +648,8 @@ fn value_bits<T: Scalar>(values: &[T]) -> Vec<u8> {
 
 /// `encode_mirrored` writes `encode`'s blob, and its mirror is the blob's
 /// decode bit for bit; the mirror starts poisoned, so a value left
-/// unwritten shows.
+/// unwritten shows. A decode into an output full of garbage equals the
+/// decode into zeros bit for bit, so no decoder leaves a value unwritten.
 fn assert_mirror_is_decode<T: Scalar>(
     codec: &dyn ChunkCodec<T>,
     data: &[T],
@@ -658,6 +661,14 @@ fn assert_mirror_is_decode<T: Scalar>(
     let (mirrored_blob, _) = codec.encode_mirrored(data, shape, &mut mirror).expect("encode");
     assert!(mirrored_blob == blob, "{what}: encode_mirrored wrote another blob");
     assert!(value_bits(&mirror) == value_bits(&out), "{what}: mirror differs from the decode");
+    for garbage in [f64::NAN, 123.0] {
+        let mut dirty = vec![T::from_f64(garbage); shape.len()];
+        codec.decode(&blob, shape, &mut dirty).expect("decode");
+        assert!(
+            value_bits(&dirty) == value_bits(&out),
+            "{what}: a decode over {garbage} differs from the decode over zeros"
+        );
+    }
 }
 
 #[test]
@@ -668,6 +679,8 @@ fn mirrored_encodes_equal_their_decodes() {
             let escapes = field_with_escapes::<T>(shape);
             let zfp = ZfpChunkCodec::new(1e-3);
             assert_mirror_is_decode::<T>(&zfp, &plain, shape, &format!("zfp {shape:?}"));
+            let zeros = vec![T::zero(); shape.len()];
+            assert_mirror_is_decode::<T>(&zfp, &zeros, shape, &format!("zfp zeros {shape:?}"));
             for predictor in [
                 PredictorKind::Lorenzo,
                 PredictorKind::Lorenzo2,

@@ -1,9 +1,9 @@
-//! Differential coverage for the pooled, zero-copy decode paths.
+//! Differential coverage for a long-lived reader's decode paths.
 //!
-//! The streaming decode engine runs on recycled buffer pools, with one
-//! fetch stage and no prefetch thread. None of that may be
-//! observable in the decoded bytes: a long-lived reader whose pools are
-//! saturated with dirty buffers from earlier requests must keep
+//! The decode engine has one fetch stage and no prefetch thread, and each
+//! read allocates its own buffers, so no decoder ever sees a stale one.
+//! Nothing a reader did before may be observable in the decoded bytes: a
+//! long-lived reader that has served many overlapping requests must keep
 //! producing output byte-identical to a fresh reader, across container
 //! generations {v1, v2.2, v2.3} (committed fixtures; f64 ones for
 //! v1–v2.3) and v2.4 (live writer, adaptive codecs, planned and not) ×
