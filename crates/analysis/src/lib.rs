@@ -9,18 +9,16 @@
 //! * [`ssim`] — global and windowed structural similarity,
 //! * [`fft`] — iterative radix-2 complex FFT (1D and along-axis N-D),
 //! * [`spectrum`] — radially binned power spectra and the spectrum-ratio
-//!   quality metric used for the Nyx-style FFT analysis (Fig. 8),
-//! * [`halo`] — threshold-component halo counting and the flip-fraction
-//!   error-propagation model (the §III-D4 cosmology analysis).
+//!   quality metric used for the Nyx-style FFT analysis (Fig. 8).
+
+#![forbid(unsafe_code)]
 
 pub mod fft;
-pub mod halo;
 pub mod metrics;
 pub mod spectrum;
 pub mod ssim;
 
 pub use fft::Complex;
-pub use halo::{flip_fraction_model, halo_count, HaloCount};
 pub use metrics::{max_abs_error, mse, nrmse, psnr};
 pub use spectrum::{power_spectrum_1d, power_spectrum_3d, spectrum_ratio};
 pub use ssim::{global_ssim, windowed_ssim};

@@ -9,7 +9,6 @@ use rq_compress::{ArchiveReader, ChunkEntry, ChunkSource, DecompressError, Heade
 use rq_grid::Scalar;
 use std::fs::File;
 use std::io::{Read, Seek};
-use std::path::Path;
 use std::sync::Arc;
 
 /// A whole dataset exposed as one flattened, time-major [`ChunkSource`]:
@@ -42,13 +41,6 @@ pub struct DatasetReader<T: Scalar, R: Read + Seek = File> {
     /// One reader per step; all share step 0's chunk partition.
     steps: Vec<ArchiveReader<SubRange<R>>>,
     _scalar: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<T: Scalar> DatasetReader<T> {
-    /// Open dataset `name` of the catalog at `path`.
-    pub fn open_path(path: impl AsRef<Path>, name: &str) -> Result<Self, CatalogError> {
-        Self::open(&CatalogReader::open_path(path)?, name)
-    }
 }
 
 impl<T: Scalar, R: Read + Seek> DatasetReader<T, R> {

@@ -32,6 +32,8 @@
 //! ([`DatasetReader::open`]) and reads through windows of the same
 //! source, so every dataset of a catalog shares one open file.
 
+#![forbid(unsafe_code)]
+
 mod dataset;
 mod delta;
 mod error;
@@ -192,10 +194,10 @@ mod tests {
         w.write_dataset("x", &cfg(1e-3), 2, &steps).unwrap();
         w.finalize().unwrap();
 
-        let ds = DatasetReader::<f32>::open_path(&path, "x").unwrap();
+        let cat = CatalogReader::open_path(&path).unwrap();
+        let ds = DatasetReader::<f32>::open(&cat, "x").unwrap();
         assert_eq!(ds.n_steps(), 5);
         assert_eq!(ds.step_rows(), 20);
-        let cat = CatalogReader::open_path(&path).unwrap();
         for t in 0..5 {
             let want = cat.read_step::<f32>("x", t).unwrap();
             let rows = t * ds.step_rows()..(t + 1) * ds.step_rows();

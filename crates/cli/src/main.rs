@@ -85,6 +85,8 @@
 //!
 //! Raw inputs are little-endian `f32` streams in row-major order.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod io;
 
@@ -870,48 +872,52 @@ fn cmd_unpack(args: &Args) -> Result<(), String> {
     }
     std::fs::create_dir_all(&outdir).map_err(|e| format!("{outdir}: {e}"))?;
     for (name, tag, n_steps, shape) in selected {
-        let steps: Vec<usize> = match step_sel {
+        let steps = match step_sel {
             Some(t) if t >= n_steps => {
                 return Err(format!("{name}: step {t} out of range (0..{n_steps})"))
             }
-            Some(t) => vec![t],
-            None => (0..n_steps).collect(),
+            Some(t) => t..t + 1,
+            None => 0..n_steps,
         };
-        let (ext, scalar_bytes) = scalar(tag)?;
+        let ext = scalar(tag)?.0;
         let file = match step_sel {
             Some(t) => format!("{outdir}/{name}_t{t}.{ext}"),
             None => format!("{outdir}/{name}.{ext}"),
         };
-        let mut raw = Vec::with_capacity(steps.len() * shape.len() * scalar_bytes);
-        for &t in &steps {
-            match ext {
-                "f32" => {
-                    let f = reader
-                        .read_step::<f32>(&name, t)
-                        .map_err(|e| format!("{name} step {t}: {e}"))?;
-                    for &v in f.as_slice() {
-                        raw.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                _ => {
-                    let f = reader
-                        .read_step::<f64>(&name, t)
-                        .map_err(|e| format!("{name} step {t}: {e}"))?;
-                    for &v in f.as_slice() {
-                        raw.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-            }
-        }
-        io::write_bytes(&file, &raw)?;
-        println!(
-            "{name}: {} step(s) of {:?} -> {file} ({} bytes)",
-            steps.len(),
-            shape,
-            raw.len()
-        );
+        let bytes = match ext {
+            "f32" => unpack_steps::<f32>(&reader, &name, steps.clone(), &file)?,
+            _ => unpack_steps::<f64>(&reader, &name, steps.clone(), &file)?,
+        };
+        println!("{name}: {} step(s) of {:?} -> {file} ({bytes} bytes)", steps.len(), shape);
     }
     Ok(())
+}
+
+/// Write `steps` of dataset `name` to `file` as raw little-endian values,
+/// each step as [`CatalogReader::read_step`] returns it, so one step is
+/// resident at a time; a failed step leaves no file. Returns the bytes
+/// written.
+fn unpack_steps<T: rq_grid::Scalar>(
+    reader: &CatalogReader<std::fs::File>,
+    name: &str,
+    steps: std::ops::Range<usize>,
+    file: &str,
+) -> Result<usize, String> {
+    replace_on_success(file, |tmp| {
+        let mut out = std::io::BufWriter::new(
+            std::fs::File::create(tmp).map_err(|e| format!("{tmp}: {e}"))?,
+        );
+        let (mut raw, mut written) = (Vec::new(), 0);
+        for t in steps {
+            let f = reader.read_step::<T>(name, t).map_err(|e| format!("{name} step {t}: {e}"))?;
+            raw.clear();
+            f.as_slice().iter().for_each(|&v| v.write_le(&mut raw));
+            out.write_all(&raw).map_err(|e| format!("{tmp}: {e}"))?;
+            written += raw.len();
+        }
+        out.flush().map_err(|e| format!("{tmp}: {e}"))?;
+        Ok(written)
+    })
 }
 
 fn cmd_catalog(args: &Args) -> Result<(), String> {
@@ -1801,6 +1807,27 @@ mod tests {
             run_args(&["decompress", cat.to_str().unwrap(), "/tmp/never.f32"]).is_err(),
             "decompress must redirect catalogs to unpack"
         );
+    }
+
+    /// `unpack` writes each step as it is read: a corrupt step 2 fails
+    /// the command after steps 0 and 1 went to the partial file, and
+    /// neither the output nor the `.rqm-partial` is left behind.
+    #[test]
+    fn unpack_of_a_corrupt_step_leaves_no_file() {
+        let cat = tmp("corrupt_step.rqc");
+        let outdir = tmp("corrupt_step_unpacked");
+        let args = ["pack", cat.to_str().unwrap(), "--steps", "4", "--shape", "8x8x8"];
+        run_args(&[&args[..], &["--abs", "1e-3", "--datasets", "p"]].concat()).unwrap();
+        let step = CatalogReader::open_path(&cat).unwrap().dataset("p").unwrap().steps[2];
+        let mut bytes = std::fs::read(&cat).unwrap();
+        // The last byte of the segment's trailer magic.
+        bytes[(step.offset + step.len) as usize - 1] ^= 0xff;
+        std::fs::write(&cat, &bytes).unwrap();
+        let err = run_args(&["unpack", cat.to_str().unwrap(), outdir.to_str().unwrap()])
+            .expect_err("a corrupt step must fail the unpack");
+        assert!(err.contains("p step 2"), "{err}");
+        assert!(!outdir.join("p.f32").exists(), "no output file");
+        assert!(!outdir.join("p.f32.rqm-partial").exists(), "no partial file");
     }
 
     #[test]

@@ -241,17 +241,6 @@ pub(crate) fn decode_entry_blob<T: Scalar>(
     }
 }
 
-/// Decompress any container generation held in memory with an explicit
-/// worker-thread count (`0` = one per available CPU), clamped to
-/// `available_parallelism` exactly as [`ArchiveReader::with_threads`]
-/// clamps it. Decoded values are identical at every thread count.
-pub fn decompress_with_threads<T: Scalar>(
-    bytes: &[u8],
-    threads: usize,
-) -> Result<NdArray<T>, DecompressError> {
-    ArchiveReader::open(Cursor::new(bytes))?.with_threads(threads).read_all()
-}
-
 /// Decode a single chunk of a container held in memory (random access).
 ///
 /// Returns the slab's first axis-0 row and the decoded slab as a
@@ -465,10 +454,10 @@ mod tests {
             }
             // Parallel decode agrees with single-threaded decode (`_exact`
             // so the pool really runs 8-wide even on a small host).
-            let a = decompress_with_threads::<f32>(&reference, 1).unwrap();
-            let wide =
-                ArchiveReader::open(Cursor::new(&reference[..])).unwrap().with_threads_exact(8);
-            assert_eq!(a.as_slice(), wide.read_all::<f32>().unwrap().as_slice());
+            let open = || ArchiveReader::open(Cursor::new(&reference[..])).unwrap();
+            let a = open().with_threads(1).read_all::<f32>().unwrap();
+            let wide = open().with_threads_exact(8).read_all::<f32>().unwrap();
+            assert_eq!(a.as_slice(), wide.as_slice());
         }
     }
 
@@ -639,7 +628,8 @@ mod tests {
         mangled[mid] ^= 0xff;
         let _ = decompress::<f32>(&mangled); // must not panic
         assert!(matches!(
-            decompress_with_threads::<f64>(&out.bytes, 2),
+            ArchiveReader::open(Cursor::new(&out.bytes[..]))
+                .and_then(|r| r.with_threads(2).read_all::<f64>()),
             Err(DecompressError::ScalarMismatch { .. })
         ));
     }

@@ -35,7 +35,7 @@ pub mod rolz;
 pub mod scheduler;
 pub mod stream;
 
-pub use chunked::{decompress_chunk, decompress_with_threads, resolved_chunk_rows};
+pub use chunked::{decompress_chunk, resolved_chunk_rows};
 pub use codec::{ChunkCodec, ChunkStats, SymbolWindow, SzChunkCodec, ZfpChunkCodec};
 pub use config::{Chunking, CodecChoice, CompressorConfig, LosslessStage};
 pub use container::{

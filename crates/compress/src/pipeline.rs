@@ -42,7 +42,7 @@ use crate::codec::SymbolWindow;
 use crate::config::{CompressorConfig, LosslessStage};
 use crate::container::{CompressError, DecompressError, SectionsBody};
 use crate::report::{CompressedOutput, CompressionReport};
-use crate::stream::ArchiveWriter;
+use crate::stream::{ArchiveReader, ArchiveWriter};
 use rq_encoding::{lossless_compress, lossless_decompress_bounded, HuffmanCodec};
 use rq_grid::{BlockIter, NdArray, Scalar, Shape, MAX_DIMS};
 use rq_predict::interp::{anchors, passes, Line};
@@ -986,11 +986,11 @@ pub fn compress_mirrored<T: Scalar>(
 }
 
 /// Decompress a container of any generation held in memory, chunk-parallel
-/// with one worker per available CPU; use
-/// [`crate::decompress_with_threads`] to control the worker count, or
-/// [`crate::decompress_chunk`] for random access to a single slab.
+/// with one worker per available CPU; use [`ArchiveReader::with_threads`]
+/// to control the worker count, or [`crate::decompress_chunk`] for random
+/// access to a single slab.
 pub fn decompress<T: Scalar>(bytes: &[u8]) -> Result<NdArray<T>, DecompressError> {
-    crate::chunked::decompress_with_threads(bytes, 0)
+    ArchiveReader::open(std::io::Cursor::new(bytes))?.with_threads(0).read_all()
 }
 
 #[cfg(test)]

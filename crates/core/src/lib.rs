@@ -44,6 +44,7 @@
 //! | [`model`]     | §III          | the assembled [`RqModel`]                |
 //! | [`usecases`]  | §IV           | the three model-driven use-cases         |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod model;

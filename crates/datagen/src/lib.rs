@@ -21,6 +21,8 @@
 //! | SCALE     | PRES                                | 3D climate      |
 //! | EXAFEL    | raw                                 | 4D imaging      |
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod fields;
 pub mod grf;

@@ -45,4 +45,4 @@ pub mod varint;
 
 pub use bitio::{BitReader, BitWriter};
 pub use huffman::{HuffmanCodec, HuffmanError};
-pub use lossless::{lossless_compress, lossless_decompress, lossless_decompress_bounded};
+pub use lossless::{lossless_compress, lossless_decompress_bounded};

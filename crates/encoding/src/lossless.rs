@@ -50,17 +50,13 @@ pub fn lossless_compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`lossless_compress`]. Returns `None` on malformed input.
-pub fn lossless_decompress(input: &[u8]) -> Option<Vec<u8>> {
-    lossless_decompress_bounded(input, usize::MAX)
-}
-
-/// [`lossless_decompress`] with a caller-supplied output-size limit.
+/// Inverse of [`lossless_compress`], refusing to produce more than
+/// `max_len` bytes. Returns `None` on malformed input.
 ///
-/// Callers that know how large the decoded stream can legitimately be
-/// (e.g. a Huffman payload bounded by its symbol count) should pass that
-/// bound: corrupt run lengths then fail cleanly *before* allocating,
-/// instead of being caught only by the coders' coarse internal caps.
+/// The caller says how large the decoded stream can legitimately be (e.g.
+/// a Huffman payload bounded by its symbol count), so corrupt run lengths
+/// fail cleanly *before* allocating, instead of being caught only by the
+/// coders' coarse internal caps.
 pub fn lossless_decompress_bounded(input: &[u8], max_len: usize) -> Option<Vec<u8>> {
     let (&flags, rest) = input.split_first()?;
     if flags & !(FLAG_RLE | FLAG_LZSS) != 0 {
@@ -94,7 +90,7 @@ mod tests {
         }
         let c = lossless_compress(&data);
         assert!(c.len() < data.len() / 4);
-        assert_eq!(lossless_decompress(&c).unwrap(), data);
+        assert_eq!(lossless_decompress_bounded(&c, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -102,20 +98,20 @@ mod tests {
         let data: Vec<u8> =
             (0..3000u32).map(|i| (i.wrapping_mul(0x45d9f3b).rotate_left(11) >> 5) as u8).collect();
         let c = lossless_compress(&data);
-        assert_eq!(lossless_decompress(&c).unwrap(), data);
+        assert_eq!(lossless_decompress_bounded(&c, data.len()).unwrap(), data);
         assert!(c.len() <= data.len() + 1);
     }
 
     #[test]
     fn roundtrip_empty() {
         let c = lossless_compress(&[]);
-        assert_eq!(lossless_decompress(&c).unwrap(), Vec::<u8>::new());
+        assert_eq!(lossless_decompress_bounded(&c, 0).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn bad_flags_rejected() {
-        assert!(lossless_decompress(&[0xff, 1, 2, 3]).is_none());
-        assert!(lossless_decompress(&[]).is_none());
+        assert!(lossless_decompress_bounded(&[0xff, 1, 2, 3], 3).is_none());
+        assert!(lossless_decompress_bounded(&[], 0).is_none());
     }
 
     #[test]

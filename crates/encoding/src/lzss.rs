@@ -159,14 +159,9 @@ pub fn lzss_compress(input: &[u8]) -> Vec<u8> {
     header
 }
 
-/// Inverse of [`lzss_compress`]. Returns `None` on malformed input.
-pub fn lzss_decompress(input: &[u8]) -> Option<Vec<u8>> {
-    lzss_decompress_bounded(input, usize::MAX)
-}
-
-/// [`lzss_decompress`] refusing declared output sizes beyond `max_len`
-/// (a coarse 2³⁴-byte cap applies regardless), so corrupt headers fail
-/// before allocating.
+/// Inverse of [`lzss_compress`], refusing declared output sizes beyond
+/// `max_len` (a coarse 2³⁴-byte cap applies regardless), so corrupt
+/// headers fail before allocating. Returns `None` on malformed input.
 pub fn lzss_decompress_bounded(input: &[u8], max_len: usize) -> Option<Vec<u8>> {
     let mut pos = 0;
     let n = get_uvarint(input, &mut pos)? as usize;
@@ -251,7 +246,7 @@ mod tests {
         assert_sound(&data);
         let c = lzss_compress(&data);
         assert!(c.len() < data.len() / 3, "{} vs {}", c.len(), data.len());
-        assert_eq!(lzss_decompress(&c).unwrap(), data);
+        assert_eq!(lzss_decompress_bounded(&c, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -261,7 +256,7 @@ mod tests {
             (0..5000u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
         assert_sound(&data);
         let c = lzss_compress(&data);
-        assert_eq!(lzss_decompress(&c).unwrap(), data);
+        assert_eq!(lzss_decompress_bounded(&c, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -269,7 +264,7 @@ mod tests {
         for data in [vec![], vec![1u8], vec![1, 2, 3]] {
             assert_sound(&data);
             let c = lzss_compress(&data);
-            assert_eq!(lzss_decompress(&c).unwrap(), data);
+            assert_eq!(lzss_decompress_bounded(&c, data.len()).unwrap(), data);
         }
     }
 
@@ -280,12 +275,12 @@ mod tests {
         assert_sound(&data);
         let c = lzss_compress(&data);
         assert!(c.len() < 200);
-        assert_eq!(lzss_decompress(&c).unwrap(), data);
+        assert_eq!(lzss_decompress_bounded(&c, data.len()).unwrap(), data);
     }
 
     #[test]
     fn corrupt_header_is_none() {
-        assert!(lzss_decompress(&[0xff]).is_none());
+        assert!(lzss_decompress_bounded(&[0xff], 1).is_none());
     }
 
     #[test]
@@ -299,7 +294,7 @@ mod tests {
         w.put_bits(500, 16); // dist 501 > bytes produced so far (0)
         w.put_bits(0, 8);
         buf.extend_from_slice(&w.finish());
-        assert!(lzss_decompress(&buf).is_none());
+        assert!(lzss_decompress_bounded(&buf, 8).is_none());
     }
 
     #[test]
@@ -309,6 +304,6 @@ mod tests {
         data.extend(vec![0u8; 1000]);
         assert_sound(&data);
         let c = lzss_compress(&data);
-        assert_eq!(lzss_decompress(&c).unwrap(), data);
+        assert_eq!(lzss_decompress_bounded(&c, data.len()).unwrap(), data);
     }
 }

@@ -49,16 +49,11 @@ pub fn rle_compress(input: &[u8], marker: u8) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`rle_compress`]. Returns `None` on malformed input.
-pub fn rle_decompress(input: &[u8], marker: u8) -> Option<Vec<u8>> {
-    rle_decompress_bounded(input, marker, usize::MAX)
-}
-
-/// [`rle_decompress`] refusing to produce more than `max_len` bytes: a
-/// corrupt run-length varint fails cleanly *before* the allocation it
-/// demands. (Even with `max_len == usize::MAX` a coarse 2³⁴-byte cap
-/// applies — callers that know the legitimate decoded size should pass
-/// it.)
+/// Inverse of [`rle_compress`], refusing to produce more than `max_len`
+/// bytes: a corrupt run-length varint fails cleanly *before* the
+/// allocation it demands. (Even with `max_len == usize::MAX` a coarse
+/// 2³⁴-byte cap applies; callers pass the legitimate decoded size.)
+/// Returns `None` on malformed input.
 pub fn rle_decompress_bounded(input: &[u8], marker: u8, max_len: usize) -> Option<Vec<u8>> {
     let cap = (max_len as u64).min(1 << 34);
     let mut out = Vec::with_capacity(input.len() * 2);
@@ -138,30 +133,31 @@ mod tests {
         data[501] = 7;
         let c = rle_compress(&data, 0);
         assert!(c.len() < 20, "compressed to {} bytes", c.len());
-        assert_eq!(rle_decompress(&c, 0).unwrap(), data);
+        assert_eq!(rle_decompress_bounded(&c, 0, data.len()).unwrap(), data);
     }
 
     #[test]
     fn absurd_run_length_rejected_not_allocated() {
         // ESCAPE followed by a varint decoding to ~u64::MAX: must return
-        // None instead of attempting the allocation.
+        // None instead of attempting the allocation, even under no caller
+        // limit (the coarse 2³⁴-byte cap is this test's point).
         let mut evil = vec![ESCAPE];
         evil.extend([0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
-        assert!(rle_decompress(&evil, 0).is_none());
+        assert!(rle_decompress_bounded(&evil, 0, usize::MAX).is_none());
     }
 
     #[test]
     fn roundtrip_no_marker() {
         let data: Vec<u8> = (1..=200).collect();
         let c = rle_compress(&data, 0);
-        assert_eq!(rle_decompress(&c, 0).unwrap(), data);
+        assert_eq!(rle_decompress_bounded(&c, 0, data.len()).unwrap(), data);
     }
 
     #[test]
     fn roundtrip_all_escape_bytes() {
         let data = vec![ESCAPE; 50];
         let c = rle_compress(&data, 0);
-        assert_eq!(rle_decompress(&c, 0).unwrap(), data);
+        assert_eq!(rle_decompress_bounded(&c, 0, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -171,20 +167,20 @@ mod tests {
         data.push(1);
         data.extend_from_slice(&[ESCAPE, ESCAPE]);
         let c = rle_compress(&data, ESCAPE);
-        assert_eq!(rle_decompress(&c, ESCAPE).unwrap(), data);
+        assert_eq!(rle_decompress_bounded(&c, ESCAPE, data.len()).unwrap(), data);
     }
 
     #[test]
     fn empty_input() {
         assert_eq!(rle_compress(&[], 0), Vec::<u8>::new());
-        assert_eq!(rle_decompress(&[], 0).unwrap(), Vec::<u8>::new());
+        assert_eq!(rle_decompress_bounded(&[], 0, 0).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn truncated_run_is_none() {
         let data = vec![0u8; 300];
         let c = rle_compress(&data, 0);
-        assert!(rle_decompress(&c[..1], 0).is_none());
+        assert!(rle_decompress_bounded(&c[..1], 0, data.len()).is_none());
     }
 
     #[test]

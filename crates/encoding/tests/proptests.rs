@@ -7,10 +7,10 @@
 //! reproducible for a given seed constant.
 
 use rq_datagen::rng::{seeded, Rng};
-use rq_encoding::lzss::{lzss_compress, lzss_decompress};
-use rq_encoding::rle::{rle_compress, rle_decompress};
+use rq_encoding::lzss::{lzss_compress, lzss_decompress_bounded};
+use rq_encoding::rle::{rle_compress, rle_decompress_bounded};
 use rq_encoding::varint::{get_uvarint, put_uvarint};
-use rq_encoding::{lossless_compress, lossless_decompress, HuffmanCodec};
+use rq_encoding::{lossless_compress, lossless_decompress_bounded, HuffmanCodec};
 
 /// Deterministic input generator for fuzz-style loops, backed by the
 /// workspace's seeded generator, `rq_datagen::rng::Rng`.
@@ -110,7 +110,7 @@ fn rle_roundtrip() {
         let data = fz.structured_bytes(2000);
         let marker = fz.next_u64() as u8;
         let c = rle_compress(&data, marker);
-        assert_eq!(rle_decompress(&c, marker), Some(data), "case {case}");
+        assert_eq!(rle_decompress_bounded(&c, marker, data.len()), Some(data), "case {case}");
     }
 }
 
@@ -121,7 +121,7 @@ fn lzss_roundtrip() {
         let data =
             if case % 2 == 0 { fz.bytes(3000) } else { fz.structured_bytes(3000) };
         let c = lzss_compress(&data);
-        assert_eq!(lzss_decompress(&c), Some(data), "case {case}");
+        assert_eq!(lzss_decompress_bounded(&c, data.len()), Some(data), "case {case}");
     }
 }
 
@@ -136,7 +136,7 @@ fn lzss_roundtrip_repetitive() {
         let reps = fz.range(1, 200);
         let data: Vec<u8> = unit.iter().cycle().take(unit.len() * reps).copied().collect();
         let c = lzss_compress(&data);
-        assert_eq!(lzss_decompress(&c), Some(data), "case {case}");
+        assert_eq!(lzss_decompress_bounded(&c, data.len()), Some(data), "case {case}");
     }
 }
 
@@ -147,7 +147,7 @@ fn lossless_roundtrip() {
         let data =
             if case % 2 == 0 { fz.bytes(4000) } else { fz.structured_bytes(4000) };
         let c = lossless_compress(&data);
-        assert_eq!(lossless_decompress(&c), Some(data), "case {case}");
+        assert_eq!(lossless_decompress_bounded(&c, data.len()), Some(data), "case {case}");
     }
 }
 
@@ -156,7 +156,9 @@ fn lossless_decompress_never_panics() {
     let mut fz = Fuzz::new(0x6A4BA6E);
     for _ in 0..CASES {
         let garbage = fz.bytes(500);
-        let _ = lossless_decompress(&garbage); // may be None, must not panic
+        // No caller limit: only the coders' own caps stand between garbage
+        // and an allocation. May be None, must not panic.
+        let _ = lossless_decompress_bounded(&garbage, usize::MAX);
     }
 }
 

@@ -24,6 +24,8 @@
 //! | [`chunks`] | §V-F          | axis-0 slabs for the parallel dump pipeline |
 //! | [`stats`]  | §III-C/D      | moments/range/histograms feeding the model  |
 
+#![forbid(unsafe_code)]
+
 pub mod array;
 pub mod blocks;
 pub mod chunks;

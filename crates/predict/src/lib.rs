@@ -28,6 +28,8 @@
 //! In the chunk-parallel pipeline every chunk starts a fresh traversal, so
 //! each predictor's causal history never crosses an axis-0 slab boundary.
 
+#![forbid(unsafe_code)]
+
 pub mod histogram;
 pub mod interp;
 pub mod lorenzo;

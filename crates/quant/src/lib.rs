@@ -13,6 +13,8 @@
 //! | [`bound`]     | §II-B         | abs / value-range-rel / point-wise-rel bounds |
 //! | [`quantizer`] | §II-B, §III-C2 | the linear-scaling quantizer whose bins the model's histogram estimation targets |
 
+#![forbid(unsafe_code)]
+
 pub mod bound;
 pub mod quantizer;
 

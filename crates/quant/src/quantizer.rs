@@ -98,11 +98,6 @@ impl LinearQuantizer {
         LinearQuantizer { eb, two_eb: 2.0 * eb, radius }
     }
 
-    /// Quantizer with the default radius.
-    pub fn with_default_radius(eb: f64) -> Self {
-        Self::new(eb, DEFAULT_RADIUS)
-    }
-
     /// The absolute error bound.
     pub fn error_bound(&self) -> f64 {
         self.eb
@@ -466,7 +461,7 @@ mod tests {
             let orig = -1e5 + 2e5 * unit();
             let pred = orig + (-1e2 + 2e2 * unit());
             let eb = 10f64.powf(-7.0 + 10.0 * unit());
-            let q = LinearQuantizer::with_default_radius(eb);
+            let q = LinearQuantizer::new(eb, DEFAULT_RADIUS);
             assert_eq!(q.quantize(orig - pred), frozen_quantize(&q, orig - pred));
             let fast = q.quantize_value(orig, pred);
             let refr = frozen_quantize_value(&q, orig, pred);
@@ -505,7 +500,7 @@ mod tests {
 
     #[test]
     fn reconstruction_bound_holds() {
-        let q = LinearQuantizer::with_default_radius(1e-3);
+        let q = LinearQuantizer::new(1e-3, DEFAULT_RADIUS);
         for i in -1000..1000 {
             let orig = i as f64 * 0.01;
             let pred = orig + (i as f64 * 0.37).sin() * 0.02;
@@ -550,7 +545,7 @@ mod tests {
             let orig = -1e6 + 2e6 * unit();
             let pred_offset = -1e3 + 2e3 * unit();
             let eb = 10f64.powf(-6.0 + 9.0 * unit());
-            let q = LinearQuantizer::with_default_radius(eb);
+            let q = LinearQuantizer::new(eb, DEFAULT_RADIUS);
             let pred = orig + pred_offset;
             if let Some((code, recon)) = q.quantize_value(orig, pred) {
                 assert!((orig - recon).abs() <= eb * (1.0 + 1e-9));
@@ -573,7 +568,7 @@ mod tests {
         for _ in 0..512 {
             let err = -1e4 + 2e4 * unit();
             let eb = 10f64.powf(-4.0 + 6.0 * unit());
-            let q = LinearQuantizer::with_default_radius(eb);
+            let q = LinearQuantizer::new(eb, DEFAULT_RADIUS);
             if let Some(code) = q.quantize(err) {
                 assert!((q.reconstruct(code) - err).abs() <= eb * (1.0 + 1e-9));
             }

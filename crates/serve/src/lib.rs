@@ -29,6 +29,7 @@
 //! assert_eq!(rows.shape().dim(0), 10);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cache;

@@ -363,34 +363,19 @@ fn parse_header(bytes: &[u8]) -> Result<ZfpHeader, ZfpError> {
         return Err(ZfpError::Corrupt("payload"));
     }
     // Every block costs at least its flag bit, so a shape with more blocks
-    // than payload bits cannot decode: refuse it here, before a caller
-    // allocates what a 25-byte header claims.
+    // than payload bits cannot decode: refuse it here, before the decoder
+    // walks the blocks a 25-byte header claims.
     if BlockIter::new(shape, BLOCK_SIDE).block_count().div_ceil(8) > payload_len {
         return Err(ZfpError::Corrupt("shape exceeds payload"));
     }
     Ok(ZfpHeader { scalar_tag, shape, payload_start: pos, payload_len })
 }
 
-/// Decompress an RQZF stream.
-pub fn zfp_decompress<T: Scalar>(bytes: &[u8]) -> Result<NdArray<T>, ZfpError> {
-    let h = parse_header(bytes)?;
-    if h.scalar_tag != T::TAG {
-        return Err(ZfpError::ScalarMismatch);
-    }
-    let mut out = NdArray::<T>::zeros(h.shape);
-    decode_payload(
-        &bytes[h.payload_start..h.payload_start + h.payload_len],
-        h.shape,
-        out.as_mut_slice(),
-    )?;
-    Ok(out)
-}
-
 /// Decompress an RQZF stream into a caller-provided slice, verifying the
 /// stream describes exactly `shape` (`out.len() == shape.len()`). Lets the
 /// chunk-parallel pipeline decode straight into disjoint slabs of the
-/// output buffer — and, because the expected shape is checked *before*
-/// anything is allocated, a corrupt embedded stream cannot trigger a huge
+/// output buffer — and, because the caller sizes the output and the
+/// stream's shape must match it, a corrupt stream cannot trigger a huge
 /// allocation.
 pub fn zfp_decompress_into<T: Scalar>(
     bytes: &[u8],
@@ -551,6 +536,13 @@ mod tests {
         })
     }
 
+    /// Decode `bytes` into a fresh field of the `shape` the caller expects.
+    fn decode<T: Scalar>(bytes: &[u8], shape: Shape) -> Result<NdArray<T>, ZfpError> {
+        let mut out = NdArray::<T>::zeros(shape);
+        zfp_decompress_into(bytes, shape, out.as_mut_slice())?;
+        Ok(out)
+    }
+
     fn check_bound(a: &NdArray<f32>, b: &NdArray<f32>, tol: f64) {
         for (i, (&x, &y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
             assert!(
@@ -569,7 +561,7 @@ mod tests {
         ] {
             let f = smooth(shape);
             let bytes = zfp_compress(&f, tol).unwrap();
-            let back = zfp_decompress::<f32>(&bytes).unwrap();
+            let back = decode::<f32>(&bytes, shape).unwrap();
             assert_eq!(back.shape().dims(), shape.dims());
             check_bound(&f, &back, tol);
         }
@@ -596,7 +588,7 @@ mod tests {
         let f = NdArray::<f32>::zeros(Shape::d3(16, 16, 16));
         let bytes = zfp_compress(&f, 1e-6).unwrap();
         assert!(bytes.len() < 64, "{} bytes", bytes.len());
-        let back = zfp_decompress::<f32>(&bytes).unwrap();
+        let back = decode::<f32>(&bytes, f.shape()).unwrap();
         assert!(back.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -606,7 +598,7 @@ mod tests {
             (ix[0] as f64 * 0.3).cos() * 7.0 + ix[1] as f64 * 1e-3
         });
         let bytes = zfp_compress(&f, 1e-6).unwrap();
-        let back = zfp_decompress::<f64>(&bytes).unwrap();
+        let back = decode::<f64>(&bytes, f.shape()).unwrap();
         for (&a, &b) in f.as_slice().iter().zip(back.as_slice()) {
             assert!((a - b).abs() <= 1e-6);
         }
@@ -617,10 +609,10 @@ mod tests {
         let f = smooth(Shape::d2(16, 16));
         let bytes = zfp_compress(&f, 1e-3).unwrap();
         for cut in [3, 10, bytes.len() / 2] {
-            assert!(zfp_decompress::<f32>(&bytes[..cut]).is_err());
+            assert!(decode::<f32>(&bytes[..cut], f.shape()).is_err());
         }
-        assert!(zfp_decompress::<f64>(&bytes).is_err(), "scalar mismatch");
-        assert!(zfp_decompress::<f32>(b"NOTZ").is_err());
+        assert!(decode::<f64>(&bytes, f.shape()).is_err(), "scalar mismatch");
+        assert!(decode::<f32>(b"NOTZ", f.shape()).is_err());
     }
 
     #[test]
@@ -634,7 +626,7 @@ mod tests {
                 (amp * (1.0 + (ix[0] + ix[1] + ix[2]) as f64 * 0.01)) as f32
             });
             let bytes = zfp_compress(&f, tol).unwrap();
-            let back = zfp_decompress::<f32>(&bytes).unwrap();
+            let back = decode::<f32>(&bytes, f.shape()).unwrap();
             check_bound(&f, &back, tol);
         }
         // A field mixing quiescent and live blocks (the RTM snapshot
@@ -648,7 +640,7 @@ mod tests {
         });
         let tol = 1e-3;
         let bytes = zfp_compress(&f, tol).unwrap();
-        let back = zfp_decompress::<f32>(&bytes).unwrap();
+        let back = decode::<f32>(&bytes, f.shape()).unwrap();
         check_bound(&f, &back, tol);
     }
 
@@ -663,7 +655,7 @@ mod tests {
         });
         let tol = 1e24;
         let bytes = zfp_compress(&f, tol).unwrap();
-        let back = zfp_decompress::<f32>(&bytes).unwrap();
+        let back = decode::<f32>(&bytes, f.shape()).unwrap();
         for (&a, &b) in f.as_slice().iter().zip(back.as_slice()) {
             assert!(((a - b).abs() as f64) <= tol * 1.001);
         }
@@ -694,7 +686,7 @@ mod tests {
                 ((v >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0) as f32
             });
             let bytes = zfp_compress(&f, tol).unwrap();
-            let back = zfp_decompress::<f32>(&bytes).unwrap();
+            let back = decode::<f32>(&bytes, f.shape()).unwrap();
             for (&a, &b) in f.as_slice().iter().zip(back.as_slice()) {
                 assert!(
                     ((a - b).abs() as f64) <= tol,

@@ -22,10 +22,10 @@
 //! compaction, graceful bitplane truncation, and an absolute error
 //! guarantee — which is what the rate-distortion comparison benches need.
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod codec;
 pub mod transform;
 
-pub use codec::{
-    zfp_compress, zfp_compress_slice, zfp_decompress, zfp_decompress_into, ZfpError,
-};
+pub use codec::{zfp_compress, zfp_compress_slice, zfp_decompress_into, ZfpError};

@@ -24,6 +24,8 @@
 //! assert!(rel_err < 0.25, "model {:.3} vs measured {:.3}", est.bit_rate, out.bit_rate());
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// N-dimensional array substrate.
 pub use rq_grid as grid;
 
@@ -59,8 +61,8 @@ pub mod prelude {
     pub use rq_analysis::{global_ssim, psnr};
     pub use rq_compress::{
         chunk_count, chunk_table, compress, compress_with_report, decompress, decompress_chunk,
-        decompress_with_threads, ArchiveReader, ArchiveWriter, ChunkCodecKind, Chunking,
-        CodecChoice, CompressorConfig, ConcurrentReader,
+        ArchiveReader, ArchiveWriter, ChunkCodecKind, Chunking, CodecChoice, CompressorConfig,
+        ConcurrentReader,
     };
     pub use rq_core::usecases::{
         measure_archive, optimize_partitions, plan_budget, Measured, PlanError, PredictorSelector,

@@ -154,7 +154,8 @@ fn dataset_reader_matches_catalog_reader_exactly() {
     std::fs::write(&path, &bytes).unwrap();
 
     let seq = CatalogReader::open(Cursor::new(bytes)).unwrap();
-    let conc = DatasetReader::<f32>::open_path(&path, "pressure").unwrap();
+    let file_cat = CatalogReader::open_path(&path).unwrap();
+    let conc = DatasetReader::<f32>::open(&file_cat, "pressure").unwrap();
     assert_eq!(conc.n_steps(), 5);
     let row_elems = DIMS[1] * DIMS[2];
     for t in 0..5 {
@@ -277,7 +278,8 @@ fn dataset_reader_holds_one_descriptor_whatever_the_step_count() {
     std::fs::write(&path, &bytes).unwrap();
 
     let before = fds_open_on(&path);
-    let conc = DatasetReader::<f32>::open_path(&path, "wave").unwrap();
+    let file_cat = CatalogReader::open_path(&path).unwrap();
+    let conc = DatasetReader::<f32>::open(&file_cat, "wave").unwrap();
     let grown = fds_open_on(&path) - before;
     assert!(grown <= 2, "a 64-step DatasetReader holds {grown} descriptors on its catalog");
 

@@ -221,10 +221,10 @@ fn assert_source_kinds_agree<T: Scalar>(name: &str, bytes: &[u8], path: &std::pa
         ("chunk source".to_string(), fetched, source.stats()),
     ];
     for threads in [1usize, 2, 8] {
+        let clamped = ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads(threads);
         assert!(
-            decompress_with_threads::<T>(bytes, threads).unwrap().as_slice()
-                == reference.as_slice(),
-            "{name} threads={threads}: decompress_with_threads"
+            clamped.read_all::<T>().unwrap().as_slice() == reference.as_slice(),
+            "{name} threads={threads}: with_threads"
         );
         let stream =
             ArchiveReader::open(Cursor::new(bytes)).unwrap().with_threads_exact(threads);

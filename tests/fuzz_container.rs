@@ -1083,15 +1083,15 @@ fn hostile_codebook_costs_its_bytes_not_its_alphabet() {
 
 #[test]
 fn hostile_rqzf_header_costs_its_bytes_not_its_shape() {
-    use rq_zfp::{zfp_decompress, ZfpError};
+    use rq_zfp::{zfp_decompress_into, ZfpError};
     use rqm::encoding::varint::put_uvarint;
 
-    // A standalone RQZF stream (what the public `rq_zfp::zfp_decompress`
-    // takes from any caller, unchecked) names its own shape. 25 bytes
-    // that claim 2^60 values used to abort the process inside the allocator
-    // — no panic to catch — and 2^16 × 2^16 quietly reserved 16 GiB: every
+    // A standalone RQZF stream names its own shape, and its header is
+    // parsed before that shape is compared with the caller's: 25 bytes can
+    // claim 2^60 values, and 2^16 × 2^16 f32 values are 16 GiB. Every
     // block costs at least one payload bit, so a one-byte payload cannot
-    // hold either, and the header is refused before anything is allocated.
+    // hold either: the header is refused as corrupt, in the oracle's time
+    // and memory, whatever slice the caller offers.
     let stream = |dims: &[u64]| {
         let mut out = b"RQZF".to_vec();
         out.push(0x04); // f32
@@ -1104,20 +1104,27 @@ fn hostile_rqzf_header_costs_its_bytes_not_its_shape() {
         out.push(0x00);
         out
     };
+    // Decode into a caller slice of `dims`, pre-filled with NaN so that a
+    // decoder that skipped an element would show.
+    let decode = |bytes: &[u8], dims: &[usize]| {
+        let shape = Shape::new(dims);
+        let mut out = vec![f32::NAN; shape.len()];
+        zfp_decompress_into(bytes, shape, &mut out).map(|()| out)
+    };
     let cube = stream(&[1 << 20; 3]);
     assert_eq!(cube.len(), 25);
     for (name, bytes) in [("2^20 cubed", cube), ("2^16 squared", stream(&[1 << 16; 2]))] {
-        bounded(&format!("zfp_decompress, {name}"), &|| {
-            let r = zfp_decompress::<f32>(&bytes);
+        bounded(&format!("zfp_decompress_into, {name}"), &|| {
+            let r = decode(&bytes, &[8, 16]);
             assert!(matches!(r, Err(ZfpError::Corrupt(_))), "{name}: {:?}", r.map(|f| f.len()));
             r.is_ok()
         });
     }
     // The largest shape a one-byte payload can hold still decodes: eight
     // empty blocks.
-    let fits = zfp_decompress::<f32>(&stream(&[8, 16])).expect("8 blocks, 8 payload bits");
-    assert!(fits.as_slice().iter().all(|&v| v == 0.0));
-    assert!(zfp_decompress::<f32>(&stream(&[8, 17])).is_err(), "10 blocks, 8 payload bits");
+    let fits = decode(&stream(&[8, 16]), &[8, 16]).expect("8 blocks, 8 payload bits");
+    assert!(fits.iter().all(|&v| v == 0.0));
+    assert!(decode(&stream(&[8, 17]), &[8, 17]).is_err(), "10 blocks, 8 payload bits");
 }
 
 #[test]

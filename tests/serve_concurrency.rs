@@ -159,3 +159,40 @@ fn sixty_four_clients_match_the_serial_decode_across_generations_and_budgets() {
         }
     }
 }
+
+#[test]
+fn max_connections_holds_a_second_client_until_the_first_leaves() {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::Duration;
+
+    let field = rqm::datagen::fields::mixed_smooth_turbulent(Shape::d3(12, 8, 6), 11, 30.0);
+    let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(1e-3)).chunked(4);
+    let bytes = compress(&field, &cfg).unwrap().bytes;
+    let reference = decompress::<f32>(&bytes).unwrap();
+    let serve = ServeConfig { max_connections: 1, ..ServeConfig::default() };
+    let server = Server::bind_bytes("127.0.0.1:0", bytes, serve).unwrap();
+    let addr = server.local_addr();
+
+    let mut first = Client::connect(addr).unwrap();
+    let (tx, rx) = channel();
+    let second = std::thread::spawn(move || {
+        // `connect` waits for the INFO reply, which the server sends only
+        // once it has accepted the connection.
+        let _ = tx.send(Client::connect(addr));
+    });
+    // At the cap, the second client gets no reply while the first stays.
+    assert!(
+        matches!(rx.recv_timeout(Duration::from_millis(300)), Err(RecvTimeoutError::Timeout)),
+        "a second client was served past max_connections = 1"
+    );
+    assert_eq!(first.read_rows::<f32>(0..3).unwrap().as_slice(), &reference.as_slice()[..3 * 48]);
+
+    drop(first);
+    let mut late = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the second client is served once the first leaves")
+        .unwrap();
+    second.join().unwrap();
+    assert_eq!(late.read_rows::<f32>(0..12).unwrap().as_slice(), reference.as_slice());
+    assert_eq!(server.stats().connections, 2);
+}
