@@ -9,10 +9,11 @@
 # benchmark/README.md: the reader engine moves posthoc_read, the scheduler and
 # its backends archive_auto, the chunk kernel and the model insitu_dump, the
 # transport serve_hot, the catalog serve_steps. The worker pool (chunked.rs)
-# schedules the writer and the reader, so it moves posthoc_read and also
-# archive_auto, whose chunks differ in cost by codec. Every catalog step is
-# written by the archive writer and read by the archive reader at two threads
-# on that pool, so the engine (stream.rs) and the pool move serve_steps too.
+# schedules the writer and the reader, and every workload stores through the
+# archive writer and decodes through the archive reader on it at the
+# benchmark's thread count, so it moves all five (archive_auto's chunks also
+# differ in cost by codec). Every catalog step is written and read on that
+# pool, so the engine (stream.rs) moves serve_steps too.
 # The lossless stage
 # (crates/encoding/src/{lossless,lzss,rle}.rs) runs on every SZ chunk and every
 # catalog segment, so it moves posthoc_read, insitu_dump and serve_steps, where
@@ -28,7 +29,7 @@ set -euo pipefail
 
 workload_of() {
     case "$1" in
-        crates/compress/src/chunked.rs) echo posthoc_read archive_auto serve_steps ;;
+        crates/compress/src/chunked.rs) echo insitu_dump archive_auto posthoc_read serve_hot serve_steps ;;
         crates/compress/src/stream.rs) echo posthoc_read serve_steps ;;
         crates/compress/src/container.rs) echo posthoc_read ;;
         crates/compress/src/scheduler.rs | crates/compress/src/rolz.rs | crates/zfp/*) echo archive_auto ;;
@@ -84,9 +85,8 @@ check "--workload posthoc_read --workload serve_steps" \
     tests/decode_parallel.rs docs/ARCHITECTURE.md .github/bench_workloads.sh
 check "--workload posthoc_read --workload serve_steps" crates/compress/src/stream.rs
 check "--workload archive_auto" crates/compress/src/scheduler.rs crates/zfp/src/codec.rs
-# The worker pool: the writer's and the reader's workloads, the catalog's
-# among them.
-check "--workload archive_auto --workload posthoc_read --workload serve_steps" \
+# The worker pool: every workload stores and decodes on it.
+check "--workload insitu_dump --workload archive_auto --workload posthoc_read --workload serve_hot --workload serve_steps" \
     crates/compress/src/chunked.rs
 check "--workload insitu_dump" crates/core/src/model.rs crates/compress/src/kernels.rs
 # The lossless stage: every SZ chunk and every catalog segment; the rest of the

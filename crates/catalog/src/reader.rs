@@ -158,8 +158,8 @@ impl<R: Read + Seek> CatalogReader<R> {
     /// Decode the reconstructed field of `(dataset, step)`.
     ///
     /// A delta step is its keyframe plus the chain of residuals after it,
-    /// each decoded by an [`ArchiveReader`] over the segment's window, one
-    /// worker per CPU. The walk starts from the step this reader last
+    /// each decoded by an [`ArchiveReader`] over the segment's window on
+    /// one thread per CPU. The walk starts from the step this reader last
     /// reconstructed when that step is in the same keyframe group at or
     /// before `step`, and from the keyframe otherwise: random access costs
     /// at most one keyframe plus `keyframe_every - 1` residual decodes, and

@@ -44,8 +44,9 @@
 //! a time, or, on more than one thread, through an ordered window of at
 //! most `2 × threads` chunks in flight, so peak memory is a few chunks no
 //! matter how large the field is. With `--threads N` chunk *decoding* fans
-//! out to N workers while extents are still read sequentially — the output
-//! bytes are identical at every thread count, only the wall time changes.
+//! out to N threads while extents are still read sequentially — the
+//! output bytes are identical at every thread count, only the wall time
+//! changes.
 //!
 //! `--codec` selects the per-chunk backend: `sz` (default, the prediction
 //! path), `zfp` (the transform path), `rolz` (the prediction front end
@@ -451,14 +452,14 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
              use `rqm unpack`"
         ));
     }
-    // Streaming decode at every thread count: each of `--threads`
-    // workers fetches a chunk's extent with one seek+read under the
-    // reader's source lock and decodes it outside the lock, with at
-    // most `2 × threads` chunks in flight, and rows are delivered in
-    // order — peak memory is a window of chunks, never the field. Rows
-    // stream into a temp file that is renamed into place only after
-    // every chunk decoded, so a corrupt archive can neither clobber an
-    // existing output nor leave a silently truncated one.
+    // Streaming decode at every thread count: each of the `--threads`
+    // threads fetches a chunk's extent with one seek+read under the
+    // reader's source lock and decodes it outside the lock, with at most
+    // `2 × threads` chunks in flight, and rows are delivered in order —
+    // peak memory is a window of chunks, never the field. Rows stream into
+    // a temp file that is renamed into place only after every chunk
+    // decoded, so a corrupt archive can neither clobber an existing output
+    // nor leave a silently truncated one.
     let threads = args.unsigned("threads")?.unwrap_or(1);
     drop(src);
     let reader = ArchiveReader::open_path(&input)

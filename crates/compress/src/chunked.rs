@@ -52,14 +52,18 @@ pub fn resolved_chunk_rows(cfg: &CompressorConfig, shape: Shape) -> usize {
 }
 
 /// The crate's one worker pool, which the writer's batches, region reads
-/// and ordered streaming all run on: `f` runs over `items` on up to
-/// `threads` scoped workers, which claim items in input order from one
-/// cursor, at most `2 × threads` ahead of delivery; each result goes to
-/// `deliver` on the calling thread, in input order, exactly once. The
-/// first error in input order, at item *k*, from `f` or `deliver`, stops
-/// all claims after *k*: the items before *k* are delivered, then *k*'s
-/// error is returned, as at one thread. At one thread, or with one item,
-/// this is a plain loop on the caller.
+/// and ordered streaming all run on: `f` runs over `items` on `threads`
+/// threads, which claim items in input order from one cursor, at most
+/// `2 × threads` ahead of delivery; each result goes to `deliver` on the
+/// caller, in input order, exactly once. The caller runs the item it
+/// delivers next, or the one after, while that result is not ready, and
+/// none further: nothing is delivered while it runs one, so the window
+/// freezes. That keeps it busy beside one worker only, so up to two
+/// threads it is one of them beside `threads − 1` spawned workers, and
+/// from three on `threads` workers are spawned and it only delivers. One
+/// thread, or one item, is this loop with no worker. The first error in
+/// input order, at item *k*, from `f` or `deliver`, stops all claims after
+/// *k*: the items before *k* are delivered, then *k*'s error is returned.
 pub(crate) fn run_in_order<I, R, E, F, D>(
     items: Vec<I>,
     threads: usize,
@@ -73,10 +77,8 @@ where
     F: Fn(I) -> Result<R, E> + Sync,
     D: FnMut(R) -> Result<(), E>,
 {
-    let (n, threads) = (items.len(), threads.min(items.len()));
-    if threads <= 1 {
-        return items.into_iter().try_for_each(|item| deliver(f(item)?));
-    }
+    let (n, threads) = (items.len(), threads.min(items.len()).max(1));
+    let (workers, reach) = if threads <= 2 { (threads - 1, 2) } else { (threads, 0) };
     let slots = (0..n).map(|_| None).collect();
     let state = Pool { items: items.into_iter(), claimed: 0, limit: n, delivered: 0, slots };
     let (pool, wake) = (Mutex::new(state), Condvar::new());
@@ -84,28 +86,35 @@ where
     // half-way, so a lock poisoned by a panic still holds a valid state.
     let lock = || pool.lock().unwrap_or_else(PoisonError::into_inner);
     let wait = |st| wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+    // The next item, if it lies less than `window` past the next delivery.
+    let claim = |st: &mut Pool<I, R, E>, window| {
+        let i = st.claimed;
+        let item = (i < st.limit && i < st.delivered + window).then(|| st.items.next());
+        item.flatten().map(|item| {
+            st.claimed += 1;
+            (i, item)
+        })
+    };
+    // Runs a claimed item and stores its result, or waits if none was.
+    let step = |job, st| {
+        let Some((i, item)) = job else { return wait(st) };
+        drop(st);
+        let result = f(item);
+        let mut st = lock();
+        if result.is_err() {
+            st.limit = st.limit.min(i + 1);
+        }
+        st.slots[i] = Some(result);
+        wake.notify_all();
+        st
+    };
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 0..workers {
             scope.spawn(|| {
                 let _halt = Halt(&pool, &wake);
                 let mut st = lock();
-                loop {
-                    while st.claimed < st.limit && st.claimed >= st.delivered + 2 * threads {
-                        st = wait(st);
-                    }
-                    let i = st.claimed;
-                    let Some(item) = (i < st.limit).then(|| st.items.next()).flatten() else {
-                        return;
-                    };
-                    st.claimed += 1;
-                    drop(st);
-                    let result = f(item);
-                    st = lock();
-                    if result.is_err() {
-                        st.limit = st.limit.min(i + 1);
-                    }
-                    st.slots[i] = Some(result);
-                    wake.notify_all();
+                while st.claimed < st.limit {
+                    st = step(claim(&mut st, 2 * threads), st);
                 }
             });
         }
@@ -113,11 +122,11 @@ where
         for i in 0..n {
             let mut st = lock();
             let result = loop {
-                match st.slots[i].take() {
+                st = match st.slots[i].take() {
                     Some(result) => break result,
                     None if st.limit == 0 => return Ok(()), // the scope re-raises the panic
-                    None => st = wait(st),
-                }
+                    None => step(claim(&mut st, reach), st),
+                };
             };
             drop(st);
             let delivered = result.and_then(&mut deliver);
@@ -262,6 +271,7 @@ mod tests {
     use crate::pipeline::{compress, compress_with_report, decompress};
     use rq_predict::PredictorKind;
     use rq_quant::ErrorBoundMode;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 
     /// Item `i`'s cost in the pool tests: skewed, so later items often
@@ -348,6 +358,57 @@ mod tests {
             assert_eq!(result, Err(104), "threads={threads}");
             let more = calls.into_inner() - calls_at_error;
             assert!(more <= 2 * threads, "threads={threads}: f ran {more} more times");
+        }
+    }
+
+    #[test]
+    fn pool_runs_on_the_caller_only_up_to_two_threads() {
+        for threads in [1, 2, 3, 8] {
+            let caller = std::thread::current().id();
+            let ran_on = Mutex::new(Vec::new());
+            let record = |i: usize| -> Result<usize, ()> {
+                ran_on.lock().unwrap().push(std::thread::current().id());
+                skewed_cost(i);
+                Ok(i)
+            };
+            run_in_order((0..40).collect(), threads, record, |_| Ok(())).unwrap();
+            let ids = ran_on.into_inner().unwrap();
+            assert_eq!(ids.len(), 40, "threads={threads}");
+            let on_caller = ids.iter().filter(|&&id| id == caller).count();
+            let workers = ids.into_iter().filter(|&id| id != caller).collect::<HashSet<_>>();
+            let (ran, spawned) = (workers.len(), if threads <= 2 { threads - 1 } else { threads });
+            assert!(ran <= spawned, "threads={threads}: {ran} workers ran items");
+            match threads {
+                1 => assert_eq!(on_caller, 40, "one thread runs every item on the caller"),
+                2 => assert!(on_caller > 0, "at two threads the caller runs items"),
+                _ => assert_eq!(on_caller, 0, "threads={threads}: the caller ran items"),
+            }
+        }
+    }
+
+    #[test]
+    fn pool_keeps_threads_items_running_at_once() {
+        // The items run in waves of `threads`, and each waits until its whole
+        // wave is running; the timeout makes a pool that runs fewer items at
+        // once fail instead of hang.
+        for threads in [2, 3, 4, 8] {
+            let (running, all_in) = (Mutex::new(vec![0; 3]), Condvar::new());
+            let wave = |i: usize| -> Result<bool, ()> {
+                let mut running = running.lock().unwrap();
+                running[i / threads] += 1;
+                all_in.notify_all();
+                let timeout = std::time::Duration::from_secs(5);
+                let waiting = |running: &mut Vec<usize>| running[i / threads] < threads;
+                let waited = all_in.wait_timeout_while(running, timeout, waiting).unwrap().1;
+                Ok(!waited.timed_out())
+            };
+            let mut met = Vec::new();
+            run_in_order((0..3 * threads).collect(), threads, wave, |m| {
+                met.push(m);
+                Ok(())
+            })
+            .unwrap();
+            assert!(met.iter().all(|&m| m), "threads={threads}: waves met {met:?}");
         }
     }
 

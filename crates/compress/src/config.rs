@@ -134,14 +134,14 @@ impl CompressorConfig {
         self
     }
 
-    /// Set the worker thread count (`0` = one per available CPU). Only
+    /// Set the encode thread count (`0` = one per available CPU). Only
     /// chunked configurations use more than one thread.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// The worker thread count after resolving `0` to the machine's
+    /// The encode thread count after resolving `0` to the machine's
     /// available parallelism.
     pub fn resolved_threads(&self) -> usize {
         if self.threads > 0 {

@@ -31,10 +31,12 @@
 //! the read's own, for a file, a stream and an archive in memory alike), one
 //! row planner and one set of counters. Each read allocates its own buffers,
 //! so no decoder ever sees a stale one. Writer and reader share one worker
-//! pool: `threads` workers claim chunks in order as they free up and fetch
-//! their own blobs, at most `2 × threads` chunks ahead of the caller, who
-//! takes the results in row order. At one thread all runs inline on the
-//! caller.
+//! pool of `threads` threads, which claim chunks in order as they free up
+//! and fetch their own blobs, at most `2 × threads` chunks ahead of the
+//! delivery; the caller takes the results in row order. Up to two threads
+//! the caller is one of them (at one, no worker is spawned and the caller
+//! runs every chunk); from three on, `threads` workers run the chunks and
+//! the caller delivers.
 //!
 //! Encoding a chunk is a pure function of its data, shape and bound, so
 //! archive bytes depend neither on the worker-thread count nor on how
@@ -569,9 +571,9 @@ pub struct ReadStats {
 ///
 /// # Parallel decode
 ///
-/// [`Self::with_threads`] sets the decode worker count. Every path runs
-/// on one pool whose workers claim chunks in row order as they free up,
-/// each fetching its own blobs: one seek+read under the source lock into a
+/// [`Self::with_threads`] sets the decode thread count. Every path runs on
+/// one pool whose threads claim chunks in row order as they free up, each
+/// fetching its own blobs: one seek+read under the source lock into a
 /// freshly allocated buffer, whatever the source (a file, a stream, an
 /// archive held in memory). Decoding runs outside the lock. Region reads
 /// ([`Self::read_all`], [`Self::read_rows`]) decode straight into the
@@ -579,8 +581,9 @@ pub struct ReadStats {
 /// [`Self::decompress_to_writer`]) decodes each chunk into a slab of its
 /// own, delivered in row order and then dropped, at most `2 × threads`
 /// chunks ahead, so peak memory stays `O(threads × chunk)`. At one thread
-/// every path decodes inline on the caller. Results, and the first error
-/// with the rows before it, are the single-threaded decode's.
+/// no worker is spawned and the caller decodes every chunk. Results, and
+/// the first error with the rows before it, are the single-threaded
+/// decode's.
 ///
 /// # Sharing
 ///
@@ -651,14 +654,16 @@ impl<R: Read + Seek> ArchiveReader<R> {
         Ok(ArchiveReader { shared: Arc::new(shared), threads: 1 })
     }
 
-    /// Set the decode worker-thread count (`0` = one per available CPU,
-    /// `1` = decode serially on the calling thread, whatever the source).
-    /// The workers claim chunks as they free up, at most `2 × threads`
-    /// ahead of the chunk the caller delivers next. Decoded output is
-    /// byte-identical at every thread count.
+    /// Set the decode thread count (`0` = one per available CPU, `1` =
+    /// decode serially on the calling thread, whatever the source). At two
+    /// threads the caller decodes beside one worker; from three on, a read
+    /// spawns `threads` workers and the caller delivers. The threads claim
+    /// chunks as they free up, at most `2 × threads` ahead of the chunk the
+    /// caller delivers next. Decoded output is byte-identical at every
+    /// thread count.
     ///
     /// The pool is clamped to `available_parallelism`: on a machine with
-    /// fewer cores than `threads`, extra workers only add dispatch and
+    /// fewer cores than `threads`, extra threads only add dispatch and
     /// context-switch overhead (measurably *slower* than serial decode on
     /// a 1-CPU host) without any more decode bandwidth to use. Pass the
     /// count through [`Self::with_threads_exact`] to oversubscribe
@@ -669,8 +674,8 @@ impl<R: Read + Seek> ArchiveReader<R> {
     }
 
     /// [`Self::with_threads`] without the `available_parallelism` clamp:
-    /// exactly `threads` workers (`0` is treated as `1`), even beyond the
-    /// core count, and a window of `2 × threads` chunks. Decoded bytes are
+    /// `threads` threads (`0` is treated as `1`), even beyond the core
+    /// count, and a window of `2 × threads` chunks. Decoded bytes are
     /// identical either way; this exists so tests and benchmarks can
     /// exercise the pool's ordering and window on machines with few cores.
     pub fn with_threads_exact(mut self, threads: usize) -> Self {
@@ -678,7 +683,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
         self
     }
 
-    /// The decode worker-thread count in effect.
+    /// The decode thread count in effect.
     pub fn threads(&self) -> usize {
         self.threads
     }
